@@ -1,6 +1,6 @@
 //! **Abstract-interpretation bounds**: soundness and payoff of the
 //! `scope-lint::bounds` interval analysis over the plan IR. Three hard
-//! checks and two payoff measurements:
+//! checks and one payoff measurement:
 //!
 //! 1. **Interval soundness** — for every sampled job and candidate config
 //!    that compiles, the whole-plan cost interval must bracket the
@@ -17,9 +17,7 @@
 //!    fraction of candidate compiles statically.
 //!
 //! Payoff: the statically-retired candidate fraction beyond the PR 4 lint
-//! gate, and the memo-task reduction from branch-and-bound pruning
-//! (`CompileBudget::with_branch_and_bound`), which must also pick
-//! bit-identical plans, costs, and signatures.
+//! gate.
 //!
 //! Emits `results/BENCH_bounds.json`.
 //!
@@ -31,9 +29,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scope_exec::ABTester;
 use scope_lint::{audit_estimates, PlanBounds};
-use scope_optimizer::{
-    compile_job, compile_job_with_budget, effective_config, CompileBudget, RuleConfig,
-};
+use scope_optimizer::{compile_job, effective_config, RuleConfig};
 use scope_steer_bench::harness::{pipeline_params, workload, AB_SEED};
 use scope_steer_bench::reporting::{banner, json_object, scale_arg, write_json};
 use scope_workload::WorkloadTag;
@@ -76,7 +72,7 @@ fn main() {
     let scale = scale_arg();
     banner(
         "Bounds",
-        "abstract-interpretation cost intervals: soundness sweep, bounds-gated discovery, branch-and-bound pruning (Workload A, day 0)",
+        "abstract-interpretation cost intervals: soundness sweep, bounds-gated discovery (Workload A, day 0)",
     );
     let w = workload(WorkloadTag::A, scale);
     let jobs = w.day(0);
@@ -164,44 +160,6 @@ fn main() {
         100.0 * pruned_frac,
     );
 
-    // ── payoff: branch-and-bound task reduction with identity ───────────
-    let exhaustive = CompileBudget::UNLIMITED;
-    let pruned = CompileBudget::UNLIMITED.with_branch_and_bound();
-    let mut tasks_exhaustive = 0u64;
-    let mut tasks_pruned = 0u64;
-    let mut bnb_pairs = 0usize;
-    let mut bnb_divergences = 0usize;
-    let config = RuleConfig::default_config();
-    for job in &sampled {
-        let off = compile_job_with_budget(job, &config, &exhaustive);
-        let on = compile_job_with_budget(job, &config, &pruned);
-        match (off, on) {
-            (Ok(a), Ok(b)) => {
-                bnb_pairs += 1;
-                if format!("{:?}", a.plan) != format!("{:?}", b.plan)
-                    || a.est_cost.to_bits() != b.est_cost.to_bits()
-                    || a.signature != b.signature
-                {
-                    eprintln!("B&B DIVERGENCE on job {}", job.id.0);
-                    bnb_divergences += 1;
-                }
-                tasks_exhaustive += a.stats.tasks;
-                tasks_pruned += b.stats.tasks;
-            }
-            (Err(a), Err(b)) if a == b => {}
-            _ => {
-                eprintln!("B&B changed compilability on job {}", job.id.0);
-                bnb_divergences += 1;
-            }
-        }
-    }
-    let task_reduction = 1.0 - tasks_pruned as f64 / tasks_exhaustive.max(1) as f64;
-    println!(
-        "branch-and-bound: {bnb_pairs} compile pairs, {tasks_exhaustive} → {tasks_pruned} memo tasks \
-         ({:.1}% fewer), {bnb_divergences} divergences",
-        100.0 * task_reduction
-    );
-
     let body = json_object(&[
         ("experiment", "\"bounds\"".into()),
         ("scale", format!("{scale}")),
@@ -225,11 +183,6 @@ fn main() {
         ),
         ("discovery_gated_s", format!("{gated_s:.4}")),
         ("discovery_ungated_s", format!("{ungated_s:.4}")),
-        ("bnb_pairs", bnb_pairs.to_string()),
-        ("bnb_tasks_exhaustive", tasks_exhaustive.to_string()),
-        ("bnb_tasks_pruned", tasks_pruned.to_string()),
-        ("bnb_task_reduction", format!("{task_reduction:.4}")),
-        ("bnb_divergences", bnb_divergences.to_string()),
     ]);
     let path = write_json("BENCH_bounds.json", &body);
     println!("wrote {}", path.display());
@@ -252,14 +205,6 @@ fn main() {
     }
     if bounds_pruned == 0 {
         eprintln!("FAIL: the bounds gate never retired a candidate");
-        failed = true;
-    }
-    if bnb_divergences > 0 {
-        eprintln!("FAIL: branch-and-bound changed a compile result");
-        failed = true;
-    }
-    if tasks_pruned >= tasks_exhaustive {
-        eprintln!("FAIL: branch-and-bound never skipped a task");
         failed = true;
     }
     if failed {

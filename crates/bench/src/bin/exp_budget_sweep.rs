@@ -1,9 +1,10 @@
 //! **Compile-budget sweep**: steering quality vs the per-candidate compile
 //! budget. For each task budget we run the full lifecycle — discovery with
 //! guarded, budgeted candidate recompiles on day 0, hint minimization +
-//! installation, then a day of production traffic through the deployment
-//! guardrail (with the same budget on its steered compiles) — and compare
-//! steered wall-clock against a default-only baseline. Small budgets starve
+//! ingestion, then a day of production traffic through the flight
+//! controller's guardrail at 100 % measured exposure (with the same budget
+//! on its steered compiles) — and compare each steered job's wall-clock
+//! against a shadow baseline on its default plan. Small budgets starve
 //! the candidate search (everything is discarded as over-budget, nothing is
 //! discovered); large ones recover the unlimited-budget steering wins while
 //! still bounding the cost of any individual rogue compile.
@@ -13,13 +14,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scope_exec::{ABTester, RetryPolicy};
-use scope_optimizer::{compile_job, CompileBudget, RuleConfig};
-use scope_steer_bench::harness::{pipeline_params, workload, AB_SEED};
+use scope_optimizer::CompileBudget;
+use scope_steer_bench::harness::{pipeline_params, serve_measured_day, workload, AB_SEED};
 use scope_steer_bench::reporting::{banner, markdown_table, scale_arg, write_csv};
 use scope_workload::WorkloadTag;
-use steer_core::{
-    minimize_config, winning_configs, FlightConfig, FlightController, Pipeline, PipelineParams,
-};
+use steer_core::{minimize_config, winning_configs, Pipeline, PipelineParams};
 
 /// Per-candidate task budgets to sweep, `None` = unlimited control. The low
 /// end rejects every recompile; the knee sits where typical explore +
@@ -94,44 +93,11 @@ fn main() {
                 minimized.push(m);
             }
         }
-        let mut flights = FlightController::new(FlightConfig::default());
-        flights.store.compile_budget = budget;
-        flights.ingest_deployed(&minimized, 0);
-        let store = flights.store;
-
-        // Day 1: production traffic through the guardrail (same budget on
-        // steered compiles), vs a default-only baseline.
-        let day1 = w.day(1);
-        let default_cfg = RuleConfig::default_config();
-        let mut steered = 0usize;
-        let mut vetoed = 0usize;
-        let mut guarded_total = 0.0f64;
-        let mut baseline_total = 0.0f64;
-        for job in &day1 {
-            let Ok(default) = compile_job(job, &default_cfg) else {
-                continue;
-            };
-            let Some(run) = store.run_with_guardrail(job, &ab, &policy) else {
-                continue;
-            };
-            let base = ab.run_with_retry(job, &default.plan, 1, &policy);
-            if !run.outcome.is_success() || !base.outcome.is_success() {
-                continue;
-            }
-            if run.steered {
-                steered += 1;
-            }
-            if run.vetoed {
-                vetoed += 1;
-            }
-            guarded_total += run.metrics.runtime;
-            baseline_total += base.metrics.runtime;
-        }
-        let delta_pct = if baseline_total > 0.0 {
-            (guarded_total - baseline_total) / baseline_total * 100.0
-        } else {
-            0.0
-        };
+        // Day 1: production traffic through the flight controller's
+        // guardrail (same budget on steered compiles), every steered job
+        // against a shadow baseline.
+        let (day1, delta_pct) = serve_measured_day(&minimized, budget, &w.day(1), &ab, &policy);
+        let (steered, vetoed) = (day1.steered, day1.vetoes);
         println!(
             "budget {}: {} selected, {} over-budget / {} filtered trials, {} hints, day-1 steered {} / vetoed {} (Δ {:+.1}%)",
             budget_label(budget_tasks),
@@ -181,7 +147,7 @@ fn main() {
                 "hints",
                 "steered",
                 "vetoed",
-                "Δ runtime vs default"
+                "Δ steered vs default"
             ],
             &table
         )
@@ -204,7 +170,7 @@ fn main() {
         .collect();
     let path = write_csv(
         "budget_sweep.csv",
-        "task_budget,jobs_selected,over_budget_trials,filtered_trials,hints,steered_jobs,vetoed_jobs,delta_runtime_pct",
+        "task_budget,jobs_selected,over_budget_trials,filtered_trials,hints,steered_jobs,vetoed_hints,delta_steered_pct",
         &csv,
     );
     println!("wrote {}", path.display());

@@ -1,14 +1,14 @@
 //! **Deployment lifecycle** (§3.3 + §6.4): discover winning configurations
-//! on day 0, minimize them into reviewable plan hints, install them in a
-//! hint store, and track a week of re-validation — including the paper's
-//! mitigation of drift ("re-running our pipeline every week") by
-//! suspending any hint whose group starts regressing.
+//! on day 0, minimize them into reviewable plan hints, hand them to the
+//! flight controller, and track a week of serving plus re-validation —
+//! including the paper's mitigation of drift ("re-running our pipeline
+//! every week") by rolling back any hint whose group keeps regressing.
 //!
 //! Run: `cargo run -p scope-steer-bench --release --bin exp_deployment -- [--scale=0.3]`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scope_exec::ABTester;
+use scope_exec::{ABTester, RetryPolicy};
 use scope_steer_bench::harness::{pipeline, workload, AB_SEED};
 use scope_steer_bench::reporting::{banner, markdown_table, scale_arg, write_csv};
 use scope_workload::WorkloadTag;
@@ -18,7 +18,7 @@ fn main() {
     let scale = scale_arg();
     banner(
         "Deployment",
-        "plan-hint lifecycle: discover → minimize → install → revalidate (Workload A)",
+        "plan-hint lifecycle: discover → minimize → flight → revalidate (Workload A)",
     );
     let w = workload(WorkloadTag::A, scale);
     let ab = ABTester::new(AB_SEED);
@@ -59,27 +59,38 @@ fn main() {
         if after > 0 { before / after.max(1) } else { 0 }
     );
 
-    // Install and revalidate over a week.
-    // Offline experiment: expose the hints immediately (Deployed) but go
-    // through the flight controller so installation is journaled.
-    let mut flights = FlightController::new(FlightConfig::default());
+    // Roll the hints out and run a week through the one lifecycle: each
+    // day's traffic is served steered, a background sweep re-checks every
+    // deployed hint against the default plan on a sample of its group's
+    // jobs (§6.4's periodic re-validation: the budget covers the whole
+    // fleet), and the N-strike / CUSUM monitors roll back regressors.
+    let mut flights = FlightController::new(FlightConfig {
+        revalidation_budget: minimized.len().max(1),
+        ..FlightConfig::default()
+    });
     flights.ingest_deployed(&minimized, 0);
-    let mut store = flights.store;
+    let policy = RetryPolicy::default();
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for day in 1..7 {
         let jobs = w.day(day);
-        let r = store.revalidate(&jobs, &ab, day, 2.0);
+        let served = flights.serve_day(&jobs, &ab, &policy, day);
+        let checked = flights.revalidate_background(&jobs, &ab, day);
+        let rolled_back = flights.advance(day).rollbacks.len();
         rows.push(vec![
             day.to_string(),
-            r.groups_checked.to_string(),
-            r.jobs_executed.to_string(),
-            format!("{:+.1}%", r.mean_change_pct),
-            r.groups_suspended.to_string(),
+            served.steered.to_string(),
+            checked.observed.len().to_string(),
+            checked.jobs_executed.to_string(),
+            format!("{:+.1}%", checked.mean_change_pct),
+            rolled_back.to_string(),
         ]);
         csv.push(format!(
-            "{day},{},{},{:.2},{}",
-            r.groups_checked, r.jobs_executed, r.mean_change_pct, r.groups_suspended
+            "{day},{},{},{},{:.2},{rolled_back}",
+            served.steered,
+            checked.observed.len(),
+            checked.jobs_executed,
+            checked.mean_change_pct
         ));
     }
     println!(
@@ -87,14 +98,16 @@ fn main() {
         markdown_table(
             &[
                 "day",
+                "jobs steered",
                 "groups checked",
                 "jobs executed",
                 "mean change",
-                "suspended"
+                "rolled back"
             ],
             &rows
         )
     );
+    let store = &flights.store;
     let active = store
         .hints()
         .filter(|h| h.status == steer_core::HintStatus::Active)
@@ -107,7 +120,7 @@ fn main() {
     println!("{}", store.to_hint_text());
     let path = write_csv(
         "deployment_week.csv",
-        "day,groups_checked,jobs_executed,mean_change_pct,suspended",
+        "day,steered_jobs,groups_checked,jobs_executed,mean_change_pct,rolled_back",
         &csv,
     );
     println!("wrote {}", path.display());

@@ -1,24 +1,23 @@
 //! **Fault sweep**: how steering quality degrades as the cluster gets
 //! less reliable. For each vertex-failure rate we run the full lifecycle —
-//! discovery under faults on day 0, hint minimization + installation, then
-//! a day of production traffic through the deployment guardrail — and
-//! compare steered wall-clock against a default-only baseline on the same
-//! faulty cluster. The guardrail's fallback-to-default keeps the steered
-//! column from ever losing more than the wasted attempt (§3.3's "safe to
-//! deploy" story, stress-tested).
+//! discovery under faults on day 0, hint minimization + ingestion, then a
+//! day of production traffic through the flight controller's guardrail at
+//! 100 % measured exposure — and compare each steered job's wall-clock
+//! against a shadow baseline on the same faulty cluster. The guardrail's
+//! fallback-to-default keeps a steered job from ever losing more than the
+//! wasted attempt (§3.3's "safe to deploy" story, stress-tested); a job
+//! whose fallback dies too is counted as lost.
 //!
 //! Run: `cargo run -p scope-steer-bench --release --bin exp_fault_sweep -- [--scale=0.3]`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scope_exec::{ABTester, FaultProfile, RetryPolicy};
-use scope_optimizer::{compile_job, RuleConfig};
-use scope_steer_bench::harness::{pipeline_params, workload, AB_SEED};
+use scope_optimizer::CompileBudget;
+use scope_steer_bench::harness::{pipeline_params, serve_measured_day, workload, AB_SEED};
 use scope_steer_bench::reporting::{banner, markdown_table, scale_arg, write_csv};
 use scope_workload::WorkloadTag;
-use steer_core::{
-    minimize_config, winning_configs, FlightConfig, FlightController, Pipeline, PipelineParams,
-};
+use steer_core::{minimize_config, winning_configs, Pipeline, PipelineParams};
 
 /// Vertex-level transient failure probabilities to sweep. 0 is the
 /// fault-free control; the top end is an unhealthy cluster where most
@@ -33,7 +32,7 @@ struct SweepRow {
     winners: usize,
     steered: usize,
     fallbacks: usize,
-    failed_jobs: usize,
+    lost: usize,
     delta_pct: f64,
 }
 
@@ -76,55 +75,24 @@ fn main() {
                 minimized.push(m);
             }
         }
-        let mut flights = FlightController::new(FlightConfig::default());
-        flights.ingest_deployed(&minimized, 0);
-        let store = flights.store;
-
-        // Day 1: production traffic through the guardrail, vs a
-        // default-only baseline on the same faulty cluster.
-        let day1 = w.day(1);
-        let default_cfg = RuleConfig::default_config();
-        let mut steered = 0usize;
-        let mut fallbacks = 0usize;
-        let mut failed_jobs = 0usize;
-        let mut guarded_total = 0.0f64;
-        let mut baseline_total = 0.0f64;
-        for job in &day1 {
-            let Ok(default) = compile_job(job, &default_cfg) else {
-                continue;
-            };
-            let Some(run) = store.run_with_guardrail(job, &ab, &policy) else {
-                continue;
-            };
-            let base = ab.run_with_retry(job, &default.plan, 1, &policy);
-            if !run.outcome.is_success() || !base.outcome.is_success() {
-                // Even the fallback (or the baseline itself) died within
-                // its retry budget: count it, but keep the totals to jobs
-                // both sides finished.
-                failed_jobs += 1;
-                continue;
-            }
-            if run.steered {
-                steered += 1;
-            }
-            if run.used_fallback {
-                fallbacks += 1;
-            }
-            guarded_total += run.metrics.runtime;
-            baseline_total += base.metrics.runtime;
-        }
-        let delta_pct = if baseline_total > 0.0 {
-            (guarded_total - baseline_total) / baseline_total * 100.0
-        } else {
-            0.0
-        };
+        // Day 1: production traffic through the flight controller's
+        // guardrail, every steered job against a shadow baseline on the
+        // same faulty cluster.
+        let (day1, delta_pct) = serve_measured_day(
+            &minimized,
+            CompileBudget::default(),
+            &w.day(1),
+            &ab,
+            &policy,
+        );
+        let (steered, fallbacks, lost) = (day1.steered, day1.fallbacks, day1.lost);
         println!(
-            "rate {rate:.0e}: {} selected, {} winners, day-1 steered {} / fallback {} / failed {} (Δ {:+.1}%)",
+            "rate {rate:.0e}: {} selected, {} winners, day-1 steered {} / fallback {} / lost {} (Δ {:+.1}%)",
             report.outcomes.len(),
             minimized.len(),
             steered,
             fallbacks,
-            failed_jobs,
+            lost,
             delta_pct
         );
         rows.push(SweepRow {
@@ -135,7 +103,7 @@ fn main() {
             winners: minimized.len(),
             steered,
             fallbacks,
-            failed_jobs,
+            lost,
             delta_pct,
         });
     }
@@ -151,7 +119,7 @@ fn main() {
                 r.winners.to_string(),
                 r.steered.to_string(),
                 r.fallbacks.to_string(),
-                r.failed_jobs.to_string(),
+                r.lost.to_string(),
                 format!("{:+.1}%", r.delta_pct),
             ]
         })
@@ -167,8 +135,8 @@ fn main() {
                 "hints",
                 "steered",
                 "fallbacks",
-                "failed jobs",
-                "Δ runtime vs default"
+                "lost jobs",
+                "Δ steered vs default"
             ],
             &table
         )
@@ -185,14 +153,14 @@ fn main() {
                 r.winners,
                 r.steered,
                 r.fallbacks,
-                r.failed_jobs,
+                r.lost,
                 r.delta_pct
             )
         })
         .collect();
     let path = write_csv(
         "fault_sweep.csv",
-        "vertex_failure_prob,jobs_selected,failed_defaults,failed_candidate_trials,hints,steered_jobs,fallback_jobs,failed_jobs,delta_runtime_pct",
+        "vertex_failure_prob,jobs_selected,failed_defaults,failed_candidate_trials,hints,steered_jobs,fallback_jobs,lost_jobs,delta_steered_pct",
         &csv,
     );
     println!("wrote {}", path.display());

@@ -1,29 +1,26 @@
 //! **steer-audit**: the repository's source-hygiene gate, replacing the
-//! four inline `grep` chains CI used to carry. Each historical gate keeps
+//! inline `grep` chains CI used to carry. Each historical gate keeps
 //! its exact intent, but matching happens on *lexed Rust tokens* — string
 //! literals, char literals, and comments are scrubbed first — so a banned
 //! pattern quoted in a doc comment or an error message can never produce
 //! a false hit, and a real violation split across whitespace or lines can
 //! never hide.
 //!
-//! The five checks:
+//! The four checks:
 //!
 //! 1. `unbounded-queue` — no unbounded channels or grow-forever queues in
 //!    the serving layer (`crates/core/src/serve.rs`). Admission control is
 //!    a ceiling-checked `BinaryHeap`; anything else regresses the
 //!    overload-bounded-allocation invariant.
-//! 2. `direct-install` — every hint enters production through the
-//!    `FlightController` (journaled + staged); `.install(` is allowed
-//!    only in the flight layer itself and in tests.
-//! 3. `panicking-float-cmp` — no `partial_cmp(..).unwrap()/.expect()`
+//! 2. `panicking-float-cmp` — no `partial_cmp(..).unwrap()/.expect()`
 //!    comparators; use `f64::total_cmp` or the `nan_{last,first}_cmp`
 //!    orderings.
-//! 4. `rule-vec-hot-path` — no `Vec<RuleId>` materialization in the
+//! 3. `rule-vec-hot-path` — no `Vec<RuleId>` materialization in the
 //!    explore/implement hot path (`search.rs`/`transform.rs`/`memo.rs`);
 //!    iterate `RuleSet` masks. `classic.rs` keeps the old shape on
 //!    purpose — it is the frozen differential oracle — and is simply not
 //!    in the checked file set.
-//! 5. `raw-cost-compare` — no raw `.cost <` / `.cost >` scalar
+//! 4. `raw-cost-compare` — no raw `.cost <` / `.cost >` scalar
 //!    comparisons anywhere: ranking a candidate must go through
 //!    `CostWeights::scalarize` / `CostModel::scalar` so weight configs
 //!    and promoted runtime corrections apply at every comparison point.
@@ -31,8 +28,7 @@
 //!    `candidate_cost < w.cost` keep `.cost` on the right-hand side and
 //!    never match; `>=`/`<=` lex with a leading `>`/`<` and do.)
 //!
-//! Exceptions live in one table (`ALLOWLIST`), not in per-check shell
-//! pipelines. Zero dependencies beyond `std`.
+//! Zero dependencies beyond `std`.
 //!
 //! Run from the repo root: `cargo run -p scope-steer-bench --release --bin steer_audit`
 
@@ -80,13 +76,6 @@ const CHECKS: &[Check] = &[
         message: "unbounded queue/channel in the serving layer — use a bounded structure checked against ServiceConfig::max_inflight",
     },
     Check {
-        id: "direct-install",
-        scope: Scope::All,
-        seqs: &[&[".", "install", "("]],
-        panicking_float_cmp: false,
-        message: "direct HintStore::install call outside the flight layer — use FlightController::ingest/ingest_deployed",
-    },
-    Check {
         id: "panicking-float-cmp",
         scope: Scope::All,
         seqs: &[],
@@ -114,15 +103,6 @@ const CHECKS: &[Check] = &[
         panicking_float_cmp: false,
         message: "raw scalar .cost comparison — rank through CostWeights::scalarize / CostModel::scalar so weights and corrections apply",
     },
-];
-
-/// The single exception table: (check id, repo-relative path prefix).
-/// A violation is waived when its file path starts with the prefix.
-const ALLOWLIST: &[(&str, &str)] = &[
-    ("direct-install", "crates/core/src/flight.rs"),
-    ("direct-install", "crates/core/src/deploy.rs"),
-    ("direct-install", "crates/core/src/testutil.rs"),
-    ("direct-install", "crates/core/tests/"),
 ];
 
 /// Replace comments, string literals, and char literals with spaces,
@@ -309,7 +289,7 @@ fn lex(scrubbed: &str) -> Vec<Token<'_>> {
 }
 
 /// Find every occurrence of a token sequence. Identifier elements must
-/// match whole tokens, so `reinstall(` never matches `.install(`.
+/// match whole tokens, so `my_channel(` never matches `channel(`.
 fn find_seq(tokens: &[Token<'_>], seq: Seq) -> Vec<usize> {
     let mut hits = Vec::new();
     if tokens.len() < seq.len() {
@@ -384,12 +364,6 @@ fn audit_source(rel_path: &str, src: &str) -> Vec<Violation> {
             Scope::Suffixes(sfx) => sfx.iter().any(|s| rel_path.ends_with(s)),
         };
         if !in_scope {
-            continue;
-        }
-        if ALLOWLIST
-            .iter()
-            .any(|(id, prefix)| *id == check.id && rel_path.starts_with(prefix))
-        {
             continue;
         }
         let mut starts: Vec<usize> = check
@@ -499,8 +473,8 @@ mod tests {
             .collect()
     }
 
-    /// Every violation class the four historical grep gates caught, seeded
-    /// as source fixtures: the lexer must reproduce each hit.
+    /// Every violation class the surviving historical grep gates caught,
+    /// seeded as source fixtures: the lexer must reproduce each hit.
     #[test]
     fn reproduces_every_historical_grep_violation() {
         let serve = "crates/core/src/serve.rs";
@@ -513,11 +487,6 @@ mod tests {
             ),
             ("unbounded-queue", serve, "let mut q = VecDeque::new();"),
             ("unbounded-queue", serve, "let mut l = LinkedList::new();"),
-            (
-                "direct-install",
-                "crates/core/src/pipeline.rs",
-                "store.install(hint);",
-            ),
             (
                 "panicking-float-cmp",
                 "crates/core/src/report.rs",
@@ -586,12 +555,12 @@ mod tests {
                 "let msg = \"don't use channel::<T>() or LinkedList::new()\";",
             ),
             (
-                "crates/core/src/pipeline.rs",
-                "let doc = r#\"store.install(hint)\"#;",
+                "crates/core/src/serve.rs",
+                "let doc = r#\"VecDeque::new()\"#;",
             ),
             (
-                "crates/core/src/pipeline.rs",
-                "/// Call `store.install(hint)` only from the flight layer.\nfn f() {}",
+                "crates/core/src/serve.rs",
+                "/// Never call `mpsc::channel()` in the serving layer.\nfn f() {}",
             ),
             (
                 "crates/core/src/report.rs",
@@ -610,28 +579,18 @@ mod tests {
         }
     }
 
-    /// Identifier boundaries, non-panicking continuations, and the
-    /// allowlist all suppress matches exactly as the grep pipelines did.
+    /// Identifier boundaries, non-panicking continuations, and file scope
+    /// all suppress matches exactly as the grep pipelines did.
     #[test]
-    fn boundaries_allowlist_and_scope_hold() {
-        // `reinstall` is not `.install(`; `fn install(` has no dot.
-        assert!(check_ids("crates/core/src/x.rs", "obj.reinstall(a);").is_empty());
-        assert!(check_ids("crates/core/src/x.rs", "fn install(a: u8) {}").is_empty());
+    fn boundaries_and_scope_hold() {
+        // `my_channel` is not `channel`: identifiers match whole tokens.
+        assert!(check_ids("crates/core/src/serve.rs", "let c = my_channel::<u8>();").is_empty());
         // partial_cmp followed by a non-panicking method is fine.
         assert!(check_ids(
             "crates/core/src/x.rs",
             "a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal);"
         )
         .is_empty());
-        // Allowlisted paths for direct-install: the flight layer and tests.
-        for rel in [
-            "crates/core/src/flight.rs",
-            "crates/core/src/deploy.rs",
-            "crates/core/src/testutil.rs",
-            "crates/core/tests/flighting.rs",
-        ] {
-            assert!(check_ids(rel, "store.install(hint);").is_empty(), "{rel}");
-        }
         // Scope: unbounded-queue only fires in serve.rs; rule-vec only in
         // the three hot-path files (classic.rs keeps the old shape).
         assert!(check_ids("crates/core/src/pipeline.rs", "let q = VecDeque::new();").is_empty());
@@ -678,7 +637,7 @@ mod tests {
     /// point at the real source line.
     #[test]
     fn line_numbers_survive_scrubbing() {
-        let src = "// comment line\nlet s = \"text\";\nstore.install(hint);\n";
+        let src = "// comment line\nlet s = \"text\";\nif a.cost < b.cost {}\n";
         let v = audit_source("crates/core/src/x.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 3);

@@ -5,13 +5,16 @@
 
 use std::sync::Arc;
 
-use scope_exec::{ABTester, RunMetrics};
+use scope_exec::{ABTester, RetryPolicy, RunMetrics};
 use scope_ir::Job;
 use scope_optimizer::{
-    compile_job, effective_config, plan_catalog_fingerprint, CompileCache, CompiledPlan, RuleConfig,
+    compile_job, effective_config, plan_catalog_fingerprint, CompileBudget, CompileCache,
+    CompiledPlan, RuleConfig,
 };
 use scope_workload::{Workload, WorkloadProfile, WorkloadTag};
-use steer_core::{Pipeline, PipelineParams};
+use steer_core::{
+    FlightConfig, FlightController, FlightDayReport, GroupConfig, Pipeline, PipelineParams,
+};
 
 pub use steer_core::par::{available_threads, run_chunked, run_chunked_on};
 
@@ -102,6 +105,37 @@ pub fn run_discovery(tag: WorkloadTag, scale: f64) -> steer_core::DiscoveryRepor
     let p = pipeline(scale);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED ^ tag as u64);
     p.discover(&jobs, &mut rng)
+}
+
+/// Day 1 of a sweep: serve `jobs` with every hint canarying at 100 %
+/// exposure, so each steered job is paired with a shadow baseline run on
+/// its default plan (and each fallback with its re-run). Returns the day's
+/// report and the mean runtime change over all those pairs — steered vs
+/// default on the same cluster, wasted attempts billed.
+pub fn serve_measured_day(
+    hints: &[GroupConfig],
+    compile_budget: CompileBudget,
+    jobs: &[Job],
+    ab: &ABTester,
+    policy: &RetryPolicy,
+) -> (FlightDayReport, f64) {
+    let mut flights = FlightController::new(FlightConfig {
+        canary_pct: 100,
+        ..FlightConfig::default()
+    });
+    flights.store.compile_budget = compile_budget;
+    flights.ingest(hints, 0);
+    flights.advance(0);
+    let report = flights.serve_day(jobs, ab, policy, 1);
+    let (pairs, weighted) = report.by_group.values().fold((0, 0.0), |(n, sum), g| {
+        (n + g.observed, sum + g.mean_change_pct * g.observed as f64)
+    });
+    let delta_pct = if pairs > 0 {
+        weighted / pairs as f64
+    } else {
+        0.0
+    };
+    (report, delta_pct)
 }
 
 #[cfg(test)]

@@ -1,51 +1,29 @@
-//! Deployment as "plan hints" (§3.3) with weekly re-validation (§6.4).
+//! Plan hints at rest (§3.3): what is stored per job group, and the
+//! plain-text hint file customers would check in.
 //!
-//! The paper's deployment story: surface discovered rule configurations to
-//! customers as hints keyed by job group, and mitigate drift ("this
-//! behaviour could change in the future as the predicates and input
-//! streams … evolve") by re-running the pipeline every week and dropping
-//! configurations that start regressing. [`HintStore`] implements that
-//! lifecycle: install winners, recommend per group, re-validate against a
-//! fresh day, suspend regressors, and persist to a plain-text hint file.
+//! [`HintStore`] is storage only. Which hint reaches which job, and what
+//! happens to a hint that regresses, dies or trips a guardrail, is the
+//! flight controller's business ([`crate::flight`]): it is the only writer
+//! outside tests and offline experiments, and every write it makes is
+//! journaled.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use scope_exec::{ABTester, JobOutcome as ExecOutcome, RetryPolicy, RunMetrics};
-use scope_ir::stats::{mean, pct_change};
-use scope_ir::Job;
-use scope_lint::{catalog_invalid, ConfigVerdict, JobLint};
-use scope_optimizer::{
-    compile_job, compile_job_guarded, effective_config, CompileBudget, RuleConfig, RuleId, RuleSet,
-    NUM_RULES,
-};
-
-use crate::groups::GroupConfig;
-use crate::guard::vet_candidate;
+use scope_optimizer::{CompileBudget, RuleConfig, RuleId, RuleSet, NUM_RULES};
 
 /// Lifecycle state of a stored hint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HintStatus {
-    /// Recommended for the group.
+    /// Served to the group, at the exposure its flight stage allows.
     Active,
-    /// Regressed during re-validation; no longer recommended.
+    /// Rolled back by the regression monitors; no longer served.
     Suspended,
     /// Tripped a correctness or resource guardrail (compile panic, budget
     /// exhaustion, invalid plan, or result-fingerprint divergence). Unlike
-    /// a performance regression, this is never re-tried automatically.
+    /// a performance regression, this is never re-tried on the serving
+    /// path; background probes may release it.
     Quarantined,
-}
-
-/// One record of applying a hint to a day's same-group jobs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ValidationRecord {
-    pub day: u32,
-    pub jobs: usize,
-    pub improved: usize,
-    pub mean_change_pct: f64,
-    /// Steered validation runs that failed or timed out this day. These
-    /// are first-class evidence against the hint, not missing data.
-    pub failures: usize,
 }
 
 /// A stored hint for one job group.
@@ -58,121 +36,21 @@ pub struct StoredHint {
     pub base_change_pct: f64,
     pub discovered_day: u32,
     pub status: HintStatus,
-    pub validations: Vec<ValidationRecord>,
-    /// Cumulative failed/timed-out steered validation runs across all
-    /// re-validation sweeps.
-    pub failed_validations: u32,
-}
-
-/// Outcome of a re-validation sweep.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RevalidationReport {
-    pub groups_checked: usize,
-    pub groups_suspended: usize,
-    /// Hints quarantined this sweep because the steered compile panicked,
-    /// blew the compile budget, produced an invalid plan, or produced a
-    /// plan whose result fingerprint diverged from the default's.
-    pub groups_quarantined: usize,
-    pub jobs_executed: usize,
-    pub mean_change_pct: f64,
-    /// Steered validation runs that failed or timed out this sweep.
-    pub failed_runs: usize,
-    /// Job/hint pairs skipped without compiling because the static
-    /// analyzer proved the hint cannot compile for that job (the dynamic
-    /// path would have hit a benign, non-fatal compile error and skipped
-    /// the pair anyway).
-    pub statically_skipped: usize,
-}
-
-/// One production-style run through the deployment guardrail.
-#[derive(Clone, Debug)]
-pub struct GuardrailRun {
-    /// Wall-clock/CPU/IO as the customer would observe them, including any
-    /// wasted steered attempt that had to be re-run on the default plan.
-    pub metrics: RunMetrics,
-    /// Whether a stored hint was applied to this job.
-    pub steered: bool,
-    /// Whether the steered run died and the default plan was re-run.
-    pub used_fallback: bool,
-    /// Whether a stored hint existed for this job's group but was vetoed
-    /// before execution — its compile panicked or ran over budget, or the
-    /// plan it produced failed validation / fingerprint equivalence. The
-    /// job ran on the default plan with nothing billed for the veto.
-    pub vetoed: bool,
-    /// How the run that produced the output (steered or fallback) ended.
-    pub outcome: ExecOutcome,
 }
 
 /// The per-group hint store.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct HintStore {
     entries: HashMap<String, StoredHint>,
-    /// Suspend a hint once this many of its steered validation runs have
-    /// failed or timed out, regardless of the runtimes it produced when it
-    /// did finish.
-    pub max_validation_failures: u32,
-    /// Budget applied to every steered compile performed by the store
-    /// (re-validation and guardrail runs). Exhaustion quarantines the hint
+    /// Budget applied to every steered compile of a stored hint (serving
+    /// and background revalidation). Exhaustion quarantines the hint
     /// rather than blocking the job.
     pub compile_budget: CompileBudget,
-}
-
-impl Default for HintStore {
-    fn default() -> HintStore {
-        HintStore {
-            entries: HashMap::new(),
-            max_validation_failures: 3,
-            compile_budget: CompileBudget::default(),
-        }
-    }
 }
 
 impl HintStore {
     pub fn new() -> HintStore {
         HintStore::default()
-    }
-
-    /// Install discovery winners (keeping, per group, the one with the
-    /// largest base improvement). A winner whose configuration is
-    /// plan-independently broken (see [`scope_lint::catalog_invalid`]; it
-    /// can compile no job at all) is stored directly as `Quarantined` so it
-    /// is never recommended — the static-analysis arm of the quarantine
-    /// guardrail, applied at ingestion instead of first failure.
-    pub fn install(&mut self, winners: &[GroupConfig], day: u32) {
-        for w in winners {
-            self.install_one(w, day);
-        }
-    }
-
-    /// Install a single winner. Returns the stored hint when the winner
-    /// was kept (it beat any incumbent for its group), `None` when a
-    /// better incumbent survives.
-    pub fn install_one(&mut self, w: &GroupConfig, day: u32) -> Option<&StoredHint> {
-        let key = w.group.to_bit_string();
-        let replace = self
-            .entries
-            .get(&key)
-            .map(|e| w.base_change_pct < e.base_change_pct)
-            .unwrap_or(true);
-        if !replace {
-            return None;
-        }
-        let status = if catalog_invalid(&w.config).is_empty() {
-            HintStatus::Active
-        } else {
-            HintStatus::Quarantined
-        };
-        let hint = StoredHint {
-            group: key.clone(),
-            config: w.config.clone(),
-            base_change_pct: w.base_change_pct,
-            discovered_day: day,
-            status,
-            validations: Vec::new(),
-            failed_validations: 0,
-        };
-        self.entries.insert(key.clone(), hint);
-        self.entries.get(&key)
     }
 
     /// Insert a fully-specified hint verbatim (no best-per-group logic, no
@@ -210,224 +88,16 @@ impl HintStore {
         self.entries.is_empty()
     }
 
-    /// The active recommendation for a group, if any.
-    pub fn recommend(&self, group: &scope_optimizer::RuleSignature) -> Option<&RuleConfig> {
-        self.entries
-            .get(&group.to_bit_string())
-            .filter(|e| e.status == HintStatus::Active)
-            .map(|e| &e.config)
-    }
-
     /// Iterate stored hints.
     pub fn hints(&self) -> impl Iterator<Item = &StoredHint> {
         self.entries.values()
-    }
-
-    /// Re-validate every active hint against a fresh day's jobs: execute
-    /// default vs steered for each same-group job, record the outcome, and
-    /// suspend hints whose mean change exceeds `regression_threshold_pct`
-    /// (e.g. `2.0` = suspend when jobs get >2 % slower on average).
-    ///
-    /// Failed or timed-out *steered* runs count as evidence against the
-    /// hint: they accumulate in `failed_validations` and suspend it once
-    /// they reach [`Self::max_validation_failures`], even if the runs that
-    /// did finish looked fine. A failed *default* run says nothing about
-    /// the hint (the cluster was having a bad day), so the pair is skipped.
-    pub fn revalidate(
-        &mut self,
-        jobs: &[Job],
-        ab: &ABTester,
-        day: u32,
-        regression_threshold_pct: f64,
-    ) -> RevalidationReport {
-        // Group the day's jobs by default signature once.
-        let mut by_group: HashMap<String, Vec<&Job>> = HashMap::new();
-        for job in jobs {
-            if let Ok(compiled) = compile_job(job, &RuleConfig::default_config()) {
-                by_group
-                    .entry(compiled.signature.to_bit_string())
-                    .or_default()
-                    .push(job);
-            }
-        }
-
-        let mut report = RevalidationReport::default();
-        let mut all_changes = Vec::new();
-        for entry in self.entries.values_mut() {
-            if entry.status != HintStatus::Active {
-                continue;
-            }
-            let Some(group_jobs) = by_group.get(&entry.group) else {
-                continue; // group absent today; nothing to learn
-            };
-            report.groups_checked += 1;
-            let mut changes = Vec::new();
-            let mut failures = 0usize;
-            let mut quarantine = false;
-            for job in group_jobs {
-                let Ok(default) = compile_job(job, &RuleConfig::default_config()) else {
-                    continue;
-                };
-                // Static gate: if the analyzer proves the (hint + customer
-                // hints) config cannot compile this job, skip the pair with
-                // zero compiles. The dynamic path below would have hit a
-                // benign non-fatal compile error and `continue`d anyway.
-                let effective = effective_config(job, &entry.config);
-                if matches!(
-                    JobLint::new(&job.plan).classify(&effective),
-                    ConfigVerdict::Invalid { .. }
-                ) {
-                    report.statically_skipped += 1;
-                    continue;
-                }
-                let steered = match compile_job_guarded(job, &entry.config, &self.compile_budget) {
-                    Ok(s) => s,
-                    // A panic or budget blow-out is a guardrail trip, not a
-                    // benign "this config doesn't compile here".
-                    Err(e) if e.is_fatal() => {
-                        quarantine = true;
-                        break;
-                    }
-                    Err(_) => continue,
-                };
-                if vet_candidate(&default, &steered).is_err() {
-                    quarantine = true;
-                    break;
-                }
-                let sm = ab.run_outcome(job, &steered.plan, 0);
-                if !sm.outcome.is_success() {
-                    failures += 1;
-                    continue;
-                }
-                let dm = ab.run_outcome(job, &default.plan, 0);
-                if !dm.outcome.is_success() {
-                    continue; // no trustworthy baseline for this pair
-                }
-                changes.push(pct_change(dm.metrics.runtime, sm.metrics.runtime));
-            }
-            if quarantine {
-                entry.status = HintStatus::Quarantined;
-                report.groups_quarantined += 1;
-                report.jobs_executed += changes.len() + failures;
-                report.failed_runs += failures;
-                all_changes.extend(changes);
-                continue;
-            }
-            if changes.is_empty() && failures == 0 {
-                continue;
-            }
-            report.jobs_executed += changes.len() + failures;
-            report.failed_runs += failures;
-            entry.failed_validations += failures as u32;
-            let mean_change = if changes.is_empty() {
-                0.0
-            } else {
-                mean(&changes)
-            };
-            entry.validations.push(ValidationRecord {
-                day,
-                jobs: changes.len() + failures,
-                improved: changes.iter().filter(|&&c| c < 0.0).count(),
-                mean_change_pct: mean_change,
-                failures,
-            });
-            let regressed = !changes.is_empty() && mean_change > regression_threshold_pct;
-            all_changes.extend(changes);
-            if regressed || entry.failed_validations >= self.max_validation_failures {
-                entry.status = HintStatus::Suspended;
-                report.groups_suspended += 1;
-            }
-        }
-        if !all_changes.is_empty() {
-            report.mean_change_pct = mean(&all_changes);
-        }
-        report
-    }
-
-    /// Run one job the way a steered production cluster would (§3.3's
-    /// guardrail): apply the stored hint for the job's group when there is
-    /// one, and if the steered run fails or times out, fall back to the
-    /// default plan — a steering mishap must never lose the job. The
-    /// wasted steered attempt is billed to the reported metrics.
-    pub fn run_with_guardrail(
-        &self,
-        job: &Job,
-        ab: &ABTester,
-        policy: &RetryPolicy,
-    ) -> Option<GuardrailRun> {
-        let default = compile_job(job, &RuleConfig::default_config()).ok()?;
-        let mut vetoed = false;
-        let steered_plan = self.recommend(&default.signature).and_then(|cfg| {
-            // Static gate: a hint the analyzer proves cannot compile this
-            // job is skipped without a compile attempt. Not a veto — the
-            // dynamic path treats the resulting non-fatal compile error as
-            // a benign "doesn't compile here" too (`vetoed` stays false).
-            let effective = effective_config(job, cfg);
-            if matches!(
-                JobLint::new(&job.plan).classify(&effective),
-                ConfigVerdict::Invalid { .. }
-            ) {
-                return None;
-            }
-            match compile_job_guarded(job, cfg, &self.compile_budget) {
-                Ok(steered) => {
-                    if vet_candidate(&default, &steered).is_ok() {
-                        Some(steered)
-                    } else {
-                        vetoed = true;
-                        None
-                    }
-                }
-                Err(e) => {
-                    vetoed = e.is_fatal();
-                    None
-                }
-            }
-        });
-
-        let Some(steered) = steered_plan else {
-            let run = ab.run_with_retry(job, &default.plan, 0, policy);
-            return Some(GuardrailRun {
-                metrics: run.metrics,
-                steered: false,
-                used_fallback: false,
-                vetoed,
-                outcome: run.outcome,
-            });
-        };
-
-        let run = ab.run_with_retry(job, &steered.plan, 0, policy);
-        if run.outcome.is_success() {
-            return Some(GuardrailRun {
-                metrics: run.metrics,
-                steered: true,
-                used_fallback: false,
-                vetoed: false,
-                outcome: run.outcome,
-            });
-        }
-        let fallback = ab.run_with_retry(job, &default.plan, 0, policy);
-        let metrics = RunMetrics {
-            runtime: fallback.metrics.runtime + run.metrics.runtime,
-            cpu_time: fallback.metrics.cpu_time + run.metrics.cpu_time,
-            io_time: fallback.metrics.io_time + run.metrics.io_time,
-            // Peaks don't add across the abandoned and fallback runs.
-            memory: fallback.metrics.memory.max(run.metrics.memory),
-        };
-        Some(GuardrailRun {
-            metrics,
-            steered: true,
-            used_fallback: true,
-            vetoed: false,
-            outcome: fallback.outcome,
-        })
     }
 
     /// Serialize to the plain-text hint format customers would check in:
     /// one tab-separated line per group, sorted —
     ///
     /// ```text
-    /// bits  status  -[ids]  +[ids]  base:<hex64>  day:<n>  failed:<n>  vals:[day:jobs:improved:<hex64>:failures;...]
+    /// bits  status  -[ids]  +[ids]  base:<hex64>  day:<n>
     /// ```
     ///
     /// Rule ids are relative to the default config. Floats are serialized
@@ -470,9 +140,7 @@ impl HintStore {
 }
 
 /// Field order of one hint line (also the names used in parse errors).
-const HINT_FIELDS: [&str; 8] = [
-    "group", "status", "disabled", "enabled", "base", "day", "failed", "vals",
-];
+const HINT_FIELDS: [&str; 6] = ["group", "status", "disabled", "enabled", "base", "day"];
 
 /// Why a hint file failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -487,8 +155,7 @@ pub enum HintParseErrorKind {
     BadRuleId(String),
     /// A numeric field failed to parse.
     BadNumber { field: &'static str, value: String },
-    /// A field had the wrong shape (bad prefix, bad brackets, non-binary
-    /// group bits, malformed validation entry).
+    /// A field had the wrong shape (non-binary group bits).
     Malformed { field: &'static str, value: String },
     /// Two lines claimed the same group.
     DuplicateGroup(String),
@@ -611,31 +278,14 @@ fn parse_id_list(field: &str, sign: char) -> Result<Vec<u16>, String> {
 /// Serialize one hint as a hint-file line (no newline).
 fn hint_line(e: &StoredHint) -> String {
     let (minus, plus) = config_delta_fields(&e.config);
-    let vals = e
-        .validations
-        .iter()
-        .map(|v| {
-            format!(
-                "{}:{}:{}:{}:{}",
-                v.day,
-                v.jobs,
-                v.improved,
-                f64_to_hex(v.mean_change_pct),
-                v.failures
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(";");
     format!(
-        "{}\t{}\t{}\t{}\tbase:{}\tday:{}\tfailed:{}\tvals:[{}]",
+        "{}\t{}\t{}\t{}\tbase:{}\tday:{}",
         e.group,
         status_name(e.status),
         minus,
         plus,
         f64_to_hex(e.base_change_pct),
-        e.discovered_day,
-        e.failed_validations,
-        vals
+        e.discovered_day
     )
 }
 
@@ -675,119 +325,58 @@ fn parse_hint_line(line: &str) -> Result<StoredHint, HintParseErrorKind> {
             field: "day",
             value: fields[5].to_string(),
         })?;
-    let failed_validations: u32 = fields[6]
-        .strip_prefix("failed:")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HintParseErrorKind::BadNumber {
-            field: "failed",
-            value: fields[6].to_string(),
-        })?;
-    let vals_inner = fields[7]
-        .strip_prefix("vals:[")
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| HintParseErrorKind::Malformed {
-            field: "vals",
-            value: fields[7].to_string(),
-        })?;
-    let mut validations = Vec::new();
-    if !vals_inner.is_empty() {
-        for entry in vals_inner.split(';') {
-            let parts: Vec<&str> = entry.split(':').collect();
-            let parsed = (parts.len() == 5)
-                .then(|| {
-                    Some(ValidationRecord {
-                        day: parts[0].parse().ok()?,
-                        jobs: parts[1].parse().ok()?,
-                        improved: parts[2].parse().ok()?,
-                        mean_change_pct: f64_from_hex(parts[3])?,
-                        failures: parts[4].parse().ok()?,
-                    })
-                })
-                .flatten();
-            match parsed {
-                Some(v) => validations.push(v),
-                None => {
-                    return Err(HintParseErrorKind::Malformed {
-                        field: "vals",
-                        value: entry.to_string(),
-                    })
-                }
-            }
-        }
-    }
     Ok(StoredHint {
         group: group.to_string(),
         config,
         base_change_pct,
         discovered_day,
         status,
-        validations,
-        failed_validations,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scope_optimizer::{RuleCatalog, RuleSignature};
-    use scope_workload::Workload;
+    use scope_optimizer::RuleCatalog;
 
-    fn discovered_store() -> (HintStore, Workload, ABTester) {
-        let d = crate::testutil::discover_winners(5.0);
+    /// A rule that is on by default but not required, so disabling it
+    /// sticks.
+    fn optional_rule() -> RuleId {
+        RuleConfig::default_config()
+            .enabled()
+            .difference(RuleCatalog::global().required())
+            .iter()
+            .next()
+            .expect("some default rule is optional")
+    }
+
+    /// One hint per status, with distinct deltas, days and improvements.
+    fn sample_store() -> HintStore {
         let mut store = HintStore::new();
-        store.install(&d.winners, 0);
-        (store, d.workload, d.ab)
-    }
-
-    #[test]
-    fn install_and_recommend() {
-        let (store, w, _) = discovered_store();
-        assert!(!store.is_empty());
-        // A recommendation resolves for some job of the next day.
-        let d1 = w.day(1);
-        let recommended = d1.iter().any(|job| {
-            crate::groups::group_of(job)
-                .and_then(|g| store.recommend(&g))
-                .is_some()
-        });
-        assert!(recommended, "no next-day job matched a stored hint");
-    }
-
-    #[test]
-    fn revalidation_records_and_suspends() {
-        let (mut store, w, ab) = discovered_store();
-        let before_active = store
-            .hints()
-            .filter(|h| h.status == HintStatus::Active)
-            .count();
-        let report = store.revalidate(&w.day(1), &ab, 1, 2.0);
-        assert!(report.groups_checked > 0);
-        assert!(report.jobs_executed > 0);
-        // Every checked group gained a validation record.
-        let validated = store.hints().filter(|h| !h.validations.is_empty()).count();
-        assert_eq!(validated, report.groups_checked);
-        assert!(report.groups_suspended <= before_active);
-        // Suspended entries stop being recommended.
-        for h in store.hints() {
-            if h.status == HintStatus::Suspended {
-                let sig = RuleSignature(RuleSet::from_bit_string(&h.group));
-                assert!(store.recommend(&sig).is_none());
+        let statuses = [
+            HintStatus::Active,
+            HintStatus::Suspended,
+            HintStatus::Quarantined,
+        ];
+        for (i, status) in statuses.into_iter().enumerate() {
+            let mut config = RuleConfig::default_config();
+            if i > 0 {
+                config.disable(optional_rule());
             }
+            store.insert_hint(StoredHint {
+                group: format!("1{i:b}01"),
+                config,
+                base_change_pct: -10.5 * (i + 1) as f64,
+                discovered_day: i as u32,
+                status,
+            });
         }
+        store
     }
 
     #[test]
     fn hint_text_round_trip() {
-        let (mut store, w, ab) = discovered_store();
-        // Accumulate validation history so the round trip covers it too.
-        store.revalidate(&w.day(1), &ab, 1, 2.0);
-        // Flip entries to the non-active states to exercise all three.
-        let mut statuses = [HintStatus::Suspended, HintStatus::Quarantined]
-            .into_iter()
-            .cycle();
-        for e in store.entries.values_mut().take(2) {
-            e.status = statuses.next().unwrap();
-        }
+        let store = sample_store();
         let text = store.to_hint_text();
         let parsed = HintStore::from_hint_text(&text).expect("well-formed hint text");
         // The round trip is lossless, down to float bit patterns.
@@ -798,8 +387,7 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_line_numbers() {
-        let (store, _, _) = discovered_store();
-        let good = store.to_hint_text();
+        let good = sample_store().to_hint_text();
         let n_lines = good.lines().count();
 
         // A truncated final line: typed error naming the missing field.
@@ -819,16 +407,15 @@ mod tests {
         assert_eq!(err.line, n_lines);
         assert_eq!(err.kind, HintParseErrorKind::MissingField("enabled"));
 
-        // An unknown status on line 1.
-        let bad_status = good.replacen(
-            match store.hints().next().unwrap().status {
-                HintStatus::Active => "active",
-                HintStatus::Suspended => "suspended",
-                HintStatus::Quarantined => "quarantined",
-            },
-            "enabled?!",
-            1,
-        );
+        // Fields past `day` (a v1 hint file carried validation history
+        // there) are an error, not silently dropped.
+        let old_format = format!("{good}\tfailed:0\tvals:[]");
+        let err = HintStore::from_hint_text(&old_format).unwrap_err();
+        assert_eq!(err.line, n_lines);
+        assert!(matches!(err.kind, HintParseErrorKind::TrailingFields(_)));
+
+        // An unknown status.
+        let bad_status = good.replacen("active", "enabled?!", 1);
         let err = HintStore::from_hint_text(&bad_status).unwrap_err();
         assert!(matches!(err.kind, HintParseErrorKind::UnknownStatus(_)));
 
@@ -840,7 +427,7 @@ mod tests {
     fn parse_rejects_out_of_range_rule_ids_and_duplicates() {
         let line = |group: &str, minus: &str| {
             format!(
-                "{group}\tactive\t-[{minus}]\t+[]\tbase:{}\tday:0\tfailed:0\tvals:[]",
+                "{group}\tactive\t-[{minus}]\t+[]\tbase:{}\tday:0",
                 f64_to_hex(-10.0)
             )
         };
@@ -848,14 +435,8 @@ mod tests {
         // dropped it (and with it part of the hint's meaning).
         let err = HintStore::from_hint_text(&line("101", "256")).unwrap_err();
         assert_eq!(err.kind, HintParseErrorKind::BadRuleId("256".into()));
-        // In-range parses, and the disable really lands (pick a rule that
-        // is on by default but not required, so disabling it can stick).
-        let id = RuleConfig::default_config()
-            .enabled()
-            .difference(RuleCatalog::global().required())
-            .iter()
-            .next()
-            .expect("some default rule is optional");
+        // In-range parses, and the disable really lands.
+        let id = optional_rule();
         let minus = id.0.to_string();
         let store = HintStore::from_hint_text(&line("101", &minus)).unwrap();
         assert!(!store.hint("101").unwrap().config.is_enabled(id));
@@ -871,164 +452,5 @@ mod tests {
             err.kind,
             HintParseErrorKind::Malformed { field: "group", .. }
         ));
-    }
-
-    #[test]
-    fn failed_validations_suspend_a_hint() {
-        use scope_exec::FaultProfile;
-        let (mut store, w, ab) = discovered_store();
-        // Re-validate on a cluster where steered runs essentially always
-        // die; a single failure is enough to suspend.
-        store.max_validation_failures = 1;
-        let mut profile = FaultProfile::with_vertex_failures(1.0);
-        profile.max_retries = 0;
-        let faulty = ab.clone().with_faults(profile);
-        let report = store.revalidate(&w.day(1), &faulty, 1, 2.0);
-        assert!(report.failed_runs > 0, "steered runs should have failed");
-        assert!(report.groups_suspended > 0);
-        let suspended = store
-            .hints()
-            .filter(|h| h.status == HintStatus::Suspended)
-            .count();
-        assert_eq!(suspended, report.groups_suspended);
-        // The failure evidence is recorded on the hint itself.
-        assert!(store
-            .hints()
-            .any(|h| h.failed_validations > 0 && h.validations.iter().any(|v| v.failures > 0)));
-    }
-
-    #[test]
-    fn guardrail_falls_back_to_default_when_steering_dies() {
-        use scope_exec::{FaultProfile, RetryPolicy};
-        let (store, w, ab) = discovered_store();
-        let d1 = w.day(1);
-        let policy = RetryPolicy::no_retries();
-
-        // Fault-free: steered jobs run steered, nobody falls back.
-        let mut steered_jobs = 0;
-        for job in &d1 {
-            let run = store.run_with_guardrail(job, &ab, &policy).unwrap();
-            assert!(!run.used_fallback);
-            assert!(run.outcome.is_success());
-            assert!(run.metrics.is_valid());
-            if run.steered {
-                steered_jobs += 1;
-            }
-        }
-        assert!(steered_jobs > 0, "some next-day job should match a hint");
-
-        // Total steering breakdown: every steered run dies, yet every job
-        // still completes — on its default plan, with the wasted steered
-        // attempt billed.
-        let mut profile = FaultProfile::with_vertex_failures(1.0);
-        profile.max_retries = 0;
-        let faulty = ab.clone().with_faults(profile);
-        let mut fallbacks = 0;
-        for job in &d1 {
-            let run = store.run_with_guardrail(job, &faulty, &policy).unwrap();
-            assert!(run.metrics.is_valid());
-            if run.used_fallback {
-                fallbacks += 1;
-            }
-        }
-        assert!(fallbacks > 0, "steered runs should have fallen back");
-    }
-
-    #[test]
-    fn budget_exhaustion_quarantines_hints_during_revalidation() {
-        let (mut store, w, ab) = discovered_store();
-        // A one-task budget makes every steered re-compile blow the budget
-        // immediately: a resource-guardrail trip, not a perf regression.
-        store.compile_budget = CompileBudget::with_max_tasks(1);
-        let report = store.revalidate(&w.day(1), &ab, 1, 2.0);
-        assert!(report.groups_quarantined > 0, "no hint was quarantined");
-        assert_eq!(report.groups_suspended, 0);
-        let quarantined = store
-            .hints()
-            .filter(|h| h.status == HintStatus::Quarantined)
-            .count();
-        assert_eq!(quarantined, report.groups_quarantined);
-        // Quarantined hints stop being recommended.
-        for h in store.hints() {
-            if h.status == HintStatus::Quarantined {
-                let sig = RuleSignature(RuleSet::from_bit_string(&h.group));
-                assert!(store.recommend(&sig).is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn guardrail_vetoes_hint_when_compile_budget_is_exhausted() {
-        use scope_exec::RetryPolicy;
-        let (mut store, w, ab) = discovered_store();
-        store.compile_budget = CompileBudget::with_max_tasks(1);
-        let policy = RetryPolicy::no_retries();
-        let mut vetoes = 0;
-        for job in &w.day(1) {
-            let run = store.run_with_guardrail(job, &ab, &policy).unwrap();
-            // The hint is rejected before execution, so the job runs its
-            // default plan with nothing extra billed — it must still finish.
-            assert!(!run.steered);
-            assert!(!run.used_fallback);
-            assert!(run.outcome.is_success());
-            assert!(run.metrics.is_valid());
-            if run.vetoed {
-                vetoes += 1;
-            }
-        }
-        assert!(vetoes > 0, "some next-day job should have hit the veto");
-    }
-
-    #[test]
-    fn install_quarantines_catalog_invalid_hints() {
-        use scope_ir::OpKind;
-        // A hint with every Output implementation disabled can compile no
-        // job at all (no escape rewrite is anchored on Output): the static
-        // analyzer quarantines it at installation.
-        let mut config = RuleConfig::default_config();
-        for id in scope_lint::RuleGraph::global().impls(OpKind::Output).iter() {
-            config.disable(id);
-        }
-        assert!(!scope_lint::catalog_invalid(&config).is_empty());
-        let broken = GroupConfig {
-            group: RuleSignature(RuleSet::from_bit_string("110")),
-            config,
-            base_change_pct: -40.0,
-            base_job: scope_ir::ids::JobId(7),
-        };
-        let mut store = HintStore::new();
-        store.install(&[broken], 0);
-        let hint = store.hints().next().unwrap();
-        assert_eq!(hint.status, HintStatus::Quarantined);
-        // Quarantined at ingestion means never recommended.
-        let sig = RuleSignature(RuleSet::from_bit_string(&hint.group));
-        assert!(store.recommend(&sig).is_none());
-    }
-
-    #[test]
-    fn install_keeps_best_per_group() {
-        let cat = RuleCatalog::global();
-        let group = RuleSignature(RuleSet::from_bit_string("101"));
-        let mk = |pct: f64, rule: &str| GroupConfig {
-            group,
-            config: {
-                let mut c = RuleConfig::default_config();
-                c.disable(cat.find(rule).unwrap());
-                c
-            },
-            base_change_pct: pct,
-            base_job: scope_ir::ids::JobId(1),
-        };
-        let mut store = HintStore::new();
-        store.install(
-            &[mk(-20.0, "CollapseSelects"), mk(-60.0, "SelectOnJoin")],
-            0,
-        );
-        assert_eq!(store.len(), 1);
-        let hint = store.hints().next().unwrap();
-        assert_eq!(hint.base_change_pct, -60.0);
-        // Installing a weaker winner later does not overwrite.
-        store.install(&[mk(-10.0, "JoinCommute")], 1);
-        assert_eq!(store.hints().next().unwrap().base_change_pct, -60.0);
     }
 }

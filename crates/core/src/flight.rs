@@ -6,8 +6,11 @@
 //! because promotion got *slower*: a hint earns fleet-wide traffic by
 //! passing through staged canaries, is watched by regression monitors
 //! that roll it back automatically, and keeps being re-validated after it
-//! is deployed. [`FlightController`] implements that lifecycle on top of
-//! [`HintStore`]:
+//! is deployed. [`FlightController`] is that lifecycle, and the only one:
+//! the paper's §3.3 guardrail and §6.4 periodic re-validation are
+//! [`FlightController::serve_day`] and
+//! [`FlightController::revalidate_background`], and [`HintStore`] beneath
+//! it is plain storage.
 //!
 //! * **State machine** — every hint owns a [`FlightState`] walking
 //!   `Candidate → Canary(pct) → Ramping(pct…) → Deployed`, with
@@ -19,7 +22,10 @@
 //!   runtime change feeds an N-strike counter (consecutive bad days) and
 //!   a CUSUM accumulator (`s = max(0, s + x − drift)`). Either tripping
 //!   rolls the flight back; a single noisy sample cannot (the paper's
-//!   workloads are noisy by construction, §3.1.3).
+//!   workloads are noisy by construction, §3.1.3). A steered run that
+//!   dies and re-runs on the default plan is an observation too — the
+//!   wasted attempt is what the customer paid — so a hint whose plan keeps
+//!   dying is rolled back like one that keeps running slow.
 //! * **Background revalidation** — a per-day budget re-runs a rotating
 //!   sample of Deployed hints (which no longer pay for shadow baselines
 //!   on the serving path) and feeds the same monitors; it also probes
@@ -36,17 +42,16 @@
 //!   instead of corrupting the store.
 //!
 //! The controller journals through its own methods only. Mutating the
-//! public [`FlightController::store`] directly (as offline experiments
-//! that predate flighting do) bypasses the journal and forfeits the
-//! recovery guarantee.
+//! public [`FlightController::store`] directly bypasses the journal and
+//! forfeits the recovery guarantee.
 
 use std::collections::BTreeMap;
 
 use scope_exec::{ABTester, CrashPlan, CrashRoll, RetryPolicy};
 use scope_ir::stats::{mean, pct_change};
 use scope_ir::Job;
-use scope_lint::{catalog_invalid, ConfigVerdict, JobLint};
-use scope_optimizer::{compile_job, compile_job_guarded, effective_config, RuleConfig};
+use scope_lint::catalog_invalid;
+use scope_optimizer::{compile_job, CompiledPlan, RuleConfig};
 use scope_trace::{count, record, Counter, Histogram};
 
 use crate::deploy::{
@@ -54,7 +59,7 @@ use crate::deploy::{
     status_name, HintStatus, HintStore, StoredHint,
 };
 use crate::groups::GroupConfig;
-use crate::guard::vet_candidate;
+use crate::guard::{compile_steered, SteeredCompile};
 
 /// Where a flight is in its rollout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -437,7 +442,7 @@ pub struct GroupDayStats {
     pub held_back: usize,
     /// Steered runs that died and re-ran on the default plan.
     pub fallbacks: usize,
-    /// Steered/baseline pairs that produced an observation.
+    /// Steered/baseline and fallback pairs that produced an observation.
     pub observed: usize,
     /// Mean runtime change of today's observations (0 when none).
     pub mean_change_pct: f64,
@@ -462,6 +467,9 @@ pub struct FlightDayReport {
     /// the default plan.
     pub static_skips: usize,
     pub fallbacks: usize,
+    /// Fallbacks whose default-plan re-run died too: the job did not
+    /// finish within its retry budget on either plan.
+    pub lost: usize,
     pub by_group: BTreeMap<String, GroupDayStats>,
 }
 
@@ -479,6 +487,10 @@ pub struct BackgroundReport {
     pub day: u32,
     /// Deployed hints that produced a monitor observation.
     pub observed: Vec<String>,
+    /// Steered/default pairs behind those observations.
+    pub jobs_executed: usize,
+    /// Mean runtime change over those pairs (0 when none).
+    pub mean_change_pct: f64,
     /// Quarantined hints probed (clean or dirty).
     pub probed: Vec<String>,
     /// Quarantined hints restored to Canary this sweep.
@@ -533,8 +545,6 @@ impl FlightController {
                     base_change_pct: *base_change_pct,
                     discovered_day: *day,
                     status: *status,
-                    validations: Vec::new(),
-                    failed_validations: 0,
                 });
                 self.flights.insert(group.clone(), FlightState::new(*day));
             }
@@ -576,10 +586,13 @@ impl FlightController {
         }
     }
 
-    /// Ingest discovery winners as `Candidate` flights (same
-    /// best-per-group and catalog-vetting rules as
-    /// [`HintStore::install`], but journaled). Returns how many were
-    /// stored.
+    /// Ingest discovery winners as `Candidate` flights, keeping per group
+    /// the one with the largest base improvement. A winner whose
+    /// configuration is plan-independently broken (see
+    /// [`scope_lint::catalog_invalid`]; it can compile no job at all) is
+    /// stored directly as `Quarantined` so it is never served — the
+    /// static-analysis arm of the quarantine guardrail, applied at
+    /// ingestion instead of first failure. Returns how many were stored.
     pub fn ingest(&mut self, winners: &[GroupConfig], day: u32) -> usize {
         let mut installed = 0;
         for w in winners {
@@ -611,7 +624,7 @@ impl FlightController {
 
     /// [`Self::ingest`] and immediately promote every resulting active
     /// candidate to `Deployed` (100 % exposure). For offline experiments
-    /// that need yesterday's install-everything behaviour; production-style
+    /// that start from an already-rolled-out fleet; production-style
     /// drivers should let [`Self::advance`] walk the stages instead.
     pub fn ingest_deployed(&mut self, winners: &[GroupConfig], day: u32) -> usize {
         let n = self.ingest(winners, day);
@@ -651,15 +664,16 @@ impl FlightController {
     ///
     /// For each job whose default-plan signature has a flight: the hash
     /// split decides steered vs held back; steered jobs run through the
-    /// full guardrail (static gate, budgeted compile, result-fingerprint
-    /// vet, fall back to the default plan if the steered run dies — fatal
-    /// trips quarantine the hint on the spot). While a flight is in a
-    /// measured stage (Canary/Ramping) every steered run is paired with a
-    /// shadow baseline run and the day's mean change feeds the monitors;
-    /// Deployed flights skip the shadow (that cost moves to
-    /// [`Self::revalidate_background`]). Held-back and unmatched jobs are
-    /// counted but not simulated — they run the default plan by
-    /// definition.
+    /// full guardrail (`guard::compile_steered`; a veto quarantines the hint on
+    /// the spot) and fall back to the default plan if the steered run
+    /// dies. While a flight is in a measured stage (Canary/Ramping) every
+    /// steered run is paired with a shadow baseline run; Deployed flights
+    /// skip the shadow (that cost moves to
+    /// [`Self::revalidate_background`]). A fallback is its own pair at
+    /// every stage — wasted attempt plus re-run against the re-run alone.
+    /// The day's mean change over a group's pairs feeds the monitors.
+    /// Held-back and unmatched jobs are counted but not simulated — they
+    /// run the default plan by definition.
     pub fn serve_day(
         &mut self,
         jobs: &[Job],
@@ -707,47 +721,43 @@ impl FlightController {
                 .expect("active hint exists")
                 .config
                 .clone();
-            let effective = effective_config(job, &hint_cfg);
-            if matches!(
-                JobLint::new(&job.plan).classify(&effective),
-                ConfigVerdict::Invalid { .. }
-            ) {
-                report.static_skips += 1;
-                continue;
-            }
-            let steered = match compile_job_guarded(job, &hint_cfg, &self.store.compile_budget) {
-                Ok(s) => s,
-                Err(e) if e.is_fatal() => {
-                    self.emit(FlightEvent::Status {
-                        group: key,
-                        status: HintStatus::Quarantined,
-                    });
-                    report.vetoes += 1;
-                    continue;
-                }
-                Err(_) => {
-                    report.static_skips += 1;
-                    continue;
-                }
-            };
-            if vet_candidate(&default, &steered).is_err() {
-                self.emit(FlightEvent::Status {
-                    group: key,
-                    status: HintStatus::Quarantined,
-                });
-                report.vetoes += 1;
-                continue;
-            }
+            let steered =
+                match compile_steered(job, &default, &hint_cfg, &self.store.compile_budget) {
+                    SteeredCompile::Steered(s) => s,
+                    SteeredCompile::SkippedStatically | SteeredCompile::SkippedBenignly => {
+                        report.static_skips += 1;
+                        continue;
+                    }
+                    SteeredCompile::Vetoed => {
+                        self.emit(FlightEvent::Status {
+                            group: key,
+                            status: HintStatus::Quarantined,
+                        });
+                        report.vetoes += 1;
+                        continue;
+                    }
+                };
             let run = ab.run_with_retry(job, &steered.plan, 0, policy);
             let stats = report.by_group.entry(key.clone()).or_default();
             stats.steered += 1;
             report.steered += 1;
             count(Counter::FlightServedSteered, 1);
             if !run.outcome.is_success() {
-                // Guardrail: the job re-runs on its default plan.
-                let _fallback = ab.run_with_retry(job, &default.plan, 0, policy);
+                // Guardrail: the job re-runs on its default plan. What the
+                // customer saw — the wasted attempt plus the re-run, against
+                // the re-run alone — is evidence against the hint at every
+                // stage, Deployed included.
+                let fallback = ab.run_with_retry(job, &default.plan, 0, policy);
                 stats.fallbacks += 1;
                 report.fallbacks += 1;
+                if fallback.outcome.is_success() {
+                    day_changes.entry(key).or_default().push(pct_change(
+                        fallback.metrics.runtime,
+                        run.metrics.runtime + fallback.metrics.runtime,
+                    ));
+                } else {
+                    report.lost += 1;
+                }
                 continue;
             }
             if stage != FlightStage::Deployed {
@@ -909,17 +919,23 @@ impl FlightController {
             .map(|i| eligible[(start + i) % eligible.len()].clone())
             .collect();
 
-        // Group today's jobs by default signature, only for picked groups.
-        let mut by_group: BTreeMap<&str, Vec<&Job>> = BTreeMap::new();
+        // Group today's jobs by default signature, only for picked groups,
+        // keeping each sampled job's default plan for the guardrail below.
+        let sample = self.config.revalidation_jobs.max(1);
+        let mut by_group: BTreeMap<&str, Vec<(&Job, CompiledPlan)>> = BTreeMap::new();
         for job in jobs {
-            if let Ok(compiled) = compile_job(job, &RuleConfig::default_config()) {
-                let key = compiled.signature.to_bit_string();
+            if let Ok(default) = compile_job(job, &RuleConfig::default_config()) {
+                let key = default.signature.to_bit_string();
                 if let Some(g) = picked.iter().find(|p| **p == key) {
-                    by_group.entry(g.as_str()).or_default().push(job);
+                    let sampled = by_group.entry(g.as_str()).or_default();
+                    if sampled.len() < sample {
+                        sampled.push((job, default));
+                    }
                 }
             }
         }
 
+        let mut observed_changes = Vec::new();
         for key in &picked {
             let Some(group_jobs) = by_group.get(key.as_str()) else {
                 report.absent += 1;
@@ -931,46 +947,35 @@ impl FlightController {
             let mut changes = Vec::new();
             let mut dirty = false;
             let mut fatal = false;
-            for job in group_jobs.iter().take(self.config.revalidation_jobs.max(1)) {
-                let Ok(default) = compile_job(job, &RuleConfig::default_config()) else {
-                    continue;
-                };
-                let effective = effective_config(job, &hint_cfg);
-                if matches!(
-                    JobLint::new(&job.plan).classify(&effective),
-                    ConfigVerdict::Invalid { .. }
-                ) {
-                    // Benign for a deployed hint (same as revalidate); for
-                    // a probation probe it means the hint still cannot
-                    // serve this group — not clean.
-                    if status == HintStatus::Quarantined {
-                        dirty = true;
-                    }
-                    continue;
-                }
-                match compile_job_guarded(job, &hint_cfg, &self.store.compile_budget) {
-                    Ok(steered) => {
-                        if vet_candidate(&default, &steered).is_err() {
+            for (job, default) in group_jobs {
+                let steered =
+                    match compile_steered(job, default, &hint_cfg, &self.store.compile_budget) {
+                        SteeredCompile::Steered(s) => s,
+                        SteeredCompile::SkippedStatically => {
+                            // Benign for a deployed hint; for a probation
+                            // probe it means the hint still cannot serve
+                            // this group — not clean.
+                            if status == HintStatus::Quarantined {
+                                dirty = true;
+                            }
+                            continue;
+                        }
+                        SteeredCompile::SkippedBenignly => continue,
+                        SteeredCompile::Vetoed => {
                             fatal = true;
                             break;
                         }
-                        let sm = ab.run_outcome(job, &steered.plan, 0);
-                        if !sm.outcome.is_success() {
-                            dirty = true;
-                            continue;
-                        }
-                        let dm = ab.run_outcome(job, &default.plan, 0);
-                        if !dm.outcome.is_success() {
-                            continue;
-                        }
-                        changes.push(pct_change(dm.metrics.runtime, sm.metrics.runtime));
-                    }
-                    Err(e) if e.is_fatal() => {
-                        fatal = true;
-                        break;
-                    }
-                    Err(_) => continue,
+                    };
+                let sm = ab.run_outcome(job, &steered.plan, 0);
+                if !sm.outcome.is_success() {
+                    dirty = true;
+                    continue;
                 }
+                let dm = ab.run_outcome(job, &default.plan, 0);
+                if !dm.outcome.is_success() {
+                    continue;
+                }
+                changes.push(pct_change(dm.metrics.runtime, sm.metrics.runtime));
             }
             match status {
                 HintStatus::Active => {
@@ -989,6 +994,7 @@ impl FlightController {
                         });
                         count(Counter::FlightObservations, 1);
                         report.observed.push(key.clone());
+                        observed_changes.extend(changes);
                     }
                 }
                 HintStatus::Quarantined => {
@@ -1022,6 +1028,8 @@ impl FlightController {
                 HintStatus::Suspended => {}
             }
         }
+        report.jobs_executed = observed_changes.len();
+        report.mean_change_pct = mean(&observed_changes);
         report
     }
 
@@ -1048,7 +1056,7 @@ impl FlightController {
     /// Two controllers with bit-identical state produce bit-identical
     /// snapshots, which is how the recovery tests check fidelity.
     pub fn snapshot_text(&self) -> String {
-        let mut lines = vec![format!("flightsnap\tv1\tseq:{}", self.journal.next_seq)];
+        let mut lines = vec![format!("flightsnap\tv2\tseq:{}", self.journal.next_seq)];
         for l in self.store.to_hint_text().lines() {
             if !l.is_empty() {
                 lines.push(format!("hint\t{l}"));
@@ -1121,7 +1129,7 @@ fn parse_snapshot(text: &str, config: FlightConfig) -> Result<FlightController, 
     let mut lines = body.lines().enumerate();
     let header = lines.next().map(|(_, l)| l).unwrap_or("");
     let seq = header
-        .strip_prefix("flightsnap\tv1\tseq:")
+        .strip_prefix("flightsnap\tv2\tseq:")
         .and_then(|s| s.parse::<u64>().ok())
         .ok_or_else(|| RecoveryError::SnapshotVersion(header.to_string()))?;
     let mut hint_lines = Vec::new();
@@ -1476,6 +1484,21 @@ mod tests {
             FlightController::recover(None, &prefix, FlightConfig::default()).unwrap();
         assert_eq!(rec.snapshot_text(), ref_rec.snapshot_text());
         assert_eq!(rec.store, ref_rec.store);
+    }
+
+    #[test]
+    fn ingest_keeps_best_per_group() {
+        let mut c = FlightController::new(FlightConfig::default());
+        c.ingest(&[winner("101", -20.0), winner("101", -60.0)], 0);
+        let key = RuleSet::from_bit_string("101").to_bit_string();
+        assert_eq!(c.store.len(), 1);
+        assert_eq!(c.store.hint(&key).unwrap().base_change_pct, -60.0);
+        // A weaker winner later neither overwrites nor journals.
+        let events = c.journal_text().lines().count();
+        assert_eq!(c.ingest(&[winner("101", -10.0)], 1), 0);
+        let hint = c.store.hint(&key).unwrap();
+        assert_eq!((hint.base_change_pct, hint.discovered_day), (-60.0, 0));
+        assert_eq!(c.journal_text().lines().count(), events);
     }
 
     #[test]

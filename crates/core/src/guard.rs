@@ -10,7 +10,12 @@ use std::fmt;
 
 use scope_exec::truth::result_fingerprint;
 use scope_ir::validate::PlanViolation;
-use scope_optimizer::{validate_physical, CompileError, CompiledPlan};
+use scope_ir::Job;
+use scope_lint::{ConfigVerdict, JobLint};
+use scope_optimizer::{
+    compile_job_guarded, effective_config, validate_physical, CompileBudget, CompileError,
+    CompiledPlan, RuleConfig,
+};
 
 /// Why a candidate plan was rejected by the guardrail.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,6 +68,51 @@ pub fn vet_candidate(
         });
     }
     Ok(())
+}
+
+/// What the deployment guardrail decided for one (job, hint) pair.
+#[derive(Debug)]
+pub(crate) enum SteeredCompile {
+    /// The hint compiled within budget into a plan that passed
+    /// [`vet_candidate`]: the job may run it.
+    Steered(CompiledPlan),
+    /// `scope-lint` proved the hint (plus the job's own customer hints)
+    /// cannot compile this job; no compile was spent. The job stays on its
+    /// default plan and nothing is held against the hint.
+    SkippedStatically,
+    /// The compile failed the ordinary way ("not all configurations
+    /// compile"). Same consequence as a static skip, one compile later.
+    SkippedBenignly,
+    /// The compile panicked or ran over budget, or the plan it produced is
+    /// invalid or computes another result. The job stays on its default
+    /// plan and the hint must be quarantined.
+    Vetoed,
+}
+
+/// The steered-compile guardrail, the one way a deployed hint becomes a
+/// plan: static lint verdict, then a guarded compile under `budget`, then
+/// [`vet_candidate`] against the job's already-compiled `default`.
+pub(crate) fn compile_steered(
+    job: &Job,
+    default: &CompiledPlan,
+    hint: &RuleConfig,
+    budget: &CompileBudget,
+) -> SteeredCompile {
+    let effective = effective_config(job, hint);
+    if matches!(
+        JobLint::new(&job.plan).classify(&effective),
+        ConfigVerdict::Invalid { .. }
+    ) {
+        return SteeredCompile::SkippedStatically;
+    }
+    match compile_job_guarded(job, hint, budget) {
+        Ok(steered) if vet_candidate(default, &steered).is_ok() => SteeredCompile::Steered(steered),
+        Ok(_) => SteeredCompile::Vetoed,
+        // A panic or budget blow-out is a guardrail trip, not a benign
+        // "this config doesn't compile here".
+        Err(e) if e.is_fatal() => SteeredCompile::Vetoed,
+        Err(_) => SteeredCompile::SkippedBenignly,
+    }
 }
 
 /// Per-job (and aggregated per-report) counts of candidates the guardrail

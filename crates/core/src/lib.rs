@@ -12,15 +12,18 @@
 //! * [`groups`] — rule-signature job groups (Definition 6.2) and
 //!   extrapolation of winning configurations to unseen jobs (§6.4),
 //! * [`report`] — Table 3-style summaries,
-//! * [`deploy`] — the §3.3 "plan hint" deployment story: a per-group hint
-//!   store with §6.4's weekly re-validation and regression suspension,
+//! * [`deploy`] — §3.3 "plan hints" at rest: the per-group hint store and
+//!   its plain-text hint-file format (storage only; the lifecycle is
+//!   [`flight`]'s),
 //! * [`feedback`] — runtime feedback into the cost model: per-template
 //!   observed/estimated correction factors, banded and smoothed, promoted
 //!   only at day boundaries behind a vetting gate,
-//! * [`flight`] — staged canary rollout over the hint store (QO-Advisor's
-//!   flighting): deterministic traffic splits, N-strike/CUSUM rollback
-//!   monitors, background revalidation with a probation path out of
-//!   quarantine, and a checksummed journal + snapshot for crash recovery,
+//! * [`flight`] — the one hint lifecycle (§3.3 guardrail, §6.4
+//!   re-validation, QO-Advisor's flighting): staged canary rollout over
+//!   the hint store with deterministic traffic splits, N-strike/CUSUM
+//!   rollback monitors, background revalidation with a probation path out
+//!   of quarantine, and a checksummed journal + snapshot for crash
+//!   recovery,
 //! * [`serve`] — the failure-hardened online serving layer: a sharded
 //!   copy-on-write serving table over the flight controller's state,
 //!   fronted by per-request deadlines, a circuit breaker, admission
@@ -53,10 +56,7 @@ pub mod span;
 #[cfg(test)]
 pub(crate) mod testutil;
 
-pub use deploy::{
-    GuardrailRun, HintParseError, HintParseErrorKind, HintStatus, HintStore, RevalidationReport,
-    StoredHint, ValidationRecord,
-};
+pub use deploy::{HintParseError, HintParseErrorKind, HintStatus, HintStore, StoredHint};
 pub use feedback::{safe_ratio, CorrectionBand, CorrectionStore};
 pub use flight::{
     AdvanceReport, BackgroundReport, FlightConfig, FlightController, FlightDayReport, FlightEvent,

@@ -1,6 +1,8 @@
 //! End-to-end acceptance tests for the flighting subsystem: rollback
 //! determinism across worker counts, crash-safe recovery of real serving
-//! history, and the probation path out of quarantine.
+//! history, the probation path out of quarantine, and the guardrail —
+//! dying steered runs roll a hint back, a starved compile budget
+//! quarantines it on every path.
 //!
 //! These tests drive the public API only. Discovery is replicated from the
 //! in-crate test helper: whether a given RNG seed surfaces winners on the
@@ -12,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use scope_exec::{plan_fingerprint, ABTester, CrashPlan, FaultProfile, RetryPolicy};
+use scope_ir::Job;
 use scope_optimizer::{
     compile_job, compile_job_guarded, effective_config, CompileBudget, RuleConfig,
 };
@@ -302,4 +305,115 @@ fn quarantined_hint_recovers_through_probation() {
     );
     assert_eq!(c.store.hint(&key).unwrap().status, HintStatus::Active);
     assert_eq!(c.flight(&key).unwrap().stage, FlightStage::Canary);
+}
+
+#[test]
+fn dying_steered_runs_are_observed_and_roll_the_hint_back() {
+    let d = discover(1);
+    let victim = recurring_winner(&d);
+    let key = victim.group.to_bit_string();
+    // A bad day on the cluster, plus a planted kill: every plan the hint
+    // steers onto runs into a timeout no default plan comes near. (At this
+    // scale `heavy()` alone kills nothing — its in-profile vertex retries
+    // absorb every failure.)
+    let clean = ABTester::new(d.ab_seed);
+    let slowest_default = (1..=SERVE_DAYS)
+        .flat_map(|day| d.workload.day(day))
+        .filter_map(|job| {
+            let default = compile_job(&job, &RuleConfig::default_config()).ok()?;
+            (default.signature.to_bit_string() == key)
+                .then(|| clean.run(&job, &default.plan, 0).runtime)
+        })
+        .fold(0.0, f64::max);
+    let kill: Vec<(u64, f64)> = steered_fingerprints(&d.workload, &victim)
+        .into_iter()
+        .map(|(fp, _)| (fp, 1e6))
+        .collect();
+    assert!(!kill.is_empty(), "victim must have distinct steered plans");
+    let faults = FaultProfile {
+        slowdown_plans: kill,
+        ..FaultProfile::heavy()
+    }
+    .with_timeout(20.0 * slowest_default);
+    let ab = clean.with_faults(faults);
+    let policy = RetryPolicy::no_retries();
+
+    // Deployed: serving pays no shadow baselines, so the only observations
+    // serve_day can emit are the fallbacks'.
+    let mut c = FlightController::new(FlightConfig::default());
+    c.ingest_deployed(&[victim], 0);
+    let mut first_fallback = None;
+    let mut rolled_back = None;
+    for day in 1..=SERVE_DAYS {
+        let report = c.serve_day(&d.workload.day(day), &ab, &policy, day);
+        let stats = &report.by_group[&key];
+        let journaled = c
+            .journal_text()
+            .lines()
+            .any(|l| l.contains(&format!("\tobs\t{key}\t")) && l.contains(&format!("\t{day}\t#")));
+        assert_eq!(
+            journaled,
+            stats.observed > 0,
+            "day {day}: journal vs report"
+        );
+        if stats.fallbacks > 0 {
+            first_fallback.get_or_insert(day);
+            // Each fallback that finished is a pair — what the customer
+            // paid against the re-run alone, always a loss.
+            assert_eq!(stats.observed, stats.fallbacks - report.lost);
+            assert!(stats.observed == 0 || stats.mean_change_pct > 0.0);
+        }
+        if c.advance(day).rollbacks.contains(&key) {
+            rolled_back = Some(day);
+            break;
+        }
+    }
+    let first = first_fallback.expect("no steered run died");
+    let day = rolled_back.expect("a hint whose steered runs die was never rolled back");
+    assert!(day < first + c.config.n_strikes, "rolled back on day {day}");
+    assert_eq!(c.store.hint(&key).unwrap().status, HintStatus::Suspended);
+}
+
+#[test]
+fn starved_compile_budget_quarantines_on_every_path() {
+    let d = discover(1);
+    let victim = recurring_winner(&d);
+    let key = victim.group.to_bit_string();
+    let ab = ABTester::new(d.ab_seed);
+    let day1 = d.workload.day(1);
+
+    // Both paths reach the steered compile through the one guard function;
+    // a one-task budget makes it blow up at once — a resource-guardrail
+    // trip, not a performance regression.
+    type Path = fn(&mut FlightController, &[Job], &ABTester) -> usize;
+    let paths: [(&str, Path); 2] = [
+        ("serve_day", |c, jobs, ab| {
+            let report = c.serve_day(jobs, ab, &RetryPolicy::no_retries(), 1);
+            // Vetoed before execution: the job stays on its default plan.
+            assert_eq!((report.steered, report.fallbacks), (0, 0));
+            report.vetoes
+        }),
+        ("revalidate_background", |c, jobs, ab| {
+            c.revalidate_background(jobs, ab, 1).quarantined.len()
+        }),
+    ];
+    for (name, path) in paths {
+        let mut c = FlightController::new(FlightConfig::default());
+        c.ingest_deployed(std::slice::from_ref(&victim), 0);
+        c.store.compile_budget = CompileBudget::with_max_tasks(1);
+        assert_eq!(path(&mut c, &day1, &ab), 1, "{name}: one veto");
+        assert_eq!(
+            c.store.hint(&key).unwrap().status,
+            HintStatus::Quarantined,
+            "{name}"
+        );
+        assert!(
+            c.journal_text()
+                .lines()
+                .last()
+                .unwrap()
+                .contains("quarantined"),
+            "{name}: the quarantine is journaled"
+        );
+    }
 }

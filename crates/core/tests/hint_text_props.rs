@@ -2,14 +2,14 @@
 //! `from_hint_text` must be a lossless round trip for *any* store — every
 //! status variant, any rule-config delta, any finite float (runtimes are
 //! serialized as IEEE-754 bit patterns, so even `-0.0` and subnormals must
-//! survive), any validation history. The flighting snapshot embeds these
-//! lines verbatim, so a single lossy field here would silently break the
-//! bit-identical crash-recovery guarantee.
+//! survive). The flighting snapshot embeds these lines verbatim, so a
+//! single lossy field here would silently break the bit-identical
+//! crash-recovery guarantee.
 
 use proptest::collection;
 use proptest::prelude::*;
 use scope_optimizer::{RuleCatalog, RuleConfig};
-use steer_core::{HintStatus, HintStore, StoredHint, ValidationRecord};
+use steer_core::{HintStatus, HintStore, StoredHint};
 
 fn status_strategy() -> impl Strategy<Value = HintStatus> {
     (0u32..3).prop_map(|pick| match pick {
@@ -34,25 +34,6 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     })
 }
 
-fn record_strategy() -> impl Strategy<Value = ValidationRecord> {
-    (
-        any::<u32>(),
-        0usize..10_000,
-        0usize..10_000,
-        finite_f64(),
-        0usize..10_000,
-    )
-        .prop_map(
-            |(day, jobs, improved, mean_change_pct, failures)| ValidationRecord {
-                day,
-                jobs,
-                improved,
-                mean_change_pct,
-                failures,
-            },
-        )
-}
-
 /// A config whose delta from the default toggles an arbitrary subset of the
 /// non-required rules (required rules cannot move, so toggling them would
 /// produce a config `from_hint_text` can never reconstruct).
@@ -74,29 +55,19 @@ fn config_strategy() -> impl Strategy<Value = RuleConfig> {
 
 fn hint_strategy() -> impl Strategy<Value = StoredHint> {
     (
-        (
-            collection::vec(any::<bool>(), 1..12),
-            config_strategy(),
-            finite_f64(),
-        ),
-        (
-            any::<u32>(),
-            status_strategy(),
-            collection::vec(record_strategy(), 0..5),
-            any::<u32>(),
-        ),
+        collection::vec(any::<bool>(), 1..12),
+        config_strategy(),
+        finite_f64(),
+        any::<u32>(),
+        status_strategy(),
     )
         .prop_map(
-            |((bits, config, base_change_pct), (discovered_day, status, validations, failed))| {
-                StoredHint {
-                    group: bits.iter().map(|&b| if b { '1' } else { '0' }).collect(),
-                    config,
-                    base_change_pct,
-                    discovered_day,
-                    status,
-                    validations,
-                    failed_validations: failed,
-                }
+            |(bits, config, base_change_pct, discovered_day, status)| StoredHint {
+                group: bits.iter().map(|&b| if b { '1' } else { '0' }).collect(),
+                config,
+                base_change_pct,
+                discovered_day,
+                status,
             },
         )
 }

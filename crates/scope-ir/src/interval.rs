@@ -3,8 +3,8 @@
 //!
 //! The invariants are deliberately strict — every constructor and every
 //! arithmetic operation preserves them — so downstream consumers (the
-//! discovery bounds gate, the branch-and-bound search pruner, the estimator
-//! audit) never have to re-check for NaN, infinities, or inverted endpoints:
+//! discovery bounds gate, the estimator audit) never have to re-check for
+//! NaN, infinities, or inverted endpoints:
 //!
 //! 1. `lo` and `hi` are finite,
 //! 2. `0 ≤ lo ≤ hi`.

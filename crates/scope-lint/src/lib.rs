@@ -30,8 +30,7 @@
 //!    `[lo, hi]` intervals for rows, bytes, and whole-plan cost derived
 //!    from the catalog envelopes. Powers the discovery bounds gate (retire
 //!    candidates whose cost lower bound exceeds the threshold before any
-//!    compile), the search's branch-and-bound flag, and the estimator
-//!    audit ([`bounds::audit_estimates`]).
+//!    compile) and the estimator audit ([`bounds::audit_estimates`]).
 
 pub mod analyze;
 pub mod bounds;

@@ -139,16 +139,6 @@ pub struct CompileBudget {
     /// fully deterministic (the default — task counts don't depend on
     /// machine speed).
     pub max_wall: Option<Duration>,
-    /// Branch-and-bound implementation pruning: once a group holds an
-    /// incumbent winner, skip costing any alternative whose resolved child
-    /// winners alone already reach the incumbent's cost. Sound because every
-    /// implementation and exchange cost is non-negative and the winner
-    /// comparison is strict, so a pruned alternative can never replace the
-    /// incumbent — the final plan, cost, and used-rule signature are
-    /// bit-identical with the flag on or off; only the task count drops.
-    /// Off by default so the differential `classic` fingerprint suite keeps
-    /// byte-stable task counts.
-    pub branch_and_bound: bool,
 }
 
 impl CompileBudget {
@@ -156,7 +146,6 @@ impl CompileBudget {
     pub const UNLIMITED: CompileBudget = CompileBudget {
         max_tasks: u64::MAX,
         max_wall: None,
-        branch_and_bound: false,
     };
 
     /// A task-count-only budget.
@@ -164,14 +153,7 @@ impl CompileBudget {
         CompileBudget {
             max_tasks,
             max_wall: None,
-            branch_and_bound: false,
         }
-    }
-
-    /// The same budget with branch-and-bound pruning switched on.
-    pub fn with_branch_and_bound(mut self) -> CompileBudget {
-        self.branch_and_bound = true;
-        self
     }
 }
 
@@ -183,7 +165,6 @@ impl Default for CompileBudget {
         CompileBudget {
             max_tasks: 5_000_000,
             max_wall: None,
-            branch_and_bound: false,
         }
     }
 }
@@ -195,7 +176,6 @@ pub struct BudgetTracker {
     max_tasks: u64,
     deadline: Option<Instant>,
     tasks: u64,
-    branch_and_bound: bool,
 }
 
 /// How often (in tasks) the wall-clock deadline is polled.
@@ -207,18 +187,12 @@ impl BudgetTracker {
             max_tasks: budget.max_tasks,
             deadline: budget.max_wall.map(|d| Instant::now() + d),
             tasks: 0,
-            branch_and_bound: budget.branch_and_bound,
         }
     }
 
     /// Tasks charged so far.
     pub fn tasks(&self) -> u64 {
         self.tasks
-    }
-
-    /// Whether branch-and-bound implementation pruning is on.
-    pub fn branch_and_bound(&self) -> bool {
-        self.branch_and_bound
     }
 
     /// Charge one task; errors once the budget is exhausted.
@@ -482,24 +456,6 @@ fn best(
         }
         if !ok {
             continue;
-        }
-
-        // Branch-and-bound: every candidate built from this expression
-        // costs at least the sum of its resolved child winners (own and
-        // exchange costs are non-negative), so when that sum already
-        // reaches the incumbent's cost no candidate here can win the
-        // strict `<` comparison below — skip the whole implementation
-        // loop without charging its tasks.
-        if tracker.branch_and_bound() {
-            if let Some(w) = &best_winner {
-                let child_sum: f64 = children
-                    .iter()
-                    .map(|&c| winners[c.index()].as_ref().expect("child winner").cost)
-                    .sum();
-                if child_sum >= w.cost {
-                    continue;
-                }
-            }
         }
 
         // Applicable implementations ∩ enabled: one 4-word intersection

@@ -293,21 +293,24 @@ pub fn reset() {
     drop(take_spans());
 }
 
+/// Global tracer state (the enabled flag, the span sink, every counter)
+/// is process-wide; every test in this crate that writes it or asserts on
+/// it holds this gate, so `reset()` in one module cannot zero a counter
+/// another module's test is summing.
+#[cfg(test)]
+pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Global tracer state is process-wide; serialize the tests that
-    /// toggle it.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn disabled_tracer_records_nothing() {
-        let _g = lock();
+        let _g = test_gate();
         set_enabled(false);
         reset();
         {
@@ -322,7 +325,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_carry_parent_links() {
-        let _g = lock();
+        let _g = test_gate();
         set_enabled(true);
         reset();
         {
@@ -348,7 +351,7 @@ mod tests {
 
     #[test]
     fn worker_thread_spans_flush_on_exit() {
-        let _g = lock();
+        let _g = test_gate();
         set_enabled(true);
         reset();
         let main_tid = std::thread::scope(|s| {
@@ -372,7 +375,7 @@ mod tests {
 
     #[test]
     fn span_timed_feeds_its_histogram() {
-        let _g = lock();
+        let _g = test_gate();
         set_enabled(true);
         reset();
         {
@@ -387,7 +390,7 @@ mod tests {
 
     #[test]
     fn span_cap_bounds_sink_and_counts_drops() {
-        let _g = lock();
+        let _g = test_gate();
         set_enabled(true);
         reset();
         let before = MetricsSnapshot::capture();
@@ -408,7 +411,7 @@ mod tests {
 
     #[test]
     fn take_spans_drains_once() {
-        let _g = lock();
+        let _g = test_gate();
         set_enabled(true);
         reset();
         {

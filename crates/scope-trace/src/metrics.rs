@@ -630,7 +630,9 @@ mod tests {
     fn striped_counters_sum_across_threads() {
         // `count_always` bypasses the enabled gate, so this test does not
         // perturb (or depend on) the global tracer state beyond the one
-        // counter it bumps — read via before/after totals.
+        // counter it bumps — read via before/after totals. The gate keeps
+        // a concurrent `reset()` from zeroing that counter mid-sum.
+        let _g = crate::test_gate();
         let before = counter_total(Counter::TraceSpansDropped);
         let threads: Vec<_> = (0..4)
             .map(|_| {

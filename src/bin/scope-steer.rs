@@ -7,7 +7,7 @@
 //! scope-steer search   --tag A --job 3 --m 200          # candidate configs
 //! scope-steer explain  --tag A --job 3                  # EXPLAIN ANALYZE trace
 //! scope-steer pipeline --tag A --scale 0.1              # §6.1 discovery
-//! scope-steer hints    --tag A --scale 0.1 --days 3     # discover + revalidate + print hint file
+//! scope-steer hints    --tag A --scale 0.1 --days 3     # discover + flight + revalidate + print hint file
 //! scope-steer serve    --tag A --scale 0.1 --days 5 --fault slow_lookups   # online serving daemon
 //! ```
 //!
@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scope_steer::exec::{ABTester, ArrivalCurve, ServeFaultProfile};
+use scope_steer::exec::{ABTester, ArrivalCurve, RetryPolicy, ServeFaultProfile};
 use scope_steer::ir::Job;
 use scope_steer::optimizer::{compile_job, RuleCatalog, RuleConfig};
 use scope_steer::steer::{
@@ -314,19 +314,30 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(args.get("seed", 2021u64));
             let report = pipeline.discover(&w.day(0), &mut rng);
             let winners = winning_configs(&report.outcomes, 10.0);
-            let mut flights = FlightController::new(FlightConfig::default());
+            // One lifecycle: serve each day steered, re-check every
+            // deployed hint in the background, let the monitors roll back.
+            let mut flights = FlightController::new(FlightConfig {
+                revalidation_budget: winners.len().max(1),
+                ..FlightConfig::default()
+            });
             flights.ingest_deployed(&winners, 0);
-            let mut store = flights.store;
-            println!("day 0: installed {} hints", store.len());
+            println!("day 0: deployed {} hints", flights.store.len());
+            let policy = RetryPolicy::default();
             for day in 1..days {
-                let r = store.revalidate(&w.day(day), &ab, day, 2.0);
+                let jobs = w.day(day);
+                let served = flights.serve_day(&jobs, &ab, &policy, day);
+                let r = flights.revalidate_background(&jobs, &ab, day);
+                let rolled_back = flights.advance(day).rollbacks.len();
                 println!(
-                    "day {day}: checked {} groups over {} jobs, mean change {:+.1}%, suspended {}",
-                    r.groups_checked, r.jobs_executed, r.mean_change_pct, r.groups_suspended
+                    "day {day}: steered {} jobs; re-checked {} groups over {} jobs, mean change {:+.1}%, rolled back {rolled_back}",
+                    served.steered,
+                    r.observed.len(),
+                    r.jobs_executed,
+                    r.mean_change_pct
                 );
             }
             println!("\n# hint file (signature -> disabled/enabled rule ids)");
-            println!("{}", store.to_hint_text());
+            println!("{}", flights.store.to_hint_text());
         }
         "serve" => {
             let scale: f64 = args.get("scale", 0.1);
