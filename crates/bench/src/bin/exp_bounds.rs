@@ -23,8 +23,6 @@
 //!
 //! Run: `cargo run -p scope-steer-bench --release --bin exp_bounds -- [--scale=1.0]`
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scope_exec::ABTester;
@@ -46,7 +44,6 @@ use steer_core::{
 fn bounds_insensitive_fingerprint(r: &DiscoveryReport) -> String {
     let strip = |mut v: CandidateFilterStats| {
         v.static_invalid = 0;
-        v.static_redundant = 0;
         v.static_bounded = 0;
         v
     };
@@ -140,12 +137,10 @@ fn main() {
             },
         );
         let mut rng = StdRng::seed_from_u64(0xb04d);
-        let started = Instant::now();
-        let report = p.discover(&jobs, &mut rng);
-        (report, started.elapsed().as_secs_f64())
+        p.discover(&jobs, &mut rng)
     };
-    let (gated, gated_s) = run(true);
-    let (ungated, ungated_s) = run(false);
+    let gated = run(true);
+    let ungated = run(false);
     let identical =
         bounds_insensitive_fingerprint(&gated) == bounds_insensitive_fingerprint(&ungated);
     // Fraction of the ungated candidate pool the gate retired statically.
@@ -153,10 +148,9 @@ fn main() {
     let bounds_pruned = gated.vetting.static_bounded;
     let pruned_frac = bounds_pruned as f64 / pool.max(1) as f64;
     println!(
-        "discovery: gate on {gated_s:.2}s (bounds_pruned {bounds_pruned}, lint static_invalid {}, static_redundant {}), \
-         gate off {ungated_s:.2}s ({pool} candidates); retired {:.1}% beyond the lint gate; identical results: {identical}",
+        "discovery: gate on (bounds_pruned {bounds_pruned}, lint static_invalid {}), \
+         gate off ({pool} candidates); retired {:.1}% beyond the lint gate; identical results: {identical}",
         gated.vetting.static_invalid,
-        gated.vetting.static_redundant,
         100.0 * pruned_frac,
     );
 
@@ -177,12 +171,6 @@ fn main() {
             "lint_static_invalid",
             gated.vetting.static_invalid.to_string(),
         ),
-        (
-            "lint_static_redundant",
-            gated.vetting.static_redundant.to_string(),
-        ),
-        ("discovery_gated_s", format!("{gated_s:.4}")),
-        ("discovery_ungated_s", format!("{ungated_s:.4}")),
     ]);
     let path = write_json("BENCH_bounds.json", &body);
     println!("wrote {}", path.display());

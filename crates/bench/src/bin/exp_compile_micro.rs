@@ -29,10 +29,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use scope_ir::Job;
+use scope_ir::{Job, ObservableCatalog};
 use scope_optimizer::classic::compile_classic;
 use scope_optimizer::optimizer::{compile_with_scratch, CompileScratch};
-use scope_optimizer::{effective_config, CompileBudget, RuleConfig};
+use scope_optimizer::{
+    effective_config, CompileBudget, CompileError, CompiledPlan, CostModel, RuleConfig,
+};
 use scope_steer_bench::harness::workload;
 use scope_steer_bench::reporting::{
     banner, json_array, json_object, markdown_table, scale_arg, write_json,
@@ -110,6 +112,24 @@ fn stats_for(name: &'static str, mins_us: &[f64], allocs: u64, bytes: u64, n: us
     }
 }
 
+/// One arena-path compile under the default budget and cost model.
+fn compile_arena(
+    job: &Job,
+    obs: &ObservableCatalog,
+    config: &RuleConfig,
+    scratch: &mut CompileScratch,
+) -> Result<CompiledPlan, CompileError> {
+    let budget = CompileBudget::default();
+    compile_with_scratch(
+        &job.plan,
+        obs,
+        config,
+        &budget,
+        &CostModel::DEFAULT,
+        scratch,
+    )
+}
+
 fn main() {
     let scale = scale_arg();
     banner(
@@ -119,7 +139,6 @@ fn main() {
     let w = workload(WorkloadTag::A, scale);
     let jobs = w.day(0);
     let default = RuleConfig::default_config();
-    let budget = CompileBudget::default();
 
     // Pre-derive everything that is not the compile itself, and keep only
     // jobs that compile cleanly under the default config (both paths must
@@ -140,11 +159,10 @@ fn main() {
         let classic = compile_classic(&job.plan, obs, config)
             .map(|p| p.fingerprint())
             .map_err(|e| e.to_string());
-        let fresh =
-            compile_with_scratch(&job.plan, obs, config, &budget, &mut CompileScratch::new())
-                .map(|p| p.fingerprint())
-                .map_err(|e| e.to_string());
-        let warm = compile_with_scratch(&job.plan, obs, config, &budget, &mut reused)
+        let fresh = compile_arena(job, obs, config, &mut CompileScratch::new())
+            .map(|p| p.fingerprint())
+            .map_err(|e| e.to_string());
+        let warm = compile_arena(job, obs, config, &mut reused)
             .map(|p| p.fingerprint())
             .map_err(|e| e.to_string());
         assert_eq!(classic, fresh, "arena (fresh) diverged on job {}", job.id);
@@ -172,12 +190,12 @@ fn main() {
     let (a1, b1) = alloc_snapshot();
     for &i in &ok_idx {
         let (job, obs, config) = &prepared[i];
-        let _ = compile_with_scratch(&job.plan, obs, config, &budget, &mut CompileScratch::new());
+        let _ = compile_arena(job, obs, config, &mut CompileScratch::new());
     }
     let (a2, b2) = alloc_snapshot();
     for &i in &ok_idx {
         let (job, obs, config) = &prepared[i];
-        let _ = compile_with_scratch(&job.plan, obs, config, &budget, &mut reused);
+        let _ = compile_arena(job, obs, config, &mut reused);
     }
     let (a3, b3) = alloc_snapshot();
     let allocs = [(a1 - a0, b1 - b0), (a2 - a1, b2 - b1), (a3 - a2, b3 - b2)];
@@ -198,13 +216,13 @@ fn main() {
 
             let mut scratch = CompileScratch::new();
             let t = Instant::now();
-            let r = compile_with_scratch(&job.plan, obs, config, &budget, &mut scratch);
+            let r = compile_arena(job, obs, config, &mut scratch);
             let dt = t.elapsed().as_secs_f64() * 1e6;
             assert!(r.is_ok());
             min_fresh[slot] = min_fresh[slot].min(dt);
 
             let t = Instant::now();
-            let r = compile_with_scratch(&job.plan, obs, config, &budget, &mut reused);
+            let r = compile_arena(job, obs, config, &mut reused);
             let dt = t.elapsed().as_secs_f64() * 1e6;
             assert!(r.is_ok());
             min_reused[slot] = min_reused[slot].min(dt);

@@ -25,8 +25,10 @@
 //! [`CorrectionStore`]: steer_core::CorrectionStore
 
 use scope_exec::ABTester;
+use scope_ir::Job;
 use scope_optimizer::{
-    compile_job_with_model, CompileBudget, CostCorrections, CostModel, CostWeights, RuleConfig,
+    compile_with_model, effective_config, CompileBudget, CompileError, CompiledPlan,
+    CostCorrections, CostModel, CostWeights, RuleConfig,
 };
 use scope_steer_bench::harness::{workload, AB_SEED};
 use scope_steer_bench::reporting::{banner, json_array, json_object, scale_arg, write_json};
@@ -51,6 +53,18 @@ fn io_weighted(f: f64) -> CostModel {
     }
 }
 
+/// Compile a job's default configuration (customer hints applied) under
+/// `model`.
+fn compile_default_under(job: &Job, model: &CostModel) -> Result<CompiledPlan, CompileError> {
+    compile_with_model(
+        &job.plan,
+        &job.catalog.observe(),
+        &effective_config(job, &RuleConfig::default_config()),
+        &CompileBudget::default(),
+        model,
+    )
+}
+
 fn main() {
     let scale = scale_arg();
     banner(
@@ -59,7 +73,6 @@ fn main() {
     );
     let w = workload(WorkloadTag::A, scale);
     let config = RuleConfig::default_config();
-    let budget = CompileBudget::default();
     let ab = ABTester::new(AB_SEED);
 
     // ── 1: the weight sweep ─────────────────────────────────────────────
@@ -83,7 +96,7 @@ fn main() {
         let mut cpu_s = 0.0;
         let mut n = 0usize;
         for job in &sampled {
-            let Ok(c) = compile_job_with_model(job, &config, &budget, &model) else {
+            let Ok(c) = compile_default_under(job, &model) else {
                 fps.push(0);
                 continue;
             };
@@ -165,7 +178,7 @@ fn main() {
         for (i, job) in jobs.iter().enumerate() {
             let model = store.model_for(job.template.0, CostWeights::DEFAULT);
             let corrected = !model.corrections.is_identity();
-            let Ok(c) = compile_job_with_model(job, &config, &budget, &model) else {
+            let Ok(c) = compile_default_under(job, &model) else {
                 continue;
             };
             // Observed total work (cpu + io seconds) is what the scalar

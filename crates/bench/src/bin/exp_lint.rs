@@ -11,7 +11,7 @@
 //!    same signature, cost, and task count as its canonical projection.
 //! 3. **End-to-end determinism** — a full discovery run with the lint gate
 //!    on must reproduce the gate-off run bit-for-bit (static counters
-//!    aside), while retiring/folding candidates before compile.
+//!    aside), while retiring candidates before compile.
 //!
 //! The probe class: disabling `OutputImpl` (every plan has an `Output`
 //! root, it has the only implementation, and no rewrite escapes the kind)
@@ -21,8 +21,6 @@
 //! Emits `results/BENCH_lint.json`.
 //!
 //! Run: `cargo run -p scope-steer-bench --release --bin exp_lint -- [--scale=1.0]`
-
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,7 +33,10 @@ use scope_steer_bench::reporting::{
     banner, json_array, json_object, markdown_table, scale_arg, write_json,
 };
 use scope_workload::WorkloadTag;
-use steer_core::{approximate_span, candidate_configs, DiscoveryReport, Pipeline, PipelineParams};
+use steer_core::{
+    approximate_span, candidate_configs, CandidateFilterStats, DiscoveryReport, Pipeline,
+    PipelineParams,
+};
 
 /// Candidate-classification tallies, split by ground-truth compile outcome.
 #[derive(Default)]
@@ -67,16 +68,20 @@ impl Confusion {
 /// Everything result-bearing in a report with the static-analyzer counters
 /// zeroed, so gate-on and gate-off runs can be compared bit-exactly.
 fn lint_insensitive_fingerprint(r: &DiscoveryReport) -> String {
-    let mut vetting = r.vetting;
-    vetting.static_invalid = 0;
-    vetting.static_redundant = 0;
+    // `static_bounded` too: the bounds gate (on in both runs) also bounds
+    // out some of the certainly-failing candidates ungated lint lets by.
+    let strip = |mut v: CandidateFilterStats| {
+        v.static_invalid = 0;
+        v.static_bounded = 0;
+        v
+    };
+    let vetting = strip(r.vetting);
     let outcomes: Vec<_> = r
         .outcomes
         .iter()
         .map(|o| {
             let mut o = o.clone();
-            o.vetting.static_invalid = 0;
-            o.vetting.static_redundant = 0;
+            o.vetting = strip(o.vetting);
             o
         })
         .collect();
@@ -209,20 +214,16 @@ fn main() {
             },
         );
         let mut rng = StdRng::seed_from_u64(0x11f7);
-        let started = Instant::now();
-        let report = p.discover(&jobs, &mut rng);
-        (report, started.elapsed().as_secs_f64())
+        p.discover(&jobs, &mut rng)
     };
-    let (gated, gated_s) = run(true);
-    let (ungated, ungated_s) = run(false);
+    let gated = run(true);
+    let ungated = run(false);
     let identical = lint_insensitive_fingerprint(&gated) == lint_insensitive_fingerprint(&ungated);
     println!(
-        "discovery: gate on {:.2}s (static_invalid {}, static_redundant {}, dynamic {}), gate off {:.2}s; identical results: {}",
-        gated_s,
+        "discovery: gate on (static_invalid {}, dynamic {}), gate off (dynamic {}); identical results: {}",
         gated.vetting.static_invalid,
-        gated.vetting.static_redundant,
         gated.dynamic_rejections(),
-        ungated_s,
+        ungated.dynamic_rejections(),
         identical
     );
 
@@ -239,17 +240,11 @@ fn main() {
     let discovery_json = json_array(&[
         json_object(&[
             ("lint_gate", "true".into()),
-            ("wall_s", format!("{gated_s:.4}")),
             ("static_invalid", gated.vetting.static_invalid.to_string()),
-            (
-                "static_redundant",
-                gated.vetting.static_redundant.to_string(),
-            ),
             ("dynamic_rejections", gated.dynamic_rejections().to_string()),
         ]),
         json_object(&[
             ("lint_gate", "false".into()),
-            ("wall_s", format!("{ungated_s:.4}")),
             (
                 "dynamic_rejections",
                 ungated.dynamic_rejections().to_string(),
@@ -302,7 +297,7 @@ fn main() {
         eprintln!("FAIL: the lint gate changed discovery results");
         failed = true;
     }
-    if gated.vetting.static_total() == 0 {
+    if gated.vetting.static_invalid == 0 {
         eprintln!("FAIL: the lint gate never fired during discovery");
         failed = true;
     }

@@ -9,7 +9,7 @@ use scope_exec::{ABTester, RetryPolicy, RunMetrics};
 use scope_ir::Job;
 use scope_optimizer::{
     compile_job, effective_config, plan_catalog_fingerprint, CompileBudget, CompileCache,
-    CompiledPlan, RuleConfig,
+    CompiledPlan, CostModel, RuleConfig,
 };
 use scope_workload::{Workload, WorkloadProfile, WorkloadTag};
 use steer_core::{
@@ -62,7 +62,9 @@ pub fn compile_day_cached(
                     let config = effective_config(job, &default);
                     let fp = plan_catalog_fingerprint(&job.plan, &obs);
                     cache
-                        .get_or_compile(fp, &config, || compile_job(job, &default))
+                        .get_or_compile(fp, &config, &CostModel::DEFAULT, || {
+                            compile_job(job, &default)
+                        })
                         .ok()?
                 }
                 None => Arc::new(compile_job(job, &default).ok()?),

@@ -133,10 +133,6 @@ pub struct CandidateFilterStats {
     /// compiled, failed with a non-fatal error, and were silently skipped,
     /// so retiring them statically changes no other counter.
     pub static_invalid: usize,
-    /// Candidate compiles avoided because an earlier candidate in the same
-    /// job had the same canonical (live) rule bits; the stored compile
-    /// result was replayed instead.
-    pub static_redundant: usize,
     /// Candidates the abstract-interpretation bounds gate retired before
     /// any compile: their whole-plan cost lower bound provably exceeded the
     /// job's execution threshold, so compiling them could not have changed
@@ -146,10 +142,9 @@ pub struct CandidateFilterStats {
 
 impl CandidateFilterStats {
     /// Total candidates filtered before execution (dynamic guardrails plus
-    /// statically-retired candidates; redundant candidates are *reused*,
-    /// not filtered, so they are excluded here).
+    /// statically-retired candidates).
     pub fn total(&self) -> usize {
-        self.dynamic_total() + self.static_invalid + self.static_bounded
+        self.dynamic_total() + self.static_total()
     }
 
     /// Candidates the *dynamic* guardrails (compile + vet) filtered.
@@ -157,11 +152,10 @@ impl CandidateFilterStats {
         self.panicked + self.over_budget + self.invalid + self.diverged
     }
 
-    /// Candidates handled statically, with zero compiles: retired as
-    /// certainly-invalid, retired by the cost-bounds gate, or served from a
-    /// canonical-equivalent compile.
+    /// Candidates retired statically, with zero compiles: certainly
+    /// invalid, or provably too expensive (the cost-bounds gate).
     pub fn static_total(&self) -> usize {
-        self.static_invalid + self.static_redundant + self.static_bounded
+        self.static_invalid + self.static_bounded
     }
 
     /// Fold another stats record into this one.
@@ -171,7 +165,6 @@ impl CandidateFilterStats {
         self.invalid += other.invalid;
         self.diverged += other.diverged;
         self.static_invalid += other.static_invalid;
-        self.static_redundant += other.static_redundant;
         self.static_bounded += other.static_bounded;
     }
 

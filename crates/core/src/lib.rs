@@ -80,4 +80,4 @@ pub use serve::{
     DecisionReason, DegradedMode, Lookup, ServeRequest, ServiceConfig, ServingEntry, ServingTable,
     SteeringService,
 };
-pub use span::{approximate_span, approximate_span_cached, JobSpan};
+pub use span::{approximate_span, JobSpan};

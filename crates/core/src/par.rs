@@ -36,30 +36,6 @@ where
     F: Fn(&T) -> Option<U> + Sync,
     D: Fn(&T) -> String,
 {
-    run_chunked_stateful(items, n_threads, || (), |(), item| map(item), describe)
-}
-
-/// [`run_chunked_on`] with per-worker mutable state: `init` runs once on
-/// each worker thread, and the resulting state is passed `&mut` to every
-/// `map` call that worker makes. This is how per-item scratch (memo
-/// arenas, implementation vectors) moves out of the per-item path —
-/// allocated once per worker instead of once per item — without sharing
-/// anything across threads. State must not influence results (the
-/// bit-identity contract): it is a cache of *capacity*, never of values.
-pub fn run_chunked_stateful<T, U, S, I, F, D>(
-    items: &[T],
-    n_threads: usize,
-    init: I,
-    map: F,
-    describe: D,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> Option<U> + Sync,
-    D: Fn(&T) -> String,
-{
     if items.is_empty() {
         return Vec::new();
     }
@@ -71,14 +47,7 @@ where
             .iter()
             .map(|chunk| {
                 let map = &map;
-                let init = &init;
-                s.spawn(move || {
-                    let mut state = init();
-                    chunk
-                        .iter()
-                        .filter_map(|item| map(&mut state, item))
-                        .collect::<Vec<_>>()
-                })
+                s.spawn(move || chunk.iter().filter_map(map).collect::<Vec<_>>())
             })
             .collect();
         for (handle, chunk) in handles.into_iter().zip(&chunks) {
@@ -146,35 +115,6 @@ mod tests {
         for n in [1, 2, 3, 7, 16, 100] {
             let out = run_chunked_on(&items, n, |&i| Some(i), std::string::ToString::to_string);
             assert_eq!(out, items, "order broke at {n} workers");
-        }
-    }
-
-    #[test]
-    fn stateful_workers_get_one_state_each_and_keep_item_order() {
-        let items: Vec<u32> = (0..40).collect();
-        for n in [1, 3, 8] {
-            // Each worker counts its own items; the count is per-worker
-            // state, so every item sees a strictly increasing local count.
-            let out = run_chunked_stateful(
-                &items,
-                n,
-                || 0u32,
-                |seen, &i| {
-                    *seen += 1;
-                    Some((i, *seen))
-                },
-                |&i| format!("item {i}"),
-            );
-            assert_eq!(out.len(), items.len());
-            assert_eq!(
-                out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-                items,
-                "order broke at {n} workers"
-            );
-            // One fresh state per worker: exactly one `seen == 1` per chunk.
-            let n_chunks = items.chunks(items.len().div_ceil(n)).count();
-            let fresh = out.iter().filter(|&&(_, seen)| seen == 1).count();
-            assert_eq!(fresh, n_chunks, "state was shared or reset at {n} workers");
         }
     }
 }

@@ -13,7 +13,7 @@
 //! same caller seed produces the same [`DiscoveryReport`] at any thread
 //! count and any cache size.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,15 +28,15 @@ use scope_ir::Job;
 use scope_lint::{ConfigVerdict, JobLint, PlanBounds};
 use scope_optimizer::{
     catch_compile_panics, compile_with_model, effective_config, plan_catalog_fingerprint,
-    CacheStats, CompileBudget, CompileCache, CompiledPlan, CostModel, RuleConfig, RuleId, RuleSet,
-    RuleSignature, NUM_RULES,
+    CacheStats, CompileBudget, CompileCache, CompileError, CompiledPlan, CostModel, RuleConfig,
+    RuleId, RuleSet, RuleSignature, NUM_RULES,
 };
 use scope_trace::{Counter, Histogram, MetricsSnapshot};
 
 use crate::guard::{vet_candidate, CandidateFilterStats};
 use crate::par::{available_threads, run_chunked_on};
 use crate::search::candidate_configs_effective;
-use crate::span::approximate_span_cached;
+use crate::span::approximate_span_with;
 
 /// Tunable pipeline parameters (defaults follow the paper).
 #[derive(Clone, Debug)]
@@ -73,31 +73,30 @@ pub struct PipelineParams {
     /// disables caching. Cached compiles are bit-identical to fresh ones,
     /// so this only changes speed, never results.
     pub cache_capacity: usize,
-    /// Run the `scope-lint` static analyzer over every candidate before
-    /// compiling it: statically-certain-to-fail configs are skipped
-    /// (counted in `vetting.static_invalid`) and canonically-equivalent
-    /// configs share one compile per job (`vetting.static_redundant`).
-    /// Results are bit-identical with the gate on or off — skipped
-    /// candidates could never have contributed (their compile errors were
-    /// always silently ignored) and redundant candidates replay the exact
-    /// stored compile result. The one visible difference: a
-    /// statically-invalid candidate that would have *exhausted the compile
-    /// budget* mid-search is now skipped instead of counted as
-    /// `over_budget`. The switch exists for A/B measurement (`exp_lint`)
-    /// and the determinism test.
+    /// Static lint gate: `scope-lint` classifies every candidate before it
+    /// is compiled, and a config that is statically certain to fail
+    /// (`ConfigVerdict::Invalid`) is skipped and counted in
+    /// `vetting.static_invalid`. Ungated, such a candidate compiled, failed
+    /// with a non-fatal error and was silently dropped, so skipping it
+    /// sooner changes no other result — except that one which would have
+    /// *exhausted the compile budget* mid-search is no longer counted as
+    /// `over_budget`. On in production; `false` is the ungated reference
+    /// that `lint_gate_preserves_discovery_bit_for_bit` and `exp_lint`
+    /// compare against.
     pub lint_gate: bool,
-    /// Run the abstract-interpretation bounds analysis (`scope-lint`'s
-    /// [`PlanBounds`]) over every candidate before compiling it: a
-    /// candidate whose *sound whole-plan cost lower bound* already exceeds
-    /// the job's execution threshold (the default's cost, then the k-th
-    /// cheapest compiled alternative) is statically retired — never
-    /// compiled, counted in `vetting.static_bounded`. Every observable
-    /// discovery result (executed alternatives, their configs, costs and
-    /// metrics, selection reasons, dedup against the default, dynamic
-    /// guardrail counters) is bit-identical with the gate on or off; only
-    /// candidate-census counters over the retired tail (`n_candidates`,
-    /// `n_duplicate_plans`) and the static funnel counters differ. Off by
-    /// default pending the `exp_bounds` A/B measurement.
+    /// Static bounds gate: `scope-lint`'s [`PlanBounds`] gives every
+    /// candidate a *sound whole-plan cost lower bound* without compiling
+    /// it, and a candidate whose bound already exceeds the job's execution
+    /// threshold (the default's cost, then the k-th cheapest compiled
+    /// alternative) is retired unseen, counted in `vetting.static_bounded`.
+    /// Every observable discovery result (executed alternatives, their
+    /// configs, costs and metrics, selection reasons, dedup against the
+    /// default, dynamic guardrail counters) is bit-identical with the gate
+    /// on or off; only the candidate census over the retired tail
+    /// (`n_candidates`, `n_duplicate_plans`) and the static funnel counters
+    /// differ. On in production; `false` (every lower bound at −∞) is the
+    /// ungated reference that `bounds_gate_preserves_discovery_bit_for_bit`
+    /// and `exp_bounds` compare against.
     pub bounds_gate: bool,
     /// The cost model every compile in this pipeline runs under: the
     /// scalarization weights plus any promoted per-template corrections.
@@ -125,7 +124,7 @@ impl Default for PipelineParams {
             n_threads: 0,
             cache_capacity: 4096,
             lint_gate: true,
-            bounds_gate: false,
+            bounds_gate: true,
             cost_model: CostModel::DEFAULT,
         }
     }
@@ -270,8 +269,8 @@ impl DiscoveryReport {
             .collect()
     }
 
-    /// Candidates handled statically (zero compiles): retired as certainly
-    /// invalid or served from a canonical-equivalent compile.
+    /// Candidates retired statically (zero compiles): certainly invalid,
+    /// or bounded out by the cost lower bound.
     pub fn static_rejections(&self) -> usize {
         self.vetting.static_total()
     }
@@ -295,8 +294,8 @@ pub struct Pipeline {
 
 /// How a job's default baseline ended, for the parallel selection stage.
 enum DefaultOutcome {
-    /// The default configuration did not compile (rare, silently skipped —
-    /// matching the historical serial behaviour).
+    /// The default configuration did not compile, or its compile panicked
+    /// (rare, silently skipped — matching the historical serial behaviour).
     NoCompile,
     /// The baseline run failed or timed out: no trustworthy baseline.
     Failed,
@@ -306,9 +305,9 @@ enum DefaultOutcome {
     InWindow(Arc<CompiledPlan>, RunMetrics),
 }
 
-/// Per-job candidate pool accounting, shared verbatim by the
-/// straight-through path and the bounds-gate replay so both walk the exact
-/// same per-candidate decision sequence (see [`Pipeline::analyze_job`]).
+/// Per-job candidate pool accounting: the per-candidate decision sequence
+/// of [`Pipeline::analyze_job`], walked once as a scratch replay to find
+/// the execution threshold and once for real.
 #[derive(Default)]
 struct PoolState {
     n_candidates: usize,
@@ -328,7 +327,7 @@ impl PoolState {
         &mut self,
         vetting: &mut CandidateFilterStats,
         config: RuleConfig,
-        result: Result<Arc<CompiledPlan>, scope_optimizer::CompileError>,
+        result: Result<Arc<CompiledPlan>, CompileError>,
         default: &CompiledPlan,
         cheaper_frac: f64,
         trace: bool,
@@ -374,16 +373,15 @@ impl PoolState {
     }
 }
 
-/// How one candidate stands after the bounds-gate's first pass.
+/// How one statically-feasible candidate stands after the funnel's first
+/// pass.
 enum Disposition {
-    /// Statically certain to fail compilation; already counted.
-    StaticInvalid,
-    /// Compiled (or folded onto a canonical-equivalent compile).
-    Done(Result<Arc<CompiledPlan>, scope_optimizer::CompileError>),
-    /// Compile deferred: the cost lower bound exceeds the default's cost,
-    /// so this candidate can only matter if the execution threshold ends up
-    /// above `lb`. `canonical` is `Some` when the lint gate may fold it.
-    Deferred { canonical: Option<RuleSet>, lb: f64 },
+    /// Compiled.
+    Done(Result<Arc<CompiledPlan>, CompileError>),
+    /// Compile deferred: the cost lower bound `lb` exceeds the default's
+    /// cost, so this candidate can only matter if the execution threshold
+    /// ends up at or above `lb`.
+    Deferred { lb: f64 },
 }
 
 impl Pipeline {
@@ -419,68 +417,29 @@ impl Pipeline {
         forced
     }
 
-    /// Compile a *candidate* through the shared cache (panic-isolated,
-    /// budgeted). `config` must already be effective (hints merged); the
-    /// cache key is exactly what the search consumes, which is what makes
-    /// it sound. The budget bounds *fresh* compile effort only — a cache
-    /// hit spent its effort when first compiled, so it is served even under
-    /// a budget that would reject recompiling from scratch.
+    /// Compile one effective configuration (hints merged) of `job` through
+    /// the shared cache, panic-isolated, under the pipeline's cost model —
+    /// the one compile step defaults, span probes and candidates all take.
+    /// The cache key is exactly what the search consumes, which is what
+    /// makes it sound. `budget` bounds *fresh* compile effort only — a
+    /// cache hit spent its effort when first compiled, so it is served even
+    /// under a budget that would reject recompiling from scratch. The flag
+    /// says whether the result cost a fresh compile (`false` = cache hit).
     fn compile_cached(
         &self,
         job: &Job,
         obs: &scope_ir::ObservableCatalog,
         fingerprint: u64,
         config: &RuleConfig,
-    ) -> Result<Arc<CompiledPlan>, scope_optimizer::CompileError> {
-        // Funnel accounting: whether this candidate was answered from the
-        // cache or cost a fresh compile (the closure only runs on a miss).
-        let fresh = std::cell::Cell::new(false);
-        let result = self.cache.get_or_compile_with_model(
-            fingerprint,
-            config,
-            &self.params.cost_model,
-            || {
-                fresh.set(true);
-                catch_compile_panics(|| {
-                    compile_with_model(
-                        &job.plan,
-                        obs,
-                        config,
-                        &self.params.compile_budget,
-                        &self.params.cost_model,
-                    )
-                })
-            },
-        );
-        if fresh.get() {
-            scope_trace::count(Counter::FunnelCompiled, 1);
-        } else if result.is_ok() {
-            scope_trace::count(Counter::FunnelCacheHit, 1);
-        }
-        result
-    }
-
-    /// Compile a job's *default* (effective) configuration through the
-    /// shared cache. Defaults are the measurement baseline, not candidates,
-    /// so they are exempt from the per-candidate compile budget — exactly
-    /// as in the historical serial pipeline.
-    fn compile_default_cached(
-        &self,
-        job: &Job,
-        obs: &scope_ir::ObservableCatalog,
-        fingerprint: u64,
-        config: &RuleConfig,
-    ) -> Result<Arc<CompiledPlan>, scope_optimizer::CompileError> {
-        self.cache
-            .get_or_compile_with_model(fingerprint, config, &self.params.cost_model, || {
-                compile_with_model(
-                    &job.plan,
-                    obs,
-                    config,
-                    &CompileBudget::default(),
-                    &self.params.cost_model,
-                )
-            })
+        budget: &CompileBudget,
+    ) -> (Result<Arc<CompiledPlan>, CompileError>, bool) {
+        let model = &self.params.cost_model;
+        let mut fresh = false;
+        let result = self.cache.get_or_compile(fingerprint, config, model, || {
+            fresh = true;
+            catch_compile_panics(|| compile_with_model(&job.plan, obs, config, budget, model))
+        });
+        (result, fresh)
     }
 
     /// Compile and A/B-execute a job's default plan.
@@ -495,9 +454,11 @@ impl Pipeline {
         let obs = job.catalog.observe();
         let config = effective_config(job, &RuleConfig::default_config());
         let fingerprint = plan_catalog_fingerprint(&job.plan, &obs);
-        let compiled = self
-            .compile_default_cached(job, &obs, fingerprint, &config)
-            .ok()?;
+        // Defaults are the measurement baseline, not candidates, so they
+        // are exempt from the per-candidate compile budget.
+        let (compiled, _) =
+            self.compile_cached(job, &obs, fingerprint, &config, &CompileBudget::default());
+        let compiled = compiled.ok()?;
         let run = self
             .ab
             .run_with_retry(job, &compiled.plan, 0, &self.params.retry);
@@ -629,117 +590,142 @@ impl Pipeline {
         // observation, one fingerprint, one span approximation.
         let obs = job.catalog.observe();
         let fingerprint = plan_catalog_fingerprint(&job.plan, &obs);
-        let span = approximate_span_cached(&job.plan, &obs, Some(&self.cache));
+        // The span is derived by the same compile step as everything else
+        // here, so it is the span of the optimizer the candidates run on.
+        let span = approximate_span_with(|config| {
+            let (compiled, _) =
+                self.compile_cached(job, &obs, fingerprint, config, &CompileBudget::default());
+            compiled.ok().map(|c| c.signature)
+        });
         let configs =
             candidate_configs_effective(&span, &Self::hint_set(job), self.params.m_candidates, rng);
 
-        // Recompile every candidate under the budget, with panic isolation
-        // and the shared cache, then vet each survivor against the default
-        // plan (validator + differential fingerprint). A candidate that
-        // panics, blows the budget, produces an invalid plan, or computes a
-        // different result is discarded and counted — never executed.
+        // One funnel: classify → bound → compile eagerly or defer →
+        // threshold → resolve → replay in candidate order.
         //
-        // Static gate (when `params.lint_gate`): before any compile, the
-        // `scope-lint` analyzer classifies the candidate against this job's
-        // plan. `Invalid` verdicts are certain `NoImplementation` failures
-        // — pre-lint these compiled, failed with a non-fatal error, and
-        // were silently skipped, so skipping them sooner is invisible to
-        // every other counter. `Redundant` verdicts replay the stored
-        // result of the canonical-equivalent compile (success *or* error),
-        // walking the exact counter paths a fresh, bit-identical compile
-        // would have walked.
+        // Classify (`params.lint_gate`): a candidate `scope-lint` proves
+        // certain to fail with `NoImplementation` is retired before any
+        // compile. Ungated it compiled, failed with a non-fatal error and
+        // was silently skipped, so retiring it sooner is invisible to every
+        // other counter.
         //
-        // Signature dedup: a survivor whose signature equals the default's
+        // Bound (`params.bounds_gate`; every bound is −∞ without it): the
+        // abstract interpreter derives each candidate's *sound* whole-plan
+        // cost lower bound from this job's plan and the enabled rule set —
+        // no compile. A candidate whose bound exceeds the default's cost
+        // can never be cheaper than, equal to, or trigger selection against
+        // the default; it can only claim a late execution slot, so its
+        // compile is deferred. After the eager compiles fix the execution
+        // threshold (the k-th cheapest distinct alternative), deferred
+        // candidates the threshold cannot rule out are resolved and the
+        // rest are retired unseen.
+        //
+        // Replay: survivors are vetted against the default plan (validator
+        // + differential fingerprint) and deduplicated by signature in
+        // original candidate order, so dedup ownership, stable-sort tie
+        // order and every dynamic counter match the ungated run exactly. A
+        // candidate that panics, blows the budget, produces an invalid
+        // plan, or computes a different result is discarded and counted —
+        // never executed. A survivor whose signature equals the default's
         // *is* the default plan, and one that repeats an earlier survivor's
-        // signature is the same plan under different raw bits. Both stay in
-        // the candidate statistics but are kept out of the execution pool,
-        // so `execute_top_k` slots only go to genuinely distinct plans.
-        // Bounds gate (when `params.bounds_gate`): the abstract
-        // interpreter derives each candidate's *sound* whole-plan cost
-        // lower bound from this job's plan and the enabled rule set — no
-        // compile. A candidate whose bound exceeds the default's cost is
-        // deferred; after the eager compiles fix the execution threshold
-        // (the k-th cheapest distinct alternative), deferred candidates
-        // the threshold cannot rule out are resolved, and the rest are
-        // retired unseen. A final replay in original candidate order
-        // rebuilds the pool so signature-dedup ownership, stable-sort tie
-        // order, and every dynamic counter match the gate-off run exactly.
+        // is the same plan under different raw bits: both stay in the
+        // candidate statistics but out of the execution pool, so
+        // `execute_top_k` slots only go to genuinely distinct plans.
         let lint = self.params.lint_gate.then(|| JobLint::new(&job.plan));
         let bounds = self
             .params
             .bounds_gate
             .then(|| PlanBounds::analyze(&job.plan, &obs));
-        let mut by_canonical: HashMap<
-            RuleSet,
-            Result<Arc<CompiledPlan>, scope_optimizer::CompileError>,
-        > = HashMap::new();
+        let compile_candidate = |config: &RuleConfig| {
+            let (result, fresh) =
+                self.compile_cached(job, &obs, fingerprint, config, &self.params.compile_budget);
+            if fresh {
+                scope_trace::count(Counter::FunnelCompiled, 1);
+            } else if result.is_ok() {
+                scope_trace::count(Counter::FunnelCacheHit, 1);
+            }
+            result
+        };
         let mut vetting = CandidateFilterStats::default();
-        // Static lint classification shared by both paths; `None` means
-        // certainly-infeasible (already counted), `Some` carries the
-        // canonical bits candidate compiles fold on.
-        let classify = |lint: &JobLint,
-                        config: &RuleConfig,
-                        vetting: &mut CandidateFilterStats|
-         -> Option<RuleSet> {
-            match lint.classify(config) {
-                ConfigVerdict::Invalid { .. } => {
-                    vetting.static_invalid += 1;
-                    scope_trace::count(Counter::LintInvalid, 1);
-                    scope_trace::count(Counter::FunnelStaticRejected, 1);
-                    None
+        let mut slots: Vec<(RuleConfig, Disposition)> = Vec::with_capacity(configs.len());
+        for config in configs {
+            scope_trace::count(Counter::FunnelGenerated, 1);
+            let invalid = lint.as_ref().is_some_and(|lint| {
+                matches!(lint.classify(&config), ConfigVerdict::Invalid { .. })
+            });
+            if invalid {
+                vetting.static_invalid += 1;
+                scope_trace::count(Counter::FunnelStaticRejected, 1);
+                continue;
+            }
+            // Model-aware: under a corrected model the compiled costs
+            // shrink or grow with the correction factors, so the pruning
+            // floor is widened the same way (bit-identical to `cost_lo`
+            // for the default model).
+            let lb = bounds.as_ref().map_or(f64::NEG_INFINITY, |bounds| {
+                bounds.cost_lo_model(config.enabled(), &self.params.cost_model)
+            });
+            let disp = if lb > default.est_cost {
+                Disposition::Deferred { lb }
+            } else {
+                Disposition::Done(compile_candidate(&config))
+            };
+            slots.push((config, disp));
+        }
+        if slots
+            .iter()
+            .any(|(_, disp)| matches!(disp, Disposition::Deferred { .. }))
+        {
+            // The execution threshold — the k-th cheapest distinct vetted
+            // alternative among the eager compiles (scratch replay;
+            // counters untouched). Soundness: every deferred candidate's
+            // compiled cost would be ≥ its lower bound, and a pool of ≥ k
+            // alternatives at or below the threshold survives into the
+            // final replay, so a pruned candidate (bound strictly above the
+            // threshold) can never displace an executed one under the
+            // strict-`<` stable sort — ungated it would compile, vet, and
+            // then lose the same comparison.
+            let top_k = self.params.execute_top_k;
+            let threshold = if top_k == 0 {
+                f64::NEG_INFINITY
+            } else {
+                let mut scratch = PoolState::default();
+                let mut scratch_vetting = CandidateFilterStats::default();
+                for (config, disp) in &slots {
+                    if let Disposition::Done(result) = disp {
+                        scratch.absorb(
+                            &mut scratch_vetting,
+                            config.clone(),
+                            result.clone(),
+                            default,
+                            self.params.cheaper_frac,
+                            false,
+                        );
+                    }
                 }
-                ConfigVerdict::Redundant { canonical } => {
-                    scope_trace::count(Counter::LintRedundant, 1);
-                    Some(canonical)
+                let mut ests: Vec<f64> =
+                    scratch.recompiled.iter().map(|(_, c)| c.est_cost).collect();
+                if ests.len() < top_k {
+                    f64::INFINITY
+                } else {
+                    ests.sort_by(f64::total_cmp);
+                    ests[top_k - 1]
                 }
-                ConfigVerdict::Dead { .. } => {
-                    scope_trace::count(Counter::LintDead, 1);
-                    Some(*config.enabled())
-                }
-                ConfigVerdict::Valid => {
-                    scope_trace::count(Counter::LintValid, 1);
-                    Some(*config.enabled())
+            };
+            for (config, disp) in &mut slots {
+                if matches!(disp, Disposition::Deferred { lb } if *lb <= threshold) {
+                    *disp = Disposition::Done(compile_candidate(config));
                 }
             }
-        };
-        // Compile one candidate, folding onto a canonical-equivalent
-        // stored compile when the lint gate identified one.
-        let compile_via = |canonical: Option<RuleSet>,
-                           config: &RuleConfig,
-                           by_canonical: &mut HashMap<
-            RuleSet,
-            Result<Arc<CompiledPlan>, scope_optimizer::CompileError>,
-        >,
-                           vetting: &mut CandidateFilterStats|
-         -> Result<Arc<CompiledPlan>, scope_optimizer::CompileError> {
-            match canonical {
-                Some(bits) => match by_canonical.get(&bits) {
-                    Some(stored) => {
-                        vetting.static_redundant += 1;
-                        stored.clone()
-                    }
-                    None => {
-                        let fresh = self.compile_cached(job, &obs, fingerprint, config);
-                        by_canonical.insert(bits, fresh.clone());
-                        fresh
-                    }
-                },
-                None => self.compile_cached(job, &obs, fingerprint, config),
-            }
-        };
+        }
         let mut state = PoolState::default();
-        match &bounds {
-            None => {
-                for config in configs {
-                    scope_trace::count(Counter::FunnelGenerated, 1);
-                    let canonical = match &lint {
-                        Some(lint) => match classify(lint, &config, &mut vetting) {
-                            None => continue,
-                            Some(bits) => Some(bits),
-                        },
-                        None => None,
-                    };
-                    let result = compile_via(canonical, &config, &mut by_canonical, &mut vetting);
+        for (config, disp) in slots {
+            match disp {
+                Disposition::Deferred { .. } => {
+                    vetting.static_bounded += 1;
+                    scope_trace::count(Counter::FunnelBoundsPruned, 1);
+                }
+                Disposition::Done(result) => {
                     state.absorb(
                         &mut vetting,
                         config,
@@ -748,115 +734,6 @@ impl Pipeline {
                         self.params.cheaper_frac,
                         true,
                     );
-                }
-            }
-            Some(bounds) => {
-                // Phase 1: classify everything; compile eagerly only when
-                // the cost lower bound does not already exceed the
-                // default's cost (such a candidate can never be cheaper,
-                // same-as-default, or trigger selection — it can only
-                // claim a late execution slot).
-                let mut slots: Vec<(RuleConfig, Disposition)> = Vec::new();
-                for config in configs {
-                    scope_trace::count(Counter::FunnelGenerated, 1);
-                    let canonical = match &lint {
-                        Some(lint) => match classify(lint, &config, &mut vetting) {
-                            None => {
-                                slots.push((config, Disposition::StaticInvalid));
-                                continue;
-                            }
-                            Some(bits) => Some(bits),
-                        },
-                        None => None,
-                    };
-                    // Model-aware: under a corrected model the compiled
-                    // costs shrink or grow with the correction factors, so
-                    // the pruning floor must be widened the same way
-                    // (bit-identical to `cost_lo` for the default model).
-                    let lb = bounds.cost_lo_model(config.enabled(), &self.params.cost_model);
-                    let disp = if lb > default.est_cost {
-                        Disposition::Deferred { canonical, lb }
-                    } else {
-                        Disposition::Done(compile_via(
-                            canonical,
-                            &config,
-                            &mut by_canonical,
-                            &mut vetting,
-                        ))
-                    };
-                    slots.push((config, disp));
-                }
-                // Phase 2: the execution threshold — the k-th cheapest
-                // distinct vetted alternative among the eager compiles
-                // (scratch replay; counters untouched). Soundness: every
-                // deferred candidate's compiled cost would be ≥ its lower
-                // bound, and a pool of ≥ k alternatives at or below the
-                // threshold survives into the final replay, so a pruned
-                // candidate (bound strictly above the threshold) can never
-                // displace an executed one under the strict-`<` stable
-                // sort — with the gate off it would compile, vet, and then
-                // lose the same comparison.
-                let top_k = self.params.execute_top_k;
-                let threshold = if top_k == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    let mut scratch = PoolState::default();
-                    let mut scratch_vetting = CandidateFilterStats::default();
-                    for (config, disp) in &slots {
-                        if let Disposition::Done(result) = disp {
-                            scratch.absorb(
-                                &mut scratch_vetting,
-                                config.clone(),
-                                result.clone(),
-                                default,
-                                self.params.cheaper_frac,
-                                false,
-                            );
-                        }
-                    }
-                    let mut ests: Vec<f64> =
-                        scratch.recompiled.iter().map(|(_, c)| c.est_cost).collect();
-                    if ests.len() < top_k {
-                        f64::INFINITY
-                    } else {
-                        ests.sort_by(f64::total_cmp);
-                        ests[top_k - 1]
-                    }
-                };
-                // Phase 3: resolve the deferred candidates the threshold
-                // cannot rule out; the rest are retired without a compile.
-                for (config, disp) in &mut slots {
-                    if let Disposition::Deferred { canonical, lb } = disp {
-                        if *lb <= threshold {
-                            *disp = Disposition::Done(compile_via(
-                                *canonical,
-                                config,
-                                &mut by_canonical,
-                                &mut vetting,
-                            ));
-                        }
-                    }
-                }
-                // Phase 4: replay in original candidate order so dedup
-                // ownership and sort-tie order match the gate-off run.
-                for (config, disp) in slots {
-                    match disp {
-                        Disposition::StaticInvalid => {}
-                        Disposition::Deferred { .. } => {
-                            vetting.static_bounded += 1;
-                            scope_trace::count(Counter::FunnelBoundsPruned, 1);
-                        }
-                        Disposition::Done(result) => {
-                            state.absorb(
-                                &mut vetting,
-                                config,
-                                result,
-                                default,
-                                self.params.cheaper_frac,
-                                true,
-                            );
-                        }
-                    }
                 }
             }
         }
@@ -1012,9 +889,9 @@ mod tests {
         // The *dynamic* guardrail must be invisible on healthy rules: no
         // legitimate configuration panics, blows the generous default
         // budget, emits an invalid plan, or changes the job's result
-        // fingerprint. (The static analyzer may still retire certainly
-        // infeasible or redundant candidates before compile — those are
-        // counted separately and change nothing observable.)
+        // fingerprint. (The static gates may still retire certainly
+        // infeasible or provably too expensive candidates before compile —
+        // those are counted separately and change nothing observable.)
         assert_eq!(report.dynamic_rejections(), 0);
         assert_eq!(report.vetting.panicked, 0);
         assert_eq!(report.vetting.over_budget, 0);
@@ -1022,86 +899,15 @@ mod tests {
         assert_eq!(report.vetting.diverged, 0);
     }
 
-    /// Strip the static-analyzer counters from a report so runs with the
-    /// lint gate on and off can be compared field-for-field.
-    fn lint_insensitive_view(report: &DiscoveryReport) -> String {
+    /// Strip the counters the static gates legitimately change — the
+    /// static funnel, and the candidate census over the tail the bounds
+    /// gate retires — so gate-on and gate-off runs can be compared
+    /// field-for-field on everything observable (executed
+    /// configs/plans/costs/metrics, selection reasons, dedup against the
+    /// default, dynamic guardrails).
+    fn gate_insensitive_view(report: &DiscoveryReport) -> String {
         let strip = |mut v: CandidateFilterStats| {
             v.static_invalid = 0;
-            v.static_redundant = 0;
-            v
-        };
-        let vetting = strip(report.vetting);
-        let outcomes: Vec<JobOutcome> = report
-            .outcomes
-            .iter()
-            .map(|o| {
-                let mut o = o.clone();
-                o.vetting = strip(o.vetting);
-                o
-            })
-            .collect();
-        // Cache lookup counts are excluded: folding redundant candidates
-        // legitimately avoids lookups without changing any result.
-        format!(
-            "{:?}|{}|{}|{}|{}|{:?}|{}",
-            outcomes,
-            report.not_selected,
-            report.out_of_window,
-            report.failed_defaults,
-            report.failed_candidates,
-            vetting,
-            report.duplicate_plans,
-        )
-    }
-
-    #[test]
-    fn lint_gate_preserves_discovery_bit_for_bit() {
-        let w = Workload::generate(WorkloadProfile::workload_a(0.06));
-        let jobs = w.day(0);
-        let run = |lint_gate: bool| {
-            let p = Pipeline::new(
-                ABTester::new(11),
-                PipelineParams {
-                    m_candidates: 120,
-                    execute_top_k: 5,
-                    sample_frac: 1.0,
-                    lint_gate,
-                    ..PipelineParams::default()
-                },
-            );
-            let mut rng = StdRng::seed_from_u64(1);
-            p.discover(&jobs, &mut rng)
-        };
-        let with = run(true);
-        let without = run(false);
-        // The gate only skips certainly-failing compiles and replays
-        // canonical-equivalent ones, so every legacy field — outcomes
-        // (plans, costs, signatures, metrics), dedup counts, dynamic
-        // guardrail counters — must be bit-identical.
-        assert_eq!(
-            lint_insensitive_view(&with),
-            lint_insensitive_view(&without)
-        );
-        assert_eq!(
-            with.vetting.dynamic_total(),
-            without.vetting.dynamic_total()
-        );
-        assert_eq!(without.vetting.static_total(), 0, "gate off must not count");
-        assert!(
-            with.vetting.static_total() > 0,
-            "expected the analyzer to retire or fold at least one candidate"
-        );
-    }
-
-    /// Strip the counters the bounds gate legitimately changes — the
-    /// candidate census over the retired tail and the static funnel — so
-    /// gate-on and gate-off runs can be compared field-for-field on
-    /// everything observable (executed configs/plans/costs/metrics,
-    /// selection reasons, dedup against the default, dynamic guardrails).
-    fn bounds_insensitive_view(report: &DiscoveryReport) -> String {
-        let strip = |mut v: CandidateFilterStats| {
-            v.static_invalid = 0;
-            v.static_redundant = 0;
             v.static_bounded = 0;
             v
         };
@@ -1129,10 +935,53 @@ mod tests {
     }
 
     #[test]
-    fn bounds_gate_preserves_discovery_bit_for_bit() {
+    fn lint_gate_preserves_discovery_bit_for_bit() {
         let w = Workload::generate(WorkloadProfile::workload_a(0.06));
         let jobs = w.day(0);
-        let run = |bounds_gate: bool, seed: u64| {
+        let run = |lint_gate: bool| {
+            let p = Pipeline::new(
+                ABTester::new(11),
+                PipelineParams {
+                    m_candidates: 120,
+                    execute_top_k: 5,
+                    sample_frac: 1.0,
+                    lint_gate,
+                    ..PipelineParams::default()
+                },
+            );
+            let mut rng = StdRng::seed_from_u64(1);
+            p.discover(&jobs, &mut rng)
+        };
+        let with = run(true);
+        let without = run(false);
+        // The gate only skips certainly-failing compiles, so every other
+        // field — outcomes (plans, costs, signatures, metrics), the
+        // candidate census, dedup counts, dynamic guardrail counters — must
+        // be bit-identical. (The bounds gate is on in both runs; ungated
+        // lint only hands it more, certainly-failing, candidates to bound.)
+        assert_eq!(
+            gate_insensitive_view(&with),
+            gate_insensitive_view(&without)
+        );
+        assert_eq!(with.duplicate_plans, without.duplicate_plans);
+        for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
+            assert_eq!(a.n_candidates, b.n_candidates);
+            assert_eq!(a.n_duplicate_plans, b.n_duplicate_plans);
+        }
+        assert_eq!(without.vetting.static_invalid, 0, "gate off must not count");
+        assert!(
+            with.vetting.static_invalid > 0,
+            "expected the analyzer to retire at least one candidate"
+        );
+    }
+
+    #[test]
+    fn bounds_gate_preserves_discovery_bit_for_bit() {
+        use scope_optimizer::{CostCorrections, CostWeights};
+
+        let w = Workload::generate(WorkloadProfile::workload_a(0.06));
+        let jobs = w.day(0);
+        let run = |bounds_gate: bool, cost_model: CostModel, seed: u64| {
             let p = Pipeline::new(
                 ABTester::new(11),
                 PipelineParams {
@@ -1140,45 +989,108 @@ mod tests {
                     execute_top_k: 5,
                     sample_frac: 1.0,
                     bounds_gate,
+                    cost_model,
                     ..PipelineParams::default()
                 },
             );
             let mut rng = StdRng::seed_from_u64(seed);
             p.discover(&jobs, &mut rng)
         };
-        for seed in [1, 2, 3] {
-            let with = run(true, seed);
-            let without = run(false, seed);
-            assert_eq!(
-                bounds_insensitive_view(&with),
-                bounds_insensitive_view(&without),
-                "seed {seed}: bounds gate changed an observable result"
-            );
-            // Every executed alternative — the hints discovery would ship —
-            // must match bit for bit, config bits included.
-            for (a, b) in with.outcomes.iter().zip(without.outcomes.iter()) {
-                assert_eq!(a.executed.len(), b.executed.len());
-                for (x, y) in a.executed.iter().zip(b.executed.iter()) {
-                    assert_eq!(x.config.enabled(), y.config.enabled());
-                    assert_eq!(x.signature, y.signature);
-                    assert!((x.est_cost - y.est_cost).abs() == 0.0);
+        // Corrected: the bound goes through `cost_lo_model`'s widened
+        // floor. Re-weighted: the bound degrades to 0.0, so nothing may be
+        // pruned — and the results must still match.
+        let corrected = CostModel {
+            corrections: CostCorrections {
+                rows: 1.7,
+                cpu: 1.3,
+                io: 0.8,
+            },
+            ..CostModel::DEFAULT
+        };
+        let reweighted = CostModel {
+            weights: CostWeights {
+                io: 4.0,
+                net: 4.0,
+                ..CostWeights::DEFAULT
+            },
+            ..CostModel::DEFAULT
+        };
+        for (name, model, prunes) in [
+            ("default", CostModel::DEFAULT, true),
+            ("corrected", corrected, true),
+            ("re-weighted", reweighted, false),
+        ] {
+            let mut pruned = 0;
+            for seed in [1, 2, 3] {
+                let with = run(true, model, seed);
+                let without = run(false, model, seed);
+                assert_eq!(
+                    gate_insensitive_view(&with),
+                    gate_insensitive_view(&without),
+                    "{name} model, seed {seed}: bounds gate changed an observable result"
+                );
+                // Every executed alternative — the hints discovery would
+                // ship — must match bit for bit, config bits included.
+                for (a, b) in with.outcomes.iter().zip(without.outcomes.iter()) {
+                    assert_eq!(a.executed.len(), b.executed.len());
+                    for (x, y) in a.executed.iter().zip(b.executed.iter()) {
+                        assert_eq!(x.config.enabled(), y.config.enabled());
+                        assert_eq!(x.signature, y.signature);
+                        assert!((x.est_cost - y.est_cost).abs() == 0.0);
+                    }
                 }
+                assert_eq!(without.vetting.static_bounded, 0, "gate off must not count");
+                pruned += with.vetting.static_bounded;
             }
-            assert_eq!(without.vetting.static_bounded, 0, "gate off must not count");
+            // At least one seed must show the gate actually retiring
+            // compiles, or the defer/resolve ladder is dead weight.
+            assert_eq!(
+                pruned > 0,
+                prunes,
+                "{name} model: bounds gate pruned {pruned} candidates"
+            );
         }
-        // At least one seed must show the gate actually retiring compiles,
-        // or the whole phase ladder is dead weight.
-        let pruned: usize = [1, 2, 3]
-            .iter()
-            .map(|&s| run(true, s).vetting.static_bounded)
-            .sum();
-        assert!(pruned > 0, "bounds gate never pruned a candidate");
+    }
+
+    #[test]
+    fn both_static_gates_are_on_by_default() {
+        let params = PipelineParams::default();
+        assert!(params.lint_gate && params.bounds_gate);
+    }
+
+    /// The fact the single candidate loop rests on: two distinct candidates
+    /// of one job never share `enabled ∩ live` (there is nothing to fold),
+    /// because the sampler only ever disables span rules, dedups on
+    /// effective bits, and every span rule is live.
+    #[test]
+    fn span_rules_are_live_so_distinct_candidates_never_share_canonical_bits() {
+        use crate::span::approximate_span;
+
+        let w = Workload::generate(WorkloadProfile::workload_a(0.06));
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut checked = 0;
+        for job in &w.day(0) {
+            let span = approximate_span(&job.plan, &job.catalog.observe());
+            let lint = JobLint::new(&job.plan);
+            assert!(
+                span.rules.difference(lint.live()).is_empty(),
+                "job {}: span rule outside the live set",
+                job.id.0
+            );
+            let configs =
+                candidate_configs_effective(&span, &Pipeline::hint_set(job), 60, &mut rng);
+            let canonical: HashSet<RuleSet> =
+                configs.iter().map(|c| lint.canonical_bits(c)).collect();
+            assert_eq!(canonical.len(), configs.len(), "job {}", job.id.0);
+            checked += configs.len();
+        }
+        assert!(checked > 0);
     }
 
     #[test]
     fn idle_feedback_store_preserves_discovery_bit_for_bit() {
         use crate::feedback::CorrectionStore;
-        use scope_optimizer::{CostModel, CostWeights};
+        use scope_optimizer::CostWeights;
 
         let w = Workload::generate(WorkloadProfile::workload_a(0.06));
         let jobs = w.day(0);
@@ -1227,8 +1139,8 @@ mod tests {
             let baseline = run(CostModel::DEFAULT, seed);
             let with_store = run(idle, seed);
             assert_eq!(
-                bounds_insensitive_view(&baseline),
-                bounds_insensitive_view(&with_store),
+                gate_insensitive_view(&baseline),
+                gate_insensitive_view(&with_store),
                 "seed {seed}: an unpromoted feedback store changed discovery"
             );
             for (a, b) in baseline.outcomes.iter().zip(with_store.outcomes.iter()) {

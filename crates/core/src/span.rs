@@ -8,10 +8,7 @@
 //! compiling.
 
 use scope_ir::{ObservableCatalog, PlanGraph};
-use scope_optimizer::{
-    compile, plan_catalog_fingerprint, CompileCache, RuleCatalog, RuleConfig, RuleSet,
-    RuleSignature,
-};
+use scope_optimizer::{compile, RuleCatalog, RuleConfig, RuleSet, RuleSignature};
 
 /// Result of the span approximation.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,37 +61,21 @@ pub const MAX_SPAN_ITERATIONS: usize = 64;
 /// distributed job and misses all alternative implementations. The paper's
 /// production system necessarily handles this implicitly.
 pub fn approximate_span(plan: &PlanGraph, obs: &ObservableCatalog) -> JobSpan {
-    approximate_span_cached(plan, obs, None)
+    approximate_span_with(|config| compile(plan, obs, config).ok().map(|c| c.signature))
 }
 
-/// [`approximate_span`] with an optional [`CompileCache`]. Algorithm 1
-/// compiles the same configuration more than once whenever the pinning
-/// recovery fires (the recovery trial that fixes compilation is re-compiled
-/// verbatim on the next loop iteration), and its first iteration (the
-/// all-non-required-rules configuration) recurs across repeated span runs
-/// of the same job — both become cache hits. Results are bit-identical
-/// with and without a cache.
-pub fn approximate_span_cached(
-    plan: &PlanGraph,
-    obs: &ObservableCatalog,
-    cache: Option<&CompileCache>,
+/// [`approximate_span`] over a caller-supplied compile step, so the
+/// pipeline derives the span under its own cost model and through its own
+/// compile cache. The algorithm needs only the signature of a successful
+/// compile (`None` = did not compile). Algorithm 1 compiles the same
+/// configuration more than once whenever the pinning recovery fires (the
+/// recovery trial that fixes compilation is re-compiled verbatim on the
+/// next loop iteration), and its first iteration recurs across repeated
+/// span runs of the same job — a caching compile step turns both into
+/// hits.
+pub(crate) fn approximate_span_with(
+    mut try_compile: impl FnMut(&RuleConfig) -> Option<RuleSignature>,
 ) -> JobSpan {
-    let fingerprint = cache.map(|_| plan_catalog_fingerprint(plan, obs));
-    // Ok(signature) | Err(()) — the algorithm needs nothing else from a
-    // compile, and hits avoid rebuilding the memo.
-    let try_compile = |config: &RuleConfig| -> Result<RuleSignature, ()> {
-        match cache {
-            Some(c) => c
-                .get_or_compile(fingerprint.unwrap_or_default(), config, || {
-                    compile(plan, obs, config)
-                })
-                .map(|compiled| compiled.signature)
-                .map_err(|_| ()),
-            None => compile(plan, obs, config)
-                .map(|compiled| compiled.signature)
-                .map_err(|_| ()),
-        }
-    };
     let cat = RuleCatalog::global();
     let non_required = cat.non_required();
     let mut enabled = non_required;
@@ -108,7 +89,7 @@ pub fn approximate_span_cached(
         iterations += 1;
         let config = RuleConfig::from_enabled(enabled);
         match try_compile(&config) {
-            Ok(signature) => {
+            Some(signature) => {
                 // GET_ON_RULES: signature rules still disableable (required
                 // rules keep firing forever; pinned rules proved
                 // load-bearing).
@@ -120,7 +101,7 @@ pub fn approximate_span_cached(
                 enabled = enabled.difference(&on_rules);
                 last_disabled = on_rules;
             }
-            Err(_) => {
+            None => {
                 hit_compile_failure = true;
                 if last_disabled.is_empty() {
                     break;
@@ -134,7 +115,7 @@ pub fn approximate_span_cached(
                     iterations += 1;
                     let mut trial = enabled;
                     trial.insert(id);
-                    if try_compile(&RuleConfig::from_enabled(trial)).is_ok() {
+                    if try_compile(&RuleConfig::from_enabled(trial)).is_some() {
                         enabled.insert(id);
                         pinned.insert(id);
                         recovered = true;
@@ -151,7 +132,7 @@ pub fn approximate_span_cached(
                         enabled.insert(id);
                         pinned.insert(id);
                         iterations += 1;
-                        if try_compile(&RuleConfig::from_enabled(enabled)).is_ok() {
+                        if try_compile(&RuleConfig::from_enabled(enabled)).is_some() {
                             recovered = true;
                             break;
                         }
@@ -282,14 +263,26 @@ mod tests {
 
     #[test]
     fn cached_span_is_bit_identical_and_hits_the_cache() {
+        use scope_optimizer::{plan_catalog_fingerprint, CompileCache, CostModel};
         let (plan, obs) = job();
         let cache = CompileCache::new(256);
-        let cached = approximate_span_cached(&plan, &obs, Some(&cache));
+        let fingerprint = plan_catalog_fingerprint(&plan, &obs);
+        let cached_span = || {
+            approximate_span_with(|config| {
+                cache
+                    .get_or_compile(fingerprint, config, &CostModel::DEFAULT, || {
+                        compile(&plan, &obs, config)
+                    })
+                    .ok()
+                    .map(|c| c.signature)
+            })
+        };
+        let cached = cached_span();
         assert_eq!(cached, approximate_span(&plan, &obs));
         // Re-running the same job's span is served largely from the cache
         // (only failing compiles — which are never cached — re-run).
         let before = cache.stats();
-        assert_eq!(approximate_span_cached(&plan, &obs, Some(&cache)), cached);
+        assert_eq!(cached_span(), cached);
         assert!(cache.stats().since(&before).hits > 0);
     }
 

@@ -18,8 +18,8 @@ use scope_ir::Job;
 use scope_optimizer::classic::{compile_classic, compile_classic_with_budget};
 use scope_optimizer::optimizer::{compile_with_scratch, CompileScratch};
 use scope_optimizer::{
-    compile, compile_with_budget, effective_config, CompileBudget, RuleCatalog, RuleConfig, RuleId,
-    NUM_RULES,
+    compile, compile_with_budget, effective_config, CompileBudget, CostModel, RuleCatalog,
+    RuleConfig, RuleId, NUM_RULES,
 };
 use scope_workload::{Workload, WorkloadProfile};
 
@@ -144,13 +144,26 @@ fn scratch_reuse_is_invisible_in_results() {
         let obs = job.catalog.observe();
         let cfg = effective_config(job, &config);
         let budget = CompileBudget::default();
-        let with_reuse = compile_with_scratch(&job.plan, &obs, &cfg, &budget, &mut reused)
-            .map(|p| p.fingerprint())
-            .map_err(|e| e.to_string());
-        let fresh =
-            compile_with_scratch(&job.plan, &obs, &cfg, &budget, &mut CompileScratch::new())
-                .map(|p| p.fingerprint())
-                .map_err(|e| e.to_string());
+        let with_reuse = compile_with_scratch(
+            &job.plan,
+            &obs,
+            &cfg,
+            &budget,
+            &CostModel::DEFAULT,
+            &mut reused,
+        )
+        .map(|p| p.fingerprint())
+        .map_err(|e| e.to_string());
+        let fresh = compile_with_scratch(
+            &job.plan,
+            &obs,
+            &cfg,
+            &budget,
+            &CostModel::DEFAULT,
+            &mut CompileScratch::new(),
+        )
+        .map(|p| p.fingerprint())
+        .map_err(|e| e.to_string());
         assert_eq!(
             with_reuse, fresh,
             "scratch reuse leaked into job {}",

@@ -153,3 +153,49 @@ fn dropped_join_input_is_caught_by_the_validator() {
     }
     assert!(caught > 0, "no two-input node found in any day-0 plan");
 }
+
+/// A malformed job — its scans overwritten with joins that have no inputs,
+/// which normalization's arity check panics on — makes even the *default*
+/// compile panic. Discovery must lose that one job, not the worker's whole
+/// chunk of the day, and so account for the same jobs at any thread count.
+#[test]
+fn panicking_default_compile_loses_one_job_not_its_chunk() {
+    use rand::SeedableRng;
+    use scope_ir::ops::JoinKind;
+    use steer_core::{Pipeline, PipelineParams};
+
+    let w = Workload::generate(WorkloadProfile::workload_a(0.08));
+    let mut jobs = w.day(0);
+    jobs[0].plan.map_ops(|op| {
+        if matches!(op, LogicalOp::Get { .. }) {
+            *op = LogicalOp::Join {
+                kind: JoinKind::Inner,
+                keys: vec![],
+            };
+        }
+    });
+    assert!(scope_optimizer::compile_job_guarded(
+        &jobs[0],
+        &RuleConfig::default_config(),
+        &CompileBudget::default()
+    )
+    .is_err_and(|e| matches!(e, scope_optimizer::CompileError::Panicked { .. })));
+
+    for n_threads in [1, 2] {
+        let p = Pipeline::new(
+            scope_exec::ABTester::new(11),
+            PipelineParams {
+                m_candidates: 20,
+                sample_frac: 1.0,
+                n_threads,
+                ..PipelineParams::default()
+            },
+        );
+        let report = p.discover(&jobs, &mut rand::rngs::StdRng::seed_from_u64(1));
+        let accounted = report.out_of_window
+            + report.failed_defaults
+            + report.not_selected
+            + report.outcomes.len();
+        assert_eq!(accounted, jobs.len() - 1, "{n_threads} threads");
+    }
+}

@@ -135,35 +135,13 @@ impl ABTester {
     /// Re-execute `plan` for `job` (trial index distinguishes repeated
     /// runs of the same plan).
     pub fn run(&self, job: &Job, plan: &PhysPlan, trial: u32) -> RunMetrics {
-        self.run_with_catalog(job.id.0, &job.catalog, plan, trial)
-    }
-
-    /// Re-execute with an explicit catalog (for plans not tied to a job).
-    pub fn run_with_catalog(
-        &self,
-        tag: u64,
-        cat: &TrueCatalog,
-        plan: &PhysPlan,
-        trial: u32,
-    ) -> RunMetrics {
-        self.attempt(tag, cat, plan, trial, 0).metrics
+        self.run_outcome(job, plan, trial).metrics
     }
 
     /// Like [`Self::run`], but also reports how the run ended. Callers
     /// that rank configurations should discard non-successful runs.
     pub fn run_outcome(&self, job: &Job, plan: &PhysPlan, trial: u32) -> FaultedRun {
-        self.run_outcome_with_catalog(job.id.0, &job.catalog, plan, trial)
-    }
-
-    /// [`Self::run_outcome`] with an explicit catalog.
-    pub fn run_outcome_with_catalog(
-        &self,
-        tag: u64,
-        cat: &TrueCatalog,
-        plan: &PhysPlan,
-        trial: u32,
-    ) -> FaultedRun {
-        self.attempt(tag, cat, plan, trial, 0)
+        self.attempt(job.id.0, &job.catalog, plan, trial, 0)
     }
 
     /// Re-execute with retry-with-backoff scheduling: failed or timed-out
@@ -178,24 +156,12 @@ impl ABTester {
         trial: u32,
         policy: &RetryPolicy,
     ) -> FaultedRun {
-        self.run_with_retry_with_catalog(job.id.0, &job.catalog, plan, trial, policy)
-    }
-
-    /// [`Self::run_with_retry`] with an explicit catalog.
-    pub fn run_with_retry_with_catalog(
-        &self,
-        tag: u64,
-        cat: &TrueCatalog,
-        plan: &PhysPlan,
-        trial: u32,
-        policy: &RetryPolicy,
-    ) -> FaultedRun {
         let attempts = policy.max_attempts.max(1);
         // Wall time already burnt by earlier failed attempts and backoffs.
         let mut elapsed_before = 0.0;
         let mut last = None;
         for attempt in 0..attempts {
-            let mut run = self.attempt(tag, cat, plan, trial, attempt);
+            let mut run = self.attempt(job.id.0, &job.catalog, plan, trial, attempt);
             if let Some(t) = policy.trial_timeout_s {
                 if run.metrics.runtime > t {
                     let done_frac = (t / run.metrics.runtime).clamp(0.0, 1.0);
@@ -239,10 +205,11 @@ impl ABTester {
 mod tests {
     use super::*;
     use scope_ir::expr::Predicate;
-    use scope_ir::ids::{DomainId, TableId};
+    use scope_ir::ids::{DomainId, JobId, TableId};
     use scope_optimizer::{Partitioning, PhysNode};
 
-    fn tiny_plan() -> (PhysPlan, TrueCatalog) {
+    /// A scan → output plan and the job (id 1) whose catalog it runs on.
+    fn tiny_plan() -> (PhysPlan, Job) {
         let mut cat = TrueCatalog::new();
         let c = cat.add_column(100, 0.0, DomainId(0));
         cat.add_table(1_000_000, 100, 1, vec![c]);
@@ -277,30 +244,31 @@ mod tests {
             logical_rule: None,
         });
         p.set_root(out);
-        (p, cat)
+        let job = Job::new(JobId(1), scope_ir::PlanGraph::new(), cat, vec![], 0, 50);
+        (p, job)
     }
 
     #[test]
     fn same_trial_same_metrics() {
-        let (plan, cat) = tiny_plan();
+        let (plan, job) = tiny_plan();
         let ab = ABTester::new(7);
-        let a = ab.run_with_catalog(1, &cat, &plan, 0);
-        let b = ab.run_with_catalog(1, &cat, &plan, 0);
+        let a = ab.run(&job, &plan, 0);
+        let b = ab.run(&job, &plan, 0);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_trials_differ_under_noise() {
-        let (plan, cat) = tiny_plan();
+        let (plan, job) = tiny_plan();
         let ab = ABTester::new(7);
-        let a = ab.run_with_catalog(1, &cat, &plan, 0);
-        let b = ab.run_with_catalog(1, &cat, &plan, 1);
+        let a = ab.run(&job, &plan, 0);
+        let b = ab.run(&job, &plan, 1);
         assert_ne!(a.runtime, b.runtime);
     }
 
     #[test]
     fn fingerprint_distinguishes_plans() {
-        let (plan, cat) = tiny_plan();
+        let (plan, _) = tiny_plan();
         let mut p2 = plan.clone();
         let extra = p2.add(PhysNode {
             op: PhysOp::Filter {
@@ -331,42 +299,41 @@ mod tests {
         });
         p2.set_root(out2);
         assert_ne!(plan_fingerprint(&plan), plan_fingerprint(&p2));
-        let _ = cat;
     }
 
     #[test]
     fn noiseless_runner_matches_ground_truth() {
-        let (plan, cat) = tiny_plan();
+        let (plan, job) = tiny_plan();
         let ab = ABTester::noiseless(7);
-        let a = ab.run_with_catalog(1, &cat, &plan, 0);
-        let t = ab.run_true(&cat, &plan);
+        let a = ab.run(&job, &plan, 0);
+        let t = ab.run_true(&job.catalog, &plan);
         assert_eq!(a, t);
     }
 
     #[test]
     fn faultless_harness_is_bit_identical_to_noise_only() {
-        let (plan, cat) = tiny_plan();
+        let (plan, job) = tiny_plan();
         let plain = ABTester::new(7);
         let faulted = ABTester::new(7).with_faults(FaultProfile::none());
         for trial in 0..5 {
             assert_eq!(
-                plain.run_with_catalog(1, &cat, &plan, trial),
-                faulted.run_with_catalog(1, &cat, &plan, trial)
+                plain.run(&job, &plan, trial),
+                faulted.run(&job, &plan, trial)
             );
         }
-        let run = faulted.run_outcome_with_catalog(1, &cat, &plan, 0);
+        let run = faulted.run_outcome(&job, &plan, 0);
         assert_eq!(run.outcome, JobOutcome::Success);
-        assert_eq!(run.metrics, plain.run_with_catalog(1, &cat, &plan, 0));
+        assert_eq!(run.metrics, plain.run(&job, &plan, 0));
         assert_eq!(run.retries, 0);
     }
 
     #[test]
     fn faulted_outcomes_are_deterministic_per_seed() {
-        let (plan, cat) = tiny_plan();
+        let (plan, job) = tiny_plan();
         let ab = ABTester::new(7).with_faults(FaultProfile::heavy());
         for trial in 0..10 {
-            let a = ab.run_outcome_with_catalog(1, &cat, &plan, trial);
-            let b = ab.run_outcome_with_catalog(1, &cat, &plan, trial);
+            let a = ab.run_outcome(&job, &plan, trial);
+            let b = ab.run_outcome(&job, &plan, trial);
             assert_eq!(a.metrics, b.metrics);
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.retries, b.retries);
@@ -376,11 +343,11 @@ mod tests {
 
     #[test]
     fn job_timeout_clamps_runtime_and_reports_timed_out() {
-        let (plan, cat) = tiny_plan();
-        let base = ABTester::new(7).run_with_catalog(1, &cat, &plan, 0);
+        let (plan, job) = tiny_plan();
+        let base = ABTester::new(7).run(&job, &plan, 0);
         let cap = base.runtime / 2.0;
         let ab = ABTester::new(7).with_faults(FaultProfile::none().with_timeout(cap));
-        let run = ab.run_outcome_with_catalog(1, &cat, &plan, 0);
+        let run = ab.run_outcome(&job, &plan, 0);
         assert_eq!(run.outcome, JobOutcome::TimedOut);
         assert!((run.metrics.runtime - cap).abs() < 1e-9);
         assert!(run.metrics.is_valid());
@@ -388,14 +355,14 @@ mod tests {
 
     #[test]
     fn trial_timeout_in_policy_retries_then_gives_up() {
-        let (plan, cat) = tiny_plan();
+        let (plan, job) = tiny_plan();
         let ab = ABTester::new(7);
         let policy = RetryPolicy {
             max_attempts: 3,
             backoff_base_s: 10.0,
             trial_timeout_s: Some(1e-3), // nothing finishes this fast
         };
-        let run = ab.run_with_retry_with_catalog(1, &cat, &plan, 0, &policy);
+        let run = ab.run_with_retry(&job, &plan, 0, &policy);
         assert_eq!(run.outcome, JobOutcome::TimedOut);
         // Two failed attempts (1e-3 each) plus their backoffs (10 + 20)
         // precede the final capped attempt.
@@ -404,7 +371,7 @@ mod tests {
 
     #[test]
     fn retries_rescue_flaky_runs() {
-        let (plan, cat) = tiny_plan();
+        let (plan, job) = tiny_plan();
         // A very flaky cluster with no in-run retry budget: individual
         // attempts often fail outright.
         let mut profile = FaultProfile::with_vertex_failures(0.5);
@@ -419,14 +386,14 @@ mod tests {
         let trials = 40;
         let bare_ok = (0..trials)
             .filter(|&t| {
-                ab.run_with_retry_with_catalog(1, &cat, &plan, t, &bare)
+                ab.run_with_retry(&job, &plan, t, &bare)
                     .outcome
                     .is_success()
             })
             .count();
         let patient_ok = (0..trials)
             .filter(|&t| {
-                ab.run_with_retry_with_catalog(1, &cat, &plan, t, &patient)
+                ab.run_with_retry(&job, &plan, t, &patient)
                     .outcome
                     .is_success()
             })
@@ -437,7 +404,7 @@ mod tests {
         );
         // A rescued run reports the attempts it consumed.
         let rescued = (0..trials)
-            .map(|t| ab.run_with_retry_with_catalog(1, &cat, &plan, t, &patient))
+            .map(|t| ab.run_with_retry(&job, &plan, t, &patient))
             .find(|r| matches!(r.outcome, JobOutcome::SuccessWithRetries { .. }));
         if let Some(r) = rescued {
             assert!(r.outcome.retries() > 0);

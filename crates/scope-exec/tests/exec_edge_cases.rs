@@ -2,9 +2,9 @@
 
 use scope_exec::{execute_deterministic, explain, ABTester, ClusterConfig};
 use scope_ir::expr::{CmpOp, Literal, PredAtom, Predicate};
-use scope_ir::ids::{ColId, DomainId, TableId};
+use scope_ir::ids::{ColId, DomainId, JobId, TableId};
 use scope_ir::ops::{AggFunc, JoinKind, LogicalOp};
-use scope_ir::{PlanGraph, TrueCatalog};
+use scope_ir::{Job, PlanGraph, TrueCatalog};
 use scope_optimizer::{compile, RuleConfig};
 
 fn compile_default(plan: &PlanGraph, cat: &TrueCatalog) -> scope_optimizer::PhysPlan {
@@ -124,10 +124,11 @@ fn ab_runner_metrics_are_positive_across_trials() {
     let o = g.add_unchecked(LogicalOp::Output { stream: 0 }, vec![s]);
     g.set_root(o);
     let plan = compile_default(&g, &cat);
+    let job = Job::new(JobId(1), g, cat, vec![], 0, 50);
     let ab = ABTester::new(3);
     let mut runtimes = Vec::new();
     for trial in 0..20 {
-        let m = ab.run_with_catalog(1, &cat, &plan, trial);
+        let m = ab.run(&job, &plan, trial);
         assert!(m.runtime > 0.0 && m.runtime.is_finite());
         runtimes.push(m.runtime);
     }

@@ -114,6 +114,13 @@ fn dead_rules_fire_on_a_project_free_plan_with_producers_disabled() {
     }
     let violation = LintViolation::DeadRules { rules: dead };
     assert_eq!(violation.code(), "dead-rules");
+    // Projected onto the live set the config is no longer `Redundant`, so
+    // the `Dead` arm of the lattice is what `classify` returns.
+    let canonical = RuleConfig::from_enabled(lint.canonical_bits(&config));
+    assert_eq!(
+        lint.classify(&canonical),
+        ConfigVerdict::Dead { rules: dead }
+    );
 
     // With producers enabled (default config) nothing is dead.
     assert!(lint.dead_rules(&RuleConfig::default_config()).is_empty());

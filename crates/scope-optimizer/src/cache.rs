@@ -13,16 +13,17 @@
 //! ## Key soundness
 //!
 //! A compile is a pure function of `(logical plan, observable catalog,
-//! rule configuration)`: the search is deterministic, breaks cost ties by
-//! insertion order, and never reads ambient state. The key therefore
-//! combines
+//! rule configuration, cost model)`: the search is deterministic, breaks
+//! cost ties by insertion order, and never reads ambient state. The key
+//! therefore combines
 //!
 //! * [`plan_catalog_fingerprint`] — a digest of the plan's full value hash
 //!   (literals included) and every observable table/column statistic, and
 //! * the configuration's enabled [`RuleSet`] — callers must pass the
 //!   **effective** configuration (after [`crate::optimizer::effective_config`]
 //!   merges customer hints and after required-rule clamping), since that is
-//!   what the search actually consumes.
+//!   what the search actually consumes, and
+//! * [`CostModel::fingerprint_bits`] of the model the compile runs under.
 //!
 //! Only successful compiles are cached. A [`CompileError`] is returned to
 //! the caller and the key stays absent, so transient failures (e.g. a
@@ -230,13 +231,8 @@ impl CompileCache {
     }
 
     /// Look a compiled plan up without compiling. Counts a hit or a miss.
-    pub fn lookup(&self, fingerprint: u64, config: &RuleConfig) -> Option<Arc<CompiledPlan>> {
-        self.lookup_with_model(fingerprint, config, &CostModel::DEFAULT)
-    }
-
-    /// [`CompileCache::lookup`] for a compile parameterized by a non-default
-    /// cost model.
-    pub fn lookup_with_model(
+    /// `model` is the cost model the compile ran (or would run) under.
+    pub fn lookup(
         &self,
         fingerprint: u64,
         config: &RuleConfig,
@@ -271,12 +267,7 @@ impl CompileCache {
     /// Store a compiled plan, evicting the oldest entry of the shard when
     /// full. Racing inserts of the same key keep the first-stored value so
     /// every subsequent hit returns one consistent `Arc`.
-    pub fn insert(&self, fingerprint: u64, config: &RuleConfig, plan: Arc<CompiledPlan>) {
-        self.insert_with_model(fingerprint, config, &CostModel::DEFAULT, plan);
-    }
-
-    /// [`CompileCache::insert`] under a non-default cost model.
-    pub fn insert_with_model(
+    pub fn insert(
         &self,
         fingerprint: u64,
         config: &RuleConfig,
@@ -324,21 +315,10 @@ impl CompileCache {
     /// bit-identical; the first insert wins). That is the right trade:
     /// holding a shard lock across a multi-millisecond compile would
     /// serialize exactly the workload this cache exists to parallelize.
+    ///
+    /// `model` must be the cost model the `compile` closure runs under: it
+    /// is part of the key.
     pub fn get_or_compile<F>(
-        &self,
-        fingerprint: u64,
-        config: &RuleConfig,
-        compile: F,
-    ) -> Result<Arc<CompiledPlan>, CompileError>
-    where
-        F: FnOnce() -> Result<CompiledPlan, CompileError>,
-    {
-        self.get_or_compile_with_model(fingerprint, config, &CostModel::DEFAULT, compile)
-    }
-
-    /// [`CompileCache::get_or_compile`] keyed additionally by the cost
-    /// model, for compiles whose `compile` closure runs under it.
-    pub fn get_or_compile_with_model<F>(
         &self,
         fingerprint: u64,
         config: &RuleConfig,
@@ -351,7 +331,7 @@ impl CompileCache {
         // Hit/miss path latencies, recorded only while the tracer runs (the
         // clock read is behind the enabled gate).
         let timed = scope_trace::enabled().then(std::time::Instant::now);
-        if let Some(hit) = self.lookup_with_model(fingerprint, config, model) {
+        if let Some(hit) = self.lookup(fingerprint, config, model) {
             if let Some(t) = timed {
                 scope_trace::record(
                     scope_trace::Histogram::CacheHitMicros,
@@ -361,7 +341,7 @@ impl CompileCache {
             return Ok(hit);
         }
         let compiled = Arc::new(compile()?);
-        self.insert_with_model(fingerprint, config, model, Arc::clone(&compiled));
+        self.insert(fingerprint, config, model, Arc::clone(&compiled));
         if let Some(t) = timed {
             scope_trace::record(
                 scope_trace::Histogram::CacheMissMicros,
@@ -424,10 +404,12 @@ mod tests {
         let fp = plan_catalog_fingerprint(&plan, &obs);
         let cfg = RuleConfig::default_config();
         let a = cache
-            .get_or_compile(fp, &cfg, || compile(&plan, &obs, &cfg))
+            .get_or_compile(fp, &cfg, &CostModel::DEFAULT, || compile(&plan, &obs, &cfg))
             .unwrap();
         let b = cache
-            .get_or_compile(fp, &cfg, || panic!("must not recompile"))
+            .get_or_compile(fp, &cfg, &CostModel::DEFAULT, || {
+                panic!("must not recompile")
+            })
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
@@ -442,7 +424,7 @@ mod tests {
         let cfg = RuleConfig::default_config();
         for _ in 0..3 {
             cache
-                .get_or_compile(fp, &cfg, || compile(&plan, &obs, &cfg))
+                .get_or_compile(fp, &cfg, &CostModel::DEFAULT, || compile(&plan, &obs, &cfg))
                 .unwrap();
         }
         let s = cache.stats();
@@ -458,7 +440,7 @@ mod tests {
         let cfg = RuleConfig::default_config();
         for fp in 0..32u64 {
             cache
-                .get_or_compile(fp, &cfg, || compile(&plan, &obs, &cfg))
+                .get_or_compile(fp, &cfg, &CostModel::DEFAULT, || compile(&plan, &obs, &cfg))
                 .unwrap();
         }
         let s = cache.stats();
@@ -487,10 +469,10 @@ mod tests {
         let cfg = RuleConfig::default_config();
         let fp = plan_catalog_fingerprint(&plan, &obs);
         cache
-            .get_or_compile(fp, &cfg, || compile(&plan, &obs, &cfg))
+            .get_or_compile(fp, &cfg, &CostModel::DEFAULT, || compile(&plan, &obs, &cfg))
             .unwrap();
         cache
-            .get_or_compile(fp, &cfg, || panic!("must hit"))
+            .get_or_compile(fp, &cfg, &CostModel::DEFAULT, || panic!("must hit"))
             .unwrap();
         let s = cache.stats();
         assert_eq!(s.contended, 0, "no lock fight on one thread");
@@ -504,7 +486,7 @@ mod tests {
         let cfg = RuleConfig::default_config();
         let fp = plan_catalog_fingerprint(&plan, &obs);
         cache
-            .get_or_compile(fp, &cfg, || compile(&plan, &obs, &cfg))
+            .get_or_compile(fp, &cfg, &CostModel::DEFAULT, || compile(&plan, &obs, &cfg))
             .unwrap();
         // A non-default model must not be served the default-model plan.
         let skewed = CostModel {
@@ -516,7 +498,7 @@ mod tests {
         };
         let mut recompiled = false;
         cache
-            .get_or_compile_with_model(fp, &cfg, &skewed, || {
+            .get_or_compile(fp, &cfg, &skewed, || {
                 recompiled = true;
                 compile(&plan, &obs, &cfg)
             })
@@ -524,7 +506,7 @@ mod tests {
         assert!(recompiled, "model digest missing from the cache key");
         // But the same model keyed twice hits.
         cache
-            .get_or_compile_with_model(fp, &cfg, &skewed, || panic!("must hit"))
+            .get_or_compile(fp, &cfg, &skewed, || panic!("must hit"))
             .unwrap();
     }
 
@@ -535,7 +517,7 @@ mod tests {
         let cfg = RuleConfig::default_config();
         let mut calls = 0;
         for _ in 0..2 {
-            let r = cache.get_or_compile(7, &cfg, || {
+            let r = cache.get_or_compile(7, &cfg, &CostModel::DEFAULT, || {
                 calls += 1;
                 Err(CompileError::NoExchangeImplementation)
             });
@@ -545,10 +527,10 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
         // The key still caches fine once a compile succeeds.
         cache
-            .get_or_compile(7, &cfg, || compile(&plan, &obs, &cfg))
+            .get_or_compile(7, &cfg, &CostModel::DEFAULT, || compile(&plan, &obs, &cfg))
             .unwrap();
         cache
-            .get_or_compile(7, &cfg, || panic!("must hit"))
+            .get_or_compile(7, &cfg, &CostModel::DEFAULT, || panic!("must hit"))
             .unwrap();
     }
 }

@@ -155,19 +155,17 @@ pub fn compile_with_model(
     model: &CostModel,
 ) -> Result<CompiledPlan, CompileError> {
     COMPILE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => {
-            compile_with_scratch_model(plan, obs, config, budget, &mut scratch, model)
-        }
+        Ok(mut scratch) => compile_with_scratch(plan, obs, config, budget, model, &mut scratch),
         // Re-entrant compile on this thread (shouldn't happen, but a panic
         // unwound mid-borrow must not poison every later compile): fall
         // back to fresh one-shot state.
         Err(_) => {
-            compile_with_scratch_model(plan, obs, config, budget, &mut CompileScratch::new(), model)
+            compile_with_scratch(plan, obs, config, budget, model, &mut CompileScratch::new())
         }
     })
 }
 
-/// [`compile_with_budget`] against caller-owned scratch. The scratch is
+/// [`compile_with_model`] against caller-owned scratch. The scratch is
 /// cleared at the *start* of the compile (not the end), so a previous
 /// panicked compile can never leak state into this one.
 pub fn compile_with_scratch(
@@ -175,19 +173,8 @@ pub fn compile_with_scratch(
     obs: &ObservableCatalog,
     config: &RuleConfig,
     budget: &CompileBudget,
-    scratch: &mut CompileScratch,
-) -> Result<CompiledPlan, CompileError> {
-    compile_with_scratch_model(plan, obs, config, budget, scratch, &CostModel::DEFAULT)
-}
-
-/// [`compile_with_scratch`] under an explicit cost model.
-pub fn compile_with_scratch_model(
-    plan: &PlanGraph,
-    obs: &ObservableCatalog,
-    config: &RuleConfig,
-    budget: &CompileBudget,
-    scratch: &mut CompileScratch,
     model: &CostModel,
+    scratch: &mut CompileScratch,
 ) -> Result<CompiledPlan, CompileError> {
     let start = std::time::Instant::now();
     let _compile_span = scope_trace::span_timed("compile", scope_trace::Histogram::CompileMicros);
@@ -319,43 +306,20 @@ pub fn compile_job(job: &Job, config: &RuleConfig) -> Result<CompiledPlan, Compi
     compile(&job.plan, &obs, &effective_config(job, config))
 }
 
-/// [`compile_job`] with an explicit per-compile resource budget.
-pub fn compile_job_with_budget(
-    job: &Job,
-    config: &RuleConfig,
-    budget: &CompileBudget,
-) -> Result<CompiledPlan, CompileError> {
-    let obs = job.catalog.observe();
-    compile_with_budget(&job.plan, &obs, &effective_config(job, config), budget)
-}
-
-/// [`compile_job_with_budget`] under an explicit cost model.
-pub fn compile_job_with_model(
-    job: &Job,
-    config: &RuleConfig,
-    budget: &CompileBudget,
-    model: &CostModel,
-) -> Result<CompiledPlan, CompileError> {
-    let obs = job.catalog.observe();
-    compile_with_model(
-        &job.plan,
-        &obs,
-        &effective_config(job, config),
-        budget,
-        model,
-    )
-}
-
-/// [`compile_job_with_budget`] with panic isolation: a compile that
-/// panics (e.g. a buggy rule interaction) is converted into a typed
-/// [`CompileError::Panicked`] instead of unwinding into the caller — one
-/// bad candidate configuration cannot kill a whole day's discovery search.
+/// [`compile_job`] under an explicit budget, with panic isolation: a
+/// compile that panics (e.g. a buggy rule interaction) is converted into a
+/// typed [`CompileError::Panicked`] instead of unwinding into the caller —
+/// one bad candidate configuration cannot kill a whole day's discovery
+/// search.
 pub fn compile_job_guarded(
     job: &Job,
     config: &RuleConfig,
     budget: &CompileBudget,
 ) -> Result<CompiledPlan, CompileError> {
-    catch_compile_panics(|| compile_job_with_budget(job, config, budget))
+    catch_compile_panics(|| {
+        let obs = job.catalog.observe();
+        compile_with_budget(&job.plan, &obs, &effective_config(job, config), budget)
+    })
 }
 
 thread_local! {

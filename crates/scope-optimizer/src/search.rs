@@ -317,7 +317,8 @@ impl ImplementScratch {
 }
 
 /// Compute winners for all groups reachable from `root` and extract the
-/// cheapest physical plan.
+/// cheapest physical plan: the reference form (fresh scratch, default cost
+/// model) the frozen `classic` oracle and the corruption tests drive.
 pub fn implement(
     memo: &Memo,
     root: GroupId,
@@ -325,34 +326,21 @@ pub fn implement(
     obs: &scope_ir::ObservableCatalog,
     tracker: &mut BudgetTracker,
 ) -> Result<SearchOutcome, CompileError> {
-    let mut scratch = ImplementScratch::new();
-    implement_with_scratch(memo, root, config, obs, tracker, &mut scratch)
-}
-
-/// [`implement`] against caller-owned scratch (allocation reuse across
-/// compiles).
-pub fn implement_with_scratch(
-    memo: &Memo,
-    root: GroupId,
-    config: &RuleConfig,
-    obs: &scope_ir::ObservableCatalog,
-    tracker: &mut BudgetTracker,
-    scratch: &mut ImplementScratch,
-) -> Result<SearchOutcome, CompileError> {
     implement_with_model(
         memo,
         root,
         config,
         obs,
         tracker,
-        scratch,
+        &mut ImplementScratch::new(),
         &CostModel::DEFAULT,
     )
 }
 
-/// [`implement_with_scratch`] under an explicit cost model (scalarization
-/// weights + feedback corrections). `CostModel::DEFAULT` is bit-identical
-/// to the classic scalar path.
+/// [`implement`] against caller-owned scratch (allocation reuse across
+/// compiles) under an explicit cost model (scalarization weights +
+/// feedback corrections). `CostModel::DEFAULT` is bit-identical to the
+/// classic scalar path.
 #[allow(clippy::too_many_arguments)]
 pub fn implement_with_model(
     memo: &Memo,

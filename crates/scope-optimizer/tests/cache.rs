@@ -10,7 +10,7 @@ use scope_ir::ids::{DomainId, TableId};
 use scope_ir::ops::{AggFunc, JoinKind, LogicalOp};
 use scope_ir::{ObservableCatalog, PlanGraph, TrueCatalog};
 use scope_optimizer::{
-    compile, plan_catalog_fingerprint, CompileCache, RuleCatalog, RuleConfig, RuleSet,
+    compile, plan_catalog_fingerprint, CompileCache, CostModel, RuleCatalog, RuleConfig, RuleSet,
 };
 
 fn test_job() -> (PlanGraph, ObservableCatalog) {
@@ -72,10 +72,14 @@ fn cached_plan_is_bit_identical_to_a_fresh_compile() {
 
     let fresh = compile(&plan, &obs, &config).expect("compiles");
     let cached = cache
-        .get_or_compile(fp, &config, || compile(&plan, &obs, &config))
+        .get_or_compile(fp, &config, &CostModel::DEFAULT, || {
+            compile(&plan, &obs, &config)
+        })
         .expect("compiles");
     let hit = cache
-        .get_or_compile(fp, &config, || panic!("must not recompile on a hit"))
+        .get_or_compile(fp, &config, &CostModel::DEFAULT, || {
+            panic!("must not recompile on a hit")
+        })
         .expect("hit");
 
     // The hit shares the insertion's allocation...
@@ -98,7 +102,9 @@ fn compile_errors_are_never_cached() {
 
     for _ in 0..3 {
         assert!(cache
-            .get_or_compile(fp, &config, || compile(&plan, &obs, &config))
+            .get_or_compile(fp, &config, &CostModel::DEFAULT, || compile(
+                &plan, &obs, &config
+            ))
             .is_err());
     }
     // Every attempt recompiled: the failure was never served from cache.
@@ -108,9 +114,12 @@ fn compile_errors_are_never_cached() {
 
     // The failing key must not shadow a later success for a different
     // config under the same fingerprint.
-    let ok = cache.get_or_compile(fp, &RuleConfig::default_config(), || {
-        compile(&plan, &obs, &RuleConfig::default_config())
-    });
+    let ok = cache.get_or_compile(
+        fp,
+        &RuleConfig::default_config(),
+        &CostModel::DEFAULT,
+        || compile(&plan, &obs, &RuleConfig::default_config()),
+    );
     assert!(ok.is_ok());
     assert_eq!(cache.len(), 1);
 }
@@ -130,7 +139,9 @@ fn concurrent_lookups_converge_on_one_entry() {
             .map(|_| {
                 s.spawn(|| {
                     cache
-                        .get_or_compile(fp, &config, || compile(&plan, &obs, &config))
+                        .get_or_compile(fp, &config, &CostModel::DEFAULT, || {
+                            compile(&plan, &obs, &config)
+                        })
                         .expect("compiles")
                 })
             })
@@ -143,7 +154,7 @@ fn concurrent_lookups_converge_on_one_entry() {
     // *subsequent* lookup shares it.
     assert_eq!(cache.len(), 1);
     let canonical = cache
-        .get_or_compile(fp, &config, || panic!("must hit"))
+        .get_or_compile(fp, &config, &CostModel::DEFAULT, || panic!("must hit"))
         .unwrap();
     for r in &results {
         assert_eq!(r.est_cost.to_bits(), canonical.est_cost.to_bits());
@@ -166,10 +177,12 @@ fn distinct_configs_get_distinct_entries_under_one_fingerprint() {
     assert_ne!(default.enabled(), all.enabled());
 
     let a = cache
-        .get_or_compile(fp, &default, || compile(&plan, &obs, &default))
+        .get_or_compile(fp, &default, &CostModel::DEFAULT, || {
+            compile(&plan, &obs, &default)
+        })
         .unwrap();
     let b = cache
-        .get_or_compile(fp, &all, || compile(&plan, &obs, &all))
+        .get_or_compile(fp, &all, &CostModel::DEFAULT, || compile(&plan, &obs, &all))
         .unwrap();
     assert!(!Arc::ptr_eq(&a, &b));
     assert_eq!(cache.len(), 2);
@@ -177,11 +190,13 @@ fn distinct_configs_get_distinct_entries_under_one_fingerprint() {
     assert!(Arc::ptr_eq(
         &a,
         &cache
-            .get_or_compile(fp, &default, || panic!("hit"))
+            .get_or_compile(fp, &default, &CostModel::DEFAULT, || panic!("hit"))
             .unwrap()
     ));
     assert!(Arc::ptr_eq(
         &b,
-        &cache.get_or_compile(fp, &all, || panic!("hit")).unwrap()
+        &cache
+            .get_or_compile(fp, &all, &CostModel::DEFAULT, || panic!("hit"))
+            .unwrap()
     ));
 }

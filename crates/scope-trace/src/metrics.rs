@@ -43,7 +43,7 @@ macro_rules! metric_enum {
 
 metric_enum! {
     /// Monotonic event counters. Grouped by subsystem:
-    /// `cache.*` (compile cache), `lint.*` (static gate verdicts),
+    /// `cache.*` (compile cache),
     /// `funnel.*` (per-candidate fate inside `Pipeline::discover`),
     /// `exec.*` (simulator + fault layer), `bandit.*` (steer-learn).
     Counter {
@@ -55,15 +55,6 @@ metric_enum! {
         CacheInsert => "cache.insert",
         /// Entry evicted from the compile cache (capacity).
         CacheEviction => "cache.eviction",
-        /// Lint gate classified a candidate config as valid.
-        LintValid => "lint.valid",
-        /// Lint gate classified a candidate config as redundant (folded
-        /// onto its canonical twin).
-        LintRedundant => "lint.redundant",
-        /// Lint gate classified a candidate config as dead (no effect).
-        LintDead => "lint.dead",
-        /// Lint gate classified a candidate config as statically invalid.
-        LintInvalid => "lint.invalid",
         /// Candidate configs generated for a job (funnel entry).
         FunnelGenerated => "funnel.generated",
         /// Candidates rejected by the static lint gate before compiling.
