@@ -6,7 +6,7 @@
 
 use std::process::Command;
 
-const EXPERIMENTS: [&str; 26] = [
+const EXPERIMENTS: [&str; 22] = [
     "exp_table1",
     "exp_table2",
     "exp_fig2",
@@ -25,12 +25,8 @@ const EXPERIMENTS: [&str; 26] = [
     "exp_random_configs",
     "exp_fault_sweep",
     "exp_budget_sweep",
-    "exp_compile_micro",
-    "exp_throughput",
     "exp_lint",
-    "exp_trace",
     "exp_flighting",
-    "exp_serving",
     "exp_bounds",
     "exp_cost_feedback",
 ];

@@ -1,29 +1,19 @@
-//! Shared experiment plumbing: compiled-and-executed days, parallel
-//! fan-out (re-exported from `steer_core::par`, its home since the
-//! pipeline itself went parallel), and the default experiment-scale
-//! pipeline parameters.
-
-use std::sync::Arc;
+//! Shared experiment plumbing: compiled-and-executed days and the default
+//! experiment-scale pipeline parameters.
 
 use scope_exec::{ABTester, RetryPolicy, RunMetrics};
 use scope_ir::Job;
-use scope_optimizer::{
-    compile_job, effective_config, plan_catalog_fingerprint, CompileBudget, CompileCache,
-    CompiledPlan, CostModel, RuleConfig,
-};
+use scope_optimizer::{compile_job, CompileBudget, CompiledPlan, RuleConfig};
 use scope_workload::{Workload, WorkloadProfile, WorkloadTag};
+use steer_core::par::run_chunked;
 use steer_core::{
     FlightConfig, FlightController, FlightDayReport, GroupConfig, Pipeline, PipelineParams,
 };
 
-pub use steer_core::par::{available_threads, run_chunked, run_chunked_on};
-
-/// A job together with its default compilation and A/B execution. The
-/// compilation is shared (`Arc`) so cache hits across recurring days don't
-/// duplicate plans.
+/// A job together with its default compilation and A/B execution.
 pub struct CompiledJob {
     pub job: Job,
-    pub compiled: Arc<CompiledPlan>,
+    pub compiled: CompiledPlan,
     pub metrics: RunMetrics,
 }
 
@@ -39,36 +29,12 @@ pub fn workload(tag: WorkloadTag, scale: f64) -> Workload {
 /// parallel across available cores. Jobs in a chunk whose worker panics
 /// are logged and skipped rather than aborting the experiment.
 pub fn compile_day(w: &Workload, day: u32, ab: &ABTester) -> Vec<CompiledJob> {
-    compile_day_cached(w, day, ab, None)
-}
-
-/// [`compile_day`] consulting an optional shared [`CompileCache`]:
-/// recurring jobs across days (and re-runs of the same day) become cache
-/// hits instead of fresh compiles. Results are bit-identical either way.
-pub fn compile_day_cached(
-    w: &Workload,
-    day: u32,
-    ab: &ABTester,
-    cache: Option<&CompileCache>,
-) -> Vec<CompiledJob> {
     let jobs = w.day(day);
     let default = RuleConfig::default_config();
     run_chunked(
         &jobs,
         |job| {
-            let compiled = match cache {
-                Some(cache) => {
-                    let obs = job.catalog.observe();
-                    let config = effective_config(job, &default);
-                    let fp = plan_catalog_fingerprint(&job.plan, &obs);
-                    cache
-                        .get_or_compile(fp, &config, &CostModel::DEFAULT, || {
-                            compile_job(job, &default)
-                        })
-                        .ok()?
-                }
-                None => Arc::new(compile_job(job, &default).ok()?),
-            };
+            let compiled = compile_job(job, &default).ok()?;
             let metrics = ab.run(job, &compiled.plan, 0);
             Some(CompiledJob {
                 job: job.clone(),
@@ -160,39 +126,5 @@ mod tests {
     fn params_scale_with_workload_scale() {
         assert_eq!(pipeline_params(1.0).m_candidates, 1000);
         assert_eq!(pipeline_params(0.1).m_candidates, 100);
-    }
-
-    #[test]
-    fn run_chunked_survives_a_panicking_worker() {
-        // Many items → many chunks; a panic on one item loses only its own
-        // chunk, never the whole run.
-        let items: Vec<u32> = (0..64).collect();
-        let out = run_chunked_on(
-            &items,
-            8,
-            |&i| {
-                if i == 13 {
-                    panic!("poisoned item");
-                }
-                Some(i * 2)
-            },
-            |&i| format!("item {i}"),
-        );
-        assert!(!out.is_empty(), "surviving chunks must be kept");
-        assert!(out.len() < items.len(), "the poisoned chunk is dropped");
-        assert!(out.iter().all(|&v| v % 2 == 0));
-        assert!(
-            !out.contains(&26),
-            "results from the poisoned chunk are gone"
-        );
-    }
-
-    #[test]
-    fn run_chunked_handles_empty_and_filtered_input() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(run_chunked(&empty, |&i| Some(i), ToString::to_string).is_empty());
-        let items = [1u32, 2, 3, 4];
-        let odd_only = run_chunked(&items, |&i| (i % 2 == 1).then_some(i), ToString::to_string);
-        assert_eq!(odd_only, vec![1, 3]);
     }
 }

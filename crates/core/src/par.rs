@@ -1,9 +1,9 @@
 //! Scoped-thread fan-out with panic isolation.
 //!
-//! This harness started life in the bench crate (which still re-exports
-//! it); it moved here so the discovery pipeline itself can fan work out.
-//! Results are collected **in item order** regardless of worker count,
-//! which is what makes parallel discovery bit-identical to serial runs.
+//! The discovery pipeline, the serving layer and the bench harness all fan
+//! work out through it. Results are collected **in item order** regardless
+//! of worker count, which is what makes parallel discovery bit-identical
+//! to serial runs.
 
 /// Fan `items` out over available cores in contiguous chunks and collect
 /// each chunk's mapped results in order. A chunk whose worker panics is

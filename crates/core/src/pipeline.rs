@@ -287,8 +287,7 @@ pub struct Pipeline {
     pub params: PipelineParams,
     /// Shared compile cache consulted by span approximation, candidate
     /// recompilation, and default baselining. Shared across `discover`
-    /// calls (recurring days hit it) and safely shareable across pipelines
-    /// via [`Pipeline::with_cache`].
+    /// calls (recurring days hit it).
     pub cache: Arc<CompileCache>,
 }
 
@@ -387,12 +386,6 @@ enum Disposition {
 impl Pipeline {
     pub fn new(ab: ABTester, params: PipelineParams) -> Pipeline {
         let cache = Arc::new(CompileCache::new(params.cache_capacity));
-        Pipeline { ab, params, cache }
-    }
-
-    /// A pipeline sharing an existing compile cache (e.g. one cache across
-    /// a multi-day sweep, or a bench harness that wants to inspect stats).
-    pub fn with_cache(ab: ABTester, params: PipelineParams, cache: Arc<CompileCache>) -> Pipeline {
         Pipeline { ab, params, cache }
     }
 

@@ -34,8 +34,8 @@
 //! (all stateful transitions happen here), then computes the admitted
 //! decisions in parallel as pure functions of the immutable table
 //! snapshot — so 1, 2, and 4 serving threads produce bit-identical
-//! decision streams, which `exp_serving` asserts under every fault
-//! profile.
+//! decision streams, which `tests/serving_chaos.rs` asserts under every
+//! fault profile.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BinaryHeap};

@@ -4,51 +4,14 @@
 //! one seed (`seed ⊕ job.id`), results are collected in item order, and a
 //! cached compile is bit-identical to a fresh one.
 
+mod common;
+
+use common::{params, result_fingerprint, run};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scope_exec::ABTester;
 use scope_workload::{Workload, WorkloadProfile};
-use steer_core::{DiscoveryReport, Pipeline, PipelineParams};
-
-fn params() -> PipelineParams {
-    PipelineParams {
-        m_candidates: 120,
-        execute_top_k: 5,
-        sample_frac: 1.0,
-        ..PipelineParams::default()
-    }
-}
-
-fn run(n_threads: usize, cache_capacity: usize, seed: u64) -> DiscoveryReport {
-    let w = Workload::generate(WorkloadProfile::workload_a(0.06));
-    let jobs = w.day(0);
-    let p = Pipeline::new(
-        ABTester::new(11),
-        PipelineParams {
-            n_threads,
-            cache_capacity,
-            ..params()
-        },
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    p.discover(&jobs, &mut rng)
-}
-
-/// Everything result-bearing in a report, rendered bit-exactly. Timings and
-/// cache stats are deliberately excluded: they are the only fields allowed
-/// to vary across worker counts and cache sizes.
-fn result_fingerprint(r: &DiscoveryReport) -> String {
-    format!(
-        "{:?}|{}|{}|{}|{}|{}|{:?}",
-        r.outcomes,
-        r.not_selected,
-        r.out_of_window,
-        r.failed_defaults,
-        r.failed_candidates,
-        r.duplicate_plans,
-        r.vetting,
-    )
-}
+use steer_core::Pipeline;
 
 #[test]
 fn parallel_discovery_is_bit_identical_to_serial() {

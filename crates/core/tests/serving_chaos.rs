@@ -1,0 +1,218 @@
+//! The serving chaos matrix: the online steering daemon replays several
+//! days of streaming requests under every [`ServeFaultProfile`] — none,
+//! slow lookups, torn snapshot swaps, flighting-journal stalls, burst
+//! overload — with its table published from a real [`FlightController`]
+//! and two hints retired mid-run. Under every profile:
+//!
+//! 1. every decision lands within the per-request deadline;
+//! 2. every shed or deadline-expired request is served the default
+//!    `RuleConfig`, unsteered;
+//! 3. no decision after the incident steers onto a retired hint, even
+//!    though the day that follows is served from a snapshot (torn, under
+//!    one profile) published before it;
+//! 4. the per-day decision fingerprints are equal at 1, 2 and 4 serving
+//!    threads;
+//!
+//! and the dynamics each profile exists to provoke actually fire. Groups
+//! and requests are synthetic: serving never compiles, so no discovery run
+//! is needed.
+
+use scope_exec::{ArrivalCurve, ServeFaultProfile};
+use scope_ir::ids::JobId;
+use scope_optimizer::{RuleCatalog, RuleConfig, RuleId, RuleSignature};
+use steer_core::{
+    DecisionReason, FlightConfig, FlightController, GroupConfig, HintStatus, Lookup, ServeRequest,
+    ServiceConfig, SteeringService,
+};
+
+const DAYS: u32 = 4;
+const THREADS: [usize; 3] = [1, 2, 4];
+/// Compressed virtual day (µs): decisions take O(100 µs), so a short day
+/// gives 20 maintenance ticks and arrival gaps comparable to the latency,
+/// which is what makes admission control and the mode ladder exercisable.
+const DAY_US: u64 = 1_000_000;
+/// Hinted groups, spread over the table's 8 shards.
+const GROUPS: usize = 24;
+/// Keys in the request stream, each requested every day; those past
+/// [`GROUPS`] have no hint.
+const KEYS: usize = 30;
+const REQUESTS_PER_DAY: u64 = 400;
+/// The incident follows this day's nightly publish.
+const RETIRE_AFTER_DAY: u32 = 1;
+const SEED: u64 = 2021;
+
+fn group_key(i: usize) -> RuleSignature {
+    RuleSignature([RuleId(i as u16), RuleId(200)].into_iter().collect())
+}
+
+/// One winner per hinted group; the config disables one optional rule so
+/// a steered decision is distinguishable from the default.
+fn winners() -> Vec<GroupConfig> {
+    let optional = RuleConfig::default_config()
+        .enabled()
+        .difference(RuleCatalog::global().required())
+        .iter()
+        .next()
+        .expect("catalog has optional default rules");
+    let mut config = RuleConfig::default_config();
+    config.disable(optional);
+    (0..GROUPS)
+        .map(|i| GroupConfig {
+            group: group_key(i),
+            config: config.clone(),
+            base_change_pct: -20.0,
+            base_job: JobId(i as u64),
+        })
+        .collect()
+}
+
+fn requests(day: u32, profile: &ServeFaultProfile) -> Vec<ServeRequest> {
+    let curve = ArrivalCurve {
+        seed: SEED,
+        day_us: DAY_US,
+    };
+    (0..REQUESTS_PER_DAY)
+        .map(|idx| ServeRequest {
+            job_id: u64::from(day) * 10_000 + idx,
+            group_key: group_key(idx as usize % KEYS).to_bit_string(),
+            arrival_us: curve.arrival_us(day, idx, profile.burst.as_ref()),
+        })
+        .collect()
+}
+
+#[derive(Default, PartialEq)]
+struct ProfileRun {
+    fingerprints: Vec<u64>,
+    shed: usize,
+    deadline_expired: usize,
+    breaker_trips: u64,
+    /// Torn entries found by probing every hinted group after each publish.
+    torn_probes: usize,
+    steered_onto_victims_before_incident: usize,
+}
+
+fn run_profile(profile: &ServeFaultProfile, n_threads: usize) -> ProfileRun {
+    let mut flights = FlightController::new(FlightConfig::default());
+    flights.ingest_deployed(&winners(), 0);
+    let mut service = SteeringService::new(ServiceConfig {
+        tick_us: 50_000,
+        // The breaker half-opens within the day it tripped.
+        breaker_cooldown_us: 120_000,
+        // Tight admission ceiling so the burst actually sheds.
+        max_inflight: 2,
+        seed: SEED,
+        ..ServiceConfig::default()
+    });
+    assert_eq!(service.publish_from(&flights, profile), GROUPS);
+
+    let default = RuleConfig::default_config();
+    let deadline = service.config.deadline_us;
+    let groups: Vec<String> = (0..GROUPS).map(|i| group_key(i).to_bit_string()).collect();
+    let victims = [
+        (groups[0].clone(), HintStatus::Quarantined),
+        (groups[1].clone(), HintStatus::Suspended),
+    ];
+    let is_victim = |g: &str| victims.iter().any(|(v, _)| v == g);
+    let mut run = ProfileRun::default();
+
+    for day in 1..=DAYS {
+        let requests = requests(day, profile);
+        let report = service.serve_day(&requests, profile, day, n_threads);
+        assert_eq!(report.requests, requests.len(), "a request went unanswered");
+
+        let retired = day > RETIRE_AFTER_DAY;
+        for dec in &report.decisions {
+            assert!(
+                dec.latency_us <= deadline,
+                "{}: decision took {}µs, deadline {deadline}µs",
+                profile.name,
+                dec.latency_us
+            );
+            if matches!(
+                dec.reason,
+                DecisionReason::Shed | DecisionReason::DeadlineExpired
+            ) {
+                assert!(
+                    !dec.steered && dec.config == default,
+                    "{}: a {} request was not served the default config",
+                    profile.name,
+                    dec.reason.name()
+                );
+            }
+            if dec.steered {
+                let group = dec.group.as_deref().expect("steered decision has a group");
+                if is_victim(group) {
+                    assert!(
+                        !retired,
+                        "{}: day {day} steered onto retired hint {group}",
+                        profile.name
+                    );
+                    run.steered_onto_victims_before_incident += 1;
+                }
+            }
+        }
+        run.fingerprints.push(report.fingerprint);
+        run.shed += report.shed;
+        run.deadline_expired += report.deadline_expired;
+        run.breaker_trips += report.breaker_trips;
+
+        // Nightly snapshot refresh: suspended while degraded, torn by the
+        // profile at its configured publish index. A torn entry write must
+        // surface as a refused lookup, never as a served half-written hint.
+        service.publish_from(&flights, profile);
+        run.torn_probes += groups
+            .iter()
+            .filter(|g| matches!(service.table.lookup(g), Lookup::Torn))
+            .count();
+
+        // The incident lands after the publish, so tomorrow is served from
+        // a snapshot that still lists the victims: only the synchronous
+        // retire keeps them out.
+        if day == RETIRE_AFTER_DAY {
+            for (victim, status) in &victims {
+                flights.store.set_status(victim, *status);
+                service.retire(victim);
+            }
+        }
+    }
+    run
+}
+
+#[test]
+fn chaos_matrix_holds_the_serving_invariants() {
+    for profile in ServeFaultProfile::all() {
+        let runs: Vec<ProfileRun> = THREADS.iter().map(|&t| run_profile(&profile, t)).collect();
+        assert!(
+            runs.iter().all(|r| *r == runs[0]),
+            "{}: decision streams diverge across serving-thread counts",
+            profile.name
+        );
+        let r = &runs[0];
+        assert!(
+            r.steered_onto_victims_before_incident > 0,
+            "{}: the victims were never served, so retiring them proves nothing",
+            profile.name
+        );
+        if profile.burst.is_some() {
+            assert!(r.shed > 0, "burst overload produced no shedding");
+        }
+        if profile.slow_lookup_prob > 0.0 {
+            assert!(
+                r.deadline_expired > 0,
+                "slow lookups never expired a deadline"
+            );
+        }
+        if profile.journal_stall_prob > 0.0 {
+            assert!(
+                r.breaker_trips > 0,
+                "journal stalls never tripped the breaker"
+            );
+        }
+        if profile.torn_swap.is_some() {
+            assert!(
+                r.torn_probes > 0,
+                "the torn swap was never detected by the lookup checksum"
+            );
+        }
+    }
+}

@@ -140,8 +140,8 @@ pub struct CacheStats {
     /// Shard-lock acquisitions that found the lock already held (each is a
     /// failed `try_lock` that fell back to blocking). Sustained growth
     /// under a parallel discovery run means threads are fighting over
-    /// shards — the first thing to check when BENCH_discovery throughput
-    /// stops scaling.
+    /// shards — the first thing to check when discovery throughput stops
+    /// scaling (`steer_bench` reports it as `cache.contended`).
     pub contended: u64,
     /// Entries resident right now.
     pub entries: usize,

@@ -6,9 +6,8 @@
 //! `explore` materializes `Vec<RuleId>` per expression, and `implement`
 //! allocates fresh `HashMap`s per compile. [`compile_classic`] must produce
 //! bit-identical [`CompiledPlan`]s (plan, cost, signature, task counts) to
-//! [`crate::compile`] on every input; the `tests/arena.rs` differential
-//! proptest and the `exp_compile_micro` benchmark both hold the new fast
-//! path to this reference.
+//! [`crate::compile`] on every input; steer-core's `tests/arena.rs`
+//! differential tests hold the new fast path to this reference.
 //!
 //! Do not "improve" this module — its entire value is that it never
 //! changes. It shares only types whose semantics the rework left untouched

@@ -14,8 +14,8 @@
 //!    nothing allocates, locks, or reads the clock. The tracer ships
 //!    disabled and is flipped on by benches ([`set_enabled`]).
 //! 2. **Tracing must never change results.** Instrumented code takes no
-//!    decisions from the tracer; `exp_trace` verifies discovery reports
-//!    are bit-identical with tracing on and off.
+//!    decisions from the tracer; steer-core's `tests/tracing_identity.rs`
+//!    holds discovery reports bit-identical with tracing on and off.
 //! 3. **Cheap when enabled.** Counters and histograms are lock-free
 //!    atomics; span events buffer in thread-local storage and drain into
 //!    the global sink only on flush (buffer full, thread exit, or
