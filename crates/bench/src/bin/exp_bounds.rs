@@ -32,8 +32,7 @@ use scope_steer_bench::harness::{pipeline_params, workload, AB_SEED};
 use scope_steer_bench::reporting::{banner, json_object, scale_arg, write_json};
 use scope_workload::WorkloadTag;
 use steer_core::{
-    approximate_span, candidate_configs, CandidateFilterStats, DiscoveryReport, JobOutcome,
-    Pipeline, PipelineParams,
+    approximate_span, candidate_configs, DiscoveryReport, JobOutcome, Pipeline, PipelineParams,
 };
 
 /// Everything result-bearing in a report with the static-analyzer counters
@@ -42,18 +41,13 @@ use steer_core::{
 /// many candidates were *counted* (pruned ones never reach the pool), not
 /// anything that is executed, selected, or costed.
 fn bounds_insensitive_fingerprint(r: &DiscoveryReport) -> String {
-    let strip = |mut v: CandidateFilterStats| {
-        v.static_invalid = 0;
-        v.static_bounded = 0;
-        v
-    };
-    let vetting = strip(r.vetting);
+    let vetting = r.vetting.dynamic_only();
     let outcomes: Vec<JobOutcome> = r
         .outcomes
         .iter()
         .map(|o| {
             let mut o = o.clone();
-            o.vetting = strip(o.vetting);
+            o.vetting = o.vetting.dynamic_only();
             o.n_candidates = 0;
             o.n_duplicate_plans = 0;
             o

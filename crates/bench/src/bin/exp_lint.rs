@@ -33,10 +33,7 @@ use scope_steer_bench::reporting::{
     banner, json_array, json_object, markdown_table, scale_arg, write_json,
 };
 use scope_workload::WorkloadTag;
-use steer_core::{
-    approximate_span, candidate_configs, CandidateFilterStats, DiscoveryReport, Pipeline,
-    PipelineParams,
-};
+use steer_core::{approximate_span, candidate_configs, DiscoveryReport, Pipeline, PipelineParams};
 
 /// Candidate-classification tallies, split by ground-truth compile outcome.
 #[derive(Default)]
@@ -68,20 +65,16 @@ impl Confusion {
 /// Everything result-bearing in a report with the static-analyzer counters
 /// zeroed, so gate-on and gate-off runs can be compared bit-exactly.
 fn lint_insensitive_fingerprint(r: &DiscoveryReport) -> String {
-    // `static_bounded` too: the bounds gate (on in both runs) also bounds
-    // out some of the certainly-failing candidates ungated lint lets by.
-    let strip = |mut v: CandidateFilterStats| {
-        v.static_invalid = 0;
-        v.static_bounded = 0;
-        v
-    };
-    let vetting = strip(r.vetting);
+    // `static_bounded` goes too: the bounds gate (on in both runs) also
+    // bounds out some of the certainly-failing candidates ungated lint lets
+    // by; the rest of them show up in the ungated failure census.
+    let vetting = r.vetting.dynamic_only();
     let outcomes: Vec<_> = r
         .outcomes
         .iter()
         .map(|o| {
             let mut o = o.clone();
-            o.vetting = strip(o.vetting);
+            o.vetting = o.vetting.dynamic_only();
             o
         })
         .collect();

@@ -121,8 +121,8 @@ pub(crate) fn compile_steered(
 pub struct CandidateFilterStats {
     /// Compiles that panicked (isolated by `catch_compile_panics`).
     pub panicked: usize,
-    /// Compiles that exhausted the task/wall-clock budget (or the memo's
-    /// hard cap during ingest).
+    /// Compiles that exhausted the task budget (or the memo's hard cap
+    /// during ingest).
     pub over_budget: usize,
     /// Plans rejected by the physical validator.
     pub invalid: usize,
@@ -138,6 +138,15 @@ pub struct CandidateFilterStats {
     /// job's execution threshold, so compiling them could not have changed
     /// any executed alternative.
     pub static_bounded: usize,
+    /// Compiles that failed with [`CompileError::NoImplementation`] — the
+    /// paper's "not all configurations compile", which the lint gate could
+    /// not prove ahead of time. Expected and silent: a census of where
+    /// post-lint compiles go, outside every total below.
+    pub no_implementation: usize,
+    /// Compiles that failed with
+    /// [`CompileError::NoExchangeImplementation`]; a census like
+    /// `no_implementation`, outside every total.
+    pub no_exchange: usize,
 }
 
 impl CandidateFilterStats {
@@ -158,6 +167,20 @@ impl CandidateFilterStats {
         self.static_invalid + self.static_bounded
     }
 
+    /// Only the dynamic guardrail counters, everything else zeroed — what
+    /// must not move when a static gate is switched on or off. A gate
+    /// retires candidates before they compile, so it legitimately changes
+    /// its own counters and the census of ordinary compile failures.
+    pub fn dynamic_only(&self) -> CandidateFilterStats {
+        CandidateFilterStats {
+            panicked: self.panicked,
+            over_budget: self.over_budget,
+            invalid: self.invalid,
+            diverged: self.diverged,
+            ..CandidateFilterStats::default()
+        }
+    }
+
     /// Fold another stats record into this one.
     pub fn merge(&mut self, other: &CandidateFilterStats) {
         self.panicked += other.panicked;
@@ -166,18 +189,23 @@ impl CandidateFilterStats {
         self.diverged += other.diverged;
         self.static_invalid += other.static_invalid;
         self.static_bounded += other.static_bounded;
+        self.no_implementation += other.no_implementation;
+        self.no_exchange += other.no_exchange;
     }
 
     /// Count a guarded compile error. Ordinary configuration-infeasibility
-    /// errors (the paper's "not all configurations compile") are *not*
-    /// counted — they were always an expected, silent part of discovery.
+    /// errors (the paper's "not all configurations compile") were always
+    /// an expected, silent part of discovery: they are broken down by kind
+    /// but stay out of the filter totals.
     pub fn note_compile_error(&mut self, err: &CompileError) {
         match err {
             CompileError::Panicked { .. } => self.panicked += 1,
             CompileError::BudgetExhausted { .. } | CompileError::MemoExhausted { .. } => {
                 self.over_budget += 1;
             }
-            _ => {}
+            CompileError::NoImplementation { .. } => self.no_implementation += 1,
+            CompileError::NoExchangeImplementation => self.no_exchange += 1,
+            CompileError::CyclicMemo => {}
         }
     }
 
@@ -301,7 +329,7 @@ mod tests {
         a.note_compile_error(&CompileError::Panicked {
             message: "boom".into(),
         });
-        a.note_compile_error(&CompileError::NoExchangeImplementation); // not counted
+        a.note_compile_error(&CompileError::NoExchangeImplementation); // outside the totals
         let mut b = CandidateFilterStats {
             over_budget: 2,
             diverged: 1,
@@ -310,6 +338,7 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.panicked, 1);
         assert_eq!(b.over_budget, 2);
+        assert_eq!(b.no_exchange, 1);
         assert_eq!(b.total(), 4);
     }
 }

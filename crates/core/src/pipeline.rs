@@ -5,13 +5,16 @@
 //!
 //! Discovery is compile-bound and embarrassingly parallel across jobs, so
 //! [`Pipeline::discover`] fans both stages (default baselining and per-job
-//! analysis) out over the scoped-thread harness in [`crate::par`], with all
-//! compiles routed through a shared [`CompileCache`]. Determinism is
-//! preserved by construction: each analyzed job gets its own RNG derived
-//! from a splittable seed (`seed ⊕ job.id`), results are collected in item
-//! order, and a cached compile is bit-identical to a fresh one — so the
-//! same caller seed produces the same [`DiscoveryReport`] at any thread
-//! count and any cache size.
+//! analysis) out over the scoped-thread harness in [`crate::par`]. Default
+//! and span-probe compiles go through a shared [`CompileCache`] (they recur
+//! across span runs and days); a job's candidates do not — they are unique
+//! by construction, so they go to the optimizer as a batch
+//! ([`compile_candidates`]) that explores once per transformation subset.
+//! Determinism is preserved by construction: each analyzed job gets its own
+//! RNG derived from a splittable seed (`seed ⊕ job.id`), results are
+//! collected in item order, and a cached or batched compile is
+//! bit-identical to a fresh single one — so the same caller seed produces
+//! the same [`DiscoveryReport`] at any thread count and any cache size.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -27,9 +30,9 @@ use scope_ir::stats::pct_change;
 use scope_ir::Job;
 use scope_lint::{ConfigVerdict, JobLint, PlanBounds};
 use scope_optimizer::{
-    catch_compile_panics, compile_with_model, effective_config, plan_catalog_fingerprint,
-    CacheStats, CompileBudget, CompileCache, CompileError, CompiledPlan, CostModel, RuleConfig,
-    RuleId, RuleSet, RuleSignature, NUM_RULES,
+    catch_compile_panics, compile_candidates, compile_with_model, effective_config,
+    plan_catalog_fingerprint, CacheStats, CompileBudget, CompileCache, CompileError, CompiledPlan,
+    CostModel, RuleConfig, RuleId, RuleSet, RuleSignature, NUM_RULES,
 };
 use scope_trace::{Counter, Histogram, MetricsSnapshot};
 
@@ -64,12 +67,16 @@ pub struct PipelineParams {
     pub retry: RetryPolicy,
     /// Per-candidate compile resource budget. Candidates that exhaust it
     /// are discarded (counted in the vetting stats); the generous default
-    /// never fires on well-behaved compiles.
+    /// never fires on well-behaved compiles. A candidate is charged what it
+    /// would cost compiled alone — the exploration it shares with its batch
+    /// plus its own implementation pass — so sharing never changes which
+    /// candidates fit.
     pub compile_budget: CompileBudget,
     /// Worker threads for the parallel discovery stages (`0` = one per
     /// available core). Results are identical at any thread count.
     pub n_threads: usize,
-    /// Capacity (entries) of the pipeline's shared compile cache; `0`
+    /// Capacity (entries) of the pipeline's shared compile cache, which
+    /// holds default and span-probe compiles (candidates bypass it); `0`
     /// disables caching. Cached compiles are bit-identical to fresh ones,
     /// so this only changes speed, never results.
     pub cache_capacity: usize,
@@ -285,9 +292,8 @@ impl DiscoveryReport {
 pub struct Pipeline {
     pub ab: ABTester,
     pub params: PipelineParams,
-    /// Shared compile cache consulted by span approximation, candidate
-    /// recompilation, and default baselining. Shared across `discover`
-    /// calls (recurring days hit it).
+    /// Shared compile cache consulted by span approximation and default
+    /// baselining. Shared across `discover` calls (recurring days hit it).
     pub cache: Arc<CompileCache>,
 }
 
@@ -372,14 +378,14 @@ impl PoolState {
     }
 }
 
-/// How one statically-feasible candidate stands after the funnel's first
-/// pass.
+/// How one statically-feasible candidate stands in the funnel.
 enum Disposition {
     /// Compiled.
     Done(Result<Arc<CompiledPlan>, CompileError>),
-    /// Compile deferred: the cost lower bound `lb` exceeds the default's
-    /// cost, so this candidate can only matter if the execution threshold
-    /// ends up at or above `lb`.
+    /// Not compiled. Every candidate starts here and the eager ones leave
+    /// with the first batch; one whose cost lower bound `lb` exceeds the
+    /// default's cost stays, since it can only matter if the execution
+    /// threshold ends up at or above `lb`.
     Deferred { lb: f64 },
 }
 
@@ -411,28 +417,22 @@ impl Pipeline {
     }
 
     /// Compile one effective configuration (hints merged) of `job` through
-    /// the shared cache, panic-isolated, under the pipeline's cost model —
-    /// the one compile step defaults, span probes and candidates all take.
+    /// the shared cache, panic-isolated, under the pipeline's cost model and
+    /// the default budget — the compile step defaults and span probes take.
     /// The cache key is exactly what the search consumes, which is what
-    /// makes it sound. `budget` bounds *fresh* compile effort only — a
-    /// cache hit spent its effort when first compiled, so it is served even
-    /// under a budget that would reject recompiling from scratch. The flag
-    /// says whether the result cost a fresh compile (`false` = cache hit).
+    /// makes it sound.
     fn compile_cached(
         &self,
         job: &Job,
         obs: &scope_ir::ObservableCatalog,
         fingerprint: u64,
         config: &RuleConfig,
-        budget: &CompileBudget,
-    ) -> (Result<Arc<CompiledPlan>, CompileError>, bool) {
+    ) -> Result<Arc<CompiledPlan>, CompileError> {
         let model = &self.params.cost_model;
-        let mut fresh = false;
-        let result = self.cache.get_or_compile(fingerprint, config, model, || {
-            fresh = true;
-            catch_compile_panics(|| compile_with_model(&job.plan, obs, config, budget, model))
-        });
-        (result, fresh)
+        let budget = CompileBudget::default();
+        self.cache.get_or_compile(fingerprint, config, model, || {
+            catch_compile_panics(|| compile_with_model(&job.plan, obs, config, &budget, model))
+        })
     }
 
     /// Compile and A/B-execute a job's default plan.
@@ -449,9 +449,7 @@ impl Pipeline {
         let fingerprint = plan_catalog_fingerprint(&job.plan, &obs);
         // Defaults are the measurement baseline, not candidates, so they
         // are exempt from the per-candidate compile budget.
-        let (compiled, _) =
-            self.compile_cached(job, &obs, fingerprint, &config, &CompileBudget::default());
-        let compiled = compiled.ok()?;
+        let compiled = self.compile_cached(job, &obs, fingerprint, &config).ok()?;
         let run = self
             .ab
             .run_with_retry(job, &compiled.plan, 0, &self.params.retry);
@@ -586,15 +584,19 @@ impl Pipeline {
         // The span is derived by the same compile step as everything else
         // here, so it is the span of the optimizer the candidates run on.
         let span = approximate_span_with(|config| {
-            let (compiled, _) =
-                self.compile_cached(job, &obs, fingerprint, config, &CompileBudget::default());
-            compiled.ok().map(|c| c.signature)
+            self.compile_cached(job, &obs, fingerprint, config)
+                .ok()
+                .map(|c| c.signature)
         });
         let configs =
             candidate_configs_effective(&span, &Self::hint_set(job), self.params.m_candidates, rng);
 
         // One funnel: classify → bound → compile eagerly or defer →
-        // threshold → resolve → replay in candidate order.
+        // threshold → resolve → replay in candidate order. Both compile
+        // steps are one batch call each: a job's candidates differ from one
+        // another mostly in implementation rules, so a batch explores once
+        // per transformation subset and every candidate's result is what a
+        // single compile of it returns.
         //
         // Classify (`params.lint_gate`): a candidate `scope-lint` proves
         // certain to fail with `NoImplementation` is retired before any
@@ -629,18 +631,23 @@ impl Pipeline {
             .params
             .bounds_gate
             .then(|| PlanBounds::analyze(&job.plan, &obs));
-        let compile_candidate = |config: &RuleConfig| {
-            let (result, fresh) =
-                self.compile_cached(job, &obs, fingerprint, config, &self.params.compile_budget);
-            if fresh {
-                scope_trace::count(Counter::FunnelCompiled, 1);
-            } else if result.is_ok() {
-                scope_trace::count(Counter::FunnelCacheHit, 1);
+        let compile_slots = |slots: &mut [(RuleConfig, Disposition)], picked: &[usize]| {
+            let configs: Vec<RuleConfig> = picked.iter().map(|&i| slots[i].0.clone()).collect();
+            let results = compile_candidates(
+                &job.plan,
+                &obs,
+                &configs,
+                &self.params.compile_budget,
+                &self.params.cost_model,
+            );
+            scope_trace::count(Counter::FunnelCompiled, picked.len() as u64);
+            for (&i, result) in picked.iter().zip(results) {
+                slots[i].1 = Disposition::Done(result.map(Arc::new));
             }
-            result
         };
         let mut vetting = CandidateFilterStats::default();
         let mut slots: Vec<(RuleConfig, Disposition)> = Vec::with_capacity(configs.len());
+        let mut eager: Vec<usize> = Vec::with_capacity(configs.len());
         for config in configs {
             scope_trace::count(Counter::FunnelGenerated, 1);
             let invalid = lint.as_ref().is_some_and(|lint| {
@@ -658,17 +665,16 @@ impl Pipeline {
             let lb = bounds.as_ref().map_or(f64::NEG_INFINITY, |bounds| {
                 bounds.cost_lo_model(config.enabled(), &self.params.cost_model)
             });
-            let disp = if lb > default.est_cost {
-                Disposition::Deferred { lb }
-            } else {
-                Disposition::Done(compile_candidate(&config))
-            };
-            slots.push((config, disp));
+            // A bound above the default's cost stays deferred unless the
+            // threshold below reaches it.
+            let deferred = lb > default.est_cost;
+            if !deferred {
+                eager.push(slots.len());
+            }
+            slots.push((config, Disposition::Deferred { lb }));
         }
-        if slots
-            .iter()
-            .any(|(_, disp)| matches!(disp, Disposition::Deferred { .. }))
-        {
+        compile_slots(&mut slots, &eager);
+        if eager.len() < slots.len() {
             // The execution threshold — the k-th cheapest distinct vetted
             // alternative among the eager compiles (scratch replay;
             // counters untouched). Soundness: every deferred candidate's
@@ -705,11 +711,10 @@ impl Pipeline {
                     ests[top_k - 1]
                 }
             };
-            for (config, disp) in &mut slots {
-                if matches!(disp, Disposition::Deferred { lb } if *lb <= threshold) {
-                    *disp = Disposition::Done(compile_candidate(config));
-                }
-            }
+            let reachable: Vec<usize> = (0..slots.len())
+                .filter(|&i| matches!(slots[i].1, Disposition::Deferred { lb } if lb <= threshold))
+                .collect();
+            compile_slots(&mut slots, &reachable);
         }
         let mut state = PoolState::default();
         for (config, disp) in slots {
@@ -893,24 +898,20 @@ mod tests {
     }
 
     /// Strip the counters the static gates legitimately change — the
-    /// static funnel, and the candidate census over the tail the bounds
-    /// gate retires — so gate-on and gate-off runs can be compared
-    /// field-for-field on everything observable (executed
+    /// static funnel, the census of ordinary compile failures (a gate
+    /// retires candidates that would have failed), and the candidate census
+    /// over the tail the bounds gate retires — so gate-on and gate-off runs
+    /// can be compared field-for-field on everything observable (executed
     /// configs/plans/costs/metrics, selection reasons, dedup against the
     /// default, dynamic guardrails).
     fn gate_insensitive_view(report: &DiscoveryReport) -> String {
-        let strip = |mut v: CandidateFilterStats| {
-            v.static_invalid = 0;
-            v.static_bounded = 0;
-            v
-        };
-        let vetting = strip(report.vetting);
+        let vetting = report.vetting.dynamic_only();
         let outcomes: Vec<JobOutcome> = report
             .outcomes
             .iter()
             .map(|o| {
                 let mut o = o.clone();
-                o.vetting = strip(o.vetting);
+                o.vetting = o.vetting.dynamic_only();
                 o.n_candidates = 0;
                 o.n_duplicate_plans = 0;
                 o
@@ -966,6 +967,9 @@ mod tests {
             with.vetting.static_invalid > 0,
             "expected the analyzer to retire at least one candidate"
         );
+        // What the gate retires would have failed with `NoImplementation`:
+        // the failure census shows them ungated.
+        assert!(without.vetting.no_implementation > with.vetting.no_implementation);
     }
 
     #[test]
@@ -1043,6 +1047,80 @@ mod tests {
                 "{name} model: bounds gate pruned {pruned} candidates"
             );
         }
+    }
+
+    /// Every result-bearing field of a report, rendered field by field (so
+    /// a new census counter does not disturb it) and hashed with FNV-1a (so
+    /// the constant below does not depend on the toolchain's `Hasher`).
+    fn result_digest(report: &DiscoveryReport) -> u64 {
+        use std::fmt::Write;
+        let filtered = |v: &CandidateFilterStats| {
+            format!(
+                "{}/{}/{}/{}/{}/{}",
+                v.panicked,
+                v.over_budget,
+                v.invalid,
+                v.diverged,
+                v.static_invalid,
+                v.static_bounded
+            )
+        };
+        let mut view = String::new();
+        for o in &report.outcomes {
+            write!(
+                view,
+                "{:?}|{:?}|{}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{}|{:?}|{:?}|{}|{};",
+                o.job_id,
+                o.template,
+                o.day,
+                o.group,
+                o.default_cost,
+                o.default_metrics,
+                o.span_size,
+                o.n_candidates,
+                o.n_cheaper,
+                o.n_same_as_default,
+                o.n_duplicate_plans,
+                o.reason,
+                o.executed,
+                o.n_failed,
+                filtered(&o.vetting),
+            )
+            .unwrap();
+        }
+        write!(
+            view,
+            "{}|{}|{}|{}|{}|{}",
+            report.not_selected,
+            report.out_of_window,
+            report.failed_defaults,
+            report.failed_candidates,
+            report.duplicate_plans,
+            filtered(&report.vetting),
+        )
+        .unwrap();
+        view.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Discovery results are pinned: the constant was computed on the
+    /// commit before candidates were compiled in batches (one compile per
+    /// candidate, through the cache), so sharing explorations provably
+    /// changed no outcome, count or executed alternative of this day.
+    #[test]
+    fn discovery_results_are_pinned_to_the_one_by_one_pipeline() {
+        let w = Workload::generate(WorkloadProfile::workload_a(0.06));
+        let jobs = w.day(0);
+        let mut rng = StdRng::seed_from_u64(1);
+        let report = pipeline().discover(&jobs, &mut rng);
+        assert!(!report.outcomes.is_empty());
+        assert_eq!(
+            result_digest(&report),
+            0xa17b_5b86_b245_d9ff,
+            "got {:#018x}",
+            result_digest(&report)
+        );
     }
 
     #[test]

@@ -13,15 +13,18 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use scope_ir::Job;
 use scope_optimizer::classic::{compile_classic, compile_classic_with_budget};
 use scope_optimizer::optimizer::{compile_with_scratch, CompileScratch};
 use scope_optimizer::{
-    compile, compile_with_budget, effective_config, CompileBudget, CostModel, RuleCatalog,
-    RuleConfig, RuleId, NUM_RULES,
+    compile, compile_candidates, compile_with_budget, effective_config, CompileBudget,
+    CompileError, CompilePhase, CompiledPlan, CostModel, RuleCatalog, RuleConfig, RuleId,
+    NUM_RULES,
 };
 use scope_workload::{Workload, WorkloadProfile};
+use steer_core::{approximate_span, candidate_configs};
 
 fn jobs() -> Vec<Job> {
     Workload::generate(WorkloadProfile::workload_a(0.08)).day(0)
@@ -172,8 +175,206 @@ fn scratch_reuse_is_invisible_in_results() {
     }
 }
 
+/// Fingerprint-or-typed-error, the unit the batch tests compare in.
+type Outcome = Result<u64, CompileError>;
+
+fn outcome(result: Result<CompiledPlan, CompileError>) -> Outcome {
+    result.map(|p| p.fingerprint())
+}
+
+/// `m` effective configurations for `job` drawn the way discovery draws
+/// its candidates — every rule outside the job's span on, span rules off
+/// per category — so many of them agree on every transformation rule and
+/// really share an exploration, plus `strays` [`random_config`]s that
+/// mostly do not.
+fn candidate_like_configs(job: &Job, m: usize, strays: u64, seed: u64) -> Vec<RuleConfig> {
+    let span = approximate_span(&job.plan, &job.catalog.observe());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut configs = candidate_configs(&span, m, &mut rng);
+    configs.extend((0..strays).map(|i| random_config(seed.wrapping_mul(31) + i)));
+    configs
+        .iter()
+        .map(|config| effective_config(job, config))
+        .collect()
+}
+
+/// The batch entry point on already-effective configurations.
+fn batch(job: &Job, configs: &[RuleConfig], budget: &CompileBudget) -> Vec<Outcome> {
+    let obs = job.catalog.observe();
+    compile_candidates(&job.plan, &obs, configs, budget, &CostModel::DEFAULT)
+        .into_iter()
+        .map(outcome)
+        .collect()
+}
+
+/// The frozen oracle on one already-effective configuration.
+fn classic(job: &Job, config: &RuleConfig, budget: &CompileBudget) -> Outcome {
+    let obs = job.catalog.observe();
+    outcome(compile_classic_with_budget(&job.plan, &obs, config, budget))
+}
+
+#[test]
+fn batch_compile_matches_classic_one_by_one_on_a_full_workload_day() {
+    let budget = CompileBudget::default();
+    let (mut compared, mut failed, mut no_exchange) = (0usize, 0usize, 0usize);
+    let mut mismatches = Vec::new();
+    // Workload B: its exchange-heavy plans fail with both
+    // `NoImplementation` and `NoExchangeImplementation`.
+    let day = Workload::generate(WorkloadProfile::workload_b(0.12)).day(0);
+    for job in &day {
+        let configs = candidate_like_configs(job, 200, 8, job.id.0);
+        let got = batch(job, &configs, &budget);
+        assert_eq!(got.len(), configs.len());
+        for (config, got) in configs.iter().zip(got) {
+            let want = classic(job, config, &budget);
+            compared += 1;
+            failed += usize::from(want.is_err());
+            no_exchange += usize::from(want == Err(CompileError::NoExchangeImplementation));
+            if got != want {
+                mismatches.push((job.id, config.enabled().to_bit_string(), got, want));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of {compared} batch results differ from the oracle; first: {:?}",
+        mismatches.len(),
+        mismatches[0]
+    );
+    assert!(compared > 2_000, "vacuous: compared {compared}");
+    assert!(
+        no_exchange > 0 && failed > no_exchange && compared > failed,
+        "vacuous: {compared} compared, {failed} failed, {no_exchange} for want of an exchange"
+    );
+}
+
+#[test]
+fn batch_compile_fails_identically_under_tight_budgets() {
+    let jobs = jobs();
+    let (mut in_explore, mut in_implement, mut fitted) = (0usize, 0usize, 0usize);
+    for job in jobs.iter().take(30) {
+        let configs = candidate_like_configs(job, 60, 4, job.id.0);
+        let Ok(default) = compile(
+            &job.plan,
+            &job.catalog.observe(),
+            &effective_config(job, &RuleConfig::default_config()),
+        ) else {
+            continue;
+        };
+        // 40 tasks run out while exploring; one short of the default's
+        // total runs out in some candidate's implementation pass and lets
+        // cheaper candidates through.
+        for max_tasks in [40, default.stats.tasks - 1] {
+            let budget = CompileBudget::with_max_tasks(max_tasks);
+            let got = batch(job, &configs, &budget);
+            for (config, got) in configs.iter().zip(got) {
+                assert_eq!(
+                    got,
+                    classic(job, config, &budget),
+                    "budget {max_tasks} diverged on job {}",
+                    job.id
+                );
+                match got {
+                    Err(CompileError::BudgetExhausted { phase, .. }) => match phase {
+                        CompilePhase::Explore => in_explore += 1,
+                        CompilePhase::Implement => in_implement += 1,
+                    },
+                    Ok(_) => fitted += 1,
+                    Err(_) => {}
+                }
+            }
+        }
+    }
+    assert!(in_explore > 0, "vacuous: no budget ran out while exploring");
+    assert!(
+        in_implement > 0,
+        "vacuous: no budget ran out while implementing"
+    );
+    assert!(fitted > 0, "vacuous: no candidate fitted its budget");
+}
+
+#[test]
+fn batch_shape_and_order_cannot_change_an_answer() {
+    let budget = CompileBudget::default();
+    let mut rng = StdRng::seed_from_u64(5);
+    for job in jobs().iter().step_by(9) {
+        let configs = candidate_like_configs(job, 40, 4, job.id.0);
+        let base = batch(job, &configs, &budget);
+        assert!(batch(job, &[], &budget).is_empty());
+        for i in [0, configs.len() / 2, configs.len() - 1] {
+            let alone = batch(job, &configs[i..=i], &budget);
+            assert_eq!(alone, [base[i].clone()], "batch of one, job {}", job.id);
+        }
+        let doubled: Vec<RuleConfig> = configs.iter().chain(&configs).cloned().collect();
+        let twice: Vec<Outcome> = base.iter().chain(&base).cloned().collect();
+        assert_eq!(batch(job, &doubled, &budget), twice, "job {}", job.id);
+        let mut order: Vec<usize> = (0..configs.len()).collect();
+        order.shuffle(&mut rng);
+        let permuted: Vec<RuleConfig> = order.iter().map(|&i| configs[i].clone()).collect();
+        let expected: Vec<Outcome> = order.iter().map(|&i| base[i].clone()).collect();
+        assert_eq!(batch(job, &permuted, &budget), expected, "job {}", job.id);
+    }
+}
+
+#[test]
+fn one_transformation_rule_apart_is_never_a_shared_exploration() {
+    // The default configuration beside every configuration one
+    // transformation rule away from it: each must get the exploration it
+    // would run alone, whichever rule that is — candidate sampling only
+    // ever separates the ≈20 transformation rules some span holds.
+    let rules = RuleCatalog::global();
+    let default = RuleConfig::default_config();
+    let mut configs = vec![default.clone()];
+    for kind in scope_ir::OpKind::ALL {
+        for &id in rules.transforms_for(kind) {
+            let mut config = default.clone();
+            if default.is_enabled(id) {
+                config.disable(id);
+            } else {
+                config.enable(id);
+            }
+            if config != default && !configs.contains(&config) {
+                configs.push(config);
+            }
+        }
+    }
+    assert!(
+        configs.len() > 100,
+        "{} transformation rules",
+        configs.len()
+    );
+    let budget = CompileBudget::default();
+    for job in jobs().iter().step_by(7) {
+        let configs: Vec<RuleConfig> = configs
+            .iter()
+            .map(|config| effective_config(job, config))
+            .collect();
+        let got = batch(job, &configs, &budget);
+        let obs = job.catalog.observe();
+        for (config, got) in configs.iter().zip(got) {
+            let alone = outcome(compile_with_budget(&job.plan, &obs, config, &budget));
+            assert_eq!(got, alone, "job {}", job.id);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A random job's batch of candidate-like and stray configurations:
+    /// every result equals the frozen oracle's for that configuration
+    /// alone.
+    #[test]
+    fn prop_batch_results_match_classic(seed in 0u64..10_000, pick in 0usize..10_000) {
+        let jobs = jobs();
+        let job = &jobs[pick % jobs.len()];
+        let configs = candidate_like_configs(job, 12, 4, seed);
+        let budget = CompileBudget::default();
+        let got = batch(job, &configs, &budget);
+        for (config, got) in configs.iter().zip(got) {
+            prop_assert_eq!(got, classic(job, config, &budget));
+        }
+    }
 
     /// Random (config seed, job index) pairs: the live path and the frozen
     /// oracle agree bit-exactly — same fingerprint on success, same error

@@ -181,6 +181,28 @@ fn panicking_default_compile_loses_one_job_not_its_chunk() {
     )
     .is_err_and(|e| matches!(e, scope_optimizer::CompileError::Panicked { .. })));
 
+    // A batch over the malformed plan hands every configuration the panic
+    // it would have hit alone, and leaves the thread's scratch usable.
+    let configs = [
+        RuleConfig::default_config(),
+        RuleConfig::from_enabled(scope_optimizer::RuleSet::FULL),
+    ];
+    let batch = |job: &scope_ir::Job| {
+        scope_optimizer::compile_candidates(
+            &job.plan,
+            &job.catalog.observe(),
+            &configs,
+            &CompileBudget::default(),
+            &scope_optimizer::CostModel::DEFAULT,
+        )
+    };
+    for (config, got) in configs.iter().zip(batch(&jobs[0])) {
+        let alone =
+            scope_optimizer::compile_job_guarded(&jobs[0], config, &CompileBudget::default());
+        assert_eq!(got.err(), alone.err());
+    }
+    assert!(batch(&jobs[1]).iter().any(Result::is_ok));
+
     for n_threads in [1, 2] {
         let p = Pipeline::new(
             scope_exec::ABTester::new(11),

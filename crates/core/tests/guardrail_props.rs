@@ -86,9 +86,7 @@ proptest! {
         if full.stats.tasks > 0 {
             let short = CompileBudget::with_max_tasks(full.stats.tasks - 1);
             match compile_job_guarded(job, &config, &short) {
-                Err(CompileError::BudgetExhausted { wall_clock, .. }) => {
-                    prop_assert!(!wall_clock);
-                }
+                Err(CompileError::BudgetExhausted { .. }) => {}
                 other => prop_assert!(false, "expected BudgetExhausted, got {:?}", other.map(|c| c.est_cost)),
             }
         }

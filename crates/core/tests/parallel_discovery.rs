@@ -66,14 +66,18 @@ fn replaying_a_day_on_a_warm_cache_is_identical_and_mostly_hits() {
     let mut rng = StdRng::seed_from_u64(1);
     let cold = p.discover(&jobs, &mut rng);
     // Replay the day from the same seed on the now-warm cache: every
-    // successful compile of the cold run (defaults, span probes, candidate
-    // recompiles) is served from cache — only failing compiles, which are
-    // never cached, re-run. Results must be bit-identical regardless.
+    // successful default and span-probe compile of the cold run is served
+    // from cache — only their failing compiles, which are never cached,
+    // re-run. (Candidates bypass the cache in both runs.) Results must be
+    // bit-identical regardless.
     let mut rng = StdRng::seed_from_u64(1);
     let warm = p.discover(&jobs, &mut rng);
     assert_eq!(result_fingerprint(&warm), result_fingerprint(&cold));
+    // Every plan the cold run stored is a hit now (`>=`: two workers that
+    // raced to compile one key both hit it), which multiplies the hit rate.
     assert!(
-        warm.cache.hit_rate() > 10.0 * cold.cache.hit_rate().max(1e-9),
+        warm.cache.hits >= cold.cache.hits + cold.cache.insertions
+            && warm.cache.hit_rate() > 2.0 * cold.cache.hit_rate().max(1e-9),
         "warm {:?} should dwarf cold {:?}",
         warm.cache,
         cold.cache

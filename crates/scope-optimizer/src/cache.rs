@@ -26,9 +26,9 @@
 //! * [`CostModel::fingerprint_bits`] of the model the compile runs under.
 //!
 //! Only successful compiles are cached. A [`CompileError`] is returned to
-//! the caller and the key stays absent, so transient failures (e.g. a
-//! wall-clock budget that fired under load) are retried on the next
-//! lookup rather than being replayed as permanent.
+//! the caller and the key stays absent, so a failure (a panic, a budget
+//! smaller than the next caller's) is retried on the next lookup rather
+//! than being replayed as permanent.
 //!
 //! The only field of a cached [`CompiledPlan`] that is not bit-identical
 //! to a fresh compile is `stats.compile_micros`, which reports the wall

@@ -3,6 +3,7 @@
 //! rule signature.
 
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 use scope_ir::ids::ColId;
 use scope_ir::{Job, ObservableCatalog, OpKind, PlanGraph};
@@ -10,14 +11,15 @@ use scope_ir::{Job, ObservableCatalog, OpKind, PlanGraph};
 use crate::config::{RuleConfig, RuleSignature};
 use crate::cost::{CostEstimate, CostModel};
 use crate::estimate::Estimator;
-use crate::memo::Memo;
-use crate::normalize::normalize;
+use crate::memo::{GroupId, Memo};
+use crate::normalize::{normalize, Normalized};
 use crate::physical::PhysPlan;
 use crate::rules::catalog::COMPLEX_KINDS;
 use crate::rules::{RuleAction, RuleCatalog};
 use crate::ruleset::RuleSet;
 use crate::search::{
-    explore, implement_with_model, BudgetTracker, CompileBudget, CompileError, ImplementScratch,
+    exploration_keys, explore, implement_with_model, BudgetTracker, CompileBudget, CompileError,
+    ImplementScratch,
 };
 use crate::transform::{referenced_cols, TransformCtx};
 
@@ -103,6 +105,17 @@ thread_local! {
         std::cell::RefCell::new(CompileScratch::new());
 }
 
+/// Run `f` on this thread's compile scratch.
+fn with_thread_scratch<T>(f: impl FnOnce(&mut CompileScratch) -> T) -> T {
+    COMPILE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        // Re-entrant compile on this thread (shouldn't happen, but a panic
+        // unwound mid-borrow must not poison every later compile): fall
+        // back to fresh one-shot state.
+        Err(_) => f(&mut CompileScratch::new()),
+    })
+}
+
 /// Compile a logical plan under a rule configuration.
 ///
 /// ```
@@ -154,20 +167,15 @@ pub fn compile_with_model(
     budget: &CompileBudget,
     model: &CostModel,
 ) -> Result<CompiledPlan, CompileError> {
-    COMPILE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => compile_with_scratch(plan, obs, config, budget, model, &mut scratch),
-        // Re-entrant compile on this thread (shouldn't happen, but a panic
-        // unwound mid-borrow must not poison every later compile): fall
-        // back to fresh one-shot state.
-        Err(_) => {
-            compile_with_scratch(plan, obs, config, budget, model, &mut CompileScratch::new())
-        }
-    })
+    with_thread_scratch(|scratch| compile_with_scratch(plan, obs, config, budget, model, scratch))
 }
 
 /// [`compile_with_model`] against caller-owned scratch. The scratch is
 /// cleared at the *start* of the compile (not the end), so a previous
 /// panicked compile can never leak state into this one.
+///
+/// One configuration through the same three steps [`compile_candidates`]
+/// runs for many: prepare → explore → finish.
 pub fn compile_with_scratch(
     plan: &PlanGraph,
     obs: &ObservableCatalog,
@@ -176,81 +184,228 @@ pub fn compile_with_scratch(
     model: &CostModel,
     scratch: &mut CompileScratch,
 ) -> Result<CompiledPlan, CompileError> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let _compile_span = scope_trace::span_timed("compile", scope_trace::Histogram::CompileMicros);
-    let mut tracker = BudgetTracker::new(budget);
-    let normalized = normalize(plan);
-    let estimator = Estimator::with_rows_correction(obs, model.corrections.rows);
+    let prepared = Prepared::new(plan, obs, model);
+    let explored = prepared.explore(config, budget, &mut scratch.memo)?;
+    prepared.finish(&explored, config, scratch, start)
+}
 
-    // Columns referenced anywhere in the query: the safe retention set for
-    // pruning rewrites.
-    let mut referenced: BTreeSet<ColId> = BTreeSet::new();
-    for (_, node) in normalized.plan.iter() {
-        referenced_cols(&node.op, &mut referenced);
+/// Compile one plan under many rule configurations, results in input
+/// order, each equal to what [`compile_with_model`] under
+/// [`catch_compile_panics`] returns for that configuration alone — same
+/// [`CompiledPlan::fingerprint`], same [`CompileError`].
+///
+/// The plan is prepared once, and configurations that agree on every
+/// transformation rule (`search::exploration_keys`) share one exploration: the
+/// memo is cleared, ingested and explored for the first of them, and each
+/// then pays only for its own implementation pass over that read-only
+/// memo, its task count resumed from where the exploration left it.
+///
+/// A panic while preparing or exploring is one every configuration it
+/// serves would have hit alone, so each of them gets the
+/// [`CompileError::Panicked`]; a panic in one implementation pass stays
+/// with that configuration.
+pub fn compile_candidates(
+    plan: &PlanGraph,
+    obs: &ObservableCatalog,
+    configs: &[RuleConfig],
+    budget: &CompileBudget,
+    model: &CostModel,
+) -> Vec<Result<CompiledPlan, CompileError>> {
+    with_thread_scratch(|scratch| {
+        compile_candidates_with(plan, obs, configs, budget, model, scratch)
+    })
+}
+
+fn compile_candidates_with(
+    plan: &PlanGraph,
+    obs: &ObservableCatalog,
+    configs: &[RuleConfig],
+    budget: &CompileBudget,
+    model: &CostModel,
+    scratch: &mut CompileScratch,
+) -> Vec<Result<CompiledPlan, CompileError>> {
+    let prepared = {
+        let _span = scope_trace::span("compile.prepare");
+        catch_compile_panics(|| Ok(Prepared::new(plan, obs, model)))
+    };
+    let prepared = match prepared {
+        Ok(prepared) => prepared,
+        Err(e) => return configs.iter().map(|_| Err(e.clone())).collect(),
+    };
+    let keys = exploration_keys(configs);
+    let mut results: Vec<Option<Result<CompiledPlan, CompileError>>> =
+        configs.iter().map(|_| None).collect();
+    for lead in 0..configs.len() {
+        if results[lead].is_some() {
+            continue;
+        }
+        // The exploration is timed inside the `compile` span of the
+        // configuration that runs it, the way a cache miss pays for the
+        // compile it stores.
+        let mut explored = None;
+        for i in (lead..configs.len()).filter(|&i| keys[i] == keys[lead]) {
+            let start = Instant::now();
+            let _compile_span =
+                scope_trace::span_timed("compile", scope_trace::Histogram::CompileMicros);
+            if explored.is_some() {
+                scope_trace::count(scope_trace::Counter::ExploreShared, 1);
+            }
+            let explored = explored.get_or_insert_with(|| {
+                catch_compile_panics(|| prepared.explore(&configs[i], budget, &mut scratch.memo))
+            });
+            results[i] = Some(match explored {
+                Ok(explored) => {
+                    catch_compile_panics(|| prepared.finish(explored, &configs[i], scratch, start))
+                }
+                Err(e) => Err(e.clone()),
+            });
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every configuration belongs to one partition"))
+        .collect()
+}
+
+/// What every compile of one plan under one cost model shares, whatever
+/// the rule configuration.
+struct Prepared<'a> {
+    obs: &'a ObservableCatalog,
+    model: &'a CostModel,
+    normalized: Normalized,
+    estimator: Estimator<'a>,
+    /// Columns referenced anywhere in the query: the safe retention set
+    /// for pruning rewrites.
+    referenced: BTreeSet<ColId>,
+}
+
+/// A memo explored under one exploration key, ready for any number of
+/// implementation passes.
+struct Explored {
+    root: GroupId,
+    explore_added: usize,
+    /// Task accounting as exploration left it; every implementation pass
+    /// over this memo resumes from a copy.
+    tracker: BudgetTracker,
+}
+
+impl<'a> Prepared<'a> {
+    fn new(plan: &PlanGraph, obs: &'a ObservableCatalog, model: &'a CostModel) -> Prepared<'a> {
+        let normalized = normalize(plan);
+        let estimator = Estimator::with_rows_correction(obs, model.corrections.rows);
+        let mut referenced: BTreeSet<ColId> = BTreeSet::new();
+        for (_, node) in normalized.plan.iter() {
+            referenced_cols(&node.op, &mut referenced);
+        }
+        Prepared {
+            obs,
+            model,
+            normalized,
+            estimator,
+            referenced,
+        }
     }
 
-    let ctx = TransformCtx {
-        est: &estimator,
-        referenced: &referenced,
-    };
-
-    let CompileScratch { memo, implement } = scratch;
-    memo.clear();
-    let root = memo.ingest(&normalized.plan, &estimator)?;
-    let explore_added = {
+    /// Clear `memo`, ingest the plan and explore it under `config`'s
+    /// transformation rules.
+    fn explore(
+        &self,
+        config: &RuleConfig,
+        budget: &CompileBudget,
+        memo: &mut Memo,
+    ) -> Result<Explored, CompileError> {
+        let mut tracker = BudgetTracker::new(budget);
+        let ctx = TransformCtx {
+            est: &self.estimator,
+            referenced: &self.referenced,
+        };
+        memo.clear();
+        let root = memo.ingest(&self.normalized.plan, &self.estimator)?;
         let _span =
             scope_trace::span_timed("compile.explore", scope_trace::Histogram::ExploreMicros);
-        explore(memo, config, &ctx, &mut tracker)?
-    };
-    let outcome = {
-        let _span =
-            scope_trace::span_timed("compile.implement", scope_trace::Histogram::ImplementMicros);
-        implement_with_model(memo, root, config, obs, &mut tracker, implement, model)?
-    };
-    if scope_trace::enabled() {
-        scope_trace::record(scope_trace::Histogram::MemoGroups, memo.num_groups() as u64);
-        scope_trace::record(scope_trace::Histogram::MemoExprs, memo.num_exprs() as u64);
-        scope_trace::record(scope_trace::Histogram::CompileTasks, tracker.tasks());
-    }
-
-    // Marker rules fire on the normalized plan's operator-kind counts.
-    let kind_counts = normalized.plan.op_counts();
-    let mut fired = normalized.fired.union(&outcome.used_rules);
-    fire_markers(config, &kind_counts, &mut fired);
-
-    debug_assert!(
-        fired
-            .difference(&config.enabled().union(RuleCatalog::global().required()))
-            .is_empty(),
-        "signature must be a subset of enabled ∪ required"
-    );
-
-    // Every extracted plan must uphold the physical invariants; in debug
-    // builds, all tests and experiments audit this for free.
-    #[cfg(debug_assertions)]
-    {
-        let violations = crate::validate::validate_physical(&outcome.plan);
-        debug_assert!(
-            violations.is_empty(),
-            "compiled plan violates invariants: {violations:?}\n{}",
-            outcome.plan.render()
-        );
-    }
-
-    Ok(CompiledPlan {
-        est_cost: outcome.est_cost,
-        est_cost_vec: outcome.est_cost_vec,
-        plan: outcome.plan,
-        signature: RuleSignature(fired),
-        memo_groups: memo.num_groups(),
-        memo_exprs: memo.num_exprs(),
-        stats: CompileStats {
-            tasks: tracker.tasks(),
+        let explore_added = explore(memo, config, &ctx, &mut tracker)?;
+        Ok(Explored {
+            root,
             explore_added,
-            memo_budget_rejections: memo.budget_rejections(),
-            compile_micros: start.elapsed().as_micros() as u64,
-        },
-    })
+            tracker,
+        })
+    }
+
+    /// Implement the explored memo under `config`, fire its marker rules
+    /// and package the plan. Reads the memo, writes only the
+    /// implementation scratch.
+    fn finish(
+        &self,
+        explored: &Explored,
+        config: &RuleConfig,
+        scratch: &mut CompileScratch,
+        start: Instant,
+    ) -> Result<CompiledPlan, CompileError> {
+        let CompileScratch { memo, implement } = scratch;
+        let memo: &Memo = memo;
+        let mut tracker = explored.tracker;
+        let outcome = {
+            let _span = scope_trace::span_timed(
+                "compile.implement",
+                scope_trace::Histogram::ImplementMicros,
+            );
+            implement_with_model(
+                memo,
+                explored.root,
+                config,
+                self.obs,
+                &mut tracker,
+                implement,
+                self.model,
+            )?
+        };
+        if scope_trace::enabled() {
+            scope_trace::record(scope_trace::Histogram::MemoGroups, memo.num_groups() as u64);
+            scope_trace::record(scope_trace::Histogram::MemoExprs, memo.num_exprs() as u64);
+            scope_trace::record(scope_trace::Histogram::CompileTasks, tracker.tasks());
+        }
+
+        // Marker rules fire on the normalized plan's operator-kind counts.
+        let kind_counts = self.normalized.plan.op_counts();
+        let mut fired = self.normalized.fired.union(&outcome.used_rules);
+        fire_markers(config, &kind_counts, &mut fired);
+
+        debug_assert!(
+            fired
+                .difference(&config.enabled().union(RuleCatalog::global().required()))
+                .is_empty(),
+            "signature must be a subset of enabled ∪ required"
+        );
+
+        // Every extracted plan must uphold the physical invariants; in debug
+        // builds, all tests and experiments audit this for free.
+        #[cfg(debug_assertions)]
+        {
+            let violations = crate::validate::validate_physical(&outcome.plan);
+            debug_assert!(
+                violations.is_empty(),
+                "compiled plan violates invariants: {violations:?}\n{}",
+                outcome.plan.render()
+            );
+        }
+
+        Ok(CompiledPlan {
+            est_cost: outcome.est_cost,
+            est_cost_vec: outcome.est_cost_vec,
+            plan: outcome.plan,
+            signature: RuleSignature(fired),
+            memo_groups: memo.num_groups(),
+            memo_exprs: memo.num_exprs(),
+            stats: CompileStats {
+                tasks: tracker.tasks(),
+                explore_added: explored.explore_added,
+                memo_budget_rejections: memo.budget_rejections(),
+                compile_micros: start.elapsed().as_micros() as u64,
+            },
+        })
+    }
 }
 
 /// Fire marker/guard/canonicalize rules against the normalized plan's
@@ -380,4 +535,88 @@ pub fn unused_rules(signatures: &[RuleSignature]) -> RuleSet {
         seen = seen.union(&sig.0);
     }
     RuleSet::FULL.difference(&seen)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scope_ir::expr::{CmpOp, Literal, PredAtom, Predicate};
+    use scope_ir::ids::{DomainId, TableId};
+    use scope_ir::ops::JoinKind;
+    use scope_ir::{LogicalOp, TrueCatalog};
+
+    use crate::ruleset::RuleId;
+
+    /// Small enough for Miri: the memo is read by several implementation
+    /// passes between two `clear`s, and one pass fails part-way.
+    #[test]
+    fn batch_shares_explorations_and_matches_single_compiles() {
+        let mut cat = TrueCatalog::new();
+        let k0 = cat.add_column(50_000, 0.0, DomainId(0));
+        let a = cat.add_column(200, 0.0, DomainId(1));
+        let k1 = cat.add_column(50_000, 0.0, DomainId(0));
+        cat.add_table(2_000_000, 120, 11, vec![k0, a]);
+        cat.add_table(800_000, 80, 22, vec![k1]);
+        let mut plan = PlanGraph::new();
+        let s0 = plan.add_unchecked(LogicalOp::Get { table: TableId(0) }, vec![]);
+        let f = plan.add_unchecked(
+            LogicalOp::Select {
+                predicate: Predicate::atom(PredAtom::unknown(a, CmpOp::Eq, Literal::Int(7))),
+            },
+            vec![s0],
+        );
+        let s1 = plan.add_unchecked(LogicalOp::Get { table: TableId(1) }, vec![]);
+        let j = plan.add_unchecked(
+            LogicalOp::Join {
+                kind: JoinKind::Inner,
+                keys: vec![(k0, k1)],
+            },
+            vec![f, s1],
+        );
+        let o = plan.add_unchecked(LogicalOp::Output { stream: 1 }, vec![j]);
+        plan.set_root(o);
+        let obs = cat.observe();
+
+        let rules = RuleCatalog::global();
+        let default = RuleConfig::default_config();
+        let join_impls = rules.impls_for(OpKind::Join);
+        let transform = *rules
+            .transforms_for(OpKind::Join)
+            .iter()
+            .find(|&&id| default.is_enabled(id) && !rules.required().contains(id))
+            .expect("a steerable join transformation");
+        let without = |base: &RuleConfig, off: &[RuleId]| {
+            let mut config = base.clone();
+            for &id in off {
+                config.disable(id);
+            }
+            config
+        };
+        let other = without(&default, &[transform]);
+        // Two explorations (with and without `transform`), the first
+        // serving three configurations, one of which cannot implement.
+        let configs = [
+            default.clone(),
+            without(&other, &join_impls[..1]),
+            without(&default, &join_impls[..1]),
+            without(&default, join_impls),
+            other,
+        ];
+
+        let budget = CompileBudget::default();
+        let batch = compile_candidates(&plan, &obs, &configs, &budget, &CostModel::DEFAULT);
+        assert_eq!(batch.len(), configs.len());
+        for (config, got) in configs.iter().zip(&batch) {
+            let alone = compile_with_budget(&plan, &obs, config, &budget);
+            assert_eq!(
+                got.as_ref().map(CompiledPlan::fingerprint),
+                alone.as_ref().map(CompiledPlan::fingerprint)
+            );
+        }
+        assert_eq!(
+            batch[3].as_ref().map(|_| ()),
+            Err(&CompileError::NoImplementation { kind: OpKind::Join })
+        );
+        assert!(batch[0].is_ok() && batch[4].is_ok());
+    }
 }

@@ -15,8 +15,6 @@
 //! preserve rule order exactly: catalog rule lists are ascending by id and
 //! [`RuleSet::iter`] yields ascending ids.
 
-use std::time::{Duration, Instant};
-
 use scope_ir::ids::NodeId;
 use scope_ir::{LogicalOp, OpKind};
 
@@ -46,13 +44,8 @@ pub enum CompileError {
     /// The memo's hard expression cap was hit while ingesting the original
     /// plan (the plan alone is bigger than the whole exploration budget).
     MemoExhausted { groups: usize, exprs: usize },
-    /// The per-compile task or wall-clock budget was exhausted mid-search.
-    BudgetExhausted {
-        phase: CompilePhase,
-        tasks: u64,
-        /// `true` when the wall-clock deadline (not the task count) fired.
-        wall_clock: bool,
-    },
+    /// The per-compile task budget was exhausted mid-search.
+    BudgetExhausted { phase: CompilePhase, tasks: u64 },
     /// The compile panicked and was isolated by
     /// [`crate::optimizer::catch_compile_panics`].
     Panicked { message: String },
@@ -90,15 +83,10 @@ impl std::fmt::Display for CompileError {
                     "memo exhausted during ingest ({groups} groups, {exprs} exprs)"
                 )
             }
-            CompileError::BudgetExhausted {
-                phase,
-                tasks,
-                wall_clock,
-            } => {
-                let which = if *wall_clock { "wall-clock" } else { "task" };
+            CompileError::BudgetExhausted { phase, tasks } => {
                 write!(
                     f,
-                    "compile {which} budget exhausted during {} after {tasks} tasks",
+                    "compile task budget exhausted during {} after {tasks} tasks",
                     phase.name()
                 )
             }
@@ -133,27 +121,20 @@ impl CompilePhase {
 /// group/expression caps bound *space*; this bounds *time*.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompileBudget {
-    /// Maximum optimizer tasks per compile.
+    /// Maximum optimizer tasks per compile. Task counts don't depend on
+    /// machine speed, so a budgeted compile stays fully deterministic.
     pub max_tasks: u64,
-    /// Optional wall-clock deadline per compile. `None` keeps compiles
-    /// fully deterministic (the default — task counts don't depend on
-    /// machine speed).
-    pub max_wall: Option<Duration>,
 }
 
 impl CompileBudget {
     /// Effectively no budget (for tests and calibration runs).
     pub const UNLIMITED: CompileBudget = CompileBudget {
         max_tasks: u64::MAX,
-        max_wall: None,
     };
 
-    /// A task-count-only budget.
+    /// A budget of `max_tasks` optimizer tasks.
     pub fn with_max_tasks(max_tasks: u64) -> CompileBudget {
-        CompileBudget {
-            max_tasks,
-            max_wall: None,
-        }
+        CompileBudget { max_tasks }
     }
 }
 
@@ -164,28 +145,24 @@ impl Default for CompileBudget {
     fn default() -> CompileBudget {
         CompileBudget {
             max_tasks: 5_000_000,
-            max_wall: None,
         }
     }
 }
 
-/// Mutable task/deadline accounting for one compile, threaded through
-/// exploration and implementation.
-#[derive(Debug)]
+/// Mutable task accounting for one compile, threaded through exploration
+/// and implementation. `Copy`, so every configuration that shares one
+/// exploration starts its implementation pass from the exploration's task
+/// count.
+#[derive(Clone, Copy, Debug)]
 pub struct BudgetTracker {
     max_tasks: u64,
-    deadline: Option<Instant>,
     tasks: u64,
 }
-
-/// How often (in tasks) the wall-clock deadline is polled.
-const WALL_CHECK_INTERVAL: u64 = 256;
 
 impl BudgetTracker {
     pub fn new(budget: &CompileBudget) -> BudgetTracker {
         BudgetTracker {
             max_tasks: budget.max_tasks,
-            deadline: budget.max_wall.map(|d| Instant::now() + d),
             tasks: 0,
         }
     }
@@ -202,19 +179,7 @@ impl BudgetTracker {
             return Err(CompileError::BudgetExhausted {
                 phase,
                 tasks: self.tasks,
-                wall_clock: false,
             });
-        }
-        if self.tasks.is_multiple_of(WALL_CHECK_INTERVAL) {
-            if let Some(deadline) = self.deadline {
-                if Instant::now() > deadline {
-                    return Err(CompileError::BudgetExhausted {
-                        phase,
-                        tasks: self.tasks,
-                        wall_clock: true,
-                    });
-                }
-            }
         }
         Ok(())
     }
@@ -264,6 +229,22 @@ pub fn explore(
         idx += 1;
     }
     Ok(memo.num_exprs() - before)
+}
+
+/// The part of each configuration [`explore`] can see: its enabled rules
+/// restricted to the transformation rules of all operator kinds. `explore`
+/// reads a configuration only through its per-kind masks and `apply_rule`
+/// never sees it, so configurations with equal keys explore identically —
+/// the same memo, expression for expression, and the same task count.
+pub(crate) fn exploration_keys(configs: &[RuleConfig]) -> Vec<RuleSet> {
+    let cat = RuleCatalog::global();
+    let transforms = OpKind::ALL.iter().fold(RuleSet::EMPTY, |all, &kind| {
+        all.union(&cat.transform_mask(kind))
+    });
+    configs
+        .iter()
+        .map(|config| config.enabled().intersection(&transforms))
+        .collect()
 }
 
 /// Per-group winning implementation.

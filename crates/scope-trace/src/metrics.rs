@@ -63,9 +63,7 @@ metric_enum! {
         /// their whole-plan cost lower bound exceeded the execution
         /// threshold, so they were never compiled.
         FunnelBoundsPruned => "funnel.bounds_pruned",
-        /// Candidates answered from the compile cache.
-        FunnelCacheHit => "funnel.cache_hit",
-        /// Candidates compiled (cache miss, compile attempted).
+        /// Candidates compiled (every candidate the static gates let through).
         FunnelCompiled => "funnel.compiled",
         /// Candidates whose compile failed (budget, no impl, panic, ...).
         FunnelCompileFailed => "funnel.compile_failed",
@@ -75,6 +73,9 @@ metric_enum! {
         FunnelDuplicate => "funnel.duplicate",
         /// Candidates that reached simulated execution.
         FunnelExecuted => "funnel.executed",
+        /// Compiles served by an exploration another configuration of the
+        /// same batch ran (`compile_candidates`).
+        ExploreShared => "compile.explore_shared",
         /// Simulated runs completed (success or failure).
         ExecRuns => "exec.runs",
         /// Task retries scheduled by the fault layer.
@@ -143,7 +144,8 @@ metric_enum! {
     Histogram {
         /// End-to-end `compile_with_budget` latency (µs).
         CompileMicros => "compile.total_us",
-        /// Explore-phase latency (µs).
+        /// Explore-phase latency (µs); one sample per exploration run, so
+        /// fewer than compiles where a batch shares explorations.
         ExploreMicros => "compile.explore_us",
         /// Implement-phase latency (µs).
         ImplementMicros => "compile.implement_us",
