@@ -55,11 +55,19 @@ pub fn vet_candidate(
     default: &CompiledPlan,
     candidate: &CompiledPlan,
 ) -> Result<(), CandidateRejection> {
+    vet_against(result_fingerprint(&default.plan), candidate)
+}
+
+/// [`vet_candidate`] for a caller that vets many candidates of one job:
+/// `default_fp` is the default plan's [`result_fingerprint`], computed once.
+pub(crate) fn vet_against(
+    default_fp: u64,
+    candidate: &CompiledPlan,
+) -> Result<(), CandidateRejection> {
     let violations = validate_physical(&candidate.plan);
     if !violations.is_empty() {
         return Err(CandidateRejection::Invalid(violations));
     }
-    let default_fp = result_fingerprint(&default.plan);
     let steered_fp = result_fingerprint(&candidate.plan);
     if default_fp != steered_fp {
         return Err(CandidateRejection::Diverged {

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use scope_exec::{ABTester, FaultedRun, Metric, RetryPolicy, RunMetrics};
+use scope_exec::{result_fingerprint, ABTester, FaultedRun, Metric, RetryPolicy, RunMetrics};
 use scope_ir::ids::{JobId, TemplateId};
 use scope_ir::stats::pct_change;
 use scope_ir::Job;
@@ -36,7 +36,7 @@ use scope_optimizer::{
 };
 use scope_trace::{Counter, Histogram, MetricsSnapshot};
 
-use crate::guard::{vet_candidate, CandidateFilterStats};
+use crate::guard::{vet_against, CandidateFilterStats, CandidateRejection};
 use crate::par::{available_threads, run_chunked_on};
 use crate::search::candidate_configs_effective;
 use crate::span::approximate_span_with;
@@ -78,7 +78,15 @@ pub struct PipelineParams {
     /// Capacity (entries) of the pipeline's shared compile cache, which
     /// holds default and span-probe compiles (candidates bypass it); `0`
     /// disables caching. Cached compiles are bit-identical to fresh ones,
-    /// so this only changes speed, never results.
+    /// so this only changes speed, never results. The default is 256: what
+    /// hits within a night are Algorithm 1's recovery re-tests of a probe
+    /// the same span run compiled moments earlier — on B + C at scale 12
+    /// every hit has a reuse distance under 64, the same 483 hits at 64,
+    /// 512 and 4 096 — while each retained entry is a whole
+    /// `Arc<CompiledPlan>` (4 096 of them were 16 MB of a 46 MB peak). A
+    /// hit across nights (a recurring job's default) needs a capacity that
+    /// spans a night's insertions, ≈ 12 K there; the FIFO bound evicted
+    /// those at 4 096 too.
     pub cache_capacity: usize,
     /// Static lint gate: `scope-lint` classifies every candidate before it
     /// is compiled, and a config that is statically certain to fail
@@ -129,7 +137,7 @@ impl Default for PipelineParams {
             retry: RetryPolicy::default(),
             compile_budget: CompileBudget::default(),
             n_threads: 0,
-            cache_capacity: 4096,
+            cache_capacity: 256,
             lint_gate: true,
             bounds_gate: true,
             cost_model: CostModel::DEFAULT,
@@ -324,52 +332,54 @@ struct PoolState {
     recompiled: Vec<(RuleConfig, Arc<CompiledPlan>)>,
 }
 
+/// A candidate's compile as the funnel carries it: the plan with the
+/// guardrail's verdict on it, or why it did not compile.
+type Vetted = Result<(Arc<CompiledPlan>, Result<(), CandidateRejection>), CompileError>;
+
 impl PoolState {
-    /// Fold one candidate's compile result into the pool: vet, count, dedup
+    /// Fold one candidate's vetted compile into the pool: count, dedup
     /// against the default and earlier survivors. `trace` gates the funnel
     /// counters so a scratch replay (threshold probing) stays invisible.
     fn absorb(
         &mut self,
         vetting: &mut CandidateFilterStats,
-        config: RuleConfig,
-        result: Result<Arc<CompiledPlan>, CompileError>,
+        config: &RuleConfig,
+        result: &Vetted,
         default: &CompiledPlan,
         cheaper_frac: f64,
         trace: bool,
     ) {
         match result {
-            Ok(c) => match vet_candidate(default, &c) {
-                Ok(()) => {
-                    self.n_candidates += 1;
-                    if c.est_cost < default.est_cost {
-                        self.n_cheaper += 1;
-                    }
-                    if c.est_cost < default.est_cost * (1.0 - cheaper_frac) {
-                        self.clearly_cheaper = true;
-                    }
-                    if c.signature == default.signature {
-                        self.n_same_as_default += 1;
-                        if trace {
-                            scope_trace::count(Counter::FunnelDuplicate, 1);
-                        }
-                    } else if !self.seen_signatures.insert(c.signature) {
-                        self.n_duplicate_plans += 1;
-                        if trace {
-                            scope_trace::count(Counter::FunnelDuplicate, 1);
-                        }
-                    } else {
-                        self.recompiled.push((config, c));
-                    }
+            Ok((c, Ok(()))) => {
+                self.n_candidates += 1;
+                if c.est_cost < default.est_cost {
+                    self.n_cheaper += 1;
                 }
-                Err(rejection) => {
-                    vetting.note_rejection(&rejection);
+                if c.est_cost < default.est_cost * (1.0 - cheaper_frac) {
+                    self.clearly_cheaper = true;
+                }
+                if c.signature == default.signature {
+                    self.n_same_as_default += 1;
                     if trace {
-                        scope_trace::count(Counter::FunnelVetoed, 1);
+                        scope_trace::count(Counter::FunnelDuplicate, 1);
                     }
+                } else if !self.seen_signatures.insert(c.signature) {
+                    self.n_duplicate_plans += 1;
+                    if trace {
+                        scope_trace::count(Counter::FunnelDuplicate, 1);
+                    }
+                } else {
+                    self.recompiled.push((config.clone(), Arc::clone(c)));
                 }
-            },
+            }
+            Ok((_, Err(rejection))) => {
+                vetting.note_rejection(rejection);
+                if trace {
+                    scope_trace::count(Counter::FunnelVetoed, 1);
+                }
+            }
             Err(err) => {
-                vetting.note_compile_error(&err);
+                vetting.note_compile_error(err);
                 if trace {
                     scope_trace::count(Counter::FunnelCompileFailed, 1);
                 }
@@ -380,8 +390,9 @@ impl PoolState {
 
 /// How one statically-feasible candidate stands in the funnel.
 enum Disposition {
-    /// Compiled.
-    Done(Result<Arc<CompiledPlan>, CompileError>),
+    /// Compiled, and vetted against the default as the compile landed, so
+    /// the threshold's scratch replay and the final replay read one verdict.
+    Done(Vetted),
     /// Not compiled. Every candidate starts here and the eager ones leave
     /// with the first batch; one whose cost lower bound `lb` exceeds the
     /// default's cost stays, since it can only matter if the execution
@@ -615,9 +626,10 @@ impl Pipeline {
         // candidates the threshold cannot rule out are resolved and the
         // rest are retired unseen.
         //
-        // Replay: survivors are vetted against the default plan (validator
-        // + differential fingerprint) and deduplicated by signature in
-        // original candidate order, so dedup ownership, stable-sort tie
+        // Replay: every compile was vetted against the default plan
+        // (validator + differential fingerprint) as it landed; survivors
+        // are counted and deduplicated by signature in original candidate
+        // order, so dedup ownership, stable-sort tie
         // order and every dynamic counter match the ungated run exactly. A
         // candidate that panics, blows the budget, produces an invalid
         // plan, or computes a different result is discarded and counted —
@@ -631,6 +643,7 @@ impl Pipeline {
             .params
             .bounds_gate
             .then(|| PlanBounds::analyze(&job.plan, &obs));
+        let default_fp = result_fingerprint(&default.plan);
         let compile_slots = |slots: &mut [(RuleConfig, Disposition)], picked: &[usize]| {
             let configs: Vec<RuleConfig> = picked.iter().map(|&i| slots[i].0.clone()).collect();
             let results = compile_candidates(
@@ -642,7 +655,10 @@ impl Pipeline {
             );
             scope_trace::count(Counter::FunnelCompiled, picked.len() as u64);
             for (&i, result) in picked.iter().zip(results) {
-                slots[i].1 = Disposition::Done(result.map(Arc::new));
+                slots[i].1 = Disposition::Done(result.map(|c| {
+                    let verdict = vet_against(default_fp, &c);
+                    (Arc::new(c), verdict)
+                }));
             }
         };
         let mut vetting = CandidateFilterStats::default();
@@ -694,8 +710,8 @@ impl Pipeline {
                     if let Disposition::Done(result) = disp {
                         scratch.absorb(
                             &mut scratch_vetting,
-                            config.clone(),
-                            result.clone(),
+                            config,
+                            result,
                             default,
                             self.params.cheaper_frac,
                             false,
@@ -726,8 +742,8 @@ impl Pipeline {
                 Disposition::Done(result) => {
                     state.absorb(
                         &mut vetting,
-                        config,
-                        result,
+                        &config,
+                        &result,
                         default,
                         self.params.cheaper_frac,
                         true,

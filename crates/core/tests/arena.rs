@@ -20,8 +20,8 @@ use scope_optimizer::classic::{compile_classic, compile_classic_with_budget};
 use scope_optimizer::optimizer::{compile_with_scratch, CompileScratch};
 use scope_optimizer::{
     compile, compile_candidates, compile_with_budget, effective_config, CompileBudget,
-    CompileError, CompilePhase, CompiledPlan, CostModel, RuleCatalog, RuleConfig, RuleId,
-    NUM_RULES,
+    CompileError, CompilePhase, CompiledPlan, CostCorrections, CostEstimate, CostModel,
+    CostWeights, RuleCatalog, RuleConfig, RuleId, NUM_RULES,
 };
 use scope_workload::{Workload, WorkloadProfile};
 use steer_core::{approximate_span, candidate_configs};
@@ -135,6 +135,39 @@ fn tight_budgets_fail_identically() {
     assert!(budget_errors > 0, "vacuous: the tight budget never fired");
 }
 
+/// One compile on caller-owned scratch, with the memo size it reached.
+fn on_scratch(
+    job: &Job,
+    config: &RuleConfig,
+    scratch: &mut CompileScratch,
+) -> Result<(u64, usize), String> {
+    compile_with_scratch(
+        &job.plan,
+        &job.catalog.observe(),
+        config,
+        &CompileBudget::default(),
+        &CostModel::DEFAULT,
+        scratch,
+    )
+    .map(|p| (p.fingerprint(), p.memo_exprs))
+    .map_err(|e| e.to_string())
+}
+
+/// The default configuration without the transformation rules anchored on
+/// `kinds` that can be turned off.
+fn without_transforms_on(kinds: &[scope_ir::OpKind]) -> RuleConfig {
+    let rules = RuleCatalog::global();
+    let mut config = RuleConfig::default_config();
+    for &kind in kinds {
+        for &id in rules.transforms_for(kind) {
+            if !rules.required().contains(id) {
+                config.disable(id);
+            }
+        }
+    }
+    config
+}
+
 #[test]
 fn scratch_reuse_is_invisible_in_results() {
     // The thread-local scratch is a cache of capacity, never of values: a
@@ -143,43 +176,85 @@ fn scratch_reuse_is_invisible_in_results() {
     let jobs = jobs();
     let config = RuleConfig::default_config();
     let mut reused = CompileScratch::new();
+    let mut sizes = Vec::new();
     for job in jobs.iter().take(60) {
-        let obs = job.catalog.observe();
         let cfg = effective_config(job, &config);
-        let budget = CompileBudget::default();
-        let with_reuse = compile_with_scratch(
-            &job.plan,
-            &obs,
-            &cfg,
-            &budget,
-            &CostModel::DEFAULT,
-            &mut reused,
-        )
-        .map(|p| p.fingerprint())
-        .map_err(|e| e.to_string());
-        let fresh = compile_with_scratch(
-            &job.plan,
-            &obs,
-            &cfg,
-            &budget,
-            &CostModel::DEFAULT,
-            &mut CompileScratch::new(),
-        )
-        .map(|p| p.fingerprint())
-        .map_err(|e| e.to_string());
+        let with_reuse = on_scratch(job, &cfg, &mut reused);
+        let fresh = on_scratch(job, &cfg, &mut CompileScratch::new());
         assert_eq!(
             with_reuse, fresh,
             "scratch reuse leaked into job {}",
             job.id
         );
+        sizes.extend(fresh.map(|(_, exprs)| (exprs, job)));
     }
+
+    // The scratch also carries the alternatives costed on the memo it
+    // last implemented, keyed by expression index. The largest plan, then
+    // the smallest on the same scratch: every index of the second memo has
+    // a costed slot of the first behind it unless the table was forgotten.
+    let &(large, big) = sizes.iter().max_by_key(|(exprs, _)| *exprs).expect("jobs");
+    let &(small, little) = sizes.iter().min_by_key(|(exprs, _)| *exprs).expect("jobs");
+    assert!(small < large, "vacuous: every memo has {large} expressions");
+    let mut scratch = CompileScratch::new();
+    for job in [big, little, big] {
+        let cfg = effective_config(job, &config);
+        assert_eq!(
+            on_scratch(job, &cfg, &mut scratch),
+            on_scratch(job, &cfg, &mut CompileScratch::new()),
+            "a costed alternative outlived its memo, job {}",
+            job.id
+        );
+    }
+
+    // The same inside one batch: partitions whose memos shrink from one
+    // to the next, two implementation passes over each. Without the
+    // filter rewrites everything explored after them sits at a lower index
+    // than it did in the first partition's memo.
+    let rules = RuleCatalog::global();
+    let mut shrank = 0usize;
+    for job in jobs.iter().take(60) {
+        let mut configs = Vec::new();
+        for kinds in [&[][..], &[scope_ir::OpKind::Filter], &scope_ir::OpKind::ALL] {
+            let config = effective_config(job, &without_transforms_on(kinds));
+            let mut fewer_impls = config.clone();
+            fewer_impls.disable(rules.impls_for(scope_ir::OpKind::Join)[0]);
+            configs.extend([config, fewer_impls]);
+        }
+        let obs = job.catalog.observe();
+        let budget = CompileBudget::default();
+        let got = compile_candidates(&job.plan, &obs, &configs, &budget, &CostModel::DEFAULT);
+        let exprs: Vec<Option<usize>> = got
+            .iter()
+            .map(|r| r.as_ref().ok().map(|p| p.memo_exprs))
+            .collect();
+        shrank += usize::from(exprs[4] < exprs[2] && exprs[2] < exprs[0] && exprs[4].is_some());
+        for (config, got) in configs.iter().zip(got) {
+            assert_eq!(
+                got.map(|p| (p.fingerprint(), p.memo_exprs))
+                    .map_err(|e| e.to_string()),
+                on_scratch(job, config, &mut CompileScratch::new()),
+                "batch partition read another's alternatives, job {}",
+                job.id
+            );
+        }
+    }
+    assert!(shrank > 20, "vacuous: {shrank} batches of shrinking memos");
 }
 
-/// Fingerprint-or-typed-error, the unit the batch tests compare in.
-type Outcome = Result<u64, CompileError>;
+/// A cost vector's exact bits, field by field.
+fn vec_bits(v: &CostEstimate) -> [u64; 6] {
+    [v.rows, v.cpu, v.io, v.net, v.memory, v.vertices].map(f64::to_bits)
+}
+
+/// Fingerprint and cost vector, or typed error: the unit the batch tests
+/// compare in. The fingerprint leaves the vector out, and a winner builds
+/// it on a walk of its own, so it is compared beside it — `classic` adds
+/// it up in the order the search always has.
+type Outcome = Result<(u64, [u64; 6]), CompileError>;
 
 fn outcome(result: Result<CompiledPlan, CompileError>) -> Outcome {
-    result.map(|p| p.fingerprint())
+    result.map(|p| (p.fingerprint(), vec_bits(&p.est_cost_vec)))
 }
 
 /// `m` effective configurations for `job` drawn the way discovery draws
@@ -223,21 +298,44 @@ fn batch_compile_matches_classic_one_by_one_on_a_full_workload_day() {
     let day = Workload::generate(WorkloadProfile::workload_b(0.12)).day(0);
     for job in &day {
         let configs = candidate_like_configs(job, 200, 8, job.id.0);
-        let got = batch(job, &configs, &budget);
-        assert_eq!(got.len(), configs.len());
-        for (config, got) in configs.iter().zip(got) {
-            let want = classic(job, config, &budget);
-            compared += 1;
-            failed += usize::from(want.is_err());
-            no_exchange += usize::from(want == Err(CompileError::NoExchangeImplementation));
-            if got != want {
-                mismatches.push((job.id, config.enabled().to_bit_string(), got, want));
+        let want: Vec<Outcome> = configs
+            .iter()
+            .map(|config| classic(job, config, &budget))
+            .collect();
+        compared += want.len();
+        failed += want.iter().filter(|w| w.is_err()).count();
+        no_exchange += want
+            .iter()
+            .filter(|w| **w == Err(CompileError::NoExchangeImplementation))
+            .count();
+        // A partition's passes share one table of costed alternatives,
+        // each slot filled by whichever pass reaches it first: in input
+        // order, reversed, and with the configurations that fail — whose
+        // passes stop part-way — ahead of every one that compiles.
+        let forward: Vec<usize> = (0..configs.len()).collect();
+        let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+        let mut failing_first = forward.clone();
+        failing_first.sort_by_key(|&i| want[i].is_ok());
+        for (fill, order) in [
+            ("input", forward),
+            ("reversed", reversed),
+            ("failing first", failing_first),
+        ] {
+            let ordered: Vec<RuleConfig> = order.iter().map(|&i| configs[i].clone()).collect();
+            let got = batch(job, &ordered, &budget);
+            assert_eq!(got.len(), configs.len());
+            for (&i, got) in order.iter().zip(got) {
+                if got != want[i] {
+                    let bits = configs[i].enabled().to_bit_string();
+                    mismatches.push((job.id, fill, bits, got, want[i].clone()));
+                }
             }
         }
     }
     assert!(
         mismatches.is_empty(),
-        "{} of {compared} batch results differ from the oracle; first: {:?}",
+        "{} batch results of {compared} configurations in three fill orders differ from the \
+         oracle; first: {:?}",
         mismatches.len(),
         mismatches[0]
     );
@@ -246,6 +344,45 @@ fn batch_compile_matches_classic_one_by_one_on_a_full_workload_day() {
         no_exchange > 0 && failed > no_exchange && compared > failed,
         "vacuous: {compared} compared, {failed} failed, {no_exchange} for want of an exchange"
     );
+}
+
+#[test]
+fn batch_compile_matches_single_compiles_under_a_non_default_model() {
+    // `classic` predates cost models, so under weights that re-rank
+    // alternatives and corrections that scale what a slot stores the
+    // reference is a single compile on fresh scratch.
+    let model = CostModel {
+        weights: CostWeights {
+            rows: 1e-9,
+            cpu: 1.7,
+            io: 0.6,
+            net: 2.3,
+            memory: 1e-12,
+            vertices: 0.8,
+        },
+        corrections: CostCorrections {
+            rows: 1.3,
+            cpu: 0.7,
+            io: 1.9,
+        },
+    };
+    let budget = CompileBudget::default();
+    let day = Workload::generate(WorkloadProfile::workload_b(0.12)).day(0);
+    let mut compiled = 0usize;
+    for job in &day {
+        let obs = job.catalog.observe();
+        let configs = candidate_like_configs(job, 60, 4, job.id.0);
+        let got = compile_candidates(&job.plan, &obs, &configs, &budget, &model);
+        for (config, got) in configs.iter().zip(got) {
+            let mut fresh = CompileScratch::new();
+            let want = outcome(compile_with_scratch(
+                &job.plan, &obs, config, &budget, &model, &mut fresh,
+            ));
+            assert_eq!(outcome(got), want, "job {}", job.id);
+            compiled += usize::from(want.is_ok());
+        }
+    }
+    assert!(compiled > 300, "vacuous: {compiled} compiled");
 }
 
 #[test]

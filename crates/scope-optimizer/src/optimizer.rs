@@ -18,7 +18,7 @@ use crate::rules::catalog::COMPLEX_KINDS;
 use crate::rules::{RuleAction, RuleCatalog};
 use crate::ruleset::RuleSet;
 use crate::search::{
-    exploration_keys, explore, implement_with_model, BudgetTracker, CompileBudget, CompileError,
+    exploration_keys, explore, implement_pass, BudgetTracker, CompileBudget, CompileError,
     ImplementScratch,
 };
 use crate::transform::{referenced_cols, TransformCtx};
@@ -187,7 +187,7 @@ pub fn compile_with_scratch(
     let start = Instant::now();
     let _compile_span = scope_trace::span_timed("compile", scope_trace::Histogram::CompileMicros);
     let prepared = Prepared::new(plan, obs, model);
-    let explored = prepared.explore(config, budget, &mut scratch.memo)?;
+    let explored = prepared.explore(config, budget, scratch)?;
     prepared.finish(&explored, config, scratch, start)
 }
 
@@ -253,7 +253,7 @@ fn compile_candidates_with(
                 scope_trace::count(scope_trace::Counter::ExploreShared, 1);
             }
             let explored = explored.get_or_insert_with(|| {
-                catch_compile_panics(|| prepared.explore(&configs[i], budget, &mut scratch.memo))
+                catch_compile_panics(|| prepared.explore(&configs[i], budget, scratch))
             });
             results[i] = Some(match explored {
                 Ok(explored) => {
@@ -275,6 +275,9 @@ struct Prepared<'a> {
     obs: &'a ObservableCatalog,
     model: &'a CostModel,
     normalized: Normalized,
+    /// Operator-kind counts of the normalized plan, which marker rules
+    /// fire on.
+    kind_counts: [u32; OpKind::COUNT],
     estimator: Estimator<'a>,
     /// Columns referenced anywhere in the query: the safe retention set
     /// for pruning rewrites.
@@ -302,20 +305,25 @@ impl<'a> Prepared<'a> {
         Prepared {
             obs,
             model,
+            kind_counts: normalized.plan.op_counts(),
             normalized,
             estimator,
             referenced,
         }
     }
 
-    /// Clear `memo`, ingest the plan and explore it under `config`'s
-    /// transformation rules.
+    /// Clear the scratch's memo, ingest the plan and explore it under
+    /// `config`'s transformation rules. The memo changes here and nowhere
+    /// else, so this is where the alternatives costed on the previous one
+    /// are forgotten.
     fn explore(
         &self,
         config: &RuleConfig,
         budget: &CompileBudget,
-        memo: &mut Memo,
+        scratch: &mut CompileScratch,
     ) -> Result<Explored, CompileError> {
+        let CompileScratch { memo, implement } = scratch;
+        implement.forget_costed();
         let mut tracker = BudgetTracker::new(budget);
         let ctx = TransformCtx {
             est: &self.estimator,
@@ -335,7 +343,8 @@ impl<'a> Prepared<'a> {
 
     /// Implement the explored memo under `config`, fire its marker rules
     /// and package the plan. Reads the memo, writes only the
-    /// implementation scratch.
+    /// implementation scratch — whose costed alternatives every `finish`
+    /// over one `explored` shares.
     fn finish(
         &self,
         explored: &Explored,
@@ -351,7 +360,7 @@ impl<'a> Prepared<'a> {
                 "compile.implement",
                 scope_trace::Histogram::ImplementMicros,
             );
-            implement_with_model(
+            implement_pass(
                 memo,
                 explored.root,
                 config,
@@ -367,10 +376,8 @@ impl<'a> Prepared<'a> {
             scope_trace::record(scope_trace::Histogram::CompileTasks, tracker.tasks());
         }
 
-        // Marker rules fire on the normalized plan's operator-kind counts.
-        let kind_counts = self.normalized.plan.op_counts();
         let mut fired = self.normalized.fired.union(&outcome.used_rules);
-        fire_markers(config, &kind_counts, &mut fired);
+        fire_markers(config, &self.kind_counts, &mut fired);
 
         debug_assert!(
             fired
@@ -548,7 +555,8 @@ mod tests {
     use crate::ruleset::RuleId;
 
     /// Small enough for Miri: the memo is read by several implementation
-    /// passes between two `clear`s, and one pass fails part-way.
+    /// passes between two `clear`s, one pass fails part-way, and the slots
+    /// of costed alternatives are reused for a smaller memo after a `clear`.
     #[test]
     fn batch_shares_explorations_and_matches_single_compiles() {
         let mut cat = TrueCatalog::new();
@@ -593,14 +601,22 @@ mod tests {
             config
         };
         let other = without(&default, &[transform]);
-        // Two explorations (with and without `transform`), the first
-        // serving three configurations, one of which cannot implement.
+        // Without it the filtered scan is never rewritten: a smaller memo.
+        let shifted = without(
+            &default,
+            &[rules.find("SelectPartitions").expect("catalog rule")],
+        );
+        // Three explorations (every transformation, all but `transform`,
+        // all but `SelectPartitions`), the first serving three
+        // configurations, one of which cannot implement.
         let configs = [
             default.clone(),
             without(&other, &join_impls[..1]),
             without(&default, &join_impls[..1]),
             without(&default, join_impls),
             other,
+            without(&shifted, &join_impls[..1]),
+            shifted,
         ];
 
         let budget = CompileBudget::default();
@@ -608,15 +624,14 @@ mod tests {
         assert_eq!(batch.len(), configs.len());
         for (config, got) in configs.iter().zip(&batch) {
             let alone = compile_with_budget(&plan, &obs, config, &budget);
-            assert_eq!(
-                got.as_ref().map(CompiledPlan::fingerprint),
-                alone.as_ref().map(CompiledPlan::fingerprint)
-            );
+            let pinned = |p: &CompiledPlan| (p.fingerprint(), p.est_cost_vec);
+            assert_eq!(got.as_ref().map(pinned), alone.as_ref().map(pinned));
         }
         assert_eq!(
             batch[3].as_ref().map(|_| ()),
             Err(&CompileError::NoImplementation { kind: OpKind::Join })
         );
-        assert!(batch[0].is_ok() && batch[4].is_ok());
+        let exprs = |i: usize| batch[i].as_ref().expect("compiles").memo_exprs;
+        assert!(exprs(6) < exprs(4) && exprs(5) == exprs(6));
     }
 }

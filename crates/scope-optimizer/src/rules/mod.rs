@@ -393,6 +393,8 @@ pub struct RuleCatalog {
     impls_by_kind: Vec<Vec<RuleId>>,
     /// Exchange implementation rules.
     exchange_impls: Vec<RuleId>,
+    /// The `EnforceExchange` enforcer, which fires with every exchange.
+    enforce_exchange: RuleId,
     /// Marker-style rules (Canonicalize / Guard / Marker), all categories.
     markers: Vec<RuleId>,
     /// `transforms_by_kind` as bitset masks: intersecting with a config's
@@ -425,6 +427,7 @@ impl RuleCatalog {
         let mut transforms_by_kind = vec![Vec::new(); OpKind::COUNT];
         let mut impls_by_kind = vec![Vec::new(); OpKind::COUNT];
         let mut exchange_impls = Vec::new();
+        let mut enforce_exchange = None;
         let mut markers = Vec::new();
         for (i, rule) in rules.iter().enumerate() {
             assert_eq!(rule.id.index(), i, "rule ids must be dense");
@@ -443,6 +446,7 @@ impl RuleCatalog {
                     let _ = k;
                 }
                 RuleAction::Guard { .. } | RuleAction::Marker { .. } => markers.push(rule.id),
+                RuleAction::EnforceExchange => enforce_exchange = Some(rule.id),
                 action if action.is_transformation() => {
                     if let Some(kind) = action.anchor() {
                         transforms_by_kind[kind as usize].push(rule.id);
@@ -474,6 +478,7 @@ impl RuleCatalog {
             transforms_by_kind,
             impls_by_kind,
             exchange_impls,
+            enforce_exchange: enforce_exchange.expect("catalog has the exchange enforcer"),
             markers,
             transform_mask,
             impl_mask,
@@ -525,6 +530,12 @@ impl RuleCatalog {
     /// Exchange implementation rules.
     pub fn exchange_impls(&self) -> &[RuleId] {
         &self.exchange_impls
+    }
+
+    /// The enforcer rule every inserted exchange fires.
+    #[inline]
+    pub fn enforce_exchange(&self) -> RuleId {
+        self.enforce_exchange
     }
 
     /// Transformation rules anchored on `kind`, as a bitset mask. Same

@@ -14,6 +14,30 @@
 //! per-group vectors rather than per-compile `HashMap`s. Both changes
 //! preserve rule order exactly: catalog rule lists are ascending by id and
 //! [`RuleSet::iter`] yields ascending ids.
+//!
+//! The implementation passes that share an exploration — a batch's
+//! configurations that agree on every transformation rule — also share one
+//! **table of costed alternatives**, kept in the same scratch. An
+//! alternative is a memo expression under one implementation rule; its slot
+//! holds what no configuration can change: the physical operator, its
+//! degree of parallelism, the operator's own cost as the model's scalar
+//! and as the corrected vector, and the partitioning it requires of each
+//! child. The first pass to charge an alternative fills its slot
+//! (`impl_cost` + `required_child_parts`, once per memo instead of once
+//! per configuration); every pass, that one included, then ranks the
+//! alternative on a scalar it adds up from the slot, the children's
+//! winners and the exchanges they need, in the order the search always
+//! added them. A configuration enters only through `enabled`: which slots
+//! it walks, which exchanges it may insert, what it is charged.
+//! *Only winners allocate:* the exchange list, output partitioning and
+//! cost vector are built on a second walk over the children, for an
+//! alternative that has just passed the strict `<` — most are costed to
+//! lose. The table is forgotten exactly when the memo changes
+//! (`Prepared::explore` in `optimizer.rs`: once per partition of a batch,
+//! once per single compile), and by the public [`implement`] /
+//! [`implement_with_model`] on entry, which cannot know what their
+//! caller's scratch last saw. A single compile is a batch of one: it
+//! fills each slot it touches once, which is the costing it always did.
 
 use scope_ir::ids::NodeId;
 use scope_ir::{LogicalOp, OpKind};
@@ -268,16 +292,67 @@ struct Winner {
     est: EstId,
 }
 
+/// One costed alternative — a memo expression under one implementation
+/// rule — reduced to what no rule configuration can change.
+struct CostedAlt {
+    phys: PhysImpl,
+    dop: u32,
+    /// [`CostModel::scalar`] of the operator's own cost.
+    scalar: f64,
+    /// [`CostModel::corrected`] of the operator's own cost.
+    vec: CostEstimate,
+    /// Required partitioning per child ([`required_child_parts`]); empty
+    /// when no child is constrained, which is most operators.
+    reqs: Box<[Partitioning]>,
+}
+
+impl CostedAlt {
+    fn cost(
+        memo: &Memo,
+        expr: MExprId,
+        phys: PhysImpl,
+        obs: &scope_ir::ObservableCatalog,
+        model: &CostModel,
+    ) -> CostedAlt {
+        let op = memo.op(expr);
+        let children = memo.children(expr);
+        let child_ests = memo.group_ests(children);
+        let oc = impl_cost(phys, op, memo.expr_est(expr), &child_ests, obs);
+        let mut reqs = required_child_parts(phys, op, children.len());
+        if reqs.iter().all(|req| matches!(req, Partitioning::Any)) {
+            reqs = Vec::new();
+        }
+        // Scalarize at the costing site; the f64 accumulation in `best` is
+        // textually the pre-vector model's, so default-model compiles stay
+        // bit-identical to the classic scalar path.
+        CostedAlt {
+            phys,
+            dop: oc.dop,
+            scalar: model.scalar(&oc.cost),
+            vec: model.corrected(&oc.cost),
+            reqs: reqs.into_boxed_slice(),
+        }
+    }
+}
+
 /// Reusable implementation-phase state: flat per-group vectors replacing
-/// the per-compile `HashMap`s. [`ImplementScratch::reset`] re-sizes
-/// without freeing, so a thread-local compile scratch allocates nothing
-/// once warm.
+/// the per-compile `HashMap`s, and the table of costed alternatives of the
+/// memo being implemented. [`ImplementScratch::reset`] re-sizes without
+/// freeing, so a thread-local compile scratch allocates nothing once warm.
 #[derive(Default)]
 pub struct ImplementScratch {
     winners: Vec<Option<Winner>>,
     failures: Vec<Option<CompileError>>,
     visiting: Vec<bool>,
     built: Vec<Option<NodeId>>,
+    /// Per memo expression: its first slot in `alts`. Empty between
+    /// [`ImplementScratch::forget_costed`] and the next pass, which lays
+    /// the table out for the memo it is given.
+    alt_base: Vec<u32>,
+    /// One slot per (expression, applicable implementation rule), in
+    /// `impls_for(kind)` order from the expression's base; filled by the
+    /// first pass that charges the alternative, read by every later one.
+    alts: Vec<Option<CostedAlt>>,
 }
 
 impl ImplementScratch {
@@ -285,7 +360,16 @@ impl ImplementScratch {
         ImplementScratch::default()
     }
 
-    fn reset(&mut self, n_groups: usize) {
+    /// Drop every costed alternative. Whoever changes the memo (or the
+    /// cost model, or the catalog the costs were read from) calls this
+    /// before the next pass: slots are keyed by expression index alone.
+    pub(crate) fn forget_costed(&mut self) {
+        self.alt_base.clear();
+        self.alts.clear();
+    }
+
+    fn reset(&mut self, memo: &Memo) {
+        let n_groups = memo.num_groups();
         self.winners.clear();
         self.winners.resize_with(n_groups, || None);
         self.failures.clear();
@@ -294,6 +378,21 @@ impl ImplementScratch {
         self.visiting.resize(n_groups, false);
         self.built.clear();
         self.built.resize(n_groups, None);
+        if self.alt_base.is_empty() {
+            // First pass since the table was forgotten: one empty slot per
+            // alternative of `memo`, sized exactly — the table is as large
+            // as the largest memo this scratch has seen, and no larger.
+            let cat = RuleCatalog::global();
+            let mut n_slots = 0u32;
+            self.alt_base.extend(memo.expr_ids().map(|expr| {
+                let base = n_slots;
+                n_slots += cat.impls_for(memo.kind_of(expr)).len() as u32;
+                base
+            }));
+            self.alts.reserve_exact(n_slots as usize);
+            self.alts.resize_with(n_slots as usize, || None);
+        }
+        debug_assert_eq!(self.alt_base.len(), memo.num_exprs());
     }
 }
 
@@ -321,7 +420,8 @@ pub fn implement(
 /// [`implement`] against caller-owned scratch (allocation reuse across
 /// compiles) under an explicit cost model (scalarization weights +
 /// feedback corrections). `CostModel::DEFAULT` is bit-identical to the
-/// classic scalar path.
+/// classic scalar path. Nothing says `scratch` last saw this memo, model
+/// and catalog, so its costed alternatives are forgotten first.
 #[allow(clippy::too_many_arguments)]
 pub fn implement_with_model(
     memo: &Memo,
@@ -332,24 +432,53 @@ pub fn implement_with_model(
     scratch: &mut ImplementScratch,
     model: &CostModel,
 ) -> Result<SearchOutcome, CompileError> {
-    scratch.reset(memo.num_groups());
-    let ImplementScratch {
-        winners,
-        failures,
-        visiting,
-        built,
-    } = scratch;
-    best(
-        memo, root, config, obs, winners, failures, visiting, tracker, model,
-    )?;
+    scratch.forget_costed();
+    implement_pass(memo, root, config, obs, tracker, scratch, model)
+}
+
+/// One implementation pass that trusts `scratch`'s costed alternatives:
+/// the caller guarantees every pass since the last
+/// [`ImplementScratch::forget_costed`] read this same `memo` (unchanged),
+/// `obs` and `model`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn implement_pass(
+    memo: &Memo,
+    root: GroupId,
+    config: &RuleConfig,
+    obs: &scope_ir::ObservableCatalog,
+    tracker: &mut BudgetTracker,
+    scratch: &mut ImplementScratch,
+    model: &CostModel,
+) -> Result<SearchOutcome, CompileError> {
+    scratch.reset(memo);
+    let cat = RuleCatalog::global();
+    let mut pass = Pass {
+        memo,
+        config,
+        obs,
+        model,
+        cat,
+        winners: &mut scratch.winners,
+        failures: &mut scratch.failures,
+        visiting: &mut scratch.visiting,
+        alt_base: &scratch.alt_base,
+        alts: &mut scratch.alts,
+        tracker,
+    };
+    pass.best(root)?;
 
     // Extraction.
     let mut plan = PhysPlan::new();
     let mut used = RuleSet::EMPTY;
-    let cat = RuleCatalog::global();
-    let enforce = cat.find("EnforceExchange").expect("catalog rule");
     let root_node = extract(
-        memo, root, winners, &mut plan, built, &mut used, enforce, model,
+        memo,
+        root,
+        &scratch.winners,
+        &mut plan,
+        &mut scratch.built,
+        &mut used,
+        cat.enforce_exchange(),
+        model,
     );
     plan.set_root(root_node);
     let est_cost = plan.total_est_cost();
@@ -362,181 +491,228 @@ pub fn implement_with_model(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn best(
-    memo: &Memo,
-    group: GroupId,
-    config: &RuleConfig,
-    obs: &scope_ir::ObservableCatalog,
-    winners: &mut [Option<Winner>],
-    failures: &mut [Option<CompileError>],
-    visiting: &mut [bool],
-    tracker: &mut BudgetTracker,
-    model: &CostModel,
-) -> Result<f64, CompileError> {
-    if let Some(w) = &winners[group.index()] {
-        return Ok(w.cost);
+/// The exchange a child delivering `have` needs under requirement `req`.
+#[inline]
+fn enforcer_for(have: &Partitioning, req: &Partitioning) -> Option<PhysImpl> {
+    if have.satisfies(req) {
+        None
+    } else {
+        exchange_impl_for(req)
     }
-    if let Some(e) = &failures[group.index()] {
-        return Err(e.clone());
-    }
-    if visiting[group.index()] {
-        return Err(CompileError::CyclicMemo);
-    }
-    visiting[group.index()] = true;
+}
 
-    let cat = RuleCatalog::global();
-    let mut best_winner: Option<Winner> = None;
-    let mut kind_without_impl: Option<OpKind> = None;
-    let mut exchange_blocked = false;
-    let mut child_failure: Option<CompileError> = None;
+/// The requirement on child `i`; implementations that list fewer
+/// requirements than children leave the rest unconstrained.
+#[inline]
+fn req_of(reqs: &[Partitioning], i: usize) -> &Partitioning {
+    static ANY: Partitioning = Partitioning::Any;
+    reqs.get(i).unwrap_or(&ANY)
+}
 
-    for expr_id in memo.group_exprs(group) {
-        let kind = memo.kind_of(expr_id);
-        let children = memo.children(expr_id);
-        // Resolve children first. A child group with no feasible
-        // implementation only disqualifies *this alternative* — other
-        // expressions in the group may avoid that subtree entirely.
-        // Compilation as a whole fails only when the root group ends up
-        // with no feasible implementation.
-        let mut ok = true;
-        for &c in children {
-            match best(
-                memo, c, config, obs, winners, failures, visiting, tracker, model,
-            ) {
-                Ok(_) => {}
-                // Budget exhaustion (and friends) abort the whole compile —
-                // unlike per-alternative infeasibility, there is no point
-                // trying sibling alternatives with an empty budget.
-                Err(e) if e.is_fatal() => return Err(e),
-                Err(CompileError::NoExchangeImplementation) => {
-                    exchange_blocked = true;
-                    ok = false;
-                    break;
+/// One configuration's walk over the memo. The configuration enters only
+/// through `config.enabled()`; everything else an alternative costs is read
+/// from (or filled into) the shared table.
+struct Pass<'a> {
+    memo: &'a Memo,
+    config: &'a RuleConfig,
+    obs: &'a scope_ir::ObservableCatalog,
+    model: &'a CostModel,
+    cat: &'static RuleCatalog,
+    winners: &'a mut [Option<Winner>],
+    failures: &'a mut [Option<CompileError>],
+    visiting: &'a mut [bool],
+    alt_base: &'a [u32],
+    alts: &'a mut [Option<CostedAlt>],
+    tracker: &'a mut BudgetTracker,
+}
+
+impl Pass<'_> {
+    fn best(&mut self, group: GroupId) -> Result<f64, CompileError> {
+        if let Some(w) = &self.winners[group.index()] {
+            return Ok(w.cost);
+        }
+        if let Some(e) = &self.failures[group.index()] {
+            return Err(e.clone());
+        }
+        if self.visiting[group.index()] {
+            return Err(CompileError::CyclicMemo);
+        }
+        self.visiting[group.index()] = true;
+
+        let memo = self.memo;
+        let enabled = self.config.enabled();
+        let mut best_winner: Option<Winner> = None;
+        let mut kind_without_impl: Option<OpKind> = None;
+        let mut exchange_blocked = false;
+        let mut child_failure: Option<CompileError> = None;
+
+        for expr_id in memo.group_exprs(group) {
+            let kind = memo.kind_of(expr_id);
+            let children = memo.children(expr_id);
+            // Resolve children first. A child group with no feasible
+            // implementation only disqualifies *this alternative* — other
+            // expressions in the group may avoid that subtree entirely.
+            // Compilation as a whole fails only when the root group ends up
+            // with no feasible implementation.
+            let mut ok = true;
+            for &c in children {
+                if self.winners[c.index()].is_some() {
+                    continue;
                 }
-                Err(e) => {
-                    if !matches!(e, CompileError::CyclicMemo) {
-                        child_failure.get_or_insert(e);
+                match self.best(c) {
+                    Ok(_) => {}
+                    // Budget exhaustion (and friends) abort the whole compile —
+                    // unlike per-alternative infeasibility, there is no point
+                    // trying sibling alternatives with an empty budget.
+                    Err(e) if e.is_fatal() => return Err(e),
+                    Err(CompileError::NoExchangeImplementation) => {
+                        exchange_blocked = true;
+                        ok = false;
+                        break;
                     }
-                    ok = false;
-                    break;
+                    Err(e) => {
+                        if !matches!(e, CompileError::CyclicMemo) {
+                            child_failure.get_or_insert(e);
+                        }
+                        ok = false;
+                        break;
+                    }
                 }
             }
-        }
-        if !ok {
-            continue;
-        }
-
-        // Applicable implementations ∩ enabled: one 4-word intersection
-        // instead of a collected `Vec<RuleId>` per expression.
-        let enabled_impls = cat.impl_mask(kind).intersection(config.enabled());
-        if enabled_impls.is_empty() {
-            kind_without_impl = Some(kind);
-            continue;
-        }
-
-        let op = memo.op(expr_id);
-        let own_est = memo.expr_est(expr_id);
-        let child_ests = memo.group_ests(children);
-
-        for impl_rule in enabled_impls.iter() {
-            tracker.charge(CompilePhase::Implement)?;
-            let RuleAction::Impl(phys) = &cat.rule(impl_rule).action else {
+            if !ok {
                 continue;
-            };
-            let phys = *phys;
-            let oc = impl_cost(phys, op, own_est, &child_ests, obs);
-            let reqs = required_child_parts(phys, op, children.len());
-            let mut exchanges = Vec::with_capacity(children.len());
-            // Scalarize at the costing site; the f64 accumulation below is
-            // textually the pre-vector model's, so default-model compiles
-            // stay bit-identical to the classic scalar path.
-            let mut candidate_cost = model.scalar(&oc.cost);
-            let mut candidate_vec = model.corrected(&oc.cost);
-            let mut child_parts = Vec::with_capacity(children.len());
-            let mut feasible = true;
-            for (i, &c) in children.iter().enumerate() {
-                let req = reqs.get(i).cloned().unwrap_or(Partitioning::Any);
-                let child_w = winners[c.index()].as_ref().expect("child winner resolved");
-                candidate_cost += child_w.cost;
-                candidate_vec = candidate_vec.add(&child_w.cost_vec);
-                if child_w.out_part.satisfies(&req) {
-                    exchanges.push(None);
-                    child_parts.push(child_w.out_part.clone());
-                } else {
-                    let Some(ex_impl) = exchange_impl_for(&req) else {
-                        exchanges.push(None);
-                        child_parts.push(child_w.out_part.clone());
+            }
+
+            // Applicable implementations ∩ enabled, ascending by rule id:
+            // the catalog's per-kind list is the mask's iteration order, and
+            // a rule's position in it is its slot.
+            let impls = self.cat.impls_for(kind);
+            let base = self.alt_base[expr_id.index()] as usize;
+            let mut any_enabled = false;
+            for (slot, &impl_rule) in impls.iter().enumerate() {
+                if !enabled.contains(impl_rule) {
+                    continue;
+                }
+                any_enabled = true;
+                self.tracker.charge(CompilePhase::Implement)?;
+                if self.alts[base + slot].is_none() {
+                    let RuleAction::Impl(phys) = self.cat.rule(impl_rule).action else {
                         continue;
                     };
-                    let ex_rule = cat
+                    self.alts[base + slot] =
+                        Some(CostedAlt::cost(memo, expr_id, phys, self.obs, self.model));
+                }
+                let alt = self.alts[base + slot].as_ref().expect("slot filled above");
+
+                // Rank on the scalar alone: own cost, then per child its
+                // subtree and the exchange it needs, in that order.
+                let mut candidate_cost = alt.scalar;
+                let mut feasible = true;
+                for (i, &c) in children.iter().enumerate() {
+                    let child_w = self.winners[c.index()]
+                        .as_ref()
+                        .expect("child winner resolved");
+                    candidate_cost += child_w.cost;
+                    let Some(ex_impl) = enforcer_for(&child_w.out_part, req_of(&alt.reqs, i))
+                    else {
+                        continue;
+                    };
+                    let ex_rule = self
+                        .cat
                         .rule_for_impl(ex_impl)
                         .expect("exchange impl rule exists");
-                    if !config.is_enabled(ex_rule) {
+                    if !enabled.contains(ex_rule) {
                         exchange_blocked = true;
                         feasible = false;
                         break;
                     }
-                    let ex_dop = match req {
-                        Partitioning::Singleton => 1,
-                        _ => oc.dop,
-                    };
                     let ex_cost =
-                        exchange_cost(ex_impl, memo.est(child_w.est).bytes(), oc.dop.max(1));
-                    candidate_cost += model.scalar(&ex_cost.cost);
-                    candidate_vec = candidate_vec.add(&model.corrected(&ex_cost.cost));
-                    exchanges.push(Some((ex_impl, ex_rule, req.clone(), ex_dop)));
-                    child_parts.push(req);
+                        exchange_cost(ex_impl, memo.est(child_w.est).bytes(), alt.dop.max(1));
+                    candidate_cost += self.model.scalar(&ex_cost.cost);
+                }
+                if !feasible {
+                    continue;
+                }
+                if best_winner.as_ref().is_none_or(|w| candidate_cost < w.cost) {
+                    best_winner = Some(self.winner(expr_id, impl_rule, alt, candidate_cost));
                 }
             }
-            if !feasible {
-                continue;
+            if !any_enabled {
+                kind_without_impl = Some(kind);
             }
-            let out_part = output_part(phys, op, &child_parts);
-            let better = match &best_winner {
-                None => true,
-                Some(w) => candidate_cost < w.cost,
-            };
-            if better {
-                best_winner = Some(Winner {
-                    cost: candidate_cost,
-                    cost_vec: candidate_vec,
-                    expr: expr_id,
-                    phys,
-                    impl_rule,
-                    out_part,
-                    dop: oc.dop,
-                    exchanges,
-                    est: memo.expr(expr_id).est,
-                });
+        }
+
+        self.visiting[group.index()] = false;
+        match best_winner {
+            Some(w) => {
+                let cost = w.cost;
+                self.winners[group.index()] = Some(w);
+                Ok(cost)
+            }
+            None => {
+                // Prefer the most specific cause: a kind with no enabled
+                // implementation here, then a child subtree's cause, then the
+                // exchange enforcer.
+                let err = if let Some(kind) = kind_without_impl {
+                    CompileError::NoImplementation { kind }
+                } else if let Some(e) = child_failure {
+                    e
+                } else if exchange_blocked {
+                    CompileError::NoExchangeImplementation
+                } else {
+                    CompileError::NoImplementation {
+                        kind: memo.canonical_kind(group),
+                    }
+                };
+                self.failures[group.index()] = Some(err.clone());
+                Err(err)
             }
         }
     }
 
-    visiting[group.index()] = false;
-    match best_winner {
-        Some(w) => {
-            let cost = w.cost;
-            winners[group.index()] = Some(w);
-            Ok(cost)
-        }
-        None => {
-            // Prefer the most specific cause: a kind with no enabled
-            // implementation here, then a child subtree's cause, then the
-            // exchange enforcer.
-            let err = if let Some(kind) = kind_without_impl {
-                CompileError::NoImplementation { kind }
-            } else if let Some(e) = child_failure {
-                e
-            } else if exchange_blocked {
-                CompileError::NoExchangeImplementation
-            } else {
-                CompileError::NoImplementation {
-                    kind: memo.canonical_kind(group),
-                }
+    /// Everything a winner carries beyond its rank: the second walk over
+    /// the children of an alternative that passed the strict `<`, adding the
+    /// cost vector in the order the scalar was added.
+    fn winner(&self, expr: MExprId, impl_rule: RuleId, alt: &CostedAlt, cost: f64) -> Winner {
+        let memo = self.memo;
+        let children = memo.children(expr);
+        let mut cost_vec = alt.vec;
+        let mut exchanges = Vec::with_capacity(children.len());
+        let mut child_parts = Vec::with_capacity(children.len());
+        for (i, &c) in children.iter().enumerate() {
+            let req = req_of(&alt.reqs, i);
+            let child_w = self.winners[c.index()]
+                .as_ref()
+                .expect("child winner resolved");
+            cost_vec = cost_vec.add(&child_w.cost_vec);
+            let Some(ex_impl) = enforcer_for(&child_w.out_part, req) else {
+                exchanges.push(None);
+                child_parts.push(child_w.out_part.clone());
+                continue;
             };
-            failures[group.index()] = Some(err.clone());
-            Err(err)
+            let ex_rule = self
+                .cat
+                .rule_for_impl(ex_impl)
+                .expect("exchange impl rule exists");
+            let ex_dop = match req {
+                Partitioning::Singleton => 1,
+                _ => alt.dop,
+            };
+            let ex_cost = exchange_cost(ex_impl, memo.est(child_w.est).bytes(), alt.dop.max(1));
+            cost_vec = cost_vec.add(&self.model.corrected(&ex_cost.cost));
+            exchanges.push(Some((ex_impl, ex_rule, req.clone(), ex_dop)));
+            child_parts.push(req.clone());
+        }
+        Winner {
+            cost,
+            cost_vec,
+            expr,
+            phys: alt.phys,
+            impl_rule,
+            out_part: output_part(alt.phys, memo.op(expr), &child_parts),
+            dop: alt.dop,
+            exchanges,
+            est: memo.expr(expr).est,
         }
     }
 }
