@@ -70,8 +70,7 @@ pub use independence::{discover_independent_groups, IndependentGroups};
 pub use minimize::{minimize_config, MinimizedConfig};
 pub use par::{available_threads, run_chunked, run_chunked_on};
 pub use pipeline::{
-    CandidateOutcome, DiscoveryReport, DiscoveryTimings, JobOutcome, Pipeline, PipelineParams,
-    SelectionReason,
+    CandidateOutcome, DiscoveryReport, JobOutcome, Pipeline, PipelineParams, SelectionReason,
 };
 pub use report::{best_known_summary, improved_fraction, BestKnownSummary};
 pub use search::{candidate_configs, candidate_configs_effective, DEFAULT_M};

@@ -6,19 +6,18 @@
 //! Discovery is compile-bound and embarrassingly parallel across jobs, so
 //! [`Pipeline::discover`] fans both stages (default baselining and per-job
 //! analysis) out over the scoped-thread harness in [`crate::par`]. Default
-//! and span-probe compiles go through a shared [`CompileCache`] (they recur
-//! across span runs and days); a job's candidates do not — they are unique
-//! by construction, so they go to the optimizer as a batch
-//! ([`compile_candidates`]) that explores once per transformation subset.
+//! and span-probe compiles are single guarded compiles; a job's candidates
+//! go to the optimizer as a batch ([`compile_candidates`]) that explores
+//! once per transformation subset. A [`Pipeline`] carries nothing from one
+//! compile, job or [`Pipeline::discover`] call to the next.
 //! Determinism is preserved by construction: each analyzed job gets its own
 //! RNG derived from a splittable seed (`seed ⊕ job.id`), results are
-//! collected in item order, and a cached or batched compile is
-//! bit-identical to a fresh single one — so the same caller seed produces
-//! the same [`DiscoveryReport`] at any thread count and any cache size.
+//! collected in item order, and a batched compile is bit-identical to a
+//! single one — so the same caller seed produces the same
+//! [`DiscoveryReport`] at any thread count.
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -30,9 +29,8 @@ use scope_ir::stats::pct_change;
 use scope_ir::Job;
 use scope_lint::{ConfigVerdict, JobLint, PlanBounds};
 use scope_optimizer::{
-    catch_compile_panics, compile_candidates, compile_with_model, effective_config,
-    plan_catalog_fingerprint, CacheStats, CompileBudget, CompileCache, CompileError, CompiledPlan,
-    CostModel, RuleConfig, RuleId, RuleSet, RuleSignature, NUM_RULES,
+    catch_compile_panics, compile_candidates, compile_with_model, effective_config, CompileBudget,
+    CompileError, CompiledPlan, CostModel, RuleConfig, RuleId, RuleSet, RuleSignature, NUM_RULES,
 };
 use scope_trace::{Counter, Histogram, MetricsSnapshot};
 
@@ -75,19 +73,6 @@ pub struct PipelineParams {
     /// Worker threads for the parallel discovery stages (`0` = one per
     /// available core). Results are identical at any thread count.
     pub n_threads: usize,
-    /// Capacity (entries) of the pipeline's shared compile cache, which
-    /// holds default and span-probe compiles (candidates bypass it); `0`
-    /// disables caching. Cached compiles are bit-identical to fresh ones,
-    /// so this only changes speed, never results. The default is 256: what
-    /// hits within a night are Algorithm 1's recovery re-tests of a probe
-    /// the same span run compiled moments earlier — on B + C at scale 12
-    /// every hit has a reuse distance under 64, the same 483 hits at 64,
-    /// 512 and 4 096 — while each retained entry is a whole
-    /// `Arc<CompiledPlan>` (4 096 of them were 16 MB of a 46 MB peak). A
-    /// hit across nights (a recurring job's default) needs a capacity that
-    /// spans a night's insertions, ≈ 12 K there; the FIFO bound evicted
-    /// those at 4 096 too.
-    pub cache_capacity: usize,
     /// Static lint gate: `scope-lint` classifies every candidate before it
     /// is compiled, and a config that is statically certain to fail
     /// (`ConfigVerdict::Invalid`) is skipped and counted in
@@ -119,8 +104,7 @@ pub struct PipelineParams {
     /// the historical scalar cost — discovery results only change when a
     /// non-default model is installed deliberately (weight sweeps, or a
     /// day boundary promoting corrections from a
-    /// [`crate::feedback::CorrectionStore`]). The model participates in
-    /// the compile-cache key, so swapping it never serves stale plan bits.
+    /// [`crate::feedback::CorrectionStore`]).
     pub cost_model: CostModel,
 }
 
@@ -137,7 +121,6 @@ impl Default for PipelineParams {
             retry: RetryPolicy::default(),
             compile_budget: CompileBudget::default(),
             n_threads: 0,
-            cache_capacity: 256,
             lint_gate: true,
             bounds_gate: true,
             cost_model: CostModel::DEFAULT,
@@ -233,16 +216,15 @@ impl JobOutcome {
     }
 }
 
-/// Wall-clock accounting for one discovery run. Diagnostic only — nothing
-/// downstream reads these, so determinism of the results is unaffected.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DiscoveryTimings {
-    /// Stage 1: default compiles + baseline A/B runs, in seconds.
-    pub default_runs_s: f64,
-    /// Stage 2: span, candidate recompiles, and A/B trials, in seconds.
-    pub analyze_s: f64,
-    /// Whole [`Pipeline::discover`] call, in seconds.
-    pub total_s: f64,
+/// Fence shim, always zero: the benchmark harness reads these four fields
+/// and only a `[benchmark]` PR may edit it. That PR deletes this struct,
+/// [`DiscoveryReport::cache`] and the harness lines that read them.
+#[derive(Debug, Default)]
+pub struct CacheShim {
+    pub hits: u64,
+    pub misses: u64,
+    pub evictions: u64,
+    pub contended: u64,
 }
 
 /// A pipeline report over many jobs.
@@ -263,11 +245,8 @@ pub struct DiscoveryReport {
     /// Vetted candidates across all jobs whose plan duplicated the default
     /// or an earlier candidate (executions avoided by signature dedup).
     pub duplicate_plans: usize,
-    /// Compile-cache activity during this discovery run (counter deltas;
-    /// `entries`/`capacity` are the cache's current gauges).
-    pub cache: CacheStats,
-    /// Per-stage wall-clock timings for this run.
-    pub timings: DiscoveryTimings,
+    /// Always zero; see [`CacheShim`].
+    pub cache: CacheShim,
     /// Tracer metrics accumulated during this run (delta snapshot; see
     /// `scope-trace`). All-zero when tracing was disabled — the tracer is
     /// diagnostic only and never feeds back into discovery decisions.
@@ -300,9 +279,6 @@ impl DiscoveryReport {
 pub struct Pipeline {
     pub ab: ABTester,
     pub params: PipelineParams,
-    /// Shared compile cache consulted by span approximation and default
-    /// baselining. Shared across `discover` calls (recurring days hit it).
-    pub cache: Arc<CompileCache>,
 }
 
 /// How a job's default baseline ended, for the parallel selection stage.
@@ -402,8 +378,7 @@ enum Disposition {
 
 impl Pipeline {
     pub fn new(ab: ABTester, params: PipelineParams) -> Pipeline {
-        let cache = Arc::new(CompileCache::new(params.cache_capacity));
-        Pipeline { ab, params, cache }
+        Pipeline { ab, params }
     }
 
     /// Worker count for the parallel stages.
@@ -427,23 +402,18 @@ impl Pipeline {
         forced
     }
 
-    /// Compile one effective configuration (hints merged) of `job` through
-    /// the shared cache, panic-isolated, under the pipeline's cost model and
-    /// the default budget — the compile step defaults and span probes take.
-    /// The cache key is exactly what the search consumes, which is what
-    /// makes it sound.
-    fn compile_cached(
+    /// Compile one effective configuration (hints merged) of `job`,
+    /// panic-isolated, under the pipeline's cost model and the default
+    /// budget — the compile step defaults and span probes take.
+    fn compile_guarded(
         &self,
         job: &Job,
         obs: &scope_ir::ObservableCatalog,
-        fingerprint: u64,
         config: &RuleConfig,
-    ) -> Result<Arc<CompiledPlan>, CompileError> {
+    ) -> Result<CompiledPlan, CompileError> {
         let model = &self.params.cost_model;
         let budget = CompileBudget::default();
-        self.cache.get_or_compile(fingerprint, config, model, || {
-            catch_compile_panics(|| compile_with_model(&job.plan, obs, config, &budget, model))
-        })
+        catch_compile_panics(|| compile_with_model(&job.plan, obs, config, &budget, model))
     }
 
     /// Compile and A/B-execute a job's default plan.
@@ -457,10 +427,9 @@ impl Pipeline {
     pub fn default_run_outcome(&self, job: &Job) -> Option<(Arc<CompiledPlan>, FaultedRun)> {
         let obs = job.catalog.observe();
         let config = effective_config(job, &RuleConfig::default_config());
-        let fingerprint = plan_catalog_fingerprint(&job.plan, &obs);
         // Defaults are the measurement baseline, not candidates, so they
         // are exempt from the per-candidate compile budget.
-        let compiled = self.compile_cached(job, &obs, fingerprint, &config).ok()?;
+        let compiled = Arc::new(self.compile_guarded(job, &obs, &config).ok()?);
         let run = self
             .ab
             .run_with_retry(job, &compiled.plan, 0, &self.params.retry);
@@ -476,11 +445,9 @@ impl Pipeline {
     ///
     /// Deterministic for a given caller RNG state: per-job RNGs are derived
     /// from a splittable seed (`seed ⊕ job.id`) drawn once from `rng`, so
-    /// the report is identical at any worker count and any cache size.
+    /// the report is identical at any worker count.
     pub fn discover<R: Rng + ?Sized>(&self, jobs: &[Job], rng: &mut R) -> DiscoveryReport {
-        let run_start = Instant::now();
         let n_threads = self.effective_threads();
-        let cache_before = self.cache.stats();
         // Delta snapshot: the tracer registry is process-global, so report
         // only what this run adds. Captured lazily (behind the enabled
         // gate) to keep the disabled tracer free.
@@ -495,7 +462,6 @@ impl Pipeline {
         // the optimizer's thread-local scratch is born with the scoped
         // worker and reused across every compile in its chunk.
         let indices: Vec<usize> = (0..jobs.len()).collect();
-        let stage_start = Instant::now();
         let stage_span = scope_trace::span("discover.defaults");
         let defaults: Vec<(usize, DefaultOutcome)> = run_chunked_on(
             &indices,
@@ -522,7 +488,6 @@ impl Pipeline {
             |&i| format!("job {}", jobs[i].id.0),
         );
         drop(stage_span);
-        report.timings.default_runs_s = stage_start.elapsed().as_secs_f64();
 
         // Select jobs in the runtime window, then sample (serial: consumes
         // the caller RNG exactly as the historical serial pipeline did).
@@ -545,7 +510,6 @@ impl Pipeline {
         // split from one seed drawn off the caller RNG. Collection is in
         // item order, so the outcome order matches the serial pipeline's.
         let job_seed: u64 = rng.gen();
-        let stage_start = Instant::now();
         let stage_span = scope_trace::span("discover.analyze");
         let analyzed: Vec<Option<JobOutcome>> = run_chunked_on(
             &in_window,
@@ -558,7 +522,6 @@ impl Pipeline {
             |(job, _, _)| format!("job {}", job.id.0),
         );
         drop(stage_span);
-        report.timings.analyze_s = stage_start.elapsed().as_secs_f64();
 
         for outcome in analyzed {
             match outcome {
@@ -571,8 +534,6 @@ impl Pipeline {
                 None => report.not_selected += 1,
             }
         }
-        report.cache = self.cache.stats().since(&cache_before);
-        report.timings.total_s = run_start.elapsed().as_secs_f64();
         if let Some(before) = metrics_before {
             report.metrics = MetricsSnapshot::capture().since(&before);
         }
@@ -589,13 +550,12 @@ impl Pipeline {
         rng: &mut R,
     ) -> Option<JobOutcome> {
         // Per-job work hoisted out of the per-candidate loop: one catalog
-        // observation, one fingerprint, one span approximation.
+        // observation, one span approximation.
         let obs = job.catalog.observe();
-        let fingerprint = plan_catalog_fingerprint(&job.plan, &obs);
         // The span is derived by the same compile step as everything else
         // here, so it is the span of the optimizer the candidates run on.
         let span = approximate_span_with(|config| {
-            self.compile_cached(job, &obs, fingerprint, config)
+            self.compile_guarded(job, &obs, config)
                 .ok()
                 .map(|c| c.signature)
         });
@@ -1122,7 +1082,7 @@ mod tests {
 
     /// Discovery results are pinned: the constant was computed on the
     /// commit before candidates were compiled in batches (one compile per
-    /// candidate, through the cache), so sharing explorations provably
+    /// candidate), so sharing explorations provably
     /// changed no outcome, count or executed alternative of this day.
     #[test]
     fn discovery_results_are_pinned_to_the_one_by_one_pipeline() {

@@ -7,6 +7,8 @@
 //! optimizer falls back to — until no new rules appear or the job stops
 //! compiling.
 
+use std::collections::HashMap;
+
 use scope_ir::{ObservableCatalog, PlanGraph};
 use scope_optimizer::{compile, RuleCatalog, RuleConfig, RuleSet, RuleSignature};
 
@@ -15,7 +17,8 @@ use scope_optimizer::{compile, RuleCatalog, RuleConfig, RuleSet, RuleSignature};
 pub struct JobSpan {
     /// Non-required rules observed to impact the final plan.
     pub rules: RuleSet,
-    /// Number of compile iterations performed.
+    /// Configurations Algorithm 1 asked for, repeats included — an upper
+    /// bound on the compiles performed.
     pub iterations: usize,
     /// Whether iteration stopped because compilation failed (implicit rule
     /// dependencies — §4 challenge (1)).
@@ -65,17 +68,26 @@ pub fn approximate_span(plan: &PlanGraph, obs: &ObservableCatalog) -> JobSpan {
 }
 
 /// [`approximate_span`] over a caller-supplied compile step, so the
-/// pipeline derives the span under its own cost model and through its own
-/// compile cache. The algorithm needs only the signature of a successful
-/// compile (`None` = did not compile). Algorithm 1 compiles the same
-/// configuration more than once whenever the pinning recovery fires (the
-/// recovery trial that fixes compilation is re-compiled verbatim on the
-/// next loop iteration), and its first iteration recurs across repeated
-/// span runs of the same job — a caching compile step turns both into
-/// hits.
+/// pipeline derives the span under its own cost model. The algorithm needs
+/// only the signature of a successful compile (`None` = did not compile).
+///
+/// Algorithm 1 asks for the same configuration more than once whenever the
+/// pinning recovery fires: the recovery trial that compiles is the next
+/// loop iteration's configuration verbatim, and phase 2's full re-enable is
+/// the configuration of the iteration before the failure. One call probes
+/// one plan under one model and budget, so a repeat is the same evaluation;
+/// it is answered from the probes this call has already made (failures
+/// included) and still counts as an iteration, so `try_compile` sees each
+/// enabled set at most once and the [`JobSpan`] is what re-asking returns.
 pub(crate) fn approximate_span_with(
     mut try_compile: impl FnMut(&RuleConfig) -> Option<RuleSignature>,
 ) -> JobSpan {
+    let mut probed: HashMap<RuleSet, Option<RuleSignature>> = HashMap::new();
+    let mut probe = |enabled: RuleSet| {
+        *probed
+            .entry(enabled)
+            .or_insert_with(|| try_compile(&RuleConfig::from_enabled(enabled)))
+    };
     let cat = RuleCatalog::global();
     let non_required = cat.non_required();
     let mut enabled = non_required;
@@ -87,8 +99,7 @@ pub(crate) fn approximate_span_with(
 
     while iterations < MAX_SPAN_ITERATIONS {
         iterations += 1;
-        let config = RuleConfig::from_enabled(enabled);
-        match try_compile(&config) {
+        match probe(enabled) {
             Some(signature) => {
                 // GET_ON_RULES: signature rules still disableable (required
                 // rules keep firing forever; pinned rules proved
@@ -115,7 +126,7 @@ pub(crate) fn approximate_span_with(
                     iterations += 1;
                     let mut trial = enabled;
                     trial.insert(id);
-                    if try_compile(&RuleConfig::from_enabled(trial)).is_some() {
+                    if probe(trial).is_some() {
                         enabled.insert(id);
                         pinned.insert(id);
                         recovered = true;
@@ -132,7 +143,7 @@ pub(crate) fn approximate_span_with(
                         enabled.insert(id);
                         pinned.insert(id);
                         iterations += 1;
-                        if try_compile(&RuleConfig::from_enabled(enabled)).is_some() {
+                        if probe(enabled).is_some() {
                             recovered = true;
                             break;
                         }
@@ -261,29 +272,42 @@ mod tests {
         assert_eq!(approximate_span(&plan, &obs), approximate_span(&plan, &obs));
     }
 
+    /// The span over a compile step that refuses to be asked the same
+    /// enabled set twice, with the number of sets it was asked.
+    fn span_probing_each_set_once(plan: &PlanGraph, obs: &ObservableCatalog) -> (JobSpan, usize) {
+        let mut asked = std::collections::HashSet::new();
+        let span = approximate_span_with(|config| {
+            assert!(
+                asked.insert(*config.enabled()),
+                "enabled set reached the compile step twice"
+            );
+            compile(plan, obs, config).ok().map(|c| c.signature)
+        });
+        (span, asked.len())
+    }
+
     #[test]
-    fn cached_span_is_bit_identical_and_hits_the_cache() {
-        use scope_optimizer::{plan_catalog_fingerprint, CompileCache, CostModel};
+    fn a_span_run_compiles_each_configuration_once() {
+        use scope_workload::{Workload, WorkloadProfile};
+
         let (plan, obs) = job();
-        let cache = CompileCache::new(256);
-        let fingerprint = plan_catalog_fingerprint(&plan, &obs);
-        let cached_span = || {
-            approximate_span_with(|config| {
-                cache
-                    .get_or_compile(fingerprint, config, &CostModel::DEFAULT, || {
-                        compile(&plan, &obs, config)
-                    })
-                    .ok()
-                    .map(|c| c.signature)
-            })
-        };
-        let cached = cached_span();
-        assert_eq!(cached, approximate_span(&plan, &obs));
-        // Re-running the same job's span is served largely from the cache
-        // (only failing compiles — which are never cached — re-run).
-        let before = cache.stats();
-        assert_eq!(cached_span(), cached);
-        assert!(cache.stats().since(&before).hits > 0);
+        let (span, _) = span_probing_each_set_once(&plan, &obs);
+        assert_eq!(span, approximate_span(&plan, &obs));
+
+        // A generated day, where the pinning recovery fires on most jobs:
+        // every repeat it causes is an iteration without a compile.
+        let (mut iterations, mut compiles) = (0, 0);
+        for job in &Workload::generate(WorkloadProfile::workload_a(0.06)).day(0) {
+            let obs = job.catalog.observe();
+            let (span, asked) = span_probing_each_set_once(&job.plan, &obs);
+            assert_eq!(span, approximate_span(&job.plan, &obs), "job {}", job.id.0);
+            iterations += span.iterations;
+            compiles += asked;
+        }
+        assert!(
+            iterations > compiles,
+            "no repeated probe in {iterations} iterations: the day does not exercise the probe map"
+        );
     }
 
     #[test]

@@ -16,14 +16,13 @@ pub fn params() -> PipelineParams {
     }
 }
 
-pub fn run(n_threads: usize, cache_capacity: usize, seed: u64) -> DiscoveryReport {
+pub fn run(n_threads: usize, seed: u64) -> DiscoveryReport {
     let w = Workload::generate(WorkloadProfile::workload_a(0.06));
     let jobs = w.day(0);
     let p = Pipeline::new(
         ABTester::new(11),
         PipelineParams {
             n_threads,
-            cache_capacity,
             ..params()
         },
     );
@@ -31,10 +30,9 @@ pub fn run(n_threads: usize, cache_capacity: usize, seed: u64) -> DiscoveryRepor
     p.discover(&jobs, &mut rng)
 }
 
-/// Everything result-bearing in a report, rendered bit-exactly. Timings,
-/// cache stats and the metrics snapshot are deliberately excluded: they are
-/// the only fields allowed to vary across worker counts, cache sizes and
-/// tracer states.
+/// Everything result-bearing in a report, rendered bit-exactly. The metrics
+/// snapshot is deliberately excluded: it is the only field allowed to vary
+/// across worker counts and tracer states.
 pub fn result_fingerprint(r: &DiscoveryReport) -> String {
     format!(
         "{:?}|{}|{}|{}|{}|{}|{:?}",

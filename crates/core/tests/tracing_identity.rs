@@ -11,11 +11,11 @@ use scope_trace::Counter;
 
 #[test]
 fn tracing_never_changes_discovery_results() {
-    let plain = run(2, 4096, 42);
+    let plain = run(2, 42);
 
     scope_trace::reset();
     scope_trace::set_enabled(true);
-    let traced = run(2, 4096, 42);
+    let traced = run(2, 42);
     scope_trace::set_enabled(false);
     let spans = scope_trace::take_spans();
 

@@ -201,7 +201,7 @@ impl CostWeights {
         acc
     }
 
-    /// Exact-bits digest of the six weights, for compile-cache keys.
+    /// Exact-bits digest of the six weights.
     pub fn fingerprint_bits(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -301,9 +301,8 @@ impl CostModel {
         self.weights.scalarize(&self.corrected(c))
     }
 
-    /// Exact-bits digest of the whole model (weights + corrections), for
-    /// compile-cache keys: two compiles under different models must never
-    /// share a cache entry.
+    /// Exact-bits digest of the whole model (weights + corrections): equal
+    /// digests mean every compile under the two models is bit-identical.
     pub fn fingerprint_bits(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();

@@ -23,7 +23,6 @@
 //! implementations of a needed operator produces a [`search::CompileError`]
 //! — the paper's "not all configurations compile".
 
-pub mod cache;
 #[doc(hidden)]
 pub mod classic;
 pub mod config;
@@ -39,7 +38,6 @@ pub mod search;
 pub mod transform;
 pub mod validate;
 
-pub use cache::{plan_catalog_fingerprint, CacheStats, CompileCache};
 pub use config::{RuleConfig, RuleDiff, RuleSignature};
 pub use cost::{clamp_volume, CostCorrections, CostEstimate, CostModel, CostWeights};
 pub use optimizer::normalized_kind_counts;

@@ -158,8 +158,7 @@ pub fn compile_with_budget(
 /// [`compile_with_budget`] under an explicit cost model (scalarization
 /// weights + feedback corrections). [`CostModel::DEFAULT`] reproduces the
 /// classic scalar compile bit-for-bit; anything else re-ranks memo
-/// alternatives, so callers caching compiles must key on
-/// [`CostModel::fingerprint_bits`] as well.
+/// alternatives.
 pub fn compile_with_model(
     plan: &PlanGraph,
     obs: &ObservableCatalog,
@@ -242,8 +241,7 @@ fn compile_candidates_with(
             continue;
         }
         // The exploration is timed inside the `compile` span of the
-        // configuration that runs it, the way a cache miss pays for the
-        // compile it stores.
+        // configuration that runs it.
         let mut explored = None;
         for i in (lead..configs.len()).filter(|&i| keys[i] == keys[lead]) {
             let start = Instant::now();

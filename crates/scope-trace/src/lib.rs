@@ -315,12 +315,12 @@ mod tests {
         reset();
         {
             let _s = span("noop");
-            count(Counter::CacheHit, 3);
+            count(Counter::FunnelGenerated, 3);
             record(Histogram::CompileMicros, 17);
         }
         assert!(take_spans().is_empty());
         let snap = MetricsSnapshot::capture();
-        assert_eq!(snap.counter(Counter::CacheHit), 0);
+        assert_eq!(snap.counter(Counter::FunnelGenerated), 0);
     }
 
     #[test]

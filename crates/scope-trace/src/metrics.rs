@@ -43,18 +43,9 @@ macro_rules! metric_enum {
 
 metric_enum! {
     /// Monotonic event counters. Grouped by subsystem:
-    /// `cache.*` (compile cache),
     /// `funnel.*` (per-candidate fate inside `Pipeline::discover`),
     /// `exec.*` (simulator + fault layer), `bandit.*` (steer-learn).
     Counter {
-        /// Compile-cache lookup that returned a stored plan.
-        CacheHit => "cache.hit",
-        /// Compile-cache lookup that missed.
-        CacheMiss => "cache.miss",
-        /// Plan inserted into the compile cache.
-        CacheInsert => "cache.insert",
-        /// Entry evicted from the compile cache (capacity).
-        CacheEviction => "cache.eviction",
         /// Candidate configs generated for a job (funnel entry).
         FunnelGenerated => "funnel.generated",
         /// Candidates rejected by the static lint gate before compiling.
@@ -155,10 +146,6 @@ metric_enum! {
         MemoExprs => "compile.memo_exprs",
         /// Optimizer tasks executed per compile.
         CompileTasks => "compile.tasks",
-        /// Compile-cache hit path latency (µs).
-        CacheHitMicros => "cache.hit_us",
-        /// Compile-cache miss path latency, including the compile (µs).
-        CacheMissMicros => "cache.miss_us",
         /// Simulated job runtime (ms of simulated time).
         ExecSimulatedMillis => "exec.simulated_ms",
         /// Per-stage simulated runtime (ms of simulated time).
@@ -594,7 +581,7 @@ mod tests {
     fn since_subtracts_counts_and_buckets() {
         let mut earlier = MetricsSnapshot::default();
         let mut later = MetricsSnapshot::default();
-        let ci = Counter::CacheHit as usize;
+        let ci = Counter::FunnelGenerated as usize;
         earlier.counters[ci].value = 5;
         later.counters[ci].value = 12;
         let hi = Histogram::CompileMicros as usize;
@@ -609,7 +596,7 @@ mod tests {
         later.histograms[hi].max = 31;
 
         let delta = later.since(&earlier);
-        assert_eq!(delta.counter(Counter::CacheHit), 7);
+        assert_eq!(delta.counter(Counter::FunnelGenerated), 7);
         let h = delta.histogram(Histogram::CompileMicros);
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 60);
@@ -649,7 +636,7 @@ mod tests {
         let snap = MetricsSnapshot::default();
         let json = snap.to_json();
         assert!(json.starts_with("{\"counters\":{"));
-        assert!(json.contains("\"cache.hit\":0"));
+        assert!(json.contains("\"funnel.generated\":0"));
         assert!(json.contains("\"compile.total_us\":{\"count\":0"));
         assert!(json.ends_with("}}"));
     }

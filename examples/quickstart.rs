@@ -102,7 +102,7 @@ fn main() {
     let span = scope_steer::steer::approximate_span(&job.plan, &obs);
     println!(
         "
-job span: {} rules can affect this plan (found in {} compiles)",
+job span: {} rules can affect this plan (found in {} iterations)",
         span.len(),
         span.iterations
     );

@@ -141,7 +141,7 @@ fn main() {
             let obs = job.catalog.observe();
             let span = approximate_span(&job.plan, &obs);
             println!(
-                "job {}: span has {} of 219 non-required rules ({} compiles, compile-failure hit: {})",
+                "job {}: span has {} of 219 non-required rules ({} iterations, compile-failure hit: {})",
                 job.id,
                 span.len(),
                 span.iterations,
