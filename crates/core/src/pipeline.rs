@@ -5,10 +5,13 @@
 //!
 //! Discovery is compile-bound and embarrassingly parallel across jobs, so
 //! [`Pipeline::discover`] fans both stages (default baselining and per-job
-//! analysis) out over the scoped-thread harness in [`crate::par`]. Default
-//! and span-probe compiles are single guarded compiles; a job's candidates
-//! go to the optimizer as a batch ([`compile_candidates`]) that explores
-//! once per transformation subset. A [`Pipeline`] carries nothing from one
+//! analysis) out over [`crate::par`]'s shared-index hand-out: per-job work
+//! is uneven, so each worker claims the next unclaimed jobs. Default and
+//! span-probe compiles are single guarded compiles; a job's candidates go
+//! to the optimizer as a batch ([`compile_candidates`]) that explores once
+//! per transformation subset. One [`JobLint`] per job gates both the span's
+//! probes and the candidates: a configuration it proves cannot compile is
+//! never handed to the optimizer. A [`Pipeline`] carries nothing from one
 //! compile, job or [`Pipeline::discover`] call to the next.
 //! Determinism is preserved by construction: each analyzed job gets its own
 //! RNG derived from a splittable seed (`seed ⊕ job.id`), results are
@@ -73,12 +76,14 @@ pub struct PipelineParams {
     /// Worker threads for the parallel discovery stages (`0` = one per
     /// available core). Results are identical at any thread count.
     pub n_threads: usize,
-    /// Static lint gate: `scope-lint` classifies every candidate before it
-    /// is compiled, and a config that is statically certain to fail
-    /// (`ConfigVerdict::Invalid`) is skipped and counted in
-    /// `vetting.static_invalid`. Ungated, such a candidate compiled, failed
-    /// with a non-fatal error and was silently dropped, so skipping it
-    /// sooner changes no other result — except that one which would have
+    /// Static lint gate: `scope-lint` classifies every span probe and
+    /// every candidate before it is compiled, and a config that is
+    /// statically certain to fail (`ConfigVerdict::Invalid`) is not
+    /// compiled: a span probe reads as "did not compile", a candidate is
+    /// counted in `vetting.static_invalid`. Ungated, such a config
+    /// compiled and failed with a non-fatal error (a failed span probe and
+    /// a dropped candidate), so skipping it sooner changes no other
+    /// result — except that a candidate which would have
     /// *exhausted the compile budget* mid-search is no longer counted as
     /// `over_budget`. On in production; `false` is the ungated reference
     /// that `lint_gate_preserves_discovery_bit_for_bit` and `exp_lint`
@@ -457,10 +462,10 @@ impl Pipeline {
 
         // Stage 1 (parallel): default compile + baseline A/B run per job.
         // Indices (not zipped results) carry job identity so a dropped
-        // panicked chunk cannot misalign jobs and outcomes. Compile
-        // scratch (memo arena + implement vectors) is per worker thread:
-        // the optimizer's thread-local scratch is born with the scoped
-        // worker and reused across every compile in its chunk.
+        // panicked job cannot misalign jobs and outcomes. Compile scratch
+        // (memo arena + implement vectors) is per worker thread: the
+        // optimizer's thread-local scratch is born with the scoped worker
+        // and reused across every job it takes.
         let indices: Vec<usize> = (0..jobs.len()).collect();
         let stage_span = scope_trace::span("discover.defaults");
         let defaults: Vec<(usize, DefaultOutcome)> = run_chunked_on(
@@ -550,11 +555,13 @@ impl Pipeline {
         rng: &mut R,
     ) -> Option<JobOutcome> {
         // Per-job work hoisted out of the per-candidate loop: one catalog
-        // observation, one span approximation.
+        // observation, one lint, one span approximation.
         let obs = job.catalog.observe();
+        let lint = self.params.lint_gate.then(|| JobLint::new(&job.plan));
         // The span is derived by the same compile step as everything else
         // here, so it is the span of the optimizer the candidates run on.
-        let span = approximate_span_with(|config| {
+        // Its probes go through the lint gate like the candidates do.
+        let span = approximate_span_with(lint.as_ref(), |config| {
             self.compile_guarded(job, &obs, config)
                 .ok()
                 .map(|c| c.signature)
@@ -598,7 +605,6 @@ impl Pipeline {
         // is the same plan under different raw bits: both stay in the
         // candidate statistics but out of the execution pool, so
         // `execute_top_k` slots only go to genuinely distinct plans.
-        let lint = self.params.lint_gate.then(|| JobLint::new(&job.plan));
         let bounds = self
             .params
             .bounds_gate

@@ -6,10 +6,17 @@
 //! the signature, and recompiling to surface the alternative rules the
 //! optimizer falls back to — until no new rules appear or the job stops
 //! compiling.
+//!
+//! Most of those recompiles fail (§4's implicit rule dependencies), and
+//! the failing ones are near-full rule sets with the largest memos. A probe
+//! `scope-lint` classifies `Invalid` is certain to fail with
+//! `NoImplementation`, so it is answered "did not compile" without calling
+//! the compile step; everything else is compiled.
 
 use std::collections::HashMap;
 
 use scope_ir::{ObservableCatalog, PlanGraph};
+use scope_lint::{ConfigVerdict, JobLint};
 use scope_optimizer::{compile, RuleCatalog, RuleConfig, RuleSet, RuleSignature};
 
 /// Result of the span approximation.
@@ -64,12 +71,20 @@ pub const MAX_SPAN_ITERATIONS: usize = 64;
 /// distributed job and misses all alternative implementations. The paper's
 /// production system necessarily handles this implicitly.
 pub fn approximate_span(plan: &PlanGraph, obs: &ObservableCatalog) -> JobSpan {
-    approximate_span_with(|config| compile(plan, obs, config).ok().map(|c| c.signature))
+    let lint = JobLint::new(plan);
+    approximate_span_with(Some(&lint), |config| {
+        compile(plan, obs, config).ok().map(|c| c.signature)
+    })
 }
 
 /// [`approximate_span`] over a caller-supplied compile step, so the
 /// pipeline derives the span under its own cost model. The algorithm needs
 /// only the signature of a successful compile (`None` = did not compile).
+///
+/// Given the job's `lint`, a configuration it classifies `Invalid` is
+/// answered `None` without calling `try_compile`: its compile could only
+/// end in `NoImplementation`, and every failure reads as `None`, so the
+/// [`JobSpan`] is the one `None` (compile everything) returns.
 ///
 /// Algorithm 1 asks for the same configuration more than once whenever the
 /// pinning recovery fires: the recovery trial that compiles is the next
@@ -80,13 +95,22 @@ pub fn approximate_span(plan: &PlanGraph, obs: &ObservableCatalog) -> JobSpan {
 /// included) and still counts as an iteration, so `try_compile` sees each
 /// enabled set at most once and the [`JobSpan`] is what re-asking returns.
 pub(crate) fn approximate_span_with(
+    lint: Option<&JobLint>,
     mut try_compile: impl FnMut(&RuleConfig) -> Option<RuleSignature>,
 ) -> JobSpan {
     let mut probed: HashMap<RuleSet, Option<RuleSignature>> = HashMap::new();
     let mut probe = |enabled: RuleSet| {
-        *probed
-            .entry(enabled)
-            .or_insert_with(|| try_compile(&RuleConfig::from_enabled(enabled)))
+        *probed.entry(enabled).or_insert_with(|| {
+            let config = RuleConfig::from_enabled(enabled);
+            let invalid = lint.is_some_and(|lint| {
+                matches!(lint.classify(&config), ConfigVerdict::Invalid { .. })
+            });
+            if invalid {
+                None
+            } else {
+                try_compile(&config)
+            }
+        })
     };
     let cat = RuleCatalog::global();
     let non_required = cat.non_required();
@@ -273,14 +297,25 @@ mod tests {
     }
 
     /// The span over a compile step that refuses to be asked the same
-    /// enabled set twice, with the number of sets it was asked.
-    fn span_probing_each_set_once(plan: &PlanGraph, obs: &ObservableCatalog) -> (JobSpan, usize) {
+    /// enabled set twice — and, given a `lint`, a set it classifies
+    /// `Invalid` — with the number of sets it was asked.
+    fn span_probing_each_set_once(
+        plan: &PlanGraph,
+        obs: &ObservableCatalog,
+        lint: Option<&JobLint>,
+    ) -> (JobSpan, usize) {
         let mut asked = std::collections::HashSet::new();
-        let span = approximate_span_with(|config| {
+        let span = approximate_span_with(lint, |config| {
             assert!(
                 asked.insert(*config.enabled()),
                 "enabled set reached the compile step twice"
             );
+            if let Some(lint) = lint {
+                assert!(
+                    !matches!(lint.classify(config), ConfigVerdict::Invalid { .. }),
+                    "a statically invalid configuration reached the compile step"
+                );
+            }
             compile(plan, obs, config).ok().map(|c| c.signature)
         });
         (span, asked.len())
@@ -291,7 +326,7 @@ mod tests {
         use scope_workload::{Workload, WorkloadProfile};
 
         let (plan, obs) = job();
-        let (span, _) = span_probing_each_set_once(&plan, &obs);
+        let (span, _) = span_probing_each_set_once(&plan, &obs, None);
         assert_eq!(span, approximate_span(&plan, &obs));
 
         // A generated day, where the pinning recovery fires on most jobs:
@@ -299,7 +334,7 @@ mod tests {
         let (mut iterations, mut compiles) = (0, 0);
         for job in &Workload::generate(WorkloadProfile::workload_a(0.06)).day(0) {
             let obs = job.catalog.observe();
-            let (span, asked) = span_probing_each_set_once(&job.plan, &obs);
+            let (span, asked) = span_probing_each_set_once(&job.plan, &obs, None);
             assert_eq!(span, approximate_span(&job.plan, &obs), "job {}", job.id.0);
             iterations += span.iterations;
             compiles += asked;
@@ -308,6 +343,92 @@ mod tests {
             iterations > compiles,
             "no repeated probe in {iterations} iterations: the day does not exercise the probe map"
         );
+    }
+
+    #[test]
+    fn a_linted_span_equals_the_unlinted_span_with_fewer_compiles() {
+        use scope_workload::{Workload, WorkloadProfile, WorkloadTag};
+
+        for (tag, scale) in [
+            (WorkloadTag::A, 0.03),
+            (WorkloadTag::B, 0.2),
+            (WorkloadTag::C, 0.08),
+        ] {
+            let (mut linted_compiles, mut unlinted_compiles) = (0, 0);
+            for job in &Workload::generate(WorkloadProfile::for_tag(tag, scale)).day(0) {
+                let obs = job.catalog.observe();
+                let lint = JobLint::new(&job.plan);
+                let (linted, linted_asked) =
+                    span_probing_each_set_once(&job.plan, &obs, Some(&lint));
+                let (unlinted, unlinted_asked) = span_probing_each_set_once(&job.plan, &obs, None);
+                assert_eq!(linted, unlinted, "{tag:?} job {}", job.id.0);
+                linted_compiles += linted_asked;
+                unlinted_compiles += unlinted_asked;
+            }
+            assert!(
+                linted_compiles < unlinted_compiles,
+                "{tag:?}: lint retired no span probe ({linted_compiles} compiles of {unlinted_compiles})"
+            );
+        }
+    }
+
+    /// The span answers an `Invalid` probe without compiling it, so the
+    /// verdict must never cover a configuration that compiles. The route
+    /// no generated day exercises: a kind with every implementation and
+    /// `Becomes` escape disabled, whose operator a `Child` escape removes
+    /// (a `TRUE` filter, an identity projection).
+    #[test]
+    fn a_child_escape_keeps_a_compiling_configuration_out_of_invalid() {
+        use scope_ir::OpKind;
+        use scope_lint::RuleGraph;
+
+        let mut cat = TrueCatalog::new();
+        let k = cat.add_column(50_000, 0.0, DomainId(0));
+        let a = cat.add_column(200, 0.0, DomainId(1));
+        cat.add_table(2_000_000, 120, 11, vec![k, a]);
+        let obs = cat.observe();
+        let graph = RuleGraph::global();
+        for (op, kind) in [
+            (
+                LogicalOp::Select {
+                    predicate: Predicate::true_pred(),
+                },
+                OpKind::Filter,
+            ),
+            (
+                LogicalOp::Project {
+                    cols: vec![k, a],
+                    computed: 0,
+                },
+                OpKind::Project,
+            ),
+        ] {
+            let mut plan = PlanGraph::new();
+            let scan = plan.add_unchecked(LogicalOp::Get { table: TableId(0) }, vec![]);
+            let node = plan.add_unchecked(op, vec![scan]);
+            let out = plan.add_unchecked(LogicalOp::Output { stream: 1 }, vec![node]);
+            plan.set_root(out);
+            let mut disabled = *graph.impls(kind);
+            for &(id, anchor, _) in graph.becomes_edges() {
+                if anchor == kind {
+                    disabled.insert(id);
+                }
+            }
+            let config = RuleConfig::from_enabled(
+                RuleCatalog::global().non_required().difference(&disabled),
+            );
+            assert!(
+                compile(&plan, &obs, &config).is_ok(),
+                "{kind:?}: the child escape no longer compiles the plan"
+            );
+            assert!(
+                !matches!(
+                    JobLint::new(&plan).classify(&config),
+                    ConfigVerdict::Invalid { .. }
+                ),
+                "{kind:?}: the lint calls a compiling configuration Invalid"
+            );
+        }
     }
 
     #[test]
