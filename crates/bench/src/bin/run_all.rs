@@ -6,7 +6,7 @@
 
 use std::process::Command;
 
-const EXPERIMENTS: [&str; 22] = [
+const EXPERIMENTS: [&str; 20] = [
     "exp_table1",
     "exp_table2",
     "exp_fig2",
@@ -25,9 +25,7 @@ const EXPERIMENTS: [&str; 22] = [
     "exp_random_configs",
     "exp_fault_sweep",
     "exp_budget_sweep",
-    "exp_lint",
     "exp_flighting",
-    "exp_bounds",
     "exp_cost_feedback",
 ];
 

@@ -85,7 +85,7 @@ pub fn extrapolate(
     ab: &ABTester,
 ) -> Vec<ExtrapolatedRun> {
     // Several base jobs can share a group; apply the strongest winner
-    // (mirroring `HintStore::install`) rather than an arbitrary one.
+    // (mirroring `FlightController::ingest`) rather than an arbitrary one.
     let mut by_group: HashMap<&GroupKey, &GroupConfig> = HashMap::new();
     for g in group_configs {
         by_group

@@ -86,8 +86,7 @@ pub struct PipelineParams {
     /// result — except that a candidate which would have
     /// *exhausted the compile budget* mid-search is no longer counted as
     /// `over_budget`. On in production; `false` is the ungated reference
-    /// that `lint_gate_preserves_discovery_bit_for_bit` and `exp_lint`
-    /// compare against.
+    /// that `lint_gate_preserves_discovery_bit_for_bit` compares against.
     pub lint_gate: bool,
     /// Static bounds gate: `scope-lint`'s [`PlanBounds`] gives every
     /// candidate a *sound whole-plan cost lower bound* without compiling
@@ -101,7 +100,7 @@ pub struct PipelineParams {
     /// (`n_candidates`, `n_duplicate_plans`) and the static funnel counters
     /// differ. On in production; `false` (every lower bound at −∞) is the
     /// ungated reference that `bounds_gate_preserves_discovery_bit_for_bit`
-    /// and `exp_bounds` compare against.
+    /// compares against.
     pub bounds_gate: bool,
     /// The cost model every compile in this pipeline runs under: the
     /// scalarization weights plus any promoted per-template corrections.
@@ -1109,35 +1108,6 @@ mod tests {
     fn both_static_gates_are_on_by_default() {
         let params = PipelineParams::default();
         assert!(params.lint_gate && params.bounds_gate);
-    }
-
-    /// The fact the single candidate loop rests on: two distinct candidates
-    /// of one job never share `enabled ∩ live` (there is nothing to fold),
-    /// because the sampler only ever disables span rules, dedups on
-    /// effective bits, and every span rule is live.
-    #[test]
-    fn span_rules_are_live_so_distinct_candidates_never_share_canonical_bits() {
-        use crate::span::approximate_span;
-
-        let w = Workload::generate(WorkloadProfile::workload_a(0.06));
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut checked = 0;
-        for job in &w.day(0) {
-            let span = approximate_span(&job.plan, &job.catalog.observe());
-            let lint = JobLint::new(&job.plan);
-            assert!(
-                span.rules.difference(lint.live()).is_empty(),
-                "job {}: span rule outside the live set",
-                job.id.0
-            );
-            let configs =
-                candidate_configs_effective(&span, &Pipeline::hint_set(job), 60, &mut rng);
-            let canonical: HashSet<RuleSet> =
-                configs.iter().map(|c| lint.canonical_bits(c)).collect();
-            assert_eq!(canonical.len(), configs.len(), "job {}", job.id.0);
-            checked += configs.len();
-        }
-        assert!(checked > 0);
     }
 
     #[test]

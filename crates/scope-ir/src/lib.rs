@@ -39,6 +39,4 @@ pub use interval::Interval;
 pub use job::{InputRef, Job};
 pub use ops::{AggFunc, JoinKind, LogicalOp, OpKind};
 pub use plan::{PlanGraph, PlanNode};
-pub use validate::{
-    check_provenance, check_structure, validate_logical, PlanViolation, StructuralNode,
-};
+pub use validate::{check_structure, validate_logical, PlanViolation, StructuralNode};

@@ -125,8 +125,7 @@ impl fmt::Display for PlanViolation {
 /// A node as seen by the shared structural checks — the common shape of a
 /// logical [`PlanGraph`] node and the optimizer's physical node, so the
 /// root/arity/dangling-edge logic lives in exactly one place (used by
-/// [`validate_logical`], `scope_optimizer::validate_physical`, and the
-/// `scope-lint` structure pass).
+/// [`validate_logical`] and `scope_optimizer::validate_physical`).
 pub struct StructuralNode<'a> {
     /// Operator kind name, for diagnostics.
     pub kind: &'static str,
@@ -238,7 +237,7 @@ pub fn validate_logical(plan: &PlanGraph, obs: &ObservableCatalog) -> Vec<PlanVi
 /// reporting scans of unknown tables and references to columns the inputs
 /// do not produce. Dangling child edges are skipped silently — reporting
 /// them is [`check_structure`]'s job.
-pub fn check_provenance(plan: &PlanGraph, obs: &ObservableCatalog, out: &mut Vec<PlanViolation>) {
+fn check_provenance(plan: &PlanGraph, obs: &ObservableCatalog, out: &mut Vec<PlanViolation>) {
     let mut cols: Vec<BTreeSet<ColId>> = vec![BTreeSet::new(); plan.len()];
     for id in plan.reachable() {
         let node = plan.node(id);
@@ -468,6 +467,37 @@ mod tests {
                 col: ColId(0)
             }]
         );
+    }
+
+    #[test]
+    fn shared_structure_core_reports_arity_and_dangling_edges() {
+        // `PlanGraph::add` rejects bad arity and forward edges at build time,
+        // so the defensive cases of the shared core are exercised directly:
+        // a unary node with two children, one of them out of the arena.
+        let children: Vec<Vec<NodeId>> = vec![vec![], vec![NodeId(0), NodeId(7)], vec![NodeId(1)]];
+        let mut out = Vec::new();
+        let edges_ok = check_structure(
+            Some(NodeId(2)),
+            3,
+            (0..3u32).map(NodeId),
+            |id| StructuralNode {
+                kind: ["scan", "filter", "output"][id.index()],
+                children: &children[id.index()],
+                arity: [(0, 0), (1, 1), (1, 1)][id.index()],
+                is_output: id.index() == 2,
+            },
+            &mut out,
+        );
+        assert!(matches!(
+            &out[..],
+            [
+                PlanViolation::BadArity { node: a, got: 2, .. },
+                PlanViolation::DanglingInput { node: d, child },
+            ] if a.index() == 1 && d.index() == 1 && child.index() == 7
+        ));
+        // Per-node edge flags gate downstream checks: the broken node is
+        // flagged, the clean ones are not.
+        assert_eq!(edges_ok, vec![true, false, true]);
     }
 
     #[test]

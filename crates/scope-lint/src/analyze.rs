@@ -1,144 +1,59 @@
-//! The config lattice checker: classify a [`RuleConfig`] against one job's
+//! The configuration checker: classify a [`RuleConfig`] against one job's
 //! plan **without compiling anything**.
 //!
 //! [`JobLint::new`] runs the (cheap, pure) normalization pass once per job
-//! and derives from the normalized operator counts:
+//! and derives from the normalized operator counts the over-approximated
+//! set of kinds any memo expression can ever have under *any* config: the
+//! kinds present in the normalized plan, plus `Project` (the only kind
+//! exploration can introduce where none existed, via the `PruneBelow`
+//! family). Every rewrite in the catalog either keeps its anchor kind,
+//! hoists a kind already present below the match, or substitutes the
+//! match's child — so memo expression kinds are provably contained in this
+//! set.
 //!
-//! - `reachable` — the over-approximated set of kinds any memo expression
-//!   can ever have under *any* config: the kinds present in the normalized
-//!   plan, plus `Project` (the only kind exploration can introduce where
-//!   none existed, via the `PruneBelow` family). Every rewrite in the
-//!   catalog either keeps its anchor kind, hoists a kind already present
-//!   below the match, or substitutes the match's child — so memo expression
-//!   kinds are provably contained in this set.
-//! - `live` — the rules that could possibly fire on this plan under some
-//!   config: required rules, exchange impls, rules anchored on a reachable
-//!   kind, and marker rules whose kind count meets their threshold (exact,
-//!   because markers fire on normalized counts).
-//!
-//! [`JobLint::classify`] then produces the verdict lattice, in decreasing
-//! precedence:
-//!
-//! - [`ConfigVerdict::Invalid`] — some present kind has no enabled
-//!   implementation and no enabled escape route (fixpoint over
-//!   [`scope_optimizer::AnchorRewrite`] edges): compilation is *certain* to fail. The escape
-//!   analysis over-approximates implementability, so `Invalid` is sound —
-//!   a config this analyzer rejects can never compile.
-//! - [`ConfigVerdict::Redundant`] — the enabled set differs from its
-//!   canonical projection `enabled ∩ live`. Two configs with equal
-//!   canonical bits compile bit-identically (same plan, cost, signature,
-//!   and task counts): non-live rules are never even iterated by the
-//!   explore/implement loops, and marker liveness is exact.
-//! - [`ConfigVerdict::Dead`] — compilable, but some enabled rules can
-//!   never fire under *this* config (their kind is absent and every
-//!   enabled producer is disabled). Diagnostic, not skippable.
-//! - [`ConfigVerdict::Valid`] — nothing to report.
+//! [`JobLint::classify`] returns [`ConfigVerdict::Invalid`] when some
+//! present kind has no enabled implementation and no enabled escape route
+//! (fixpoint over [`scope_optimizer::AnchorRewrite`] edges): compilation is
+//! *certain* to fail. The escape analysis over-approximates
+//! implementability, so `Invalid` is sound — a config this analyzer rejects
+//! can never compile. Everything else is [`ConfigVerdict::Valid`], which
+//! only a compile can confirm (a missing exchange, an exhausted budget).
 
 use scope_ir::{OpKind, PlanGraph};
-use scope_optimizer::{normalized_kind_counts, RuleAction, RuleCatalog, RuleConfig, RuleSet};
+use scope_optimizer::{normalized_kind_counts, RuleConfig};
 
 use crate::rulegraph::RuleGraph;
 use crate::violation::LintViolation;
 
-/// The config lattice verdict. Precedence (what `classify` returns when
-/// several apply): `Invalid > Redundant > Dead > Valid`.
+/// Whether a configuration can compile against one job's plan.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigVerdict {
-    /// Compiles, and every enabled rule could in principle fire.
+    /// Not provably doomed: only a compile tells.
     Valid,
-    /// Compiles bit-identically to the config with bitset `canonical`
-    /// (the enabled set projected onto this job's live rules).
-    Redundant { canonical: RuleSet },
-    /// Compiles, but these enabled rules can never fire on this plan under
-    /// this config.
-    Dead { rules: RuleSet },
     /// Certain to fail compilation; the violations say why.
     Invalid { violations: Vec<LintViolation> },
 }
 
-impl ConfigVerdict {
-    /// Short label for counters and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ConfigVerdict::Valid => "valid",
-            ConfigVerdict::Redundant { .. } => "redundant",
-            ConfigVerdict::Dead { .. } => "dead",
-            ConfigVerdict::Invalid { .. } => "invalid",
-        }
-    }
-}
-
 /// Per-job static analyzer: normalized kind counts plus the derived
-/// reachable-kind and live-rule sets (see module docs).
+/// reachable-kind set (see module docs).
 pub struct JobLint {
     kind_counts: [u32; OpKind::COUNT],
     reachable: [bool; OpKind::COUNT],
-    live: RuleSet,
 }
 
 impl JobLint {
     /// Analyze one job plan. Runs normalization (cheap and pure); nothing
     /// is compiled.
     pub fn new(plan: &PlanGraph) -> JobLint {
-        let cat = RuleCatalog::global();
         let kind_counts = normalized_kind_counts(plan);
-        let mut reachable = [false; OpKind::COUNT];
-        for kind in OpKind::ALL {
-            reachable[kind as usize] = kind_counts[kind as usize] > 0;
-        }
+        let mut reachable = kind_counts.map(|count| count > 0);
         // The one kind exploration can introduce where none existed:
         // `PruneBelow` inserts narrowing projections below its anchors.
         reachable[OpKind::Project as usize] = true;
-        let mut live = *cat.required();
-        for &id in cat.exchange_impls() {
-            live.insert(id);
-        }
-        for rule in cat.rules() {
-            if live.contains(rule.id) {
-                continue;
-            }
-            let is_live = match &rule.action {
-                // Markers fire on exact normalized counts, so liveness is
-                // exact, not an approximation.
-                RuleAction::Guard { kind, min_count } | RuleAction::Marker { kind, min_count } => {
-                    kind_counts[*kind as usize] >= u32::from(*min_count)
-                }
-                RuleAction::Canonicalize(kind) => kind_counts[*kind as usize] > 0,
-                action => match action.anchor() {
-                    Some(kind) => reachable[kind as usize],
-                    None => true,
-                },
-            };
-            if is_live {
-                live.insert(rule.id);
-            }
-        }
         JobLint {
             kind_counts,
             reachable,
-            live,
         }
-    }
-
-    /// Normalized operator counts for the job's plan.
-    pub fn kind_counts(&self) -> &[u32; OpKind::COUNT] {
-        &self.kind_counts
-    }
-
-    /// Whether memo expressions of `kind` can exist for this plan.
-    pub fn is_reachable(&self, kind: OpKind) -> bool {
-        self.reachable[kind as usize]
-    }
-
-    /// The rules that could fire on this plan under some config.
-    pub fn live(&self) -> &RuleSet {
-        &self.live
-    }
-
-    /// The canonical projection of a config for this job: enabled ∩ live.
-    /// Two configs with equal canonical bits compile bit-identically.
-    pub fn canonical_bits(&self, config: &RuleConfig) -> RuleSet {
-        config.enabled().intersection(&self.live)
     }
 
     /// Violations that make compilation *certain* to fail, via a fixpoint
@@ -188,67 +103,19 @@ impl JobLint {
             }
         }
         // Exchange coverage is plan-dependent (only plans needing a
-        // repartition fail), so an all-disabled exchange set is a warning
-        // carried by `warnings`, not a certain failure.
+        // repartition fail), so disabled exchange impls are never a
+        // certain failure.
         out
     }
 
-    /// Warnings: suspicious but not certainly failing.
-    pub fn warnings(&self, config: &RuleConfig) -> Vec<LintViolation> {
-        let graph = RuleGraph::global();
-        let cat = RuleCatalog::global();
-        let mut out = Vec::new();
-        if graph
-            .exchange_impls()
-            .iter()
-            .all(|id| !config.is_enabled(id))
-        {
-            out.push(LintViolation::AllExchangeImplsDisabled);
-        }
-        out.extend(graph.swap_cycles(cat, config));
-        out
-    }
-
-    /// Enabled rules that can never fire on this plan under this config:
-    /// rules anchored on (or implementing) a kind that is absent and not
-    /// producible because every enabled producer is disabled. Required
-    /// rules are exempt (they are fixed, not configuration choices).
-    pub fn dead_rules(&self, config: &RuleConfig) -> RuleSet {
-        let cat = RuleCatalog::global();
-        let graph = RuleGraph::global();
-        let mut dead = RuleSet::EMPTY;
-        for kind in OpKind::ALL {
-            if self.kind_counts[kind as usize] > 0 || !self.reachable[kind as usize] {
-                continue;
-            }
-            // Absent but reachable: only Project qualifies (see `new`).
-            if graph.project_producible(cat, config, &self.kind_counts) {
-                continue;
-            }
-            for id in graph.impls(kind).union(graph.transforms(kind)).iter() {
-                if config.is_enabled(id) && !cat.required().contains(id) {
-                    dead.insert(id);
-                }
-            }
-        }
-        dead
-    }
-
-    /// The lattice verdict (see [`ConfigVerdict`] for precedence).
+    /// The verdict: `Invalid` iff [`Self::certain_failures`] finds any.
     pub fn classify(&self, config: &RuleConfig) -> ConfigVerdict {
         let violations = self.certain_failures(config);
-        if !violations.is_empty() {
-            return ConfigVerdict::Invalid { violations };
+        if violations.is_empty() {
+            ConfigVerdict::Valid
+        } else {
+            ConfigVerdict::Invalid { violations }
         }
-        let canonical = self.canonical_bits(config);
-        if canonical != *config.enabled() {
-            return ConfigVerdict::Redundant { canonical };
-        }
-        let dead = self.dead_rules(config);
-        if !dead.is_empty() {
-            return ConfigVerdict::Dead { rules: dead };
-        }
-        ConfigVerdict::Valid
     }
 }
 
@@ -279,17 +146,4 @@ pub fn catalog_invalid(config: &RuleConfig) -> Vec<LintViolation> {
         });
     }
     out
-}
-
-/// Ingest raw config bits (hint files, external tooling): normalize through
-/// [`RuleConfig::normalized`] and surface any required-rule correction as a
-/// typed violation.
-pub fn ingest_bits(bits: RuleSet) -> (RuleConfig, Option<LintViolation>) {
-    let (config, correction) = RuleConfig::normalized(bits);
-    let violation = if correction.is_empty() {
-        None
-    } else {
-        Some(LintViolation::RequiredRuleCleared { rules: correction })
-    };
-    (config, violation)
 }

@@ -1,5 +1,6 @@
 //! Abstract interpretation over `scope-ir` plan graphs: guaranteed
-//! `[lo, hi]` intervals for rows, bytes, and estimated cost.
+//! `[lo, hi]` intervals for rows and bytes, and a floor under estimated
+//! cost.
 //!
 //! The analysis has two layers with different soundness obligations:
 //!
@@ -24,13 +25,12 @@
 //! reported by [`audit_estimates`] as typed
 //! [`LintViolation::EstimateOutOfBounds`] findings.
 //!
-//! **Whole-plan cost bounds** ([`PlanBounds::cost_lo`] /
-//! [`PlanBounds::cost_hi`]), which must hold for the *winning plan of any
-//! rule configuration* — i.e. survive every enabled rewrite the memo search
-//! may apply. Naive per-node cost intervals are unsound here (associativity
-//! rules reshape join inputs arbitrarily; filter pushdown changes every
-//! intermediate estimate), so the lower bound is built only from quantities
-//! rewrites provably preserve:
+//! **Whole-plan cost floor** ([`PlanBounds::cost_lo`]), which must hold
+//! for the *winning plan of any rule configuration* — i.e. survive every
+//! enabled rewrite the memo search may apply. Naive per-node cost intervals
+//! are unsound here (associativity rules reshape join inputs arbitrarily;
+//! filter pushdown changes every intermediate estimate), so the floor is
+//! built only from quantities rewrites provably preserve:
 //!
 //! * The plan is hash-consed into *canonical* nodes (after the required
 //!   `Get→RangeGet` / `Select→Filter` normalizers), mirroring memo ingest —
@@ -52,16 +52,8 @@
 //!   the raw bytes a scan reads ([`cost::raw_scan_bytes`]) depend only on
 //!   the table — a rewrite- and configuration-invariant quantity.
 //!
-//! The upper bound [`PlanBounds::cost_hi`] bounds the *winner* via one
-//! explicit feasible alternative: implementing the normalized plan directly,
-//! charging each node the maximum enabled implementation cost at
-//! interval-`hi` inputs (maximized over all DOP tiers) plus a worst-case
-//! exchange per child edge. It applies (`Some`) only when that direct
-//! alternative is guaranteed feasible: every present kind keeps at least
-//! one enabled implementation and all exchange implementations are enabled
-//! — always true for the default configuration. Both bounds carry a tiny
-//! relative slack (`COST_SLACK`) absorbing the float jitter of extraction's
-//! own-cost accounting.
+//! The floor carries a tiny relative slack (`COST_SLACK`) absorbing the
+//! float jitter of extraction's own-cost accounting.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -71,15 +63,15 @@ use scope_ir::{
     Interval, JoinKind, LogicalOp, NodeId, ObservableCatalog, OpKind, PlanGraph, Predicate,
 };
 use scope_optimizer::cost::{
-    dop_for_bytes, raw_scan_bytes, CostModel, CostWeights, C_CPU_ROW, C_HASH_ROW, C_IO, C_NET,
-    C_SORT_ROW, C_UDO_ROW, C_VERTEX, DOP_TIERS,
+    dop_for_bytes, raw_scan_bytes, CostModel, CostWeights, C_CPU_ROW, C_HASH_ROW, C_IO, C_SORT_ROW,
+    C_UDO_ROW, C_VERTEX, DOP_TIERS,
 };
 use scope_optimizer::estimate::{Estimator, LogicalEst};
 use scope_optimizer::{PhysImpl, RuleAction, RuleCatalog, RuleId, RuleSet};
 
 use crate::violation::{BoundQuantity, LintViolation};
 
-/// Relative slack on the whole-plan cost bounds, absorbing float jitter in
+/// Relative slack on the whole-plan cost floor, absorbing float jitter in
 /// extraction's `own_cost = winner − children − exchanges` accounting.
 const COST_SLACK: f64 = 1e-6;
 
@@ -88,7 +80,8 @@ const COST_SLACK: f64 = 1e-6;
 /// envelope computation.
 const EST_SLACK: f64 = 1e-9;
 
-/// Per-implementation cost table: `(carrying rule, bound value)`.
+/// Per-implementation cost floors of one canonical node:
+/// `(carrying rule, floor)`.
 #[derive(Debug)]
 struct ImplTable {
     entries: Vec<(RuleId, f64)>,
@@ -115,39 +108,16 @@ impl ImplTable {
                 .clamp(0.0, f64::MAX)
         }
     }
-
-    /// Maximum over enabled entries (0 when none enabled — callers gate on
-    /// feasibility first).
-    fn max_enabled(&self, enabled: &RuleSet) -> f64 {
-        self.entries
-            .iter()
-            .filter(|(r, _)| enabled.contains(*r))
-            .map(|(_, v)| *v)
-            .fold(0.0f64, f64::max)
-    }
 }
 
-/// Per-node ingredients of the direct-plan cost upper bound.
-#[derive(Debug)]
-struct HiTerm {
-    /// Per-implementation cost at interval-`hi` inputs, maxed over tiers.
-    impls: ImplTable,
-    /// Worst-case exchange cost summed over this node's child edges.
-    exchange: f64,
-}
-
-/// Sound `[lo, hi]` intervals for one plan: per-node rows/bytes plus
-/// whole-plan cost bounds parameterized by the enabled rule set.
+/// Sound `[lo, hi]` intervals for one plan's per-node rows/bytes, plus a
+/// whole-plan cost floor parameterized by the enabled rule set.
 #[derive(Debug)]
 pub struct PlanBounds {
     rows: Vec<Interval>,
     row_bytes: Vec<Interval>,
     order: Vec<NodeId>,
-    children: Vec<Vec<usize>>,
-    root: Option<NodeId>,
-    kinds_present: [bool; OpKind::COUNT],
     floor_terms: Vec<ImplTable>,
-    hi_terms: Vec<Option<HiTerm>>,
 }
 
 impl PlanBounds {
@@ -161,12 +131,8 @@ impl PlanBounds {
         let mut b = PlanBounds {
             rows: vec![Interval::ZERO; n],
             row_bytes: vec![Interval::ZERO; n],
-            order,
-            children: vec![Vec::new(); n],
-            root: plan.root(),
-            kinds_present: [false; OpKind::COUNT],
+            order: Vec::new(),
             floor_terms: Vec::new(),
-            hi_terms: (0..n).map(|_| None).collect(),
         };
         // Canonical hash-consing (memo-ingest mirror): nodes with identical
         // normalized op and identical canonical children collapse into one
@@ -174,13 +140,9 @@ impl PlanBounds {
         // only lowers the floor sum — sound.
         let mut canon: HashMap<(u64, Vec<usize>), usize> = HashMap::new();
         let mut canon_id: Vec<usize> = vec![usize::MAX; n];
-        let order = b.order.clone();
         for &id in &order {
             let node = plan.node(id);
             let nop = normalize_op(&node.op);
-            let kind = nop.kind();
-            b.kinds_present[kind as usize] = true;
-            b.children[id.index()] = node.children.iter().map(|c| c.index()).collect();
 
             // Rows / bytes interval transfer.
             let (rows, row_bytes) = b.transfer(&est, &nop, &node.children, obs);
@@ -194,13 +156,11 @@ impl PlanBounds {
             let next = canon.len();
             let entry = *canon.entry((h.finish(), kids)).or_insert(next);
             canon_id[id.index()] = entry;
-            if entry == next && is_floor_kind(kind) {
+            if entry == next && is_floor_kind(nop.kind()) {
                 b.floor_terms.push(floor_table(&nop, obs));
             }
-
-            // Direct-plan upper-bound term.
-            b.hi_terms[id.index()] = Some(b.hi_term(&nop, &node.children, obs));
         }
+        b.order = order;
         b
     }
 
@@ -236,39 +196,6 @@ impl PlanBounds {
         (sum * (1.0 - COST_SLACK)).max(0.0)
     }
 
-    /// Upper bound on the *winning* plan's estimated cost under `enabled`,
-    /// via the directly-implemented normalized plan. `None` when that
-    /// alternative is not provably feasible (some present kind has every
-    /// implementation disabled, or an exchange implementation is disabled);
-    /// always `Some` for the default configuration.
-    pub fn cost_hi(&self, enabled: &RuleSet) -> Option<f64> {
-        let cat = RuleCatalog::global();
-        for kind in OpKind::ALL {
-            if self.kinds_present[kind as usize]
-                && !cat.impls_for(kind).is_empty()
-                && !cat.impls_for(kind).iter().any(|id| enabled.contains(*id))
-            {
-                return None;
-            }
-        }
-        if !cat.exchange_impls().iter().all(|id| enabled.contains(*id)) {
-            return None;
-        }
-        let root = self.root?;
-        // Tree-weighted recursion (shared nodes counted once per
-        // reference), matching the search's per-reference winner-cost
-        // accounting, which dominates the extracted DAG's cost.
-        let mut total = vec![0.0f64; self.rows.len()];
-        for &id in &self.order {
-            let i = id.index();
-            let t = self.hi_terms[i].as_ref()?;
-            let kids: f64 = self.children[i].iter().map(|&c| total[c]).sum();
-            total[i] = t.impls.max_enabled(enabled) + t.exchange + kids;
-        }
-        let v = total[root.index()] * (1.0 + COST_SLACK);
-        v.is_finite().then_some(v)
-    }
-
     /// [`Self::cost_lo`] under an arbitrary [`CostModel`]: a guaranteed
     /// lower bound on the *corrected, scalarized* cost of any compilable
     /// plan. The floor formulas are derived for the classic
@@ -276,50 +203,16 @@ impl PlanBounds {
     /// io, net, vertices) is non-negative and enters at weight 1; a
     /// correction multiplies cpu by its cpu factor and io+net by its io
     /// factor while leaving vertices unscaled, so the corrected scalar is
-    /// bracketed by `[span_lo · scalar, span_hi · scalar]` with
-    /// [`correction_span`]. Under the identity model the result is
-    /// bit-identical to [`Self::cost_lo`] (`x · 1.0 == x`). Non-default
-    /// *weights* invalidate the hand-derived formulas, so the bound
-    /// degrades to the trivially sound `0.0`.
+    /// at least `min(1, f_cpu, f_io) · scalar` ([`correction_floor`]).
+    /// Under the identity model the result is bit-identical to
+    /// [`Self::cost_lo`] (`x · 1.0 == x`). Non-default *weights* invalidate
+    /// the hand-derived formulas, so the bound degrades to the trivially
+    /// sound `0.0`.
     pub fn cost_lo_model(&self, enabled: &RuleSet, model: &CostModel) -> f64 {
-        match correction_span(model) {
-            Some((lo_f, _)) => self.cost_lo(enabled) * lo_f,
+        match correction_floor(model) {
+            Some(factor) => self.cost_lo(enabled) * factor,
             None => 0.0,
         }
-    }
-
-    /// [`Self::cost_hi`] under an arbitrary [`CostModel`] (see
-    /// [`Self::cost_lo_model`] for the widening argument). `None` when the
-    /// direct alternative is not provably feasible *or* the model's
-    /// weights leave the hand-derived formulas' regime.
-    pub fn cost_hi_model(&self, enabled: &RuleSet, model: &CostModel) -> Option<f64> {
-        let (_, hi_f) = correction_span(model)?;
-        self.cost_hi(enabled).map(|v| v * hi_f)
-    }
-
-    /// Sound per-component bracket of the whole-plan cost vector of any
-    /// compilable plan under `enabled` and `model`. Each charged component
-    /// is non-negative and enters the DEFAULT scalar at weight 1, so each
-    /// is individually bounded by the (model-widened) scalar upper bound;
-    /// the advisory components (rows, memory) carry weight 0 and get the
-    /// trivial bracket. Corrections can only widen these intervals, never
-    /// rotate a component outside them.
-    pub fn cost_components_model(&self, enabled: &RuleSet, model: &CostModel) -> ComponentBounds {
-        let hi = self.cost_hi_model(enabled, model).unwrap_or(f64::INFINITY);
-        let charged = (0.0, hi);
-        ComponentBounds {
-            rows: (0.0, f64::INFINITY),
-            cpu: charged,
-            io: charged,
-            net: charged,
-            memory: (0.0, f64::INFINITY),
-            vertices: charged,
-        }
-    }
-
-    /// [`Self::cost_components_model`] under the identity model.
-    pub fn cost_components(&self, enabled: &RuleSet) -> ComponentBounds {
-        self.cost_components_model(enabled, &CostModel::DEFAULT)
     }
 
     /// Interval transfer for one normalized operator given its children's
@@ -451,30 +344,6 @@ impl PlanBounds {
             }
         }
     }
-
-    /// The direct-plan upper-bound term for one node: every implementation
-    /// of the node's kind costed at interval-`hi` inputs (maxed over all
-    /// DOP tiers), plus a worst-case exchange per child edge.
-    fn hi_term(&self, op: &LogicalOp, children: &[NodeId], obs: &ObservableCatalog) -> HiTerm {
-        let cat = RuleCatalog::global();
-        let kind = op.kind();
-        let kid_rows: Vec<f64> = children.iter().map(|c| self.rows[c.index()].hi()).collect();
-        let kid_bytes: Vec<f64> = children.iter().map(|c| self.bytes(*c).hi()).collect();
-        let mut entries = Vec::new();
-        for &rid in cat.impls_for(kind) {
-            if let RuleAction::Impl(p) = cat.rule(rid).action {
-                entries.push((
-                    rid,
-                    impl_hi(p, op, self, children, &kid_rows, &kid_bytes, obs),
-                ));
-            }
-        }
-        let exchange: f64 = kid_bytes.iter().map(|&b| worst_exchange(b)).sum();
-        HiTerm {
-            impls: ImplTable { entries },
-            exchange,
-        }
-    }
 }
 
 /// Widen an interval by the relative estimator slack.
@@ -482,46 +351,19 @@ fn widen(i: Interval) -> Interval {
     Interval::new(i.lo() * (1.0 - EST_SLACK), i.hi() * (1.0 + EST_SLACK))
 }
 
-/// Per-component `[lo, hi]` brackets of a whole-plan cost vector (see
-/// [`PlanBounds::cost_components_model`]). Mirrors the axes of
-/// `scope_optimizer::CostEstimate`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ComponentBounds {
-    pub rows: (f64, f64),
-    pub cpu: (f64, f64),
-    pub io: (f64, f64),
-    pub net: (f64, f64),
-    pub memory: (f64, f64),
-    pub vertices: (f64, f64),
-}
-
-impl ComponentBounds {
-    /// Whether a concrete cost vector lies inside every bracket.
-    pub fn contains(&self, c: &scope_optimizer::CostEstimate) -> bool {
-        let inside = |(lo, hi): (f64, f64), v: f64| lo <= v && v <= hi;
-        inside(self.rows, c.rows)
-            && inside(self.cpu, c.cpu)
-            && inside(self.io, c.io)
-            && inside(self.net, c.net)
-            && inside(self.memory, c.memory)
-            && inside(self.vertices, c.vertices)
-    }
-}
-
-/// The multiplicative span a model's corrections can move any
-/// DEFAULT-weight scalarized cost by: corrections scale cpu by one factor
-/// and io+net by another (vertices stay unscaled; rows and memory carry
-/// weight 0), so every corrected scalar lies in
-/// `[min(1, f_cpu, f_io), max(1, f_cpu, f_io)]` times the uncorrected one.
-/// `None` when the model's weights are not the DEFAULT fold the
-/// hand-derived bound formulas mirror, or the corrections are degenerate —
-/// callers fall back to trivial bounds.
-fn correction_span(model: &CostModel) -> Option<(f64, f64)> {
+/// The factor a model's corrections can shrink any DEFAULT-weight
+/// scalarized cost by at most: corrections scale cpu by one factor and
+/// io+net by another (vertices stay unscaled; rows and memory carry weight
+/// 0), so every corrected scalar is at least `min(1, f_cpu, f_io)` times
+/// the uncorrected one. `None` when the model's weights are not the
+/// DEFAULT fold the hand-derived floor formulas mirror, or the corrections
+/// are degenerate — callers fall back to the trivial floor.
+fn correction_floor(model: &CostModel) -> Option<f64> {
     if model.weights != CostWeights::DEFAULT || !model.corrections.is_valid() {
         return None;
     }
     let c = model.corrections;
-    Some((c.cpu.min(c.io).min(1.0), c.cpu.max(c.io).max(1.0)))
+    Some(c.cpu.min(c.io).min(1.0))
 }
 
 /// The required normalizers, applied op-locally (mirrors
@@ -582,13 +424,6 @@ fn min_over_tiers(f: impl Fn(f64) -> f64) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn max_over_tiers(f: impl Fn(f64) -> f64) -> f64 {
-    DOP_TIERS
-        .iter()
-        .map(|&d| f(d as f64))
-        .fold(0.0f64, f64::max)
-}
-
 /// `log2` as the cost model computes it (clamped at 2 rows).
 fn log2c(rows: f64) -> f64 {
     rows.max(2.0).log2()
@@ -646,109 +481,6 @@ fn impl_floor(phys: PhysImpl, op: &LogicalOp, obs: &ObservableCatalog) -> f64 {
         // zero-vertex formulas over non-invariant inputs).
         _ => 0.0,
     }
-}
-
-/// Upper bound on one implementation's cost at interval-`hi` inputs,
-/// maximized over every DOP tier (the model's tier choice and the
-/// hash-join tier bumps are all dominated).
-#[allow(clippy::too_many_arguments)]
-fn impl_hi(
-    phys: PhysImpl,
-    op: &LogicalOp,
-    bounds: &PlanBounds,
-    children: &[NodeId],
-    kid_rows: &[f64],
-    kid_bytes: &[f64],
-    obs: &ObservableCatalog,
-) -> f64 {
-    use PhysImpl::*;
-    let in_rows: f64 = kid_rows.iter().sum();
-    let in_bytes: f64 = kid_bytes.iter().sum();
-    let l_rows = kid_rows.first().copied().unwrap_or(0.0);
-    let r_rows = kid_rows.get(1).copied().unwrap_or(0.0);
-    let udo = C_UDO_ROW * scope_ir::catalog::DEFAULT_UDO_CPU_PER_ROW;
-    match phys {
-        ScanSerial => raw_scan_bytes(op, obs) * C_IO + C_VERTEX,
-        ScanParallel => {
-            let raw = raw_scan_bytes(op, obs);
-            let d = dop_for_bytes(raw) as f64;
-            raw * C_IO / d + d * C_VERTEX
-        }
-        ScanIndexed => {
-            // The model reads `(own_bytes·2).min(raw).max(1)`; `raw` bytes
-            // dominates every possible read volume.
-            let raw = raw_scan_bytes(op, obs);
-            let read = raw.max(1.0);
-            max_over_tiers(|d| read * C_IO / d + 0.05 * raw.max(1.0).log2() + d * C_VERTEX)
-        }
-        FilterImpl => in_rows * C_CPU_ROW,
-        ProjectImpl => {
-            let computed = match op {
-                LogicalOp::Project { computed, .. } => *computed as f64,
-                _ => 0.0,
-            };
-            in_rows * C_CPU_ROW * (1.0 + computed)
-        }
-        HashJoin1 | HashJoin2 | HashJoin3 => {
-            max_over_tiers(|d| in_rows * C_HASH_ROW / d + d * C_VERTEX)
-        }
-        MergeJoin => {
-            let sort: f64 = children
-                .iter()
-                .map(|c| {
-                    let r = bounds.rows[c.index()].hi();
-                    r * log2c(r) * C_SORT_ROW
-                })
-                .sum();
-            max_over_tiers(|d| (sort + in_rows * C_CPU_ROW) / d + d * C_VERTEX)
-        }
-        BroadcastJoin => {
-            max_over_tiers(|d| l_rows * C_HASH_ROW / d + r_rows * C_HASH_ROW + d * C_VERTEX)
-        }
-        LoopJoin => l_rows * r_rows * 0.02e-6 + C_VERTEX,
-        IndexJoin => max_over_tiers(|d| {
-            l_rows * log2c(r_rows.max(1.0)) * 0.8e-6 / d + r_rows * C_CPU_ROW * 0.1 + d * C_VERTEX
-        }),
-        HashAgg => in_rows * C_HASH_ROW,
-        SortAgg => in_rows * log2c(in_rows) * C_SORT_ROW,
-        StreamAgg => in_rows * C_CPU_ROW * 0.8,
-        UnionConcat => in_rows * C_CPU_ROW * 0.1,
-        UnionSerial => in_rows * C_CPU_ROW + C_VERTEX,
-        UnionVirtual | VirtualDatasetImpl => {
-            max_over_tiers(|d| 2.0 * in_bytes * C_IO / d + d * C_VERTEX)
-        }
-        TopN => {
-            let k = match op {
-                LogicalOp::Top { k } => *k as f64,
-                _ => 1.0,
-            };
-            in_rows * C_CPU_ROW + k * log2c(k) * C_SORT_ROW
-        }
-        TopSort | SortSerial => in_rows * log2c(in_rows) * C_SORT_ROW + C_VERTEX,
-        SortParallel => {
-            max_over_tiers(|d| in_rows * log2c(in_rows / d) * C_SORT_ROW / d + d * C_VERTEX)
-        }
-        WindowHash => in_rows * C_HASH_ROW,
-        WindowSort => in_rows * log2c(in_rows) * C_SORT_ROW,
-        ProcessParallel => max_over_tiers(|d| in_rows * udo / d + d * C_VERTEX),
-        ProcessSerial => in_rows * udo + C_VERTEX,
-        OutputImpl => in_bytes * C_IO,
-        ExchangeHash | ExchangeRange | ExchangeBroadcast | ExchangeGather => {
-            // Exchanges are accounted per child edge separately.
-            0.0
-        }
-    }
-}
-
-/// Worst-case enforcer exchange cost for one child edge carrying at most
-/// `b` bytes, maximized over exchange kinds and DOP tiers.
-fn worst_exchange(b: f64) -> f64 {
-    let hash = max_over_tiers(|d| b * C_NET / d + d * C_VERTEX);
-    let range = max_over_tiers(|d| b * C_NET * 1.15 / d + d * C_VERTEX + 0.5);
-    let bcast =
-        max_over_tiers(|d| b * C_NET + b * C_NET * (d - 1.0).max(0.0) * 0.02 + d * C_VERTEX);
-    let gather = b * C_NET + C_VERTEX;
-    hash.max(range).max(bcast).max(gather)
 }
 
 /// Audit the live estimator against the abstract intervals: derive every
@@ -900,14 +632,18 @@ mod tests {
     #[test]
     fn cost_bounds_are_ordered_and_scan_anchored() {
         let obs = catalog();
-        let bounds = PlanBounds::analyze(&plan(), &obs);
+        let p = plan();
+        let bounds = PlanBounds::analyze(&p, &obs);
         let config = RuleConfig::default_config();
         let lo = bounds.cost_lo(config.enabled());
-        let hi = bounds
-            .cost_hi(config.enabled())
-            .expect("default config keeps every impl enabled");
-        assert!(lo.is_finite() && hi.is_finite());
-        assert!(lo <= hi, "lo {lo} must not exceed hi {hi}");
+        let winner = scope_optimizer::compile(&p, &obs, &config)
+            .unwrap()
+            .est_cost;
+        assert!(lo.is_finite());
+        assert!(
+            lo <= winner,
+            "lo {lo} must not exceed the winner's {winner}"
+        );
         // Two scans with a vertex floor each: the bound is structurally
         // positive, not a trivial zero.
         assert!(lo > 2.0 * 0.3, "scan floors must anchor the bound: {lo}");
@@ -949,21 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_hi_refuses_infeasible_configs() {
-        let obs = catalog();
-        let bounds = PlanBounds::analyze(&plan(), &obs);
-        let cat = RuleCatalog::global();
-        let mut config = RuleConfig::default_config();
-        for &rid in cat.impls_for(OpKind::Join) {
-            config.disable(rid);
-        }
-        assert_eq!(bounds.cost_hi(config.enabled()), None);
-        let mut config = RuleConfig::default_config();
-        config.disable(cat.exchange_impls()[0]);
-        assert_eq!(bounds.cost_hi(config.enabled()), None);
-    }
-
-    #[test]
     fn shared_subtrees_are_counted_once() {
         let obs = catalog();
         // Union over the SAME scan node twice (a DAG) — the canonical pass
@@ -996,11 +717,6 @@ mod tests {
         let lo = bounds.cost_lo(config.enabled());
         let lo_m = bounds.cost_lo_model(config.enabled(), &CostModel::DEFAULT);
         assert_eq!(lo.to_bits(), lo_m.to_bits());
-        let hi = bounds.cost_hi(config.enabled()).unwrap();
-        let hi_m = bounds
-            .cost_hi_model(config.enabled(), &CostModel::DEFAULT)
-            .unwrap();
-        assert_eq!(hi.to_bits(), hi_m.to_bits());
     }
 
     #[test]
@@ -1011,7 +727,6 @@ mod tests {
         let bounds = PlanBounds::analyze(&p, &obs);
         let config = RuleConfig::default_config();
         let lo = bounds.cost_lo(config.enabled());
-        let hi = bounds.cost_hi(config.enabled()).unwrap();
         let model = CostModel {
             weights: CostWeights::DEFAULT,
             corrections: CostCorrections {
@@ -1021,25 +736,16 @@ mod tests {
             },
         };
         let lo_m = bounds.cost_lo_model(config.enabled(), &model);
-        let hi_m = bounds.cost_hi_model(config.enabled(), &model).unwrap();
-        // The span is [min(1, 2, 0.5), max(1, 2, 0.5)] = [0.5, 2].
+        // The floor factor is min(1, 2, 0.5) = 0.5.
         assert_eq!(lo_m.to_bits(), (lo * 0.5).to_bits());
-        assert_eq!(hi_m.to_bits(), (hi * 2.0).to_bits());
-        // The bracket must hold for the plan actually compiled under the
-        // corrected model.
+        // The widened floor must hold for the plan actually compiled under
+        // the corrected model.
         let compiled =
             compile_with_model(&p, &obs, &config, &CompileBudget::default(), &model).unwrap();
         assert!(
-            lo_m <= compiled.est_cost && compiled.est_cost <= hi_m,
-            "corrected winner {} escaped [{lo_m}, {hi_m}]",
+            lo_m <= compiled.est_cost,
+            "corrected winner {} fell below {lo_m}",
             compiled.est_cost
-        );
-        // ... and the component brackets must hold for its cost vector.
-        let comp = bounds.cost_components_model(config.enabled(), &model);
-        let corrected = model.corrected(&compiled.est_cost_vec);
-        assert!(
-            comp.contains(&corrected),
-            "corrected vector {corrected:?} escaped {comp:?}"
         );
     }
 
@@ -1056,24 +762,6 @@ mod tests {
             corrections: scope_optimizer::CostCorrections::IDENTITY,
         };
         assert_eq!(bounds.cost_lo_model(config.enabled(), &skewed), 0.0);
-        assert_eq!(bounds.cost_hi_model(config.enabled(), &skewed), None);
-        // Trivial bounds stay sound brackets.
-        let comp = bounds.cost_components_model(config.enabled(), &skewed);
-        assert_eq!(comp.cpu, (0.0, f64::INFINITY));
-    }
-
-    #[test]
-    fn component_brackets_contain_the_default_winner() {
-        use scope_optimizer::{compile, RuleConfig};
-        let obs = catalog();
-        let p = plan();
-        let bounds = PlanBounds::analyze(&p, &obs);
-        let config = RuleConfig::default_config();
-        let comp = bounds.cost_components(config.enabled());
-        let compiled = compile(&p, &obs, &config).unwrap();
-        assert!(comp.contains(&compiled.est_cost_vec));
-        // Each charged bracket is the scalar hi — a real (finite) bound.
-        assert!(comp.cpu.1.is_finite() && comp.io.1.is_finite());
     }
 
     #[test]

@@ -1,37 +1,22 @@
-//! The rule dependency/implication graph, extracted once from the catalog.
+//! The rule graph, extracted once from the catalog.
 //!
 //! Nodes are operator kinds; edges are what rules can do to them: an
-//! implementation rule *covers* its kind, a `Becomes`/`Child` rewrite lets a
-//! group *escape* its kind, a `PruneBelow` rule *produces* `Project` nodes
-//! that did not exist before, and `SwapUnary` rules form a kind-commutation
-//! digraph whose cycles are only kept finite by the collapse normalizers
-//! (or, failing those, by memo deduplication). Everything here is derived
-//! from [`RuleAction::anchor_rewrite`] metadata — no plan is compiled.
+//! implementation rule *covers* its kind, and a `Becomes`/`Child` rewrite
+//! lets a group *escape* its kind. Everything here is derived from
+//! [`RuleAction::anchor_rewrite`] metadata — no plan is compiled.
 
 use scope_ir::OpKind;
-use scope_optimizer::rules::catalog::COMPLEX_KINDS;
-use scope_optimizer::{AnchorRewrite, RuleAction, RuleCatalog, RuleConfig, RuleId, RuleSet};
+use scope_optimizer::{AnchorRewrite, RuleAction, RuleCatalog, RuleId, RuleSet};
 
-use crate::violation::LintViolation;
-
-/// Catalog-wide rule relationships, indexed by operator kind.
+/// Catalog-wide implementation and escape edges, indexed by operator kind.
 pub struct RuleGraph {
     /// Implementation rules per kind (exchange impls excluded).
     impls: Vec<RuleSet>,
-    /// Transformation rules anchored on each kind.
-    transforms: Vec<RuleSet>,
     /// `Becomes` escape edges: `(rule, anchor, target)`.
     becomes: Vec<(RuleId, OpKind, OpKind)>,
     /// `Child` escape rules per anchor kind (replace the match with its
     /// input of unknown kind).
     child_escapes: Vec<RuleSet>,
-    /// `SwapUnary` edges `(rule, parent, child)` — the commutation digraph.
-    swaps: Vec<(RuleId, OpKind, OpKind)>,
-    /// Rules that introduce `Project` nodes where none existed, per anchor
-    /// kind (the `PruneBelow` family — the only producers in the catalog).
-    project_producers: RuleSet,
-    /// Exchange implementation rules.
-    exchange_impls: RuleSet,
 }
 
 impl RuleGraph {
@@ -41,33 +26,23 @@ impl RuleGraph {
         GRAPH.get_or_init(|| RuleGraph::from_catalog(RuleCatalog::global()))
     }
 
-    pub fn from_catalog(cat: &RuleCatalog) -> RuleGraph {
+    fn from_catalog(cat: &RuleCatalog) -> RuleGraph {
         let mut impls = vec![RuleSet::EMPTY; OpKind::COUNT];
-        let mut transforms = vec![RuleSet::EMPTY; OpKind::COUNT];
         let mut becomes = Vec::new();
         let mut child_escapes = vec![RuleSet::EMPTY; OpKind::COUNT];
-        let mut swaps = Vec::new();
-        let mut project_producers = RuleSet::EMPTY;
-        let mut exchange_impls = RuleSet::EMPTY;
         for rule in cat.rules() {
             match &rule.action {
-                RuleAction::Impl(p) => match p.implements() {
-                    Some(kind) => impls[kind as usize].insert(rule.id),
-                    None => exchange_impls.insert(rule.id),
-                },
+                RuleAction::Impl(p) => {
+                    if let Some(kind) = p.implements() {
+                        impls[kind as usize].insert(rule.id);
+                    }
+                }
                 action if action.is_transformation() => {
                     let anchor = action.anchor().expect("transformations are anchored");
-                    transforms[anchor as usize].insert(rule.id);
                     match action.anchor_rewrite() {
                         AnchorRewrite::Keeps => {}
                         AnchorRewrite::Becomes(target) => becomes.push((rule.id, anchor, target)),
                         AnchorRewrite::Child => child_escapes[anchor as usize].insert(rule.id),
-                    }
-                    if let RuleAction::SwapUnary { parent, child, .. } = action {
-                        swaps.push((rule.id, *parent, *child));
-                    }
-                    if matches!(action, RuleAction::PruneBelow { .. }) {
-                        project_producers.insert(rule.id);
                     }
                 }
                 _ => {}
@@ -75,23 +50,14 @@ impl RuleGraph {
         }
         RuleGraph {
             impls,
-            transforms,
             becomes,
             child_escapes,
-            swaps,
-            project_producers,
-            exchange_impls,
         }
     }
 
     /// Implementation rules for `kind`.
     pub fn impls(&self, kind: OpKind) -> &RuleSet {
         &self.impls[kind as usize]
-    }
-
-    /// Transformation rules anchored on `kind`.
-    pub fn transforms(&self, kind: OpKind) -> &RuleSet {
-        &self.transforms[kind as usize]
     }
 
     /// `Becomes` escape edges `(rule, anchor, target)`.
@@ -102,182 +68,5 @@ impl RuleGraph {
     /// `Child` escape rules anchored on `kind`.
     pub fn child_escapes(&self, kind: OpKind) -> &RuleSet {
         &self.child_escapes[kind as usize]
-    }
-
-    /// Rules that can introduce `Project` nodes where none existed.
-    pub fn project_producers(&self) -> &RuleSet {
-        &self.project_producers
-    }
-
-    /// Exchange implementation rules.
-    pub fn exchange_impls(&self) -> &RuleSet {
-        &self.exchange_impls
-    }
-
-    /// Catalog sanity: every complex kind must carry a required
-    /// canonicalization marker (the paper's `Normalize*` rules). Returns
-    /// `MissingCanonicalizer` violations — empty for a well-built catalog.
-    pub fn required_coverage(&self, cat: &RuleCatalog) -> Vec<LintViolation> {
-        let mut out = Vec::new();
-        for kind in COMPLEX_KINDS {
-            let covered = cat.rules().iter().any(|r| {
-                cat.required().contains(r.id)
-                    && matches!(&r.action, RuleAction::Canonicalize(k) if *k == kind)
-            });
-            if !covered {
-                out.push(LintViolation::MissingCanonicalizer { kind });
-            }
-        }
-        out
-    }
-
-    /// Enabled implementation rules whose kind is absent from the plan
-    /// (`kind_counts`) and whose logical producers are all disabled — the
-    /// "statically dead rules" of the issue. Only `Project` has producers
-    /// (`PruneBelow`); every other absent kind's impls are dead outright.
-    pub fn statically_dead_impls(
-        &self,
-        cat: &RuleCatalog,
-        config: &RuleConfig,
-        kind_counts: &[u32; OpKind::COUNT],
-    ) -> Vec<LintViolation> {
-        let mut out = Vec::new();
-        for kind in OpKind::ALL {
-            if kind_counts[kind as usize] > 0 {
-                continue;
-            }
-            if kind == OpKind::Project && self.project_producible(cat, config, kind_counts) {
-                continue;
-            }
-            for rule in self.impls(kind).iter() {
-                if config.is_enabled(rule) {
-                    out.push(LintViolation::UnreachableImpl { rule, kind });
-                }
-            }
-        }
-        out
-    }
-
-    /// Whether some enabled `PruneBelow` rule is anchored on a kind the
-    /// plan actually contains — i.e. whether exploration can introduce
-    /// `Project` nodes into a `Project`-free plan under `config`.
-    pub fn project_producible(
-        &self,
-        cat: &RuleCatalog,
-        config: &RuleConfig,
-        kind_counts: &[u32; OpKind::COUNT],
-    ) -> bool {
-        self.project_producers.iter().any(|id| {
-            config.is_enabled(id)
-                && cat
-                    .rule(id)
-                    .action
-                    .anchor()
-                    .is_some_and(|a| kind_counts[a as usize] > 0)
-        })
-    }
-
-    /// Cycles in the enabled `SwapUnary` commutation digraph whose
-    /// terminating normalizers are all disabled. Each strongly-connected
-    /// kind component with a cycle is reported once, with the enabled swap
-    /// rules whose both endpoints lie inside it.
-    pub fn swap_cycles(&self, cat: &RuleCatalog, config: &RuleConfig) -> Vec<LintViolation> {
-        // Adjacency over the 14 kinds, enabled edges only.
-        let n = OpKind::COUNT;
-        let mut adj = vec![Vec::new(); n];
-        for &(id, parent, child) in &self.swaps {
-            if config.is_enabled(id) {
-                adj[parent as usize].push(child as usize);
-            }
-        }
-        // Kosaraju-style SCCs on a 14-node graph.
-        let mut order = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        fn dfs(v: usize, adj: &[Vec<usize>], seen: &mut [bool], order: &mut Vec<usize>) {
-            seen[v] = true;
-            for &w in &adj[v] {
-                if !seen[w] {
-                    dfs(w, adj, seen, order);
-                }
-            }
-            order.push(v);
-        }
-        for v in 0..n {
-            if !seen[v] {
-                dfs(v, &adj, &mut seen, &mut order);
-            }
-        }
-        let mut radj = vec![Vec::new(); n];
-        for (v, ws) in adj.iter().enumerate() {
-            for &w in ws {
-                radj[w].push(v);
-            }
-        }
-        let mut comp = vec![usize::MAX; n];
-        let mut n_comps = 0;
-        for &v in order.iter().rev() {
-            if comp[v] != usize::MAX {
-                continue;
-            }
-            let mut stack = vec![v];
-            comp[v] = n_comps;
-            while let Some(x) = stack.pop() {
-                for &w in &radj[x] {
-                    if comp[w] == usize::MAX {
-                        comp[w] = n_comps;
-                        stack.push(w);
-                    }
-                }
-            }
-            n_comps += 1;
-        }
-        // A component cycles iff it has ≥2 kinds or a self-loop.
-        let mut out = Vec::new();
-        for c in 0..n_comps {
-            let kinds: Vec<OpKind> = OpKind::ALL
-                .into_iter()
-                .filter(|&k| comp[k as usize] == c)
-                .collect();
-            let cyclic = kinds.len() >= 2
-                || kinds
-                    .iter()
-                    .any(|&k| adj[k as usize].contains(&(k as usize)));
-            if !cyclic {
-                continue;
-            }
-            let rules: Vec<RuleId> = self
-                .swaps
-                .iter()
-                .filter(|&&(id, p, ch)| {
-                    config.is_enabled(id) && comp[p as usize] == c && comp[ch as usize] == c
-                })
-                .map(|&(id, _, _)| id)
-                .collect();
-            if self.cycle_normalizer_enabled(cat, config, &kinds) {
-                continue;
-            }
-            out.push(LintViolation::SwapCycleWithoutNormalizer { kinds, rules });
-        }
-        out
-    }
-
-    /// Whether any normalizer that collapses same-kind churn for a kind in
-    /// the cycle is enabled (`CollapseSame`, `CollapseFilters`,
-    /// `MergeProjects`).
-    fn cycle_normalizer_enabled(
-        &self,
-        cat: &RuleCatalog,
-        config: &RuleConfig,
-        kinds: &[OpKind],
-    ) -> bool {
-        cat.rules().iter().any(|r| {
-            config.is_enabled(r.id)
-                && match &r.action {
-                    RuleAction::CollapseSame(k) => kinds.contains(k),
-                    RuleAction::CollapseFilters => kinds.contains(&OpKind::Filter),
-                    RuleAction::MergeProjects => kinds.contains(&OpKind::Project),
-                    _ => false,
-                }
-        })
     }
 }

@@ -1,13 +1,11 @@
-//! Typed diagnostics for configuration and catalog defects, mirroring the
+//! Typed diagnostics for configuration and estimator defects, mirroring the
 //! plan-side [`scope_ir::validate::PlanViolation`] vocabulary: every finding
-//! the analyzer can produce is an enum variant with the offending rules
-//! attached, so callers can match on defect classes instead of parsing
-//! strings.
-
-use std::fmt;
+//! the analyzer can produce is an enum variant with the offending rules or
+//! values attached, so callers can match on defect classes instead of
+//! parsing strings.
 
 use scope_ir::OpKind;
-use scope_optimizer::{RuleCatalog, RuleId, RuleSet};
+use scope_optimizer::RuleSet;
 
 /// Which estimated quantity an [`LintViolation::EstimateOutOfBounds`]
 /// finding is about.
@@ -17,11 +15,9 @@ pub enum BoundQuantity {
     Rows,
     /// Estimated output bytes (`rows × row_bytes`).
     Bytes,
-    /// Estimated plan cost.
-    Cost,
 }
 
-/// One violated configuration or catalog invariant.
+/// One violated configuration or estimator invariant.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LintViolation {
     /// A kind present in the plan has no enabled implementation rule and no
@@ -33,31 +29,6 @@ pub enum LintViolation {
         /// The (all disabled) implementation rules for the kind.
         disabled_impls: RuleSet,
     },
-    /// An enabled set tried to clear required-rule bits; the normalizing
-    /// constructor forced them back on and reported this correction.
-    RequiredRuleCleared { rules: RuleSet },
-    /// Every exchange implementation is disabled. Warning, not an error:
-    /// only plans that need a repartition fail, and exchange need is a
-    /// cost-model outcome the static analyzer does not predict.
-    AllExchangeImplsDisabled,
-    /// Enabled rules that can never fire on this plan under this config
-    /// (their anchor kind is absent and every enabled producer of that kind
-    /// is disabled).
-    DeadRules { rules: RuleSet },
-    /// An enabled implementation rule whose operator kind is absent from
-    /// the plan and whose logical producers are all disabled.
-    UnreachableImpl { rule: RuleId, kind: OpKind },
-    /// Enabled unary-swap rules form a rewrite cycle over these kinds and
-    /// every normalizer that would collapse the churn is disabled; the
-    /// cycle terminates only through memo deduplication (correct, but
-    /// budget-hungry).
-    SwapCycleWithoutNormalizer {
-        kinds: Vec<OpKind>,
-        rules: Vec<RuleId>,
-    },
-    /// Catalog-level defect: a complex kind has no required
-    /// canonicalization marker (catalog construction bug).
-    MissingCanonicalizer { kind: OpKind },
     /// A point estimate escaped its abstract interval: the estimator
     /// derived a value the bounds analysis proved impossible under the
     /// catalog envelopes. Silent estimator drift, surfaced as a typed,
@@ -71,76 +42,4 @@ pub enum LintViolation {
         lo: f64,
         hi: f64,
     },
-}
-
-impl LintViolation {
-    /// Stable machine-readable code for the violation class.
-    pub fn code(&self) -> &'static str {
-        match self {
-            LintViolation::NoImplementation { .. } => "no-implementation",
-            LintViolation::RequiredRuleCleared { .. } => "required-rule-cleared",
-            LintViolation::AllExchangeImplsDisabled => "all-exchange-impls-disabled",
-            LintViolation::DeadRules { .. } => "dead-rules",
-            LintViolation::UnreachableImpl { .. } => "unreachable-impl",
-            LintViolation::SwapCycleWithoutNormalizer { .. } => "swap-cycle-without-normalizer",
-            LintViolation::MissingCanonicalizer { .. } => "missing-canonicalizer",
-            LintViolation::EstimateOutOfBounds { .. } => "estimate-out-of-bounds",
-        }
-    }
-}
-
-fn names(set: &RuleSet) -> String {
-    let cat = RuleCatalog::global();
-    set.iter()
-        .map(|id| cat.rule(id).name.clone())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-impl fmt::Display for LintViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LintViolation::NoImplementation {
-                kind,
-                disabled_impls,
-            } => write!(
-                f,
-                "{kind:?} cannot be implemented: all of [{}] are disabled and no enabled rewrite removes it",
-                names(disabled_impls)
-            ),
-            LintViolation::RequiredRuleCleared { rules } => {
-                write!(f, "required rules cleared (forced back on): [{}]", names(rules))
-            }
-            LintViolation::AllExchangeImplsDisabled => {
-                write!(f, "all exchange implementations are disabled; any plan needing a repartition will fail")
-            }
-            LintViolation::DeadRules { rules } => {
-                write!(f, "enabled rules that can never fire on this plan: [{}]", names(rules))
-            }
-            LintViolation::UnreachableImpl { rule, kind } => write!(
-                f,
-                "implementation rule {} targets {kind:?}, which is absent and has no enabled producer",
-                RuleCatalog::global().rule(*rule).name
-            ),
-            LintViolation::SwapCycleWithoutNormalizer { kinds, rules } => write!(
-                f,
-                "unary-swap cycle over {kinds:?} ({} rules) with every terminating normalizer disabled",
-                rules.len()
-            ),
-            LintViolation::MissingCanonicalizer { kind } => {
-                write!(f, "complex kind {kind:?} has no required canonicalization marker")
-            }
-            LintViolation::EstimateOutOfBounds {
-                node,
-                kind,
-                quantity,
-                point,
-                lo,
-                hi,
-            } => write!(
-                f,
-                "node {node} ({kind:?}): estimated {quantity:?} {point} escapes its sound interval [{lo}, {hi}]"
-            ),
-        }
-    }
 }

@@ -5,10 +5,6 @@
 //!    never statically `Invalid`, and its plan passes the physical
 //!    validator (no statically-vetted config trips a runtime
 //!    `PlanViolation`).
-//! 3. **Canonical erasure** — a `Redundant` config compiles bit-identically
-//!    (signature, cost, task count) to its canonical projection.
-//! 4. **Ingestion** — `ingest_bits` is idempotent and its correction mask
-//!    is exactly the cleared required bits.
 
 use std::sync::OnceLock;
 
@@ -16,10 +12,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scope_ir::Job;
-use scope_lint::{ingest_bits, ConfigVerdict, JobLint, LintViolation};
-use scope_optimizer::{
-    compile_job, validate_physical, RuleCatalog, RuleConfig, RuleId, RuleSet, NUM_RULES,
-};
+use scope_lint::{ConfigVerdict, JobLint};
+use scope_optimizer::{compile_job, validate_physical, RuleConfig, RuleId, RuleSet, NUM_RULES};
 use scope_workload::{Workload, WorkloadProfile};
 
 fn jobs() -> &'static Vec<Job> {
@@ -66,59 +60,5 @@ proptest! {
             prop_assert!(!matches!(verdict, ConfigVerdict::Invalid { .. }));
             prop_assert!(validate_physical(&c.plan).is_empty());
         }
-    }
-
-    #[test]
-    fn redundant_verdicts_erase_to_identical_compiles(seed in any::<u64>(), job_pick in any::<u64>()) {
-        let jobs = jobs();
-        let job = &jobs[job_pick as usize % jobs.len()];
-        // High keep-rate so most samples compile and classify Redundant.
-        let config = random_config(seed, 0.9);
-        let lint = JobLint::new(&job.plan);
-        if let ConfigVerdict::Redundant { canonical } = lint.classify(&config) {
-            let projected = RuleConfig::normalized(canonical).0;
-            prop_assert_eq!(*projected.enabled(), canonical);
-            match (compile_job(job, &config), compile_job(job, &projected)) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.signature, b.signature);
-                    prop_assert_eq!(a.est_cost, b.est_cost);
-                    prop_assert_eq!(a.stats.tasks, b.stats.tasks);
-                }
-                (Err(_), Err(_)) => {} // equivalent failures are fine
-                (a, b) => prop_assert!(
-                    false,
-                    "canonical projection changed compilability: {:?} vs {:?}",
-                    a.is_ok(),
-                    b.is_ok()
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn ingestion_is_idempotent_and_reports_exact_corrections(seed in any::<u64>(), keep in 0.0f64..1.0) {
-        let cat = RuleCatalog::global();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut bits = RuleSet::EMPTY;
-        for id in 0..NUM_RULES as u16 {
-            if rng.gen_bool(keep) {
-                bits.insert(RuleId(id));
-            }
-        }
-        let (config, violation) = ingest_bits(bits);
-        // The correction is exactly the cleared required bits.
-        let cleared = cat.required().difference(&bits);
-        match violation {
-            Some(LintViolation::RequiredRuleCleared { rules }) => {
-                prop_assert_eq!(rules, cleared);
-            }
-            Some(other) => prop_assert!(false, "unexpected violation {other:?}"),
-            None => prop_assert!(cleared.is_empty()),
-        }
-        prop_assert_eq!(*config.enabled(), bits.union(cat.required()));
-        // Re-ingesting the normalized bits is silent and a fixpoint.
-        let (again, second) = ingest_bits(*config.enabled());
-        prop_assert!(second.is_none());
-        prop_assert_eq!(again.enabled(), config.enabled());
     }
 }

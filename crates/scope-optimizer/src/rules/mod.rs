@@ -710,6 +710,20 @@ mod tests {
     }
 
     #[test]
+    fn the_global_catalog_has_full_canonicalizer_coverage() {
+        let cat = RuleCatalog::global();
+        for kind in catalog::COMPLEX_KINDS {
+            assert!(
+                cat.rules().iter().any(|r| {
+                    cat.required().contains(r.id)
+                        && matches!(&r.action, RuleAction::Canonicalize(k) if *k == kind)
+                }),
+                "complex kind {kind:?} has no required canonicalization marker"
+            );
+        }
+    }
+
+    #[test]
     fn join_has_many_alternative_impls() {
         let cat = RuleCatalog::global();
         assert!(cat.impls_for(OpKind::Join).len() >= 5);
