@@ -40,18 +40,29 @@
 //!   original, and a torn tail (simulated with
 //!   [`scope_exec::CrashPlan`]) truncates to the last durable event
 //!   instead of corrupting the store.
+//! * **One default compile per job-day** — a day's default plans are
+//!   compiled once, fanned out over every core ([`crate::par`]) with
+//!   panic isolation, so a job whose default compile fails or panics is
+//!   `skipped` rather than fatal. `serve_day` keeps the first
+//!   [`FlightConfig::revalidation_jobs`] jobs of every flighted group as
+//!   the day's sample, and `revalidate_background` reads that sample
+//!   instead of compiling the day again. The sample is derived state:
+//!   it is not journaled, and a sweep without a matching sample (another
+//!   day, other jobs, a flight installed since, a larger
+//!   `revalidation_jobs`, a recovered controller) derives one afresh.
 //!
 //! The controller journals through its own methods only. Mutating the
 //! public [`FlightController::store`] directly bypasses the journal and
 //! forfeits the recovery guarantee.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use scope_exec::{ABTester, CrashPlan, CrashRoll, RetryPolicy};
 use scope_ir::stats::{mean, pct_change};
 use scope_ir::Job;
 use scope_lint::catalog_invalid;
-use scope_optimizer::{compile_job, CompiledPlan, RuleConfig};
+use scope_optimizer::{compile_job_guarded, CompileBudget, CompiledPlan, RuleConfig};
 use scope_trace::{count, record, Counter, Histogram};
 
 use crate::deploy::{
@@ -60,6 +71,7 @@ use crate::deploy::{
 };
 use crate::groups::GroupConfig;
 use crate::guard::{compile_steered, SteeredCompile};
+use crate::par::{available_threads, run_chunked_on};
 
 /// Where a flight is in its rollout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -456,7 +468,7 @@ pub struct FlightDayReport {
     pub jobs: usize,
     /// Jobs whose group has no flight (served default; not simulated).
     pub unmatched: usize,
-    /// Jobs whose default compile failed.
+    /// Jobs whose default compile failed or panicked.
     pub skipped: usize,
     pub steered: usize,
     pub held_back: usize,
@@ -501,6 +513,103 @@ pub struct BackgroundReport {
     pub absent: usize,
 }
 
+/// One job's default plan, as the flight layer needs it.
+enum DayDefault {
+    /// The default compile failed or panicked.
+    Failed,
+    /// The default compiled to a group the caller does not want.
+    Unflighted,
+    /// The default compiled to a wanted group: its key and the plan.
+    Flighted(String, CompiledPlan),
+}
+
+/// Compile every job's default plan under the default budget on
+/// `n_threads` workers, one value per job in job order. A plan is kept
+/// only when `wanted` accepts its group key.
+fn derive_defaults(
+    jobs: &[Job],
+    n_threads: usize,
+    wanted: impl Fn(&str) -> bool + Sync,
+) -> Vec<DayDefault> {
+    let config = RuleConfig::default_config();
+    let budget = CompileBudget::default();
+    let derived = run_chunked_on(
+        jobs,
+        n_threads,
+        |job| {
+            Some(match compile_job_guarded(job, &config, &budget) {
+                Err(_) => DayDefault::Failed,
+                Ok(plan) => {
+                    let key = plan.signature.to_bit_string();
+                    if wanted(&key) {
+                        DayDefault::Flighted(key, plan)
+                    } else {
+                        DayDefault::Unflighted
+                    }
+                }
+            })
+        },
+        |job| format!("job {}", job.id.0),
+    );
+    // Guarded compiles do not panic, so no job was dropped and the result
+    // zips with `jobs`.
+    debug_assert_eq!(derived.len(), jobs.len());
+    derived
+}
+
+/// The first `per_group` jobs of every flighted group on one day, with
+/// their default plans: what a background revalidation sweep samples.
+/// Derived state, never journaled.
+#[derive(Debug)]
+struct DaySample {
+    day: u32,
+    job_ids: Vec<u64>,
+    n_flights: usize,
+    per_group: usize,
+    /// Per group key: (index into the day's jobs, default plan), in job
+    /// order.
+    groups: BTreeMap<String, Vec<(usize, CompiledPlan)>>,
+}
+
+impl DaySample {
+    /// Keep the first `per_group` jobs of each group in `defaults`,
+    /// [`derive_defaults`]' result over `jobs`.
+    fn new(
+        day: u32,
+        jobs: &[Job],
+        n_flights: usize,
+        per_group: usize,
+        defaults: Vec<DayDefault>,
+    ) -> DaySample {
+        let mut groups: BTreeMap<String, Vec<(usize, CompiledPlan)>> = BTreeMap::new();
+        for (i, derived) in defaults.into_iter().enumerate() {
+            if let DayDefault::Flighted(key, plan) = derived {
+                let sampled = groups.entry(key).or_default();
+                if sampled.len() < per_group {
+                    sampled.push((i, plan));
+                }
+            }
+        }
+        DaySample {
+            day,
+            job_ids: jobs.iter().map(|j| j.id.0).collect(),
+            n_flights,
+            per_group,
+            groups,
+        }
+    }
+
+    /// Whether a sweep over `jobs` on `day`, with `n_flights` flights and
+    /// `per_group` jobs a group, may sample from this. Flights are never
+    /// removed, so an equal count means an equal set of group keys.
+    fn covers(&self, day: u32, jobs: &[Job], n_flights: usize, per_group: usize) -> bool {
+        self.day == day
+            && self.n_flights == n_flights
+            && self.per_group >= per_group
+            && self.job_ids.iter().copied().eq(jobs.iter().map(|j| j.id.0))
+    }
+}
+
 /// The flighting state machine over a [`HintStore`].
 #[derive(Clone, Debug)]
 pub struct FlightController {
@@ -510,6 +619,8 @@ pub struct FlightController {
     flights: BTreeMap<String, FlightState>,
     pub config: FlightConfig,
     journal: FlightJournal,
+    /// The sample the last `serve_day` took, until a sweep consumes it.
+    day_sample: Option<Arc<DaySample>>,
 }
 
 impl FlightController {
@@ -519,6 +630,7 @@ impl FlightController {
             flights: BTreeMap::new(),
             config,
             journal: FlightJournal::default(),
+            day_sample: None,
         }
     }
 
@@ -674,6 +786,11 @@ impl FlightController {
     /// The day's mean change over a group's pairs feeds the monitors.
     /// Held-back and unmatched jobs are counted but not simulated — they
     /// run the default plan by definition.
+    ///
+    /// Every job's default plan is compiled first, on every core; a job
+    /// whose default fails or panics is `skipped`. The first
+    /// [`FlightConfig::revalidation_jobs`] jobs of each flighted group are
+    /// kept for today's [`Self::revalidate_background`].
     pub fn serve_day(
         &mut self,
         jobs: &[Job],
@@ -681,34 +798,51 @@ impl FlightController {
         policy: &RetryPolicy,
         day: u32,
     ) -> FlightDayReport {
+        self.serve_day_on(jobs, ab, policy, day, available_threads())
+    }
+
+    /// [`Self::serve_day`] with the default compiles on `n_threads`
+    /// workers.
+    pub(crate) fn serve_day_on(
+        &mut self,
+        jobs: &[Job],
+        ab: &ABTester,
+        policy: &RetryPolicy,
+        day: u32,
+        n_threads: usize,
+    ) -> FlightDayReport {
         let _span = scope_trace::span("flight.serve_day");
         let mut report = FlightDayReport {
             day,
             ..FlightDayReport::default()
         };
         let mut day_changes: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        for job in jobs {
+        let flights = &self.flights;
+        let defaults = derive_defaults(jobs, n_threads, |key| flights.contains_key(key));
+        for (job, derived) in jobs.iter().zip(&defaults) {
             report.jobs += 1;
-            let Ok(default) = compile_job(job, &RuleConfig::default_config()) else {
-                report.skipped += 1;
-                continue;
+            let (key, default) = match derived {
+                DayDefault::Failed => {
+                    report.skipped += 1;
+                    continue;
+                }
+                DayDefault::Unflighted => {
+                    report.unmatched += 1;
+                    continue;
+                }
+                DayDefault::Flighted(key, default) => (key, default),
             };
-            let key = default.signature.to_bit_string();
-            let Some(flight) = self.flights.get(&key) else {
-                report.unmatched += 1;
-                continue;
-            };
-            let stage = flight.stage;
+            let stage = self.flights[key].stage;
             let exposure = stage.exposure_pct(&self.config);
             let active = self
                 .store
-                .hint(&key)
+                .hint(key)
                 .is_some_and(|h| h.status == HintStatus::Active);
             let stats = report.by_group.entry(key.clone()).or_default();
             stats.matching += 1;
             if exposure == 0
                 || !active
-                || !scope_exec::in_rollout(job.id.0, flight_salt(&key), exposure)
+                || !scope_exec::in_rollout(job.id.0, flight_salt(key), exposure)
             {
                 stats.held_back += 1;
                 report.held_back += 1;
@@ -717,26 +851,26 @@ impl FlightController {
             }
             let hint_cfg = self
                 .store
-                .hint(&key)
+                .hint(key)
                 .expect("active hint exists")
                 .config
                 .clone();
-            let steered =
-                match compile_steered(job, &default, &hint_cfg, &self.store.compile_budget) {
-                    SteeredCompile::Steered(s) => s,
-                    SteeredCompile::SkippedStatically | SteeredCompile::SkippedBenignly => {
-                        report.static_skips += 1;
-                        continue;
-                    }
-                    SteeredCompile::Vetoed => {
-                        self.emit(FlightEvent::Status {
-                            group: key,
-                            status: HintStatus::Quarantined,
-                        });
-                        report.vetoes += 1;
-                        continue;
-                    }
-                };
+            let steered = match compile_steered(job, default, &hint_cfg, &self.store.compile_budget)
+            {
+                SteeredCompile::Steered(s) => s,
+                SteeredCompile::SkippedStatically | SteeredCompile::SkippedBenignly => {
+                    report.static_skips += 1;
+                    continue;
+                }
+                SteeredCompile::Vetoed => {
+                    self.emit(FlightEvent::Status {
+                        group: key.clone(),
+                        status: HintStatus::Quarantined,
+                    });
+                    report.vetoes += 1;
+                    continue;
+                }
+            };
             let run = ab.run_with_retry(job, &steered.plan, 0, policy);
             let stats = report.by_group.entry(key.clone()).or_default();
             stats.steered += 1;
@@ -751,7 +885,7 @@ impl FlightController {
                 stats.fallbacks += 1;
                 report.fallbacks += 1;
                 if fallback.outcome.is_success() {
-                    day_changes.entry(key).or_default().push(pct_change(
+                    day_changes.entry(key.clone()).or_default().push(pct_change(
                         fallback.metrics.runtime,
                         run.metrics.runtime + fallback.metrics.runtime,
                     ));
@@ -764,12 +898,15 @@ impl FlightController {
                 let baseline = ab.run_with_retry(job, &default.plan, 0, policy);
                 if baseline.outcome.is_success() {
                     day_changes
-                        .entry(key)
+                        .entry(key.clone())
                         .or_default()
                         .push(pct_change(baseline.metrics.runtime, run.metrics.runtime));
                 }
             }
         }
+        let per_group = self.config.revalidation_jobs.max(1);
+        let sample = DaySample::new(day, jobs, self.flights.len(), per_group, defaults);
+        self.day_sample = Some(Arc::new(sample));
         for (group, changes) in day_changes {
             let m = mean(&changes);
             let stats = report.by_group.entry(group.clone()).or_default();
@@ -888,17 +1025,36 @@ impl FlightController {
     /// since deployed serving pays no shadow baselines — and of
     /// Quarantined hints, whose clean probes accumulate toward probation
     /// release back into Canary.
+    ///
+    /// Each picked hint runs on the first
+    /// [`FlightConfig::revalidation_jobs`] of today's jobs in its group.
+    /// They come from the sample today's [`Self::serve_day`] took over the
+    /// same jobs; without one that still fits, the day's defaults are
+    /// compiled afresh, on every core.
     pub fn revalidate_background(
         &mut self,
         jobs: &[Job],
         ab: &ABTester,
         day: u32,
     ) -> BackgroundReport {
+        self.revalidate_background_on(jobs, ab, day, available_threads())
+    }
+
+    /// [`Self::revalidate_background`] with any default compiles on
+    /// `n_threads` workers.
+    pub(crate) fn revalidate_background_on(
+        &mut self,
+        jobs: &[Job],
+        ab: &ABTester,
+        day: u32,
+        n_threads: usize,
+    ) -> BackgroundReport {
         let _span = scope_trace::span("flight.revalidate");
         let mut report = BackgroundReport {
             day,
             ..BackgroundReport::default()
         };
+        let day_sample = self.day_sample.take();
         let eligible: Vec<String> = self
             .flights
             .iter()
@@ -919,25 +1075,22 @@ impl FlightController {
             .map(|i| eligible[(start + i) % eligible.len()].clone())
             .collect();
 
-        // Group today's jobs by default signature, only for picked groups,
-        // keeping each sampled job's default plan for the guardrail below.
-        let sample = self.config.revalidation_jobs.max(1);
-        let mut by_group: BTreeMap<&str, Vec<(&Job, CompiledPlan)>> = BTreeMap::new();
-        for job in jobs {
-            if let Ok(default) = compile_job(job, &RuleConfig::default_config()) {
-                let key = default.signature.to_bit_string();
-                if let Some(g) = picked.iter().find(|p| **p == key) {
-                    let sampled = by_group.entry(g.as_str()).or_default();
-                    if sampled.len() < sample {
-                        sampled.push((job, default));
-                    }
-                }
+        // The first `per_group` of today's jobs in each picked group, with
+        // their default plans for the guardrail below.
+        let per_group = self.config.revalidation_jobs.max(1);
+        let sample = match day_sample {
+            Some(s) if s.covers(day, jobs, self.flights.len(), per_group) => s,
+            _ => {
+                let defaults =
+                    derive_defaults(jobs, n_threads, |key| picked.iter().any(|p| p == key));
+                let fresh = DaySample::new(day, jobs, self.flights.len(), per_group, defaults);
+                Arc::new(fresh)
             }
-        }
+        };
 
         let mut observed_changes = Vec::new();
         for key in &picked {
-            let Some(group_jobs) = by_group.get(key.as_str()) else {
+            let Some(group_jobs) = sample.groups.get(key) else {
                 report.absent += 1;
                 continue;
             };
@@ -947,7 +1100,8 @@ impl FlightController {
             let mut changes = Vec::new();
             let mut dirty = false;
             let mut fatal = false;
-            for (job, default) in group_jobs {
+            for (i, default) in group_jobs.iter().take(per_group) {
+                let job = &jobs[*i];
                 let steered =
                     match compile_steered(job, default, &hint_cfg, &self.store.compile_budget) {
                         SteeredCompile::Steered(s) => s,
@@ -1172,6 +1326,7 @@ fn parse_snapshot(text: &str, config: FlightConfig) -> Result<FlightController, 
             next_seq: seq,
             crash: None,
         },
+        day_sample: None,
     })
 }
 
@@ -1501,16 +1656,24 @@ mod tests {
         assert_eq!(c.journal_text().lines().count(), events);
     }
 
+    /// A configuration that can compile no job: every `Output`
+    /// implementation is disabled, so ingestion quarantines it.
+    fn catalog_invalid_config() -> RuleConfig {
+        let mut config = RuleConfig::default_config();
+        for id in scope_lint::RuleGraph::global()
+            .impls(scope_ir::OpKind::Output)
+            .iter()
+        {
+            config.disable(id);
+        }
+        config
+    }
+
     #[test]
     fn ingest_deployed_skips_quarantined_winners() {
-        use scope_ir::OpKind;
-        let mut broken_cfg = RuleConfig::default_config();
-        for id in scope_lint::RuleGraph::global().impls(OpKind::Output).iter() {
-            broken_cfg.disable(id);
-        }
         let broken = GroupConfig {
             group: RuleSignature(RuleSet::from_bit_string("011")),
-            config: broken_cfg,
+            config: catalog_invalid_config(),
             base_change_pct: -50.0,
             base_job: JobId(9),
         };
@@ -1524,5 +1687,148 @@ mod tests {
             c.store.hint(&bad_key).unwrap().status,
             HintStatus::Quarantined
         );
+    }
+
+    /// Day-0 discovery winners on a small Workload A, the first half
+    /// Deployed and the rest in Canary, with a budget that revalidates
+    /// every eligible hint in each sweep.
+    fn flighted_winners() -> (crate::testutil::DiscoveredWinners, FlightController) {
+        let d = crate::testutil::discover_winners(5.0);
+        let mut c = FlightController::new(FlightConfig {
+            canary_pct: 50,
+            revalidation_budget: 64,
+            ..FlightConfig::default()
+        });
+        let (deployed, canaries) = d.winners.split_at(d.winners.len().div_ceil(2));
+        c.ingest_deployed(deployed, 0);
+        c.ingest(canaries, 0);
+        c.advance(0);
+        (d, c)
+    }
+
+    #[test]
+    fn flight_days_are_identical_at_any_worker_count() {
+        let (d, start) = flighted_winners();
+        let policy = RetryPolicy::no_retries();
+        let run = |n_threads: usize| {
+            let mut c = start.clone();
+            let mut days = Vec::new();
+            for day in 1..=4 {
+                let jobs = d.workload.day(day);
+                let served = c.serve_day_on(&jobs, &d.ab, &policy, day, n_threads);
+                let background = c.revalidate_background_on(&jobs, &d.ab, day, n_threads);
+                days.push((served, background, c.advance(day)));
+            }
+            (days, c.journal_text(), c.snapshot_text())
+        };
+        let serial = run(1);
+        assert!(serial.0.iter().any(|(served, ..)| served.steered > 0));
+        assert!(serial.0.iter().any(|(_, bg, _)| !bg.observed.is_empty()));
+        for n_threads in [2, 4] {
+            assert_eq!(run(n_threads), serial, "{n_threads} workers");
+        }
+    }
+
+    /// Revalidate one clone of `c` from its day sample and another with
+    /// the sample dropped: both must report and journal the same.
+    fn sampled_equals_fresh(
+        c: &FlightController,
+        jobs: &[Job],
+        ab: &ABTester,
+        day: u32,
+    ) -> BackgroundReport {
+        let mut sampled = c.clone();
+        let mut fresh = c.clone();
+        fresh.day_sample = None;
+        let report = sampled.revalidate_background_on(jobs, ab, day, 2);
+        assert_eq!(report, fresh.revalidate_background_on(jobs, ab, day, 2));
+        assert_eq!(sampled.journal_text(), fresh.journal_text());
+        report
+    }
+
+    fn sample_covers(c: &FlightController, jobs: &[Job], day: u32) -> bool {
+        let per_group = c.config.revalidation_jobs.max(1);
+        c.day_sample
+            .as_ref()
+            .is_some_and(|s| s.covers(day, jobs, c.flights.len(), per_group))
+    }
+
+    #[test]
+    fn revalidation_from_the_day_sample_equals_a_fresh_derivation() {
+        let (d, mut c) = flighted_winners();
+        let policy = RetryPolicy::no_retries();
+
+        // The plain day: the sweep reads what serve_day sampled, which is
+        // the first `revalidation_jobs` jobs of each flighted group.
+        let jobs = d.workload.day(1);
+        c.serve_day_on(&jobs, &d.ab, &policy, 1, 2);
+        assert!(sample_covers(&c, &jobs, 1));
+        let mut first_jobs: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        for (i, job) in jobs.iter().enumerate() {
+            let default = scope_optimizer::compile_job(job, &RuleConfig::default_config());
+            let Ok(default) = default else {
+                continue;
+            };
+            let key = default.signature.to_bit_string();
+            if c.flights.contains_key(&key) {
+                let kept = first_jobs.entry(key).or_default();
+                if kept.len() < c.config.revalidation_jobs {
+                    kept.push(i);
+                }
+            }
+        }
+        let sample = c.day_sample.as_ref().expect("serve_day took a sample");
+        let sampled: BTreeMap<String, Vec<usize>> = sample
+            .groups
+            .iter()
+            .map(|(key, kept)| (key.clone(), kept.iter().map(|(i, _)| *i).collect()))
+            .collect();
+        assert_eq!(sampled, first_jobs);
+        let plain = sampled_equals_fresh(&c, &jobs, &d.ab, 1);
+        assert!(!plain.observed.is_empty());
+
+        // A flight installed after serving: quarantined at ingestion, so
+        // it is probed at once, on jobs the sample never kept.
+        let jobs = d.workload.day(2);
+        c.serve_day_on(&jobs, &d.ab, &policy, 2, 2);
+        let group = jobs
+            .iter()
+            .find_map(|job| {
+                let default = scope_optimizer::compile_job(job, &RuleConfig::default_config());
+                let signature = default.ok()?.signature;
+                (!c.flights.contains_key(&signature.to_bit_string())).then_some(signature)
+            })
+            .expect("a group of day 2 has no flight");
+        let key = group.to_bit_string();
+        c.ingest(
+            &[GroupConfig {
+                group,
+                config: catalog_invalid_config(),
+                base_change_pct: -50.0,
+                base_job: JobId(0),
+            }],
+            2,
+        );
+        assert_eq!(c.store.hint(&key).unwrap().status, HintStatus::Quarantined);
+        let probed = sampled_equals_fresh(&c, &jobs, &d.ab, 2);
+        assert!(probed.probed.contains(&key));
+        assert!(!sample_covers(&c, &jobs, 2));
+
+        // Other jobs on the same day, then more jobs a group than the
+        // sample kept.
+        let jobs = d.workload.day(3);
+        c.serve_day_on(&jobs, &d.ab, &policy, 3, 2);
+        let kept = sampled_equals_fresh(&c, &jobs, &d.ab, 3);
+        sampled_equals_fresh(&c, &jobs[1..], &d.ab, 3);
+        assert!(!sample_covers(&c, &jobs[1..], 3));
+        c.config.revalidation_jobs *= 4;
+        let raised = sampled_equals_fresh(&c, &jobs, &d.ab, 3);
+        assert!(raised.jobs_executed > kept.jobs_executed);
+        assert!(!sample_covers(&c, &jobs, 3));
+
+        // No serve_day on day 4: day 3's sample does not fit its jobs.
+        let jobs = d.workload.day(4);
+        sampled_equals_fresh(&c, &jobs, &d.ab, 4);
+        assert!(!sample_covers(&c, &jobs, 4));
     }
 }

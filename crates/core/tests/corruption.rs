@@ -158,11 +158,16 @@ fn dropped_join_input_is_caught_by_the_validator() {
 /// which normalization's arity check panics on — makes even the *default*
 /// compile panic. Discovery must lose that one job, not the worker's whole
 /// chunk of the day, and so account for the same jobs at any thread count.
+/// The flight layer skips it: serving and revalidation report and journal
+/// exactly what they do for the same day without it.
 #[test]
 fn panicking_default_compile_loses_one_job_not_its_chunk() {
     use rand::SeedableRng;
+    use scope_exec::{ABTester, RetryPolicy};
     use scope_ir::ops::JoinKind;
-    use steer_core::{Pipeline, PipelineParams};
+    use steer_core::{
+        FlightConfig, FlightController, FlightDayReport, GroupConfig, Pipeline, PipelineParams,
+    };
 
     let w = Workload::generate(WorkloadProfile::workload_a(0.08));
     let mut jobs = w.day(0);
@@ -220,4 +225,53 @@ fn panicking_default_compile_loses_one_job_not_its_chunk() {
             + report.outcomes.len();
         assert_eq!(accounted, jobs.len() - 1, "{n_threads} threads");
     }
+
+    // A flight for every group of the healthy jobs, half deployed (which
+    // revalidation samples) and half canarying (which serving measures).
+    let winners: Vec<GroupConfig> = jobs[1..]
+        .iter()
+        .filter_map(|job| {
+            let default = compile_job(job, &RuleConfig::default_config()).ok()?;
+            Some(GroupConfig {
+                group: default.signature,
+                config: RuleConfig::default_config(),
+                base_change_pct: -20.0,
+                base_job: job.id,
+            })
+        })
+        .collect();
+    let (deployed, canaries) = winners.split_at(winners.len() / 2);
+    let ab = ABTester::new(11);
+    let fly = |jobs: &[scope_ir::Job]| {
+        let mut c = FlightController::new(FlightConfig {
+            canary_pct: 50,
+            revalidation_budget: 64,
+            ..FlightConfig::default()
+        });
+        c.ingest_deployed(deployed, 0);
+        c.ingest(canaries, 0);
+        c.advance(0);
+        let served = c.serve_day(jobs, &ab, &RetryPolicy::no_retries(), 1);
+        // The first sweep reads serve_day's sample; the second, for
+        // another day, compiles the defaults again.
+        let background = [
+            c.revalidate_background(jobs, &ab, 1),
+            c.revalidate_background(jobs, &ab, 2),
+        ];
+        (served, background, c.journal_text())
+    };
+    let (served, background, journal) = fly(&jobs);
+    let (healthy, healthy_background, healthy_journal) = fly(&jobs[1..]);
+    assert_eq!(served.skipped, 1);
+    assert!(healthy.steered > 0 && !healthy_background[0].observed.is_empty());
+    assert_eq!(
+        FlightDayReport {
+            jobs: served.jobs - 1,
+            skipped: served.skipped - 1,
+            ..served
+        },
+        healthy
+    );
+    assert_eq!(background, healthy_background);
+    assert_eq!(journal, healthy_journal);
 }
