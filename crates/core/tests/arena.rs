@@ -495,6 +495,79 @@ fn one_transformation_rule_apart_is_never_a_shared_exploration() {
     }
 }
 
+/// Two plans the workload generator never draws: a global aggregate over
+/// a large input, whose implementations gather it for an operator running
+/// above one vertex, and a cross join, whose index join gathers its first
+/// input and hands that requirement on as its own partitioning. Each is
+/// compiled under the default configuration and, with and without serial
+/// scans, under every configuration left with a single join
+/// implementation — one by one and as one batch — against the oracle.
+#[test]
+fn gathers_under_parallel_operators_match_classic() {
+    use scope_ir::ids::{DomainId, TableId};
+    use scope_ir::ops::{AggFunc, JoinKind, LogicalOp};
+    use scope_ir::{PlanGraph, TrueCatalog};
+
+    let mut cat = TrueCatalog::new();
+    let a = cat.add_column(5_000, 0.0, DomainId(0));
+    let b = cat.add_column(50, 0.0, DomainId(1));
+    cat.add_table(3_000_000, 100, 1, vec![a]);
+    cat.add_table(400, 40, 2, vec![b]);
+    let obs = cat.observe();
+    let plan_over = |op: LogicalOp, tables: &[u32]| {
+        let mut plan = PlanGraph::new();
+        let scans = tables
+            .iter()
+            .map(|&t| plan.add_unchecked(LogicalOp::Get { table: TableId(t) }, vec![]))
+            .collect();
+        let top = plan.add_unchecked(op, scans);
+        let out = plan.add_unchecked(LogicalOp::Output { stream: 1 }, vec![top]);
+        plan.set_root(out);
+        plan
+    };
+    let global_agg = LogicalOp::GroupBy {
+        keys: vec![],
+        aggs: vec![AggFunc::Count],
+        partial: false,
+    };
+    let cross = LogicalOp::Join {
+        kind: JoinKind::Inner,
+        keys: vec![],
+    };
+
+    let rules = RuleCatalog::global();
+    let serial_scan = rules.find("SerialScanImpl").expect("catalog rule");
+    let join_impls = rules.impls_for(scope_ir::OpKind::Join);
+    let mut configs = vec![RuleConfig::default_config()];
+    for scans in [None, Some(serial_scan)] {
+        for &keep in join_impls {
+            let mut config = RuleConfig::default_config();
+            for &id in join_impls {
+                config.disable(id);
+            }
+            config.enable(keep);
+            if let Some(id) = scans {
+                config.disable(id);
+            }
+            configs.push(config);
+        }
+    }
+    let budget = CompileBudget::default();
+    for plan in [plan_over(global_agg, &[0]), plan_over(cross, &[0, 1])] {
+        let want: Vec<Outcome> = configs
+            .iter()
+            .map(|config| outcome(compile_classic_with_budget(&plan, &obs, config, &budget)))
+            .collect();
+        assert!(want.iter().any(Result::is_ok), "vacuous: nothing compiles");
+        let got = compile_candidates(&plan, &obs, &configs, &budget, &CostModel::DEFAULT);
+        for ((config, got), want) in configs.iter().zip(got).zip(&want) {
+            assert_eq!(&outcome(got), want, "batch");
+            let alone = compile_with_budget(&plan, &obs, config, &budget);
+            assert_eq!(&outcome(alone), want, "alone");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -21,23 +21,27 @@
 //! alternative is a memo expression under one implementation rule; its slot
 //! holds what no configuration can change: the physical operator, its
 //! degree of parallelism, the operator's own cost as the model's scalar
-//! and as the corrected vector, and the partitioning it requires of each
-//! child. The first pass to charge an alternative fills its slot
-//! (`impl_cost` + `required_child_parts`, once per memo instead of once
-//! per configuration); every pass, that one included, then ranks the
-//! alternative on a scalar it adds up from the slot, the children's
-//! winners and the exchanges they need, in the order the search always
-//! added them. A configuration enters only through `enabled`: which slots
-//! it walks, which exchanges it may insert, what it is charged.
-//! *Only winners allocate:* the exchange list, output partitioning and
-//! cost vector are built on a second walk over the children, for an
-//! alternative that has just passed the strict `<` — most are costed to
-//! lose. The table is forgotten exactly when the memo changes
-//! (`Prepared::explore` in `optimizer.rs`: once per partition of a batch,
-//! once per single compile), and by the public [`implement`] /
-//! [`implement_with_model`] on entry, which cannot know what their
-//! caller's scratch last saw. A single compile is a batch of one: it
-//! fills each slot it touches once, which is the costing it always did.
+//! and as the corrected vector, the partitioning it requires of each
+//! child, and the partitioning it delivers unless that is its first
+//! child's. The first pass to charge an alternative fills its slot
+//! (`impl_cost` + `required_child_parts` + `output_part`, once per memo
+//! instead of once per configuration); every pass, that one included, then
+//! ranks the alternative on a scalar it adds up from the slot, the
+//! children's winners and the exchanges they need, in the order the search
+//! always added them. A configuration enters only through `enabled`: which
+//! slots it walks, which exchanges it may insert, what it is charged.
+//! *What a pass keeps owns no heap memory:* a winner is a `Copy` record
+//! whose partitioning is a handle into the table, and its cost vector is
+//! added up on a second walk over the children for an alternative that has
+//! just passed the strict `<`. Extraction rebuilds the exchanges the search
+//! chose from the winning slot's requirements and the children's handles,
+//! through the same `enforcer_for`. The table is forgotten exactly when
+//! the memo changes (`Prepared::explore` in `optimizer.rs`: once per
+//! partition of a batch, once per single compile), and by the public
+//! [`implement`] / [`implement_with_model`] on entry, which cannot know
+//! what their caller's scratch last saw. A single compile is a batch of
+//! one: it fills each slot it touches once, which is the costing it always
+//! did.
 
 use scope_ir::ids::NodeId;
 use scope_ir::{LogicalOp, OpKind};
@@ -45,7 +49,7 @@ use scope_ir::{LogicalOp, OpKind};
 use crate::config::RuleConfig;
 use crate::cost::{
     exchange_cost, exchange_impl_for, impl_cost, output_part, required_child_parts, CostEstimate,
-    CostModel,
+    CostModel, OpCost,
 };
 use crate::memo::{EstId, GroupId, MExprId, Memo};
 use crate::physical::{Partitioning, PhysNode, PhysOp, PhysPlan};
@@ -271,8 +275,10 @@ pub(crate) fn exploration_keys(configs: &[RuleConfig]) -> Vec<RuleSet> {
         .collect()
 }
 
-/// Per-group winning implementation.
-#[derive(Clone, Debug)]
+/// Per-group winning implementation: a `Copy` record that owns no heap
+/// memory. What it does not carry — operator, degree of parallelism,
+/// requirements, exchanges — is read from its slot in the table.
+#[derive(Clone, Copy, Debug)]
 struct Winner {
     /// Scalarized subtree cost — the *only* value alternatives are ranked
     /// by. Produced by [`CostModel::scalar`] at the costing sites; the f64
@@ -283,17 +289,45 @@ struct Winner {
     /// annotation and feedback; never compared.
     cost_vec: CostEstimate,
     expr: MExprId,
-    phys: PhysImpl,
     impl_rule: RuleId,
-    out_part: Partitioning,
-    dop: u32,
-    /// Per child: exchange to insert (impl, rule id, scheme, dop), if any.
-    exchanges: Vec<Option<(PhysImpl, RuleId, Partitioning, u32)>>,
+    /// The winning alternative's slot in `ImplementScratch::alts`.
+    slot: u32,
+    /// The partitioning the subtree delivers.
+    part: PartRef,
     est: EstId,
 }
 
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Winner>();
+};
+
+/// Where in the table of costed alternatives a winner's output
+/// partitioning lives. Only an operator's first child's partitioning is
+/// ever passed on ([`output_part`]), so a requirement is a handle only on
+/// that child.
+#[derive(Clone, Copy, Debug)]
+enum PartRef {
+    /// The `out` of slot `s`.
+    Out(u32),
+    /// The requirement on the first child of slot `s`, met by an exchange.
+    FirstReq(u32),
+}
+
+/// The partitioning `r` names.
+#[inline]
+fn part_of(alts: &[Option<CostedAlt>], r: PartRef) -> &Partitioning {
+    let filled = |s: u32| alts[s as usize].as_ref().expect("handle to a filled slot");
+    match r {
+        PartRef::Out(s) => filled(s).out.as_ref().expect("slot delivers its own"),
+        PartRef::FirstReq(s) => req_of(&filled(s).reqs, 0),
+    }
+}
+
 /// One costed alternative — a memo expression under one implementation
-/// rule — reduced to what no rule configuration can change.
+/// rule — reduced to what no rule configuration can change. Its heap
+/// memory (requirement and output key lists) is allocated once per memo,
+/// when the slot is filled.
 struct CostedAlt {
     phys: PhysImpl,
     dop: u32,
@@ -304,6 +338,9 @@ struct CostedAlt {
     /// Required partitioning per child ([`required_child_parts`]); empty
     /// when no child is constrained, which is most operators.
     reqs: Box<[Partitioning]>,
+    /// The partitioning the operator delivers ([`output_part`]); `None`
+    /// when it passes on its first child's.
+    out: Option<Partitioning>,
 }
 
 impl CostedAlt {
@@ -322,6 +359,16 @@ impl CostedAlt {
         if reqs.iter().all(|req| matches!(req, Partitioning::Any)) {
             reqs = Vec::new();
         }
+        let out =
+            (children.is_empty() || !passes_through(phys, op)).then(|| output_part(phys, op, &[]));
+        // `output_part` delivers `Broadcast` only by handing a child's on, so
+        // a broadcast first child shows whether `passes_through` is right.
+        debug_assert_eq!(
+            out.is_none(),
+            !children.is_empty()
+                && output_part(phys, op, &[Partitioning::Broadcast]) == Partitioning::Broadcast,
+            "{phys:?} and output_part disagree on passing a child's partitioning on"
+        );
         // Scalarize at the costing site; the f64 accumulation in `best` is
         // textually the pre-vector model's, so default-model compiles stay
         // bit-identical to the classic scalar path.
@@ -331,14 +378,27 @@ impl CostedAlt {
             scalar: model.scalar(&oc.cost),
             vec: model.corrected(&oc.cost),
             reqs: reqs.into_boxed_slice(),
+            out,
         }
+    }
+}
+
+/// Whether [`output_part`] hands on the first child's partitioning; for
+/// every other implementation it decides without reading the children.
+fn passes_through(phys: PhysImpl, op: &LogicalOp) -> bool {
+    use PhysImpl::*;
+    match phys {
+        FilterImpl | ProjectImpl | ProcessParallel | TopN | BroadcastJoin | IndexJoin => true,
+        HashAgg | SortAgg | StreamAgg => matches!(op, LogicalOp::GroupBy { partial: true, .. }),
+        _ => false,
     }
 }
 
 /// Reusable implementation-phase state: flat per-group vectors replacing
 /// the per-compile `HashMap`s, and the table of costed alternatives of the
 /// memo being implemented. [`ImplementScratch::reset`] re-sizes without
-/// freeing, so a thread-local compile scratch allocates nothing once warm.
+/// freeing, and winners are `Copy` handles into the table, so a pass whose
+/// slots are already filled allocates nothing before extraction.
 #[derive(Default)]
 pub struct ImplementScratch {
     winners: Vec<Option<Winner>>,
@@ -371,7 +431,7 @@ impl ImplementScratch {
     fn reset(&mut self, memo: &Memo) {
         let n_groups = memo.num_groups();
         self.winners.clear();
-        self.winners.resize_with(n_groups, || None);
+        self.winners.resize(n_groups, None);
         self.failures.clear();
         self.failures.resize_with(n_groups, || None);
         self.visiting.clear();
@@ -474,15 +534,22 @@ pub(crate) fn implement_pass(
         memo,
         root,
         &scratch.winners,
+        &scratch.alts,
         &mut plan,
         &mut scratch.built,
         &mut used,
-        cat.enforce_exchange(),
+        cat,
         model,
     );
     plan.set_root(root_node);
-    let est_cost = plan.total_est_cost();
-    let est_cost_vec = plan.total_est_cost_vec();
+    // `extract` built every node from the root, so arena order is the
+    // ascending order of `reachable()` and the sums are its walk's bits.
+    let est_cost: f64 = plan.iter().map(|(_, node)| node.est_cost).sum();
+    let est_cost_vec = plan.iter().fold(CostEstimate::ZERO, |acc, (_, node)| {
+        acc.add(&node.est_cost_vec)
+    });
+    debug_assert_eq!(est_cost.to_bits(), plan.total_est_cost().to_bits());
+    debug_assert_eq!(est_cost_vec, plan.total_est_cost_vec());
     Ok(SearchOutcome {
         plan,
         est_cost,
@@ -613,8 +680,8 @@ impl Pass<'_> {
                         .as_ref()
                         .expect("child winner resolved");
                     candidate_cost += child_w.cost;
-                    let Some(ex_impl) = enforcer_for(&child_w.out_part, req_of(&alt.reqs, i))
-                    else {
+                    let have = part_of(self.alts, child_w.part);
+                    let Some(ex_impl) = enforcer_for(have, req_of(&alt.reqs, i)) else {
                         continue;
                     };
                     let ex_rule = self
@@ -634,7 +701,8 @@ impl Pass<'_> {
                     continue;
                 }
                 if best_winner.as_ref().is_none_or(|w| candidate_cost < w.cost) {
-                    best_winner = Some(self.winner(expr_id, impl_rule, alt, candidate_cost));
+                    best_winner =
+                        Some(self.winner(expr_id, impl_rule, base + slot, candidate_cost));
                 }
             }
             if !any_enabled {
@@ -673,45 +741,36 @@ impl Pass<'_> {
     /// Everything a winner carries beyond its rank: the second walk over
     /// the children of an alternative that passed the strict `<`, adding the
     /// cost vector in the order the scalar was added.
-    fn winner(&self, expr: MExprId, impl_rule: RuleId, alt: &CostedAlt, cost: f64) -> Winner {
+    fn winner(&self, expr: MExprId, impl_rule: RuleId, slot: usize, cost: f64) -> Winner {
         let memo = self.memo;
-        let children = memo.children(expr);
+        let alt = self.alts[slot].as_ref().expect("slot filled");
         let mut cost_vec = alt.vec;
-        let mut exchanges = Vec::with_capacity(children.len());
-        let mut child_parts = Vec::with_capacity(children.len());
-        for (i, &c) in children.iter().enumerate() {
-            let req = req_of(&alt.reqs, i);
+        let mut part = PartRef::Out(slot as u32);
+        for (i, &c) in memo.children(expr).iter().enumerate() {
             let child_w = self.winners[c.index()]
                 .as_ref()
                 .expect("child winner resolved");
             cost_vec = cost_vec.add(&child_w.cost_vec);
-            let Some(ex_impl) = enforcer_for(&child_w.out_part, req) else {
-                exchanges.push(None);
-                child_parts.push(child_w.out_part.clone());
+            let ex_impl = enforcer_for(part_of(self.alts, child_w.part), req_of(&alt.reqs, i));
+            if i == 0 && alt.out.is_none() {
+                part = match ex_impl {
+                    Some(_) => PartRef::FirstReq(slot as u32),
+                    None => child_w.part,
+                };
+            }
+            let Some(ex_impl) = ex_impl else {
                 continue;
-            };
-            let ex_rule = self
-                .cat
-                .rule_for_impl(ex_impl)
-                .expect("exchange impl rule exists");
-            let ex_dop = match req {
-                Partitioning::Singleton => 1,
-                _ => alt.dop,
             };
             let ex_cost = exchange_cost(ex_impl, memo.est(child_w.est).bytes(), alt.dop.max(1));
             cost_vec = cost_vec.add(&self.model.corrected(&ex_cost.cost));
-            exchanges.push(Some((ex_impl, ex_rule, req.clone(), ex_dop)));
-            child_parts.push(req.clone());
         }
         Winner {
             cost,
             cost_vec,
             expr,
-            phys: alt.phys,
             impl_rule,
-            out_part: output_part(alt.phys, memo.op(expr), &child_parts),
-            dop: alt.dop,
-            exchanges,
+            slot: slot as u32,
+            part,
             est: memo.expr(expr).est,
         }
     }
@@ -722,30 +781,49 @@ fn extract(
     memo: &Memo,
     group: GroupId,
     winners: &[Option<Winner>],
+    alts: &[Option<CostedAlt>],
     plan: &mut PhysPlan,
     built: &mut [Option<NodeId>],
     used: &mut RuleSet,
-    enforce_rule: RuleId,
+    cat: &RuleCatalog,
     model: &CostModel,
 ) -> NodeId {
     if let Some(node) = built[group.index()] {
         return node;
     }
+    let child_winner = |c: GroupId| winners[c.index()].as_ref().expect("child winner");
     let w = winners[group.index()]
         .as_ref()
         .expect("winner for reachable group");
+    let alt = alts[w.slot as usize]
+        .as_ref()
+        .expect("winner's slot filled");
     let children = memo.children(w.expr);
+    // The exchange the search inserted above child `i`, rebuilt as it found
+    // it: its implementation, its scheme and its cost.
+    let exchange = |i: usize| -> Option<(PhysImpl, &Partitioning, OpCost)> {
+        let child_w = child_winner(children[i]);
+        let req = req_of(&alt.reqs, i);
+        let ex_impl = enforcer_for(part_of(alts, child_w.part), req)?;
+        let bytes = memo.est(child_w.est).bytes();
+        Some((ex_impl, req, exchange_cost(ex_impl, bytes, alt.dop.max(1))))
+    };
     let mut child_nodes = Vec::with_capacity(children.len());
     for (i, &c) in children.iter().enumerate() {
-        let mut node = extract(memo, c, winners, plan, built, used, enforce_rule, model);
-        if let Some((ex_impl, ex_rule, scheme, ex_dop)) = &w.exchanges[i] {
-            let child_w = winners[c.index()].as_ref().expect("child winner");
-            let child_est = memo.est(child_w.est);
-            let ex_cost = exchange_cost(*ex_impl, child_est.bytes(), w.dop.max(1));
+        let mut node = extract(memo, c, winners, alts, plan, built, used, cat, model);
+        if let Some((ex_impl, scheme, ex_cost)) = exchange(i) {
+            let ex_rule = cat
+                .rule_for_impl(ex_impl)
+                .expect("exchange impl rule exists");
+            let ex_dop = match scheme {
+                Partitioning::Singleton => 1,
+                _ => alt.dop,
+            };
+            let child_est = memo.est(child_winner(c).est);
             node = plan.add(PhysNode {
                 op: PhysOp::Exchange {
                     scheme: scheme.clone(),
-                    dop: *ex_dop,
+                    dop: ex_dop,
                 },
                 children: vec![node],
                 est_rows: child_est.rows,
@@ -753,54 +831,41 @@ fn extract(
                 est_cost: model.scalar(&ex_cost.cost),
                 est_cost_vec: model.corrected(&ex_cost.cost),
                 partitioning: scheme.clone(),
-                dop: *ex_dop,
-                created_by: Some(*ex_rule),
+                dop: ex_dop,
+                created_by: Some(ex_rule),
                 logical_rule: None,
             });
-            used.insert(*ex_rule);
-            used.insert(enforce_rule);
+            used.insert(ex_rule);
+            used.insert(cat.enforce_exchange());
         }
         child_nodes.push(node);
     }
-    let child_cost = |c: GroupId| winners[c.index()].as_ref().expect("child winner").cost;
     let own_cost = w.cost
-        - children.iter().map(|&c| child_cost(c)).sum::<f64>()
-        - w.exchanges
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| {
-                e.as_ref().map(|(ex_impl, _, _, _)| {
-                    let child_w = winners[children[i].index()].as_ref().expect("child winner");
-                    let ex = exchange_cost(*ex_impl, memo.est(child_w.est).bytes(), w.dop.max(1));
-                    model.scalar(&ex.cost)
-                })
-            })
+        - children.iter().map(|&c| child_winner(c).cost).sum::<f64>()
+        - (0..children.len())
+            .filter_map(exchange)
+            .map(|(_, _, ex)| model.scalar(&ex.cost))
             .sum::<f64>();
     // Component-wise own cost: the subtree vector minus resolved child and
     // exchange vectors, floored at zero like the scalar.
     let mut own_vec = w.cost_vec;
     for &c in children {
-        own_vec =
-            own_vec.saturating_sub(&winners[c.index()].as_ref().expect("child winner").cost_vec);
+        own_vec = own_vec.saturating_sub(&child_winner(c).cost_vec);
     }
-    for (i, e) in w.exchanges.iter().enumerate() {
-        if let Some((ex_impl, _, _, _)) = e {
-            let child_w = winners[children[i].index()].as_ref().expect("child winner");
-            let ex = exchange_cost(*ex_impl, memo.est(child_w.est).bytes(), w.dop.max(1));
-            own_vec = own_vec.saturating_sub(&model.corrected(&ex.cost));
-        }
+    for (_, _, ex) in (0..children.len()).filter_map(exchange) {
+        own_vec = own_vec.saturating_sub(&model.corrected(&ex.cost));
     }
     let w_est = memo.est(w.est);
     let created_by_logical = memo.expr(w.expr).created_by;
     let node = plan.add(PhysNode {
-        op: phys_op_for(w.phys, memo.op(w.expr)),
+        op: phys_op_for(alt.phys, memo.op(w.expr)),
         children: child_nodes,
         est_rows: w_est.rows,
         est_bytes: w_est.bytes(),
         est_cost: own_cost.max(0.0),
         est_cost_vec: own_vec,
-        partitioning: w.out_part.clone(),
-        dop: w.dop,
+        partitioning: part_of(alts, w.part).clone(),
+        dop: alt.dop,
         created_by: Some(w.impl_rule),
         logical_rule: created_by_logical,
     });
@@ -940,5 +1005,97 @@ pub(crate) fn phys_op_for(phys: PhysImpl, op: &LogicalOp) -> PhysOp {
         },
         (OutputImpl, LogicalOp::Output { stream }) => PhysOp::Output { stream: *stream },
         (p, o) => unreachable!("implementation {p:?} cannot implement {:?}", o.kind()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::estimate::Estimator;
+    use scope_ir::ids::{DomainId, TableId};
+    use scope_ir::ops::JoinKind;
+    use scope_ir::{PlanGraph, Predicate, TrueCatalog};
+
+    /// Small enough for Miri: winner handles index the table across `best`
+    /// and `extract`, and the table outlives a pass. A cross join's index
+    /// join gathers both inputs and passes its first requirement on as its
+    /// own partitioning. The first pass fills every slot; the second, with
+    /// the index join the only join left, takes that requirement handle
+    /// from a slot the first pass filled, and its extraction rebuilds the
+    /// gathers from it.
+    #[test]
+    fn a_winner_reads_a_requirement_handle_filled_by_an_earlier_pass() {
+        let mut cat = TrueCatalog::new();
+        let a = cat.add_column(1_000, 0.0, DomainId(0));
+        let b = cat.add_column(1_000, 0.0, DomainId(1));
+        cat.add_table(400_000, 60, 1, vec![a]);
+        cat.add_table(300, 40, 2, vec![b]);
+        let obs = cat.observe();
+        let mut plan = PlanGraph::new();
+        let range = |t| LogicalOp::RangeGet {
+            table: TableId(t),
+            pushed: Predicate::true_pred(),
+        };
+        let l = plan.add_unchecked(range(0), vec![]);
+        let r = plan.add_unchecked(range(1), vec![]);
+        let cross = LogicalOp::Join {
+            kind: JoinKind::Inner,
+            keys: vec![],
+        };
+        let j = plan.add_unchecked(cross, vec![l, r]);
+        let o = plan.add_unchecked(LogicalOp::Output { stream: 1 }, vec![j]);
+        plan.set_root(o);
+        let (memo, root) = Memo::from_plan(&plan, &Estimator::new(&obs)).expect("ingests");
+
+        let rules = RuleCatalog::global();
+        let rule = |phys| rules.rule_for_impl(phys).expect("implementation rule");
+        let mut all = RuleConfig::from_enabled(RuleSet::FULL);
+        all.disable(rule(PhysImpl::ScanSerial));
+        let mut index_only = all.clone();
+        for &id in rules.impls_for(OpKind::Join) {
+            if id != rule(PhysImpl::IndexJoin) {
+                index_only.disable(id);
+            }
+        }
+        let pass = |config: &RuleConfig, scratch: &mut ImplementScratch| {
+            let mut tracker = BudgetTracker::new(&CompileBudget::UNLIMITED);
+            let model = &CostModel::DEFAULT;
+            implement_pass(&memo, root, config, &obs, &mut tracker, scratch, model)
+                .expect("implements")
+        };
+        let filled = |scratch: &ImplementScratch| scratch.alts.iter().flatten().count();
+
+        let mut scratch = ImplementScratch::new();
+        pass(&all, &mut scratch);
+        let after_first = filled(&scratch);
+        let shared = pass(&index_only, &mut scratch);
+        assert_eq!(
+            filled(&scratch),
+            after_first,
+            "the second pass filled a slot"
+        );
+        assert!(scratch
+            .winners
+            .iter()
+            .flatten()
+            .any(|w| matches!(w.part, PartRef::FirstReq(_))));
+
+        let alone = pass(&index_only, &mut ImplementScratch::new());
+        assert_eq!(shared.plan.render(), alone.plan.render());
+        assert_eq!(shared.est_cost.to_bits(), alone.est_cost.to_bits());
+        assert_eq!(shared.est_cost_vec, alone.est_cost_vec);
+        let (_, join) = shared
+            .plan
+            .iter()
+            .find(|(_, n)| matches!(n.op, PhysOp::IndexJoin { .. }))
+            .expect("the index join wins");
+        assert_eq!(join.partitioning, Partitioning::Singleton);
+        for &c in &join.children {
+            let gather = PhysOp::Exchange {
+                scheme: Partitioning::Singleton,
+                dop: 1,
+            };
+            assert_eq!(shared.plan.node(c).op, gather);
+        }
     }
 }

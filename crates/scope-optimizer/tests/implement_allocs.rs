@@ -1,0 +1,164 @@
+//! Allocation accounting of the implementation pass. Winners are `Copy`
+//! handles into the table of costed alternatives, so a pass that finds
+//! every slot it touches already filled allocates only for the plan it
+//! extracts — however many times a group's winner is replaced on the way.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use scope_ir::expr::{CmpOp, Literal, PredAtom, Predicate};
+use scope_ir::ids::{DomainId, TableId};
+use scope_ir::ops::{AggFunc, JoinKind, LogicalOp};
+use scope_ir::{PlanGraph, TrueCatalog};
+use scope_optimizer::{
+    compile_candidates, CompileBudget, CompiledPlan, CostModel, PhysOp, RuleConfig, RuleSet,
+};
+
+/// Counts the allocator calls of the thread that makes them: the tests of
+/// this binary run side by side in one process.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the allocator also serves threads being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter never touches the memory
+// being managed.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this wrapper with the
+        // same `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `f`'s result and the allocator calls this thread made while it ran.
+fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Four tables joined in a chain, the first filtered, then grouped and
+/// sorted. With every rule enabled the memo holds 318 expressions, most of
+/// them in the join groups.
+fn join_chain() -> (PlanGraph, TrueCatalog) {
+    let mut cat = TrueCatalog::new();
+    let mut cols = Vec::new();
+    for (t, rows) in [2_000_000u64, 800_000, 300_000, 50_000]
+        .into_iter()
+        .enumerate()
+    {
+        let key = cat.add_column(40_000, 0.0, DomainId(0));
+        let attr = cat.add_column(300, 0.0, DomainId(1 + t as u32));
+        cat.add_table(rows, 90, 11 + t as u64, vec![key, attr]);
+        cols.push((key, attr));
+    }
+    let mut plan = PlanGraph::new();
+    let first = plan.add_unchecked(LogicalOp::Get { table: TableId(0) }, vec![]);
+    let mut acc = plan.add_unchecked(
+        LogicalOp::Select {
+            predicate: Predicate::atom(PredAtom::unknown(cols[0].1, CmpOp::Eq, Literal::Int(3))),
+        },
+        vec![first],
+    );
+    for t in 1..cols.len() {
+        let right = plan.add_unchecked(
+            LogicalOp::Get {
+                table: TableId(t as u32),
+            },
+            vec![],
+        );
+        acc = plan.add_unchecked(
+            LogicalOp::Join {
+                kind: JoinKind::Inner,
+                keys: vec![(cols[t - 1].0, cols[t].0)],
+            },
+            vec![acc, right],
+        );
+    }
+    let agg = plan.add_unchecked(
+        LogicalOp::GroupBy {
+            keys: vec![cols[3].1],
+            aggs: vec![AggFunc::Count],
+            partial: false,
+        },
+        vec![acc],
+    );
+    let sort = plan.add_unchecked(
+        LogicalOp::Sort {
+            keys: vec![cols[3].1],
+        },
+        vec![agg],
+    );
+    let out = plan.add_unchecked(LogicalOp::Output { stream: 1 }, vec![sort]);
+    plan.set_root(out);
+    (plan, cat)
+}
+
+#[test]
+fn a_pass_over_filled_slots_allocates_only_for_its_plan() {
+    let (plan, cat) = join_chain();
+    let obs = cat.observe();
+    let config = RuleConfig::from_enabled(RuleSet::FULL);
+    let budget = CompileBudget::default();
+    let batch = |configs: &[RuleConfig]| {
+        allocs_of(|| compile_candidates(&plan, &obs, configs, &budget, &CostModel::DEFAULT))
+    };
+    // Warm this thread's compile scratch: memo slabs and table capacity.
+    batch(std::slice::from_ref(&config));
+
+    // The same batch with the configuration once more: its pass finds every
+    // slot it touches filled by the first, so the difference is that one
+    // pass, its extraction and its packaging.
+    let (alone, once) = batch(std::slice::from_ref(&config));
+    let (twice, with_repeat) = batch(&[config.clone(), config.clone()]);
+    let compiled = alone[0].as_ref().expect("the chain compiles");
+    assert_eq!(
+        twice[1].as_ref().map(CompiledPlan::fingerprint),
+        Ok(compiled.fingerprint())
+    );
+    let count = |op: fn(&PhysOp) -> bool| compiled.plan.iter().filter(|(_, n)| op(&n.op)).count();
+    let exchanges = count(|op| matches!(op, PhysOp::Exchange { .. }));
+    let joins = count(|op| op.name().ends_with("Join"));
+    assert!(
+        compiled.memo_exprs > 300 && exchanges > 0 && joins == 3,
+        "vacuous: {} expressions, {exchanges} exchanges, {joins} joins",
+        compiled.memo_exprs
+    );
+
+    // Extraction allocates per node at most its child list, its operator's
+    // key and predicate lists and its partitioning's keys (an exchange: its
+    // child list and its scheme twice), beside the arena's doubling
+    // growth; debug builds add the physical validation of every node. A
+    // winner that allocated would cost that much per replacement, and the
+    // join groups replace theirs hundreds of times.
+    let repeat = with_repeat - once;
+    let bound = 6 * compiled.plan.len() as u64;
+    assert!(
+        repeat <= bound,
+        "the repeated pass made {repeat} allocations for a {}-node plan (bound {bound})",
+        compiled.plan.len()
+    );
+}
