@@ -24,8 +24,8 @@
 //!   rollback monitors, background revalidation with a probation path out
 //!   of quarantine, and a checksummed journal + snapshot for crash
 //!   recovery,
-//! * [`serve`] — the failure-hardened online serving layer: a sharded
-//!   copy-on-write serving table over the flight controller's state,
+//! * [`serve`] — the failure-hardened online serving layer: a
+//!   copy-on-write serving-table snapshot over the flight controller's state,
 //!   fronted by per-request deadlines, a circuit breaker, admission
 //!   control with load shedding, and a typed degraded-mode ladder —
 //!   every failure path serves the default config, never an error,

@@ -42,6 +42,14 @@ use crate::par::{available_threads, run_chunked_on};
 use crate::search::candidate_configs_effective;
 use crate::span::approximate_span_with;
 
+/// "Clearly cheaper" margin (§6.1): a candidate whose estimated cost is
+/// below `default_cost * (1 - CHEAPER_FRAC)` triggers execution.
+pub const CHEAPER_FRAC: f64 = 0.05;
+/// Low-cost/high-runtime outlier heuristic (§6.1): runtime must exceed
+/// `OUTLIER_RATIO * default_estimated_cost` (the optimizer expected the
+/// job to be several times faster than it was).
+pub const OUTLIER_RATIO: f64 = 4.0;
+
 /// Tunable pipeline parameters (defaults follow the paper).
 #[derive(Clone, Debug)]
 pub struct PipelineParams {
@@ -55,13 +63,6 @@ pub struct PipelineParams {
     pub max_runtime_s: f64,
     /// Fraction of in-window jobs analyzed (§5.3: "10-20%").
     pub sample_frac: f64,
-    /// "Clearly cheaper" margin: a candidate whose estimated cost is below
-    /// `default_cost * (1 - cheaper_frac)` triggers execution.
-    pub cheaper_frac: f64,
-    /// Low-cost/high-runtime outlier heuristic: runtime must exceed
-    /// `outlier_ratio * default_estimated_cost` (the optimizer expected the
-    /// job to be several times faster than it was).
-    pub outlier_ratio: f64,
     /// Retry/timeout scheduling for every A/B trial the pipeline submits.
     /// With no faults injected the policy never engages, so the default
     /// keeps fault-free discovery bit-identical to the historical runs.
@@ -120,8 +121,6 @@ impl Default for PipelineParams {
             min_runtime_s: 300.0,
             max_runtime_s: 3600.0,
             sample_frac: 0.5,
-            cheaper_frac: 0.05,
-            outlier_ratio: 4.0,
             retry: RetryPolicy::default(),
             compile_budget: CompileBudget::default(),
             n_threads: 0,
@@ -326,7 +325,6 @@ impl PoolState {
         config: &RuleConfig,
         result: &Vetted,
         default: &CompiledPlan,
-        cheaper_frac: f64,
         trace: bool,
     ) {
         match result {
@@ -335,7 +333,7 @@ impl PoolState {
                 if c.est_cost < default.est_cost {
                     self.n_cheaper += 1;
                 }
-                if c.est_cost < default.est_cost * (1.0 - cheaper_frac) {
+                if c.est_cost < default.est_cost * (1.0 - CHEAPER_FRAC) {
                     self.clearly_cheaper = true;
                 }
                 if c.signature == default.signature {
@@ -673,14 +671,7 @@ impl Pipeline {
                 let mut scratch_vetting = CandidateFilterStats::default();
                 for (config, disp) in &slots {
                     if let Disposition::Done(result) = disp {
-                        scratch.absorb(
-                            &mut scratch_vetting,
-                            config,
-                            result,
-                            default,
-                            self.params.cheaper_frac,
-                            false,
-                        );
+                        scratch.absorb(&mut scratch_vetting, config, result, default, false);
                     }
                 }
                 let mut ests: Vec<f64> =
@@ -705,14 +696,7 @@ impl Pipeline {
                     scope_trace::count(Counter::FunnelBoundsPruned, 1);
                 }
                 Disposition::Done(result) => {
-                    state.absorb(
-                        &mut vetting,
-                        &config,
-                        &result,
-                        default,
-                        self.params.cheaper_frac,
-                        true,
-                    );
+                    state.absorb(&mut vetting, &config, &result, default, true);
                 }
             }
         }
@@ -727,7 +711,7 @@ impl Pipeline {
         } = state;
 
         // §6.1 selection heuristics.
-        let outlier = default_metrics.runtime > default.est_cost * self.params.outlier_ratio;
+        let outlier = default_metrics.runtime > default.est_cost * OUTLIER_RATIO;
         let reason = if clearly_cheaper {
             SelectionReason::CheaperPlans
         } else if outlier {

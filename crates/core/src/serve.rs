@@ -7,27 +7,30 @@
 //! steering service driven by streaming job arrival
 //! ([`scope_exec::arrival`]) instead of `compile_day` batches:
 //!
-//! * [`ServingTable`] — the sharded, lock-light read path: rule-signature
-//!   → [`ServingEntry`], rebuilt by copy-on-write snapshot swaps from the
-//!   [`FlightController`]'s state so readers only ever take a shard read
-//!   lock for the instant it takes to clone an `Arc`. Entries carry an
-//!   FNV-style checksum so a torn write is *detected and refused* (served
-//!   default) rather than served corrupt. [`ServingTable::retire`]
-//!   removes a group synchronously, which is what makes "never serve a
-//!   rolled-back or quarantined hint" a hard invariant even when a torn
-//!   snapshot swap leaves shards at mixed versions.
+//! * [`ServingTable`] — the lock-light read path: one immutable snapshot
+//!   of rule-signature → [`ServingEntry`], replaced whole by a
+//!   copy-on-write swap from the [`FlightController`]'s state, so readers
+//!   only ever take the read lock for the instant it takes to clone an
+//!   `Arc`. Entries carry a checksum so a torn write is *detected and
+//!   refused* (served default) rather than served corrupt.
+//!   [`ServingTable::retire`] removes a group synchronously, which is what
+//!   makes "never serve a rolled-back or quarantined hint" a hard
+//!   invariant even when a torn publish swapped in a corrupt entry.
 //! * [`CircuitBreaker`] — wraps the flighting/revalidation interactions
-//!   (journal writes, background probes): trips open after N consecutive
-//!   failures, half-opens on a timer, closes again on a clean probe.
+//!   (journal writes, background probes): trips open after
+//!   [`BREAKER_FAILURES`] consecutive failures, half-opens on a timer,
+//!   closes again on a clean probe.
 //! * [`DegradedMode`] — the typed degradation ladder
 //!   Healthy → HintsStale → DefaultOnly, walked down and back up one rung
-//!   per tick from observed shed/timeout rates and breaker state.
+//!   per tick from observed shed/timeout rates ([`DEGRADE_FRAC`],
+//!   [`RECOVER_FRAC`]) and breaker state.
 //! * [`SteeringService`] — ties it together: deterministic admission
 //!   control with explicit load shedding at the inflight ceiling (shed
 //!   requests are *served the default config*, never errored), a
-//!   per-request decision deadline with hard default fallback, and a
-//!   decision function that is a pure read so the parallel fan-out
-//!   ([`run_chunked_on`]) is bit-identical at any thread count.
+//!   per-request decision deadline ([`DEADLINE_US`]) with hard default
+//!   fallback, and a decision function that is a pure read so the
+//!   parallel fan-out ([`run_chunked_on`]) is bit-identical at any thread
+//!   count.
 //!
 //! Determinism contract: [`SteeringService::serve_day`] runs a sequential
 //! admission/mode pass over arrivals ordered by `(arrival_us, job_id)`
@@ -72,8 +75,8 @@ fn unit(seed: u64, day: u32, idx: u64, stream: u64) -> f64 {
 // ---------------------------------------------------------------------
 
 /// One published hint on the read path. Self-contained and checksummed:
-/// a reader can validate an entry without consulting any other shard or
-/// version, which is what makes torn snapshot swaps safe to detect.
+/// a reader can validate an entry without consulting any other entry,
+/// which is what makes a torn entry write safe to detect.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServingEntry {
     /// Group key (default-signature bit string).
@@ -150,126 +153,86 @@ pub enum Lookup {
     Torn,
 }
 
-/// An immutable shard snapshot. Readers clone the `Arc` and search the
+/// An immutable table snapshot. Readers clone the `Arc` and search the
 /// map without holding any lock.
-#[derive(Debug, Default)]
-struct Shard {
-    entries: BTreeMap<String, ServingEntry>,
-    version: u64,
+type Snapshot = BTreeMap<String, ServingEntry>;
+
+/// Look `group` up in a snapshot. A checksum-corrupt entry is reported
+/// as [`Lookup::Torn`], never returned.
+fn lookup_in(snapshot: &Snapshot, group: &str) -> Lookup {
+    match snapshot.get(group) {
+        None => Lookup::Miss,
+        Some(e) if e.is_intact() => Lookup::Hit(e.clone()),
+        Some(_) => {
+            count(Counter::ServeTornReads, 1);
+            Lookup::Torn
+        }
+    }
 }
 
-/// The sharded, lock-light rule-signature → hint map. Writers build a
-/// whole replacement [`Shard`] off to the side and swap it in under the
-/// shard's write lock (copy-on-write); readers hold the read lock only
-/// long enough to clone the `Arc`.
+/// The lock-light rule-signature → hint map. Writers build a whole
+/// replacement snapshot off to the side and swap it in under the
+/// write lock (copy-on-write); readers hold the read lock only long
+/// enough to clone the `Arc`.
+#[derive(Default)]
 pub struct ServingTable {
-    shards: Box<[RwLock<Arc<Shard>>]>,
+    snapshot: RwLock<Arc<Snapshot>>,
 }
 
 impl ServingTable {
-    /// A table with `n_shards` shards (clamped to at least 1).
+    /// An empty table.
     #[must_use]
-    pub fn new(n_shards: usize) -> ServingTable {
-        let shards = (0..n_shards.max(1))
-            .map(|_| RwLock::new(Arc::new(Shard::default())))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        ServingTable { shards }
+    pub fn new() -> ServingTable {
+        ServingTable::default()
     }
 
-    fn shard_of(&self, group: &str) -> usize {
-        (hash64(&group) % self.shards.len() as u64) as usize
+    fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.snapshot.read().expect("serving table lock poisoned"))
     }
 
-    fn shard_snapshot(&self, i: usize) -> Arc<Shard> {
-        Arc::clone(&self.shards[i].read().expect("shard lock poisoned"))
-    }
-
-    /// O(1)-ish lookup on the read path: hash to a shard, clone the
-    /// snapshot `Arc`, search the immutable map. A checksum-corrupt entry
-    /// is reported as [`Lookup::Torn`], never returned.
+    /// Lookup on the read path: clone the snapshot `Arc`, search the
+    /// immutable map. A checksum-corrupt entry is reported as
+    /// [`Lookup::Torn`], never returned.
     #[must_use]
     pub fn lookup(&self, group: &str) -> Lookup {
-        let shard = self.shard_snapshot(self.shard_of(group));
-        match shard.entries.get(group) {
-            None => Lookup::Miss,
-            Some(e) if e.is_intact() => Lookup::Hit(e.clone()),
-            Some(_) => {
-                count(Counter::ServeTornReads, 1);
-                Lookup::Torn
-            }
-        }
+        lookup_in(&self.snapshot(), group)
     }
 
-    /// Copy-on-write snapshot swap: distribute `entries` to their shards
-    /// and swap each shard's `Arc`. When `complete_shards` is `Some(k)`
-    /// only the first `k` shards are swapped — the publisher "crashed"
-    /// mid-publish (torn swap) — leaving later shards at their previous
-    /// version. Returns the number of entries that actually landed.
-    pub fn publish(&self, entries: Vec<ServingEntry>, complete_shards: Option<usize>) -> usize {
-        let version = entries.iter().map(|e| e.version).max().unwrap_or(0);
-        let mut per_shard: Vec<BTreeMap<String, ServingEntry>> =
-            (0..self.shards.len()).map(|_| BTreeMap::new()).collect();
-        for e in entries {
-            per_shard[self.shard_of(&e.group)].insert(e.group.clone(), e);
-        }
-        let stop = complete_shards
-            .unwrap_or(self.shards.len())
-            .min(self.shards.len());
-        let mut landed = 0usize;
-        for (i, entries) in per_shard.into_iter().enumerate() {
-            if i >= stop {
-                break;
-            }
-            landed += entries.len();
-            let next = Arc::new(Shard { entries, version });
-            *self.shards[i].write().expect("shard lock poisoned") = next;
-        }
+    /// Copy-on-write snapshot swap: `entries` replace the whole table in
+    /// one step. Returns the number of entries published.
+    pub fn publish(&self, entries: Vec<ServingEntry>) -> usize {
+        let next: Snapshot = entries.into_iter().map(|e| (e.group.clone(), e)).collect();
+        let landed = next.len();
+        *self.snapshot.write().expect("serving table lock poisoned") = Arc::new(next);
         count(Counter::ServeTableSwaps, 1);
         record(Histogram::ServeTableEntries, landed as u64);
         landed
     }
 
-    /// Synchronously remove `group` from its shard (rollback/quarantine).
-    /// Works at any shard version, so a group retired after a *torn*
-    /// publish is still gone from whatever snapshot its shard carries —
-    /// the invariant behind "zero decisions on rolled-back hints".
+    /// Synchronously remove `group` (rollback/quarantine), so a retired
+    /// group is gone from whatever snapshot the table carries, torn or
+    /// not — the invariant behind "zero decisions on rolled-back hints".
+    /// Readers holding the old snapshot keep it; the map is copied only
+    /// while one does.
     pub fn retire(&self, group: &str) -> bool {
-        let i = self.shard_of(group);
-        let mut guard = self.shards[i].write().expect("shard lock poisoned");
-        if !guard.entries.contains_key(group) {
+        let mut guard = self.snapshot.write().expect("serving table lock poisoned");
+        if !guard.contains_key(group) {
             return false;
         }
-        let mut entries = guard.entries.clone();
-        entries.remove(group);
-        *guard = Arc::new(Shard {
-            entries,
-            version: guard.version,
-        });
+        Arc::make_mut(&mut guard).remove(group);
         count(Counter::ServeRetired, 1);
         true
     }
 
-    /// Total published entries (sums shard snapshots; approximate under
-    /// concurrent writes).
+    /// Published entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.shard_snapshot(i).entries.len())
-            .sum()
+        self.snapshot().len()
     }
 
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Per-shard snapshot versions — mixed values betray a torn swap.
-    #[must_use]
-    pub fn shard_versions(&self) -> Vec<u64> {
-        (0..self.shards.len())
-            .map(|i| self.shard_snapshot(i).version)
-            .collect()
     }
 }
 
@@ -459,33 +422,35 @@ impl DegradedMode {
 // Service
 // ---------------------------------------------------------------------
 
-/// Tunables for the steering service. Defaults target the virtual-µs
-/// clock of [`scope_exec::arrival`].
+/// Per-request decision budget (virtual µs); expiry → hard default
+/// fallback.
+pub const DEADLINE_US: u64 = 1_000;
+/// Simulated healthy decision latency (virtual µs).
+pub const BASE_LATENCY_US: u64 = 120;
+/// Latency billed to a shed request (virtual µs) — the admission check
+/// only.
+pub const SHED_LATENCY_US: u64 = 5;
+/// Consecutive flighting-op failures that trip the breaker.
+pub const BREAKER_FAILURES: u32 = 3;
+/// Bad-request fraction per tick at or above which the mode steps down
+/// one rung.
+pub const DEGRADE_FRAC: f64 = 0.10;
+/// Bad-request fraction per tick at or below which the mode steps back
+/// up one rung (requires a closed breaker).
+pub const RECOVER_FRAC: f64 = 0.02;
+
+/// The steering service's settings a caller chooses; the rest are the
+/// constants above. Defaults target the virtual-µs clock of
+/// [`scope_exec::arrival`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceConfig {
-    /// Serving-table shards.
-    pub shards: usize,
-    /// Per-request decision budget (µs); expiry → hard default fallback.
-    pub deadline_us: u64,
-    /// Simulated healthy decision latency (µs).
-    pub base_latency_us: u64,
-    /// Latency billed to a shed request (µs) — the admission check only.
-    pub shed_latency_us: u64,
     /// Admission ceiling: arrivals beyond this many inflight decisions
     /// are shed (served default).
     pub max_inflight: usize,
-    /// Consecutive flighting-op failures that trip the breaker.
-    pub breaker_failures: u32,
     /// Breaker cooldown before half-opening (virtual µs).
     pub breaker_cooldown_us: u64,
     /// Mode-ladder evaluation cadence (virtual µs).
     pub tick_us: u64,
-    /// Bad-request fraction per tick at or above which the mode steps
-    /// down one rung.
-    pub degrade_frac: f64,
-    /// Bad-request fraction per tick at or below which the mode steps
-    /// back up one rung (requires a closed breaker).
-    pub recover_frac: f64,
     /// Seed for the deterministic fault rolls.
     pub seed: u64,
 }
@@ -493,16 +458,9 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
-            shards: 8,
-            deadline_us: 1_000,
-            base_latency_us: 120,
-            shed_latency_us: 5,
             max_inflight: 64,
-            breaker_failures: 3,
             breaker_cooldown_us: 4 * 3_600_000_000, // 4 virtual hours
             tick_us: 3_600_000_000,                 // 1 virtual hour
-            degrade_frac: 0.10,
-            recover_frac: 0.02,
             seed: 2021,
         }
     }
@@ -636,9 +594,9 @@ pub struct SteeringService {
 impl SteeringService {
     #[must_use]
     pub fn new(config: ServiceConfig) -> SteeringService {
-        let breaker = CircuitBreaker::new(config.breaker_failures, config.breaker_cooldown_us);
+        let breaker = CircuitBreaker::new(BREAKER_FAILURES, config.breaker_cooldown_us);
         SteeringService {
-            table: ServingTable::new(config.shards),
+            table: ServingTable::new(),
             config,
             breaker,
             mode: DegradedMode::Healthy,
@@ -675,35 +633,21 @@ impl SteeringService {
     /// Rebuild the serving table from the flight controller's current
     /// state (copy-on-write swap). In [`DegradedMode::HintsStale`] or
     /// worse the refresh is suspended (the existing table keeps serving).
-    /// The fault profile may tear this publish partway through its
-    /// shards. Returns entries landed (0 when suspended).
+    /// The fault profile may tear this publish: its last entry is written
+    /// with a corrupt checksum. Returns entries published (0 when
+    /// suspended).
     pub fn publish_from(&mut self, flights: &FlightController, fault: &ServeFaultProfile) -> usize {
         if self.mode != DegradedMode::Healthy {
             return 0;
         }
         let publish_index = self.publishes;
         self.publishes += 1;
-        let version = self.publishes;
-        let mut entries = build_entries(flights, version);
-        let torn = fault
-            .torn_swap
-            .filter(|t| t.publish == publish_index)
-            .map(|t| {
-                if t.corrupt_entry {
-                    // Plant one torn entry write: corrupt the last entry
-                    // that will land in a completed shard.
-                    let stop = t.shards_completed.min(self.config.shards.max(1));
-                    if let Some(pos) = entries
-                        .iter()
-                        .rposition(|e| self.table.shard_of(&e.group) < stop)
-                    {
-                        let torn_entry = entries[pos].clone().corrupted();
-                        entries[pos] = torn_entry;
-                    }
-                }
-                t.shards_completed
-            });
-        self.table.publish(entries, torn)
+        let mut entries = build_entries(flights, self.publishes);
+        if fault.torn_swap.is_some_and(|t| t.publish == publish_index) {
+            let torn = entries.pop().map(ServingEntry::corrupted);
+            entries.extend(torn);
+        }
+        self.table.publish(entries)
     }
 
     /// Synchronously retire a group (rollback / quarantine). Must be
@@ -735,12 +679,12 @@ impl SteeringService {
             tick_bad as f64 / tick_requests as f64
         };
         let breaker_open = self.breaker.is_open(now_us);
-        if frac >= self.config.degrade_frac {
+        if frac >= DEGRADE_FRAC {
             self.set_mode(self.mode.down());
         } else if breaker_open {
             // Flighting machinery down: hints go stale but keep serving.
             self.set_mode(self.mode.max(DegradedMode::HintsStale));
-        } else if frac <= self.config.recover_frac {
+        } else if frac <= RECOVER_FRAC {
             self.set_mode(self.mode.up());
         }
     }
@@ -816,24 +760,24 @@ impl SteeringService {
                 tick_bad += 1;
                 Admission {
                     forced: Some(DecisionReason::Shed),
-                    latency_us: cfg.shed_latency_us,
+                    latency_us: SHED_LATENCY_US,
                     mode,
                 }
             } else {
-                let mut latency = cfg.base_latency_us;
+                let mut latency = BASE_LATENCY_US;
                 if fault.slow_lookup_prob > 0.0
                     && unit(cfg.seed, day, r.job_id, 20) < fault.slow_lookup_prob
                 {
                     latency += fault.slow_lookup_extra_us;
                 }
-                if latency > cfg.deadline_us {
+                if latency > DEADLINE_US {
                     // The budget expires; the fallback is served *at* the
                     // deadline — p99 is bounded by construction.
                     tick_bad += 1;
-                    inflight.push(std::cmp::Reverse(r.arrival_us + cfg.deadline_us));
+                    inflight.push(std::cmp::Reverse(r.arrival_us + DEADLINE_US));
                     Admission {
                         forced: Some(DecisionReason::DeadlineExpired),
-                        latency_us: cfg.deadline_us,
+                        latency_us: DEADLINE_US,
                         mode,
                     }
                 } else {
@@ -848,13 +792,14 @@ impl SteeringService {
             admissions[i] = a;
         }
 
-        // Pass 2: pure decisions, fanned out order-preserving.
-        let table = &self.table;
+        // Pass 2: pure decisions over one snapshot, fanned out
+        // order-preserving.
+        let snapshot = self.table.snapshot();
         let idxs: Vec<usize> = (0..requests.len()).collect();
         let decisions: Vec<Decision> = run_chunked_on(
             &idxs,
             n_threads.max(1),
-            |&i| Some(decide(table, &requests[i], &admissions[i])),
+            |&i| Some(decide(&snapshot, &requests[i], &admissions[i])),
             |&i| format!("serve request {}", requests[i].job_id),
         );
 
@@ -913,7 +858,7 @@ impl SteeringService {
 /// The pure per-request decision: a function of the request, its
 /// admission annotation, and the immutable table snapshot only. Never
 /// errors — every path yields a servable config.
-fn decide(table: &ServingTable, r: &ServeRequest, a: &Admission) -> Decision {
+fn decide(snapshot: &Snapshot, r: &ServeRequest, a: &Admission) -> Decision {
     let default = |reason: DecisionReason| Decision {
         job_id: r.job_id,
         arrival_us: r.arrival_us,
@@ -930,7 +875,7 @@ fn decide(table: &ServingTable, r: &ServeRequest, a: &Admission) -> Decision {
     if a.mode == DegradedMode::DefaultOnly {
         return default(DecisionReason::DegradedDefault);
     }
-    match table.lookup(&r.group_key) {
+    match lookup_in(snapshot, &r.group_key) {
         Lookup::Miss => default(DecisionReason::NoHint),
         Lookup::Torn => default(DecisionReason::TornEntry),
         Lookup::Hit(e) => {
@@ -984,9 +929,9 @@ mod tests {
 
     #[test]
     fn table_publishes_looks_up_and_retires() {
-        let t = ServingTable::new(8);
+        let t = ServingTable::new();
         assert!(t.is_empty());
-        let landed = t.publish(vec![entry("g1", 25, 1), entry("g2", 5, 1)], None);
+        let landed = t.publish(vec![entry("g1", 25, 1), entry("g2", 5, 1)]);
         assert_eq!(landed, 2);
         assert_eq!(t.len(), 2);
         assert!(matches!(t.lookup("g1"), Lookup::Hit(e) if e.group == "g1"));
@@ -998,37 +943,57 @@ mod tests {
     }
 
     #[test]
-    fn torn_publish_leaves_mixed_versions_but_retire_still_works() {
-        let t = ServingTable::new(4);
-        let groups: Vec<String> = (0..32).map(|i| format!("group-{i}")).collect();
-        let v1: Vec<ServingEntry> = groups.iter().map(|g| entry(g, 100, 1)).collect();
-        t.publish(v1, None);
-        let v2: Vec<ServingEntry> = groups.iter().map(|g| entry(g, 100, 2)).collect();
-        // Tear after 2 of 4 shards.
-        t.publish(v2, Some(2));
-        let versions = t.shard_versions();
-        assert!(
-            versions.contains(&1) && versions.contains(&2),
-            "{versions:?}"
-        );
-        // Every entry is still individually intact and retirable.
+    fn torn_publish_swaps_in_one_refused_entry_and_retire_still_works() {
+        use crate::groups::GroupConfig;
+        use scope_ir::ids::JobId;
+        use scope_optimizer::{RuleId, RuleSignature};
+
+        let winners: Vec<GroupConfig> = (0..32)
+            .map(|i| GroupConfig {
+                group: RuleSignature([RuleId(i)].into_iter().collect()),
+                config: RuleConfig::default_config(),
+                base_change_pct: -20.0,
+                base_job: JobId(u64::from(i)),
+            })
+            .collect();
+        let mut flights = FlightController::new(crate::flight::FlightConfig::default());
+        flights.ingest_deployed(&winners, 0);
+        let groups: Vec<String> = winners.iter().map(|w| w.group.to_bit_string()).collect();
+        let fault = ServeFaultProfile::torn_swaps();
+        let torn_publish = fault
+            .torn_swap
+            .expect("the profile tears a publish")
+            .publish;
+        let mut s = SteeringService::new(ServiceConfig::default());
+        for publish in 0..=torn_publish {
+            assert_eq!(s.publish_from(&flights, &fault), groups.len());
+            let torn = groups
+                .iter()
+                .filter(|g| s.table.lookup(g) == Lookup::Torn)
+                .count();
+            assert_eq!(
+                torn,
+                usize::from(publish == torn_publish),
+                "publish {publish}"
+            );
+        }
+        // One swap, one version: every other entry is the torn publish's.
+        // Every entry, the torn one included, retires.
         for g in &groups {
-            match t.lookup(g) {
-                Lookup::Hit(e) => assert!(e.is_intact()),
-                other => panic!("lost {g}: {other:?}"),
+            match s.table.lookup(g) {
+                Lookup::Hit(e) => assert_eq!(e.version, torn_publish + 1),
+                Lookup::Torn => {}
+                Lookup::Miss => panic!("lost {g}"),
             }
-            assert!(t.retire(g));
-            assert_eq!(t.lookup(g), Lookup::Miss, "{g} served after retire");
+            assert!(s.retire(g));
+            assert_eq!(s.table.lookup(g), Lookup::Miss, "{g} served after retire");
         }
     }
 
     #[test]
     fn corrupt_entries_are_refused_not_served() {
-        let t = ServingTable::new(2);
-        t.publish(
-            vec![entry("ok", 100, 1), entry("bad", 100, 1).corrupted()],
-            None,
-        );
+        let t = ServingTable::new();
+        t.publish(vec![entry("ok", 100, 1), entry("bad", 100, 1).corrupted()]);
         assert!(matches!(t.lookup("ok"), Lookup::Hit(_)));
         assert_eq!(t.lookup("bad"), Lookup::Torn);
     }
@@ -1075,7 +1040,7 @@ mod tests {
             ..ServiceConfig::default()
         });
         let entries: Vec<ServingEntry> = groups.iter().map(|g| entry(g, 100, 1)).collect();
-        s.table.publish(entries, None);
+        s.table.publish(entries);
         s
     }
 
@@ -1113,7 +1078,7 @@ mod tests {
                 assert!(!d.steered);
                 assert_eq!(d.config, RuleConfig::default_config());
             }
-            assert!(d.latency_us <= s.config.deadline_us);
+            assert!(d.latency_us <= DEADLINE_US);
         }
     }
 
@@ -1130,7 +1095,7 @@ mod tests {
         let report = s.serve_day(&requests, &fault, 0, 1);
         assert_eq!(report.deadline_expired, report.requests);
         assert_eq!(report.steered, 0);
-        assert_eq!(report.max_latency_us, s.config.deadline_us);
+        assert_eq!(report.max_latency_us, DEADLINE_US);
     }
 
     #[test]
@@ -1200,7 +1165,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
 
         let iters: usize = if cfg!(miri) { 12 } else { 1_500 };
-        let table = ServingTable::new(4);
+        let table = ServingTable::new();
         let stable: Vec<String> = (0..6).map(|i| format!("stable-group-{i}")).collect();
         let retired_rounds = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
@@ -1240,7 +1205,7 @@ mod tests {
                             flight_salt(&victim),
                             version,
                         ));
-                        table.publish(entries, None);
+                        table.publish(entries);
                     }
                     // RolledBack: retire the victim, *then* advance the
                     // counter (release) — readers that observe the new

@@ -246,7 +246,6 @@ fn panicking_default_compile_loses_one_job_not_its_chunk() {
         let mut c = FlightController::new(FlightConfig {
             canary_pct: 50,
             revalidation_budget: 64,
-            ..FlightConfig::default()
         });
         c.ingest_deployed(deployed, 0);
         c.ingest(canaries, 0);

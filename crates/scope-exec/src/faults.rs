@@ -283,19 +283,14 @@ impl CrashPlan {
     }
 }
 
-/// A torn serving-table snapshot swap: the publisher "crashes" partway
-/// through its `publish`-th copy-on-write swap (0-based), completing only
-/// the first `shards_completed` shards; optionally one entry of the last
-/// completed shard is written with a corrupted checksum, modelling a torn
-/// entry write the read path must detect and refuse to serve.
+/// A torn serving-table snapshot swap: the publisher "crashes" while
+/// writing its `publish`-th snapshot (0-based), which swaps in with one
+/// entry carrying a corrupted checksum — a torn entry write the read path
+/// must detect and refuse to serve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TornSwap {
     /// 0-based index of the publish operation that tears.
     pub publish: u64,
-    /// Shards fully swapped before the tear.
-    pub shards_completed: usize,
-    /// Plant one checksum-corrupted entry in the last completed shard.
-    pub corrupt_entry: bool,
 }
 
 /// Fault rates targeting the *serving loop* rather than simulated
@@ -343,16 +338,12 @@ impl ServeFaultProfile {
         }
     }
 
-    /// The second snapshot publish tears halfway through its shards and
-    /// plants one checksum-corrupted entry.
+    /// The second snapshot publish tears: one of its entries lands with a
+    /// corrupted checksum.
     pub fn torn_swaps() -> ServeFaultProfile {
         ServeFaultProfile {
             name: "torn_swaps",
-            torn_swap: Some(TornSwap {
-                publish: 1,
-                shards_completed: 4,
-                corrupt_entry: true,
-            }),
+            torn_swap: Some(TornSwap { publish: 1 }),
             ..ServeFaultProfile::none()
         }
     }
@@ -815,7 +806,10 @@ mod tests {
             ]
         );
         assert_eq!(ServeFaultProfile::none(), ServeFaultProfile::default());
-        assert!(ServeFaultProfile::torn_swaps().torn_swap.is_some());
+        assert_eq!(
+            ServeFaultProfile::torn_swaps().torn_swap,
+            Some(TornSwap { publish: 1 })
+        );
         assert!(ServeFaultProfile::burst_overload().burst.is_some());
     }
 

@@ -72,17 +72,6 @@ impl Normalizer {
     pub fn dim(&self) -> usize {
         self.mins.len()
     }
-
-    /// Borrow the fitted bounds `(mins, maxs)` (for persistence).
-    pub fn bounds(&self) -> (&[f64], &[f64]) {
-        (&self.mins, &self.maxs)
-    }
-
-    /// Rebuild from saved bounds.
-    pub fn from_bounds(mins: Vec<f64>, maxs: Vec<f64>) -> Normalizer {
-        assert_eq!(mins.len(), maxs.len());
-        Normalizer { mins, maxs }
-    }
 }
 
 /// Min-max normalize a target vector (per-sample runtimes): the fastest

@@ -22,7 +22,6 @@ pub mod encode;
 pub mod eval;
 pub mod features;
 pub mod nn;
-pub mod persist;
 pub mod trainer;
 
 pub use bandit::{
@@ -33,5 +32,4 @@ pub use encode::{hash_bin, normalize_targets, Normalizer, HASH_BINS};
 pub use eval::{evaluate, GroupEval, PerQuery, RuntimeStats};
 pub use features::{assemble, config_features, feature_dim, job_features};
 pub use nn::{bce_loss, Mlp};
-pub use persist::{load_model, save_model, PersistError};
 pub use trainer::{split_indices, train_group, LearnedChooser, Split, TrainParams};

@@ -114,30 +114,6 @@ impl Mlp {
         self.w1.len() + self.b1.len() + self.w2.len() + self.b2.len()
     }
 
-    /// Borrow the parameter tensors `(w1, b1, w2, b2)` (for persistence).
-    pub fn params(&self) -> (&Matrix, &[f64], &Matrix, &[f64]) {
-        (&self.w1, &self.b1, &self.w2, &self.b2)
-    }
-
-    /// Rebuild a network from raw parameters (optimizer state starts
-    /// fresh; fine for inference-only deployment).
-    pub fn from_params(w1: Matrix, b1: Vec<f64>, w2: Matrix, b2: Vec<f64>) -> Mlp {
-        assert_eq!(w1.rows, b1.len());
-        assert_eq!(w2.cols, w1.rows);
-        assert_eq!(w2.rows, b2.len());
-        Mlp {
-            s_w1: AdamState::new(w1.len()),
-            s_b1: AdamState::new(b1.len()),
-            s_w2: AdamState::new(w2.len()),
-            s_b2: AdamState::new(b2.len()),
-            w1,
-            b1,
-            w2,
-            b2,
-            t: 0.0,
-        }
-    }
-
     /// Forward pass returning `(hidden pre-activations, outputs)`.
     fn forward_full(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let mut z1 = self.w1.matvec(x);

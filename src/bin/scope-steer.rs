@@ -379,7 +379,6 @@ fn main() {
                 breaker_cooldown_us: 120_000,
                 max_inflight: 2,
                 seed,
-                ..ServiceConfig::default()
             });
             let published = service.publish_from(&flights, &fault);
             println!(
