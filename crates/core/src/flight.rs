@@ -528,8 +528,9 @@ enum DayDefault {
     Failed,
     /// The default compiled to a group the caller does not want.
     Unflighted,
-    /// The default compiled to a wanted group: its key and the plan.
-    Flighted(String, CompiledPlan),
+    /// The default compiled to a wanted group: its key and the plan,
+    /// boxed so that every entry, mostly the other two, is 32 bytes.
+    Flighted(String, Box<CompiledPlan>),
 }
 
 /// Compile every job's default plan under the default budget on
@@ -551,7 +552,7 @@ fn derive_defaults(
                 Ok(plan) => {
                     let key = plan.signature.to_bit_string();
                     if wanted(&key) {
-                        DayDefault::Flighted(key, plan)
+                        DayDefault::Flighted(key, Box::new(plan))
                     } else {
                         DayDefault::Unflighted
                     }
@@ -576,14 +577,14 @@ struct DaySample {
     n_flights: usize,
     /// Per group key: (index into the day's jobs, default plan), in job
     /// order.
-    groups: BTreeMap<String, Vec<(usize, CompiledPlan)>>,
+    groups: BTreeMap<String, Vec<(usize, Box<CompiledPlan>)>>,
 }
 
 impl DaySample {
     /// Keep the first [`REVALIDATION_JOBS`] jobs of each group in
     /// `defaults`, [`derive_defaults`]' result over `jobs`.
     fn new(day: u32, jobs: &[Job], n_flights: usize, defaults: Vec<DayDefault>) -> DaySample {
-        let mut groups: BTreeMap<String, Vec<(usize, CompiledPlan)>> = BTreeMap::new();
+        let mut groups: BTreeMap<String, Vec<(usize, Box<CompiledPlan>)>> = BTreeMap::new();
         for (i, derived) in defaults.into_iter().enumerate() {
             if let DayDefault::Flighted(key, plan) = derived {
                 let sampled = groups.entry(key).or_default();

@@ -263,6 +263,7 @@ mod tests {
             memo_groups: c.memo_groups,
             memo_exprs: c.memo_exprs,
             stats: c.stats,
+            footprint: c.footprint,
         };
         assert_eq!(vet_candidate(&c, &clone), Ok(()));
     }
@@ -286,6 +287,7 @@ mod tests {
             memo_groups: c.memo_groups,
             memo_exprs: c.memo_exprs,
             stats: c.stats,
+            footprint: c.footprint,
         };
         let err = vet_candidate(&c, &candidate).unwrap_err();
         assert!(matches!(err, CandidateRejection::Invalid(_)));
@@ -326,6 +328,7 @@ mod tests {
             memo_groups: c.memo_groups,
             memo_exprs: c.memo_exprs,
             stats: c.stats,
+            footprint: c.footprint,
         };
         let err = vet_candidate(&c, &candidate).unwrap_err();
         assert!(matches!(err, CandidateRejection::Diverged { .. }));

@@ -56,6 +56,7 @@ fn compile_with_corruption(
         memo_groups: memo.num_groups(),
         memo_exprs: memo.num_exprs(),
         stats: CompileStats::default(),
+        footprint: scope_optimizer::RuleFootprint::UNRECORDED,
     })
 }
 
@@ -146,6 +147,7 @@ fn dropped_join_input_is_caught_by_the_validator() {
             memo_groups: default.memo_groups,
             memo_exprs: default.memo_exprs,
             stats: default.stats,
+            footprint: default.footprint,
         };
         let err = vet_candidate(&default, &corrupted).unwrap_err();
         assert!(matches!(err, CandidateRejection::Invalid(_)));

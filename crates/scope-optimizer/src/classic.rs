@@ -21,7 +21,7 @@ use scope_ir::{ObservableCatalog, PlanGraph};
 
 use crate::config::{RuleConfig, RuleSignature};
 use crate::estimate::Estimator;
-use crate::optimizer::{fire_markers, CompileStats, CompiledPlan};
+use crate::optimizer::{fire_markers, CompileStats, CompiledPlan, RuleFootprint};
 use crate::search::{BudgetTracker, CompileBudget, CompileError};
 use crate::transform::{referenced_cols, TransformCtx};
 
@@ -112,6 +112,7 @@ pub fn compile_classic_with_budget(
             memo_budget_rejections: memo.budget_rejections(),
             compile_micros: start.elapsed().as_micros() as u64,
         },
+        footprint: RuleFootprint::UNRECORDED,
     })
 }
 

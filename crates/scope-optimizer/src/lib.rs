@@ -44,6 +44,7 @@ pub use optimizer::normalized_kind_counts;
 pub use optimizer::{
     catch_compile_panics, compile, compile_candidates, compile_job, compile_job_guarded,
     compile_with_budget, compile_with_model, effective_config, CompileStats, CompiledPlan,
+    RuleFootprint,
 };
 pub use physical::{Partitioning, PhysNode, PhysOp, PhysPlan};
 pub use rules::{AnchorRewrite, PhysImpl, Rule, RuleAction, RuleCatalog, RuleCategory};

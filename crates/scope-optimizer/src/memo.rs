@@ -49,7 +49,7 @@ use scope_ir::ids::NodeId;
 use scope_ir::{ExprId, ExprInterner, LogicalOp, OpKind, PlanGraph};
 
 use crate::estimate::{ChildEsts, Estimator, LogicalEst};
-use crate::ruleset::RuleId;
+use crate::ruleset::{RuleId, RuleSet};
 use crate::search::CompileError;
 
 /// Maximum alternative expressions per group; further additions are
@@ -227,6 +227,10 @@ pub struct Memo {
     /// Insertions rejected by the per-group or global budget (observability
     /// counter, surfaced in `CompiledPlan` stats).
     budget_rejections: usize,
+    /// One bit per [`OpKind`] some expression has (set as it inserts).
+    kinds: u16,
+    /// Rules named in some expression's `created_by` (set as it inserts).
+    created: RuleSet,
     /// Ingest scratch, kept across [`Memo::clear`] for allocation reuse.
     node_group: HashMap<NodeId, GroupId>,
     ingest_children: Vec<GroupId>,
@@ -264,6 +268,8 @@ impl Memo {
             any_group: HashMap::new(),
             by_group: HashMap::new(),
             budget_rejections: 0,
+            kinds: 0,
+            created: RuleSet::EMPTY,
             node_group: HashMap::new(),
             ingest_children: Vec::new(),
         }
@@ -280,6 +286,8 @@ impl Memo {
         self.any_group.clear();
         self.by_group.clear();
         self.budget_rejections = 0;
+        self.kinds = 0;
+        self.created = RuleSet::EMPTY;
         self.node_group.clear();
         self.ingest_children.clear();
     }
@@ -533,9 +541,14 @@ impl Memo {
             }
         };
         let id = MExprId(self.exprs.len() as u32);
+        let kind = self.interner.kind(op_id);
+        self.kinds |= 1 << kind as u16;
+        if let Some(rule) = created_by {
+            self.created.insert(rule);
+        }
         self.exprs.push(MExpr {
             op: op_id,
-            kind: self.interner.kind(op_id),
+            kind,
             children_start,
             children_len,
             group,
@@ -665,6 +678,19 @@ impl Memo {
         self.budget_rejections
     }
 
+    /// The operator kinds of this memo's expressions, one bit per
+    /// [`OpKind`] discriminant.
+    #[inline]
+    pub fn kinds_present(&self) -> u16 {
+        self.kinds
+    }
+
+    /// The rules that created at least one of this memo's expressions.
+    #[inline]
+    pub fn created_by_rules(&self) -> RuleSet {
+        self.created
+    }
+
     /// Iterate all expression ids (insertion order — original plan first,
     /// then rule outputs).
     pub fn expr_ids(&self) -> impl Iterator<Item = MExprId> {
@@ -750,6 +776,45 @@ mod tests {
         assert_eq!(memo.num_groups(), 4);
         assert_eq!(memo.num_exprs(), 4);
         assert_eq!(memo.canonical_kind(root), scope_ir::OpKind::Output);
+    }
+
+    /// The kinds and creating rules are recorded by landed insertions
+    /// only, and `clear` forgets them.
+    #[test]
+    fn footprint_sets_follow_landed_insertions() {
+        let cat = cat();
+        let obs = cat.observe();
+        let est = Estimator::new(&obs);
+        let mut memo = Memo::empty();
+        let scan = LogicalOp::RangeGet {
+            table: TableId(0),
+            pushed: Predicate::true_pred(),
+        };
+        let Inserted::New(s) = memo.insert_ref(&scan, &[], None, None, &est) else {
+            panic!()
+        };
+        let g = memo.expr(s).group;
+        let Inserted::New(f) = memo.insert_owned(filter_op(1), &[g], None, Some(RuleId(90)), &est)
+        else {
+            panic!()
+        };
+        // A duplicate under another rule names no rule.
+        let dup = memo.insert_owned(filter_op(1), &[g], None, Some(RuleId(91)), &est);
+        assert_eq!(dup, Inserted::Duplicate(f));
+        let scanned: u16 = memo
+            .expr_ids()
+            .fold(0, |k, e| k | 1 << memo.kind_of(e) as u16);
+        assert_eq!(memo.kinds_present(), scanned);
+        assert_eq!(
+            memo.kinds_present(),
+            1 << OpKind::RangeGet as u16 | 1 << OpKind::Filter as u16
+        );
+        let mut created = RuleSet::EMPTY;
+        created.insert(RuleId(90));
+        assert_eq!(memo.created_by_rules(), created);
+        memo.clear();
+        assert_eq!(memo.kinds_present(), 0);
+        assert_eq!(memo.created_by_rules(), RuleSet::EMPTY);
     }
 
     #[test]

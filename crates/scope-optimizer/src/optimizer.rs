@@ -16,7 +16,7 @@ use crate::normalize::{normalize, Normalized};
 use crate::physical::PhysPlan;
 use crate::rules::catalog::COMPLEX_KINDS;
 use crate::rules::{RuleAction, RuleCatalog};
-use crate::ruleset::RuleSet;
+use crate::ruleset::{RuleId, RuleSet};
 use crate::search::{
     exploration_keys, explore, implement_pass, BudgetTracker, CompileBudget, CompileError,
     ImplementScratch,
@@ -36,6 +36,96 @@ pub struct CompileStats {
     /// Wall-clock compile time in microseconds (diagnostic only — never
     /// feeds back into search decisions, which stay deterministic).
     pub compile_micros: u64,
+}
+
+/// The rules a compile's plan could have read, as the memo recorded them
+/// while it was built: the operator kinds its expressions have and the
+/// transformation rules that created at least one of them. `Copy` and
+/// 24 bytes, so every compiled plan can carry one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RuleFootprint {
+    /// One bit per [`RuleCatalog::transform_ordinal`].
+    created: [u64; 2],
+    /// One bit per [`OpKind`] discriminant.
+    kinds: u16,
+    /// `false` for a compile that recorded nothing: every rule may change
+    /// its plan.
+    recorded: bool,
+}
+
+const _: () = assert!(
+    OpKind::COUNT <= 16
+        && crate::rules::MAX_TRANSFORMS <= 128
+        && std::mem::size_of::<RuleFootprint>() <= 24
+);
+
+impl RuleFootprint {
+    /// The footprint of a compile that recorded none (the frozen
+    /// [`crate::classic`] path).
+    pub const UNRECORDED: RuleFootprint = RuleFootprint {
+        created: [0; 2],
+        kinds: 0,
+        recorded: false,
+    };
+
+    fn of(memo: &Memo) -> RuleFootprint {
+        let cat = RuleCatalog::global();
+        let mut created = [0u64; 2];
+        for rule in memo.created_by_rules().iter() {
+            let k = cat
+                .transform_ordinal(rule)
+                .expect("only transformations create expressions");
+            created[k / 64] |= 1 << (k % 64);
+        }
+        RuleFootprint {
+            created,
+            kinds: memo.kinds_present(),
+            recorded: true,
+        }
+    }
+
+    fn has(&self, kind: OpKind) -> bool {
+        self.kinds & (1 << kind as u16) != 0
+    }
+
+    fn created(&self, rule: RuleId) -> bool {
+        RuleCatalog::global()
+            .transform_ordinal(rule)
+            .is_some_and(|k| self.created[k / 64] & (1 << (k % 64)) != 0)
+    }
+
+    /// Whether enabling (`enable`) or disabling `rule` in this compile's
+    /// configuration can change its plan. `false` is exact: the compile
+    /// under the flipped configuration builds the same memo, the same plan
+    /// and the same footprint, and only its task count and signature may
+    /// differ. It answers `false` for
+    ///
+    /// * a transformation anchored on, or an implementation of, a kind no
+    ///   expression has: exploration reads a transformation's bit only
+    ///   through its anchor kind's mask, and `best` reads an
+    ///   implementation's only for an expression of its kind;
+    /// * a marker, guard or canonicalize rule: `fire_markers` writes
+    ///   only the signature;
+    /// * disabling a transformation that created no expression: every
+    ///   application of it left the memo as it found it.
+    ///
+    /// Exchange implementations, normalizers and the enforcer answer
+    /// `true`, as does every rule of an unrecorded footprint.
+    pub fn may_change_plan(&self, rule: RuleId, enable: bool) -> bool {
+        if !self.recorded {
+            return true;
+        }
+        match &RuleCatalog::global().rule(rule).action {
+            RuleAction::Canonicalize(_) | RuleAction::Guard { .. } | RuleAction::Marker { .. } => {
+                false
+            }
+            RuleAction::Impl(phys) => phys.implements().is_none_or(|kind| self.has(kind)),
+            action if action.is_transformation() => action
+                .anchor()
+                .is_none_or(|kind| self.has(kind) && (enable || self.created(rule))),
+            _ => true,
+        }
+    }
 }
 
 /// A successfully compiled job.
@@ -59,6 +149,9 @@ pub struct CompiledPlan {
     pub memo_exprs: usize,
     /// Resource accounting for this compile.
     pub stats: CompileStats,
+    /// Which rule flips can change this plan
+    /// ([`RuleFootprint::may_change_plan`]).
+    pub footprint: RuleFootprint,
 }
 
 impl CompiledPlan {
@@ -409,6 +502,7 @@ impl<'a> Prepared<'a> {
                 memo_budget_rejections: memo.budget_rejections(),
                 compile_micros: start.elapsed().as_micros() as u64,
             },
+            footprint: RuleFootprint::of(memo),
         })
     }
 }

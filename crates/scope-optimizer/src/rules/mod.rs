@@ -21,6 +21,10 @@ use scope_ir::OpKind;
 
 use crate::ruleset::{RuleId, RuleSet, NUM_RULES};
 
+/// Most transformation rules a catalog may hold (110 here), so that a set
+/// of them fits in two words.
+pub(crate) const MAX_TRANSFORMS: usize = 128;
+
 /// The paper's four informal rule categories (§3.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RuleCategory {
@@ -389,6 +393,9 @@ pub struct RuleCatalog {
     off_by_default: RuleSet,
     /// Transformation rules, indexed by anchor kind for fast dispatch.
     transforms_by_kind: Vec<Vec<RuleId>>,
+    /// Each transformation rule's position among them in id order
+    /// (`u8::MAX` for every other rule).
+    transform_ordinal: [u8; NUM_RULES],
     /// Implementation rules per logical kind.
     impls_by_kind: Vec<Vec<RuleId>>,
     /// Exchange implementation rules.
@@ -429,6 +436,8 @@ impl RuleCatalog {
         let mut exchange_impls = Vec::new();
         let mut enforce_exchange = None;
         let mut markers = Vec::new();
+        let mut transform_ordinal = [u8::MAX; NUM_RULES];
+        let mut n_transforms = 0u8;
         for (i, rule) in rules.iter().enumerate() {
             assert_eq!(rule.id.index(), i, "rule ids must be dense");
             match rule.category {
@@ -451,6 +460,12 @@ impl RuleCatalog {
                     if let Some(kind) = action.anchor() {
                         transforms_by_kind[kind as usize].push(rule.id);
                     }
+                    assert!(
+                        usize::from(n_transforms) < MAX_TRANSFORMS,
+                        "at most {MAX_TRANSFORMS} transformation rules"
+                    );
+                    transform_ordinal[i] = n_transforms;
+                    n_transforms += 1;
                 }
                 _ => {}
             }
@@ -476,6 +491,7 @@ impl RuleCatalog {
             required,
             off_by_default,
             transforms_by_kind,
+            transform_ordinal,
             impls_by_kind,
             exchange_impls,
             enforce_exchange: enforce_exchange.expect("catalog has the exchange enforcer"),
@@ -515,6 +531,14 @@ impl RuleCatalog {
     /// paper; 219 here as well).
     pub fn non_required(&self) -> RuleSet {
         RuleSet::FULL.difference(&self.required)
+    }
+
+    /// `id`'s position among the transformation rules in id order (below
+    /// 128); `None` when `id` is not a transformation.
+    #[inline]
+    pub fn transform_ordinal(&self, id: RuleId) -> Option<usize> {
+        let ordinal = self.transform_ordinal[id.index()];
+        (ordinal != u8::MAX).then_some(usize::from(ordinal))
     }
 
     /// Transformation rules anchored on `kind`.
@@ -738,6 +762,23 @@ mod tests {
             .filter(|r| matches!(r.action, RuleAction::Impl(_)))
             .count();
         assert_eq!(impl_rules, PhysImpl::COUNT);
+    }
+
+    #[test]
+    fn transform_ordinals_number_the_transformations_in_id_order() {
+        let cat = RuleCatalog::global();
+        let ordinals: Vec<Option<usize>> = cat
+            .rules()
+            .iter()
+            .filter(|r| r.action.is_transformation())
+            .map(|r| cat.transform_ordinal(r.id))
+            .collect();
+        assert_eq!(ordinals, (0..ordinals.len()).map(Some).collect::<Vec<_>>());
+        assert!(cat
+            .rules()
+            .iter()
+            .filter(|r| !r.action.is_transformation())
+            .all(|r| cat.transform_ordinal(r.id).is_none()));
     }
 
     #[test]

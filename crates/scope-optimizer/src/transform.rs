@@ -20,6 +20,18 @@
 //! an existing operator now pass its interned handle
 //! ([`Memo::insert_interned_children_of`] and friends) instead of cloning
 //! it.
+//!
+//! ## Decide before allocating
+//!
+//! Most applications do not match, so in every arm each check that can
+//! return `0` runs before the arm clones keys, aggregates, predicates or
+//! child lists, and before it builds a `BTreeSet`: membership is tested
+//! against a group's estimated `cols` in place, pruning counts the columns
+//! it would keep before collecting them, and a reordering tests
+//! `is_sorted_by` under its sort's comparator (a stable sort of a sorted
+//! list is the identity, and of an unsorted one is not). A miss allocates
+//! nothing, and every sub-insertion happens where it always did, so the
+//! memo is the same expression for expression.
 
 use std::collections::BTreeSet;
 
@@ -83,6 +95,13 @@ pub fn referenced_cols(op: &LogicalOp, out: &mut BTreeSet<ColId>) {
 /// Budget headroom a single rewrite may consume (sub-expressions plus the
 /// alternative itself; bounded by union arity which the workload caps).
 const REWRITE_MARGIN: usize = 64;
+
+/// Whether projecting `avail` onto the columns `need` keeps would drop
+/// some of them but not all.
+fn narrows(avail: &[ColId], need: impl Fn(ColId) -> bool) -> bool {
+    let kept = avail.iter().filter(|&&c| need(c)).count();
+    kept != 0 && kept != avail.len()
+}
 
 /// Apply `rule` to `expr_id`; returns how many new expressions were added.
 pub fn apply_rule(rule: &Rule, expr_id: MExprId, memo: &mut Memo, ctx: &TransformCtx<'_>) -> usize {
@@ -262,15 +281,13 @@ impl Rewriter<'_, '_> {
         if memo.kind_of(child_e) != kind {
             return 0;
         }
-        // Partition atoms into pushable and residual.
-        let (pushable, residual): (Vec<PredAtom>, Vec<PredAtom>) = predicate
-            .atoms
-            .iter()
-            .cloned()
-            .partition(|a| !eq_only || a.op == scope_ir::CmpOp::Eq);
-        if pushable.is_empty() {
+        let is_pushable = |a: &PredAtom| !eq_only || a.op == scope_ir::CmpOp::Eq;
+        if !predicate.atoms.iter().any(is_pushable) {
             return 0;
         }
+        // Partition atoms into pushable and residual.
+        let (pushable, residual): (Vec<PredAtom>, Vec<PredAtom>) =
+            predicate.atoms.iter().cloned().partition(is_pushable);
         let child_op = memo.expr(child_e).op;
         match memo.kind_of(child_e) {
             OpKind::Project | OpKind::Sort | OpKind::Window | OpKind::Top | OpKind::Process => {
@@ -400,31 +417,32 @@ impl Rewriter<'_, '_> {
             if predicate.len() < 2 {
                 return 0;
             }
-            let mut atoms = predicate.atoms.clone();
             // total_cmp: selectivities are estimator outputs in [0, 1], but a
             // NaN estimate must reorder deterministically, never panic a rule.
-            match order {
-                AtomOrder::SelAsc => atoms.sort_by(|a, b| {
-                    self.ctx
-                        .est
-                        .atom_selectivity(a)
-                        .total_cmp(&self.ctx.est.atom_selectivity(b))
-                }),
-                AtomOrder::SelDesc => atoms.sort_by(|a, b| {
-                    self.ctx
-                        .est
-                        .atom_selectivity(b)
-                        .total_cmp(&self.ctx.est.atom_selectivity(a))
-                }),
-                AtomOrder::EqFirst => atoms.sort_by_key(|a| match a.op {
-                    scope_ir::CmpOp::Eq => 0u8,
-                    scope_ir::CmpOp::Between | scope_ir::CmpOp::Range => 1,
-                    _ => 2,
-                }),
-                AtomOrder::ByCol => atoms.sort_by_key(|a| a.col),
-            }
-            if atoms == predicate.atoms {
+            let sel = |a: &PredAtom| self.ctx.est.atom_selectivity(a);
+            let rank = |a: &PredAtom| match a.op {
+                scope_ir::CmpOp::Eq => 0u8,
+                scope_ir::CmpOp::Between | scope_ir::CmpOp::Range => 1,
+                _ => 2,
+            };
+            // A stable sort of a sorted list is the identity, and of any
+            // other list something else: decide on the borrowed atoms.
+            let atoms = &predicate.atoms;
+            let sorted = match order {
+                AtomOrder::SelAsc => atoms.is_sorted_by(|a, b| sel(a).total_cmp(&sel(b)).is_le()),
+                AtomOrder::SelDesc => atoms.is_sorted_by(|a, b| sel(b).total_cmp(&sel(a)).is_le()),
+                AtomOrder::EqFirst => atoms.is_sorted_by_key(rank),
+                AtomOrder::ByCol => atoms.is_sorted_by_key(|a| a.col),
+            };
+            if sorted {
                 return 0;
+            }
+            let mut atoms = atoms.clone();
+            match order {
+                AtomOrder::SelAsc => atoms.sort_by(|a, b| sel(a).total_cmp(&sel(b))),
+                AtomOrder::SelDesc => atoms.sort_by(|a, b| sel(b).total_cmp(&sel(a))),
+                AtomOrder::EqFirst => atoms.sort_by_key(rank),
+                AtomOrder::ByCol => atoms.sort_by_key(|a| a.col),
             }
             atoms
         };
@@ -459,18 +477,20 @@ impl Rewriter<'_, '_> {
         self.alt_children_of(memo, merged, child_e)
     }
 
-    /// Narrow `g` to the columns in `need` via an inserted projection;
+    /// Narrow `g` to the columns `need` keeps via an inserted projection;
     /// returns `g` unchanged when nothing would be dropped (or everything
     /// would).
-    fn narrow_to(&self, memo: &mut Memo, g: GroupId, need: &BTreeSet<ColId>) -> GroupId {
-        let kept = {
-            let avail = &memo.group_est(g).cols;
-            let kept: Vec<ColId> = avail.iter().copied().filter(|c| need.contains(c)).collect();
-            if kept.len() == avail.len() || kept.is_empty() {
-                return g;
-            }
-            kept
-        };
+    fn narrow_to(&self, memo: &mut Memo, g: GroupId, need: impl Fn(ColId) -> bool) -> GroupId {
+        if !narrows(&memo.group_est(g).cols, &need) {
+            return g;
+        }
+        let kept: Vec<ColId> = memo
+            .group_est(g)
+            .cols
+            .iter()
+            .copied()
+            .filter(|&c| need(c))
+            .collect();
         self.sub(
             memo,
             LogicalOp::Project {
@@ -524,16 +544,22 @@ impl Rewriter<'_, '_> {
                     let LogicalOp::Join { kind: jk, keys } = memo.op(child_e) else {
                         return 0;
                     };
+                    let ch = memo.children(child_e);
+                    let needed =
+                        |c: ColId| cols.contains(&c) || keys.iter().any(|&(l, r)| l == c || r == c);
+                    if !ch.iter().any(|&g| narrows(&memo.group_est(g).cols, needed)) {
+                        return 0;
+                    }
                     let mut need: BTreeSet<ColId> = cols.iter().copied().collect();
                     for &(l, r) in keys {
                         need.insert(l);
                         need.insert(r);
                     }
-                    let ch = memo.children(child_e);
                     (cols.clone(), need, *jk, keys.clone(), ch[0], ch[1])
                 };
-                let lg = self.narrow_to(memo, lg0, &need);
-                let rg = self.narrow_to(memo, rg0, &need);
+                let need = |c: ColId| need.contains(&c);
+                let lg = self.narrow_to(memo, lg0, need);
+                let rg = self.narrow_to(memo, rg0, need);
                 if lg == lg0 && rg == rg0 {
                     return 0;
                 }
@@ -618,26 +644,35 @@ impl Rewriter<'_, '_> {
             return 0;
         }
         let min_drop = if eager { 1 } else { 4 };
+        let referenced = |c: &ColId| self.ctx.referenced.contains(c);
+        // A child is narrowed unless it already is, or pruning would keep
+        // none of its columns or drop fewer than `min_drop`. Counting decides
+        // that for every child before anything is allocated.
+        let prunes = |memo: &Memo, g: GroupId| {
+            if memo.canonical_kind(g) == OpKind::Project {
+                return false;
+            }
+            let avail = &memo.group_est(g).cols;
+            let kept = avail.iter().filter(|c| referenced(c)).count();
+            kept != 0 && avail.len() - kept >= min_drop
+        };
+        if !memo.children(self.expr_id).iter().any(|&g| prunes(memo, g)) {
+            return 0;
+        }
         let own_op = memo.expr(self.expr_id).op;
         let mut new_children: Vec<GroupId> = memo.children(self.expr_id).to_vec();
-        let mut changed = false;
         for slot in &mut new_children {
             let g = *slot;
-            if memo.canonical_kind(g) == OpKind::Project {
-                continue; // already narrowed
+            if !prunes(memo, g) {
+                continue;
             }
-            let kept = {
-                let avail = &memo.group_est(g).cols;
-                let kept: Vec<ColId> = avail
-                    .iter()
-                    .copied()
-                    .filter(|c| self.ctx.referenced.contains(c))
-                    .collect();
-                if kept.is_empty() || avail.len() - kept.len() < min_drop {
-                    continue;
-                }
-                kept
-            };
+            let kept: Vec<ColId> = memo
+                .group_est(g)
+                .cols
+                .iter()
+                .copied()
+                .filter(referenced)
+                .collect();
             *slot = self.sub(
                 memo,
                 LogicalOp::Project {
@@ -646,10 +681,6 @@ impl Rewriter<'_, '_> {
                 },
                 &[g],
             );
-            changed = true;
-        }
-        if !changed {
-            return 0;
         }
         self.alt_interned(memo, own_op, &new_children)
     }
@@ -697,7 +728,7 @@ impl Rewriter<'_, '_> {
     }
 
     fn join_assoc(&self, memo: &mut Memo, right: bool, guarded: bool) -> usize {
-        let (keys, outer_g, c) = {
+        let (inner_keys, keys2, a, b, c, outer_g) = {
             let LogicalOp::Join { kind, keys } = memo.op(self.expr_id) else {
                 return 0;
             };
@@ -706,10 +737,8 @@ impl Rewriter<'_, '_> {
             }
             let ch = memo.children(self.expr_id);
             let (outer_idx, inner_idx) = if right { (1, 0) } else { (0, 1) };
-            (keys.clone(), ch[outer_idx], ch[inner_idx])
-        };
-        let nested_e = memo.canonical(outer_g);
-        let (keys2, a, b) = {
+            let (outer_g, c) = (ch[outer_idx], ch[inner_idx]);
+            let nested_e = memo.canonical(outer_g);
             let LogicalOp::Join {
                 kind: k2,
                 keys: keys2,
@@ -721,22 +750,23 @@ impl Rewriter<'_, '_> {
                 return 0;
             }
             let nch = memo.children(nested_e);
-            (keys2.clone(), nch[0], nch[1])
-        };
-        // (A ⋈k2 B) ⋈k1 C  →  A ⋈k2' (B ⋈k1 C)  when k1's outer-side
-        // columns all come from B.
-        let b_cols: BTreeSet<ColId> = memo.group_est(b).cols.iter().copied().collect();
-        let outer_key_ok = keys.iter().all(|&(l, r)| {
-            let outer_col = if right { r } else { l };
-            b_cols.contains(&outer_col)
-        });
-        if !outer_key_ok {
-            return 0;
-        }
-        let inner_keys: Vec<(ColId, ColId)> = if right {
-            keys.iter().map(|&(l, r)| (r, l)).collect()
-        } else {
-            keys
+            let (a, b) = (nch[0], nch[1]);
+            // (A ⋈k2 B) ⋈k1 C  →  A ⋈k2' (B ⋈k1 C)  when k1's outer-side
+            // columns all come from B.
+            let b_cols = &memo.group_est(b).cols;
+            let outer_key_ok = keys.iter().all(|&(l, r)| {
+                let outer_col = if right { r } else { l };
+                b_cols.contains(&outer_col)
+            });
+            if !outer_key_ok {
+                return 0;
+            }
+            let inner_keys: Vec<(ColId, ColId)> = if right {
+                keys.iter().map(|&(l, r)| (r, l)).collect()
+            } else {
+                keys.clone()
+            };
+            (inner_keys, keys2.clone(), a, b, c, outer_g)
         };
         let new_inner = self.sub(
             memo,
@@ -764,7 +794,7 @@ impl Rewriter<'_, '_> {
     }
 
     fn join_on_union(&self, memo: &mut Memo, max_arity: usize, left: bool) -> usize {
-        let (keys, union_side, other_side) = {
+        let (keys, union_e, other_side) = {
             let LogicalOp::Join { kind, keys } = memo.op(self.expr_id) else {
                 return 0;
             };
@@ -773,16 +803,14 @@ impl Rewriter<'_, '_> {
             }
             let ch = memo.children(self.expr_id);
             let (u, o) = if left { (ch[0], ch[1]) } else { (ch[1], ch[0]) };
-            (keys.clone(), u, o)
+            let union_e = memo.canonical(u);
+            if memo.kind_of(union_e) != OpKind::UnionAll || memo.children(union_e).len() > max_arity
+            {
+                return 0;
+            }
+            (keys.clone(), union_e, o)
         };
-        let union_e = memo.canonical(union_side);
-        if memo.kind_of(union_e) != OpKind::UnionAll {
-            return 0;
-        }
         let n = memo.children(union_e).len();
-        if n > max_arity {
-            return 0;
-        }
         let mut joined = Vec::with_capacity(n);
         for i in 0..n {
             let branch = memo.children(union_e)[i];
@@ -806,7 +834,8 @@ impl Rewriter<'_, '_> {
     // ---- Aggregation rewrites ---------------------------------------------
 
     fn groupby_on_join(&self, memo: &mut Memo, variant: u8) -> usize {
-        let (keys, aggs) = {
+        let side = (variant % 2) as usize; // variants alternate push side
+        let (keys, aggs, pkeys, jk, jkeys, jc0, jc1, side_group) = {
             let LogicalOp::GroupBy {
                 keys,
                 aggs,
@@ -818,10 +847,7 @@ impl Rewriter<'_, '_> {
             if *partial {
                 return 0;
             }
-            (keys.clone(), aggs.clone())
-        };
-        let child_e = memo.canonical(self.child0(memo));
-        let (jk, jkeys, jc0, jc1) = {
+            let child_e = memo.canonical(self.child0(memo));
             let LogicalOp::Join {
                 kind: jk,
                 keys: jkeys,
@@ -830,30 +856,29 @@ impl Rewriter<'_, '_> {
                 return 0;
             };
             let ch = memo.children(child_e);
-            (*jk, jkeys.clone(), ch[0], ch[1])
-        };
-        let side = (variant % 2) as usize; // variants alternate push side
-        let side_group = if side == 0 { jc0 } else { jc1 };
-        let side_cols: BTreeSet<ColId> = memo.group_est(side_group).cols.iter().copied().collect();
-        if !keys.iter().all(|k| side_cols.contains(k)) {
-            return 0;
-        }
-        // Partial-aggregate the chosen side on (group keys ∪ join keys).
-        let mut pkeys = keys.clone();
-        for &(l, r) in &jkeys {
-            let jc = if side == 0 { l } else { r };
-            if side_cols.contains(&jc) && !pkeys.contains(&jc) {
-                pkeys.push(jc);
-            }
-        }
-        // Higher variants fire unconditionally; low variants require a
-        // plausibly-reducing aggregation.
-        if variant < 2 {
-            let rows = memo.group_est(side_group).rows;
-            if rows < 10_000.0 {
+            let (jc0, jc1) = (ch[0], ch[1]);
+            let side_group = if side == 0 { jc0 } else { jc1 };
+            let side_est = memo.group_est(side_group);
+            let side_cols = &side_est.cols;
+            if !keys.iter().all(|k| side_cols.contains(k)) {
                 return 0;
             }
-        }
+            // Higher variants fire unconditionally; low variants require a
+            // plausibly-reducing aggregation.
+            if variant < 2 && side_est.rows < 10_000.0 {
+                return 0;
+            }
+            // Partial-aggregate the chosen side on (group keys ∪ join keys).
+            let mut pkeys = keys.clone();
+            for &(l, r) in jkeys {
+                let jc = if side == 0 { l } else { r };
+                if side_cols.contains(&jc) && !pkeys.contains(&jc) {
+                    pkeys.push(jc);
+                }
+            }
+            let (keys, aggs, jkeys) = (keys.clone(), aggs.clone(), jkeys.clone());
+            (keys, aggs, pkeys, *jk, jkeys, jc0, jc1, side_group)
+        };
         let partial_agg = self.sub(
             memo,
             LogicalOp::GroupBy {
@@ -885,7 +910,7 @@ impl Rewriter<'_, '_> {
     }
 
     fn groupby_below_union(&self, memo: &mut Memo, variant: u8) -> usize {
-        let (keys, aggs, child_g) = {
+        let (keys, aggs, child_e) = {
             let LogicalOp::GroupBy {
                 keys,
                 aggs,
@@ -897,17 +922,18 @@ impl Rewriter<'_, '_> {
             if *partial {
                 return 0;
             }
-            (keys.clone(), aggs.clone(), self.child0(memo))
+            let child_g = self.child0(memo);
+            let child_e = memo.canonical(child_g);
+            if memo.kind_of(child_e) != OpKind::UnionAll {
+                return 0;
+            }
+            // Variant 0 requires a reducing aggregation estimate; higher
+            // variants fire more eagerly.
+            if variant == 0 && memo.group_est(child_g).rows < 10_000.0 {
+                return 0;
+            }
+            (keys.clone(), aggs.clone(), child_e)
         };
-        let child_e = memo.canonical(child_g);
-        if memo.kind_of(child_e) != OpKind::UnionAll {
-            return 0;
-        }
-        // Variant 0 requires a reducing aggregation estimate; higher
-        // variants fire more eagerly.
-        if variant == 0 && memo.group_est(child_g).rows < 10_000.0 {
-            return 0;
-        }
         let n = memo.children(child_e).len();
         let mut partials = Vec::with_capacity(n);
         for i in 0..n {
@@ -947,21 +973,21 @@ impl Rewriter<'_, '_> {
             if *partial || keys.is_empty() {
                 return 0;
             }
-            (keys.clone(), aggs.clone(), self.child0(memo))
+            let child_g = self.child0(memo);
+            let threshold = match variant {
+                0 => 100_000.0,
+                1 => 10_000.0,
+                _ => 0.0, // aggressive variants always fire
+            };
+            if memo.group_est(child_g).rows < threshold {
+                return 0;
+            }
+            // Avoid re-splitting an already-split aggregation.
+            if memo.canonical_kind(child_g) == OpKind::GroupBy {
+                return 0;
+            }
+            (keys.clone(), aggs.clone(), child_g)
         };
-        let child_rows = memo.group_est(child_g).rows;
-        let threshold = match variant {
-            0 => 100_000.0,
-            1 => 10_000.0,
-            _ => 0.0, // aggressive variants always fire
-        };
-        if child_rows < threshold {
-            return 0;
-        }
-        // Avoid re-splitting an already-split aggregation.
-        if memo.canonical_kind(child_g) == OpKind::GroupBy {
-            return 0;
-        }
         let partial_agg = self.sub(
             memo,
             LogicalOp::GroupBy {
@@ -995,14 +1021,21 @@ impl Rewriter<'_, '_> {
             if keys.len() < 2 {
                 return 0;
             }
+            // Sorting changes the keys exactly when they are not sorted yet.
+            let ndv = |c: &ColId| self.ctx.est.observed().col_ndv(*c);
+            let sorted = match variant {
+                0 => keys.is_sorted(),
+                1 => keys.is_sorted_by(|a, b| b <= a),
+                _ => keys.is_sorted_by_key(ndv),
+            };
+            if sorted {
+                return 0;
+            }
             let mut sorted = keys.clone();
             match variant {
                 0 => sorted.sort_unstable(),
                 1 => sorted.sort_unstable_by(|a, b| b.cmp(a)),
-                _ => sorted.sort_by_key(|c| self.ctx.est.observed().col_ndv(*c)),
-            }
-            if sorted == *keys {
-                return 0;
+                _ => sorted.sort_by_key(ndv),
             }
             (sorted, aggs.clone(), *partial)
         };
@@ -1021,6 +1054,14 @@ impl Rewriter<'_, '_> {
 
     fn union_flatten(&self, memo: &mut Memo, deep: bool) -> usize {
         if memo.kind_of(self.expr_id) != OpKind::UnionAll {
+            return 0;
+        }
+        // Flattening changes something exactly when a child is a union.
+        let children = memo.children(self.expr_id);
+        if !children
+            .iter()
+            .any(|&g| memo.canonical_kind(g) == OpKind::UnionAll)
+        {
             return 0;
         }
         let mut flat: Vec<GroupId> = Vec::new();

@@ -67,6 +67,12 @@ metric_enum! {
         /// Compiles served by an exploration another configuration of the
         /// same batch ran (`compile_candidates`).
         ExploreShared => "compile.explore_shared",
+        /// Minimization trials compiled (`minimize_config`).
+        MinimizeTrialsCompiled => "minimize.trials_compiled",
+        /// Minimization trials accepted without a compile: the last
+        /// accepted compile's footprint shows the flip cannot change the
+        /// plan.
+        MinimizeTrialsSkipped => "minimize.trials_skipped",
         /// Simulated runs completed (success or failure).
         ExecRuns => "exec.runs",
         /// Task retries scheduled by the fault layer.
