@@ -4,7 +4,8 @@
 //! Run: `cargo run -p scope-steer-bench --release --bin exp_table2 -- [--scale=0.1]`
 
 use scope_exec::ABTester;
-use scope_optimizer::{RuleCatalog, RuleCategory, RuleSet};
+use scope_optimizer::optimizer::unused_rules;
+use scope_optimizer::{RuleCatalog, RuleCategory, RuleSignature};
 use scope_steer_bench::harness::{compile_day, workload, AB_SEED};
 use scope_steer_bench::reporting::{banner, markdown_table, scale_arg, write_csv};
 use scope_workload::WorkloadTag;
@@ -19,10 +20,8 @@ fn main() {
     let ab = ABTester::new(AB_SEED);
     let compiled = compile_day(&w, 0, &ab);
 
-    let mut used = RuleSet::EMPTY;
-    for c in &compiled {
-        used = used.union(&c.compiled.signature.0);
-    }
+    let signatures: Vec<RuleSignature> = compiled.iter().map(|c| c.compiled.signature).collect();
+    let unused_set = unused_rules(&signatures);
 
     let cat = RuleCatalog::global();
     let mut rows = Vec::new();
@@ -33,10 +32,10 @@ fn main() {
             .iter()
             .filter(|r| r.category == category)
             .collect();
-        let unused = in_cat.iter().filter(|r| !used.contains(r.id)).count();
+        let unused = in_cat.iter().filter(|r| unused_set.contains(r.id)).count();
         let examples: Vec<&str> = in_cat
             .iter()
-            .filter(|r| used.contains(r.id))
+            .filter(|r| !unused_set.contains(r.id))
             .take(3)
             .map(|r| r.name.as_str())
             .collect();

@@ -89,9 +89,9 @@ pub fn serve_measured_day(
 ) -> (FlightDayReport, f64) {
     let mut flights = FlightController::new(FlightConfig {
         canary_pct: 100,
+        compile_budget,
         ..FlightConfig::default()
     });
-    flights.store.compile_budget = compile_budget;
     flights.ingest(hints, 0);
     flights.advance(0);
     let report = flights.serve_day(jobs, ab, policy, 1);

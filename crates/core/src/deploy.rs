@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use scope_optimizer::{CompileBudget, RuleConfig, RuleId, RuleSet, NUM_RULES};
+use scope_optimizer::{RuleConfig, RuleId, RuleSet, NUM_RULES};
 
 /// Lifecycle state of a stored hint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,10 +42,6 @@ pub struct StoredHint {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HintStore {
     entries: HashMap<String, StoredHint>,
-    /// Budget applied to every steered compile of a stored hint (serving
-    /// and background revalidation). Exhaustion quarantines the hint
-    /// rather than blocking the job.
-    pub compile_budget: CompileBudget,
 }
 
 impl HintStore {

@@ -7,7 +7,7 @@
 //! A/B run; this module closes the loop. A [`CorrectionStore`] ingests
 //! `(estimated cost vector, observed RunMetrics)` pairs keyed by template,
 //! turns them into bounded observed/estimated ratios per metric
-//! ([`safe_ratio`]), smooths them exponentially, and — only at an explicit
+//! (`safe_ratio`), smooths them exponentially, and — only at an explicit
 //! day boundary, behind a caller-supplied vetting gate — promotes them to
 //! *active* [`CostCorrections`] that [`CostModel`] applies at estimation
 //! time on the next day's compiles.
@@ -63,7 +63,7 @@ impl Default for CorrectionBand {
 /// any degenerate input — non-finite, zero, or negative on either side —
 /// and otherwise the ratio clamped into `band`. The result is always
 /// finite and strictly positive; no caller ever needs to re-check.
-pub fn safe_ratio(observed: f64, estimated: f64, band: &CorrectionBand) -> f64 {
+pub(crate) fn safe_ratio(observed: f64, estimated: f64, band: &CorrectionBand) -> f64 {
     debug_assert!(band.is_valid(), "correction band must be sane: {band:?}");
     if !observed.is_finite() || observed <= 0.0 {
         return 1.0;
@@ -221,11 +221,6 @@ impl CorrectionStore {
         self.active.len()
     }
 
-    /// Templates with pending (unpromoted) state.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Day-boundary promotion: every pending template with enough
     /// observations is offered to `vet`; accepted corrections become
     /// active for subsequent compiles. `vet` is where the guardrail /
@@ -375,7 +370,7 @@ mod tests {
         for token in 0..10u64 {
             assert!(!s.ingest(3, token, &est(1.0, 1.0), &run(4.0, 4.0), true));
         }
-        assert_eq!(s.pending_count(), 0);
+        assert_eq!(s.pending.len(), 0);
         assert!(s.end_of_day(|_, _| true).is_empty());
         assert_eq!(s.corrections_for(3), CostCorrections::IDENTITY);
     }

@@ -15,15 +15,15 @@
 //! * **State machine** — every hint owns a [`FlightState`] walking
 //!   `Candidate → Canary(pct) → Ramping(pct…) → Deployed`, with
 //!   `RolledBack` as the terminal failure state. Canary exposure is
-//!   [`FlightConfig::canary_pct`], the ramp is [`RAMP_PCTS`]; the traffic
+//!   [`FlightConfig::canary_pct`], the ramp is `RAMP_PCTS`; the traffic
 //!   split is a deterministic hash of `(flight salt, job id)`
 //!   ([`scope_exec::in_rollout`]), so replays are bit-identical and a
 //!   recurring job stays on one side of the split.
 //! * **Regression monitors with hysteresis** — per-day per-group mean
 //!   runtime change feeds an N-strike counter ([`N_STRIKES`] consecutive
-//!   days above [`STRIKE_THRESHOLD_PCT`]) and a CUSUM accumulator
+//!   days above `STRIKE_THRESHOLD_PCT`) and a CUSUM accumulator
 //!   (`s = max(0, s + x − CUSUM_DRIFT_PCT)`, tripping above
-//!   [`CUSUM_THRESHOLD`]). Either tripping rolls the flight back; a single
+//!   `CUSUM_THRESHOLD`). Either tripping rolls the flight back; a single
 //!   noisy sample cannot (the paper's workloads are noisy by construction,
 //!   §3.1.3). A steered run that dies and re-runs on the default plan is
 //!   an observation too — the wasted attempt is what the customer paid —
@@ -37,7 +37,7 @@
 //!   [`PROBATION_CLEAN_REQUIRED`] consecutive clean probes — the
 //!   probation path out of the old quarantine dead-end.
 //! * **Crash safety by construction** — every state mutation is a
-//!   [`FlightEvent`] applied through one `apply` function and appended to
+//!   `FlightEvent` applied through one `apply` function and appended to
 //!   an in-memory journal with per-line checksums. Recovery replays the
 //!   journal (optionally on top of a checksummed snapshot) through the
 //!   *same* `apply`, so the reconstructed state is bit-identical to the
@@ -48,7 +48,7 @@
 //!   compiled once, fanned out over every core ([`crate::par`]) with
 //!   panic isolation, so a job whose default compile fails or panics is
 //!   `skipped` rather than fatal. `serve_day` keeps the first
-//!   [`REVALIDATION_JOBS`] jobs of every flighted group as the day's
+//!   `REVALIDATION_JOBS` jobs of every flighted group as the day's
 //!   sample, and `revalidate_background` reads that sample instead of
 //!   compiling the day again. The sample is derived state: it is not
 //!   journaled, and a sweep without a matching sample (another day, other
@@ -95,7 +95,7 @@ pub enum FlightStage {
 
 impl FlightStage {
     /// Percentage of matching traffic this stage serves steered.
-    pub fn exposure_pct(self, config: &FlightConfig) -> u8 {
+    pub(crate) fn exposure_pct(self, config: &FlightConfig) -> u8 {
         match self {
             FlightStage::Candidate | FlightStage::RolledBack { .. } => 0,
             FlightStage::Canary => config.canary_pct,
@@ -151,25 +151,25 @@ impl FlightStage {
 }
 
 /// Exposure ladder between canary and deployed.
-pub const RAMP_PCTS: [u8; 1] = [25];
+pub(crate) const RAMP_PCTS: [u8; 1] = [25];
 /// A stage must last at least this many days before promotion.
-pub const MIN_DAYS_PER_STAGE: u32 = 1;
+pub(crate) const MIN_DAYS_PER_STAGE: u32 = 1;
 /// … and accumulate this many *clean observed* days.
-pub const MIN_CLEAN_DAYS_PER_STAGE: u32 = 1;
+pub(crate) const MIN_CLEAN_DAYS_PER_STAGE: u32 = 1;
 /// A day-mean change above this is a strike.
-pub const STRIKE_THRESHOLD_PCT: f64 = 10.0;
+pub(crate) const STRIKE_THRESHOLD_PCT: f64 = 10.0;
 /// Consecutive strikes that trip a rollback.
 pub const N_STRIKES: u32 = 3;
 /// CUSUM drift: day-mean change is accumulated above this allowance.
-pub const CUSUM_DRIFT_PCT: f64 = 5.0;
+pub(crate) const CUSUM_DRIFT_PCT: f64 = 5.0;
 /// CUSUM level that trips a rollback.
-pub const CUSUM_THRESHOLD: f64 = 25.0;
+pub(crate) const CUSUM_THRESHOLD: f64 = 25.0;
 /// Jobs sampled per hint per background revalidation.
-pub const REVALIDATION_JOBS: usize = 3;
+pub(crate) const REVALIDATION_JOBS: usize = 3;
 /// Consecutive clean probes before a quarantined hint re-enters Canary.
 pub const PROBATION_CLEAN_REQUIRED: u32 = 3;
 /// A probe is clean only if its mean change stays at or below this.
-pub const REGRESSION_THRESHOLD_PCT: f64 = 5.0;
+pub(crate) const REGRESSION_THRESHOLD_PCT: f64 = 5.0;
 
 /// The rollout settings a caller chooses; the rest of the policy is the
 /// constants above.
@@ -179,6 +179,10 @@ pub struct FlightConfig {
     pub canary_pct: u8,
     /// Deployed/quarantined hints revalidated per background sweep.
     pub revalidation_budget: usize,
+    /// Budget applied to every steered compile of a stored hint (serving
+    /// and background revalidation). Exhaustion quarantines the hint
+    /// rather than blocking the job.
+    pub compile_budget: CompileBudget,
 }
 
 impl Default for FlightConfig {
@@ -186,6 +190,7 @@ impl Default for FlightConfig {
         FlightConfig {
             canary_pct: 5,
             revalidation_budget: 2,
+            compile_budget: CompileBudget::default(),
         }
     }
 }
@@ -221,7 +226,7 @@ impl FlightState {
 /// its durable state is one of these, applied through one code path by
 /// both live execution and crash recovery.
 #[derive(Clone, Debug, PartialEq)]
-pub enum FlightEvent {
+pub(crate) enum FlightEvent {
     /// A discovery winner entered the store (as `Candidate`).
     Install {
         group: String,
@@ -355,7 +360,7 @@ pub(crate) fn flight_salt(group: &str) -> u64 {
 /// before the `\t#`. An armed [`CrashPlan`] makes appends fail the way a
 /// real crash does: one torn (prefix-only) write, then nothing.
 #[derive(Clone, Debug, Default)]
-pub struct FlightJournal {
+pub(crate) struct FlightJournal {
     lines: Vec<String>,
     next_seq: u64,
     crash: Option<CrashPlan>,
@@ -788,7 +793,7 @@ impl FlightController {
     ///
     /// Every job's default plan is compiled first, on every core; a job
     /// whose default fails or panics is `skipped`. The first
-    /// [`REVALIDATION_JOBS`] jobs of each flighted group are kept for
+    /// `REVALIDATION_JOBS` jobs of each flighted group are kept for
     /// today's [`Self::revalidate_background`].
     pub fn serve_day(
         &mut self,
@@ -818,6 +823,7 @@ impl FlightController {
         let mut day_changes: BTreeMap<String, Vec<f64>> = BTreeMap::new();
         let flights = &self.flights;
         let defaults = derive_defaults(jobs, n_threads, |key| flights.contains_key(key));
+        let compile_budget = self.config.compile_budget;
         for (job, derived) in jobs.iter().zip(&defaults) {
             report.jobs += 1;
             let (key, default) = match derived {
@@ -854,8 +860,7 @@ impl FlightController {
                 .expect("active hint exists")
                 .config
                 .clone();
-            let steered = match compile_steered(job, default, &hint_cfg, &self.store.compile_budget)
-            {
+            let steered = match compile_steered(job, default, &hint_cfg, &compile_budget) {
                 SteeredCompile::Steered(s) => s,
                 SteeredCompile::SkippedStatically | SteeredCompile::SkippedBenignly => {
                     report.static_skips += 1;
@@ -1002,7 +1007,7 @@ impl FlightController {
     /// Quarantined hints, whose clean probes accumulate toward probation
     /// release back into Canary.
     ///
-    /// Each picked hint runs on the first [`REVALIDATION_JOBS`] of
+    /// Each picked hint runs on the first `REVALIDATION_JOBS` of
     /// today's jobs in its group.
     /// They come from the sample today's [`Self::serve_day`] took over the
     /// same jobs; without one that still fits, the day's defaults are
@@ -1062,6 +1067,7 @@ impl FlightController {
             }
         };
 
+        let compile_budget = self.config.compile_budget;
         let mut observed_changes = Vec::new();
         for key in &picked {
             let Some(group_jobs) = sample.groups.get(key) else {
@@ -1076,24 +1082,23 @@ impl FlightController {
             let mut fatal = false;
             for (i, default) in group_jobs {
                 let job = &jobs[*i];
-                let steered =
-                    match compile_steered(job, default, &hint_cfg, &self.store.compile_budget) {
-                        SteeredCompile::Steered(s) => s,
-                        SteeredCompile::SkippedStatically => {
-                            // Benign for a deployed hint; for a probation
-                            // probe it means the hint still cannot serve
-                            // this group — not clean.
-                            if status == HintStatus::Quarantined {
-                                dirty = true;
-                            }
-                            continue;
+                let steered = match compile_steered(job, default, &hint_cfg, &compile_budget) {
+                    SteeredCompile::Steered(s) => s,
+                    SteeredCompile::SkippedStatically => {
+                        // Benign for a deployed hint; for a probation
+                        // probe it means the hint still cannot serve
+                        // this group — not clean.
+                        if status == HintStatus::Quarantined {
+                            dirty = true;
                         }
-                        SteeredCompile::SkippedBenignly => continue,
-                        SteeredCompile::Vetoed => {
-                            fatal = true;
-                            break;
-                        }
-                    };
+                        continue;
+                    }
+                    SteeredCompile::SkippedBenignly => continue,
+                    SteeredCompile::Vetoed => {
+                        fatal = true;
+                        break;
+                    }
+                };
                 let sm = ab.run_outcome(job, &steered.plan, 0);
                 if !sm.outcome.is_success() {
                     dirty = true;
@@ -1684,6 +1689,7 @@ mod tests {
         let mut c = FlightController::new(FlightConfig {
             canary_pct: 50,
             revalidation_budget: 64,
+            ..FlightConfig::default()
         });
         let (deployed, canaries) = d.winners.split_at(d.winners.len().div_ceil(2));
         c.ingest_deployed(deployed, 0);

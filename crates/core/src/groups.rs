@@ -12,7 +12,7 @@ use scope_optimizer::{compile_job, RuleConfig, RuleSignature};
 use crate::pipeline::JobOutcome;
 
 /// A job group key: the default rule signature.
-pub type GroupKey = RuleSignature;
+pub(crate) type GroupKey = RuleSignature;
 
 /// Compute a job's group (compile under the default configuration).
 pub fn group_of(job: &Job) -> Option<GroupKey> {

@@ -171,26 +171,12 @@ impl CandidateFilterStats {
 
     /// Candidates retired statically, with zero compiles: certainly
     /// invalid, or provably too expensive (the cost-bounds gate).
-    pub fn static_total(&self) -> usize {
+    pub(crate) fn static_total(&self) -> usize {
         self.static_invalid + self.static_bounded
     }
 
-    /// Only the dynamic guardrail counters, everything else zeroed — what
-    /// must not move when a static gate is switched on or off. A gate
-    /// retires candidates before they compile, so it legitimately changes
-    /// its own counters and the census of ordinary compile failures.
-    pub fn dynamic_only(&self) -> CandidateFilterStats {
-        CandidateFilterStats {
-            panicked: self.panicked,
-            over_budget: self.over_budget,
-            invalid: self.invalid,
-            diverged: self.diverged,
-            ..CandidateFilterStats::default()
-        }
-    }
-
     /// Fold another stats record into this one.
-    pub fn merge(&mut self, other: &CandidateFilterStats) {
+    pub(crate) fn merge(&mut self, other: &CandidateFilterStats) {
         self.panicked += other.panicked;
         self.over_budget += other.over_budget;
         self.invalid += other.invalid;
@@ -205,7 +191,7 @@ impl CandidateFilterStats {
     /// errors (the paper's "not all configurations compile") were always
     /// an expected, silent part of discovery: they are broken down by kind
     /// but stay out of the filter totals.
-    pub fn note_compile_error(&mut self, err: &CompileError) {
+    pub(crate) fn note_compile_error(&mut self, err: &CompileError) {
         match err {
             CompileError::Panicked { .. } => self.panicked += 1,
             CompileError::BudgetExhausted { .. } | CompileError::MemoExhausted { .. } => {

@@ -29,8 +29,6 @@
 //!   fronted by per-request deadlines, a circuit breaker, admission
 //!   control with load shedding, and a typed degraded-mode ladder —
 //!   every failure path serves the default config, never an error,
-//! * [`independence`] — §8 future work: empirical discovery of independent
-//!   rule subsets that shrink the configuration search space,
 //! * [`minimize`] — shrink winning configurations to the smallest
 //!   plan-preserving delta before surfacing them as hints,
 //! * [`par`] — the scoped-thread fan-out harness the pipeline parallelizes
@@ -44,7 +42,6 @@ pub mod feedback;
 pub mod flight;
 pub mod groups;
 pub mod guard;
-pub mod independence;
 pub mod minimize;
 pub mod par;
 pub mod pipeline;
@@ -57,26 +54,24 @@ pub mod span;
 pub(crate) mod testutil;
 
 pub use deploy::{HintParseError, HintParseErrorKind, HintStatus, HintStore, StoredHint};
-pub use feedback::{safe_ratio, CorrectionBand, CorrectionStore};
+pub use feedback::{CorrectionBand, CorrectionStore};
 pub use flight::{
-    AdvanceReport, BackgroundReport, FlightConfig, FlightController, FlightDayReport, FlightEvent,
-    FlightStage, FlightState, GroupDayStats, RecoveryError, RecoveryReport,
+    AdvanceReport, BackgroundReport, FlightConfig, FlightController, FlightDayReport, FlightStage,
+    FlightState, GroupDayStats, RecoveryError, RecoveryReport,
 };
 pub use groups::{
     extrapolate, group_jobs, group_of, winning_configs, ExtrapolatedRun, GroupConfig,
 };
 pub use guard::{vet_candidate, CandidateFilterStats, CandidateRejection};
-pub use independence::{discover_independent_groups, IndependentGroups};
 pub use minimize::{minimize_config, MinimizedConfig};
-pub use par::{available_threads, run_chunked, run_chunked_on};
+pub use par::run_chunked;
 pub use pipeline::{
     CandidateOutcome, DiscoveryReport, JobOutcome, Pipeline, PipelineParams, SelectionReason,
 };
-pub use report::{best_known_summary, improved_fraction, BestKnownSummary};
-pub use search::{candidate_configs, candidate_configs_effective, DEFAULT_M};
+pub use report::{best_known_summary, BestKnownSummary};
+pub use search::{candidate_configs, candidate_configs_effective};
 pub use serve::{
-    build_entries, decisions_fingerprint, BreakerState, CircuitBreaker, DayServeReport, Decision,
-    DecisionReason, DegradedMode, Lookup, ServeRequest, ServiceConfig, ServingEntry, ServingTable,
-    SteeringService,
+    build_entries, BreakerState, CircuitBreaker, DayServeReport, Decision, DecisionReason,
+    DegradedMode, Lookup, ServeRequest, ServiceConfig, ServingEntry, ServingTable, SteeringService,
 };
 pub use span::{approximate_span, JobSpan};

@@ -27,7 +27,7 @@ where
 }
 
 /// The default worker count: one per available core.
-pub fn available_threads() -> usize {
+pub(crate) fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
@@ -47,7 +47,12 @@ const CLAIMS_PER_WORKER: usize = 64;
 /// sweeps, which must not depend on the machine's core count). Each of the
 /// `n_threads` workers claims the next unclaimed items from a shared index
 /// until none is left.
-pub fn run_chunked_on<T, U, F, D>(items: &[T], n_threads: usize, map: F, describe: D) -> Vec<U>
+pub(crate) fn run_chunked_on<T, U, F, D>(
+    items: &[T],
+    n_threads: usize,
+    map: F,
+    describe: D,
+) -> Vec<U>
 where
     T: Sync,
     U: Send,

@@ -40,15 +40,15 @@ use scope_trace::{Counter, Histogram, MetricsSnapshot};
 use crate::guard::{vet_against, CandidateFilterStats, CandidateRejection};
 use crate::par::{available_threads, run_chunked_on};
 use crate::search::candidate_configs_effective;
-use crate::span::approximate_span_with;
+use crate::span::{approximate_span_with, ungated_span};
 
 /// "Clearly cheaper" margin (§6.1): a candidate whose estimated cost is
 /// below `default_cost * (1 - CHEAPER_FRAC)` triggers execution.
-pub const CHEAPER_FRAC: f64 = 0.05;
+pub(crate) const CHEAPER_FRAC: f64 = 0.05;
 /// Low-cost/high-runtime outlier heuristic (§6.1): runtime must exceed
 /// `OUTLIER_RATIO * default_estimated_cost` (the optimizer expected the
 /// job to be several times faster than it was).
-pub const OUTLIER_RATIO: f64 = 4.0;
+pub(crate) const OUTLIER_RATIO: f64 = 4.0;
 
 /// Tunable pipeline parameters (defaults follow the paper).
 #[derive(Clone, Debug)]
@@ -77,32 +77,6 @@ pub struct PipelineParams {
     /// Worker threads for the parallel discovery stages (`0` = one per
     /// available core). Results are identical at any thread count.
     pub n_threads: usize,
-    /// Static lint gate: `scope-lint` classifies every span probe and
-    /// every candidate before it is compiled, and a config that is
-    /// statically certain to fail (`ConfigVerdict::Invalid`) is not
-    /// compiled: a span probe reads as "did not compile", a candidate is
-    /// counted in `vetting.static_invalid`. Ungated, such a config
-    /// compiled and failed with a non-fatal error (a failed span probe and
-    /// a dropped candidate), so skipping it sooner changes no other
-    /// result — except that a candidate which would have
-    /// *exhausted the compile budget* mid-search is no longer counted as
-    /// `over_budget`. On in production; `false` is the ungated reference
-    /// that `lint_gate_preserves_discovery_bit_for_bit` compares against.
-    pub lint_gate: bool,
-    /// Static bounds gate: `scope-lint`'s [`PlanBounds`] gives every
-    /// candidate a *sound whole-plan cost lower bound* without compiling
-    /// it, and a candidate whose bound already exceeds the job's execution
-    /// threshold (the default's cost, then the k-th cheapest compiled
-    /// alternative) is retired unseen, counted in `vetting.static_bounded`.
-    /// Every observable discovery result (executed alternatives, their
-    /// configs, costs and metrics, selection reasons, dedup against the
-    /// default, dynamic guardrail counters) is bit-identical with the gate
-    /// on or off; only the candidate census over the retired tail
-    /// (`n_candidates`, `n_duplicate_plans`) and the static funnel counters
-    /// differ. On in production; `false` (every lower bound at −∞) is the
-    /// ungated reference that `bounds_gate_preserves_discovery_bit_for_bit`
-    /// compares against.
-    pub bounds_gate: bool,
     /// The cost model every compile in this pipeline runs under: the
     /// scalarization weights plus any promoted per-template corrections.
     /// The default is [`CostModel::DEFAULT`], which is bit-identical to
@@ -124,8 +98,6 @@ impl Default for PipelineParams {
             retry: RetryPolicy::default(),
             compile_budget: CompileBudget::default(),
             n_threads: 0,
-            lint_gate: true,
-            bounds_gate: true,
             cost_model: CostModel::DEFAULT,
         }
     }
@@ -265,17 +237,37 @@ impl DiscoveryReport {
             .filter(|o| o.best_runtime_change_pct() < -threshold_pct)
             .collect()
     }
+}
 
-    /// Candidates retired statically (zero compiles): certainly invalid,
-    /// or bounded out by the cost lower bound.
-    pub fn static_rejections(&self) -> usize {
-        self.vetting.static_total()
-    }
+/// The static gates of [`Pipeline::analyze_job`]. Production always runs
+/// both ([`Gates::ON`]); a gate turned off is the ungated reference that
+/// this module's tests hold discovery to.
+#[derive(Clone, Copy)]
+struct Gates {
+    /// `scope-lint` classifies every span probe and every candidate before
+    /// it is compiled, and a config statically certain to fail
+    /// (`ConfigVerdict::Invalid`) is not compiled: a span probe reads as
+    /// "did not compile", a candidate is counted in
+    /// `vetting.static_invalid`. Ungated, such a config compiled and failed
+    /// with a non-fatal error, so skipping it sooner changes no other
+    /// result — except that a candidate which would have *exhausted the
+    /// compile budget* mid-search is no longer counted as `over_budget`.
+    lint: bool,
+    /// [`PlanBounds`] gives every candidate a *sound whole-plan cost lower
+    /// bound* without compiling it, and a candidate whose bound already
+    /// exceeds the job's execution threshold is retired unseen, counted in
+    /// `vetting.static_bounded`. Every observable discovery result is
+    /// bit-identical either way; only the candidate census over the retired
+    /// tail (`n_candidates`, `n_duplicate_plans`) and the static funnel
+    /// counters differ. Ungated, every lower bound is −∞.
+    bounds: bool,
+}
 
-    /// Candidates the dynamic guardrails (compile + vet) filtered.
-    pub fn dynamic_rejections(&self) -> usize {
-        self.vetting.dynamic_total()
-    }
+impl Gates {
+    const ON: Gates = Gates {
+        lint: true,
+        bounds: true,
+    };
 }
 
 /// The offline pipeline.
@@ -426,7 +418,7 @@ impl Pipeline {
 
     /// Like [`Self::default_run`], but reports how the run ended so callers
     /// can skip jobs whose baseline is untrustworthy.
-    pub fn default_run_outcome(&self, job: &Job) -> Option<(Arc<CompiledPlan>, FaultedRun)> {
+    pub(crate) fn default_run_outcome(&self, job: &Job) -> Option<(Arc<CompiledPlan>, FaultedRun)> {
         let obs = job.catalog.observe();
         let config = effective_config(job, &RuleConfig::default_config());
         // Defaults are the measurement baseline, not candidates, so they
@@ -449,6 +441,15 @@ impl Pipeline {
     /// from a splittable seed (`seed ⊕ job.id`) drawn once from `rng`, so
     /// the report is identical at any worker count.
     pub fn discover<R: Rng + ?Sized>(&self, jobs: &[Job], rng: &mut R) -> DiscoveryReport {
+        self.discover_gated(jobs, rng, Gates::ON)
+    }
+
+    fn discover_gated<R: Rng + ?Sized>(
+        &self,
+        jobs: &[Job],
+        rng: &mut R,
+        gates: Gates,
+    ) -> DiscoveryReport {
         let n_threads = self.effective_threads();
         // Delta snapshot: the tracer registry is process-global, so report
         // only what this run adds. Captured lazily (behind the enabled
@@ -519,7 +520,7 @@ impl Pipeline {
             |(job, compiled, metrics)| {
                 let _span = scope_trace::span_with("analyze_job", job.id.0);
                 let mut job_rng = StdRng::seed_from_u64(job_seed ^ job.id.0);
-                Some(self.analyze_job(job, compiled, *metrics, &mut job_rng))
+                Some(self.analyze_gated(job, compiled, *metrics, &mut job_rng, gates))
             },
             |(job, _, _)| format!("job {}", job.id.0),
         );
@@ -551,18 +552,33 @@ impl Pipeline {
         default_metrics: RunMetrics,
         rng: &mut R,
     ) -> Option<JobOutcome> {
+        self.analyze_gated(job, default, default_metrics, rng, Gates::ON)
+    }
+
+    fn analyze_gated<R: Rng + ?Sized>(
+        &self,
+        job: &Job,
+        default: &CompiledPlan,
+        default_metrics: RunMetrics,
+        rng: &mut R,
+        gates: Gates,
+    ) -> Option<JobOutcome> {
         // Per-job work hoisted out of the per-candidate loop: one catalog
         // observation, one lint, one span approximation.
         let obs = job.catalog.observe();
-        let lint = self.params.lint_gate.then(|| JobLint::new(&job.plan));
+        let lint = gates.lint.then(|| JobLint::new(&job.plan));
         // The span is derived by the same compile step as everything else
         // here, so it is the span of the optimizer the candidates run on.
         // Its probes go through the lint gate like the candidates do.
-        let span = approximate_span_with(lint.as_ref(), |config| {
+        let probe = |config: &RuleConfig| {
             self.compile_guarded(job, &obs, config)
                 .ok()
                 .map(|c| c.signature)
-        });
+        };
+        let span = match &lint {
+            Some(lint) => approximate_span_with(lint, probe),
+            None => ungated_span(probe),
+        };
         let configs =
             candidate_configs_effective(&span, &Self::hint_set(job), self.params.m_candidates, rng);
 
@@ -573,13 +589,13 @@ impl Pipeline {
         // per transformation subset and every candidate's result is what a
         // single compile of it returns.
         //
-        // Classify (`params.lint_gate`): a candidate `scope-lint` proves
+        // Classify (`gates.lint`): a candidate `scope-lint` proves
         // certain to fail with `NoImplementation` is retired before any
         // compile. Ungated it compiled, failed with a non-fatal error and
         // was silently skipped, so retiring it sooner is invisible to every
         // other counter.
         //
-        // Bound (`params.bounds_gate`; every bound is −∞ without it): the
+        // Bound (`gates.bounds`; every bound is −∞ without it): the
         // abstract interpreter derives each candidate's *sound* whole-plan
         // cost lower bound from this job's plan and the enabled rule set —
         // no compile. A candidate whose bound exceeds the default's cost
@@ -602,10 +618,7 @@ impl Pipeline {
         // is the same plan under different raw bits: both stay in the
         // candidate statistics but out of the execution pool, so
         // `execute_top_k` slots only go to genuinely distinct plans.
-        let bounds = self
-            .params
-            .bounds_gate
-            .then(|| PlanBounds::analyze(&job.plan, &obs));
+        let bounds = gates.bounds.then(|| PlanBounds::analyze(&job.plan, &obs));
         let default_fp = result_fingerprint(&default.plan);
         let compile_slots = |slots: &mut [(RuleConfig, Disposition)], picked: &[usize]| {
             let configs: Vec<RuleConfig> = picked.iter().map(|&i| slots[i].0.clone()).collect();
@@ -855,7 +868,7 @@ mod tests {
         // fingerprint. (The static gates may still retire certainly
         // infeasible or provably too expensive candidates before compile —
         // those are counted separately and change nothing observable.)
-        assert_eq!(report.dynamic_rejections(), 0);
+        assert_eq!(report.vetting.dynamic_total(), 0);
         assert_eq!(report.vetting.panicked, 0);
         assert_eq!(report.vetting.over_budget, 0);
         assert_eq!(report.vetting.invalid, 0);
@@ -870,13 +883,23 @@ mod tests {
     /// configs/plans/costs/metrics, selection reasons, dedup against the
     /// default, dynamic guardrails).
     fn gate_insensitive_view(report: &DiscoveryReport) -> String {
-        let vetting = report.vetting.dynamic_only();
+        // Only the dynamic guardrail counters: a gate retires candidates
+        // before they compile, so it legitimately changes its own counters
+        // and the census of ordinary compile failures.
+        let dynamic_only = |v: &CandidateFilterStats| CandidateFilterStats {
+            panicked: v.panicked,
+            over_budget: v.over_budget,
+            invalid: v.invalid,
+            diverged: v.diverged,
+            ..CandidateFilterStats::default()
+        };
+        let vetting = dynamic_only(&report.vetting);
         let outcomes: Vec<JobOutcome> = report
             .outcomes
             .iter()
             .map(|o| {
                 let mut o = o.clone();
-                o.vetting = o.vetting.dynamic_only();
+                o.vetting = dynamic_only(&o.vetting);
                 o.n_candidates = 0;
                 o.n_duplicate_plans = 0;
                 o
@@ -897,19 +920,9 @@ mod tests {
     fn lint_gate_preserves_discovery_bit_for_bit() {
         let w = Workload::generate(WorkloadProfile::workload_a(0.06));
         let jobs = w.day(0);
-        let run = |lint_gate: bool| {
-            let p = Pipeline::new(
-                ABTester::new(11),
-                PipelineParams {
-                    m_candidates: 120,
-                    execute_top_k: 5,
-                    sample_frac: 1.0,
-                    lint_gate,
-                    ..PipelineParams::default()
-                },
-            );
+        let run = |lint: bool| {
             let mut rng = StdRng::seed_from_u64(1);
-            p.discover(&jobs, &mut rng)
+            pipeline().discover_gated(&jobs, &mut rng, Gates { lint, ..Gates::ON })
         };
         let with = run(true);
         let without = run(false);
@@ -943,20 +956,18 @@ mod tests {
 
         let w = Workload::generate(WorkloadProfile::workload_a(0.06));
         let jobs = w.day(0);
-        let run = |bounds_gate: bool, cost_model: CostModel, seed: u64| {
-            let p = Pipeline::new(
-                ABTester::new(11),
-                PipelineParams {
-                    m_candidates: 120,
-                    execute_top_k: 5,
-                    sample_frac: 1.0,
-                    bounds_gate,
-                    cost_model,
-                    ..PipelineParams::default()
-                },
-            );
+        let run = |bounds: bool, cost_model: CostModel, seed: u64| {
+            let mut p = pipeline();
+            p.params.cost_model = cost_model;
             let mut rng = StdRng::seed_from_u64(seed);
-            p.discover(&jobs, &mut rng)
+            p.discover_gated(
+                &jobs,
+                &mut rng,
+                Gates {
+                    bounds,
+                    ..Gates::ON
+                },
+            )
         };
         // Corrected: the bound goes through `cost_lo_model`'s widened
         // floor. Re-weighted: the bound degrades to 0.0, so nothing may be
@@ -1086,12 +1097,6 @@ mod tests {
             "got {:#018x}",
             result_digest(&report)
         );
-    }
-
-    #[test]
-    fn both_static_gates_are_on_by_default() {
-        let params = PipelineParams::default();
-        assert!(params.lint_gate && params.bounds_gate);
     }
 
     #[test]

@@ -41,19 +41,6 @@ pub fn best_known_summary(outcomes: &[JobOutcome]) -> BestKnownSummary {
     }
 }
 
-/// Percentage of outcomes whose best alternative improved runtime by more
-/// than `threshold_pct`.
-pub fn improved_fraction(outcomes: &[JobOutcome], threshold_pct: f64) -> f64 {
-    if outcomes.is_empty() {
-        return 0.0;
-    }
-    let improved = outcomes
-        .iter()
-        .filter(|o| o.best_runtime_change_pct() < -threshold_pct)
-        .count();
-    improved as f64 / outcomes.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,17 +92,5 @@ mod tests {
         // Job 1 keeps default (Δ 0), job 2 saves 60s → mean −30s / −30%.
         assert!((s.mean_delta_runtime_s + 30.0).abs() < 1e-9);
         assert!((s.mean_delta_pct + 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn improved_fraction_counts_thresholded_wins() {
-        let outcomes = vec![
-            outcome(100.0, 150.0),
-            outcome(100.0, 40.0),
-            outcome(100.0, 97.0),
-        ];
-        assert!((improved_fraction(&outcomes, 5.0) - 1.0 / 3.0).abs() < 1e-9);
-        assert!((improved_fraction(&outcomes, 1.0) - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(improved_fraction(&[], 5.0), 0.0);
     }
 }

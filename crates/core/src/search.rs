@@ -12,10 +12,6 @@ use scope_optimizer::{RuleCatalog, RuleCategory, RuleConfig, RuleSet};
 
 use crate::span::JobSpan;
 
-/// Default number of candidate configurations per job (the paper's "up to
-/// 1000").
-pub const DEFAULT_M: usize = 1000;
-
 /// Generate up to `m` unique candidate configurations for a job with the
 /// given span. The default configuration is *not* included.
 pub fn candidate_configs<R: Rng + ?Sized>(

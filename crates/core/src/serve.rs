@@ -18,18 +18,18 @@
 //!   invariant even when a torn publish swapped in a corrupt entry.
 //! * [`CircuitBreaker`] — wraps the flighting/revalidation interactions
 //!   (journal writes, background probes): trips open after
-//!   [`BREAKER_FAILURES`] consecutive failures, half-opens on a timer,
+//!   `BREAKER_FAILURES` consecutive failures, half-opens on a timer,
 //!   closes again on a clean probe.
 //! * [`DegradedMode`] — the typed degradation ladder
 //!   Healthy → HintsStale → DefaultOnly, walked down and back up one rung
-//!   per tick from observed shed/timeout rates ([`DEGRADE_FRAC`],
-//!   [`RECOVER_FRAC`]) and breaker state.
+//!   per tick from observed shed/timeout rates (`DEGRADE_FRAC`,
+//!   `RECOVER_FRAC`) and breaker state.
 //! * [`SteeringService`] — ties it together: deterministic admission
 //!   control with explicit load shedding at the inflight ceiling (shed
 //!   requests are *served the default config*, never errored), a
 //!   per-request decision deadline ([`DEADLINE_US`]) with hard default
 //!   fallback, and a decision function that is a pure read so the
-//!   parallel fan-out ([`run_chunked_on`]) is bit-identical at any thread
+//!   parallel fan-out (`run_chunked_on`) is bit-identical at any thread
 //!   count.
 //!
 //! Determinism contract: [`SteeringService::serve_day`] runs a sequential
@@ -116,7 +116,7 @@ impl ServingEntry {
 
     /// The checksum the `check` field must carry.
     #[must_use]
-    pub fn checksum(&self) -> u64 {
+    pub(crate) fn checksum(&self) -> u64 {
         hash64(&(
             &self.group,
             &self.config,
@@ -128,14 +128,14 @@ impl ServingEntry {
 
     /// Whether the entry survived storage intact.
     #[must_use]
-    pub fn is_intact(&self) -> bool {
+    pub(crate) fn is_intact(&self) -> bool {
         self.check == self.checksum()
     }
 
     /// A torn-write twin of this entry (checksum deliberately wrong) —
     /// used by the chaos harness to plant detectable corruption.
     #[must_use]
-    pub fn corrupted(mut self) -> ServingEntry {
+    pub(crate) fn corrupted(mut self) -> ServingEntry {
         self.check ^= 0xDEAD_BEEF;
         self
     }
@@ -322,13 +322,13 @@ impl CircuitBreaker {
     /// Whether the breaker currently blocks operations (Open and still
     /// cooling down at `now_us`).
     #[must_use]
-    pub fn is_open(&self, now_us: u64) -> bool {
+    pub(crate) fn is_open(&self, now_us: u64) -> bool {
         matches!(self.state, BreakerState::Open { until_us } if now_us < until_us)
     }
 
     /// Ask to run one operation at virtual time `now_us`. Open breakers
     /// half-open once the cooldown expires (allowing a probe).
-    pub fn allows(&mut self, now_us: u64) -> bool {
+    pub(crate) fn allows(&mut self, now_us: u64) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open { until_us } => {
@@ -391,7 +391,7 @@ pub enum DegradedMode {
 impl DegradedMode {
     /// One rung worse.
     #[must_use]
-    pub fn down(self) -> DegradedMode {
+    pub(crate) fn down(self) -> DegradedMode {
         match self {
             DegradedMode::Healthy => DegradedMode::HintsStale,
             DegradedMode::HintsStale | DegradedMode::DefaultOnly => DegradedMode::DefaultOnly,
@@ -426,18 +426,18 @@ impl DegradedMode {
 /// fallback.
 pub const DEADLINE_US: u64 = 1_000;
 /// Simulated healthy decision latency (virtual µs).
-pub const BASE_LATENCY_US: u64 = 120;
+pub(crate) const BASE_LATENCY_US: u64 = 120;
 /// Latency billed to a shed request (virtual µs) — the admission check
 /// only.
-pub const SHED_LATENCY_US: u64 = 5;
+pub(crate) const SHED_LATENCY_US: u64 = 5;
 /// Consecutive flighting-op failures that trip the breaker.
-pub const BREAKER_FAILURES: u32 = 3;
+pub(crate) const BREAKER_FAILURES: u32 = 3;
 /// Bad-request fraction per tick at or above which the mode steps down
 /// one rung.
-pub const DEGRADE_FRAC: f64 = 0.10;
+pub(crate) const DEGRADE_FRAC: f64 = 0.10;
 /// Bad-request fraction per tick at or below which the mode steps back
 /// up one rung (requires a closed breaker).
-pub const RECOVER_FRAC: f64 = 0.02;
+pub(crate) const RECOVER_FRAC: f64 = 0.02;
 
 /// The steering service's settings a caller chooses; the rest are the
 /// constants above. Defaults target the virtual-µs clock of
@@ -533,7 +533,7 @@ pub struct Decision {
 /// Stable fingerprint of a decision stream — the bit-identity probe the
 /// bench compares across thread counts.
 #[must_use]
-pub fn decisions_fingerprint(decisions: &[Decision]) -> u64 {
+fn decisions_fingerprint(decisions: &[Decision]) -> u64 {
     let mut h = DefaultHasher::new();
     for d in decisions {
         (
@@ -616,12 +616,6 @@ impl SteeringService {
         self.mode_transitions
     }
 
-    /// Snapshot publishes attempted so far.
-    #[must_use]
-    pub fn publishes(&self) -> u64 {
-        self.publishes
-    }
-
     fn set_mode(&mut self, next: DegradedMode) {
         if next != self.mode {
             self.mode = next;
@@ -662,7 +656,7 @@ impl SteeringService {
     /// circuit breaker at virtual time `now_us`. `stalled` is the
     /// deterministic stall roll for this op (true = the journal write
     /// stalled). Returns whether the op ran and succeeded.
-    pub fn maintain(&mut self, now_us: u64, stalled: bool) -> bool {
+    pub(crate) fn maintain(&mut self, now_us: u64, stalled: bool) -> bool {
         if !self.breaker.allows(now_us) {
             return false;
         }
@@ -698,7 +692,7 @@ impl SteeringService {
     /// breaker, and the mode ladder.
     ///
     /// Pass 2 (parallel, pure): admitted requests resolve against the
-    /// immutable table snapshot via [`run_chunked_on`] with `n_threads`
+    /// immutable table snapshot via `run_chunked_on` with `n_threads`
     /// workers — order-preserving, so the decision stream is
     /// bit-identical at any thread count.
     pub fn serve_day(
@@ -1147,7 +1141,7 @@ mod tests {
         s.set_mode(DegradedMode::HintsStale);
         let flights = FlightController::new(crate::flight::FlightConfig::default());
         assert_eq!(s.publish_from(&flights, &ServeFaultProfile::none()), 0);
-        assert_eq!(s.publishes(), 0);
+        assert_eq!(s.publishes, 0);
     }
 
     /// Satellite: scoped-thread stress test for the snapshot-swap read

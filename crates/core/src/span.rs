@@ -55,7 +55,7 @@ impl JobSpan {
 
 /// Maximum Algorithm-1 iterations (the loop converges much earlier in
 /// practice; this is a safety bound).
-pub const MAX_SPAN_ITERATIONS: usize = 64;
+pub(crate) const MAX_SPAN_ITERATIONS: usize = 64;
 
 /// Approximate the span of a job (Algorithm 1).
 ///
@@ -72,7 +72,7 @@ pub const MAX_SPAN_ITERATIONS: usize = 64;
 /// production system necessarily handles this implicitly.
 pub fn approximate_span(plan: &PlanGraph, obs: &ObservableCatalog) -> JobSpan {
     let lint = JobLint::new(plan);
-    approximate_span_with(Some(&lint), |config| {
+    approximate_span_with(&lint, |config| {
         compile(plan, obs, config).ok().map(|c| c.signature)
     })
 }
@@ -81,10 +81,26 @@ pub fn approximate_span(plan: &PlanGraph, obs: &ObservableCatalog) -> JobSpan {
 /// pipeline derives the span under its own cost model. The algorithm needs
 /// only the signature of a successful compile (`None` = did not compile).
 ///
-/// Given the job's `lint`, a configuration it classifies `Invalid` is
-/// answered `None` without calling `try_compile`: its compile could only
-/// end in `NoImplementation`, and every failure reads as `None`, so the
-/// [`JobSpan`] is the one `None` (compile everything) returns.
+/// A configuration the job's `lint` classifies `Invalid` is answered
+/// `None` without calling `try_compile`: its compile could only end in
+/// `NoImplementation`, and every failure reads as `None`, so the
+/// [`JobSpan`] is the one [`ungated_span`] returns.
+pub(crate) fn approximate_span_with(
+    lint: &JobLint,
+    mut try_compile: impl FnMut(&RuleConfig) -> Option<RuleSignature>,
+) -> JobSpan {
+    ungated_span(|config| {
+        if matches!(lint.classify(config), ConfigVerdict::Invalid { .. }) {
+            None
+        } else {
+            try_compile(config)
+        }
+    })
+}
+
+/// Algorithm 1 with every probe handed to `try_compile`: the reference the
+/// lint gate is held to, and the span the pipeline's ungated reference
+/// derives.
 ///
 /// Algorithm 1 asks for the same configuration more than once whenever the
 /// pinning recovery fires: the recovery trial that compiles is the next
@@ -94,23 +110,14 @@ pub fn approximate_span(plan: &PlanGraph, obs: &ObservableCatalog) -> JobSpan {
 /// it is answered from the probes this call has already made (failures
 /// included) and still counts as an iteration, so `try_compile` sees each
 /// enabled set at most once and the [`JobSpan`] is what re-asking returns.
-pub(crate) fn approximate_span_with(
-    lint: Option<&JobLint>,
+pub(crate) fn ungated_span(
     mut try_compile: impl FnMut(&RuleConfig) -> Option<RuleSignature>,
 ) -> JobSpan {
     let mut probed: HashMap<RuleSet, Option<RuleSignature>> = HashMap::new();
     let mut probe = |enabled: RuleSet| {
-        *probed.entry(enabled).or_insert_with(|| {
-            let config = RuleConfig::from_enabled(enabled);
-            let invalid = lint.is_some_and(|lint| {
-                matches!(lint.classify(&config), ConfigVerdict::Invalid { .. })
-            });
-            if invalid {
-                None
-            } else {
-                try_compile(&config)
-            }
-        })
+        *probed
+            .entry(enabled)
+            .or_insert_with(|| try_compile(&RuleConfig::from_enabled(enabled)))
     };
     let cat = RuleCatalog::global();
     let non_required = cat.non_required();
@@ -305,7 +312,7 @@ mod tests {
         lint: Option<&JobLint>,
     ) -> (JobSpan, usize) {
         let mut asked = std::collections::HashSet::new();
-        let span = approximate_span_with(lint, |config| {
+        let probe = |config: &RuleConfig| {
             assert!(
                 asked.insert(*config.enabled()),
                 "enabled set reached the compile step twice"
@@ -317,7 +324,11 @@ mod tests {
                 );
             }
             compile(plan, obs, config).ok().map(|c| c.signature)
-        });
+        };
+        let span = match lint {
+            Some(lint) => approximate_span_with(lint, probe),
+            None => ungated_span(probe),
+        };
         (span, asked.len())
     }
 

@@ -292,14 +292,14 @@ fn quarantined_hint_recovers_through_probation() {
 
     // A transient environment fault: the compile budget collapses, so the
     // first steered compile dies fatally and quarantines the hint.
-    c.store.compile_budget = CompileBudget::with_max_tasks(1);
+    c.config.compile_budget = CompileBudget::with_max_tasks(1);
     c.serve_day(&d.workload.day(1), &ab, &policy, 1);
     assert_eq!(c.store.hint(&key).unwrap().status, HintStatus::Quarantined);
 
     // The fault clears. Background sweeps now probe the quarantined hint;
     // after `PROBATION_CLEAN_REQUIRED` consecutive clean probes it
     // re-enters the rollout at Canary rather than staying dead forever.
-    c.store.compile_budget = CompileBudget::default();
+    c.config.compile_budget = CompileBudget::default();
     let required = PROBATION_CLEAN_REQUIRED;
     let mut restored_on = None;
     for day in 2..=(2 + 2 * required) {
@@ -412,23 +412,36 @@ fn starved_compile_budget_quarantines_on_every_path() {
             c.revalidate_background(jobs, ab, 1).quarantined.len()
         }),
     ];
+    let starved = FlightConfig {
+        compile_budget: CompileBudget::with_max_tasks(1),
+        ..FlightConfig::default()
+    };
     for (name, path) in paths {
-        let mut c = FlightController::new(FlightConfig::default());
-        c.ingest_deployed(std::slice::from_ref(&victim), 0);
-        c.store.compile_budget = CompileBudget::with_max_tasks(1);
-        assert_eq!(path(&mut c, &day1, &ab), 1, "{name}: one veto");
-        assert_eq!(
-            c.store.hint(&key).unwrap().status,
-            HintStatus::Quarantined,
-            "{name}"
-        );
-        assert!(
-            c.journal_text()
-                .lines()
-                .last()
-                .unwrap()
-                .contains("quarantined"),
-            "{name}: the quarantine is journaled"
-        );
+        // The budget is a setting, not state: a controller rebuilt from its
+        // journal runs under the config `recover` is given, so it starves
+        // exactly like the live one.
+        for recovered in [false, true] {
+            let mut c = FlightController::new(starved.clone());
+            c.ingest_deployed(std::slice::from_ref(&victim), 0);
+            if recovered {
+                (c, _) = FlightController::recover(None, &c.journal_text(), starved.clone())
+                    .expect("journal recovers");
+            }
+            let name = format!("{name} (recovered: {recovered})");
+            assert_eq!(path(&mut c, &day1, &ab), 1, "{name}: one veto");
+            assert_eq!(
+                c.store.hint(&key).unwrap().status,
+                HintStatus::Quarantined,
+                "{name}"
+            );
+            assert!(
+                c.journal_text()
+                    .lines()
+                    .last()
+                    .unwrap()
+                    .contains("quarantined"),
+                "{name}: the quarantine is journaled"
+            );
+        }
     }
 }

@@ -59,7 +59,7 @@ pub struct ArrivalBurst {
 impl ArrivalBurst {
     /// The default overload spike: 60% of the day's traffic crammed into
     /// a two-minute-scale window mid-morning.
-    pub fn spike() -> ArrivalBurst {
+    pub(crate) fn spike() -> ArrivalBurst {
         ArrivalBurst {
             start_frac: 0.40,
             width_frac: 0.002,
@@ -112,19 +112,23 @@ impl ArrivalCurve {
         let within = (unit(self.seed, day, idx, 1) * bin_us as f64) as u64;
         (hour as u64 * bin_us + within).min(self.day_us - 1)
     }
-
-    /// Arrival offsets for jobs `0..n` on `day`, in job-index order
-    /// (callers sort by arrival themselves when they need stream order).
-    pub fn day_arrivals(&self, day: u32, n: usize, burst: Option<&ArrivalBurst>) -> Vec<u64> {
-        (0..n as u64)
-            .map(|idx| self.arrival_us(day, idx, burst))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Arrival offsets for jobs `0..n` on `day`, in job-index order.
+    fn day_arrivals(
+        c: &ArrivalCurve,
+        day: u32,
+        n: usize,
+        burst: Option<&ArrivalBurst>,
+    ) -> Vec<u64> {
+        (0..n as u64)
+            .map(|idx| c.arrival_us(day, idx, burst))
+            .collect()
+    }
 
     #[test]
     fn arrivals_are_deterministic_and_in_range() {
@@ -141,17 +145,17 @@ mod tests {
     #[test]
     fn different_days_and_seeds_differ() {
         let c = ArrivalCurve::new(7);
-        let d0 = c.day_arrivals(0, 100, None);
-        let d1 = c.day_arrivals(1, 100, None);
+        let d0 = day_arrivals(&c, 0, 100, None);
+        let d1 = day_arrivals(&c, 1, 100, None);
         assert_ne!(d0, d1);
-        let other = ArrivalCurve::new(8).day_arrivals(0, 100, None);
+        let other = day_arrivals(&ArrivalCurve::new(8), 0, 100, None);
         assert_ne!(d0, other);
     }
 
     #[test]
     fn curve_is_diurnal_not_uniform() {
         let c = ArrivalCurve::new(2021);
-        let arrivals = c.day_arrivals(0, 20_000, None);
+        let arrivals = day_arrivals(&c, 0, 20_000, None);
         let bin_us = DAY_US / 24;
         let mut per_hour = [0usize; 24];
         for a in arrivals {
@@ -167,7 +171,7 @@ mod tests {
     fn burst_concentrates_arrivals() {
         let c = ArrivalCurve::new(11);
         let burst = ArrivalBurst::spike();
-        let arrivals = c.day_arrivals(0, 10_000, Some(&burst));
+        let arrivals = day_arrivals(&c, 0, 10_000, Some(&burst));
         let lo = (burst.start_frac * DAY_US as f64) as u64;
         let hi = ((burst.start_frac + burst.width_frac) * DAY_US as f64) as u64;
         let in_window = arrivals.iter().filter(|&&a| a >= lo && a < hi).count();

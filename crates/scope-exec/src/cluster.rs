@@ -41,15 +41,9 @@ impl ClusterConfig {
     }
 
     /// Effective noise σ for a job of the given true runtime.
-    pub fn sigma_for_runtime(&self, runtime_s: f64) -> f64 {
+    pub(crate) fn sigma_for_runtime(&self, runtime_s: f64) -> f64 {
         self.noise_sigma_long
             + self.noise_sigma_short * (-runtime_s / self.noise_decay_s.max(1.0)).exp()
-    }
-
-    /// Vertex waves a stage of the given parallelism needs under this
-    /// cluster's token limit.
-    pub fn waves_for(&self, dop: u32) -> f64 {
-        crate::simulate::waves_for_tokens(dop, self.tokens)
     }
 }
 
@@ -84,10 +78,11 @@ mod tests {
 
     #[test]
     fn wave_counts_follow_token_limit() {
-        let c = ClusterConfig::ab_testing();
-        assert_eq!(c.waves_for(1), 1.0);
-        assert_eq!(c.waves_for(50), 1.0);
-        assert_eq!(c.waves_for(51), 2.0);
-        assert_eq!(c.waves_for(500), 10.0);
+        let waves =
+            |dop| crate::simulate::waves_for_tokens(dop, ClusterConfig::ab_testing().tokens);
+        assert_eq!(waves(1), 1.0);
+        assert_eq!(waves(50), 1.0);
+        assert_eq!(waves(51), 2.0);
+        assert_eq!(waves(500), 10.0);
     }
 }

@@ -14,8 +14,8 @@
 //!   retry budget with exponential backoff, and an optional job timeout.
 //! * [`JobOutcome`] — what happened: clean success, success after retries,
 //!   retry-budget exhaustion, or timeout.
-//! * [`execute_with_faults`] — the faulted twin of
-//!   [`execute`](crate::simulate::execute). With [`FaultProfile::none`] it
+//! * `execute_with_faults` — the faulted twin of
+//!   `simulate::execute`. With [`FaultProfile::none`] it
 //!   delegates to the noise-only simulator and is bit-identical to it.
 //!
 //! Failed vertices force their stage to re-run: retries consume a shared
@@ -84,7 +84,7 @@ pub struct FaultProfile {
 }
 
 impl FaultProfile {
-    /// No faults at all. [`execute_with_faults`] with this profile is
+    /// No faults at all. `execute_with_faults` with this profile is
     /// bit-identical to the noise-only simulator.
     pub fn none() -> FaultProfile {
         FaultProfile {
@@ -98,18 +98,6 @@ impl FaultProfile {
             speculative_execution: true,
             timeout_s: None,
             slowdown_plans: Vec::new(),
-        }
-    }
-
-    /// A mildly unhealthy cluster: rare vertex failures, occasional
-    /// stragglers.
-    pub fn light() -> FaultProfile {
-        FaultProfile {
-            vertex_failure_prob: 2e-4,
-            straggler_prob: 0.02,
-            straggler_slowdown: 2.5,
-            preemption_prob: 0.002,
-            ..FaultProfile::none()
         }
     }
 
@@ -149,14 +137,6 @@ impl FaultProfile {
         }
     }
 
-    /// Same profile with seeded backoff jitter (see
-    /// [`backoff_jitter_frac`](FaultProfile::backoff_jitter_frac)).
-    /// `frac` is clamped to `[0, 1]`.
-    pub fn with_backoff_jitter(mut self, frac: f64) -> FaultProfile {
-        self.backoff_jitter_frac = frac.clamp(0.0, 1.0);
-        self
-    }
-
     /// True when the profile cannot change an execution in any way.
     pub fn is_none(&self) -> bool {
         self.vertex_failure_prob <= 0.0
@@ -168,7 +148,7 @@ impl FaultProfile {
 
     /// The planted slowdown factor for a plan fingerprint (1.0 when the
     /// plan is not targeted). First match wins.
-    pub fn slowdown_for(&self, fingerprint: u64) -> f64 {
+    pub(crate) fn slowdown_for(&self, fingerprint: u64) -> f64 {
         self.slowdown_plans
             .iter()
             .find(|(fp, _)| *fp == fingerprint)
@@ -358,7 +338,7 @@ impl ServeFaultProfile {
     }
 
     /// A thundering-herd arrival spike (see
-    /// [`ArrivalBurst::spike`](crate::arrival::ArrivalBurst::spike)).
+    /// `ArrivalBurst::spike`).
     pub fn burst_overload() -> ServeFaultProfile {
         ServeFaultProfile {
             name: "burst_overload",
@@ -504,10 +484,10 @@ fn schedule_with_faults<R: Rng + ?Sized>(
 }
 
 /// Execute a plan under a fault profile. With [`FaultProfile::none`] this
-/// is bit-identical to [`execute`](crate::simulate::execute) (same RNG
+/// is bit-identical to [`crate::simulate::execute`] (same RNG
 /// stream, same metrics); otherwise faults are rolled deterministically
 /// from `rng`, so a fixed seed gives a fixed outcome.
-pub fn execute_with_faults<R: Rng + ?Sized>(
+pub(crate) fn execute_with_faults<R: Rng + ?Sized>(
     plan: &PhysPlan,
     cat: &TrueCatalog,
     cluster: &ClusterConfig,
@@ -663,7 +643,6 @@ mod tests {
     fn none_profile_is_inert() {
         let p = FaultProfile::none();
         assert!(p.is_none());
-        assert!(!FaultProfile::light().is_none());
         assert!(!FaultProfile::heavy().is_none());
         assert!(!FaultProfile::none().with_timeout(60.0).is_none());
     }
@@ -760,7 +739,10 @@ mod tests {
         let jittered = schedule_with_faults(
             &g,
             100,
-            &p.clone().with_backoff_jitter(0.0),
+            &FaultProfile {
+                backoff_jitter_frac: 0.0,
+                ..p.clone()
+            },
             &mut StdRng::seed_from_u64(5),
         );
         assert_eq!(base.runtime, jittered.runtime);
@@ -770,7 +752,8 @@ mod tests {
     #[test]
     fn backoff_jitter_desynchronizes_but_stays_seeded() {
         let g = chain_graph(10.0, 1000, 4);
-        let mut p = FaultProfile::with_vertex_failures(0.05).with_backoff_jitter(0.5);
+        let mut p = FaultProfile::with_vertex_failures(0.05);
+        p.backoff_jitter_frac = 0.5;
         p.max_retries = 10;
         let a = schedule_with_faults(&g, 100, &p, &mut StdRng::seed_from_u64(5));
         let b = schedule_with_faults(&g, 100, &p, &mut StdRng::seed_from_u64(5));
@@ -782,12 +765,14 @@ mod tests {
         let c = schedule_with_faults(&g, 100, &p, &mut StdRng::seed_from_u64(6));
         assert!(a.runtime != c.runtime || a.retries != c.retries);
         // Jitter is clamped into a sane range.
-        assert_eq!(
-            FaultProfile::none()
-                .with_backoff_jitter(7.0)
-                .backoff_jitter_frac,
-            1.0
-        );
+        let jitter = |frac| {
+            let p = FaultProfile {
+                backoff_jitter_frac: frac,
+                ..p.clone()
+            };
+            schedule_with_faults(&g, 100, &p, &mut StdRng::seed_from_u64(5)).runtime
+        };
+        assert_eq!(jitter(7.0), jitter(1.0));
     }
 
     #[test]

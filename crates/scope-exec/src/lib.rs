@@ -42,10 +42,9 @@ pub use arrival::{ArrivalBurst, ArrivalCurve, DAY_US};
 pub use cluster::ClusterConfig;
 pub use explain::{explain, ExecutionTrace, NodeReport, StageReport};
 pub use faults::{
-    execute_with_faults, CrashPlan, CrashRoll, FaultProfile, FaultedRun, JobOutcome,
-    ServeFaultProfile, TornSwap,
+    CrashPlan, CrashRoll, FaultProfile, FaultedRun, JobOutcome, ServeFaultProfile, TornSwap,
 };
 pub use rollout::in_rollout;
-pub use simulate::{execute, execute_deterministic, Metric, RunMetrics};
-pub use truth::{replay, result_fingerprint, semantic_fingerprint, NodeTruth, SemanticFingerprint};
+pub use simulate::{execute_deterministic, Metric, RunMetrics};
+pub use truth::{replay, result_fingerprint, NodeTruth};
 pub use work::NodeWork;

@@ -46,7 +46,7 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Fetch one metric. The match arms, [`RunMetrics::as_array`], and
+    /// Fetch one metric. The match arms, `RunMetrics::as_array`, and
     /// [`Metric::ALL`] must all list components in the same order — the
     /// `metric_selector_roundtrip` test checks every variant mechanically.
     pub fn get(&self, metric: Metric) -> f64 {
@@ -59,7 +59,7 @@ impl RunMetrics {
     }
 
     /// All components in [`Metric::ALL`] order.
-    pub fn as_array(&self) -> [f64; Metric::ALL.len()] {
+    pub(crate) fn as_array(&self) -> [f64; Metric::ALL.len()] {
         [self.runtime, self.cpu_time, self.io_time, self.memory]
     }
 
@@ -121,7 +121,11 @@ pub struct StageGraph {
 }
 
 /// Build the stage graph and accumulate per-node work into stages.
-pub fn build_stages(plan: &PhysPlan, truths: &[NodeTruth], works: &[NodeWork]) -> StageGraph {
+pub(crate) fn build_stages(
+    plan: &PhysPlan,
+    truths: &[NodeTruth],
+    works: &[NodeWork],
+) -> StageGraph {
     let mut stages: Vec<Stage> = Vec::new();
     let mut node_stage = vec![0usize; plan.len()];
     let reachable = plan.reachable();
@@ -268,7 +272,7 @@ pub fn execute_deterministic(
 
 /// Execute with multiplicative lognormal noise (mean-one), modelling the
 /// cluster variance described in §3.1.1.
-pub fn execute<R: Rng + ?Sized>(
+pub(crate) fn execute<R: Rng + ?Sized>(
     plan: &PhysPlan,
     cat: &TrueCatalog,
     cluster: &ClusterConfig,

@@ -87,7 +87,7 @@ fn join_rows(
 }
 
 /// Derive the true properties of `op` from its children's true properties.
-pub fn derive_truth(op: &PhysOp, children: &[&NodeTruth], cat: &TrueCatalog) -> NodeTruth {
+pub(crate) fn derive_truth(op: &PhysOp, children: &[&NodeTruth], cat: &TrueCatalog) -> NodeTruth {
     let child = |i: usize| -> &NodeTruth { children[i] };
     match op {
         PhysOp::Scan {
@@ -313,7 +313,7 @@ pub fn derive_truth(op: &PhysOp, children: &[&NodeTruth], cat: &TrueCatalog) -> 
 /// ones; `Top`/`Sort`/`Window`/`Project` are excluded because estimate-
 /// trusting eliminations and window collapses legitimately drop them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SemanticFingerprint {
+pub(crate) struct SemanticFingerprint {
     /// Scanned table ids.
     pub tables: BTreeSet<u32>,
     /// Predicate-atom hashes from filters and pushed scan predicates.
@@ -383,7 +383,7 @@ fn agg_hash(keys: &[ColId], aggs: &[AggFunc]) -> u64 {
 
 /// Compute the semantic fingerprint of a physical plan (reachable nodes
 /// only).
-pub fn semantic_fingerprint(plan: &PhysPlan) -> SemanticFingerprint {
+pub(crate) fn semantic_fingerprint(plan: &PhysPlan) -> SemanticFingerprint {
     let mut fp = SemanticFingerprint::default();
     for id in plan.reachable() {
         match &plan.node(id).op {

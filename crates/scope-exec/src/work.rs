@@ -41,7 +41,7 @@ fn spill_ratio(build_pv: f64, mem: f64) -> f64 {
 }
 
 /// Compute the true work of `op`.
-pub fn node_work(
+pub(crate) fn node_work(
     op: &PhysOp,
     own: &NodeTruth,
     children: &[&NodeTruth],

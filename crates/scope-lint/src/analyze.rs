@@ -62,7 +62,7 @@ impl JobLint {
     /// `Becomes` escape into a reachable implementable kind. A present kind
     /// that is not implementable dooms its memo group — every alternative
     /// the group can ever hold keeps the kind.
-    pub fn certain_failures(&self, config: &RuleConfig) -> Vec<LintViolation> {
+    pub(crate) fn certain_failures(&self, config: &RuleConfig) -> Vec<LintViolation> {
         let graph = RuleGraph::global();
         let mut impl_ok = [false; OpKind::COUNT];
         for kind in OpKind::ALL {
@@ -108,7 +108,7 @@ impl JobLint {
         out
     }
 
-    /// The verdict: `Invalid` iff [`Self::certain_failures`] finds any.
+    /// The verdict: `Invalid` iff `certain_failures` finds any.
     pub fn classify(&self, config: &RuleConfig) -> ConfigVerdict {
         let violations = self.certain_failures(config);
         if violations.is_empty() {

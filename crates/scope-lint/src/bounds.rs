@@ -49,7 +49,7 @@
 //!   cost floor: the cost-model formula evaluated at provably-minimal
 //!   inputs (estimates are floored at one row) and minimized over every
 //!   degree-of-parallelism tier. Scan floors dominate in practice because
-//!   the raw bytes a scan reads ([`cost::raw_scan_bytes`]) depend only on
+//!   the raw bytes a scan reads ([`scope_optimizer::cost::raw_scan_bytes`]) depend only on
 //!   the table — a rewrite- and configuration-invariant quantity.
 //!
 //! The floor carries a tiny relative slack (`COST_SLACK`) absorbing the
@@ -203,7 +203,7 @@ impl PlanBounds {
     /// io, net, vertices) is non-negative and enters at weight 1; a
     /// correction multiplies cpu by its cpu factor and io+net by its io
     /// factor while leaving vertices unscaled, so the corrected scalar is
-    /// at least `min(1, f_cpu, f_io) · scalar` ([`correction_floor`]).
+    /// at least `min(1, f_cpu, f_io) · scalar` (`correction_floor`).
     /// Under the identity model the result is bit-identical to
     /// [`Self::cost_lo`] (`x · 1.0 == x`). Non-default *weights* invalidate
     /// the hand-derived formulas, so the bound degrades to the trivially

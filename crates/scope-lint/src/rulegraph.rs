@@ -66,7 +66,7 @@ impl RuleGraph {
     }
 
     /// `Child` escape rules anchored on `kind`.
-    pub fn child_escapes(&self, kind: OpKind) -> &RuleSet {
+    pub(crate) fn child_escapes(&self, kind: OpKind) -> &RuleSet {
         &self.child_escapes[kind as usize]
     }
 }

@@ -3,7 +3,7 @@
 
 use scope_ir::OpKind;
 use scope_lint::{catalog_invalid, ConfigVerdict, JobLint, LintViolation, RuleGraph};
-use scope_optimizer::RuleConfig;
+use scope_optimizer::{RuleAction, RuleConfig};
 use scope_workload::{Workload, WorkloadProfile};
 
 fn a_job_lint() -> JobLint {
@@ -49,8 +49,10 @@ fn all_exchange_impls_disabled_is_not_invalid() {
     // Exchange need is a cost-model outcome the analyzer does not predict
     // (single-machine plans never repartition), so it is never certain.
     let mut config = RuleConfig::default_config();
-    for &id in scope_optimizer::RuleCatalog::global().exchange_impls() {
-        config.disable(id);
+    for rule in scope_optimizer::RuleCatalog::global().rules() {
+        if matches!(rule.action, RuleAction::Impl(p) if p.implements().is_none()) {
+            config.disable(rule.id);
+        }
     }
     assert_eq!(a_job_lint().classify(&config), ConfigVerdict::Valid);
 }

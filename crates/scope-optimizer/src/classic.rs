@@ -279,7 +279,7 @@ mod cmemo {
             self.exprs.len()
         }
 
-        pub fn budget_rejections(&self) -> usize {
+        pub(crate) fn budget_rejections(&self) -> usize {
             self.budget_rejections
         }
     }

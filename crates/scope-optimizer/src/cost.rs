@@ -31,7 +31,7 @@ use crate::rules::PhysImpl;
 pub const DOP_TIERS: [u32; 10] = [1, 2, 5, 10, 25, 50, 100, 150, 200, 250];
 
 /// Bytes one vertex comfortably handles; drives the DOP heuristic.
-pub const BYTES_PER_VERTEX: f64 = 256.0 * 1024.0 * 1024.0;
+pub(crate) const BYTES_PER_VERTEX: f64 = 256.0 * 1024.0 * 1024.0;
 
 // Cost-unit constants (roughly: seconds of one vertex's work).
 pub const C_IO: f64 = 1.0 / (120.0 * 1024.0 * 1024.0); // 120 MB/s sequential IO
@@ -58,10 +58,10 @@ fn sane_volume(v: f64, what: &str) -> f64 {
     clamp_volume(v)
 }
 
-/// The release-mode half of [`sane_volume`], split out so tests can cover
+/// The release-mode half of `sane_volume`, split out so tests can cover
 /// the clamp itself without tripping the debug assertion.
 #[inline]
-pub fn clamp_volume(v: f64) -> f64 {
+pub(crate) fn clamp_volume(v: f64) -> f64 {
     if v.is_finite() && v >= 0.0 {
         v
     } else {
@@ -433,7 +433,11 @@ pub fn required_child_parts(phys: PhysImpl, op: &LogicalOp, arity: usize) -> Vec
 }
 
 /// Output partitioning of `phys` given its child output partitionings.
-pub fn output_part(phys: PhysImpl, op: &LogicalOp, child_parts: &[Partitioning]) -> Partitioning {
+pub(crate) fn output_part(
+    phys: PhysImpl,
+    op: &LogicalOp,
+    child_parts: &[Partitioning],
+) -> Partitioning {
     use PhysImpl::*;
     match phys {
         ScanSerial => Partitioning::Singleton,
@@ -900,7 +904,7 @@ pub fn exchange_cost(phys: PhysImpl, bytes: f64, target_dop: u32) -> OpCost {
 }
 
 /// Which exchange implementation realizes a required partitioning.
-pub fn exchange_impl_for(required: &Partitioning) -> Option<PhysImpl> {
+pub(crate) fn exchange_impl_for(required: &Partitioning) -> Option<PhysImpl> {
     match required {
         Partitioning::Hash(_) => Some(PhysImpl::ExchangeHash),
         Partitioning::Range(_) => Some(PhysImpl::ExchangeRange),

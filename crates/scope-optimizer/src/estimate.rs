@@ -143,7 +143,7 @@ impl<'a> Estimator<'a> {
     /// non-finite or non-positive factor is a feedback-path bug upstream:
     /// debug builds refuse it, release builds fall back to the identity so
     /// a poisoned factor can never produce NaN cardinalities.
-    pub fn with_rows_correction(obs: &'a ObservableCatalog, factor: f64) -> Self {
+    pub(crate) fn with_rows_correction(obs: &'a ObservableCatalog, factor: f64) -> Self {
         debug_assert!(
             factor.is_finite() && factor > 0.0,
             "rows correction must be finite and positive, got {factor}"

@@ -39,7 +39,7 @@ pub mod transform;
 pub mod validate;
 
 pub use config::{RuleConfig, RuleDiff, RuleSignature};
-pub use cost::{clamp_volume, CostCorrections, CostEstimate, CostModel, CostWeights};
+pub use cost::{CostCorrections, CostEstimate, CostModel, CostWeights};
 pub use optimizer::normalized_kind_counts;
 pub use optimizer::{
     catch_compile_panics, compile, compile_candidates, compile_job, compile_job_guarded,
@@ -50,4 +50,4 @@ pub use physical::{Partitioning, PhysNode, PhysOp, PhysPlan};
 pub use rules::{AnchorRewrite, PhysImpl, Rule, RuleAction, RuleCatalog, RuleCategory};
 pub use ruleset::{RuleId, RuleSet, NUM_RULES};
 pub use search::{CompileBudget, CompileError, CompilePhase};
-pub use validate::{required_parts_phys, validate_physical};
+pub use validate::validate_physical;

@@ -36,7 +36,7 @@
 //!
 //! Expressions are deduplicated by the streamed `(op.memo_hash, children)`
 //! hash, exactly as before interning: the interner stores the hasher state
-//! after the op prefix, and [`Memo::insert_inner`] resumes a clone of it
+//! after the op prefix, and `Memo::insert_inner` resumes a clone of it
 //! with the children. This is byte-identical to the old `expr_key`
 //! (proven by a unit test in `scope-ir::intern`), including its
 //! hash-only collision semantics.
@@ -54,7 +54,7 @@ use crate::search::CompileError;
 
 /// Maximum alternative expressions per group; further additions are
 /// rejected (exploration budget, like real optimizers' promise cutoffs).
-pub const MAX_EXPRS_PER_GROUP: usize = 24;
+pub(crate) const MAX_EXPRS_PER_GROUP: usize = 24;
 
 /// Maximum total expressions in a memo; exploration stops beyond this.
 pub const MAX_TOTAL_EXPRS: usize = 20_000;
@@ -106,7 +106,7 @@ impl EstId {
 
 /// One expression: an operator over child *groups*. A plain-`Copy` record
 /// of handles — resolve them through the owning [`Memo`]
-/// ([`Memo::op`], [`Memo::children`], [`Memo::expr_est`]).
+/// ([`Memo::op`], [`Memo::children`], `Memo::expr_est`).
 #[derive(Clone, Copy, Debug)]
 pub struct MExpr {
     /// Interned operator handle ([`Memo::op`] resolves it).
@@ -128,7 +128,7 @@ pub struct MExpr {
 impl MExpr {
     /// Number of child groups.
     #[inline]
-    pub fn n_children(&self) -> usize {
+    pub(crate) fn n_children(&self) -> usize {
         self.children_len as usize
     }
 }
@@ -334,7 +334,7 @@ impl Memo {
     /// expression is an alternative for that group; otherwise a new group
     /// is created (unless the expression already exists somewhere, in
     /// which case its group is reused).
-    pub fn insert_ref(
+    pub(crate) fn insert_ref(
         &mut self,
         op: &LogicalOp,
         children: &[GroupId],
@@ -353,7 +353,7 @@ impl Memo {
 
     /// Insert an expression, taking ownership of the operator (moved into
     /// the interner on first sight, dropped on a duplicate — never cloned).
-    pub fn insert_owned(
+    pub(crate) fn insert_owned(
         &mut self,
         op: LogicalOp,
         children: &[GroupId],
@@ -372,7 +372,7 @@ impl Memo {
 
     /// Insert an expression whose operator is already interned in *this*
     /// memo (e.g. reusing an existing expression's op with new children).
-    pub fn insert_interned(
+    pub(crate) fn insert_interned(
         &mut self,
         op: ExprId,
         children: &[GroupId],
@@ -391,7 +391,7 @@ impl Memo {
 
     /// Insert an owned operator over an existing expression's children
     /// (shared child range — no copy).
-    pub fn insert_owned_children_of(
+    pub(crate) fn insert_owned_children_of(
         &mut self,
         op: LogicalOp,
         children_of: MExprId,
@@ -410,7 +410,7 @@ impl Memo {
 
     /// Insert an already-interned operator over an existing expression's
     /// children (shared child range — no copy, no clone).
-    pub fn insert_interned_children_of(
+    pub(crate) fn insert_interned_children_of(
         &mut self,
         op: ExprId,
         children_of: MExprId,
@@ -587,7 +587,7 @@ impl Memo {
 
     /// The expression's operator kind (cached; no interner lookup).
     #[inline]
-    pub fn kind_of(&self, id: MExprId) -> OpKind {
+    pub(crate) fn kind_of(&self, id: MExprId) -> OpKind {
         self.exprs[id.index()].kind
     }
 
@@ -596,12 +596,6 @@ impl Memo {
     pub fn children(&self, id: MExprId) -> &[GroupId] {
         let e = &self.exprs[id.index()];
         &self.child_slab[e.children_start as usize..(e.children_start + e.children_len) as usize]
-    }
-
-    /// Resolve an interned operator handle (e.g. `MExpr::op`).
-    #[inline]
-    pub fn interned_op(&self, id: ExprId) -> &LogicalOp {
-        self.interner.op(id)
     }
 
     /// The canonical (first) expression of a group.
@@ -618,14 +612,8 @@ impl Memo {
 
     /// The canonical expression's kind.
     #[inline]
-    pub fn canonical_kind(&self, id: GroupId) -> OpKind {
+    pub(crate) fn canonical_kind(&self, id: GroupId) -> OpKind {
         self.kind_of(self.canonical(id))
-    }
-
-    /// Number of alternative expressions in a group.
-    #[inline]
-    pub fn group_len(&self, id: GroupId) -> usize {
-        self.groups[id.index()].len()
     }
 
     /// Iterate a group's expressions in insertion order (canonical first).
@@ -638,13 +626,13 @@ impl Memo {
 
     /// The group's canonical logical estimate.
     #[inline]
-    pub fn group_est(&self, id: GroupId) -> &LogicalEst {
+    pub(crate) fn group_est(&self, id: GroupId) -> &LogicalEst {
         &self.ests[self.groups[id.index()].est.index()]
     }
 
     /// An expression's own logical estimate.
     #[inline]
-    pub fn expr_est(&self, id: MExprId) -> &LogicalEst {
+    pub(crate) fn expr_est(&self, id: MExprId) -> &LogicalEst {
         &self.ests[self.exprs[id.index()].est.index()]
     }
 
@@ -658,7 +646,7 @@ impl Memo {
     /// materialising a `Vec<&LogicalEst>` (a [`ChildEsts`] impl for the
     /// costing path).
     #[inline]
-    pub fn group_ests<'a>(&'a self, children: &'a [GroupId]) -> GroupEsts<'a> {
+    pub(crate) fn group_ests<'a>(&'a self, children: &'a [GroupId]) -> GroupEsts<'a> {
         GroupEsts {
             memo: self,
             children,
@@ -674,14 +662,14 @@ impl Memo {
     }
 
     /// Number of insertions rejected by the memo's space budgets.
-    pub fn budget_rejections(&self) -> usize {
+    pub(crate) fn budget_rejections(&self) -> usize {
         self.budget_rejections
     }
 
     /// The operator kinds of this memo's expressions, one bit per
     /// [`OpKind`] discriminant.
     #[inline]
-    pub fn kinds_present(&self) -> u16 {
+    pub(crate) fn kinds_present(&self) -> u16 {
         self.kinds
     }
 
@@ -693,14 +681,14 @@ impl Memo {
 
     /// Iterate all expression ids (insertion order — original plan first,
     /// then rule outputs).
-    pub fn expr_ids(&self) -> impl Iterator<Item = MExprId> {
+    pub(crate) fn expr_ids(&self) -> impl Iterator<Item = MExprId> {
         (0..self.exprs.len() as u32).map(MExprId)
     }
 }
 
 /// Zero-allocation [`ChildEsts`] view: resolves each child group to its
 /// canonical estimate on demand.
-pub struct GroupEsts<'a> {
+pub(crate) struct GroupEsts<'a> {
     memo: &'a Memo,
     children: &'a [GroupId],
 }
@@ -863,7 +851,7 @@ mod tests {
             panic!()
         };
         assert_eq!(memo.expr(f2).group, fg);
-        assert_eq!(memo.group_len(fg), 2);
+        assert_eq!(memo.group_exprs(fg).count(), 2);
         assert_eq!(memo.expr(f2).created_by, Some(RuleId(90)));
         // Canonical estimate is from the first expression.
         assert_eq!(memo.group_est(fg).rows, memo.expr_est(f1).rows);
@@ -901,7 +889,7 @@ mod tests {
             }
         }
         assert!(budget_hit);
-        assert_eq!(memo.group_len(fg), MAX_EXPRS_PER_GROUP);
+        assert_eq!(memo.group_exprs(fg).count(), MAX_EXPRS_PER_GROUP);
         assert!(memo.budget_rejections() >= 1);
     }
 

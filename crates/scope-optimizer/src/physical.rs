@@ -30,7 +30,7 @@ pub enum Partitioning {
 impl Partitioning {
     /// Whether data with this partitioning satisfies `required` without an
     /// exchange.
-    pub fn satisfies(&self, required: &Partitioning) -> bool {
+    pub(crate) fn satisfies(&self, required: &Partitioning) -> bool {
         match (self, required) {
             (_, Partitioning::Any) => true,
             (Partitioning::Singleton, Partitioning::Singleton) => true,
@@ -279,7 +279,7 @@ impl PhysPlan {
     }
 
     /// Total estimated cost (sum of reachable per-operator costs).
-    pub fn total_est_cost(&self) -> f64 {
+    pub(crate) fn total_est_cost(&self) -> f64 {
         self.reachable()
             .iter()
             .map(|&id| self.node(id).est_cost)
@@ -288,7 +288,7 @@ impl PhysPlan {
 
     /// Total component-wise estimated cost (sum of reachable per-operator
     /// cost vectors).
-    pub fn total_est_cost_vec(&self) -> CostEstimate {
+    pub(crate) fn total_est_cost_vec(&self) -> CostEstimate {
         self.reachable()
             .iter()
             .fold(CostEstimate::ZERO, |acc, &id| {

@@ -17,7 +17,7 @@ use crate::ruleset::{RuleId, NUM_RULES};
 /// contain `Get`/`Select` after normalization and simple unaries need no
 /// canonicalization, so their markers exist but never fire — producing the
 /// paper's "unused required rules".
-pub const COMPLEX_KINDS: [OpKind; 8] = [
+pub(crate) const COMPLEX_KINDS: [OpKind; 8] = [
     OpKind::Join,
     OpKind::GroupBy,
     OpKind::UnionAll,

@@ -398,8 +398,6 @@ pub struct RuleCatalog {
     transform_ordinal: [u8; NUM_RULES],
     /// Implementation rules per logical kind.
     impls_by_kind: Vec<Vec<RuleId>>,
-    /// Exchange implementation rules.
-    exchange_impls: Vec<RuleId>,
     /// The `EnforceExchange` enforcer, which fires with every exchange.
     enforce_exchange: RuleId,
     /// Marker-style rules (Canonicalize / Guard / Marker), all categories.
@@ -408,8 +406,6 @@ pub struct RuleCatalog {
     /// enabled set selects the applicable rules without materializing a
     /// `Vec<RuleId>` per expression in the explore loop.
     transform_mask: [RuleSet; OpKind::COUNT],
-    /// `impls_by_kind` as bitset masks, for the implement loop.
-    impl_mask: [RuleSet; OpKind::COUNT],
     /// Implementation rule per `PhysImpl` discriminant (`None` for the
     /// non-exchange variants only if the catalog were ever incomplete);
     /// replaces the O(|rules|) scan the enforcer used to do per exchange.
@@ -433,7 +429,6 @@ impl RuleCatalog {
         let mut off_by_default = RuleSet::EMPTY;
         let mut transforms_by_kind = vec![Vec::new(); OpKind::COUNT];
         let mut impls_by_kind = vec![Vec::new(); OpKind::COUNT];
-        let mut exchange_impls = Vec::new();
         let mut enforce_exchange = None;
         let mut markers = Vec::new();
         let mut transform_ordinal = [u8::MAX; NUM_RULES];
@@ -446,10 +441,11 @@ impl RuleCatalog {
                 _ => {}
             }
             match &rule.action {
-                RuleAction::Impl(p) => match p.implements() {
-                    Some(kind) => impls_by_kind[kind as usize].push(rule.id),
-                    None => exchange_impls.push(rule.id),
-                },
+                RuleAction::Impl(p) => {
+                    if let Some(kind) = p.implements() {
+                        impls_by_kind[kind as usize].push(rule.id);
+                    }
+                }
                 RuleAction::Canonicalize(k) => {
                     markers.push(rule.id);
                     let _ = k;
@@ -471,13 +467,9 @@ impl RuleCatalog {
             }
         }
         let mut transform_mask = [RuleSet::EMPTY; OpKind::COUNT];
-        let mut impl_mask = [RuleSet::EMPTY; OpKind::COUNT];
         for kind in 0..OpKind::COUNT {
             for &id in &transforms_by_kind[kind] {
                 transform_mask[kind].insert(id);
-            }
-            for &id in &impls_by_kind[kind] {
-                impl_mask[kind].insert(id);
             }
         }
         let mut rule_by_impl = [None; PhysImpl::COUNT];
@@ -493,11 +485,9 @@ impl RuleCatalog {
             transforms_by_kind,
             transform_ordinal,
             impls_by_kind,
-            exchange_impls,
             enforce_exchange: enforce_exchange.expect("catalog has the exchange enforcer"),
             markers,
             transform_mask,
-            impl_mask,
             rule_by_impl,
         }
     }
@@ -536,7 +526,7 @@ impl RuleCatalog {
     /// `id`'s position among the transformation rules in id order (below
     /// 128); `None` when `id` is not a transformation.
     #[inline]
-    pub fn transform_ordinal(&self, id: RuleId) -> Option<usize> {
+    pub(crate) fn transform_ordinal(&self, id: RuleId) -> Option<usize> {
         let ordinal = self.transform_ordinal[id.index()];
         (ordinal != u8::MAX).then_some(usize::from(ordinal))
     }
@@ -551,14 +541,9 @@ impl RuleCatalog {
         &self.impls_by_kind[kind as usize]
     }
 
-    /// Exchange implementation rules.
-    pub fn exchange_impls(&self) -> &[RuleId] {
-        &self.exchange_impls
-    }
-
     /// The enforcer rule every inserted exchange fires.
     #[inline]
-    pub fn enforce_exchange(&self) -> RuleId {
+    pub(crate) fn enforce_exchange(&self) -> RuleId {
         self.enforce_exchange
     }
 
@@ -566,39 +551,19 @@ impl RuleCatalog {
     /// membership (and, via [`RuleSet::iter`], the same ascending-id order)
     /// as [`Self::transforms_for`].
     #[inline]
-    pub fn transform_mask(&self, kind: OpKind) -> RuleSet {
+    pub(crate) fn transform_mask(&self, kind: OpKind) -> RuleSet {
         self.transform_mask[kind as usize]
-    }
-
-    /// Implementation rules for `kind`, as a bitset mask. Same membership
-    /// and iteration order as [`Self::impls_for`].
-    #[inline]
-    pub fn impl_mask(&self, kind: OpKind) -> RuleSet {
-        self.impl_mask[kind as usize]
     }
 
     /// The implementation rule carrying `impl_` (O(1) array lookup).
     #[inline]
-    pub fn rule_for_impl(&self, impl_: PhysImpl) -> Option<RuleId> {
+    pub(crate) fn rule_for_impl(&self, impl_: PhysImpl) -> Option<RuleId> {
         self.rule_by_impl[impl_ as usize]
     }
 
     /// All marker-style rules.
-    pub fn markers(&self) -> &[RuleId] {
+    pub(crate) fn markers(&self) -> &[RuleId] {
         &self.markers
-    }
-
-    /// Count rules per category.
-    pub fn category_counts(&self) -> [usize; 4] {
-        let mut counts = [0usize; 4];
-        for r in &self.rules {
-            let idx = RuleCategory::ALL
-                .iter()
-                .position(|c| *c == r.category)
-                .expect("category in ALL");
-            counts[idx] += 1;
-        }
-        counts
     }
 }
 
@@ -612,8 +577,6 @@ mod tests {
         for kind in OpKind::ALL {
             let from_mask: Vec<RuleId> = cat.transform_mask(kind).iter().collect();
             assert_eq!(from_mask, cat.transforms_for(kind), "{kind:?} transforms");
-            let from_mask: Vec<RuleId> = cat.impl_mask(kind).iter().collect();
-            assert_eq!(from_mask, cat.impls_for(kind), "{kind:?} impls");
         }
     }
 
@@ -643,7 +606,12 @@ mod tests {
     #[test]
     fn catalog_has_paper_category_counts() {
         let cat = RuleCatalog::global();
-        let counts = cat.category_counts();
+        let counts = RuleCategory::ALL.map(|category| {
+            cat.rules()
+                .iter()
+                .filter(|r| r.category == category)
+                .count()
+        });
         assert_eq!(counts, [37, 46, 141, 32], "Required/Off/On/Impl");
         assert_eq!(cat.rules().len(), NUM_RULES);
         assert_eq!(cat.non_required().len(), 219);
@@ -730,7 +698,10 @@ mod tests {
                 "no implementation for {kind:?}"
             );
         }
-        assert!(!cat.exchange_impls().is_empty());
+        assert!(cat
+            .rules()
+            .iter()
+            .any(|r| matches!(r.action, RuleAction::Impl(p) if p.implements().is_none())));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `[RuleSet; OpKind::COUNT]` table; visiting an expression is then a
 //! 4-word bitset walk instead of collecting a `Vec<RuleId>` per
 //! expression. Implementation state (winners, failures, visit marks,
-//! extraction cache) lives in a reusable [`ImplementScratch`] of flat
+//! extraction cache) lives in a reusable `ImplementScratch` of flat
 //! per-group vectors rather than per-compile `HashMap`s. Both changes
 //! preserve rule order exactly: catalog rule lists are ascending by id and
 //! [`RuleSet::iter`] yields ascending ids.
@@ -38,7 +38,7 @@
 //! through the same `enforcer_for`. The table is forgotten exactly when
 //! the memo changes (`Prepared::explore` in `optimizer.rs`: once per
 //! partition of a batch, once per single compile), and by the public
-//! [`implement`] / [`implement_with_model`] on entry, which cannot know
+//! [`implement`] / `implement_with_model` on entry, which cannot know
 //! what their caller's scratch last saw. A single compile is a batch of
 //! one: it fills each slot it touches once, which is the costing it always
 //! did.
@@ -201,7 +201,7 @@ impl BudgetTracker {
     }
 
     /// Charge one task; errors once the budget is exhausted.
-    pub fn charge(&mut self, phase: CompilePhase) -> Result<(), CompileError> {
+    pub(crate) fn charge(&mut self, phase: CompilePhase) -> Result<(), CompileError> {
         self.tasks += 1;
         if self.tasks > self.max_tasks {
             return Err(CompileError::BudgetExhausted {
@@ -396,11 +396,11 @@ fn passes_through(phys: PhysImpl, op: &LogicalOp) -> bool {
 
 /// Reusable implementation-phase state: flat per-group vectors replacing
 /// the per-compile `HashMap`s, and the table of costed alternatives of the
-/// memo being implemented. [`ImplementScratch::reset`] re-sizes without
+/// memo being implemented. `ImplementScratch::reset` re-sizes without
 /// freeing, and winners are `Copy` handles into the table, so a pass whose
 /// slots are already filled allocates nothing before extraction.
 #[derive(Default)]
-pub struct ImplementScratch {
+pub(crate) struct ImplementScratch {
     winners: Vec<Option<Winner>>,
     failures: Vec<Option<CompileError>>,
     visiting: Vec<bool>,
@@ -483,7 +483,7 @@ pub fn implement(
 /// classic scalar path. Nothing says `scratch` last saw this memo, model
 /// and catalog, so its costed alternatives are forgotten first.
 #[allow(clippy::too_many_arguments)]
-pub fn implement_with_model(
+pub(crate) fn implement_with_model(
     memo: &Memo,
     root: GroupId,
     config: &RuleConfig,

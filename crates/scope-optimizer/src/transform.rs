@@ -18,7 +18,7 @@
 //! pair — including the overwhelmingly common case where the rule does not
 //! match and the arm returns `0` after one kind check. Arms that re-insert
 //! an existing operator now pass its interned handle
-//! ([`Memo::insert_interned_children_of`] and friends) instead of cloning
+//! (`Memo::insert_interned_children_of` and friends) instead of cloning
 //! it.
 //!
 //! ## Decide before allocating

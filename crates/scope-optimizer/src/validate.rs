@@ -36,7 +36,7 @@ fn phys_arity(op: &PhysOp) -> (usize, usize) {
 /// Input partitionings `op` requires of its `arity` children. Mirrors the
 /// cost model's requirement table, but reads the keys straight from the
 /// physical operator so it can audit a finished plan without the memo.
-pub fn required_parts_phys(op: &PhysOp, arity: usize) -> Vec<Partitioning> {
+pub(crate) fn required_parts_phys(op: &PhysOp, arity: usize) -> Vec<Partitioning> {
     let split = |keys: &[(scope_ir::ColId, scope_ir::ColId)]| {
         (
             keys.iter().map(|&(l, _)| l).collect::<Vec<_>>(),

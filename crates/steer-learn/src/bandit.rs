@@ -140,10 +140,6 @@ pub struct ReplayResult {
 }
 
 impl ReplayResult {
-    pub fn total_runtime(&self) -> f64 {
-        self.runtimes.iter().sum()
-    }
-
     /// Mean regret per step against the per-sample best configuration.
     pub fn mean_regret(&self, samples: &[&GroupSample]) -> f64 {
         if samples.is_empty() {
@@ -307,7 +303,7 @@ mod tests {
         let result = replay_bandit(&ds, &mut bandit, &mut rng);
         assert_eq!(result.runtimes.len(), 20);
         assert_eq!(result.choices.len(), 20);
-        assert!(result.total_runtime() > 0.0);
+        assert!(result.runtimes.iter().sum::<f64>() > 0.0);
     }
 
     /// Runtimes poisoned with NaN and infinity — the rewards themselves go

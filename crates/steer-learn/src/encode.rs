@@ -3,10 +3,10 @@
 //! for large-alphabet categorical features.
 
 /// Number of hash bins for large-alphabet categoricals (the paper uses 50).
-pub const HASH_BINS: usize = 50;
+pub(crate) const HASH_BINS: usize = 50;
 
 /// Deterministic bin for a hashed categorical value.
-pub fn hash_bin(value: u64) -> usize {
+pub(crate) fn hash_bin(value: u64) -> usize {
     // Splitmix-style finalizer for good bin spread.
     let mut x = value.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -16,7 +16,7 @@ pub fn hash_bin(value: u64) -> usize {
 }
 
 /// Write a one-hot encoding of `index` into `out[offset..offset+width]`.
-pub fn one_hot(out: &mut [f64], offset: usize, width: usize, index: usize) {
+pub(crate) fn one_hot(out: &mut [f64], offset: usize, width: usize, index: usize) {
     debug_assert!(index < width);
     for slot in &mut out[offset..offset + width] {
         *slot = 0.0;

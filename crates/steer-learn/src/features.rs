@@ -12,13 +12,13 @@ use crate::encode::{hash_bin, one_hot, HASH_BINS};
 const GRAPH_SLOT_WIDTH: usize = 3;
 
 /// Dimensionality of the job-level + query-graph part.
-pub fn job_feature_dim() -> usize {
+pub(crate) fn job_feature_dim() -> usize {
     // log bytes, #inputs, input-name multi-hot, template one-hot, graph slots.
     2 + HASH_BINS + HASH_BINS + OpKind::COUNT * GRAPH_SLOT_WIDTH
 }
 
 /// Dimensionality of one configuration's features.
-pub fn config_feature_dim() -> usize {
+pub(crate) fn config_feature_dim() -> usize {
     1 + NUM_RULES
 }
 
@@ -29,7 +29,7 @@ pub fn feature_dim(k: usize) -> usize {
 
 /// Job-level + query-graph features, computed from the job and its
 /// default-configuration compilation.
-pub fn job_features(job: &Job, default: &CompiledPlan) -> Vec<f64> {
+pub(crate) fn job_features(job: &Job, default: &CompiledPlan) -> Vec<f64> {
     let mut out = vec![0.0; job_feature_dim()];
     out[0] = (job.total_input_bytes() as f64 + 1.0).ln();
     out[1] = job.inputs.len() as f64;
@@ -87,7 +87,7 @@ fn phys_slot(name: &str) -> usize {
 
 /// Per-configuration features: log estimated cost plus the RuleDiff vector
 /// against the default signature.
-pub fn config_features(
+pub(crate) fn config_features(
     default_signature: &RuleSignature,
     est_cost: f64,
     signature: &RuleSignature,
@@ -99,7 +99,7 @@ pub fn config_features(
 }
 
 /// Assemble the full raw feature vector for one sample.
-pub fn assemble(job_feats: &[f64], per_config: &[Vec<f64>]) -> Vec<f64> {
+pub(crate) fn assemble(job_feats: &[f64], per_config: &[Vec<f64>]) -> Vec<f64> {
     let mut out = Vec::with_capacity(job_feats.len() + per_config.len() * config_feature_dim());
     out.extend_from_slice(job_feats);
     for cf in per_config {

@@ -28,8 +28,8 @@ pub use bandit::{
     cost_model_choice, replay_bandit, ArmChooser, EpsilonGreedy, ReplayResult, ThompsonGaussian,
 };
 pub use dataset::{build_group_dataset, GroupDataset, GroupSample};
-pub use encode::{hash_bin, normalize_targets, Normalizer, HASH_BINS};
+pub use encode::{normalize_targets, Normalizer};
 pub use eval::{evaluate, GroupEval, PerQuery, RuntimeStats};
-pub use features::{assemble, config_features, feature_dim, job_features};
-pub use nn::{bce_loss, Mlp};
-pub use trainer::{split_indices, train_group, LearnedChooser, Split, TrainParams};
+pub use features::feature_dim;
+pub use nn::Mlp;
+pub use trainer::{train_group, LearnedChooser, Split, TrainParams};

@@ -5,7 +5,7 @@ use rand::Rng;
 
 /// Row-major dense matrix.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     pub rows: usize,
     pub cols: usize,
     data: Vec<f64>,
@@ -13,7 +13,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Matrix {
         Matrix {
             rows,
             cols,
@@ -22,7 +22,7 @@ impl Matrix {
     }
 
     /// He-style initialization for a layer with `cols` inputs.
-    pub fn he_init<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Matrix {
+    pub(crate) fn he_init<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Matrix {
         let scale = (2.0 / cols.max(1) as f64).sqrt();
         let data = (0..rows * cols)
             .map(|_| (rng.gen::<f64>() * 2.0 - 1.0) * scale)
@@ -30,28 +30,28 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    #[inline]
+    #[cfg(test)]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }
 
-    #[inline]
+    #[cfg(test)]
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
         self.data[r * self.cols + c] = v;
     }
 
     /// Raw storage (for the optimizer's per-parameter state).
-    pub fn data(&self) -> &[f64] {
+    pub(crate) fn data(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutable raw storage.
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
     /// `y = W·x` for a vector `x` of length `cols`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Vec<f64> {
         debug_assert_eq!(x.len(), self.cols);
         let mut y = vec![0.0; self.rows];
         for (yr, row) in y.iter_mut().zip(self.data.chunks_exact(self.cols)) {
@@ -65,7 +65,7 @@ impl Matrix {
     }
 
     /// `y = Wᵀ·g` (backprop through the layer).
-    pub fn matvec_t(&self, g: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec_t(&self, g: &[f64]) -> Vec<f64> {
         debug_assert_eq!(g.len(), self.rows);
         let mut y = vec![0.0; self.cols];
         for (row, &gr) in self.data.chunks_exact(self.cols).zip(g.iter()) {
@@ -77,7 +77,7 @@ impl Matrix {
     }
 
     /// Accumulate the outer product `grad += g ⊗ x` into `grad`.
-    pub fn accumulate_outer(grad: &mut Matrix, g: &[f64], x: &[f64]) {
+    pub(crate) fn accumulate_outer(grad: &mut Matrix, g: &[f64], x: &[f64]) {
         debug_assert_eq!(grad.rows, g.len());
         debug_assert_eq!(grad.cols, x.len());
         for (r, gr) in g.iter().enumerate() {
@@ -91,11 +91,6 @@ impl Matrix {
     /// Number of parameters.
     pub fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Whether the matrix is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 }
 

@@ -14,7 +14,7 @@ fn sigmoid(x: f64) -> f64 {
 
 /// Binary cross entropy for continuous targets in `[0, 1]` (PyTorch's
 /// `BCELoss` semantics used by the paper).
-pub fn bce_loss(pred: &[f64], target: &[f64]) -> f64 {
+pub(crate) fn bce_loss(pred: &[f64], target: &[f64]) -> f64 {
     const EPS: f64 = 1e-7;
     pred.iter()
         .zip(target.iter())
@@ -102,16 +102,6 @@ impl Mlp {
             b2: vec![0.0; output],
             t: 0.0,
         }
-    }
-
-    /// Network dimensions `(input, hidden, output)`.
-    pub fn dims(&self) -> (usize, usize, usize) {
-        (self.w1.cols, self.w1.rows, self.w2.rows)
-    }
-
-    /// Number of trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.w1.len() + self.b1.len() + self.w2.len() + self.b2.len()
     }
 
     /// Forward pass returning `(hidden pre-activations, outputs)`.
@@ -254,7 +244,9 @@ mod tests {
     fn param_count_matches_architecture() {
         let mut rng = StdRng::seed_from_u64(1);
         let mlp = Mlp::new(100, 1024, 10, &mut rng);
-        assert_eq!(mlp.num_params(), 100 * 1024 + 1024 + 1024 * 10 + 10);
-        assert_eq!(mlp.dims(), (100, 1024, 10));
+        let params =
+            mlp.w1.rows * mlp.w1.cols + mlp.b1.len() + mlp.w2.rows * mlp.w2.cols + mlp.b2.len();
+        assert_eq!(params, 100 * 1024 + 1024 + 1024 * 10 + 10);
+        assert_eq!((mlp.w1.cols, mlp.w1.rows, mlp.w2.rows), (100, 1024, 10));
     }
 }

@@ -4,5 +4,4 @@
 pub mod matrix;
 pub mod mlp;
 
-pub use matrix::Matrix;
-pub use mlp::{bce_loss, Mlp};
+pub use mlp::Mlp;

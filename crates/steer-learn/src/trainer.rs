@@ -49,7 +49,7 @@ pub struct Split {
 }
 
 /// Random 40/20/40 split.
-pub fn split_indices<R: Rng + ?Sized>(n: usize, p: &TrainParams, rng: &mut R) -> Split {
+pub(crate) fn split_indices<R: Rng + ?Sized>(n: usize, p: &TrainParams, rng: &mut R) -> Split {
     let mut idx: Vec<usize> = (0..n).collect();
     idx.shuffle(rng);
     let n_train = ((n as f64) * p.train_frac).round() as usize;
@@ -74,7 +74,7 @@ pub struct LearnedChooser {
 impl LearnedChooser {
     /// Pick the configuration index (argmin of predicted normalized
     /// runtime) for a raw feature vector.
-    pub fn choose(&self, raw_features: &[f64]) -> usize {
+    pub(crate) fn choose(&self, raw_features: &[f64]) -> usize {
         let x = self.normalizer.transform(raw_features);
         let pred = self.model.predict(&x);
         // NaN-last: a diverged model (NaN predictions) degrades to a

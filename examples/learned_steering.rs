@@ -11,9 +11,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scope_steer::exec::ABTester;
 use scope_steer::ir::Job;
-use scope_steer::learn::{build_group_dataset, evaluate, train_group, TrainParams};
 use scope_steer::steer::{group_of, Pipeline, PipelineParams};
 use scope_steer::workload::{Workload, WorkloadProfile};
+use steer_learn::{build_group_dataset, evaluate, train_group, TrainParams};
 
 fn main() {
     let workload = Workload::generate(WorkloadProfile::workload_b(1.0));

@@ -21,9 +21,8 @@ use scope_steer::exec::{ABTester, ArrivalCurve, RetryPolicy, ServeFaultProfile};
 use scope_steer::ir::Job;
 use scope_steer::optimizer::{compile_job, RuleCatalog, RuleConfig};
 use scope_steer::steer::{
-    approximate_span, candidate_configs, discover_independent_groups, winning_configs,
-    FlightConfig, FlightController, Pipeline, PipelineParams, ServeRequest, ServiceConfig,
-    SteeringService,
+    approximate_span, candidate_configs, winning_configs, FlightConfig, FlightController, Pipeline,
+    PipelineParams, ServeRequest, ServiceConfig, SteeringService,
 };
 use scope_steer::workload::{Workload, WorkloadProfile, WorkloadTag};
 
@@ -71,7 +70,7 @@ impl Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scope-steer <workload|compile|span|search|independence|explain|pipeline|hints|serve> \
+        "usage: scope-steer <workload|compile|span|search|explain|pipeline|hints|serve> \
          [--tag A|B|C] [--scale 0.1] [--day 0] [--job N] [--m 200] [--days 3] \
          [--fault none|slow_lookups|torn_swaps|journal_stalls|burst_overload] [--threads 2]"
     );
@@ -210,27 +209,6 @@ fn main() {
                             .join(", ")
                     );
                 }
-            }
-        }
-        "independence" => {
-            let (_, jobs) = load_day(&args);
-            let job = pick_job(&args, &jobs);
-            let obs = job.catalog.observe();
-            let span = approximate_span(&job.plan, &obs);
-            let groups =
-                discover_independent_groups(&job.plan, &obs, &span, args.get("pairs", 400));
-            println!(
-                "job {}: span {} rules → {} independent groups in {} compiles (search space 2^{:.1} vs 2^{})",
-                job.id,
-                span.len(),
-                groups.groups.len(),
-                groups.compiles,
-                groups.search_space_log2(),
-                span.len()
-            );
-            for g in &groups.groups {
-                let names: Vec<_> = g.iter().map(|id| rules.rule(id).name.clone()).collect();
-                println!("  [{}]", names.join(", "));
             }
         }
         "explain" => {

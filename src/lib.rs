@@ -9,8 +9,7 @@
 //! * [`exec`] — the distributed execution simulator and A/B harness,
 //! * [`workload`] — production-shaped workload generators (A, B, C),
 //! * [`steer`] — job spans, configuration search, the discovery pipeline,
-//!   RuleDiff and rule-signature job groups,
-//! * [`learn`] — featurization and the learned configuration chooser.
+//!   RuleDiff, rule-signature job groups and the hint lifecycle.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
@@ -19,4 +18,3 @@ pub use scope_ir as ir;
 pub use scope_optimizer as optimizer;
 pub use scope_workload as workload;
 pub use steer_core as steer;
-pub use steer_learn as learn;

@@ -6,9 +6,9 @@ use scope_steer::ir::expr::{CmpOp, Literal, PredAtom, Predicate};
 use scope_steer::ir::ids::{ColId, DomainId, TableId};
 use scope_steer::ir::ops::LogicalOp;
 use scope_steer::ir::{PlanGraph, TrueCatalog};
-use scope_steer::learn::{normalize_targets, Normalizer};
 use scope_steer::optimizer::{RuleConfig, RuleId, RuleSet, NUM_RULES};
 use std::collections::HashSet;
+use steer_learn::{normalize_targets, Normalizer};
 
 fn rule_ids() -> impl Strategy<Value = Vec<u16>> {
     proptest::collection::vec(0u16..NUM_RULES as u16, 0..40)
