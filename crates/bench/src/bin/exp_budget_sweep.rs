@@ -15,10 +15,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scope_exec::{ABTester, RetryPolicy};
 use scope_optimizer::CompileBudget;
-use scope_steer_bench::harness::{pipeline_params, serve_measured_day, workload, AB_SEED};
+use scope_steer_bench::harness::{
+    minimize_winners, pipeline_params, serve_measured_day, workload, AB_SEED,
+};
 use scope_steer_bench::reporting::{banner, markdown_table, scale_arg, write_csv};
 use scope_workload::WorkloadTag;
-use steer_core::{minimize_config, winning_configs, Pipeline, PipelineParams};
+use steer_core::{winning_configs, Pipeline, PipelineParams};
 
 /// Per-candidate task budgets to sweep, `None` = unlimited control. The low
 /// end rejects every recompile; the knee sits where typical explore +
@@ -80,19 +82,7 @@ fn main() {
         let day0 = w.day(0);
         let mut rng = StdRng::seed_from_u64(0xB0D6E7);
         let report = p.discover(&day0, &mut rng);
-        let raw_winners = winning_configs(&report.outcomes, 10.0);
-
-        let mut minimized = Vec::new();
-        for winner in &raw_winners {
-            let Some(job) = day0.iter().find(|j| j.id == winner.base_job) else {
-                continue;
-            };
-            if let Some(min) = minimize_config(job, &winner.config) {
-                let mut m = winner.clone();
-                m.config = min.config;
-                minimized.push(m);
-            }
-        }
+        let minimized = minimize_winners(&day0, &winning_configs(&report.outcomes, 10.0)).winners;
         // Day 1: production traffic through the flight controller's
         // guardrail (same budget on steered compiles), every steered job
         // against a shadow baseline.

@@ -9,10 +9,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scope_exec::{ABTester, RetryPolicy};
-use scope_steer_bench::harness::{pipeline, workload, AB_SEED};
+use scope_steer_bench::harness::{minimize_winners, pipeline, workload, AB_SEED};
 use scope_steer_bench::reporting::{banner, markdown_table, scale_arg, write_csv};
 use scope_workload::WorkloadTag;
-use steer_core::{minimize_config, winning_configs, FlightConfig, FlightController};
+use steer_core::{winning_configs, FlightConfig, FlightController};
 
 fn main() {
     let scale = scale_arg();
@@ -36,21 +36,8 @@ fn main() {
     );
 
     // Minimize each winner into a reviewable hint.
-    let mut minimized = Vec::new();
-    let mut before = 0usize;
-    let mut after = 0usize;
-    for winner in &winners {
-        let Some(job) = day0.iter().find(|j| j.id == winner.base_job) else {
-            continue;
-        };
-        if let Some(min) = minimize_config(job, &winner.config) {
-            before += min.deltas_before;
-            after += min.deltas_after;
-            let mut w = winner.clone();
-            w.config = min.config;
-            minimized.push(w);
-        }
-    }
+    let min = minimize_winners(&day0, &winners);
+    let (minimized, before, after) = (min.winners, min.deltas_before, min.deltas_after);
     println!(
         "minimization: {} hints, total deltas {} → {} rules ({}x smaller)",
         minimized.len(),

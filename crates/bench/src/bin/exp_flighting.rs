@@ -19,12 +19,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scope_exec::{plan_fingerprint, ABTester, CrashPlan, FaultProfile, RetryPolicy};
 use scope_optimizer::{compile_job, compile_job_guarded, CompileBudget, RuleConfig};
-use scope_steer_bench::harness::{pipeline_params, workload, AB_SEED};
+use scope_steer_bench::harness::{minimize_winners, pipeline_params, workload, AB_SEED};
 use scope_steer_bench::reporting::{banner, json_object, markdown_table, scale_arg, write_json};
 use scope_workload::{Workload, WorkloadTag};
 use steer_core::{
-    minimize_config, winning_configs, FlightConfig, FlightController, GroupConfig, HintStatus,
-    Pipeline,
+    winning_configs, FlightConfig, FlightController, GroupConfig, HintStatus, Pipeline,
 };
 
 /// Days of production traffic served through the flight layer.
@@ -50,20 +49,10 @@ fn discover(scale: f64) -> Discovered {
     let day0 = w.day(0);
     let mut rng = StdRng::seed_from_u64(0xF11617);
     let report = p.discover(&day0, &mut rng);
-    let mut minimized = Vec::new();
-    for winner in &winning_configs(&report.outcomes, 10.0) {
-        let Some(job) = day0.iter().find(|j| j.id == winner.base_job) else {
-            continue;
-        };
-        if let Some(min) = minimize_config(job, &winner.config) {
-            let mut m = winner.clone();
-            m.config = min.config;
-            minimized.push(m);
-        }
-    }
+    let winners = minimize_winners(&day0, &winning_configs(&report.outcomes, 10.0)).winners;
     Discovered {
         workload: w,
-        winners: minimized,
+        winners,
     }
 }
 
@@ -259,7 +248,7 @@ fn main() {
     let victim = pick_victim(&d);
     let (canary_row, deployed_row) = if let Some((key, victim_config)) = victim {
         let faults = planted_faults(&d.workload, &key, &victim_config);
-        let has_distinct_plans = !faults.is_none();
+        let has_distinct_plans = !faults.slowdown_plans.is_empty();
         let ab = ABTester::new(AB_SEED).with_faults(faults);
 
         let canary = fly(&d, &ab, FlightConfig::default(), false, Some(&key), None);

@@ -1,5 +1,5 @@
-//! Shared experiment plumbing: compiled-and-executed days and the default
-//! experiment-scale pipeline parameters.
+//! Shared experiment plumbing: compiled-and-executed days, the default
+//! experiment-scale pipeline parameters, and winners minimized into hints.
 
 use scope_exec::{ABTester, RetryPolicy, RunMetrics};
 use scope_ir::Job;
@@ -7,7 +7,8 @@ use scope_optimizer::{compile_job, CompileBudget, CompiledPlan, RuleConfig};
 use scope_workload::{Workload, WorkloadProfile, WorkloadTag};
 use steer_core::par::run_chunked;
 use steer_core::{
-    FlightConfig, FlightController, FlightDayReport, GroupConfig, Pipeline, PipelineParams,
+    minimize_config, FlightConfig, FlightController, FlightDayReport, GroupConfig, Pipeline,
+    PipelineParams,
 };
 
 /// A job together with its default compilation and A/B execution.
@@ -73,6 +74,38 @@ pub fn run_discovery(tag: WorkloadTag, scale: f64) -> steer_core::DiscoveryRepor
     let p = pipeline(scale);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED ^ tag as u64);
     p.discover(&jobs, &mut rng)
+}
+
+/// Discovery winners minimized into the hints the flight controller flies.
+#[derive(Default)]
+pub struct MinimizedWinners {
+    pub winners: Vec<GroupConfig>,
+    /// Rule deltas from the default, summed over `winners`, before and
+    /// after minimization.
+    pub deltas_before: usize,
+    pub deltas_after: usize,
+}
+
+/// Minimize each winner's configuration on its base job (looked up in
+/// `jobs`, the day it was discovered on) to the fewest deltas that keep
+/// the same plan. A winner whose base job is missing or whose
+/// configuration no longer compiles is dropped.
+pub fn minimize_winners(jobs: &[Job], winners: &[GroupConfig]) -> MinimizedWinners {
+    let mut out = MinimizedWinners::default();
+    for winner in winners {
+        let Some(job) = jobs.iter().find(|j| j.id == winner.base_job) else {
+            continue;
+        };
+        if let Some(min) = minimize_config(job, &winner.config) {
+            out.deltas_before += min.deltas_before;
+            out.deltas_after += min.deltas_after;
+            out.winners.push(GroupConfig {
+                config: min.config,
+                ..winner.clone()
+            });
+        }
+    }
+    out
 }
 
 /// Day 1 of a sweep: serve `jobs` with every hint canarying at 100 %

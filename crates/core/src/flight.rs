@@ -435,7 +435,8 @@ pub enum RecoveryError {
     SnapshotVersion(String),
     /// The trailing checksum did not match the snapshot body.
     SnapshotChecksum,
-    /// A body line was neither a hint nor a flight record.
+    /// A body line was neither a hint nor a flight record, repeated a
+    /// group's flight, or was a hint or flight whose group lacks the other.
     SnapshotMalformed { line: usize, what: String },
     /// The embedded hint store failed to parse.
     SnapshotHints(crate::deploy::HintParseError),
@@ -1265,17 +1266,19 @@ fn parse_snapshot(text: &str, config: FlightConfig) -> Result<FlightController, 
         .strip_prefix("flightsnap\tv2\tseq:")
         .and_then(|s| s.parse::<u64>().ok())
         .ok_or_else(|| RecoveryError::SnapshotVersion(header.to_string()))?;
+    let malformed_at = |i: usize, line: &str| RecoveryError::SnapshotMalformed {
+        line: i + 1,
+        what: line.to_string(),
+    };
     let mut hint_lines = Vec::new();
+    let mut flight_lines = Vec::new();
     let mut flights = BTreeMap::new();
     for (i, line) in lines {
         if let Some(h) = line.strip_prefix("hint\t") {
-            hint_lines.push(h);
+            hint_lines.push((i, line, h));
             continue;
         }
-        let malformed = || RecoveryError::SnapshotMalformed {
-            line: i + 1,
-            what: line.to_string(),
-        };
+        let malformed = || malformed_at(i, line);
         let rest = line.strip_prefix("flight\t").ok_or_else(malformed)?;
         let fields: Vec<&str> = rest.split('\t').collect();
         if fields.len() != 7 {
@@ -1292,10 +1295,28 @@ fn parse_snapshot(text: &str, config: FlightConfig) -> Result<FlightController, 
             })
         })()
         .ok_or_else(malformed)?;
-        flights.insert(fields[0].to_string(), state);
+        if flights.insert(fields[0].to_string(), state).is_some() {
+            return Err(malformed());
+        }
+        flight_lines.push((i, line, fields[0]));
     }
+    let hint_text: Vec<&str> = hint_lines.iter().map(|&(_, _, h)| h).collect();
     let store =
-        HintStore::from_hint_text(&hint_lines.join("\n")).map_err(RecoveryError::SnapshotHints)?;
+        HintStore::from_hint_text(&hint_text.join("\n")).map_err(RecoveryError::SnapshotHints)?;
+    // An install writes a group's hint and its flight together and nothing
+    // removes either, so every group has both or the snapshot is not one a
+    // controller wrote: a flight without a hint would hold its jobs back
+    // forever, a hint without a flight would never be served or checked.
+    let flight_orphan = flight_lines
+        .iter()
+        .find(|&&(_, _, group)| store.hint(group).is_none());
+    let hint_orphan = hint_lines.iter().find(|&&(_, _, h)| {
+        let group = h.split('\t').next().unwrap_or_default();
+        !flights.contains_key(group)
+    });
+    if let Some(&(i, line, _)) = flight_orphan.or(hint_orphan) {
+        return Err(malformed_at(i, line));
+    }
     Ok(FlightController {
         store,
         flights,
@@ -1585,6 +1606,25 @@ mod tests {
             FlightController::recover(Some(&bad), "", FlightConfig::default()).unwrap_err(),
             RecoveryError::SnapshotChecksum
         );
+        // A correctly checksummed body that repeats a flight, or holds a
+        // flight or a hint without the other, is refused, not guessed at.
+        let body = snap.rsplit_once("\nend\t#").unwrap().0;
+        let line_of = |kind: &str| body.lines().find(|l| l.starts_with(kind)).unwrap();
+        let (hint, flight) = (line_of("hint\t"), line_of("flight\t"));
+        for (edited, line) in [
+            (body.replace(flight, &format!("{flight}\n{flight}")), 4),
+            (body.replace(&format!("{hint}\n"), ""), 2),
+            (body.replace(&format!("\n{flight}"), ""), 2),
+        ] {
+            let resummed = format!("{edited}\nend\t#{:016x}", fnv64(edited.as_bytes()));
+            assert!(
+                matches!(
+                    FlightController::recover(Some(&resummed), "", FlightConfig::default()),
+                    Err(RecoveryError::SnapshotMalformed { line: l, .. }) if l == line
+                ),
+                "accepted or misplaced:\n{resummed}"
+            );
+        }
     }
 
     #[test]

@@ -190,7 +190,10 @@ fn rollback_is_deterministic_across_worker_counts() {
 
     let victim = recurring_winner(&serial);
     let faults = FaultProfile::with_slowdown_plans(steered_fingerprints(&serial.workload, &victim));
-    assert!(!faults.is_none(), "victim must have distinct steered plans");
+    assert!(
+        !faults.slowdown_plans.is_empty(),
+        "victim must have distinct steered plans"
+    );
     // Wide canary so the planted regression is observed and tripped well
     // inside the serving window.
     let config = FlightConfig {

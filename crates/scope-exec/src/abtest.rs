@@ -13,8 +13,8 @@ use scope_ir::{Job, TrueCatalog};
 use scope_optimizer::{PhysOp, PhysPlan};
 
 use crate::cluster::ClusterConfig;
-use crate::faults::{execute_with_faults, FaultProfile, FaultedRun, JobOutcome};
-use crate::simulate::{execute_deterministic, RunMetrics};
+use crate::faults::{FaultProfile, FaultedRun, JobOutcome};
+use crate::simulate::{execute_deterministic, run, RunMetrics};
 
 /// Stable fingerprint of a physical plan's structure (used to seed
 /// per-plan noise so that re-running the same plan in the same trial is
@@ -41,11 +41,9 @@ pub struct RetryPolicy {
     /// Total attempts, including the first (≥ 1).
     pub max_attempts: u32,
     /// Wait before the first re-attempt (seconds); doubles per attempt.
-    /// The wait is billed to the reported wall-clock runtime.
+    /// The wait is billed to the reported wall-clock runtime. A per-attempt
+    /// deadline is the fault profile's [`FaultProfile::timeout_s`].
     pub backoff_base_s: f64,
-    /// Per-trial wall-clock cap: a single attempt running past this is
-    /// treated as timed out (and retried, budget permitting).
-    pub trial_timeout_s: Option<f64>,
 }
 
 impl Default for RetryPolicy {
@@ -53,18 +51,16 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             backoff_base_s: 30.0,
-            trial_timeout_s: None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// A policy that never retries and never times out (one bare attempt).
+    /// A policy that never retries (one bare attempt).
     pub fn no_retries() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             backoff_base_s: 0.0,
-            trial_timeout_s: None,
         }
     }
 }
@@ -75,8 +71,8 @@ pub struct ABTester {
     pub cluster: ClusterConfig,
     /// Base seed; combined with job, plan, and trial for noise.
     pub seed: u64,
-    /// Faults injected into every run ([`FaultProfile::none`] keeps the
-    /// harness bit-identical to the noise-only simulator).
+    /// Faults injected into every run ([`FaultProfile::none`] injects
+    /// none: runs carry only the cluster's noise).
     pub faults: FaultProfile,
 }
 
@@ -128,8 +124,9 @@ impl ABTester {
         trial: u32,
         attempt: u32,
     ) -> FaultedRun {
-        let mut rng = self.rng_for(tag, plan_fingerprint(plan), trial, attempt);
-        execute_with_faults(plan, cat, &self.cluster, &self.faults, &mut rng)
+        let fp = plan_fingerprint(plan);
+        let mut rng = self.rng_for(tag, fp, trial, attempt);
+        run(plan, cat, &self.cluster, &self.faults, fp, &mut rng)
     }
 
     /// Re-execute `plan` for `job` (trial index distinguishes repeated
@@ -162,22 +159,6 @@ impl ABTester {
         let mut last = None;
         for attempt in 0..attempts {
             let mut run = self.attempt(job.id.0, &job.catalog, plan, trial, attempt);
-            if let Some(t) = policy.trial_timeout_s {
-                if run.metrics.runtime > t {
-                    let done_frac = (t / run.metrics.runtime).clamp(0.0, 1.0);
-                    run.metrics.runtime = t;
-                    run.metrics.cpu_time *= done_frac;
-                    run.metrics.io_time *= done_frac;
-                    run.outcome = JobOutcome::TimedOut;
-                    // The clamp is a metrics producer: enforce the contract
-                    // here rather than in whoever ranks these runs.
-                    debug_assert!(
-                        run.metrics.is_valid(),
-                        "timeout clamp must keep metrics finite: {:?}",
-                        run.metrics
-                    );
-                }
-            }
             let attempt_runtime = run.metrics.runtime;
             run.metrics.runtime += elapsed_before;
             if run.outcome.is_success() {
@@ -356,11 +337,11 @@ mod tests {
     #[test]
     fn trial_timeout_in_policy_retries_then_gives_up() {
         let (plan, job) = tiny_plan();
-        let ab = ABTester::new(7);
+        // Nothing finishes this fast.
+        let ab = ABTester::new(7).with_faults(FaultProfile::none().with_timeout(1e-3));
         let policy = RetryPolicy {
             max_attempts: 3,
             backoff_base_s: 10.0,
-            trial_timeout_s: Some(1e-3), // nothing finishes this fast
         };
         let run = ab.run_with_retry(&job, &plan, 0, &policy);
         assert_eq!(run.outcome, JobOutcome::TimedOut);
@@ -381,7 +362,6 @@ mod tests {
         let patient = RetryPolicy {
             max_attempts: 5,
             backoff_base_s: 1.0,
-            trial_timeout_s: None,
         };
         let trials = 40;
         let bare_ok = (0..trials)

@@ -10,9 +10,8 @@ use scope_ir::TrueCatalog;
 use scope_optimizer::PhysPlan;
 
 use crate::cluster::ClusterConfig;
-use crate::simulate::{build_stages, makespan, RunMetrics};
-use crate::truth::{replay, NodeTruth};
-use crate::work::{node_work, NodeWork};
+use crate::simulate::{evaluate, makespan, RunMetrics};
+use crate::work::NodeWork;
 
 /// Per-operator row of the trace.
 #[derive(Clone, Debug)]
@@ -130,39 +129,28 @@ impl ExecutionTrace {
 
 /// Produce the trace of a (noise-free) execution.
 pub fn explain(plan: &PhysPlan, cat: &TrueCatalog, cluster: &ClusterConfig) -> ExecutionTrace {
-    let truths = replay(plan, cat);
-    let mut works = vec![NodeWork::default(); plan.len()];
-    for id in plan.reachable() {
-        let node = plan.node(id);
-        let children: Vec<&NodeTruth> = node.children.iter().map(|c| &truths[c.index()]).collect();
-        works[id.index()] = node_work(&node.op, &truths[id.index()], &children, cat, cluster);
-    }
-    let stages = build_stages(plan, &truths, &works);
-    let runtime = makespan(&stages, cluster.tokens);
-
-    let mut cpu = 0.0;
-    let mut io = 0.0;
-    let mut mem = 0.0_f64;
-    let mut nodes = Vec::new();
-    for id in plan.reachable() {
-        let n = plan.node(id);
-        let w = works[id.index()];
-        cpu += w.cpu;
-        io += w.io + w.net;
-        mem = mem.max(w.mem);
-        nodes.push(NodeReport {
-            node: id,
-            op: n.op.name(),
-            est_rows: n.est_rows,
-            true_rows: truths[id.index()].rows,
-            est_cost: n.est_cost,
-            work: w,
-            share: truths[id.index()].share,
-            dop: truths[id.index()].dop,
-            stage: stages.node_stage[id.index()],
-        });
-    }
-    let stage_reports = stages
+    let eval = evaluate(plan, cat, cluster);
+    let nodes = plan
+        .reachable()
+        .into_iter()
+        .map(|id| {
+            let n = plan.node(id);
+            let truth = &eval.truths[id.index()];
+            NodeReport {
+                node: id,
+                op: n.op.name(),
+                est_rows: n.est_rows,
+                true_rows: truth.rows,
+                est_cost: n.est_cost,
+                work: eval.works[id.index()],
+                share: truth.share,
+                dop: truth.dop,
+                stage: eval.stages.node_stage[id.index()],
+            }
+        })
+        .collect();
+    let stage_reports = eval
+        .stages
         .stages
         .iter()
         .enumerate()
@@ -177,10 +165,8 @@ pub fn explain(plan: &PhysPlan, cat: &TrueCatalog, cluster: &ClusterConfig) -> E
         nodes,
         stages: stage_reports,
         metrics: RunMetrics {
-            runtime,
-            cpu_time: cpu,
-            io_time: io,
-            memory: mem,
+            runtime: makespan(&eval.stages, cluster.tokens),
+            ..eval.totals
         },
     }
 }

@@ -10,16 +10,19 @@
 //! * [`work`] — the true per-operator work model (CPU / IO / network /
 //!   busiest-vertex elapsed), including spill cliffs and per-vertex
 //!   broadcast builds the optimizer's cost model never anticipates.
-//! * [`simulate`] — stage cutting at exchanges, token-limited wave
-//!   scheduling, critical-path makespan, and the paper's three metrics
-//!   (runtime, CPU time, total IO time).
+//! * [`simulate`] — the one execution path: evaluate a plan once (truth
+//!   replay, work, stage cutting at exchanges), schedule it on the
+//!   token-limited critical-path scheduler, then add rework, noise and the
+//!   timeout once; reports the paper's three metrics (runtime, CPU time,
+//!   total IO time) plus peak memory.
 //! * [`abtest`] — §3.1.3's A/B infrastructure: re-execute any compiled plan
 //!   under fixed resources (50 tokens) with seeded, reproducible noise,
 //!   fault injection, and retry-with-backoff scheduling,
-//! * [`faults`] — seeded, deterministic fault injection: transient vertex
-//!   failures with bounded retries, stragglers with speculative
-//!   re-execution, stage preemption, job timeouts, plan-targeted planted
-//!   regressions, and a countdown crash fault for crash-safety tests,
+//! * [`faults`] — seeded, deterministic fault injection and the scheduler
+//!   that rolls it: transient vertex failures with bounded retries,
+//!   stragglers with speculative re-execution, stage preemption, job
+//!   timeouts, plan-targeted planted regressions, and a countdown crash
+//!   fault for crash-safety tests,
 //! * [`rollout`] — deterministic hash-split traffic assignment for staged
 //!   canary rollouts (flighting),
 //! * [`arrival`] — deterministic diurnal job-arrival streams (with burst

@@ -6,14 +6,21 @@
 //! parallelism exceeds the job's tokens. Job runtime is the critical-path
 //! finish time of the output stage; CPU time and IO time aggregate over all
 //! vertices, mirroring the paper's three metrics (§3.1.2).
+//!
+//! Every run takes one path: `evaluate` (truth replay, per-operator work,
+//! stage cutting), the one scheduler `faults::schedule_with_faults`, then
+//! the planted slowdown, rework, noise and timeout, once each. The
+//! fault-free makespan is that scheduler under [`FaultProfile::none`].
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use scope_ir::stats::lognormal;
 use scope_ir::TrueCatalog;
 use scope_optimizer::PhysPlan;
 
 use crate::cluster::ClusterConfig;
+use crate::faults::{schedule_with_faults, FaultProfile, FaultedRun, JobOutcome};
 use crate::truth::{replay, NodeTruth};
 use crate::work::{node_work, NodeWork};
 
@@ -23,7 +30,7 @@ pub(crate) const STAGE_OVERHEAD_S: f64 = 2.0;
 pub(crate) const WAVE_OVERHEAD_S: f64 = 0.8;
 
 /// Vertex waves a stage of the given parallelism needs under a token
-/// limit (shared by the fault-free and faulted schedulers).
+/// limit.
 pub(crate) fn waves_for_tokens(dop: u32, tokens: u32) -> f64 {
     (dop as f64 / tokens.max(1) as f64).ceil().max(1.0)
 }
@@ -195,70 +202,56 @@ pub(crate) fn build_stages(
     }
 }
 
-/// Critical-path makespan under the token limit.
-pub fn makespan(stages: &StageGraph, tokens: u32) -> f64 {
-    let n = stages.stages.len();
-    let mut finish = vec![0.0_f64; n];
-    // Stages were created in topological order (children before parents).
-    for (i, stage) in stages.stages.iter().enumerate() {
-        let start = stage
-            .deps
-            .iter()
-            .map(|&d| finish[d])
-            .fold(0.0_f64, f64::max);
-        let waves = waves_for_tokens(stage.dop, tokens);
-        let time = stage.elapsed * waves + STAGE_OVERHEAD_S + WAVE_OVERHEAD_S * waves;
-        finish[i] = start + time;
-    }
-    let runtime = finish
-        .get(stages.root_stage)
-        .copied()
-        .unwrap_or(STAGE_OVERHEAD_S);
-    debug_assert!(
-        runtime.is_finite() && runtime >= 0.0,
-        "makespan must be finite and non-negative: {runtime}"
-    );
-    runtime
+/// A plan evaluated on the true catalog: per-node truths and work, the
+/// stages they cut into, and the job's fault-free CPU, IO and memory.
+/// Every way of running a plan starts here.
+pub(crate) struct Evaluation {
+    pub(crate) truths: Vec<NodeTruth>,
+    pub(crate) works: Vec<NodeWork>,
+    pub(crate) stages: StageGraph,
+    /// CPU, IO and peak-memory totals; `runtime` is the scheduler's to fill.
+    pub(crate) totals: RunMetrics,
 }
 
-/// Execute a plan deterministically (no noise).
-pub fn execute_deterministic(
-    plan: &PhysPlan,
-    cat: &TrueCatalog,
-    cluster: &ClusterConfig,
-) -> RunMetrics {
+/// Replay the true cardinalities through `plan`, price every operator's
+/// work, and cut the plan into stages.
+pub(crate) fn evaluate(plan: &PhysPlan, cat: &TrueCatalog, cluster: &ClusterConfig) -> Evaluation {
     let truths = replay(plan, cat);
     let mut works = vec![NodeWork::default(); plan.len()];
+    let mut totals = RunMetrics::default();
     for id in plan.reachable() {
         let node = plan.node(id);
         let children: Vec<&NodeTruth> = node.children.iter().map(|c| &truths[c.index()]).collect();
-        works[id.index()] = node_work(&node.op, &truths[id.index()], &children, cat, cluster);
+        let work = node_work(&node.op, &truths[id.index()], &children, cat, cluster);
+        totals.cpu_time += work.cpu;
+        totals.io_time += work.io + work.net;
+        totals.memory = totals.memory.max(work.mem);
+        works[id.index()] = work;
     }
     let stages = build_stages(plan, &truths, &works);
-    let runtime = makespan(&stages, cluster.tokens);
-    let mut cpu = 0.0;
-    let mut io = 0.0;
-    let mut mem = 0.0_f64;
-    for id in plan.reachable() {
-        cpu += works[id.index()].cpu;
-        io += works[id.index()].io + works[id.index()].net;
-        mem = mem.max(works[id.index()].mem);
+    Evaluation {
+        truths,
+        works,
+        stages,
+        totals,
     }
-    let metrics = RunMetrics {
-        runtime,
-        cpu_time: cpu,
-        io_time: io,
-        memory: mem,
-    };
-    debug_assert!(
-        metrics.is_valid(),
-        "deterministic metrics must stay finite and non-negative: {metrics:?}"
-    );
+}
+
+/// Critical-path makespan under the token limit: the fault-free schedule,
+/// which draws nothing from its generator.
+pub fn makespan(stages: &StageGraph, tokens: u32) -> f64 {
+    let mut no_draws = StdRng::seed_from_u64(0);
+    schedule_with_faults(stages, tokens, &FaultProfile::none(), &mut no_draws).runtime
+}
+
+/// Count one run and, when tracing, its scheduled runtime before noise and
+/// its stage times.
+fn record_run(stages: &StageGraph, runtime: f64) {
     scope_trace::count(scope_trace::Counter::ExecRuns, 1);
     if scope_trace::enabled() {
         scope_trace::record(
             scope_trace::Histogram::ExecSimulatedMillis,
-            (metrics.runtime * 1000.0) as u64,
+            (runtime * 1000.0) as u64,
         );
         for stage in &stages.stages {
             scope_trace::record(
@@ -267,43 +260,122 @@ pub fn execute_deterministic(
             );
         }
     }
-    metrics
 }
 
-/// Execute with multiplicative lognormal noise (mean-one), modelling the
-/// cluster variance described in §3.1.1.
-pub(crate) fn execute<R: Rng + ?Sized>(
+/// Execute a plan deterministically: no noise, no faults.
+pub fn execute_deterministic(
     plan: &PhysPlan,
     cat: &TrueCatalog,
     cluster: &ClusterConfig,
-    rng: &mut R,
 ) -> RunMetrics {
-    let base = execute_deterministic(plan, cat, cluster);
-    let sigma = cluster.sigma_for_runtime(base.runtime);
-    if sigma == 0.0 {
-        return base;
-    }
-    let mean_one = |rng: &mut R, s: f64| lognormal(rng, -s * s / 2.0, s);
-    // Exactly three draws, same order as before the memory metric was
-    // added: the RNG stream feeding every seed-stable test must not shift.
+    let eval = evaluate(plan, cat, cluster);
     let metrics = RunMetrics {
-        runtime: base.runtime * mean_one(rng, sigma),
-        cpu_time: base.cpu_time * mean_one(rng, sigma * 0.5),
-        io_time: base.io_time * mean_one(rng, sigma * 0.5),
-        memory: base.memory,
+        runtime: makespan(&eval.stages, cluster.tokens),
+        ..eval.totals
     };
     debug_assert!(
         metrics.is_valid(),
-        "noisy metrics must stay finite and non-negative: {metrics:?}"
+        "deterministic metrics must stay finite and non-negative: {metrics:?}"
     );
+    record_run(&eval.stages, metrics.runtime);
     metrics
+}
+
+/// Run a plan once under a fault profile: evaluate it, schedule it with
+/// fault rolls, stretch it by any slowdown planted on `fingerprint` (the
+/// plan's [`plan_fingerprint`](crate::abtest::plan_fingerprint)), bill the
+/// re-executed work, add the cluster's mean-one lognormal noise (§3.1.1),
+/// and kill it at the profile's timeout. A profile under which no fault can
+/// fire draws only the three noise samples from `rng`.
+pub(crate) fn run<R: Rng + ?Sized>(
+    plan: &PhysPlan,
+    cat: &TrueCatalog,
+    cluster: &ClusterConfig,
+    profile: &FaultProfile,
+    fingerprint: u64,
+    rng: &mut R,
+) -> FaultedRun {
+    let eval = evaluate(plan, cat, cluster);
+    let mut sched = schedule_with_faults(&eval.stages, cluster.tokens, profile, rng);
+    // Planted plan-targeted regression: the environment shift stretches
+    // this specific plan's schedule and burns proportional CPU, before
+    // cluster noise is applied (so the regression survives averaging).
+    let slowdown = profile.slowdown_for(fingerprint);
+    sched.runtime *= slowdown;
+    // Re-executed work burns CPU and re-reads inputs proportionally.
+    let rework_frac = if sched.clean_elapsed > 0.0 {
+        sched.rework_elapsed / sched.clean_elapsed
+    } else {
+        0.0
+    };
+    let mut metrics = RunMetrics {
+        runtime: sched.runtime,
+        cpu_time: eval.totals.cpu_time * ((1.0 + rework_frac) * slowdown),
+        io_time: eval.totals.io_time * (1.0 + rework_frac),
+        memory: eval.totals.memory,
+    };
+
+    let sigma = cluster.sigma_for_runtime(sched.runtime);
+    if sigma != 0.0 {
+        let mut mean_one = |s: f64| lognormal(rng, -s * s / 2.0, s);
+        // Three draws in this order; the byte peak takes none (working
+        // sets are a property of the data, not of cluster weather).
+        metrics.runtime *= mean_one(sigma);
+        metrics.cpu_time *= mean_one(sigma * 0.5);
+        metrics.io_time *= mean_one(sigma * 0.5);
+    }
+
+    let outcome = if let Some(stage) = sched.failed_at {
+        JobOutcome::Failed {
+            reason: format!(
+                "retry budget ({}) exhausted at stage {stage}",
+                profile.max_retries
+            ),
+        }
+    } else if let Some(t) = profile.timeout_s.filter(|&t| metrics.runtime > t) {
+        // The job is killed at the deadline; work done up to it is billed.
+        let done_frac = (t / metrics.runtime).clamp(0.0, 1.0);
+        metrics.runtime = t;
+        metrics.cpu_time *= done_frac;
+        metrics.io_time *= done_frac;
+        // The working-set peak was reached before the kill: report it as-is.
+        JobOutcome::TimedOut
+    } else if sched.retries > 0 {
+        JobOutcome::SuccessWithRetries {
+            retries: sched.retries,
+        }
+    } else {
+        JobOutcome::Success
+    };
+    debug_assert!(
+        metrics.is_valid(),
+        "run metrics must stay finite and non-negative: {metrics:?}"
+    );
+
+    record_run(&eval.stages, sched.runtime);
+    if scope_trace::enabled() {
+        scope_trace::count(scope_trace::Counter::ExecRetries, sched.retries.into());
+        scope_trace::count(
+            scope_trace::Counter::ExecSpeculativeCopies,
+            sched.speculative_copies.into(),
+        );
+        match &outcome {
+            JobOutcome::Failed { .. } => scope_trace::count(scope_trace::Counter::ExecFailures, 1),
+            JobOutcome::TimedOut => scope_trace::count(scope_trace::Counter::ExecTimeouts, 1),
+            JobOutcome::Success | JobOutcome::SuccessWithRetries { .. } => {}
+        }
+    }
+    FaultedRun {
+        metrics,
+        outcome,
+        retries: sched.retries,
+        speculative_copies: sched.speculative_copies,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use scope_ir::expr::Predicate;
     use scope_ir::ids::{ColId, DomainId, TableId};
     use scope_optimizer::{Partitioning, PhysNode, PhysOp};
@@ -360,15 +432,7 @@ mod tests {
     #[test]
     fn stage_cut_at_exchange() {
         let (plan, cat) = two_stage_plan();
-        let cluster = ClusterConfig::noiseless();
-        let truths = replay(&plan, &cat);
-        let mut works = vec![NodeWork::default(); plan.len()];
-        for id in plan.reachable() {
-            let n = plan.node(id);
-            let ch: Vec<&NodeTruth> = n.children.iter().map(|c| &truths[c.index()]).collect();
-            works[id.index()] = node_work(&n.op, &truths[id.index()], &ch, &cat, &cluster);
-        }
-        let stages = build_stages(&plan, &truths, &works);
+        let stages = evaluate(&plan, &cat, &ClusterConfig::noiseless()).stages;
         // Stage 0: scan + exchange (producer side). Stage 1: agg + output.
         assert_eq!(stages.stages.len(), 2);
         assert_eq!(stages.node_stage[0], 0);
@@ -418,20 +482,30 @@ mod tests {
         assert!(a.io_time > 0.0);
     }
 
+    /// The one run path without faults: noise only.
+    fn noisy_run(
+        plan: &PhysPlan,
+        cat: &TrueCatalog,
+        cluster: &ClusterConfig,
+        rng: &mut StdRng,
+    ) -> RunMetrics {
+        run(plan, cat, cluster, &FaultProfile::none(), 0, rng).metrics
+    }
+
     #[test]
     fn noise_is_seed_stable_and_mean_one_ish() {
         let (plan, cat) = two_stage_plan();
         let cluster = ClusterConfig::ab_testing();
         let base = execute_deterministic(&plan, &cat, &cluster);
         let mut rng = StdRng::seed_from_u64(42);
-        let a = execute(&plan, &cat, &cluster, &mut rng);
+        let a = noisy_run(&plan, &cat, &cluster, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(42);
-        let b = execute(&plan, &cat, &cluster, &mut rng2);
+        let b = noisy_run(&plan, &cat, &cluster, &mut rng2);
         assert_eq!(a, b);
         // Mean-one noise: across many trials the average is close to base.
         let mut rng = StdRng::seed_from_u64(7);
         let mean: f64 = (0..500)
-            .map(|_| execute(&plan, &cat, &cluster, &mut rng).runtime)
+            .map(|_| noisy_run(&plan, &cat, &cluster, &mut rng).runtime)
             .sum::<f64>()
             / 500.0;
         assert!((mean / base.runtime - 1.0).abs() < 0.05);
@@ -472,7 +546,7 @@ mod tests {
         let cluster = ClusterConfig::ab_testing();
         let base = execute_deterministic(&plan, &cat, &cluster);
         let mut rng = StdRng::seed_from_u64(9);
-        let noisy = execute(&plan, &cat, &cluster, &mut rng);
+        let noisy = noisy_run(&plan, &cat, &cluster, &mut rng);
         assert_ne!(noisy.runtime, base.runtime);
         assert_eq!(noisy.memory, base.memory);
     }
