@@ -207,10 +207,13 @@ pub struct FlightState {
     pub strikes: u32,
     pub cusum: f64,
     pub probation_clean: u32,
+    /// The traffic-split salt, a function of the group key alone: computed
+    /// once when the flight is created or recovered, never written out.
+    pub(crate) salt: u64,
 }
 
 impl FlightState {
-    fn new(day: u32) -> FlightState {
+    fn new(group: &str, day: u32) -> FlightState {
         FlightState {
             stage: FlightStage::Candidate,
             stage_since_day: day,
@@ -218,6 +221,7 @@ impl FlightState {
             strikes: 0,
             cusum: 0.0,
             probation_clean: 0,
+            salt: flight_salt(group),
         }
     }
 }
@@ -351,7 +355,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Deterministic per-flight salt for the traffic split.
-pub(crate) fn flight_salt(group: &str) -> u64 {
+fn flight_salt(group: &str) -> u64 {
     fnv64(group.as_bytes())
 }
 
@@ -665,7 +669,8 @@ impl FlightController {
                     discovered_day: *day,
                     status: *status,
                 });
-                self.flights.insert(group.clone(), FlightState::new(*day));
+                self.flights
+                    .insert(group.clone(), FlightState::new(group, *day));
             }
             FlightEvent::Stage { group, to, day } => {
                 if let Some(f) = self.flights.get_mut(group) {
@@ -838,7 +843,8 @@ impl FlightController {
                 }
                 DayDefault::Flighted(key, default) => (key, default),
             };
-            let stage = self.flights[key].stage;
+            let flight = &self.flights[key];
+            let (stage, salt) = (flight.stage, flight.salt);
             let exposure = stage.exposure_pct(&self.config);
             let active = self
                 .store
@@ -846,10 +852,7 @@ impl FlightController {
                 .is_some_and(|h| h.status == HintStatus::Active);
             let stats = report.by_group.entry(key.clone()).or_default();
             stats.matching += 1;
-            if exposure == 0
-                || !active
-                || !scope_exec::in_rollout(job.id.0, flight_salt(key), exposure)
-            {
+            if exposure == 0 || !active || !scope_exec::in_rollout(job.id.0, salt, exposure) {
                 stats.held_back += 1;
                 report.held_back += 1;
                 count(Counter::FlightHeldBack, 1);
@@ -1292,6 +1295,7 @@ fn parse_snapshot(text: &str, config: FlightConfig) -> Result<FlightController, 
                 strikes: fields[4].parse().ok()?,
                 cusum: f64_from_hex(fields[5])?,
                 probation_clean: fields[6].parse().ok()?,
+                salt: flight_salt(fields[0]),
             })
         })()
         .ok_or_else(malformed)?;

@@ -7,12 +7,14 @@
 //! steering service driven by streaming job arrival
 //! ([`scope_exec::arrival`]) instead of `compile_day` batches:
 //!
-//! * [`ServingTable`] — the lock-light read path: one immutable snapshot
-//!   of rule-signature → [`ServingEntry`], replaced whole by a
-//!   copy-on-write swap from the [`FlightController`]'s state, so readers
-//!   only ever take the read lock for the instant it takes to clone an
-//!   `Arc`. Entries carry a checksum so a torn write is *detected and
-//!   refused* (served default) rather than served corrupt.
+//! * [`ServingTable`] — the lock-light read path: one immutable snapshot,
+//!   a hash map from the group's bit-string key to a shared
+//!   (`Arc`'d) [`ServingEntry`], replaced whole by a copy-on-write swap
+//!   from the [`FlightController`]'s state, so readers only ever take the
+//!   read lock for the instant it takes to clone an `Arc`. A hit hands out
+//!   the entry's `Arc`; nothing on the read path copies an entry. Entries
+//!   carry a checksum, recomputed on every read, so a torn write is
+//!   *detected and refused* (served default) rather than served corrupt.
 //!   [`ServingTable::retire`] removes a group synchronously, which is what
 //!   makes "never serve a rolled-back or quarantined hint" a hard
 //!   invariant even when a torn publish swapped in a corrupt entry.
@@ -39,10 +41,18 @@
 //! snapshot — so 1, 2, and 4 serving threads produce bit-identical
 //! decision streams, which `tests/serving_chaos.rs` asserts under every
 //! fault profile.
+//!
+//! Two hashes, each where it fits: the map, the entry checksum and the
+//! decision-stream fingerprint use a private word-at-a-time hasher,
+//! because each runs over a 256-character key on every steered request;
+//! the fault rolls, the traffic split ([`scope_exec::in_rollout`]) and
+//! the per-flight salt keep the hashes they had, because they decide
+//! which config a request gets and the pinned decision streams depend on
+//! them.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::hash::{Hash, Hasher};
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 use scope_exec::faults::ServeFaultProfile;
@@ -50,16 +60,70 @@ use scope_optimizer::RuleConfig;
 use scope_trace::{count, record, Counter, Histogram};
 
 use crate::deploy::HintStatus;
-use crate::flight::{flight_salt, FlightController};
+use crate::flight::FlightController;
 use crate::par::run_chunked_on;
 
 /// Hash a sequence of `Hash` pieces with the std SipHash-backed hasher —
 /// deterministic for fixed inputs, the same property the rollout split
-/// and plan fingerprints already rely on.
+/// and plan fingerprints already rely on. Only the fault rolls use it:
+/// they decide which requests fail, so they keep the hash the pinned
+/// decision streams were computed with.
 fn hash64<T: Hash>(value: &T) -> u64 {
     let mut h = DefaultHasher::new();
     value.hash(&mut h);
     h.finish()
+}
+
+/// The read path's hasher: the snapshot's map, every entry's checksum and
+/// the decision-stream fingerprint. One multiply-rotate step per 8-byte
+/// word, where SipHash-1-3 runs a 14-operation round per word, three more
+/// to finish, and buffers every small integer write; a finishing
+/// avalanche spreads the last words into the low bits the map indexes by.
+///
+/// Each step is a bijection of the state for a fixed word and of the word
+/// for a fixed state, so two inputs of the same shape that differ in one
+/// word always hash apart: a torn field never slips past the checksum.
+/// The map keys are published by the flight controller, not chosen by a
+/// requester, and a request key can only collide with them, which costs
+/// one string compare; that is why an unkeyed hasher is safe here.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn step(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.step(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            // The tail's length goes in the top byte, so "ab" and "ab\0"
+            // hash apart.
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            w[7] = tail.len() as u8;
+            self.step(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // MurmurHash3's 64-bit finalizer.
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
 }
 
 /// A unit-interval draw that is a pure function of its arguments (same
@@ -117,13 +181,16 @@ impl ServingEntry {
     /// The checksum the `check` field must carry.
     #[must_use]
     pub(crate) fn checksum(&self) -> u64 {
-        hash64(&(
+        let mut h = WordHasher::default();
+        (
             &self.group,
             &self.config,
             self.exposure_pct,
             self.salt,
             self.version,
-        ))
+        )
+            .hash(&mut h);
+        h.finish()
     }
 
     /// Whether the entry survived storage intact.
@@ -144,8 +211,8 @@ impl ServingEntry {
 /// What a table lookup found.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Lookup {
-    /// An intact entry.
-    Hit(ServingEntry),
+    /// An intact entry, shared with the snapshot that holds it.
+    Hit(Arc<ServingEntry>),
     /// No entry for the group.
     Miss,
     /// An entry was present but failed its checksum — the caller must
@@ -153,16 +220,21 @@ pub enum Lookup {
     Torn,
 }
 
-/// An immutable table snapshot. Readers clone the `Arc` and search the
-/// map without holding any lock.
-type Snapshot = BTreeMap<String, ServingEntry>;
+/// An immutable table snapshot: group key → shared entry, hashed with
+/// [`WordHasher`]. Readers clone the snapshot's `Arc` and search the map
+/// without holding any lock; a hit hands out the entry's `Arc`, so no
+/// read copies an entry, and a writer that must copy the map (a retire
+/// while a reader holds the snapshot) copies keys and pointers only.
+/// Keys stay the group's bit string, the form every caller holds: a
+/// typed key would add a parse to every request.
+type Snapshot = HashMap<String, Arc<ServingEntry>, BuildHasherDefault<WordHasher>>;
 
 /// Look `group` up in a snapshot. A checksum-corrupt entry is reported
 /// as [`Lookup::Torn`], never returned.
 fn lookup_in(snapshot: &Snapshot, group: &str) -> Lookup {
     match snapshot.get(group) {
         None => Lookup::Miss,
-        Some(e) if e.is_intact() => Lookup::Hit(e.clone()),
+        Some(e) if e.is_intact() => Lookup::Hit(Arc::clone(e)),
         Some(_) => {
             count(Counter::ServeTornReads, 1);
             Lookup::Torn
@@ -201,7 +273,10 @@ impl ServingTable {
     /// Copy-on-write snapshot swap: `entries` replace the whole table in
     /// one step. Returns the number of entries published.
     pub fn publish(&self, entries: Vec<ServingEntry>) -> usize {
-        let next: Snapshot = entries.into_iter().map(|e| (e.group.clone(), e)).collect();
+        let next: Snapshot = entries
+            .into_iter()
+            .map(|e| (e.group.clone(), Arc::new(e)))
+            .collect();
         let landed = next.len();
         *self.snapshot.write().expect("serving table lock poisoned") = Arc::new(next);
         count(Counter::ServeTableSwaps, 1);
@@ -212,8 +287,8 @@ impl ServingTable {
     /// Synchronously remove `group` (rollback/quarantine), so a retired
     /// group is gone from whatever snapshot the table carries, torn or
     /// not — the invariant behind "zero decisions on rolled-back hints".
-    /// Readers holding the old snapshot keep it; the map is copied only
-    /// while one does.
+    /// Readers holding the old snapshot keep it; the map, keys and entry
+    /// pointers, is copied only while one does.
     pub fn retire(&self, group: &str) -> bool {
         let mut guard = self.snapshot.write().expect("serving table lock poisoned");
         if !guard.contains_key(group) {
@@ -258,7 +333,7 @@ pub fn build_entries(flights: &FlightController, version: u64) -> Vec<ServingEnt
             group.clone(),
             hint.config.clone(),
             exposure,
-            flight_salt(group),
+            state.salt,
             version,
         ));
     }
@@ -534,7 +609,7 @@ pub struct Decision {
 /// bench compares across thread counts.
 #[must_use]
 fn decisions_fingerprint(decisions: &[Decision]) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = WordHasher::default();
     for d in decisions {
         (
             d.job_id,
@@ -879,8 +954,8 @@ fn decide(snapshot: &Snapshot, r: &ServeRequest, a: &Admission) -> Decision {
                     arrival_us: r.arrival_us,
                     latency_us: a.latency_us,
                     steered: true,
-                    group: Some(e.group),
-                    config: e.config,
+                    group: Some(e.group.clone()),
+                    config: e.config.clone(),
                     reason: DecisionReason::Steered,
                     mode: a.mode,
                 }
@@ -896,12 +971,15 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
 
+    /// The traffic-split salt of every test entry; the table never reads it.
+    const SALT: u64 = 0x5a17;
+
     fn entry(group: &str, exposure: u8, version: u64) -> ServingEntry {
         ServingEntry::new(
             group.to_string(),
             RuleConfig::default_config(),
             exposure,
-            flight_salt(group),
+            SALT,
             version,
         )
     }
@@ -919,6 +997,57 @@ mod tests {
         let e = entry("g1", 25, 1);
         assert!(e.is_intact());
         assert!(!e.clone().corrupted().is_intact());
+    }
+
+    /// `corrupted()` flips `check` itself, which a checksum that skipped a
+    /// field would still catch; tearing each field in turn does not.
+    #[test]
+    fn every_field_is_covered_by_the_checksum() {
+        let key: String = (0..256)
+            .map(|i| if i % 7 == 0 { '1' } else { '0' })
+            .collect();
+        let flip = |e: &mut ServingEntry, at: usize| {
+            let torn = if e.group.as_bytes()[at] == b'0' {
+                "1"
+            } else {
+                "0"
+            };
+            e.group.replace_range(at..=at, torn);
+        };
+        let rule = scope_optimizer::RuleCatalog::global()
+            .non_required()
+            .iter()
+            .next()
+            .expect("the catalog has an optional rule");
+        for field in [
+            "group[0]",
+            "group[128]",
+            "group[255]",
+            "config",
+            "exposure_pct",
+            "salt",
+            "version",
+        ] {
+            let mut e = entry(&key, 25, 3);
+            match field {
+                "group[0]" => flip(&mut e, 0),
+                "group[128]" => flip(&mut e, 128),
+                "group[255]" => flip(&mut e, 255),
+                "config" if e.config.is_enabled(rule) => e.config.disable(rule),
+                "config" => e.config.enable(rule),
+                "exposure_pct" => e.exposure_pct ^= 1,
+                "salt" => e.salt ^= 1 << 40,
+                _ => e.version += 1,
+            }
+            assert!(!e.is_intact(), "a torn {field} passed the checksum");
+            let t = ServingTable::new();
+            t.publish(vec![e.clone()]);
+            assert_eq!(
+                t.lookup(&e.group),
+                Lookup::Torn,
+                "a torn {field} was served"
+            );
+        }
     }
 
     #[test]
@@ -1187,7 +1316,7 @@ mod tests {
                                     g.clone(),
                                     RuleConfig::default_config(),
                                     exposure,
-                                    flight_salt(g),
+                                    SALT,
                                     version,
                                 )
                             })
@@ -1196,7 +1325,7 @@ mod tests {
                             victim.clone(),
                             RuleConfig::default_config(),
                             exposure,
-                            flight_salt(&victim),
+                            SALT,
                             version,
                         ));
                         table.publish(entries);
