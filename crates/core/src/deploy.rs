@@ -1,16 +1,19 @@
-//! Plan hints at rest (§3.3): what is stored per job group, and the
+//! Plan hints at rest (§3.3): the one record kept per job group, and the
 //! plain-text hint file customers would check in.
 //!
-//! [`HintStore`] is storage only. Which hint reaches which job, and what
-//! happens to a hint that regresses, dies or trips a guardrail, is the
-//! flight controller's business ([`crate::flight`]): it is the only writer
-//! outside tests and offline experiments, and every write it makes is
-//! journaled.
+//! A [`StoredHint`] holds its group's config, lifecycle status and rollout
+//! ([`FlightState`]); [`HintStore`], in group-key order, is the flight
+//! controller's only per-group table. The controller ([`crate::flight`])
+//! decides which hint reaches which job and what happens to one that
+//! regresses, dies or trips a guardrail: it is the only writer outside
+//! tests and offline experiments, and every write it makes is journaled.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use scope_optimizer::{RuleConfig, RuleId, RuleSet, NUM_RULES};
+
+use crate::flight::{flight_salt, FlightConfig, FlightStage, FlightState};
 
 /// Lifecycle state of a stored hint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,7 +29,7 @@ pub enum HintStatus {
     Quarantined,
 }
 
-/// A stored hint for one job group.
+/// A stored hint for one job group, with its rollout.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoredHint {
     /// The group key (default-signature bit string).
@@ -36,12 +39,44 @@ pub struct StoredHint {
     pub base_change_pct: f64,
     pub discovered_day: u32,
     pub status: HintStatus,
+    /// Its rollout; a hint-file line carries none, so it reads back fresh.
+    pub flight: FlightState,
 }
 
-/// The per-group hint store.
+impl StoredHint {
+    /// A hint that has not flown yet: a `Candidate` since `day`.
+    pub fn new(
+        group: String,
+        config: RuleConfig,
+        base_change_pct: f64,
+        day: u32,
+        status: HintStatus,
+    ) -> StoredHint {
+        StoredHint {
+            flight: FlightState::new(FlightStage::Candidate, day, flight_salt(&group)),
+            group,
+            config,
+            base_change_pct,
+            discovered_day: day,
+            status,
+        }
+    }
+
+    /// The percentage of its group's jobs this hint is served to: its
+    /// stage's exposure while it is `Active`, 0 otherwise. Publishing and
+    /// flight serving both decide by this, so they steer the same jobs.
+    pub(crate) fn served_pct(&self, config: &FlightConfig) -> u8 {
+        match self.status {
+            HintStatus::Active => self.flight.stage.exposure_pct(config),
+            HintStatus::Suspended | HintStatus::Quarantined => 0,
+        }
+    }
+}
+
+/// The per-group hint store, in group-key order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HintStore {
-    entries: HashMap<String, StoredHint>,
+    entries: BTreeMap<String, StoredHint>,
 }
 
 impl HintStore {
@@ -62,16 +97,14 @@ impl HintStore {
         self.entries.get(group)
     }
 
+    pub(crate) fn hint_mut(&mut self, group: &str) -> Option<&mut StoredHint> {
+        self.entries.get_mut(group)
+    }
+
     /// Set the lifecycle status of a group's hint. Returns `false` when
     /// the group has no stored hint.
     pub fn set_status(&mut self, group: &str, status: HintStatus) -> bool {
-        match self.entries.get_mut(group) {
-            Some(e) => {
-                e.status = status;
-                true
-            }
-            None => false,
-        }
+        self.hint_mut(group).map(|h| h.status = status).is_some()
     }
 
     /// Number of stored hints (any status).
@@ -84,13 +117,13 @@ impl HintStore {
         self.entries.is_empty()
     }
 
-    /// Iterate stored hints.
+    /// Iterate stored hints in group-key order.
     pub fn hints(&self) -> impl Iterator<Item = &StoredHint> {
         self.entries.values()
     }
 
     /// Serialize to the plain-text hint format customers would check in:
-    /// one tab-separated line per group, sorted —
+    /// one tab-separated line per group, in group-key order —
     ///
     /// ```text
     /// bits  status  -[ids]  +[ids]  base:<hex64>  day:<n>
@@ -100,11 +133,10 @@ impl HintStore {
     /// as their IEEE-754 bit pattern in hex, so
     /// [`Self::from_hint_text`] round-trips *bit-identically* — a
     /// requirement for crash-recovery equivalence checks, and immune to
-    /// decimal-formatting drift.
+    /// decimal-formatting drift. A line carries no rollout state: the
+    /// flight controller's snapshot writes that beside it.
     pub fn to_hint_text(&self) -> String {
-        let mut lines: Vec<String> = self.entries.values().map(hint_line).collect();
-        lines.sort();
-        lines.join("\n")
+        self.hints().map(hint_line).collect::<Vec<_>>().join("\n")
     }
 
     /// Parse the format produced by [`Self::to_hint_text`].
@@ -272,7 +304,7 @@ fn parse_id_list(field: &str, sign: char) -> Result<Vec<u16>, String> {
 }
 
 /// Serialize one hint as a hint-file line (no newline).
-fn hint_line(e: &StoredHint) -> String {
+pub(crate) fn hint_line(e: &StoredHint) -> String {
     let (minus, plus) = config_delta_fields(&e.config);
     format!(
         "{}\t{}\t{}\t{}\tbase:{}\tday:{}",
@@ -297,7 +329,7 @@ fn parse_hint_line(line: &str) -> Result<StoredHint, HintParseErrorKind> {
         ));
     }
     let group = fields[0];
-    if group.is_empty() || !group.bytes().all(|b| b == b'0' || b == b'1') {
+    if !is_group_key(group) {
         return Err(HintParseErrorKind::Malformed {
             field: "group",
             value: group.to_string(),
@@ -321,30 +353,24 @@ fn parse_hint_line(line: &str) -> Result<StoredHint, HintParseErrorKind> {
             field: "day",
             value: fields[5].to_string(),
         })?;
-    Ok(StoredHint {
-        group: group.to_string(),
+    Ok(StoredHint::new(
+        group.to_string(),
         config,
         base_change_pct,
         discovered_day,
         status,
-    })
+    ))
+}
+
+/// A group key is a non-empty bit string, in the hint file and the journal.
+pub(crate) fn is_group_key(group: &str) -> bool {
+    !group.is_empty() && group.bytes().all(|b| b == b'0' || b == b'1')
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scope_optimizer::RuleCatalog;
-
-    /// A rule that is on by default but not required, so disabling it
-    /// sticks.
-    fn optional_rule() -> RuleId {
-        RuleConfig::default_config()
-            .enabled()
-            .difference(RuleCatalog::global().required())
-            .iter()
-            .next()
-            .expect("some default rule is optional")
-    }
+    use crate::testutil::optional_rule;
 
     /// One hint per status, with distinct deltas, days and improvements.
     fn sample_store() -> HintStore {
@@ -359,13 +385,13 @@ mod tests {
             if i > 0 {
                 config.disable(optional_rule());
             }
-            store.insert_hint(StoredHint {
-                group: format!("1{i:b}01"),
+            store.insert_hint(StoredHint::new(
+                format!("1{i:b}01"),
                 config,
-                base_change_pct: -10.5 * (i + 1) as f64,
-                discovered_day: i as u32,
+                -10.5 * (i + 1) as f64,
+                i as u32,
                 status,
-            });
+            ));
         }
         store
     }
@@ -379,6 +405,13 @@ mod tests {
         assert_eq!(parsed, store);
         // And stable: re-serializing yields the same bytes.
         assert_eq!(parsed.to_hint_text(), text);
+    }
+
+    #[test]
+    fn hints_iterate_in_group_key_order() {
+        // `sample_store` inserts "1001", "1101", "11001" in that order.
+        let groups: Vec<String> = sample_store().hints().map(|h| h.group.clone()).collect();
+        assert_eq!(groups, ["1001", "11001", "1101"]);
     }
 
     #[test]

@@ -9,10 +9,13 @@
 //! is deployed. [`FlightController`] is that lifecycle, and the only one:
 //! the paper's §3.3 guardrail and §6.4 periodic re-validation are
 //! [`FlightController::serve_day`] and
-//! [`FlightController::revalidate_background`], and [`HintStore`] beneath
-//! it is plain storage.
+//! [`FlightController::revalidate_background`].
 //!
-//! * **State machine** — every hint owns a [`FlightState`] walking
+//! * **One record per group** — the controller's only per-group table is
+//!   its [`HintStore`]; each [`StoredHint`] carries its [`FlightState`],
+//!   and `StoredHint::served_pct` is the one rule for the exposure it is
+//!   served at, in `serve_day` and [`crate::serve::build_entries`] alike.
+//! * **State machine** — every hint's [`FlightState`] walks
 //!   `Candidate → Canary(pct) → Ramping(pct…) → Deployed`, with
 //!   `RolledBack` as the terminal failure state. Canary exposure is
 //!   [`FlightConfig::canary_pct`], the ramp is `RAMP_PCTS`; the traffic
@@ -59,7 +62,7 @@
 //! public [`FlightController::store`] directly bypasses the journal and
 //! forfeits the recovery guarantee.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use scope_exec::{ABTester, CrashPlan, CrashRoll, RetryPolicy};
@@ -70,8 +73,8 @@ use scope_optimizer::{compile_job_guarded, CompileBudget, CompiledPlan, RuleConf
 use scope_trace::{count, record, Counter, Histogram};
 
 use crate::deploy::{
-    config_delta_fields, config_from_delta_fields, f64_from_hex, f64_to_hex, status_from_name,
-    status_name, HintStatus, HintStore, StoredHint,
+    config_delta_fields, config_from_delta_fields, f64_from_hex, f64_to_hex, hint_line,
+    is_group_key, status_from_name, status_name, HintStatus, HintStore, StoredHint,
 };
 use crate::groups::GroupConfig;
 use crate::guard::{compile_steered, SteeredCompile};
@@ -213,15 +216,16 @@ pub struct FlightState {
 }
 
 impl FlightState {
-    fn new(group: &str, day: u32) -> FlightState {
+    /// A flight entering `stage` on `day`, its monitors reset.
+    pub(crate) fn new(stage: FlightStage, day: u32, salt: u64) -> FlightState {
         FlightState {
-            stage: FlightStage::Candidate,
+            stage,
             stage_since_day: day,
             clean_days_in_stage: 0,
             strikes: 0,
             cusum: 0.0,
             probation_clean: 0,
-            salt: flight_salt(group),
+            salt,
         }
     }
 }
@@ -232,13 +236,7 @@ impl FlightState {
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum FlightEvent {
     /// A discovery winner entered the store (as `Candidate`).
-    Install {
-        group: String,
-        config: RuleConfig,
-        base_change_pct: f64,
-        day: u32,
-        status: HintStatus,
-    },
+    Install(StoredHint),
     /// A flight moved to a new stage.
     Stage {
         group: String,
@@ -260,18 +258,14 @@ pub(crate) enum FlightEvent {
 
 fn render_event(event: &FlightEvent) -> String {
     match event {
-        FlightEvent::Install {
-            group,
-            config,
-            base_change_pct,
-            day,
-            status,
-        } => {
-            let (minus, plus) = config_delta_fields(config);
+        FlightEvent::Install(hint) => {
+            let (minus, plus) = config_delta_fields(&hint.config);
             format!(
-                "install\t{group}\t{}\t{minus}\t{plus}\t{}\t{day}",
-                status_name(*status),
-                f64_to_hex(*base_change_pct)
+                "install\t{}\t{}\t{minus}\t{plus}\t{}\t{}",
+                hint.group,
+                status_name(hint.status),
+                f64_to_hex(hint.base_change_pct),
+                hint.discovered_day
             )
         }
         FlightEvent::Stage { group, to, day } => {
@@ -298,35 +292,34 @@ fn parse_event_body(body: &str) -> Option<(u64, FlightEvent)> {
     let mut it = body.split('\t');
     let seq: u64 = it.next()?.parse().ok()?;
     let kind = it.next()?;
+    // Every event names its group first, under the hint file's rule: a
+    // group that file would refuse is a torn line here too.
+    let group = it.next().filter(|g| is_group_key(g))?.to_string();
     let event = match kind {
-        "install" => FlightEvent::Install {
-            group: it.next()?.to_string(),
-            status: status_from_name(it.next()?)?,
-            config: {
-                let minus = it.next()?;
-                let plus = it.next()?;
-                config_from_delta_fields(minus, plus).ok()?
-            },
-            base_change_pct: f64_from_hex(it.next()?)?,
-            day: it.next()?.parse().ok()?,
-        },
+        "install" => {
+            let status = status_from_name(it.next()?)?;
+            let config = config_from_delta_fields(it.next()?, it.next()?).ok()?;
+            let base_change_pct = f64_from_hex(it.next()?)?;
+            let day = it.next()?.parse().ok()?;
+            FlightEvent::Install(StoredHint::new(group, config, base_change_pct, day, status))
+        }
         "stage" => FlightEvent::Stage {
-            group: it.next()?.to_string(),
+            group,
             to: FlightStage::parse(it.next()?)?,
             day: it.next()?.parse().ok()?,
         },
         "status" => FlightEvent::Status {
-            group: it.next()?.to_string(),
+            group,
             status: status_from_name(it.next()?)?,
         },
         "obs" => FlightEvent::Observe {
-            group: it.next()?.to_string(),
+            group,
             mean_change_pct: f64_from_hex(it.next()?)?,
             n: it.next()?.parse().ok()?,
             day: it.next()?.parse().ok()?,
         },
         "probe" => FlightEvent::Probe {
-            group: it.next()?.to_string(),
+            group,
             clean: match it.next()? {
                 "clean" => true,
                 "dirty" => false,
@@ -355,7 +348,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Deterministic per-flight salt for the traffic split.
-fn flight_salt(group: &str) -> u64 {
+pub(crate) fn flight_salt(group: &str) -> u64 {
     fnv64(group.as_bytes())
 }
 
@@ -485,7 +478,7 @@ pub struct FlightDayReport {
     pub day: u32,
     /// Jobs offered.
     pub jobs: usize,
-    /// Jobs whose group has no flight (served default; not simulated).
+    /// Jobs whose group has no stored hint (served default; not simulated).
     pub unmatched: usize,
     /// Jobs whose default compile failed or panicked.
     pub skipped: usize,
@@ -579,12 +572,12 @@ fn derive_defaults(
 
 /// The first [`REVALIDATION_JOBS`] jobs of every flighted group on one
 /// day, with their default plans: what a background revalidation sweep
-/// samples. Derived state, never journaled.
+/// samples. Derived state, never journaled; an install drops it, since a
+/// group flighted since was not sampled.
 #[derive(Debug)]
 struct DaySample {
     day: u32,
     job_ids: Vec<u64>,
-    n_flights: usize,
     /// Per group key: (index into the day's jobs, default plan), in job
     /// order.
     groups: BTreeMap<String, Vec<(usize, Box<CompiledPlan>)>>,
@@ -593,7 +586,7 @@ struct DaySample {
 impl DaySample {
     /// Keep the first [`REVALIDATION_JOBS`] jobs of each group in
     /// `defaults`, [`derive_defaults`]' result over `jobs`.
-    fn new(day: u32, jobs: &[Job], n_flights: usize, defaults: Vec<DayDefault>) -> DaySample {
+    fn new(day: u32, jobs: &[Job], defaults: Vec<DayDefault>) -> DaySample {
         let mut groups: BTreeMap<String, Vec<(usize, Box<CompiledPlan>)>> = BTreeMap::new();
         for (i, derived) in defaults.into_iter().enumerate() {
             if let DayDefault::Flighted(key, plan) = derived {
@@ -606,31 +599,26 @@ impl DaySample {
         DaySample {
             day,
             job_ids: jobs.iter().map(|j| j.id.0).collect(),
-            n_flights,
             groups,
         }
     }
 
-    /// Whether a sweep over `jobs` on `day`, with `n_flights` flights, may
-    /// sample from this. Flights are never removed, so an equal count
-    /// means an equal set of group keys.
-    fn covers(&self, day: u32, jobs: &[Job], n_flights: usize) -> bool {
-        self.day == day
-            && self.n_flights == n_flights
-            && self.job_ids.iter().copied().eq(jobs.iter().map(|j| j.id.0))
+    /// Whether a sweep over `jobs` on `day` may sample from this.
+    fn covers(&self, day: u32, jobs: &[Job]) -> bool {
+        self.day == day && self.job_ids.iter().copied().eq(jobs.iter().map(|j| j.id.0))
     }
 }
 
 /// The flighting state machine over a [`HintStore`].
 #[derive(Clone, Debug)]
 pub struct FlightController {
-    /// The underlying store. Read freely; direct mutation bypasses the
-    /// journal and forfeits crash recovery (offline experiments only).
+    /// Every group's hint and flight. Read freely; direct mutation bypasses
+    /// the journal and forfeits crash recovery (offline experiments only).
     pub store: HintStore,
-    flights: BTreeMap<String, FlightState>,
     pub config: FlightConfig,
     journal: FlightJournal,
-    /// The sample the last `serve_day` took, until a sweep consumes it.
+    /// The sample the last `serve_day` took, until a sweep consumes it or
+    /// an install drops it.
     day_sample: Option<Arc<DaySample>>,
 }
 
@@ -638,7 +626,6 @@ impl FlightController {
     pub fn new(config: FlightConfig) -> FlightController {
         FlightController {
             store: HintStore::new(),
-            flights: BTreeMap::new(),
             config,
             journal: FlightJournal::default(),
             day_sample: None,
@@ -655,31 +642,13 @@ impl FlightController {
 
     fn apply(&mut self, event: &FlightEvent) {
         match event {
-            FlightEvent::Install {
-                group,
-                config,
-                base_change_pct,
-                day,
-                status,
-            } => {
-                self.store.insert_hint(StoredHint {
-                    group: group.clone(),
-                    config: config.clone(),
-                    base_change_pct: *base_change_pct,
-                    discovered_day: *day,
-                    status: *status,
-                });
-                self.flights
-                    .insert(group.clone(), FlightState::new(group, *day));
+            FlightEvent::Install(hint) => {
+                self.store.insert_hint(hint.clone());
+                self.day_sample = None;
             }
             FlightEvent::Stage { group, to, day } => {
-                if let Some(f) = self.flights.get_mut(group) {
-                    f.stage = *to;
-                    f.stage_since_day = *day;
-                    f.clean_days_in_stage = 0;
-                    f.strikes = 0;
-                    f.cusum = 0.0;
-                    f.probation_clean = 0;
+                if let Some(f) = self.store.hint_mut(group).map(|h| &mut h.flight) {
+                    *f = FlightState::new(*to, *day, f.salt);
                 }
             }
             FlightEvent::Status { group, status } => {
@@ -690,7 +659,7 @@ impl FlightController {
                 mean_change_pct,
                 ..
             } => {
-                if let Some(f) = self.flights.get_mut(group) {
+                if let Some(f) = self.store.hint_mut(group).map(|h| &mut h.flight) {
                     if *mean_change_pct > STRIKE_THRESHOLD_PCT {
                         f.strikes += 1;
                     } else {
@@ -701,11 +670,22 @@ impl FlightController {
                 }
             }
             FlightEvent::Probe { group, clean } => {
-                if let Some(f) = self.flights.get_mut(group) {
+                if let Some(f) = self.store.hint_mut(group).map(|h| &mut h.flight) {
                     f.probation_clean = if *clean { f.probation_clean + 1 } else { 0 };
                 }
             }
         }
+    }
+
+    /// Journal one day's runtime changes of a group for its monitors.
+    fn observe(&mut self, group: String, changes: &[f64], day: u32) {
+        self.emit(FlightEvent::Observe {
+            group,
+            mean_change_pct: mean(changes),
+            n: changes.len() as u32,
+            day,
+        });
+        count(Counter::FlightObservations, 1);
     }
 
     /// Ingest discovery winners as `Candidate` flights, keeping per group
@@ -732,13 +712,8 @@ impl FlightController {
             } else {
                 HintStatus::Quarantined
             };
-            self.emit(FlightEvent::Install {
-                group: key,
-                config: w.config.clone(),
-                base_change_pct: w.base_change_pct,
-                day,
-                status,
-            });
+            let hint = StoredHint::new(key, w.config.clone(), w.base_change_pct, day, status);
+            self.emit(FlightEvent::Install(hint));
             installed += 1;
         }
         installed
@@ -751,46 +726,31 @@ impl FlightController {
     pub fn ingest_deployed(&mut self, winners: &[GroupConfig], day: u32) -> usize {
         let n = self.ingest(winners, day);
         let candidates: Vec<String> = self
-            .flights
-            .iter()
-            .filter(|(_, f)| f.stage == FlightStage::Candidate)
-            .map(|(k, _)| k.clone())
+            .store
+            .hints()
+            .filter(|h| h.flight.stage == FlightStage::Candidate && h.status == HintStatus::Active)
+            .map(|h| h.group.clone())
             .collect();
         for group in candidates {
-            if self
-                .store
-                .hint(&group)
-                .is_some_and(|h| h.status == HintStatus::Active)
-            {
-                self.emit(FlightEvent::Stage {
-                    group,
-                    to: FlightStage::Deployed,
-                    day,
-                });
-            }
+            self.emit(FlightEvent::Stage {
+                group,
+                to: FlightStage::Deployed,
+                day,
+            });
         }
         n
     }
 
-    /// The flight for a group key, if any.
-    pub fn flight(&self, group: &str) -> Option<&FlightState> {
-        self.flights.get(group)
-    }
-
-    /// Iterate flights in deterministic (sorted-key) order.
-    pub fn flights(&self) -> impl Iterator<Item = (&String, &FlightState)> {
-        self.flights.iter()
-    }
-
     /// Serve one day of traffic through the flight layer.
     ///
-    /// For each job whose default-plan signature has a flight: the hash
-    /// split decides steered vs held back; steered jobs run through the
-    /// full guardrail (`guard::compile_steered`; a veto quarantines the hint on
-    /// the spot) and fall back to the default plan if the steered run
-    /// dies. While a flight is in a measured stage (Canary/Ramping) every
-    /// steered run is paired with a shadow baseline run; Deployed flights
-    /// skip the shadow (that cost moves to
+    /// For each job whose default-plan signature has a stored hint: the
+    /// hint's exposure (`StoredHint::served_pct`, 0 unless it is active)
+    /// and the hash split decide steered vs held back; steered jobs run
+    /// through the full guardrail (`guard::compile_steered`; a veto
+    /// quarantines the hint on the spot) and fall back to the default
+    /// plan if the steered run dies. While a flight is in a measured stage
+    /// (Canary/Ramping) every steered run is paired with a shadow baseline
+    /// run; Deployed flights skip the shadow (that cost moves to
     /// [`Self::revalidate_background`]). A fallback is its own pair at
     /// every stage — wasted attempt plus re-run against the re-run alone.
     /// The day's mean change over a group's pairs feeds the monitors.
@@ -827,44 +787,35 @@ impl FlightController {
             ..FlightDayReport::default()
         };
         let mut day_changes: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        let flights = &self.flights;
-        let defaults = derive_defaults(jobs, n_threads, |key| flights.contains_key(key));
+        let defaults = derive_defaults(jobs, n_threads, |key| self.store.hint(key).is_some());
         let compile_budget = self.config.compile_budget;
         for (job, derived) in jobs.iter().zip(&defaults) {
             report.jobs += 1;
-            let (key, default) = match derived {
+            let flighted = match derived {
                 DayDefault::Failed => {
                     report.skipped += 1;
                     continue;
                 }
-                DayDefault::Unflighted => {
-                    report.unmatched += 1;
-                    continue;
+                DayDefault::Unflighted => None,
+                DayDefault::Flighted(key, default) => {
+                    self.store.hint(key).map(|hint| (key, default, hint))
                 }
-                DayDefault::Flighted(key, default) => (key, default),
             };
-            let flight = &self.flights[key];
-            let (stage, salt) = (flight.stage, flight.salt);
-            let exposure = stage.exposure_pct(&self.config);
-            let active = self
-                .store
-                .hint(key)
-                .is_some_and(|h| h.status == HintStatus::Active);
+            let Some((key, default, hint)) = flighted else {
+                report.unmatched += 1;
+                continue;
+            };
+            let exposure = hint.served_pct(&self.config);
+            let stage = hint.flight.stage;
             let stats = report.by_group.entry(key.clone()).or_default();
             stats.matching += 1;
-            if exposure == 0 || !active || !scope_exec::in_rollout(job.id.0, salt, exposure) {
+            if exposure == 0 || !scope_exec::in_rollout(job.id.0, hint.flight.salt, exposure) {
                 stats.held_back += 1;
                 report.held_back += 1;
                 count(Counter::FlightHeldBack, 1);
                 continue;
             }
-            let hint_cfg = self
-                .store
-                .hint(key)
-                .expect("active hint exists")
-                .config
-                .clone();
-            let steered = match compile_steered(job, default, &hint_cfg, &compile_budget) {
+            let steered = match compile_steered(job, default, &hint.config, &compile_budget) {
                 SteeredCompile::Steered(s) => s,
                 SteeredCompile::SkippedStatically | SteeredCompile::SkippedBenignly => {
                     report.static_skips += 1;
@@ -912,20 +863,13 @@ impl FlightController {
                 }
             }
         }
-        let sample = DaySample::new(day, jobs, self.flights.len(), defaults);
+        let sample = DaySample::new(day, jobs, defaults);
         self.day_sample = Some(Arc::new(sample));
         for (group, changes) in day_changes {
-            let m = mean(&changes);
             let stats = report.by_group.entry(group.clone()).or_default();
             stats.observed = changes.len();
-            stats.mean_change_pct = m;
-            self.emit(FlightEvent::Observe {
-                group,
-                mean_change_pct: m,
-                n: changes.len() as u32,
-                day,
-            });
-            count(Counter::FlightObservations, 1);
+            stats.mean_change_pct = mean(&changes);
+            self.observe(group, &changes, day);
         }
         report
     }
@@ -939,66 +883,51 @@ impl FlightController {
             day,
             ..AdvanceReport::default()
         };
-        let groups: Vec<String> = self.flights.keys().cloned().collect();
-        for key in groups {
-            let Some(f) = self.flights.get(&key) else {
-                continue;
-            };
-            let stage = f.stage;
-            let since = f.stage_since_day;
-            let clean = f.clean_days_in_stage;
-            let tripped = f.strikes >= N_STRIKES || f.cusum > CUSUM_THRESHOLD;
-            let active = self
-                .store
-                .hint(&key)
-                .is_some_and(|h| h.status == HintStatus::Active);
-            match stage {
-                FlightStage::Candidate => {
-                    if active {
-                        self.emit(FlightEvent::Stage {
-                            group: key.clone(),
-                            to: FlightStage::Canary,
-                            day,
-                        });
-                        count(Counter::FlightPromotions, 1);
-                        report.promotions.push((key, FlightStage::Canary));
+        // Each decision reads only its own group's record, so deciding all
+        // of them first journals what deciding one at a time would.
+        let decided: Vec<(String, u32, FlightStage)> = self
+            .store
+            .hints()
+            .filter(|h| h.status == HintStatus::Active)
+            .filter_map(|h| {
+                let f = &h.flight;
+                let tripped = f.strikes >= N_STRIKES || f.cusum > CUSUM_THRESHOLD;
+                let to = match f.stage {
+                    FlightStage::Candidate => FlightStage::Canary,
+                    FlightStage::RolledBack { .. } => return None,
+                    _ if tripped => FlightStage::RolledBack { day },
+                    FlightStage::Deployed => return None,
+                    stage => {
+                        let aged = day.saturating_sub(f.stage_since_day) >= MIN_DAYS_PER_STAGE;
+                        if !aged || f.clean_days_in_stage < MIN_CLEAN_DAYS_PER_STAGE {
+                            return None;
+                        }
+                        stage.next()
                     }
-                }
-                FlightStage::Canary | FlightStage::Ramping { .. } | FlightStage::Deployed => {
-                    if !active {
-                        continue;
-                    }
-                    if tripped {
-                        record(
-                            Histogram::FlightDaysToRollback,
-                            u64::from(day.saturating_sub(since)),
-                        );
-                        count(Counter::FlightRollbacks, 1);
-                        self.emit(FlightEvent::Stage {
-                            group: key.clone(),
-                            to: FlightStage::RolledBack { day },
-                            day,
-                        });
-                        self.emit(FlightEvent::Status {
-                            group: key.clone(),
-                            status: HintStatus::Suspended,
-                        });
-                        report.rollbacks.push(key);
-                    } else if stage != FlightStage::Deployed
-                        && day.saturating_sub(since) >= MIN_DAYS_PER_STAGE
-                        && clean >= MIN_CLEAN_DAYS_PER_STAGE
-                    {
-                        let to = stage.next();
-                        self.emit(FlightEvent::Stage {
-                            group: key.clone(),
-                            to,
-                            day,
-                        });
-                        count(Counter::FlightPromotions, 1);
-                        report.promotions.push((key, to));
-                    }
-                }
-                FlightStage::RolledBack { .. } => {}
+                };
+                Some((h.group.clone(), f.stage_since_day, to))
+            })
+            .collect();
+        for (group, since, to) in decided {
+            self.emit(FlightEvent::Stage {
+                group: group.clone(),
+                to,
+                day,
+            });
+            if matches!(to, FlightStage::RolledBack { .. }) {
+                record(
+                    Histogram::FlightDaysToRollback,
+                    u64::from(day.saturating_sub(since)),
+                );
+                count(Counter::FlightRollbacks, 1);
+                self.emit(FlightEvent::Status {
+                    group: group.clone(),
+                    status: HintStatus::Suspended,
+                });
+                report.rollbacks.push(group);
+            } else {
+                count(Counter::FlightPromotions, 1);
+                report.promotions.push((group, to));
             }
         }
         report
@@ -1040,15 +969,12 @@ impl FlightController {
             ..BackgroundReport::default()
         };
         let day_sample = self.day_sample.take();
-        let eligible: Vec<String> = self
-            .flights
-            .iter()
-            .filter_map(|(k, f)| {
-                let status = self.store.hint(k)?.status;
-                let deployed_active =
-                    f.stage == FlightStage::Deployed && status == HintStatus::Active;
-                let quarantined = status == HintStatus::Quarantined;
-                (deployed_active || quarantined).then(|| k.clone())
+        let eligible: Vec<&StoredHint> = self
+            .store
+            .hints()
+            .filter(|h| match h.status {
+                HintStatus::Active => h.flight.stage == FlightStage::Deployed,
+                status => status == HintStatus::Quarantined,
             })
             .collect();
         if eligible.is_empty() {
@@ -1056,37 +982,35 @@ impl FlightController {
         }
         let budget = self.config.revalidation_budget.max(1);
         let start = (day as usize).wrapping_mul(budget) % eligible.len();
-        let picked: Vec<String> = (0..budget.min(eligible.len()))
+        let picked: Vec<StoredHint> = (0..budget.min(eligible.len()))
             .map(|i| eligible[(start + i) % eligible.len()].clone())
             .collect();
 
         // The first `REVALIDATION_JOBS` of today's jobs in each picked
         // group, with their default plans for the guardrail below.
         let sample = match day_sample {
-            Some(s) if s.covers(day, jobs, self.flights.len()) => s,
+            Some(s) if s.covers(day, jobs) => s,
             _ => {
                 let defaults =
-                    derive_defaults(jobs, n_threads, |key| picked.iter().any(|p| p == key));
-                Arc::new(DaySample::new(day, jobs, self.flights.len(), defaults))
+                    derive_defaults(jobs, n_threads, |key| picked.iter().any(|p| p.group == key));
+                Arc::new(DaySample::new(day, jobs, defaults))
             }
         };
 
         let compile_budget = self.config.compile_budget;
         let mut observed_changes = Vec::new();
-        for key in &picked {
+        for hint in &picked {
+            let (key, status, hint_cfg) = (&hint.group, hint.status, &hint.config);
             let Some(group_jobs) = sample.groups.get(key) else {
                 report.absent += 1;
                 continue;
             };
-            let hint = self.store.hint(key).expect("picked hints exist");
-            let status = hint.status;
-            let hint_cfg = hint.config.clone();
             let mut changes = Vec::new();
             let mut dirty = false;
             let mut fatal = false;
             for (i, default) in group_jobs {
                 let job = &jobs[*i];
-                let steered = match compile_steered(job, default, &hint_cfg, &compile_budget) {
+                let steered = match compile_steered(job, default, hint_cfg, &compile_budget) {
                     SteeredCompile::Steered(s) => s,
                     SteeredCompile::SkippedStatically => {
                         // Benign for a deployed hint; for a probation
@@ -1123,13 +1047,7 @@ impl FlightController {
                         });
                         report.quarantined.push(key.clone());
                     } else if !changes.is_empty() {
-                        self.emit(FlightEvent::Observe {
-                            group: key.clone(),
-                            mean_change_pct: mean(&changes),
-                            n: changes.len() as u32,
-                            day,
-                        });
-                        count(Counter::FlightObservations, 1);
+                        self.observe(key.clone(), &changes, day);
                         report.observed.push(key.clone());
                         observed_changes.extend(changes);
                     }
@@ -1145,9 +1063,9 @@ impl FlightController {
                     });
                     report.probed.push(key.clone());
                     let released = self
-                        .flights
-                        .get(key)
-                        .is_some_and(|f| f.probation_clean >= PROBATION_CLEAN_REQUIRED);
+                        .store
+                        .hint(key)
+                        .is_some_and(|h| h.flight.probation_clean >= PROBATION_CLEAN_REQUIRED);
                     if clean && released {
                         self.emit(FlightEvent::Status {
                             group: key.clone(),
@@ -1194,15 +1112,16 @@ impl FlightController {
     /// snapshots, which is how the recovery tests check fidelity.
     pub fn snapshot_text(&self) -> String {
         let mut lines = vec![format!("flightsnap\tv2\tseq:{}", self.journal.next_seq)];
-        for l in self.store.to_hint_text().lines() {
-            if !l.is_empty() {
-                lines.push(format!("hint\t{l}"));
-            }
-        }
-        for (k, f) in &self.flights {
+        lines.extend(
+            self.store
+                .hints()
+                .map(|h| format!("hint\t{}", hint_line(h))),
+        );
+        for h in self.store.hints() {
+            let f = &h.flight;
             lines.push(format!(
                 "flight\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                k,
+                h.group,
                 f.stage.render(),
                 f.stage_since_day,
                 f.clean_days_in_stage,
@@ -1275,7 +1194,7 @@ fn parse_snapshot(text: &str, config: FlightConfig) -> Result<FlightController, 
     };
     let mut hint_lines = Vec::new();
     let mut flight_lines = Vec::new();
-    let mut flights = BTreeMap::new();
+    let mut flown = BTreeSet::new();
     for (i, line) in lines {
         if let Some(h) = line.strip_prefix("hint\t") {
             hint_lines.push((i, line, h));
@@ -1299,31 +1218,28 @@ fn parse_snapshot(text: &str, config: FlightConfig) -> Result<FlightController, 
             })
         })()
         .ok_or_else(malformed)?;
-        if flights.insert(fields[0].to_string(), state).is_some() {
+        if !flown.insert(fields[0]) {
             return Err(malformed());
         }
-        flight_lines.push((i, line, fields[0]));
+        flight_lines.push((i, line, fields[0], state));
     }
     let hint_text: Vec<&str> = hint_lines.iter().map(|&(_, _, h)| h).collect();
-    let store =
+    let mut store =
         HintStore::from_hint_text(&hint_text.join("\n")).map_err(RecoveryError::SnapshotHints)?;
     // An install writes a group's hint and its flight together and nothing
     // removes either, so every group has both or the snapshot is not one a
     // controller wrote: a flight without a hint would hold its jobs back
     // forever, a hint without a flight would never be served or checked.
-    let flight_orphan = flight_lines
-        .iter()
-        .find(|&&(_, _, group)| store.hint(group).is_none());
-    let hint_orphan = hint_lines.iter().find(|&&(_, _, h)| {
-        let group = h.split('\t').next().unwrap_or_default();
-        !flights.contains_key(group)
-    });
-    if let Some(&(i, line, _)) = flight_orphan.or(hint_orphan) {
+    for (i, line, group, state) in flight_lines {
+        let hint = store.hint_mut(group).ok_or_else(|| malformed_at(i, line))?;
+        hint.flight = state;
+    }
+    let unflown = |h: &str| !flown.contains(h.split('\t').next().unwrap_or_default());
+    if let Some(&(i, line, _)) = hint_lines.iter().find(|(.., h)| unflown(h)) {
         return Err(malformed_at(i, line));
     }
     Ok(FlightController {
         store,
-        flights,
         config,
         journal: FlightJournal {
             lines: Vec::new(),
@@ -1337,18 +1253,9 @@ fn parse_snapshot(text: &str, config: FlightConfig) -> Result<FlightController, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::optional_rule;
     use scope_ir::ids::JobId;
-    use scope_optimizer::{RuleCatalog, RuleSet, RuleSignature};
-
-    /// A non-required, on-by-default rule (so disabling it sticks).
-    fn optional_rule() -> scope_optimizer::RuleId {
-        RuleConfig::default_config()
-            .enabled()
-            .difference(RuleCatalog::global().required())
-            .iter()
-            .next()
-            .expect("catalog has optional default rules")
-    }
+    use scope_optimizer::{RuleSet, RuleSignature};
 
     fn winner(bits: &str, pct: f64) -> GroupConfig {
         let mut config = RuleConfig::default_config();
@@ -1359,6 +1266,11 @@ mod tests {
             base_change_pct: pct,
             base_job: JobId(1),
         }
+    }
+
+    /// The flight of a group the controller holds.
+    fn flight<'a>(c: &'a FlightController, key: &str) -> &'a FlightState {
+        &c.store.hint(key).expect("the group has a hint").flight
     }
 
     fn controller_with(bits: &str, pct: f64) -> (FlightController, String) {
@@ -1420,12 +1332,7 @@ mod tests {
             to: FlightStage::Canary,
             day: 1,
         });
-        c.emit(FlightEvent::Observe {
-            group: key.clone(),
-            mean_change_pct: -12.5,
-            n: 4,
-            day: 1,
-        });
+        c.observe(key.clone(), &[-12.5; 4], 1);
         c.emit(FlightEvent::Probe {
             group: key.clone(),
             clean: true,
@@ -1447,15 +1354,26 @@ mod tests {
     }
 
     #[test]
+    fn an_event_for_a_group_no_hint_file_holds_is_a_torn_tail() {
+        let (c, _) = controller_with("101", -30.0);
+        let config = RuleConfig::default_config();
+        let hint = StoredHint::new("1x1".into(), config, -10.0, 1, HintStatus::Active);
+        let body = format!("1\t{}", render_event(&FlightEvent::Install(hint)));
+        let journal = format!(
+            "{}\n{body}\t#{:016x}",
+            c.journal_text(),
+            fnv64(body.as_bytes())
+        );
+        let (r, report) = FlightController::recover(None, &journal, c.config.clone()).unwrap();
+        assert_eq!((report.replayed_events, report.discarded_lines), (1, 1));
+        assert_eq!(r.snapshot_text(), c.snapshot_text());
+    }
+
+    #[test]
     fn corrupt_journal_lines_cut_the_tail() {
         let (mut c, key) = controller_with("101", -30.0);
         for day in 1..=3 {
-            c.emit(FlightEvent::Observe {
-                group: key.clone(),
-                mean_change_pct: -1.0,
-                n: 1,
-                day,
-            });
+            c.observe(key.clone(), &[-1.0], day);
         }
         let text = c.journal_text();
         // Flip one byte in the second line's payload: that line and both
@@ -1471,39 +1389,24 @@ mod tests {
     fn observations_drive_strikes_and_cusum() {
         let (mut c, key) = controller_with("101", -30.0);
         c.advance(0); // Candidate → Canary
-        assert_eq!(c.flight(&key).unwrap().stage, FlightStage::Canary);
+        assert_eq!(flight(&c, &key).stage, FlightStage::Canary);
         // Two bad days: strikes build, no trip yet (N_STRIKES = 3).
         for day in 1..=2 {
-            c.emit(FlightEvent::Observe {
-                group: key.clone(),
-                mean_change_pct: 12.0,
-                n: 3,
-                day,
-            });
+            c.observe(key.clone(), &[12.0; 3], day);
         }
-        assert_eq!(c.flight(&key).unwrap().strikes, 2);
+        assert_eq!(flight(&c, &key).strikes, 2);
         assert!(c.advance(2).rollbacks.is_empty());
         // A clean day resets the strike count and counts toward promotion.
-        c.emit(FlightEvent::Observe {
-            group: key.clone(),
-            mean_change_pct: -5.0,
-            n: 3,
-            day: 3,
-        });
-        let f = c.flight(&key).unwrap();
+        c.observe(key.clone(), &[-5.0; 3], 3);
+        let f = flight(&c, &key);
         assert_eq!(f.strikes, 0);
         assert_eq!(f.clean_days_in_stage, 1);
         // Sustained moderate regression trips CUSUM even without three
         // consecutive strikes ever forming.
         for day in 4..=7 {
-            c.emit(FlightEvent::Observe {
-                group: key.clone(),
-                mean_change_pct: 20.0,
-                n: 3,
-                day,
-            });
+            c.observe(key.clone(), &[20.0; 3], day);
             if !c.advance(day).rollbacks.is_empty() {
-                let f = c.flight(&key).unwrap();
+                let f = flight(&c, &key);
                 assert!(matches!(f.stage, FlightStage::RolledBack { .. }));
                 assert_eq!(c.store.hint(&key).unwrap().status, HintStatus::Suspended);
                 return;
@@ -1516,16 +1419,11 @@ mod tests {
     fn clean_flights_climb_the_ladder() {
         let (mut c, key) = controller_with("101", -30.0);
         c.advance(0);
-        let mut stages = vec![c.flight(&key).unwrap().stage];
+        let mut stages = vec![flight(&c, &key).stage];
         for day in 1..=4 {
-            c.emit(FlightEvent::Observe {
-                group: key.clone(),
-                mean_change_pct: -10.0,
-                n: 5,
-                day,
-            });
+            c.observe(key.clone(), &[-10.0; 5], day);
             c.advance(day);
-            stages.push(c.flight(&key).unwrap().stage);
+            stages.push(flight(&c, &key).stage);
         }
         assert_eq!(
             stages,
@@ -1552,12 +1450,12 @@ mod tests {
                 clean: true,
             });
         }
-        assert_eq!(c.flight(&key).unwrap().probation_clean, 2);
+        assert_eq!(flight(&c, &key).probation_clean, 2);
         c.emit(FlightEvent::Probe {
             group: key.clone(),
             clean: false,
         });
-        assert_eq!(c.flight(&key).unwrap().probation_clean, 0);
+        assert_eq!(flight(&c, &key).probation_clean, 0);
     }
 
     #[test]
@@ -1565,12 +1463,7 @@ mod tests {
         let (mut c, key) = controller_with("101", -30.0);
         c.advance(0);
         for day in 1..=3 {
-            c.emit(FlightEvent::Observe {
-                group: key.clone(),
-                mean_change_pct: if day == 2 { 15.0 } else { -8.0 },
-                n: 2,
-                day,
-            });
+            c.observe(key.clone(), &[if day == 2 { 15.0 } else { -8.0 }; 2], day);
             c.advance(day);
         }
         let (r, report) =
@@ -1580,26 +1473,19 @@ mod tests {
         assert!(report.replayed_events > 0);
         assert_eq!(r.snapshot_text(), c.snapshot_text());
         assert_eq!(r.store, c.store);
-        assert_eq!(r.flights, c.flights);
     }
 
     #[test]
     fn snapshot_round_trips_and_detects_corruption() {
         let (mut c, key) = controller_with("110", -22.0);
         c.advance(0);
-        c.emit(FlightEvent::Observe {
-            group: key,
-            mean_change_pct: -3.25,
-            n: 7,
-            day: 1,
-        });
+        c.observe(key, &[-3.25; 7], 1);
         let snap = c.snapshot_text();
         let (r, report) =
             FlightController::recover(Some(&snap), "", FlightConfig::default()).expect("snapshot");
         assert_eq!(report.replayed_events, 0);
         assert_eq!(r.snapshot_text(), snap);
         assert_eq!(r.store, c.store);
-        assert_eq!(r.flights, c.flights);
         // A flipped byte fails the whole-body checksum.
         let bad = snap.replace("-3.25", "-3.26"); // no-op if not present, so also flip a real byte
         let mut bytes = bad.into_bytes();
@@ -1640,12 +1526,7 @@ mod tests {
             }
             c.advance(0);
             for day in 1..=4 {
-                c.emit(FlightEvent::Observe {
-                    group: key.clone(),
-                    mean_change_pct: -6.0,
-                    n: 2,
-                    day,
-                });
+                c.observe(key.clone(), &[-6.0; 2], day);
                 c.advance(day);
             }
             c
@@ -1717,8 +1598,8 @@ mod tests {
         c.ingest_deployed(&[winner("101", -30.0), broken.clone()], 0);
         let good_key = RuleSet::from_bit_string("101").to_bit_string();
         let bad_key = broken.group.to_bit_string();
-        assert_eq!(c.flight(&good_key).unwrap().stage, FlightStage::Deployed);
-        assert_eq!(c.flight(&bad_key).unwrap().stage, FlightStage::Candidate);
+        assert_eq!(flight(&c, &good_key).stage, FlightStage::Deployed);
+        assert_eq!(flight(&c, &bad_key).stage, FlightStage::Candidate);
         assert_eq!(
             c.store.hint(&bad_key).unwrap().status,
             HintStatus::Quarantined
@@ -1783,9 +1664,7 @@ mod tests {
     }
 
     fn sample_covers(c: &FlightController, jobs: &[Job], day: u32) -> bool {
-        c.day_sample
-            .as_ref()
-            .is_some_and(|s| s.covers(day, jobs, c.flights.len()))
+        c.day_sample.as_ref().is_some_and(|s| s.covers(day, jobs))
     }
 
     #[test]
@@ -1805,7 +1684,7 @@ mod tests {
                 continue;
             };
             let key = default.signature.to_bit_string();
-            if c.flights.contains_key(&key) {
+            if c.store.hint(&key).is_some() {
                 let kept = first_jobs.entry(key).or_default();
                 if kept.len() < REVALIDATION_JOBS {
                     kept.push(i);
@@ -1831,7 +1710,10 @@ mod tests {
             .find_map(|job| {
                 let default = scope_optimizer::compile_job(job, &RuleConfig::default_config());
                 let signature = default.ok()?.signature;
-                (!c.flights.contains_key(&signature.to_bit_string())).then_some(signature)
+                c.store
+                    .hint(&signature.to_bit_string())
+                    .is_none()
+                    .then_some(signature)
             })
             .expect("a group of day 2 has no flight");
         let key = group.to_bit_string();

@@ -59,7 +59,6 @@ use scope_exec::faults::ServeFaultProfile;
 use scope_optimizer::RuleConfig;
 use scope_trace::{count, record, Counter, Histogram};
 
-use crate::deploy::HintStatus;
 use crate::flight::FlightController;
 use crate::par::run_chunked_on;
 
@@ -312,30 +311,24 @@ impl ServingTable {
 }
 
 /// Build the publishable entries for a controller's current state: every
-/// flight with non-zero exposure whose hint is still [`HintStatus::Active`].
-/// Quarantined, suspended, candidate, and rolled-back groups are *never*
-/// published.
+/// hint served at a non-zero exposure (`StoredHint::served_pct`, the rule
+/// the flight layer serves by). Quarantined, suspended, candidate, and
+/// rolled-back groups are *never* published.
 #[must_use]
 pub fn build_entries(flights: &FlightController, version: u64) -> Vec<ServingEntry> {
     let mut entries = Vec::new();
-    for (group, state) in flights.flights() {
-        let exposure = state.stage.exposure_pct(&flights.config);
-        if exposure == 0 {
-            continue;
+    for hint in flights.store.hints() {
+        let exposure = hint.served_pct(&flights.config);
+        if exposure > 0 {
+            let (group, config) = (hint.group.clone(), hint.config.clone());
+            entries.push(ServingEntry::new(
+                group,
+                config,
+                exposure,
+                hint.flight.salt,
+                version,
+            ));
         }
-        let Some(hint) = flights.store.hint(group) else {
-            continue;
-        };
-        if hint.status != HintStatus::Active {
-            continue;
-        }
-        entries.push(ServingEntry::new(
-            group.clone(),
-            hint.config.clone(),
-            exposure,
-            state.salt,
-            version,
-        ));
     }
     entries
 }

@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use scope_exec::ABTester;
+use scope_optimizer::{RuleCatalog, RuleConfig, RuleId};
 use scope_workload::{Workload, WorkloadProfile};
 
 use crate::groups::{winning_configs, GroupConfig};
@@ -70,4 +71,14 @@ where
         }
     }
     panic!("no (ab, search) seed pair produced an acceptable discovery");
+}
+
+/// A rule that is on by default but not required, so disabling it sticks.
+pub fn optional_rule() -> RuleId {
+    RuleConfig::default_config()
+        .enabled()
+        .difference(RuleCatalog::global().required())
+        .iter()
+        .next()
+        .expect("catalog has optional default rules")
 }

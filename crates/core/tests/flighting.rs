@@ -1,8 +1,9 @@
 //! End-to-end acceptance tests for the flighting subsystem: rollback
 //! determinism across worker counts, crash-safe recovery of real serving
-//! history, the probation path out of quarantine, and the guardrail —
-//! dying steered runs roll a hint back, a starved compile budget
-//! quarantines it on every path.
+//! history, the probation path out of quarantine, the guardrail — dying
+//! steered runs roll a hint back, a starved compile budget quarantines it
+//! on every path — and agreement between the flight layer and the serving
+//! table it publishes on which jobs are steered.
 //!
 //! These tests drive the public API only. Discovery is replicated from the
 //! in-crate test helper: whether a given RNG seed surfaces winners on the
@@ -10,19 +11,24 @@
 //! seed) pairs and additionally require the winning group to recur on the
 //! serving days the scenario needs.
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use scope_exec::{plan_fingerprint, ABTester, CrashPlan, FaultProfile, RetryPolicy};
+use scope_exec::{
+    plan_fingerprint, ABTester, CrashPlan, FaultProfile, RetryPolicy, ServeFaultProfile,
+};
+use scope_ir::ids::JobId;
 use scope_ir::Job;
 use scope_optimizer::{
-    compile_job, compile_job_guarded, effective_config, CompileBudget, RuleConfig,
+    compile_job, compile_job_guarded, effective_config, CompileBudget, RuleConfig, RuleSignature,
 };
 use scope_workload::{Workload, WorkloadProfile};
 use steer_core::flight::{N_STRIKES, PROBATION_CLEAN_REQUIRED};
 use steer_core::{
     winning_configs, FlightConfig, FlightController, FlightStage, GroupConfig, HintStatus,
-    Pipeline, PipelineParams,
+    Pipeline, PipelineParams, ServeRequest, ServiceConfig, SteeringService,
 };
 
 const SERVE_DAYS: u32 = 6;
@@ -291,7 +297,8 @@ fn quarantined_hint_recovers_through_probation() {
 
     let mut c = FlightController::new(FlightConfig::default());
     c.ingest_deployed(&[victim], 0);
-    assert_eq!(c.flight(&key).unwrap().stage, FlightStage::Deployed);
+    let stage = c.store.hint(&key).unwrap().flight.stage;
+    assert_eq!(stage, FlightStage::Deployed);
 
     // A transient environment fault: the compile budget collapses, so the
     // first steered compile dies fatally and quarantines the hint.
@@ -322,7 +329,8 @@ fn quarantined_hint_recovers_through_probation() {
         "released before {required} clean probes"
     );
     assert_eq!(c.store.hint(&key).unwrap().status, HintStatus::Active);
-    assert_eq!(c.flight(&key).unwrap().stage, FlightStage::Canary);
+    let stage = c.store.hint(&key).unwrap().flight.stage;
+    assert_eq!(stage, FlightStage::Canary);
 }
 
 #[test]
@@ -447,4 +455,75 @@ fn starved_compile_budget_quarantines_on_every_path() {
             );
         }
     }
+}
+
+/// The flight layer and the serving table decide steering apart: the flight
+/// from its live hints, the service from the entries published out of them.
+/// Over one fault-free day, with every group hinted — half Deployed, half in
+/// Canary, one of each suspended or quarantined — the service steers exactly
+/// the jobs of each group the flight's split selects: its matching jobs less
+/// those held back.
+#[test]
+fn the_service_steers_the_jobs_the_flight_layer_selects() {
+    let jobs = Workload::generate(WorkloadProfile::workload_a(0.08)).day(1);
+    let default = RuleConfig::default_config();
+    let keys: Vec<Option<RuleSignature>> = jobs
+        .iter()
+        .map(|job| Some(compile_job(job, &default).ok()?.signature))
+        .collect();
+    // Which config a hint carries plays no part in which jobs it steers.
+    let mut winners: Vec<GroupConfig> = (keys.iter().flatten())
+        .map(|&group| GroupConfig {
+            group,
+            config: default.clone(),
+            base_change_pct: -20.0,
+            base_job: JobId(0),
+        })
+        .collect();
+    winners.sort_by_key(|w| w.group.0.to_bit_string());
+    winners.dedup_by_key(|w| w.group);
+    let (deployed, canaries) = winners.split_at(winners.len() / 2);
+    let mut flights = FlightController::new(FlightConfig {
+        canary_pct: 50,
+        ..FlightConfig::default()
+    });
+    flights.ingest_deployed(deployed, 0);
+    flights.ingest(canaries, 0);
+    flights.advance(0);
+    let retired = [deployed[0].group, canaries[0].group].map(|g| g.to_bit_string());
+    let store = &mut flights.store;
+    store.set_status(&retired[0], HintStatus::Suspended);
+    store.set_status(&retired[1], HintStatus::Quarantined);
+
+    let none = ServeFaultProfile::none();
+    let mut service = SteeringService::new(ServiceConfig {
+        max_inflight: usize::MAX,
+        ..ServiceConfig::default()
+    });
+    service.publish_from(&flights, &none);
+    let requests: Vec<ServeRequest> = (jobs.iter().zip(&keys).enumerate())
+        .filter_map(|(i, (job, key))| {
+            Some(ServeRequest {
+                job_id: job.id.0,
+                group_key: key.as_ref()?.to_bit_string(),
+                arrival_us: i as u64 * 1_000,
+            })
+        })
+        .collect();
+    let mut steered: BTreeMap<String, usize> = BTreeMap::new();
+    for decision in service.serve_day(&requests, &none, 1, 2).decisions {
+        if decision.steered {
+            *steered.entry(decision.group.unwrap()).or_default() += 1;
+        }
+    }
+
+    let flown = flights.serve_day(&jobs, &ABTester::new(7), &RetryPolicy::no_retries(), 1);
+    assert_eq!(flown.vetoes, 0);
+    assert!(flown.steered > 0 && flown.held_back > 0);
+    for (key, stats) in &flown.by_group {
+        let selected = stats.matching - stats.held_back;
+        assert_eq!(steered.get(key).copied().unwrap_or(0), selected, "{key}");
+    }
+    assert!(steered.keys().all(|key| flown.by_group.contains_key(key)));
+    assert!(retired.iter().all(|key| !steered.contains_key(key)));
 }

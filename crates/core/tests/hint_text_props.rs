@@ -1,8 +1,9 @@
 //! Property tests for the hint-text persistence format: `to_hint_text` /
-//! `from_hint_text` must be a lossless round trip for *any* store — every
-//! status variant, any rule-config delta, any finite float (runtimes are
-//! serialized as IEEE-754 bit patterns, so even `-0.0` and subnormals must
-//! survive). The flighting snapshot embeds these lines verbatim, so a
+//! `from_hint_text` must be a lossless round trip for *any* store of hints
+//! not yet flown (a line carries no rollout) — every status variant, any
+//! rule-config delta, any finite float (runtimes are serialized as IEEE-754
+//! bit patterns, so even `-0.0` and subnormals must survive). The
+//! flighting snapshot embeds these lines verbatim, so a
 //! single lossy field here would silently break the bit-identical
 //! crash-recovery guarantee.
 
@@ -61,15 +62,15 @@ fn hint_strategy() -> impl Strategy<Value = StoredHint> {
         any::<u32>(),
         status_strategy(),
     )
-        .prop_map(
-            |(bits, config, base_change_pct, discovered_day, status)| StoredHint {
-                group: bits.iter().map(|&b| if b { '1' } else { '0' }).collect(),
+        .prop_map(|(bits, config, base_change_pct, discovered_day, status)| {
+            StoredHint::new(
+                bits.iter().map(|&b| if b { '1' } else { '0' }).collect(),
                 config,
                 base_change_pct,
                 discovered_day,
                 status,
-            },
-        )
+            )
+        })
 }
 
 /// Printable-ish text with tabs and newlines — the format's own structural
