@@ -362,15 +362,23 @@ fn parse_hint_line(line: &str) -> Result<StoredHint, HintParseErrorKind> {
     ))
 }
 
-/// A group key is a non-empty bit string, in the hint file and the journal.
+/// A group key is a rule signature's bit string, in the hint file and the
+/// journal: exactly [`NUM_RULES`] characters of `0` and `1`, as
+/// `RuleSet::to_bit_string` writes every key a job can have. A shorter or
+/// longer one matches no job, so it is refused rather than stored.
 pub(crate) fn is_group_key(group: &str) -> bool {
-    !group.is_empty() && group.bytes().all(|b| b == b'0' || b == b'1')
+    group.len() == NUM_RULES && group.bytes().all(|b| b == b'0' || b == b'1')
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::optional_rule;
+
+    /// The group key of the signature whose leading bits are `bits`.
+    fn key(bits: &str) -> String {
+        RuleSet::from_bit_string(bits).to_bit_string()
+    }
 
     /// One hint per status, with distinct deltas, days and improvements.
     fn sample_store() -> HintStore {
@@ -386,7 +394,7 @@ mod tests {
                 config.disable(optional_rule());
             }
             store.insert_hint(StoredHint::new(
-                format!("1{i:b}01"),
+                key(&format!("1{i:b}01")),
                 config,
                 -10.5 * (i + 1) as f64,
                 i as u32,
@@ -409,9 +417,10 @@ mod tests {
 
     #[test]
     fn hints_iterate_in_group_key_order() {
-        // `sample_store` inserts "1001", "1101", "11001" in that order.
+        // `sample_store` inserts the keys of "1001", "1101", "11001" in
+        // that order.
         let groups: Vec<String> = sample_store().hints().map(|h| h.group.clone()).collect();
-        assert_eq!(groups, ["1001", "11001", "1101"]);
+        assert_eq!(groups, [key("1001"), key("11001"), key("1101")]);
     }
 
     #[test]
@@ -460,26 +469,40 @@ mod tests {
                 f64_to_hex(-10.0)
             )
         };
+        let group = key("101");
         // Rule id 256 is outside the catalog: the old parser silently
         // dropped it (and with it part of the hint's meaning).
-        let err = HintStore::from_hint_text(&line("101", "256")).unwrap_err();
+        let err = HintStore::from_hint_text(&line(&group, "256")).unwrap_err();
         assert_eq!(err.kind, HintParseErrorKind::BadRuleId("256".into()));
         // In-range parses, and the disable really lands.
         let id = optional_rule();
         let minus = id.0.to_string();
-        let store = HintStore::from_hint_text(&line("101", &minus)).unwrap();
-        assert!(!store.hint("101").unwrap().config.is_enabled(id));
+        let store = HintStore::from_hint_text(&line(&group, &minus)).unwrap();
+        assert!(!store.hint(&group).unwrap().config.is_enabled(id));
 
-        let dup = format!("{}\n{}", line("101", &minus), line("101", &minus));
+        let dup = format!("{}\n{}", line(&group, &minus), line(&group, &minus));
         let err = HintStore::from_hint_text(&dup).unwrap_err();
         assert_eq!(err.line, 2);
-        assert_eq!(err.kind, HintParseErrorKind::DuplicateGroup("101".into()));
+        assert_eq!(err.kind, HintParseErrorKind::DuplicateGroup(group.clone()));
 
-        // Non-binary group bits are rejected, not stored as dead keys.
-        let err = HintStore::from_hint_text(&line("1x1", &minus)).unwrap_err();
-        assert!(matches!(
-            err.kind,
-            HintParseErrorKind::Malformed { field: "group", .. }
-        ));
+        // Non-binary group bits are rejected, not stored as dead keys, and
+        // so is a key of any length but `NUM_RULES`: no job's signature
+        // has fewer or more bits, so its hint would serve nothing.
+        for bad in [
+            group.replacen('0', "x", 1),
+            group[1..].to_string(),
+            format!("{group}0"),
+            "1".to_string(),
+            "0101".to_string(),
+        ] {
+            let err = HintStore::from_hint_text(&line(&bad, &minus)).unwrap_err();
+            assert_eq!(
+                err.kind,
+                HintParseErrorKind::Malformed {
+                    field: "group",
+                    value: bad,
+                }
+            );
+        }
     }
 }

@@ -16,9 +16,9 @@
 //!   and `StoredHint::served_pct` is the one rule for the exposure it is
 //!   served at, in `serve_day` and [`crate::serve::build_entries`] alike.
 //! * **State machine** — every hint's [`FlightState`] walks
-//!   `Candidate → Canary(pct) → Ramping(pct…) → Deployed`, with
+//!   `Candidate → Canary(pct) → Ramping → Deployed`, with
 //!   `RolledBack` as the terminal failure state. Canary exposure is
-//!   [`FlightConfig::canary_pct`], the ramp is `RAMP_PCTS`; the traffic
+//!   [`FlightConfig::canary_pct`], the ramp's is `RAMP_PCT`; the traffic
 //!   split is a deterministic hash of `(flight salt, job id)`
 //!   ([`scope_exec::in_rollout`]), so replays are bit-identical and a
 //!   recurring job stays on one side of the split.
@@ -69,14 +69,14 @@ use scope_exec::{ABTester, CrashPlan, CrashRoll, RetryPolicy};
 use scope_ir::stats::{mean, pct_change};
 use scope_ir::Job;
 use scope_lint::catalog_invalid;
-use scope_optimizer::{compile_job_guarded, CompileBudget, CompiledPlan, RuleConfig};
+use scope_optimizer::{CompileBudget, CompiledPlan};
 use scope_trace::{count, record, Counter, Histogram};
 
 use crate::deploy::{
     config_delta_fields, config_from_delta_fields, f64_from_hex, f64_to_hex, hint_line,
     is_group_key, status_from_name, status_name, HintStatus, HintStore, StoredHint,
 };
-use crate::groups::GroupConfig;
+use crate::groups::{default_plan, GroupConfig};
 use crate::guard::{compile_steered, SteeredCompile};
 use crate::par::{available_threads, run_chunked_on};
 
@@ -87,8 +87,8 @@ pub enum FlightStage {
     Candidate,
     /// Serving [`FlightConfig::canary_pct`] of matching traffic.
     Canary,
-    /// Serving `RAMP_PCTS[step]` of matching traffic.
-    Ramping { step: usize },
+    /// Serving `RAMP_PCT` of matching traffic.
+    Ramping,
     /// Serving all matching traffic; monitored only by background
     /// revalidation (no shadow baselines on the serving path).
     Deployed,
@@ -102,7 +102,7 @@ impl FlightStage {
         match self {
             FlightStage::Candidate | FlightStage::RolledBack { .. } => 0,
             FlightStage::Canary => config.canary_pct,
-            FlightStage::Ramping { step } => RAMP_PCTS.get(step).copied().unwrap_or(100),
+            FlightStage::Ramping => RAMP_PCT,
             FlightStage::Deployed => 100,
         }
     }
@@ -111,11 +111,8 @@ impl FlightStage {
     fn next(self) -> FlightStage {
         match self {
             FlightStage::Candidate => FlightStage::Canary,
-            FlightStage::Canary => FlightStage::Ramping { step: 0 },
-            FlightStage::Ramping { step } if step + 1 < RAMP_PCTS.len() => {
-                FlightStage::Ramping { step: step + 1 }
-            }
-            FlightStage::Ramping { .. } => FlightStage::Deployed,
+            FlightStage::Canary => FlightStage::Ramping,
+            FlightStage::Ramping => FlightStage::Deployed,
             other => other,
         }
     }
@@ -124,7 +121,8 @@ impl FlightStage {
         match self {
             FlightStage::Candidate => "candidate".into(),
             FlightStage::Canary => "canary".into(),
-            FlightStage::Ramping { step } => format!("ramping:{step}"),
+            // Journals and snapshots name the one rung by its index.
+            FlightStage::Ramping => "ramping:0".into(),
             FlightStage::Deployed => "deployed".into(),
             FlightStage::RolledBack { day } => format!("rolledback:{day}"),
         }
@@ -134,27 +132,19 @@ impl FlightStage {
         match s {
             "candidate" => Some(FlightStage::Candidate),
             "canary" => Some(FlightStage::Canary),
+            // Any other step is no stage this controller can be in: a
+            // line carrying one is refused rather than served.
+            "ramping:0" => Some(FlightStage::Ramping),
             "deployed" => Some(FlightStage::Deployed),
-            _ => {
-                if let Some(step) = s.strip_prefix("ramping:") {
-                    // A step past the ladder is no stage this controller
-                    // can be in: reject it rather than serve it at 100 %.
-                    let step = step.parse().ok()?;
-                    (step < RAMP_PCTS.len()).then_some(FlightStage::Ramping { step })
-                } else if let Some(day) = s.strip_prefix("rolledback:") {
-                    Some(FlightStage::RolledBack {
-                        day: day.parse().ok()?,
-                    })
-                } else {
-                    None
-                }
-            }
+            _ => Some(FlightStage::RolledBack {
+                day: s.strip_prefix("rolledback:")?.parse().ok()?,
+            }),
         }
     }
 }
 
-/// Exposure ladder between canary and deployed.
-pub(crate) const RAMP_PCTS: [u8; 1] = [25];
+/// Exposure of the one rung between canary and deployed.
+pub(crate) const RAMP_PCT: u8 = 25;
 /// A stage must last at least this many days before promotion.
 pub(crate) const MIN_DAYS_PER_STAGE: u32 = 1;
 /// … and accumulate this many *clean observed* days.
@@ -536,21 +526,19 @@ enum DayDefault {
     Flighted(String, Box<CompiledPlan>),
 }
 
-/// Compile every job's default plan under the default budget on
-/// `n_threads` workers, one value per job in job order. A plan is kept
-/// only when `wanted` accepts its group key.
+/// Compile every job's [`default_plan`] on `n_threads` workers, one value
+/// per job in job order. A plan is kept only when `wanted` accepts its
+/// group key.
 fn derive_defaults(
     jobs: &[Job],
     n_threads: usize,
     wanted: impl Fn(&str) -> bool + Sync,
 ) -> Vec<DayDefault> {
-    let config = RuleConfig::default_config();
-    let budget = CompileBudget::default();
     let derived = run_chunked_on(
         jobs,
         n_threads,
         |job| {
-            Some(match compile_job_guarded(job, &config, &budget) {
+            Some(match default_plan(job) {
                 Err(_) => DayDefault::Failed,
                 Ok(plan) => {
                     let key = plan.signature.to_bit_string();
@@ -1255,7 +1243,7 @@ mod tests {
     use super::*;
     use crate::testutil::optional_rule;
     use scope_ir::ids::JobId;
-    use scope_optimizer::{RuleSet, RuleSignature};
+    use scope_optimizer::{RuleConfig, RuleSet, RuleSignature};
 
     fn winner(bits: &str, pct: f64) -> GroupConfig {
         let mut config = RuleConfig::default_config();
@@ -1285,29 +1273,26 @@ mod tests {
         for stage in [
             FlightStage::Candidate,
             FlightStage::Canary,
-            FlightStage::Ramping { step: 0 },
+            FlightStage::Ramping,
             FlightStage::Deployed,
             FlightStage::RolledBack { day: 17 },
         ] {
             assert_eq!(FlightStage::parse(&stage.render()), Some(stage));
         }
-        assert_eq!(FlightStage::parse("ramping:x"), None);
+        assert_eq!(FlightStage::Ramping.render(), "ramping:0");
         assert_eq!(FlightStage::parse("launched"), None);
-        // A step past the ladder is refused, so a journal line carrying
-        // one is a torn tail rather than a stage served at 100 %.
-        let past = FlightStage::Ramping {
-            step: RAMP_PCTS.len(),
+        // Every other step is refused, so a journal line carrying one is a
+        // torn tail rather than a stage served at 100 %.
+        for step in ["1", "7", "00", "x", ""] {
+            assert_eq!(FlightStage::parse(&format!("ramping:{step}")), None);
+        }
+        let group = RuleSet::from_bit_string("101").to_bit_string();
+        let line = |stage: &str| {
+            let body = format!("0\tstage\t{group}\t{stage}\t1");
+            format!("{body}\t#{:016x}", fnv64(body.as_bytes()))
         };
-        assert_eq!(FlightStage::parse(&past.render()), None);
-        assert_eq!(FlightStage::parse("ramping:7"), None);
-        let stage = FlightEvent::Stage {
-            group: "101".into(),
-            to: past,
-            day: 1,
-        };
-        let body = format!("0\t{}", render_event(&stage));
-        let line = format!("{body}\t#{:016x}", fnv64(body.as_bytes()));
-        let (entries, discarded) = parse_journal(&line);
+        assert_eq!(parse_journal(&line("ramping:0")).0.len(), 1);
+        let (entries, discarded) = parse_journal(&line("ramping:1"));
         assert_eq!((entries.len(), discarded), (0, 1));
     }
 
@@ -1319,7 +1304,7 @@ mod tests {
         };
         assert_eq!(FlightStage::Candidate.exposure_pct(&cfg), 0);
         assert_eq!(FlightStage::Canary.exposure_pct(&cfg), 5);
-        assert_eq!(FlightStage::Ramping { step: 0 }.exposure_pct(&cfg), 25);
+        assert_eq!(FlightStage::Ramping.exposure_pct(&cfg), 25);
         assert_eq!(FlightStage::Deployed.exposure_pct(&cfg), 100);
         assert_eq!(FlightStage::RolledBack { day: 1 }.exposure_pct(&cfg), 0);
     }
@@ -1355,18 +1340,21 @@ mod tests {
 
     #[test]
     fn an_event_for_a_group_no_hint_file_holds_is_a_torn_tail() {
-        let (c, _) = controller_with("101", -30.0);
-        let config = RuleConfig::default_config();
-        let hint = StoredHint::new("1x1".into(), config, -10.0, 1, HintStatus::Active);
-        let body = format!("1\t{}", render_event(&FlightEvent::Install(hint)));
-        let journal = format!(
-            "{}\n{body}\t#{:016x}",
-            c.journal_text(),
-            fnv64(body.as_bytes())
-        );
-        let (r, report) = FlightController::recover(None, &journal, c.config.clone()).unwrap();
-        assert_eq!((report.replayed_events, report.discarded_lines), (1, 1));
-        assert_eq!(r.snapshot_text(), c.snapshot_text());
+        let (c, key) = controller_with("101", -30.0);
+        // A non-binary key, and a binary one a bit short of a signature.
+        for group in ["1x1", &key[1..]] {
+            let config = RuleConfig::default_config();
+            let hint = StoredHint::new(group.into(), config, -10.0, 1, HintStatus::Active);
+            let body = format!("1\t{}", render_event(&FlightEvent::Install(hint)));
+            let journal = format!(
+                "{}\n{body}\t#{:016x}",
+                c.journal_text(),
+                fnv64(body.as_bytes())
+            );
+            let (r, report) = FlightController::recover(None, &journal, c.config.clone()).unwrap();
+            assert_eq!((report.replayed_events, report.discarded_lines), (1, 1));
+            assert_eq!(r.snapshot_text(), c.snapshot_text());
+        }
     }
 
     #[test]
@@ -1429,7 +1417,7 @@ mod tests {
             stages,
             vec![
                 FlightStage::Canary,
-                FlightStage::Ramping { step: 0 },
+                FlightStage::Ramping,
                 FlightStage::Deployed,
                 FlightStage::Deployed,
                 FlightStage::Deployed,

@@ -1,5 +1,12 @@
 //! Rule-signature job groups (Definition 6.2) and extrapolation of winning
 //! configurations to unseen jobs (§6.4).
+//!
+//! A hint reaches a job only if the job's group is derived the way its
+//! winner's was, so every default plan the loop keys by comes from
+//! `default_plan`: discovery's baselines, the flight layer's day,
+//! [`group_of`] and [`extrapolate`]. It compiles under the identity cost
+//! model; a corrected model could change a default's signature and orphan
+//! the group's hint.
 
 use std::collections::HashMap;
 
@@ -7,18 +14,29 @@ use scope_exec::ABTester;
 use scope_ir::ids::JobId;
 use scope_ir::stats::pct_change;
 use scope_ir::Job;
-use scope_optimizer::{compile_job, RuleConfig, RuleSignature};
+use scope_optimizer::{
+    compile_job_guarded, CompileBudget, CompileError, CompiledPlan, RuleConfig, RuleSignature,
+};
 
 use crate::pipeline::JobOutcome;
 
 /// A job group key: the default rule signature.
 pub(crate) type GroupKey = RuleSignature;
 
-/// Compute a job's group (compile under the default configuration).
+/// A job's default plan: the default configuration with the job's customer
+/// hints, the default compile budget and the identity cost model, a panic
+/// caught as [`CompileError::Panicked`]. Its signature is the job's group.
+pub(crate) fn default_plan(job: &Job) -> Result<CompiledPlan, CompileError> {
+    compile_job_guarded(
+        job,
+        &RuleConfig::default_config(),
+        &CompileBudget::default(),
+    )
+}
+
+/// Compute a job's group: the signature of its default plan.
 pub fn group_of(job: &Job) -> Option<GroupKey> {
-    compile_job(job, &RuleConfig::default_config())
-        .ok()
-        .map(|c| c.signature)
+    default_plan(job).ok().map(|c| c.signature)
 }
 
 /// Partition jobs by their default rule signature.
@@ -99,13 +117,13 @@ pub fn extrapolate(
     }
     let mut runs = Vec::new();
     for job in jobs {
-        let Ok(default) = compile_job(job, &RuleConfig::default_config()) else {
+        let Ok(default) = default_plan(job) else {
             continue;
         };
         let Some(gc) = by_group.get(&default.signature) else {
             continue;
         };
-        let Ok(steered) = compile_job(job, &gc.config) else {
+        let Ok(steered) = compile_job_guarded(job, &gc.config, &CompileBudget::default()) else {
             continue;
         };
         let default_m = ab.run(job, &default.plan, 0);
@@ -148,6 +166,37 @@ mod tests {
         let j1 = d1.iter().find(|j| j.template == j0.template);
         if let Some(j1) = j1 {
             assert_eq!(group_of(j0), group_of(j1));
+        }
+    }
+
+    /// Discovery, `group_of` and the flight layer derive a job's group the
+    /// same way, so every winner reaches the jobs of its own group.
+    #[test]
+    fn discovery_and_the_flight_layer_key_a_job_the_same_way() {
+        use crate::flight::{FlightConfig, FlightController};
+        use scope_exec::RetryPolicy;
+
+        let d = crate::testutil::discover_winners(5.0);
+        let day = d.workload.day(0);
+        for o in &d.report.outcomes {
+            let job = day
+                .iter()
+                .find(|j| j.id == o.job_id)
+                .expect("an analyzed job");
+            assert_eq!(Some(o.group), group_of(job), "job {:?}", o.job_id);
+        }
+        let mut c = FlightController::new(FlightConfig::default());
+        c.ingest(&d.winners, 0);
+        c.advance(0);
+        let served = c.serve_day(&day, &d.ab, &RetryPolicy::no_retries(), 0);
+        let keys: Vec<String> = c.store.hints().map(|h| h.group.clone()).collect();
+        let mut winners: Vec<String> = d.winners.iter().map(|w| w.group.to_bit_string()).collect();
+        winners.sort();
+        winners.dedup();
+        assert_eq!(keys, winners);
+        for key in keys {
+            let matching = served.by_group.get(&key).map_or(0, |s| s.matching);
+            assert!(matching >= 1, "no job of the day matched {key}");
         }
     }
 

@@ -20,7 +20,7 @@
 
 use scope_exec::plan_fingerprint;
 use scope_ir::Job;
-use scope_optimizer::{compile, effective_config, RuleConfig};
+use scope_optimizer::{catch_compile_panics, compile, effective_config, RuleConfig};
 use scope_trace::Counter;
 
 /// Result of minimizing a configuration for a job.
@@ -38,12 +38,14 @@ pub struct MinimizedConfig {
 
 /// Greedily minimize `config` for `job`, preserving the exact physical
 /// plan it produces. Returns `None` if the configuration does not compile
-/// for the job.
+/// for the job. A trial whose compile panics is rejected like one that
+/// fails to compile.
 pub fn minimize_config(job: &Job, config: &RuleConfig) -> Option<MinimizedConfig> {
     let _span = scope_trace::span("minimize");
     let obs = job.catalog.observe();
-    let compile_trial =
-        |trial: &RuleConfig| compile(&job.plan, &obs, &effective_config(job, trial));
+    let compile_trial = |trial: &RuleConfig| {
+        catch_compile_panics(|| compile(&job.plan, &obs, &effective_config(job, trial)))
+    };
     let (target_fp, mut footprint) = {
         let target = compile_trial(config).ok()?;
         (plan_fingerprint(&target.plan), target.footprint)

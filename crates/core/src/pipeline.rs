@@ -6,10 +6,13 @@
 //! Discovery is compile-bound and embarrassingly parallel across jobs, so
 //! [`Pipeline::discover`] fans both stages (default baselining and per-job
 //! analysis) out over [`crate::par`]'s shared-index hand-out: per-job work
-//! is uneven, so each worker claims the next unclaimed jobs. Default and
-//! span-probe compiles are single guarded compiles; a job's candidates go
-//! to the optimizer as a batch ([`compile_candidates`]) that explores once
-//! per transformation subset. One [`JobLint`] per job gates both the span's
+//! is uneven, so each worker claims the next unclaimed jobs. A job's
+//! default plan is `groups::default_plan`, the compile every layer keys a
+//! group by, so discovery compiles under the identity cost model like the
+//! rest of the loop. Span probes are single compiles; a job's candidates
+//! go to the optimizer as a batch ([`compile_candidates`]) that explores
+//! once per transformation subset. Every compile catches panics. One
+//! [`JobLint`] per job gates both the span's
 //! probes and the candidates: a configuration it proves cannot compile is
 //! never handed to the optimizer. A [`Pipeline`] carries nothing from one
 //! compile, job or [`Pipeline::discover`] call to the next.
@@ -32,15 +35,16 @@ use scope_ir::stats::pct_change;
 use scope_ir::Job;
 use scope_lint::{ConfigVerdict, JobLint, PlanBounds};
 use scope_optimizer::{
-    catch_compile_panics, compile_candidates, compile_with_model, effective_config, CompileBudget,
-    CompileError, CompiledPlan, CostModel, RuleConfig, RuleId, RuleSet, RuleSignature, NUM_RULES,
+    compile_candidates, effective_config, CompileBudget, CompileError, CompiledPlan, CostModel,
+    RuleConfig, RuleSet, RuleSignature,
 };
 use scope_trace::{Counter, Histogram, MetricsSnapshot};
 
+use crate::groups::default_plan;
 use crate::guard::{vet_against, CandidateFilterStats, CandidateRejection};
 use crate::par::{available_threads, run_chunked_on};
 use crate::search::candidate_configs_effective;
-use crate::span::{approximate_span_with, ungated_span};
+use crate::span::{approximate_span_with, probe_signature, ungated_span};
 
 /// "Clearly cheaper" margin (§6.1): a candidate whose estimated cost is
 /// below `default_cost * (1 - CHEAPER_FRAC)` triggers execution.
@@ -77,14 +81,6 @@ pub struct PipelineParams {
     /// Worker threads for the parallel discovery stages (`0` = one per
     /// available core). Results are identical at any thread count.
     pub n_threads: usize,
-    /// The cost model every compile in this pipeline runs under: the
-    /// scalarization weights plus any promoted per-template corrections.
-    /// The default is [`CostModel::DEFAULT`], which is bit-identical to
-    /// the historical scalar cost — discovery results only change when a
-    /// non-default model is installed deliberately (weight sweeps, or a
-    /// day boundary promoting corrections from a
-    /// [`crate::feedback::CorrectionStore`]).
-    pub cost_model: CostModel,
 }
 
 impl Default for PipelineParams {
@@ -98,7 +94,6 @@ impl Default for PipelineParams {
             retry: RetryPolicy::default(),
             compile_budget: CompileBudget::default(),
             n_threads: 0,
-            cost_model: CostModel::DEFAULT,
         }
     }
 }
@@ -384,32 +379,6 @@ impl Pipeline {
         }
     }
 
-    /// The job's customer hints as a rule set — the rules
-    /// [`effective_config`] forces on regardless of candidate sampling.
-    fn hint_set(job: &Job) -> RuleSet {
-        let mut forced = RuleSet::EMPTY;
-        for &raw in &job.hints {
-            if (raw as usize) < NUM_RULES {
-                forced.insert(RuleId(raw));
-            }
-        }
-        forced
-    }
-
-    /// Compile one effective configuration (hints merged) of `job`,
-    /// panic-isolated, under the pipeline's cost model and the default
-    /// budget — the compile step defaults and span probes take.
-    fn compile_guarded(
-        &self,
-        job: &Job,
-        obs: &scope_ir::ObservableCatalog,
-        config: &RuleConfig,
-    ) -> Result<CompiledPlan, CompileError> {
-        let model = &self.params.cost_model;
-        let budget = CompileBudget::default();
-        catch_compile_panics(|| compile_with_model(&job.plan, obs, config, &budget, model))
-    }
-
     /// Compile and A/B-execute a job's default plan.
     pub fn default_run(&self, job: &Job) -> Option<(Arc<CompiledPlan>, RunMetrics)> {
         let (compiled, run) = self.default_run_outcome(job)?;
@@ -419,11 +388,10 @@ impl Pipeline {
     /// Like [`Self::default_run`], but reports how the run ended so callers
     /// can skip jobs whose baseline is untrustworthy.
     pub(crate) fn default_run_outcome(&self, job: &Job) -> Option<(Arc<CompiledPlan>, FaultedRun)> {
-        let obs = job.catalog.observe();
-        let config = effective_config(job, &RuleConfig::default_config());
         // Defaults are the measurement baseline, not candidates, so they
-        // are exempt from the per-candidate compile budget.
-        let compiled = Arc::new(self.compile_guarded(job, &obs, &config).ok()?);
+        // are exempt from the per-candidate compile budget, and they key
+        // the job's group, so they compile the one way every layer does.
+        let compiled = Arc::new(default_plan(job).ok()?);
         let run = self
             .ab
             .run_with_retry(job, &compiled.plan, 0, &self.params.retry);
@@ -567,20 +535,16 @@ impl Pipeline {
         // observation, one lint, one span approximation.
         let obs = job.catalog.observe();
         let lint = gates.lint.then(|| JobLint::new(&job.plan));
-        // The span is derived by the same compile step as everything else
-        // here, so it is the span of the optimizer the candidates run on.
-        // Its probes go through the lint gate like the candidates do.
-        let probe = |config: &RuleConfig| {
-            self.compile_guarded(job, &obs, config)
-                .ok()
-                .map(|c| c.signature)
-        };
+        // The span's probes go through the lint gate like the candidates do.
+        let probe = |config: &RuleConfig| probe_signature(&job.plan, &obs, config);
         let span = match &lint {
             Some(lint) => approximate_span_with(lint, probe),
             None => ungated_span(probe),
         };
-        let configs =
-            candidate_configs_effective(&span, &Self::hint_set(job), self.params.m_candidates, rng);
+        // What `effective_config` forces on whatever a candidate samples:
+        // the required rules and the job's customer hints.
+        let forced = *effective_config(job, &RuleConfig::from_enabled(RuleSet::EMPTY)).enabled();
+        let configs = candidate_configs_effective(&span, &forced, self.params.m_candidates, rng);
 
         // One funnel: classify → bound → compile eagerly or defer →
         // threshold → resolve → replay in candidate order. Both compile
@@ -627,7 +591,7 @@ impl Pipeline {
                 &obs,
                 &configs,
                 &self.params.compile_budget,
-                &self.params.cost_model,
+                &CostModel::DEFAULT,
             );
             scope_trace::count(Counter::FunnelCompiled, picked.len() as u64);
             for (&i, result) in picked.iter().zip(results) {
@@ -650,13 +614,9 @@ impl Pipeline {
                 scope_trace::count(Counter::FunnelStaticRejected, 1);
                 continue;
             }
-            // Model-aware: under a corrected model the compiled costs
-            // shrink or grow with the correction factors, so the pruning
-            // floor is widened the same way (bit-identical to `cost_lo`
-            // for the default model).
-            let lb = bounds.as_ref().map_or(f64::NEG_INFINITY, |bounds| {
-                bounds.cost_lo_model(config.enabled(), &self.params.cost_model)
-            });
+            let lb = bounds
+                .as_ref()
+                .map_or(f64::NEG_INFINITY, |bounds| bounds.cost_lo(config.enabled()));
             // A bound above the default's cost stays deferred unless the
             // threshold below reaches it.
             let deferred = lb > default.est_cost;
@@ -952,15 +912,11 @@ mod tests {
 
     #[test]
     fn bounds_gate_preserves_discovery_bit_for_bit() {
-        use scope_optimizer::{CostCorrections, CostWeights};
-
         let w = Workload::generate(WorkloadProfile::workload_a(0.06));
         let jobs = w.day(0);
-        let run = |bounds: bool, cost_model: CostModel, seed: u64| {
-            let mut p = pipeline();
-            p.params.cost_model = cost_model;
+        let run = |bounds: bool, seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            p.discover_gated(
+            pipeline().discover_gated(
                 &jobs,
                 &mut rng,
                 Gates {
@@ -969,60 +925,31 @@ mod tests {
                 },
             )
         };
-        // Corrected: the bound goes through `cost_lo_model`'s widened
-        // floor. Re-weighted: the bound degrades to 0.0, so nothing may be
-        // pruned — and the results must still match.
-        let corrected = CostModel {
-            corrections: CostCorrections {
-                rows: 1.7,
-                cpu: 1.3,
-                io: 0.8,
-            },
-            ..CostModel::DEFAULT
-        };
-        let reweighted = CostModel {
-            weights: CostWeights {
-                io: 4.0,
-                net: 4.0,
-                ..CostWeights::DEFAULT
-            },
-            ..CostModel::DEFAULT
-        };
-        for (name, model, prunes) in [
-            ("default", CostModel::DEFAULT, true),
-            ("corrected", corrected, true),
-            ("re-weighted", reweighted, false),
-        ] {
-            let mut pruned = 0;
-            for seed in [1, 2, 3] {
-                let with = run(true, model, seed);
-                let without = run(false, model, seed);
-                assert_eq!(
-                    gate_insensitive_view(&with),
-                    gate_insensitive_view(&without),
-                    "{name} model, seed {seed}: bounds gate changed an observable result"
-                );
-                // Every executed alternative — the hints discovery would
-                // ship — must match bit for bit, config bits included.
-                for (a, b) in with.outcomes.iter().zip(without.outcomes.iter()) {
-                    assert_eq!(a.executed.len(), b.executed.len());
-                    for (x, y) in a.executed.iter().zip(b.executed.iter()) {
-                        assert_eq!(x.config.enabled(), y.config.enabled());
-                        assert_eq!(x.signature, y.signature);
-                        assert!((x.est_cost - y.est_cost).abs() == 0.0);
-                    }
-                }
-                assert_eq!(without.vetting.static_bounded, 0, "gate off must not count");
-                pruned += with.vetting.static_bounded;
-            }
-            // At least one seed must show the gate actually retiring
-            // compiles, or the defer/resolve ladder is dead weight.
+        let mut pruned = 0;
+        for seed in [1, 2, 3] {
+            let with = run(true, seed);
+            let without = run(false, seed);
             assert_eq!(
-                pruned > 0,
-                prunes,
-                "{name} model: bounds gate pruned {pruned} candidates"
+                gate_insensitive_view(&with),
+                gate_insensitive_view(&without),
+                "seed {seed}: bounds gate changed an observable result"
             );
+            // Every executed alternative — the hints discovery would
+            // ship — must match bit for bit, config bits included.
+            for (a, b) in with.outcomes.iter().zip(without.outcomes.iter()) {
+                assert_eq!(a.executed.len(), b.executed.len());
+                for (x, y) in a.executed.iter().zip(b.executed.iter()) {
+                    assert_eq!(x.config.enabled(), y.config.enabled());
+                    assert_eq!(x.signature, y.signature);
+                    assert!((x.est_cost - y.est_cost).abs() == 0.0);
+                }
+            }
+            assert_eq!(without.vetting.static_bounded, 0, "gate off must not count");
+            pruned += with.vetting.static_bounded;
         }
+        // At least one seed must show the gate actually retiring compiles,
+        // or the defer/resolve ladder is dead weight.
+        assert!(pruned > 0, "bounds gate pruned no candidate");
     }
 
     /// Every result-bearing field of a report, rendered field by field (so
@@ -1097,73 +1024,6 @@ mod tests {
             "got {:#018x}",
             result_digest(&report)
         );
-    }
-
-    #[test]
-    fn idle_feedback_store_preserves_discovery_bit_for_bit() {
-        use crate::feedback::CorrectionStore;
-        use scope_optimizer::CostWeights;
-
-        let w = Workload::generate(WorkloadProfile::workload_a(0.06));
-        let jobs = w.day(0);
-        let run = |model: CostModel, seed: u64| {
-            let p = Pipeline::new(
-                ABTester::new(11),
-                PipelineParams {
-                    m_candidates: 120,
-                    execute_top_k: 5,
-                    sample_frac: 1.0,
-                    cost_model: model,
-                    ..PipelineParams::default()
-                },
-            );
-            let mut rng = StdRng::seed_from_u64(seed);
-            p.discover(&jobs, &mut rng)
-        };
-        // A store that has *ingested* plenty of signal but never crossed a
-        // day boundary hands out the identity model — pending corrections
-        // must be invisible to discovery.
-        let mut store = CorrectionStore::new();
-        for token in 0..20u64 {
-            store.ingest(
-                42,
-                token,
-                &scope_optimizer::CostEstimate {
-                    cpu: 1.0,
-                    io: 1.0,
-                    ..scope_optimizer::CostEstimate::ZERO
-                },
-                &RunMetrics {
-                    runtime: 6.0,
-                    cpu_time: 3.0,
-                    io_time: 3.0,
-                    memory: 0.0,
-                },
-                false,
-            );
-        }
-        let idle = store.model_for(42, CostWeights::DEFAULT);
-        assert_eq!(
-            idle.fingerprint_bits(),
-            CostModel::DEFAULT.fingerprint_bits()
-        );
-        for seed in [1, 2, 3] {
-            let baseline = run(CostModel::DEFAULT, seed);
-            let with_store = run(idle, seed);
-            assert_eq!(
-                gate_insensitive_view(&baseline),
-                gate_insensitive_view(&with_store),
-                "seed {seed}: an unpromoted feedback store changed discovery"
-            );
-            for (a, b) in baseline.outcomes.iter().zip(with_store.outcomes.iter()) {
-                assert_eq!(a.executed.len(), b.executed.len());
-                for (x, y) in a.executed.iter().zip(b.executed.iter()) {
-                    assert_eq!(x.config.enabled(), y.config.enabled());
-                    assert_eq!(x.signature, y.signature);
-                    assert!((x.est_cost - y.est_cost).abs() == 0.0);
-                }
-            }
-        }
     }
 
     #[test]

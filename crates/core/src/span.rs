@@ -17,7 +17,9 @@ use std::collections::HashMap;
 
 use scope_ir::{ObservableCatalog, PlanGraph};
 use scope_lint::{ConfigVerdict, JobLint};
-use scope_optimizer::{compile, RuleCatalog, RuleConfig, RuleSet, RuleSignature};
+use scope_optimizer::{
+    catch_compile_panics, compile, RuleCatalog, RuleConfig, RuleSet, RuleSignature,
+};
 
 /// Result of the span approximation.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,14 +74,25 @@ pub(crate) const MAX_SPAN_ITERATIONS: usize = 64;
 /// production system necessarily handles this implicitly.
 pub fn approximate_span(plan: &PlanGraph, obs: &ObservableCatalog) -> JobSpan {
     let lint = JobLint::new(plan);
-    approximate_span_with(&lint, |config| {
-        compile(plan, obs, config).ok().map(|c| c.signature)
-    })
+    approximate_span_with(&lint, |config| probe_signature(plan, obs, config))
 }
 
-/// [`approximate_span`] over a caller-supplied compile step, so the
-/// pipeline derives the span under its own cost model. The algorithm needs
-/// only the signature of a successful compile (`None` = did not compile).
+/// The compile step Algorithm 1 probes with: the signature of `plan`
+/// compiled under `config`, `None` when it does not compile or its compile
+/// panics.
+pub(crate) fn probe_signature(
+    plan: &PlanGraph,
+    obs: &ObservableCatalog,
+    config: &RuleConfig,
+) -> Option<RuleSignature> {
+    catch_compile_panics(|| compile(plan, obs, config))
+        .ok()
+        .map(|c| c.signature)
+}
+
+/// [`approximate_span`] over a caller-supplied compile step. The algorithm
+/// needs only the signature of a successful compile (`None` = did not
+/// compile, a panic included).
 ///
 /// A configuration the job's `lint` classifies `Invalid` is answered
 /// `None` without calling `try_compile`: its compile could only end in

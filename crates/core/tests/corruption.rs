@@ -156,20 +156,11 @@ fn dropped_join_input_is_caught_by_the_validator() {
     assert!(caught > 0, "no two-input node found in any day-0 plan");
 }
 
-/// A malformed job — its scans overwritten with joins that have no inputs,
-/// which normalization's arity check panics on — makes even the *default*
-/// compile panic. Discovery must lose that one job, not the worker's whole
-/// chunk of the day, and so account for the same jobs at any thread count.
-/// The flight layer skips it: serving and revalidation report and journal
-/// exactly what they do for the same day without it.
-#[test]
-fn panicking_default_compile_loses_one_job_not_its_chunk() {
-    use rand::SeedableRng;
-    use scope_exec::{ABTester, RetryPolicy};
+/// A day of Workload A whose first job is malformed: its scans are
+/// overwritten with joins that have no inputs, which normalization's arity
+/// check panics on, so every compile of it panics.
+fn day_with_a_malformed_first_job() -> Vec<scope_ir::Job> {
     use scope_ir::ops::JoinKind;
-    use steer_core::{
-        FlightConfig, FlightController, FlightDayReport, GroupConfig, Pipeline, PipelineParams,
-    };
 
     let w = Workload::generate(WorkloadProfile::workload_a(0.08));
     let mut jobs = w.day(0);
@@ -181,6 +172,31 @@ fn panicking_default_compile_loses_one_job_not_its_chunk() {
             };
         }
     });
+    jobs
+}
+
+/// Minimization compiles its target and trials with panics caught: the
+/// malformed job's target panics, which reads as "does not compile".
+#[test]
+fn minimizing_a_job_whose_compiles_panic_returns_none() {
+    let jobs = day_with_a_malformed_first_job();
+    assert!(steer_core::minimize_config(&jobs[0], &RuleConfig::default_config()).is_none());
+}
+
+/// The malformed job makes even the *default* compile panic. Discovery
+/// must lose that one job, not the worker's whole
+/// chunk of the day, and so account for the same jobs at any thread count.
+/// The flight layer skips it: serving and revalidation report and journal
+/// exactly what they do for the same day without it.
+#[test]
+fn panicking_default_compile_loses_one_job_not_its_chunk() {
+    use rand::SeedableRng;
+    use scope_exec::{ABTester, RetryPolicy};
+    use steer_core::{
+        FlightConfig, FlightController, FlightDayReport, GroupConfig, Pipeline, PipelineParams,
+    };
+
+    let jobs = day_with_a_malformed_first_job();
     assert!(scope_optimizer::compile_job_guarded(
         &jobs[0],
         &RuleConfig::default_config(),

@@ -9,7 +9,7 @@
 
 use proptest::collection;
 use proptest::prelude::*;
-use scope_optimizer::{RuleCatalog, RuleConfig};
+use scope_optimizer::{RuleCatalog, RuleConfig, RuleId, RuleSet, NUM_RULES};
 use steer_core::{HintStatus, HintStore, StoredHint};
 
 fn status_strategy() -> impl Strategy<Value = HintStatus> {
@@ -54,22 +54,27 @@ fn config_strategy() -> impl Strategy<Value = RuleConfig> {
     })
 }
 
+/// A group key: a rule signature's `NUM_RULES` bits, any of them set.
+fn key_strategy() -> impl Strategy<Value = String> {
+    collection::vec(any::<u32>(), 0..12).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|pick| RuleId((pick as usize % NUM_RULES) as u16))
+            .collect::<RuleSet>()
+            .to_bit_string()
+    })
+}
+
 fn hint_strategy() -> impl Strategy<Value = StoredHint> {
     (
-        collection::vec(any::<bool>(), 1..12),
+        key_strategy(),
         config_strategy(),
         finite_f64(),
         any::<u32>(),
         status_strategy(),
     )
-        .prop_map(|(bits, config, base_change_pct, discovered_day, status)| {
-            StoredHint::new(
-                bits.iter().map(|&b| if b { '1' } else { '0' }).collect(),
-                config,
-                base_change_pct,
-                discovered_day,
-                status,
-            )
+        .prop_map(|(group, config, base_change_pct, discovered_day, status)| {
+            StoredHint::new(group, config, base_change_pct, discovered_day, status)
         })
 }
 

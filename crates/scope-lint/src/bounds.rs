@@ -63,8 +63,8 @@ use scope_ir::{
     Interval, JoinKind, LogicalOp, NodeId, ObservableCatalog, OpKind, PlanGraph, Predicate,
 };
 use scope_optimizer::cost::{
-    dop_for_bytes, raw_scan_bytes, CostModel, CostWeights, C_CPU_ROW, C_HASH_ROW, C_IO, C_SORT_ROW,
-    C_UDO_ROW, C_VERTEX, DOP_TIERS,
+    dop_for_bytes, raw_scan_bytes, C_CPU_ROW, C_HASH_ROW, C_IO, C_SORT_ROW, C_UDO_ROW, C_VERTEX,
+    DOP_TIERS,
 };
 use scope_optimizer::estimate::{Estimator, LogicalEst};
 use scope_optimizer::{PhysImpl, RuleAction, RuleCatalog, RuleId, RuleSet};
@@ -194,25 +194,6 @@ impl PlanBounds {
             .map(|t| t.min_enabled(enabled))
             .sum();
         (sum * (1.0 - COST_SLACK)).max(0.0)
-    }
-
-    /// [`Self::cost_lo`] under an arbitrary [`CostModel`]: a guaranteed
-    /// lower bound on the *corrected, scalarized* cost of any compilable
-    /// plan. The floor formulas are derived for the classic
-    /// [`CostWeights::DEFAULT`] fold, where every charged component (cpu,
-    /// io, net, vertices) is non-negative and enters at weight 1; a
-    /// correction multiplies cpu by its cpu factor and io+net by its io
-    /// factor while leaving vertices unscaled, so the corrected scalar is
-    /// at least `min(1, f_cpu, f_io) · scalar` (`correction_floor`).
-    /// Under the identity model the result is bit-identical to
-    /// [`Self::cost_lo`] (`x · 1.0 == x`). Non-default *weights* invalidate
-    /// the hand-derived formulas, so the bound degrades to the trivially
-    /// sound `0.0`.
-    pub fn cost_lo_model(&self, enabled: &RuleSet, model: &CostModel) -> f64 {
-        match correction_floor(model) {
-            Some(factor) => self.cost_lo(enabled) * factor,
-            None => 0.0,
-        }
     }
 
     /// Interval transfer for one normalized operator given its children's
@@ -349,21 +330,6 @@ impl PlanBounds {
 /// Widen an interval by the relative estimator slack.
 fn widen(i: Interval) -> Interval {
     Interval::new(i.lo() * (1.0 - EST_SLACK), i.hi() * (1.0 + EST_SLACK))
-}
-
-/// The factor a model's corrections can shrink any DEFAULT-weight
-/// scalarized cost by at most: corrections scale cpu by one factor and
-/// io+net by another (vertices stay unscaled; rows and memory carry weight
-/// 0), so every corrected scalar is at least `min(1, f_cpu, f_io)` times
-/// the uncorrected one. `None` when the model's weights are not the
-/// DEFAULT fold the hand-derived floor formulas mirror, or the corrections
-/// are degenerate — callers fall back to the trivial floor.
-fn correction_floor(model: &CostModel) -> Option<f64> {
-    if model.weights != CostWeights::DEFAULT || !model.corrections.is_valid() {
-        return None;
-    }
-    let c = model.corrections;
-    Some(c.cpu.min(c.io).min(1.0))
 }
 
 /// The required normalizers, applied op-locally (mirrors
@@ -707,61 +673,6 @@ mod tests {
             (lo_shared - lo_single).abs() < 1e-9,
             "shared scan must contribute one floor: {lo_shared} vs {lo_single}"
         );
-    }
-
-    #[test]
-    fn identity_model_bounds_are_bit_identical_to_the_classic_ones() {
-        let obs = catalog();
-        let bounds = PlanBounds::analyze(&plan(), &obs);
-        let config = RuleConfig::default_config();
-        let lo = bounds.cost_lo(config.enabled());
-        let lo_m = bounds.cost_lo_model(config.enabled(), &CostModel::DEFAULT);
-        assert_eq!(lo.to_bits(), lo_m.to_bits());
-    }
-
-    #[test]
-    fn corrected_models_widen_bounds_and_still_bracket_the_winner() {
-        use scope_optimizer::{compile_with_model, CompileBudget, CostCorrections};
-        let obs = catalog();
-        let p = plan();
-        let bounds = PlanBounds::analyze(&p, &obs);
-        let config = RuleConfig::default_config();
-        let lo = bounds.cost_lo(config.enabled());
-        let model = CostModel {
-            weights: CostWeights::DEFAULT,
-            corrections: CostCorrections {
-                rows: 1.0,
-                cpu: 2.0,
-                io: 0.5,
-            },
-        };
-        let lo_m = bounds.cost_lo_model(config.enabled(), &model);
-        // The floor factor is min(1, 2, 0.5) = 0.5.
-        assert_eq!(lo_m.to_bits(), (lo * 0.5).to_bits());
-        // The widened floor must hold for the plan actually compiled under
-        // the corrected model.
-        let compiled =
-            compile_with_model(&p, &obs, &config, &CompileBudget::default(), &model).unwrap();
-        assert!(
-            lo_m <= compiled.est_cost,
-            "corrected winner {} fell below {lo_m}",
-            compiled.est_cost
-        );
-    }
-
-    #[test]
-    fn non_default_weights_degrade_to_trivial_bounds() {
-        let obs = catalog();
-        let bounds = PlanBounds::analyze(&plan(), &obs);
-        let config = RuleConfig::default_config();
-        let skewed = CostModel {
-            weights: CostWeights {
-                io: 4.0,
-                ..CostWeights::DEFAULT
-            },
-            corrections: scope_optimizer::CostCorrections::IDENTITY,
-        };
-        assert_eq!(bounds.cost_lo_model(config.enabled(), &skewed), 0.0);
     }
 
     #[test]
