@@ -1,5 +1,5 @@
-//! Plan hints at rest (§3.3): the one record kept per job group, and the
-//! plain-text hint file customers would check in.
+//! Plan hints at rest (§3.3): the one record kept per job group, and its
+//! one text form, the hint line.
 //!
 //! A [`StoredHint`] holds its group's config, lifecycle status and rollout
 //! ([`FlightState`]); [`HintStore`], in group-key order, is the flight
@@ -7,6 +7,12 @@
 //! decides which hint reaches which job and what happens to one that
 //! regresses, dies or trips a guardrail: it is the only writer outside
 //! tests and offline experiments, and every write it makes is journaled.
+//!
+//! A hint is written as text in one place, `hint_line`, and read in one,
+//! `parse_hint_line`: the hint file customers would check in is those
+//! lines, the flight controller's snapshot is a checksummed hint file, and
+//! a journaled install is one hint line. A line holds a hint and its
+//! rollout together, so no text can hold either without the other.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -39,7 +45,7 @@ pub struct StoredHint {
     pub base_change_pct: f64,
     pub discovered_day: u32,
     pub status: HintStatus,
-    /// Its rollout; a hint-file line carries none, so it reads back fresh.
+    /// Its rollout, written on the hint's own line.
     pub flight: FlightState,
 }
 
@@ -127,14 +133,16 @@ impl HintStore {
     ///
     /// ```text
     /// bits  status  -[ids]  +[ids]  base:<hex64>  day:<n>
+    ///       stage:<stage>  since:<n>  clean:<n>  strikes:<n>  cusum:<hex64>  probation:<n>
     /// ```
     ///
-    /// Rule ids are relative to the default config. Floats are serialized
-    /// as their IEEE-754 bit pattern in hex, so
+    /// (one line; wrapped here). Rule ids are the config's delta from the
+    /// default, ascending. The last six fields are the hint's rollout: its
+    /// stage, the day it entered it, and the stage's monitor state. Floats
+    /// are serialized as their IEEE-754 bit pattern in hex, so
     /// [`Self::from_hint_text`] round-trips *bit-identically* — a
     /// requirement for crash-recovery equivalence checks, and immune to
-    /// decimal-formatting drift. A line carries no rollout state: the
-    /// flight controller's snapshot writes that beside it.
+    /// decimal-formatting drift.
     pub fn to_hint_text(&self) -> String {
         self.hints().map(hint_line).collect::<Vec<_>>().join("\n")
     }
@@ -143,8 +151,11 @@ impl HintStore {
     ///
     /// Strict: a malformed, truncated, or duplicated line is a typed
     /// [`HintParseError`] carrying its 1-based line number, never a
-    /// silently skipped hint. A hint file drives what production jobs
-    /// execute; parsing must not guess.
+    /// silently skipped hint, and so is a line the writer would not have
+    /// written (a rule id that is no delta from the default, a repeated or
+    /// unsorted id, a number with a sign or a leading zero, upper-case
+    /// hex): every line read back re-renders byte for byte. A hint file
+    /// drives what production jobs execute; parsing must not guess.
     pub fn from_hint_text(text: &str) -> Result<HintStore, HintParseError> {
         let mut store = HintStore::new();
         for (idx, line) in text.lines().enumerate() {
@@ -168,7 +179,21 @@ impl HintStore {
 }
 
 /// Field order of one hint line (also the names used in parse errors).
-const HINT_FIELDS: [&str; 6] = ["group", "status", "disabled", "enabled", "base", "day"];
+/// From `base` on, a field is its name, a colon and its value.
+const HINT_FIELDS: [&str; 12] = [
+    "group",
+    "status",
+    "disabled",
+    "enabled",
+    "base",
+    "day",
+    "stage",
+    "since",
+    "clean",
+    "strikes",
+    "cusum",
+    "probation",
+];
 
 /// Why a hint file failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -183,7 +208,9 @@ pub enum HintParseErrorKind {
     BadRuleId(String),
     /// A numeric field failed to parse.
     BadNumber { field: &'static str, value: String },
-    /// A field had the wrong shape (non-binary group bits).
+    /// A field had the wrong shape (non-binary group bits, an unknown
+    /// stage), or is not what the writer would have written there (see
+    /// [`HintStore::from_hint_text`]).
     Malformed { field: &'static str, value: String },
     /// Two lines claimed the same group.
     DuplicateGroup(String),
@@ -254,34 +281,14 @@ pub(crate) fn f64_from_hex(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
-/// Render a config as its delta from the default: `("-[ids]", "+[ids]")`.
-pub(crate) fn config_delta_fields(config: &RuleConfig) -> (String, String) {
-    let (disabled, enabled) = config.delta_from_default();
-    let ids = |set: &RuleSet| {
-        set.iter()
-            .map(|id| id.0.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    (
-        format!("-[{}]", ids(&disabled)),
-        format!("+[{}]", ids(&enabled)),
-    )
+/// The rule ids of one delta field, `-[1,5]` or `+[]`, in ascending order.
+fn id_list(ids: &RuleSet) -> String {
+    let ids: Vec<String> = ids.iter().map(|id| id.0.to_string()).collect();
+    ids.join(",")
 }
 
-/// Rebuild a config from its delta fields. `Err` carries the offending
-/// token (not a number, or an id outside the catalog).
-pub(crate) fn config_from_delta_fields(minus: &str, plus: &str) -> Result<RuleConfig, String> {
-    let mut config = RuleConfig::default_config();
-    for id in parse_id_list(minus, '-')? {
-        config.disable(RuleId(id));
-    }
-    for id in parse_id_list(plus, '+')? {
-        config.enable(RuleId(id));
-    }
-    Ok(config)
-}
-
+/// Parse one delta field, `sign[ids]`. `Err` carries the offending token
+/// (not a number, or an id outside the catalog).
 fn parse_id_list(field: &str, sign: char) -> Result<Vec<u16>, String> {
     let inner = field
         .strip_prefix(sign)
@@ -303,22 +310,48 @@ fn parse_id_list(field: &str, sign: char) -> Result<Vec<u16>, String> {
         .collect()
 }
 
-/// Serialize one hint as a hint-file line (no newline).
-pub(crate) fn hint_line(e: &StoredHint) -> String {
-    let (minus, plus) = config_delta_fields(&e.config);
+/// Serialize one hint as a hint-file line (no newline): the only writer of
+/// a hint's fields.
+pub(crate) fn hint_line(h: &StoredHint) -> String {
+    let (disabled, enabled) = h.config.delta_from_default();
+    let f = &h.flight;
     format!(
-        "{}\t{}\t{}\t{}\tbase:{}\tday:{}",
-        e.group,
-        status_name(e.status),
-        minus,
-        plus,
-        f64_to_hex(e.base_change_pct),
-        e.discovered_day
+        "{}\t{}\t-[{}]\t+[{}]\tbase:{}\tday:{}\tstage:{}\tsince:{}\tclean:{}\tstrikes:{}\tcusum:{}\tprobation:{}",
+        h.group,
+        status_name(h.status),
+        id_list(&disabled),
+        id_list(&enabled),
+        f64_to_hex(h.base_change_pct),
+        h.discovered_day,
+        f.stage.render(),
+        f.stage_since_day,
+        f.clean_days_in_stage,
+        f.strikes,
+        f64_to_hex(f.cusum),
+        f.probation_clean
     )
 }
 
-/// Parse one non-empty hint-file line.
-fn parse_hint_line(line: &str) -> Result<StoredHint, HintParseErrorKind> {
+/// The value of field `i`, `<name>:<value>`, parsed by `parse`.
+fn tagged<T>(
+    fields: &[&str],
+    i: usize,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, HintParseErrorKind> {
+    let name = HINT_FIELDS[i];
+    fields[i]
+        .strip_prefix(name)
+        .and_then(|v| v.strip_prefix(':'))
+        .and_then(parse)
+        .ok_or_else(|| HintParseErrorKind::BadNumber {
+            field: name,
+            value: fields[i].to_string(),
+        })
+}
+
+/// Parse one non-empty hint-file line: the only reader of a hint's fields.
+/// A line is accepted only if [`hint_line`] renders its hint back to it.
+pub(crate) fn parse_hint_line(line: &str) -> Result<StoredHint, HintParseErrorKind> {
     let fields: Vec<&str> = line.split('\t').collect();
     if fields.len() < HINT_FIELDS.len() {
         return Err(HintParseErrorKind::MissingField(HINT_FIELDS[fields.len()]));
@@ -328,38 +361,49 @@ fn parse_hint_line(line: &str) -> Result<StoredHint, HintParseErrorKind> {
             fields[HINT_FIELDS.len()..].join("\t"),
         ));
     }
+    let malformed = |i: usize| HintParseErrorKind::Malformed {
+        field: HINT_FIELDS[i],
+        value: fields[i].to_string(),
+    };
     let group = fields[0];
     if !is_group_key(group) {
-        return Err(HintParseErrorKind::Malformed {
-            field: "group",
-            value: group.to_string(),
-        });
+        return Err(malformed(0));
     }
     let status = status_from_name(fields[1])
         .ok_or_else(|| HintParseErrorKind::UnknownStatus(fields[1].to_string()))?;
-    let config =
-        config_from_delta_fields(fields[2], fields[3]).map_err(HintParseErrorKind::BadRuleId)?;
-    let base_change_pct = fields[4]
-        .strip_prefix("base:")
-        .and_then(f64_from_hex)
-        .ok_or_else(|| HintParseErrorKind::BadNumber {
-            field: "base",
-            value: fields[4].to_string(),
-        })?;
-    let discovered_day: u32 = fields[5]
-        .strip_prefix("day:")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| HintParseErrorKind::BadNumber {
-            field: "day",
-            value: fields[5].to_string(),
-        })?;
-    Ok(StoredHint::new(
-        group.to_string(),
+    let mut config = RuleConfig::default_config();
+    for id in parse_id_list(fields[2], '-').map_err(HintParseErrorKind::BadRuleId)? {
+        config.disable(RuleId(id));
+    }
+    for id in parse_id_list(fields[3], '+').map_err(HintParseErrorKind::BadRuleId)? {
+        config.enable(RuleId(id));
+    }
+    let number = |i: usize| tagged(&fields, i, |v| v.parse().ok());
+    let hint = StoredHint {
+        group: group.to_string(),
         config,
-        base_change_pct,
-        discovered_day,
+        base_change_pct: tagged(&fields, 4, f64_from_hex)?,
+        discovered_day: number(5)?,
         status,
-    ))
+        flight: FlightState {
+            stage: tagged(&fields, 6, FlightStage::parse).map_err(|_| malformed(6))?,
+            stage_since_day: number(7)?,
+            clean_days_in_stage: number(8)?,
+            strikes: number(9)?,
+            cusum: tagged(&fields, 10, f64_from_hex)?,
+            probation_clean: number(11)?,
+            salt: flight_salt(group),
+        },
+    };
+    // Every parse above accepts more than the writer writes (a rule id
+    // that is no delta, `+5`, `05`, upper-case hex), and that surplus
+    // would not survive a re-render: refuse it at the first field it
+    // changes.
+    let rendered = hint_line(&hint);
+    match rendered.split('\t').zip(&fields).position(|(r, f)| r != *f) {
+        Some(i) => Err(malformed(i)),
+        None => Ok(hint),
+    }
 }
 
 /// A group key is a rule signature's bit string, in the hint file and the
@@ -374,13 +418,15 @@ pub(crate) fn is_group_key(group: &str) -> bool {
 mod tests {
     use super::*;
     use crate::testutil::optional_rule;
+    use scope_optimizer::RuleCatalog;
 
     /// The group key of the signature whose leading bits are `bits`.
     fn key(bits: &str) -> String {
         RuleSet::from_bit_string(bits).to_bit_string()
     }
 
-    /// One hint per status, with distinct deltas, days and improvements.
+    /// One hint per status, with distinct deltas, days, improvements and
+    /// rollouts.
     fn sample_store() -> HintStore {
         let mut store = HintStore::new();
         let statuses = [
@@ -393,13 +439,22 @@ mod tests {
             if i > 0 {
                 config.disable(optional_rule());
             }
-            store.insert_hint(StoredHint::new(
+            let mut hint = StoredHint::new(
                 key(&format!("1{i:b}01")),
                 config,
                 -10.5 * (i + 1) as f64,
                 i as u32,
                 status,
-            ));
+            );
+            let f = &mut hint.flight;
+            f.stage = [
+                FlightStage::Ramping,
+                FlightStage::RolledBack { day: 9 },
+                FlightStage::Candidate,
+            ][i];
+            (f.stage_since_day, f.clean_days_in_stage, f.strikes) = (9, 2, i as u32);
+            (f.cusum, f.probation_clean) = (12.75 * i as f64, 3 - i as u32);
+            store.insert_hint(hint);
         }
         store
     }
@@ -445,8 +500,14 @@ mod tests {
         assert_eq!(err.line, n_lines);
         assert_eq!(err.kind, HintParseErrorKind::MissingField("enabled"));
 
-        // Fields past `day` (a v1 hint file carried validation history
-        // there) are an error, not silently dropped.
+        // A line without a rollout (hint files before the flight fields)
+        // is refused rather than read back as a fresh candidate.
+        let first = good.lines().next().unwrap();
+        let v2: Vec<&str> = first.split('\t').take(6).collect();
+        let err = HintStore::from_hint_text(&v2.join("\t")).unwrap_err();
+        assert_eq!(err.kind, HintParseErrorKind::MissingField("stage"));
+
+        // Fields past `probation` are an error, not silently dropped.
         let old_format = format!("{good}\tfailed:0\tvals:[]");
         let err = HintStore::from_hint_text(&old_format).unwrap_err();
         assert_eq!(err.line, n_lines);
@@ -461,11 +522,75 @@ mod tests {
         assert!(err.to_string().contains(&format!("line {}", err.line)));
     }
 
+    /// The rollout fields of a candidate of day 0.
+    const FRESH: &str =
+        "stage:candidate\tsince:0\tclean:0\tstrikes:0\tcusum:0000000000000000\tprobation:0";
+
+    #[test]
+    fn a_line_the_writer_would_not_write_is_refused() {
+        let cat = RuleCatalog::global();
+        let required = cat.required().iter().next().unwrap();
+        let off = cat.off_by_default().iter().next().unwrap();
+        let optional = RuleConfig::default_config()
+            .enabled()
+            .difference(cat.required());
+        let on: Vec<u16> = optional.iter().take(2).map(|id| id.0).collect();
+        let (on, other_on) = (on[0], on[1]);
+        let group = key("101");
+        let base = f64_to_hex(-10.5);
+        let line = |minus: &str, plus: &str, day: &str| {
+            format!("{group}\tactive\t-[{minus}]\t+[{plus}]\tbase:{base}\tday:{day}\t{FRESH}")
+        };
+        let ok = line(&format!("{on},{other_on}"), "", "5");
+        assert_eq!(HintStore::from_hint_text(&ok).unwrap().to_hint_text(), ok);
+        let malformed =
+            |field: &'static str, value: String| HintParseErrorKind::Malformed { field, value };
+        for (bad, kind) in [
+            // A required rule cannot be disabled: the old parser dropped it.
+            (
+                line(&required.0.to_string(), "", "5"),
+                malformed("disabled", format!("-[{}]", required.0)),
+            ),
+            // A rule enabled by default is no `+` delta, and one disabled
+            // by default no `-` delta.
+            (
+                line("", &on.to_string(), "5"),
+                malformed("enabled", format!("+[{on}]")),
+            ),
+            (
+                line(&off.0.to_string(), "", "5"),
+                malformed("disabled", format!("-[{}]", off.0)),
+            ),
+            // Ids are written once each, ascending.
+            (
+                line(&format!("{on},{on}"), "", "5"),
+                malformed("disabled", format!("-[{on},{on}]")),
+            ),
+            (
+                line(&format!("{other_on},{on}"), "", "5"),
+                malformed("disabled", format!("-[{other_on},{on}]")),
+            ),
+            // Numbers carry no sign and no leading zero, hex no capitals.
+            (line("", "", "05"), malformed("day", "day:05".into())),
+            (line("", "", "+5"), malformed("day", "day:+5".into())),
+        ] {
+            let err = HintStore::from_hint_text(&bad).unwrap_err();
+            assert_eq!(err.kind, kind, "{bad}");
+        }
+        let upper = ok.replacen(&base, &base.to_uppercase(), 1);
+        assert_ne!(upper, ok, "the sample hex has a letter");
+        let err = HintStore::from_hint_text(&upper).unwrap_err();
+        assert_eq!(
+            err.kind,
+            malformed("base", format!("base:{}", base.to_uppercase()))
+        );
+    }
+
     #[test]
     fn parse_rejects_out_of_range_rule_ids_and_duplicates() {
         let line = |group: &str, minus: &str| {
             format!(
-                "{group}\tactive\t-[{minus}]\t+[]\tbase:{}\tday:0",
+                "{group}\tactive\t-[{minus}]\t+[]\tbase:{}\tday:0\t{FRESH}",
                 f64_to_hex(-10.0)
             )
         };

@@ -46,7 +46,10 @@
 //!   *same* `apply`, so the reconstructed state is bit-identical to the
 //!   original, and a torn tail (simulated with
 //!   [`scope_exec::CrashPlan`]) truncates to the last durable event
-//!   instead of corrupting the store.
+//!   instead of corrupting the store. A hint and its flight are written
+//!   as one hint line ([`crate::deploy`]) wherever they are written: the
+//!   snapshot is a header, the hint file and a checksum, and a journaled
+//!   install is `install\t<hint line>`.
 //! * **One default compile per job-day** — a day's default plans are
 //!   compiled once, fanned out over every core ([`crate::par`]) with
 //!   panic isolation, so a job whose default compile fails or panics is
@@ -62,7 +65,7 @@
 //! public [`FlightController::store`] directly bypasses the journal and
 //! forfeits the recovery guarantee.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use scope_exec::{ABTester, CrashPlan, CrashRoll, RetryPolicy};
@@ -73,8 +76,8 @@ use scope_optimizer::{CompileBudget, CompiledPlan};
 use scope_trace::{count, record, Counter, Histogram};
 
 use crate::deploy::{
-    config_delta_fields, config_from_delta_fields, f64_from_hex, f64_to_hex, hint_line,
-    is_group_key, status_from_name, status_name, HintStatus, HintStore, StoredHint,
+    f64_from_hex, f64_to_hex, hint_line, is_group_key, parse_hint_line, status_from_name,
+    status_name, HintParseError, HintStatus, HintStore, StoredHint,
 };
 use crate::groups::{default_plan, GroupConfig};
 use crate::guard::{compile_steered, SteeredCompile};
@@ -117,7 +120,7 @@ impl FlightStage {
         }
     }
 
-    fn render(self) -> String {
+    pub(crate) fn render(self) -> String {
         match self {
             FlightStage::Candidate => "candidate".into(),
             FlightStage::Canary => "canary".into(),
@@ -128,7 +131,7 @@ impl FlightStage {
         }
     }
 
-    fn parse(s: &str) -> Option<FlightStage> {
+    pub(crate) fn parse(s: &str) -> Option<FlightStage> {
         match s {
             "candidate" => Some(FlightStage::Candidate),
             "canary" => Some(FlightStage::Canary),
@@ -248,16 +251,7 @@ pub(crate) enum FlightEvent {
 
 fn render_event(event: &FlightEvent) -> String {
     match event {
-        FlightEvent::Install(hint) => {
-            let (minus, plus) = config_delta_fields(&hint.config);
-            format!(
-                "install\t{}\t{}\t{minus}\t{plus}\t{}\t{}",
-                hint.group,
-                status_name(hint.status),
-                f64_to_hex(hint.base_change_pct),
-                hint.discovered_day
-            )
-        }
+        FlightEvent::Install(hint) => format!("install\t{}", hint_line(hint)),
         FlightEvent::Stage { group, to, day } => {
             format!("stage\t{group}\t{}\t{day}", to.render())
         }
@@ -279,20 +273,18 @@ fn render_event(event: &FlightEvent) -> String {
 /// Parse `"<seq>\t<payload>"`. `None` on any malformation — recovery
 /// treats that as a torn tail, not a guess.
 fn parse_event_body(body: &str) -> Option<(u64, FlightEvent)> {
-    let mut it = body.split('\t');
-    let seq: u64 = it.next()?.parse().ok()?;
+    let (seq, payload) = body.split_once('\t')?;
+    let seq: u64 = seq.parse().ok()?;
+    // An install is the hint's own line: a line the hint file would
+    // refuse is a torn line here too.
+    if let Some(line) = payload.strip_prefix("install\t") {
+        return Some((seq, FlightEvent::Install(parse_hint_line(line).ok()?)));
+    }
+    let mut it = payload.split('\t');
     let kind = it.next()?;
-    // Every event names its group first, under the hint file's rule: a
-    // group that file would refuse is a torn line here too.
+    // Every other event names its group next, under the hint file's rule.
     let group = it.next().filter(|g| is_group_key(g))?.to_string();
     let event = match kind {
-        "install" => {
-            let status = status_from_name(it.next()?)?;
-            let config = config_from_delta_fields(it.next()?, it.next()?).ok()?;
-            let base_change_pct = f64_from_hex(it.next()?)?;
-            let day = it.next()?.parse().ok()?;
-            FlightEvent::Install(StoredHint::new(group, config, base_change_pct, day, status))
-        }
         "stage" => FlightEvent::Stage {
             group,
             to: FlightStage::parse(it.next()?)?,
@@ -422,11 +414,9 @@ pub enum RecoveryError {
     SnapshotVersion(String),
     /// The trailing checksum did not match the snapshot body.
     SnapshotChecksum,
-    /// A body line was neither a hint nor a flight record, repeated a
-    /// group's flight, or was a hint or flight whose group lacks the other.
-    SnapshotMalformed { line: usize, what: String },
-    /// The embedded hint store failed to parse.
-    SnapshotHints(crate::deploy::HintParseError),
+    /// The snapshot's hint lines failed to parse; the error's line number
+    /// counts the header as line 1.
+    SnapshotHints(HintParseError),
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -434,9 +424,6 @@ impl std::fmt::Display for RecoveryError {
         match self {
             RecoveryError::SnapshotVersion(h) => write!(f, "bad snapshot header: `{h}`"),
             RecoveryError::SnapshotChecksum => write!(f, "snapshot checksum mismatch"),
-            RecoveryError::SnapshotMalformed { line, what } => {
-                write!(f, "snapshot line {line}: malformed `{what}`")
-            }
             RecoveryError::SnapshotHints(e) => write!(f, "snapshot hints: {e}"),
         }
     }
@@ -1094,31 +1081,16 @@ impl FlightController {
     }
 
     /// Serialize the full durable state: a versioned header carrying the
-    /// journal sequence watermark, the hint store (lossless hint-text
-    /// lines), every flight state, and a trailing whole-body checksum.
-    /// Two controllers with bit-identical state produce bit-identical
+    /// journal sequence watermark, the hint file (one line per group, its
+    /// rollout included), and a trailing whole-body checksum. Two
+    /// controllers with bit-identical state produce bit-identical
     /// snapshots, which is how the recovery tests check fidelity.
     pub fn snapshot_text(&self) -> String {
-        let mut lines = vec![format!("flightsnap\tv2\tseq:{}", self.journal.next_seq)];
-        lines.extend(
-            self.store
-                .hints()
-                .map(|h| format!("hint\t{}", hint_line(h))),
+        let body = format!(
+            "{SNAPSHOT_HEADER}{}\n{}",
+            self.journal.next_seq,
+            self.store.to_hint_text()
         );
-        for h in self.store.hints() {
-            let f = &h.flight;
-            lines.push(format!(
-                "flight\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                h.group,
-                f.stage.render(),
-                f.stage_since_day,
-                f.clean_days_in_stage,
-                f.strikes,
-                f64_to_hex(f.cusum),
-                f.probation_clean
-            ));
-        }
-        let body = lines.join("\n");
         format!("{body}\nend\t#{:016x}", fnv64(body.as_bytes()))
     }
 
@@ -1160,82 +1132,31 @@ impl FlightController {
     }
 }
 
+/// A snapshot's first line, up to its sequence watermark.
+const SNAPSHOT_HEADER: &str = "flightsnap\tv3\tseq:";
+
 fn parse_snapshot(text: &str, config: FlightConfig) -> Result<FlightController, RecoveryError> {
-    let Some((body, tail)) = text.rsplit_once("\nend\t#") else {
-        return Err(RecoveryError::SnapshotChecksum);
-    };
-    let ok = u64::from_str_radix(tail.trim_end(), 16)
-        .map(|sum| sum == fnv64(body.as_bytes()))
-        .unwrap_or(false);
-    if !ok {
+    let (body, sum) = text
+        .rsplit_once("\nend\t#")
+        .ok_or(RecoveryError::SnapshotChecksum)?;
+    if u64::from_str_radix(sum.trim_end(), 16) != Ok(fnv64(body.as_bytes())) {
         return Err(RecoveryError::SnapshotChecksum);
     }
-    let mut lines = body.lines().enumerate();
-    let header = lines.next().map(|(_, l)| l).unwrap_or("");
+    let (header, hints) = body.split_once('\n').unwrap_or((body, ""));
     let seq = header
-        .strip_prefix("flightsnap\tv2\tseq:")
-        .and_then(|s| s.parse::<u64>().ok())
+        .strip_prefix(SNAPSHOT_HEADER)
+        .and_then(|s| s.parse().ok())
         .ok_or_else(|| RecoveryError::SnapshotVersion(header.to_string()))?;
-    let malformed_at = |i: usize, line: &str| RecoveryError::SnapshotMalformed {
-        line: i + 1,
-        what: line.to_string(),
-    };
-    let mut hint_lines = Vec::new();
-    let mut flight_lines = Vec::new();
-    let mut flown = BTreeSet::new();
-    for (i, line) in lines {
-        if let Some(h) = line.strip_prefix("hint\t") {
-            hint_lines.push((i, line, h));
-            continue;
-        }
-        let malformed = || malformed_at(i, line);
-        let rest = line.strip_prefix("flight\t").ok_or_else(malformed)?;
-        let fields: Vec<&str> = rest.split('\t').collect();
-        if fields.len() != 7 {
-            return Err(malformed());
-        }
-        let state = (|| {
-            Some(FlightState {
-                stage: FlightStage::parse(fields[1])?,
-                stage_since_day: fields[2].parse().ok()?,
-                clean_days_in_stage: fields[3].parse().ok()?,
-                strikes: fields[4].parse().ok()?,
-                cusum: f64_from_hex(fields[5])?,
-                probation_clean: fields[6].parse().ok()?,
-                salt: flight_salt(fields[0]),
-            })
-        })()
-        .ok_or_else(malformed)?;
-        if !flown.insert(fields[0]) {
-            return Err(malformed());
-        }
-        flight_lines.push((i, line, fields[0], state));
-    }
-    let hint_text: Vec<&str> = hint_lines.iter().map(|&(_, _, h)| h).collect();
-    let mut store =
-        HintStore::from_hint_text(&hint_text.join("\n")).map_err(RecoveryError::SnapshotHints)?;
-    // An install writes a group's hint and its flight together and nothing
-    // removes either, so every group has both or the snapshot is not one a
-    // controller wrote: a flight without a hint would hold its jobs back
-    // forever, a hint without a flight would never be served or checked.
-    for (i, line, group, state) in flight_lines {
-        let hint = store.hint_mut(group).ok_or_else(|| malformed_at(i, line))?;
-        hint.flight = state;
-    }
-    let unflown = |h: &str| !flown.contains(h.split('\t').next().unwrap_or_default());
-    if let Some(&(i, line, _)) = hint_lines.iter().find(|(.., h)| unflown(h)) {
-        return Err(malformed_at(i, line));
-    }
-    Ok(FlightController {
-        store,
-        config,
-        journal: FlightJournal {
-            lines: Vec::new(),
-            next_seq: seq,
-            crash: None,
-        },
-        day_sample: None,
-    })
+    let store = HintStore::from_hint_text(hints).map_err(|e| {
+        RecoveryError::SnapshotHints(HintParseError {
+            line: e.line + 1,
+            ..e
+        })
+    })?;
+    let mut c = FlightController::new(config);
+    c.store = store;
+    c.journal.next_seq = seq;
+    Ok(c)
 }
 
 #[cfg(test)]
@@ -1467,7 +1388,7 @@ mod tests {
     fn snapshot_round_trips_and_detects_corruption() {
         let (mut c, key) = controller_with("110", -22.0);
         c.advance(0);
-        c.observe(key, &[-3.25; 7], 1);
+        c.observe(key.clone(), &[-3.25; 7], 1);
         let snap = c.snapshot_text();
         let (r, report) =
             FlightController::recover(Some(&snap), "", FlightConfig::default()).expect("snapshot");
@@ -1484,25 +1405,26 @@ mod tests {
             FlightController::recover(Some(&bad), "", FlightConfig::default()).unwrap_err(),
             RecoveryError::SnapshotChecksum
         );
-        // A correctly checksummed body that repeats a flight, or holds a
-        // flight or a hint without the other, is refused, not guessed at.
+        // A correctly checksummed body that repeats a group is refused at
+        // the repeat's line of the snapshot, the header being line 1.
         let body = snap.rsplit_once("\nend\t#").unwrap().0;
-        let line_of = |kind: &str| body.lines().find(|l| l.starts_with(kind)).unwrap();
-        let (hint, flight) = (line_of("hint\t"), line_of("flight\t"));
-        for (edited, line) in [
-            (body.replace(flight, &format!("{flight}\n{flight}")), 4),
-            (body.replace(&format!("{hint}\n"), ""), 2),
-            (body.replace(&format!("\n{flight}"), ""), 2),
-        ] {
-            let resummed = format!("{edited}\nend\t#{:016x}", fnv64(edited.as_bytes()));
-            assert!(
-                matches!(
-                    FlightController::recover(Some(&resummed), "", FlightConfig::default()),
-                    Err(RecoveryError::SnapshotMalformed { line: l, .. }) if l == line
-                ),
-                "accepted or misplaced:\n{resummed}"
-            );
-        }
+        let resum = |body: &str| format!("{body}\nend\t#{:016x}", fnv64(body.as_bytes()));
+        let hint = body.lines().nth(1).unwrap();
+        let repeated = resum(&format!("{body}\n{hint}"));
+        assert_eq!(
+            FlightController::recover(Some(&repeated), "", FlightConfig::default()).unwrap_err(),
+            RecoveryError::SnapshotHints(HintParseError {
+                line: 3,
+                kind: crate::deploy::HintParseErrorKind::DuplicateGroup(key.clone()),
+            })
+        );
+        // So is a header of another version: the v2 snapshot wrote each
+        // group's flight on a line of its own.
+        let v2 = resum(&body.replacen("\tv3\t", "\tv2\t", 1));
+        assert!(matches!(
+            FlightController::recover(Some(&v2), "", FlightConfig::default()),
+            Err(RecoveryError::SnapshotVersion(h)) if h.starts_with("flightsnap\tv2\t")
+        ));
     }
 
     #[test]

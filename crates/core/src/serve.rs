@@ -339,9 +339,10 @@ pub fn build_entries(flights: &FlightController, version: u64) -> Vec<ServingEnt
 
 /// Breaker state machine (virtual-clock driven, so tests and the chaos
 /// harness replay it deterministically).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Operations flow through.
+    #[default]
     Closed,
     /// Tripped: operations are skipped until the cooldown expires.
     Open {
@@ -354,15 +355,13 @@ pub enum BreakerState {
 }
 
 /// A consecutive-failure circuit breaker around the flighting/
-/// revalidation interactions (journal writes, background probes).
-#[derive(Clone, Debug)]
+/// revalidation interactions (journal writes, background probes). It trips
+/// after `BREAKER_FAILURES` consecutive failures and holds no settings:
+/// the cooldown is passed in when it trips.
+#[derive(Clone, Debug, Default)]
 pub struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: u32,
-    /// Consecutive failures that trip the breaker.
-    pub threshold: u32,
-    /// Virtual µs the breaker stays open before half-opening.
-    pub cooldown_us: u64,
     /// Lifetime Closed→Open transitions.
     pub trips: u64,
     /// Lifetime Open→HalfOpen transitions.
@@ -370,18 +369,6 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    #[must_use]
-    pub fn new(threshold: u32, cooldown_us: u64) -> CircuitBreaker {
-        CircuitBreaker {
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            threshold: threshold.max(1),
-            cooldown_us,
-            trips: 0,
-            half_opens: 0,
-        }
-    }
-
     #[must_use]
     pub fn state(&self) -> BreakerState {
         self.state
@@ -412,8 +399,9 @@ impl CircuitBreaker {
         }
     }
 
-    /// Report the outcome of an allowed operation.
-    pub fn record(&mut self, ok: bool, now_us: u64) {
+    /// Report the outcome of an allowed operation. A failure that trips
+    /// the breaker opens it for `cooldown_us`.
+    pub(crate) fn record(&mut self, ok: bool, now_us: u64, cooldown_us: u64) {
         if ok {
             self.consecutive_failures = 0;
             if self.state == BreakerState::HalfOpen {
@@ -425,12 +413,12 @@ impl CircuitBreaker {
         let trip = match self.state {
             // A failed probe re-trips immediately.
             BreakerState::HalfOpen => true,
-            BreakerState::Closed => self.consecutive_failures >= self.threshold,
+            BreakerState::Closed => self.consecutive_failures >= BREAKER_FAILURES,
             BreakerState::Open { .. } => false,
         };
         if trip {
             self.state = BreakerState::Open {
-                until_us: now_us + self.cooldown_us,
+                until_us: now_us + cooldown_us,
             };
             self.trips += 1;
             self.consecutive_failures = 0;
@@ -515,7 +503,8 @@ pub struct ServiceConfig {
     /// Admission ceiling: arrivals beyond this many inflight decisions
     /// are shed (served default).
     pub max_inflight: usize,
-    /// Breaker cooldown before half-opening (virtual µs).
+    /// Breaker cooldown before half-opening (virtual µs), read each time
+    /// the breaker trips.
     pub breaker_cooldown_us: u64,
     /// Mode-ladder evaluation cadence (virtual µs).
     pub tick_us: u64,
@@ -662,11 +651,10 @@ pub struct SteeringService {
 impl SteeringService {
     #[must_use]
     pub fn new(config: ServiceConfig) -> SteeringService {
-        let breaker = CircuitBreaker::new(BREAKER_FAILURES, config.breaker_cooldown_us);
         SteeringService {
             table: ServingTable::new(),
             config,
-            breaker,
+            breaker: CircuitBreaker::default(),
             mode: DegradedMode::Healthy,
             mode_transitions: 0,
             publishes: 0,
@@ -728,7 +716,8 @@ impl SteeringService {
         if !self.breaker.allows(now_us) {
             return false;
         }
-        self.breaker.record(!stalled, now_us);
+        let cooldown_us = self.config.breaker_cooldown_us;
+        self.breaker.record(!stalled, now_us, cooldown_us);
         !stalled
     }
 
@@ -1116,12 +1105,12 @@ mod tests {
 
     #[test]
     fn breaker_trips_half_opens_and_recovers() {
-        let mut b = CircuitBreaker::new(3, 100);
+        let mut b = CircuitBreaker::default();
         assert!(b.allows(0));
-        b.record(false, 0);
-        b.record(false, 1);
+        b.record(false, 0, 100);
+        b.record(false, 1, 100);
         assert_eq!(b.state(), BreakerState::Closed);
-        b.record(false, 2);
+        b.record(false, 2, 100);
         assert_eq!(b.state(), BreakerState::Open { until_us: 102 });
         assert_eq!(b.trips, 1);
         assert!(!b.allows(50), "still cooling down");
@@ -1129,13 +1118,34 @@ mod tests {
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert_eq!(b.half_opens, 1);
         // Failed probe re-trips immediately.
-        b.record(false, 103);
+        b.record(false, 103, 100);
         assert_eq!(b.state(), BreakerState::Open { until_us: 203 });
         assert_eq!(b.trips, 2);
         // Clean probe closes.
         assert!(b.allows(203));
-        b.record(true, 204);
+        b.record(true, 204, 100);
         assert_eq!(b.state(), BreakerState::Closed);
+    }
+
+    #[test]
+    fn the_breaker_reads_its_cooldown_from_the_config_when_it_trips() {
+        let mut s = SteeringService::new(ServiceConfig::default());
+        // Set after `new`, like every other `ServiceConfig` field.
+        s.config.breaker_cooldown_us = 500;
+        let trip_at = u64::from(BREAKER_FAILURES) - 1;
+        for now_us in 0..=trip_at {
+            assert!(!s.maintain(now_us, true));
+        }
+        let half_open_at = trip_at + 500;
+        assert_eq!(
+            s.breaker.state(),
+            BreakerState::Open {
+                until_us: half_open_at
+            }
+        );
+        assert!(!s.maintain(half_open_at - 1, false), "still cooling down");
+        assert!(s.maintain(half_open_at, false), "half-open probe, clean");
+        assert_eq!(s.breaker.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use scope_workload::{Workload, WorkloadProfile};
 use steer_core::flight::{N_STRIKES, PROBATION_CLEAN_REQUIRED};
 use steer_core::{
     winning_configs, FlightConfig, FlightController, FlightStage, GroupConfig, HintStatus,
-    Pipeline, PipelineParams, ServeRequest, ServiceConfig, SteeringService,
+    HintStore, Pipeline, PipelineParams, ServeRequest, ServiceConfig, SteeringService,
 };
 
 const SERVE_DAYS: u32 = 6;
@@ -145,8 +145,12 @@ fn steered_fingerprints(workload: &Workload, victim: &GroupConfig) -> Vec<(u64, 
 
 struct PipelineRun {
     rollback_day: Option<u32>,
+    store: HintStore,
     snapshot: String,
     journal: String,
+    /// The snapshot and the number of journaled events after each day,
+    /// day 0 (ingest and the first advance) included.
+    days: Vec<(String, usize)>,
 }
 
 /// Drive the day-by-day flighting pipeline: serve, background-revalidate,
@@ -164,6 +168,8 @@ fn run_pipeline(
         c.arm_crash(plan);
     }
     c.advance(0);
+    let taken = |c: &FlightController| (c.snapshot_text(), c.journal_text().lines().count());
+    let mut days = vec![taken(&c)];
     let policy = RetryPolicy::no_retries();
     let mut rollback_day = None;
     for day in 1..=SERVE_DAYS {
@@ -174,11 +180,14 @@ fn run_pipeline(
         if rollback_day.is_none() && !report.rollbacks.is_empty() {
             rollback_day = Some(day);
         }
+        days.push(taken(&c));
     }
     PipelineRun {
         rollback_day,
+        store: c.store.clone(),
         snapshot: c.snapshot_text(),
         journal: c.journal_text(),
+        days,
     }
 }
 
@@ -233,11 +242,11 @@ fn crash_recovery_reconstructs_serving_history_bit_identically() {
     let ab = ABTester::new(d.ab_seed);
     let healthy = run_pipeline(&d, &ab, FlightConfig::default(), None);
 
-    // The healthy run's durable state is pinned on the controller whose
-    // ramp, monitor and revalidation thresholds were all fields: making
-    // them constants changed no journal line and no snapshot byte.
+    // The healthy run's durable state is pinned on the format that writes
+    // each group as one hint line, its rollout included, in the snapshot
+    // and in every journaled install.
     let digest = fnv1a(&format!("{}\n{}", healthy.journal, healthy.snapshot));
-    assert_eq!(digest, 0x3411_b015_2053_d751, "got {digest:#018x}");
+    assert_eq!(digest, 0x4861_726d_c9d8_cb39, "got {digest:#018x}");
 
     // Recovery from the full journal reproduces the live state exactly.
     let (rec, report) = FlightController::recover(None, &healthy.journal, FlightConfig::default())
@@ -285,6 +294,28 @@ fn crash_recovery_reconstructs_serving_history_bit_identically() {
         FlightController::recover(None, &prefix, FlightConfig::default()).expect("prefix recovers");
     assert_eq!(rec_crash.snapshot_text(), rec_prefix.snapshot_text());
     assert_eq!(rec_crash.store, rec_prefix.store);
+}
+
+/// A snapshot taken after any day of the healthy run, recovered with the
+/// whole journal, replays exactly the events journaled after that day and
+/// lands on the live state.
+#[test]
+fn recovery_from_a_mid_history_snapshot_replays_the_journal_suffix() {
+    let d = discover(1);
+    let ab = ABTester::new(d.ab_seed);
+    let run = run_pipeline(&d, &ab, FlightConfig::default(), None);
+    let events = run.journal.lines().count();
+    assert!(run.days[0].1 < events, "nothing journaled after day 0");
+    for (day, (snapshot, journaled)) in run.days.iter().enumerate() {
+        let (rec, report) =
+            FlightController::recover(Some(snapshot), &run.journal, FlightConfig::default())
+                .expect("snapshot + journal recovers");
+        assert_eq!(report.discarded_lines, 0, "day {day}");
+        assert_eq!(report.snapshot_seq, *journaled as u64, "day {day}");
+        assert_eq!(report.replayed_events, events - journaled, "day {day}");
+        assert_eq!(rec.store, run.store, "day {day}");
+        assert_eq!(rec.snapshot_text(), run.snapshot, "day {day}");
+    }
 }
 
 #[test]

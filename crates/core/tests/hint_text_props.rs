@@ -1,16 +1,18 @@
-//! Property tests for the hint-text persistence format: `to_hint_text` /
-//! `from_hint_text` must be a lossless round trip for *any* store of hints
-//! not yet flown (a line carries no rollout) — every status variant, any
-//! rule-config delta, any finite float (runtimes are serialized as IEEE-754
-//! bit patterns, so even `-0.0` and subnormals must survive). The
-//! flighting snapshot embeds these lines verbatim, so a
-//! single lossy field here would silently break the bit-identical
-//! crash-recovery guarantee.
+//! Property tests for the hint line, the one text form of a stored hint:
+//! `to_hint_text` / `from_hint_text` must be a lossless round trip for
+//! *any* store — every status variant, any rule-config delta, any rollout
+//! stage and monitor state, any finite float (runtimes and CUSUM levels are
+//! serialized as IEEE-754 bit patterns, so even `-0.0` and subnormals must
+//! survive). The flighting snapshot is a hint file and a journaled install
+//! is one hint line, so a single lossy field here would silently break the
+//! bit-identical crash-recovery guarantee. The converse holds too: a line
+//! the parser accepts is one the writer would have written, so it
+//! re-renders byte for byte.
 
 use proptest::collection;
 use proptest::prelude::*;
 use scope_optimizer::{RuleCatalog, RuleConfig, RuleId, RuleSet, NUM_RULES};
-use steer_core::{HintStatus, HintStore, StoredHint};
+use steer_core::{FlightStage, HintStatus, HintStore, StoredHint};
 
 fn status_strategy() -> impl Strategy<Value = HintStatus> {
     (0u32..3).prop_map(|pick| match pick {
@@ -65,17 +67,111 @@ fn key_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+fn stage_strategy() -> impl Strategy<Value = FlightStage> {
+    (0u32..5, any::<u32>()).prop_map(|(pick, day)| match pick {
+        0 => FlightStage::Candidate,
+        1 => FlightStage::Canary,
+        2 => FlightStage::Ramping,
+        3 => FlightStage::Deployed,
+        _ => FlightStage::RolledBack { day },
+    })
+}
+
 fn hint_strategy() -> impl Strategy<Value = StoredHint> {
     (
-        key_strategy(),
-        config_strategy(),
-        finite_f64(),
-        any::<u32>(),
-        status_strategy(),
+        (
+            key_strategy(),
+            config_strategy(),
+            finite_f64(),
+            any::<u32>(),
+            status_strategy(),
+        ),
+        (
+            stage_strategy(),
+            (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            finite_f64(),
+        ),
     )
-        .prop_map(|(group, config, base_change_pct, discovered_day, status)| {
-            StoredHint::new(group, config, base_change_pct, discovered_day, status)
-        })
+        .prop_map(
+            |(
+                (group, config, base_change_pct, discovered_day, status),
+                (stage, (since, clean, strikes, probation), cusum),
+            )| {
+                let mut hint =
+                    StoredHint::new(group, config, base_change_pct, discovered_day, status);
+                let f = &mut hint.flight;
+                f.stage = stage;
+                f.stage_since_day = since;
+                f.clean_days_in_stage = clean;
+                f.strikes = strikes;
+                f.cusum = cusum;
+                f.probation_clean = probation;
+                hint
+            },
+        )
+}
+
+/// One edit of a valid hint line, of a kind a lenient parser would read
+/// back as a hint that renders otherwise: `(which, flag, kind, x, y)`, as
+/// [`mutate`] reads it.
+type Mutation = (u8, bool, u8, u32, u32);
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    (0u8..4, any::<bool>(), 0u8..4, any::<u32>(), any::<u32>())
+}
+
+/// Apply one edit to `line`, chosen by `which`:
+/// 0. insert at `y` into the `-[…]` list (`flag`) or the `+[…]` list the
+///    `x`-th id of the required rules, the rules on by default, the rules
+///    off by default, or the ids the list holds (`kind`);
+/// 1. swap the list's `x`-th and `y`-th ids;
+/// 2. put `+` (`flag`) or `0` before the value of a decimal field;
+/// 3. upper-case the `cusum` (`flag`) or `base` hex.
+fn mutate(line: &str, (which, flag, kind, x, y): Mutation) -> String {
+    let mut fields: Vec<String> = line.split('\t').map(String::from).collect();
+    let (x, y) = (x as usize, y as usize);
+    let list = if flag { 2 } else { 3 };
+    let mut ids: Vec<String> = fields[list][2..fields[list].len() - 1]
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect();
+    match which {
+        0 => {
+            let cat = RuleCatalog::global();
+            let pool: Vec<String> = match kind {
+                0 => *cat.required(),
+                1 => RuleConfig::default_config()
+                    .enabled()
+                    .difference(cat.required()),
+                2 => *cat.off_by_default(),
+                _ => ids.iter().map(|id| RuleId(id.parse().unwrap())).collect(),
+            }
+            .iter()
+            .map(|id| id.0.to_string())
+            .collect();
+            if !pool.is_empty() {
+                ids.insert(y % (ids.len() + 1), pool[x % pool.len()].clone());
+            }
+        }
+        1 if !ids.is_empty() => {
+            let n = ids.len();
+            ids.swap(x % n, y % n);
+        }
+        1 => {}
+        2 => {
+            // `day`, `since`, `clean`, `strikes`, `probation`.
+            let field = &mut fields[[5, 7, 8, 9, 11][x % 5]];
+            let colon = field.find(':').expect("a tagged field");
+            field.insert(colon + 1, if flag { '+' } else { '0' });
+        }
+        _ => {
+            let i = if flag { 10 } else { 4 };
+            fields[i] = fields[i].to_uppercase();
+        }
+    }
+    fields[list] = format!("{}[{}]", &fields[list][..1], ids.join(","));
+    fields.join("\t")
 }
 
 /// Printable-ish text with tabs and newlines — the format's own structural
@@ -108,6 +204,24 @@ proptest! {
         let parsed = HintStore::from_hint_text(&text).expect("own output must parse");
         prop_assert_eq!(&parsed, &store);
         prop_assert_eq!(parsed.to_hint_text(), text);
+    }
+
+    #[test]
+    fn every_accepted_line_re_renders_byte_for_byte(
+        hint in hint_strategy(),
+        mutations in collection::vec(mutation_strategy(), 1..4),
+    ) {
+        let mut store = HintStore::new();
+        store.insert_hint(hint);
+        let mut line = store.to_hint_text();
+        for &m in &mutations {
+            line = mutate(&line, m);
+        }
+        // Whatever the edits, the parser either refuses the line or reads
+        // back a hint the writer renders to exactly that line.
+        if let Ok(parsed) = HintStore::from_hint_text(&line) {
+            prop_assert_eq!(parsed.to_hint_text(), line);
+        }
     }
 
     #[test]

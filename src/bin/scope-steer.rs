@@ -314,7 +314,7 @@ fn main() {
                     r.mean_change_pct
                 );
             }
-            println!("\n# hint file (signature -> disabled/enabled rule ids)");
+            println!("\n# hint file (one line per group: its hint and its rollout)");
             println!("{}", flights.store.to_hint_text());
         }
         "serve" => {
