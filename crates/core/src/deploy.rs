@@ -11,8 +11,10 @@
 //! A hint is written as text in one place, `hint_line`, and read in one,
 //! `parse_hint_line`: the hint file customers would check in is those
 //! lines, the flight controller's snapshot is a checksummed hint file, and
-//! a journaled install is one hint line. A line holds a hint and its
-//! rollout together, so no text can hold either without the other.
+//! every journal line is the hint line of its group after the change it
+//! records, so the store is the last journaled line per group. A line
+//! holds a hint and its rollout together, so no text can hold either
+//! without the other, and the parser accepts only what the writer writes.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -91,9 +93,8 @@ impl HintStore {
     }
 
     /// Insert a fully-specified hint verbatim (no best-per-group logic, no
-    /// catalog vetting). This is persistence plumbing — journal replay and
-    /// snapshot loading must reconstruct *exactly* what was recorded, not
-    /// re-decide it.
+    /// catalog vetting). This is persistence plumbing — journal recovery
+    /// must reconstruct *exactly* what was recorded, not re-decide it.
     pub fn insert_hint(&mut self, hint: StoredHint) {
         self.entries.insert(hint.group.clone(), hint);
     }
@@ -103,14 +104,13 @@ impl HintStore {
         self.entries.get(group)
     }
 
-    pub(crate) fn hint_mut(&mut self, group: &str) -> Option<&mut StoredHint> {
-        self.entries.get_mut(group)
-    }
-
     /// Set the lifecycle status of a group's hint. Returns `false` when
     /// the group has no stored hint.
     pub fn set_status(&mut self, group: &str, status: HintStatus) -> bool {
-        self.hint_mut(group).map(|h| h.status = status).is_some()
+        self.entries
+            .get_mut(group)
+            .map(|h| h.status = status)
+            .is_some()
     }
 
     /// Number of stored hints (any status).
@@ -249,7 +249,7 @@ impl fmt::Display for HintParseError {
 impl std::error::Error for HintParseError {}
 
 /// Human-readable status token (the hint-file vocabulary).
-pub(crate) fn status_name(status: HintStatus) -> &'static str {
+fn status_name(status: HintStatus) -> &'static str {
     match status {
         HintStatus::Active => "active",
         HintStatus::Suspended => "suspended",
@@ -258,7 +258,7 @@ pub(crate) fn status_name(status: HintStatus) -> &'static str {
 }
 
 /// Inverse of [`status_name`].
-pub(crate) fn status_from_name(name: &str) -> Option<HintStatus> {
+fn status_from_name(name: &str) -> Option<HintStatus> {
     match name {
         "active" => Some(HintStatus::Active),
         "suspended" => Some(HintStatus::Suspended),
@@ -269,12 +269,12 @@ pub(crate) fn status_from_name(name: &str) -> Option<HintStatus> {
 
 /// An `f64` as its IEEE-754 bit pattern, 16 hex digits. Lossless for
 /// every value including NaN payloads and signed zero.
-pub(crate) fn f64_to_hex(v: f64) -> String {
+fn f64_to_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
 /// Inverse of [`f64_to_hex`].
-pub(crate) fn f64_from_hex(s: &str) -> Option<f64> {
+fn f64_from_hex(s: &str) -> Option<f64> {
     if s.len() != 16 {
         return None;
     }
@@ -406,11 +406,11 @@ pub(crate) fn parse_hint_line(line: &str) -> Result<StoredHint, HintParseErrorKi
     }
 }
 
-/// A group key is a rule signature's bit string, in the hint file and the
-/// journal: exactly [`NUM_RULES`] characters of `0` and `1`, as
+/// A group key is a rule signature's bit string, wherever a hint line is
+/// written: exactly [`NUM_RULES`] characters of `0` and `1`, as
 /// `RuleSet::to_bit_string` writes every key a job can have. A shorter or
 /// longer one matches no job, so it is refused rather than stored.
-pub(crate) fn is_group_key(group: &str) -> bool {
+fn is_group_key(group: &str) -> bool {
     group.len() == NUM_RULES && group.bytes().all(|b| b == b'0' || b == b'1')
 }
 

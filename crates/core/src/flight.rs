@@ -39,17 +39,18 @@
 //!   Quarantined hints, restoring them to Canary after
 //!   [`PROBATION_CLEAN_REQUIRED`] consecutive clean probes — the
 //!   probation path out of the old quarantine dead-end.
-//! * **Crash safety by construction** — every state mutation is a
-//!   `FlightEvent` applied through one `apply` function and appended to
-//!   an in-memory journal with per-line checksums. Recovery replays the
-//!   journal (optionally on top of a checksummed snapshot) through the
-//!   *same* `apply`, so the reconstructed state is bit-identical to the
-//!   original, and a torn tail (simulated with
-//!   [`scope_exec::CrashPlan`]) truncates to the last durable event
-//!   instead of corrupting the store. A hint and its flight are written
-//!   as one hint line ([`crate::deploy`]) wherever they are written: the
-//!   snapshot is a header, the hint file and a checksum, and a journaled
-//!   install is `install\t<hint line>`.
+//! * **Crash safety by construction** — every state change is computed
+//!   once, on a copy of its group's hint, and that copy is appended to an
+//!   in-memory journal with per-line checksums before it is stored. A
+//!   journal line is the group's whole hint line ([`crate::deploy`]) after
+//!   the change, tagged with the kind of change, so the store is the last
+//!   journaled line per group. Recovery (optionally on top of a checksummed
+//!   snapshot, itself a hint file) stores each line's record as written
+//!   and runs none of the rollout policy, so what a journal recovers to
+//!   does not depend on the constants of the binary that reads it. A torn
+//!   tail (simulated with [`scope_exec::CrashPlan`]), a gap or repeat in
+//!   the sequence, or a change to a group nothing installed truncates the
+//!   journal to the last durable line instead of corrupting the store.
 //! * **One default compile per job-day** — a day's default plans are
 //!   compiled once, fanned out over every core ([`crate::par`]) with
 //!   panic isolation, so a job whose default compile fails or panics is
@@ -76,8 +77,7 @@ use scope_optimizer::{CompileBudget, CompiledPlan};
 use scope_trace::{count, record, Counter, Histogram};
 
 use crate::deploy::{
-    f64_from_hex, f64_to_hex, hint_line, is_group_key, parse_hint_line, status_from_name,
-    status_name, HintParseError, HintStatus, HintStore, StoredHint,
+    hint_line, parse_hint_line, HintParseError, HintStatus, HintStore, StoredHint,
 };
 use crate::groups::{default_plan, GroupConfig};
 use crate::guard::{compile_steered, SteeredCompile};
@@ -223,97 +223,41 @@ impl FlightState {
     }
 }
 
-/// One journaled state transition. Everything the controller ever does to
-/// its durable state is one of these, applied through one code path by
-/// both live execution and crash recovery.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum FlightEvent {
+/// What a journal line records. The line carries it as an audit tag only:
+/// recovery reads the hint after it, and asks of the tag just whether the
+/// line installs its group.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FlightEvent {
     /// A discovery winner entered the store (as `Candidate`).
-    Install(StoredHint),
+    Install,
     /// A flight moved to a new stage.
-    Stage {
-        group: String,
-        to: FlightStage,
-        day: u32,
-    },
+    Stage,
     /// A hint's lifecycle status changed.
-    Status { group: String, status: HintStatus },
-    /// One day's observed mean runtime change for a group (monitor food).
-    Observe {
-        group: String,
-        mean_change_pct: f64,
-        n: u32,
-        day: u32,
-    },
+    Status,
+    /// One day's mean runtime change fed the monitors.
+    Observe,
     /// One background probation probe of a quarantined hint.
-    Probe { group: String, clean: bool },
+    Probe,
 }
 
-fn render_event(event: &FlightEvent) -> String {
-    match event {
-        FlightEvent::Install(hint) => format!("install\t{}", hint_line(hint)),
-        FlightEvent::Stage { group, to, day } => {
-            format!("stage\t{group}\t{}\t{day}", to.render())
-        }
-        FlightEvent::Status { group, status } => {
-            format!("status\t{group}\t{}", status_name(*status))
-        }
-        FlightEvent::Observe {
-            group,
-            mean_change_pct,
-            n,
-            day,
-        } => format!("obs\t{group}\t{}\t{n}\t{day}", f64_to_hex(*mean_change_pct)),
-        FlightEvent::Probe { group, clean } => {
-            format!("probe\t{group}\t{}", if *clean { "clean" } else { "dirty" })
-        }
-    }
-}
+impl FlightEvent {
+    const ALL: [FlightEvent; 5] = [
+        FlightEvent::Install,
+        FlightEvent::Stage,
+        FlightEvent::Status,
+        FlightEvent::Observe,
+        FlightEvent::Probe,
+    ];
 
-/// Parse `"<seq>\t<payload>"`. `None` on any malformation — recovery
-/// treats that as a torn tail, not a guess.
-fn parse_event_body(body: &str) -> Option<(u64, FlightEvent)> {
-    let (seq, payload) = body.split_once('\t')?;
-    let seq: u64 = seq.parse().ok()?;
-    // An install is the hint's own line: a line the hint file would
-    // refuse is a torn line here too.
-    if let Some(line) = payload.strip_prefix("install\t") {
-        return Some((seq, FlightEvent::Install(parse_hint_line(line).ok()?)));
+    fn name(self) -> &'static str {
+        match self {
+            FlightEvent::Install => "install",
+            FlightEvent::Stage => "stage",
+            FlightEvent::Status => "status",
+            FlightEvent::Observe => "obs",
+            FlightEvent::Probe => "probe",
+        }
     }
-    let mut it = payload.split('\t');
-    let kind = it.next()?;
-    // Every other event names its group next, under the hint file's rule.
-    let group = it.next().filter(|g| is_group_key(g))?.to_string();
-    let event = match kind {
-        "stage" => FlightEvent::Stage {
-            group,
-            to: FlightStage::parse(it.next()?)?,
-            day: it.next()?.parse().ok()?,
-        },
-        "status" => FlightEvent::Status {
-            group,
-            status: status_from_name(it.next()?)?,
-        },
-        "obs" => FlightEvent::Observe {
-            group,
-            mean_change_pct: f64_from_hex(it.next()?)?,
-            n: it.next()?.parse().ok()?,
-            day: it.next()?.parse().ok()?,
-        },
-        "probe" => FlightEvent::Probe {
-            group,
-            clean: match it.next()? {
-                "clean" => true,
-                "dirty" => false,
-                _ => return None,
-            },
-        },
-        _ => return None,
-    };
-    if it.next().is_some() {
-        return None;
-    }
-    Some((seq, event))
 }
 
 /// FNV-1a, the workspace's stock content checksum: stable across
@@ -334,10 +278,11 @@ pub(crate) fn flight_salt(group: &str) -> u64 {
     fnv64(group.as_bytes())
 }
 
-/// Append-only event journal with per-line checksums. A line is
-/// `"<seq>\t<payload>\t#<fnv64-hex>"`; the checksum covers everything
-/// before the `\t#`. An armed [`CrashPlan`] makes appends fail the way a
-/// real crash does: one torn (prefix-only) write, then nothing.
+/// Append-only journal with per-line checksums. A line is
+/// `"<seq>\t<event>\t<hint line>\t#<fnv64-hex>"`: the group's whole record
+/// after the event, and a checksum over everything before the `\t#`. An
+/// armed [`CrashPlan`] makes appends fail the way a real crash does: one
+/// torn (prefix-only) write, then nothing.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FlightJournal {
     lines: Vec<String>,
@@ -346,8 +291,8 @@ pub(crate) struct FlightJournal {
 }
 
 impl FlightJournal {
-    fn append(&mut self, event: &FlightEvent) {
-        let body = format!("{}\t{}", self.next_seq, render_event(event));
+    fn append(&mut self, event: FlightEvent, hint: &StoredHint) {
+        let body = format!("{}\t{}\t{}", self.next_seq, event.name(), hint_line(hint));
         self.next_seq += 1;
         let line = format!("{body}\t#{:016x}", fnv64(body.as_bytes()));
         count(Counter::FlightJournalEvents, 1);
@@ -376,32 +321,28 @@ impl FlightJournal {
     }
 }
 
-/// Split journal text into verified events. Stops at the first corrupt
-/// line (bad checksum, unparsable body): in an append-only log anything
-/// after a torn write is untrustworthy. Returns the events and how many
-/// trailing lines were discarded.
-fn parse_journal(text: &str) -> (Vec<(u64, FlightEvent, String)>, usize) {
-    let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
-    let mut out = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let verified = line.rsplit_once("\t#").and_then(|(body, ck)| {
-            let sum = u64::from_str_radix(ck, 16).ok()?;
-            (sum == fnv64(body.as_bytes())).then_some(body)
-        });
-        match verified.and_then(parse_event_body) {
-            Some((seq, event)) => out.push((seq, event, (*line).to_string())),
-            None => return (out, lines.len() - i),
-        }
+/// One journal line as the writer wrote it: its sequence number, event and
+/// record. `None` on any malformation (a bad checksum, or a number, hint or
+/// checksum the writer would not have written), which recovery treats as a
+/// torn tail, not a guess.
+fn parse_journal_line(line: &str) -> Option<(u64, FlightEvent, StoredHint)> {
+    let (body, sum) = line.rsplit_once("\t#")?;
+    if sum != format!("{:016x}", fnv64(body.as_bytes())) {
+        return None;
     }
-    (out, 0)
+    let (seq, rest) = body.split_once('\t')?;
+    let (event, hint) = rest.split_once('\t')?;
+    let n: u64 = seq.parse().ok().filter(|n: &u64| n.to_string() == seq)?;
+    let event = FlightEvent::ALL.into_iter().find(|e| e.name() == event)?;
+    Some((n, event, parse_hint_line(hint).ok()?))
 }
 
 /// What a recovery replayed and what it had to discard.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Events applied on top of the starting state.
+    /// Journaled records inserted on top of the starting state.
     pub replayed_events: usize,
-    /// Trailing journal lines dropped as torn/corrupt.
+    /// Trailing journal lines dropped, from the first one recovery refused.
     pub discarded_lines: usize,
     /// Sequence number the snapshot covered (0 without a snapshot).
     pub snapshot_seq: u64,
@@ -607,60 +548,68 @@ impl FlightController {
         }
     }
 
-    /// The one place state changes: mutate, then journal. Recovery calls
-    /// the same `apply` per journaled event, which is what makes replayed
-    /// state bit-identical to live state.
-    fn emit(&mut self, event: FlightEvent) {
-        self.apply(&event);
-        self.journal.append(&event);
+    /// The one place state changes: `hint`, its group's whole record after
+    /// `event`, is journaled and then stored. Recovery stores the journaled
+    /// record as written, which is what makes recovered state bit-identical
+    /// to live state.
+    fn emit(&mut self, event: FlightEvent, hint: StoredHint) {
+        self.journal.append(event, &hint);
+        if event == FlightEvent::Install {
+            self.day_sample = None;
+        }
+        self.store.insert_hint(hint);
     }
 
-    fn apply(&mut self, event: &FlightEvent) {
-        match event {
-            FlightEvent::Install(hint) => {
-                self.store.insert_hint(hint.clone());
-                self.day_sample = None;
-            }
-            FlightEvent::Stage { group, to, day } => {
-                if let Some(f) = self.store.hint_mut(group).map(|h| &mut h.flight) {
-                    *f = FlightState::new(*to, *day, f.salt);
-                }
-            }
-            FlightEvent::Status { group, status } => {
-                self.store.set_status(group, *status);
-            }
-            FlightEvent::Observe {
-                group,
-                mean_change_pct,
-                ..
-            } => {
-                if let Some(f) = self.store.hint_mut(group).map(|h| &mut h.flight) {
-                    if *mean_change_pct > STRIKE_THRESHOLD_PCT {
-                        f.strikes += 1;
-                    } else {
-                        f.strikes = 0;
-                        f.clean_days_in_stage += 1;
-                    }
-                    f.cusum = (f.cusum + mean_change_pct - CUSUM_DRIFT_PCT).max(0.0);
-                }
-            }
-            FlightEvent::Probe { group, clean } => {
-                if let Some(f) = self.store.hint_mut(group).map(|h| &mut h.flight) {
-                    f.probation_clean = if *clean { f.probation_clean + 1 } else { 0 };
-                }
-            }
+    /// Emit `event` as `change` applied to a copy of `group`'s hint. A group
+    /// without a hint has nothing to change.
+    fn transition(
+        &mut self,
+        event: FlightEvent,
+        group: &str,
+        change: impl FnOnce(&mut StoredHint),
+    ) {
+        if let Some(mut hint) = self.store.hint(group).cloned() {
+            change(&mut hint);
+            self.emit(event, hint);
         }
     }
 
-    /// Journal one day's runtime changes of a group for its monitors.
-    fn observe(&mut self, group: String, changes: &[f64], day: u32) {
-        self.emit(FlightEvent::Observe {
-            group,
-            mean_change_pct: mean(changes),
-            n: changes.len() as u32,
-            day,
+    /// Move a group's flight to `to` on `day`, its monitors reset.
+    fn set_stage(&mut self, group: &str, to: FlightStage, day: u32) {
+        self.transition(FlightEvent::Stage, group, |h| {
+            h.flight = FlightState::new(to, day, h.flight.salt);
+        });
+    }
+
+    fn set_status(&mut self, group: &str, status: HintStatus) {
+        self.transition(FlightEvent::Status, group, |h| h.status = status);
+    }
+
+    /// Feed one day's runtime changes of a group to its monitors: a mean
+    /// above `STRIKE_THRESHOLD_PCT` is a strike, any other a clean day, and
+    /// the CUSUM accumulates the mean above `CUSUM_DRIFT_PCT`.
+    fn observe(&mut self, group: &str, changes: &[f64]) {
+        let change = mean(changes);
+        self.transition(FlightEvent::Observe, group, |h| {
+            let f = &mut h.flight;
+            if change > STRIKE_THRESHOLD_PCT {
+                f.strikes += 1;
+            } else {
+                f.strikes = 0;
+                f.clean_days_in_stage += 1;
+            }
+            f.cusum = (f.cusum + change - CUSUM_DRIFT_PCT).max(0.0);
         });
         count(Counter::FlightObservations, 1);
+    }
+
+    /// Count one probation probe: a clean one toward release, a dirty one
+    /// back to zero.
+    fn probe(&mut self, group: &str, clean: bool) {
+        self.transition(FlightEvent::Probe, group, |h| {
+            let f = &mut h.flight;
+            f.probation_clean = if clean { f.probation_clean + 1 } else { 0 };
+        });
     }
 
     /// Ingest discovery winners as `Candidate` flights, keeping per group
@@ -688,7 +637,7 @@ impl FlightController {
                 HintStatus::Quarantined
             };
             let hint = StoredHint::new(key, w.config.clone(), w.base_change_pct, day, status);
-            self.emit(FlightEvent::Install(hint));
+            self.emit(FlightEvent::Install, hint);
             installed += 1;
         }
         installed
@@ -707,11 +656,7 @@ impl FlightController {
             .map(|h| h.group.clone())
             .collect();
         for group in candidates {
-            self.emit(FlightEvent::Stage {
-                group,
-                to: FlightStage::Deployed,
-                day,
-            });
+            self.set_stage(&group, FlightStage::Deployed, day);
         }
         n
     }
@@ -797,10 +742,7 @@ impl FlightController {
                     continue;
                 }
                 SteeredCompile::Vetoed => {
-                    self.emit(FlightEvent::Status {
-                        group: key.clone(),
-                        status: HintStatus::Quarantined,
-                    });
+                    self.set_status(key, HintStatus::Quarantined);
                     report.vetoes += 1;
                     continue;
                 }
@@ -844,7 +786,7 @@ impl FlightController {
             let stats = report.by_group.entry(group.clone()).or_default();
             stats.observed = changes.len();
             stats.mean_change_pct = mean(&changes);
-            self.observe(group, &changes, day);
+            self.observe(&group, &changes);
         }
         report
     }
@@ -884,21 +826,14 @@ impl FlightController {
             })
             .collect();
         for (group, since, to) in decided {
-            self.emit(FlightEvent::Stage {
-                group: group.clone(),
-                to,
-                day,
-            });
+            self.set_stage(&group, to, day);
             if matches!(to, FlightStage::RolledBack { .. }) {
                 record(
                     Histogram::FlightDaysToRollback,
                     u64::from(day.saturating_sub(since)),
                 );
                 count(Counter::FlightRollbacks, 1);
-                self.emit(FlightEvent::Status {
-                    group: group.clone(),
-                    status: HintStatus::Suspended,
-                });
+                self.set_status(&group, HintStatus::Suspended);
                 report.rollbacks.push(group);
             } else {
                 count(Counter::FlightPromotions, 1);
@@ -1016,13 +951,10 @@ impl FlightController {
             match status {
                 HintStatus::Active => {
                     if fatal {
-                        self.emit(FlightEvent::Status {
-                            group: key.clone(),
-                            status: HintStatus::Quarantined,
-                        });
+                        self.set_status(key, HintStatus::Quarantined);
                         report.quarantined.push(key.clone());
                     } else if !changes.is_empty() {
-                        self.observe(key.clone(), &changes, day);
+                        self.observe(key, &changes);
                         report.observed.push(key.clone());
                         observed_changes.extend(changes);
                     }
@@ -1032,25 +964,15 @@ impl FlightController {
                         && !dirty
                         && !changes.is_empty()
                         && mean(&changes) <= REGRESSION_THRESHOLD_PCT;
-                    self.emit(FlightEvent::Probe {
-                        group: key.clone(),
-                        clean,
-                    });
+                    self.probe(key, clean);
                     report.probed.push(key.clone());
                     let released = self
                         .store
                         .hint(key)
                         .is_some_and(|h| h.flight.probation_clean >= PROBATION_CLEAN_REQUIRED);
                     if clean && released {
-                        self.emit(FlightEvent::Status {
-                            group: key.clone(),
-                            status: HintStatus::Active,
-                        });
-                        self.emit(FlightEvent::Stage {
-                            group: key.clone(),
-                            to: FlightStage::Canary,
-                            day,
-                        });
+                        self.set_status(key, HintStatus::Active);
+                        self.set_stage(key, FlightStage::Canary, day);
                         count(Counter::FlightRestorations, 1);
                         report.restored.push(key.clone());
                     }
@@ -1095,9 +1017,13 @@ impl FlightController {
     }
 
     /// Rebuild a controller from durable state: parse the snapshot (or
-    /// start from genesis), then replay every journal event past the
-    /// snapshot's sequence watermark through the same `apply` used live.
-    /// Torn/corrupt journal tails are discarded, not guessed at.
+    /// start from genesis), then store the record of every journal line
+    /// past the snapshot's sequence watermark as written; no rollout policy
+    /// runs. The journal is cut at its first line that is torn or corrupt,
+    /// that does not follow the line before it by one (the first line at
+    /// or past the watermark must be the watermark), or that changes a
+    /// group neither the snapshot nor the journal installed: anything after
+    /// it is discarded, not guessed at.
     pub fn recover(
         snapshot: Option<&str>,
         journal_text: &str,
@@ -1109,26 +1035,38 @@ impl FlightController {
             None => FlightController::new(config),
         };
         let snapshot_seq = c.journal.next_seq;
-        let (entries, discarded) = parse_journal(journal_text);
+        let lines: Vec<&str> = journal_text.lines().filter(|l| !l.is_empty()).collect();
+        let mut prev: Option<u64> = None;
         let mut replayed = 0usize;
-        for (seq, event, line) in entries {
-            c.journal.lines.push(line);
-            if seq >= c.journal.next_seq {
-                c.apply(&event);
+        for line in &lines {
+            let Some((seq, event, hint)) = parse_journal_line(line) else {
+                break;
+            };
+            // Lines count up by one, and the first at or past the
+            // watermark is the watermark.
+            if prev.map_or(seq > snapshot_seq, |p| seq != p + 1) {
+                break;
+            }
+            if seq >= snapshot_seq {
+                // Only an install may name a group nothing installed.
+                if event != FlightEvent::Install && c.store.hint(&hint.group).is_none() {
+                    break;
+                }
+                c.store.insert_hint(hint);
                 c.journal.next_seq = seq + 1;
                 replayed += 1;
             }
+            prev = Some(seq);
+            c.journal.lines.push((*line).to_string());
         }
         count(Counter::FlightRecoveries, 1);
         record(Histogram::FlightReplayedEvents, replayed as u64);
-        Ok((
-            c,
-            RecoveryReport {
-                replayed_events: replayed,
-                discarded_lines: discarded,
-                snapshot_seq,
-            },
-        ))
+        let report = RecoveryReport {
+            replayed_events: replayed,
+            discarded_lines: lines.len() - c.journal.lines.len(),
+            snapshot_seq,
+        };
+        Ok((c, report))
     }
 }
 
@@ -1207,14 +1145,11 @@ mod tests {
         for step in ["1", "7", "00", "x", ""] {
             assert_eq!(FlightStage::parse(&format!("ramping:{step}")), None);
         }
-        let group = RuleSet::from_bit_string("101").to_bit_string();
-        let line = |stage: &str| {
-            let body = format!("0\tstage\t{group}\t{stage}\t1");
-            format!("{body}\t#{:016x}", fnv64(body.as_bytes()))
-        };
-        assert_eq!(parse_journal(&line("ramping:0")).0.len(), 1);
-        let (entries, discarded) = parse_journal(&line("ramping:1"));
-        assert_eq!((entries.len(), discarded), (0, 1));
+        let (mut c, key) = controller_with("101", -30.0);
+        c.set_stage(&key, FlightStage::Ramping, 1);
+        let ramp = |step: &str| recover_edited(&c, 1, |b| b.replace("ramping:0", step));
+        assert_eq!(ramp("ramping:0").1.discarded_lines, 0);
+        assert_eq!(ramp("ramping:1").1.discarded_lines, 1);
     }
 
     #[test]
@@ -1230,33 +1165,55 @@ mod tests {
         assert_eq!(FlightStage::RolledBack { day: 1 }.exposure_pct(&cfg), 0);
     }
 
+    /// `line` with its body rewritten by `edit` and checksummed again.
+    fn forge(line: &str, edit: impl FnOnce(&str) -> String) -> String {
+        let body = edit(line.rsplit_once("\t#").expect("a checksummed line").0);
+        format!("{body}\t#{:016x}", fnv64(body.as_bytes()))
+    }
+
+    /// Recover `c`'s journal with line `i` forged by `edit`.
+    fn recover_edited(
+        c: &FlightController,
+        i: usize,
+        edit: impl FnOnce(&str) -> String,
+    ) -> (FlightController, RecoveryReport) {
+        let mut lines: Vec<String> = c.journal_text().lines().map(String::from).collect();
+        lines[i] = forge(&lines[i], edit);
+        FlightController::recover(None, &lines.join("\n"), c.config.clone()).unwrap()
+    }
+
     #[test]
     fn events_survive_the_journal_round_trip() {
         let (mut c, key) = controller_with("101", -30.0);
-        c.emit(FlightEvent::Stage {
-            group: key.clone(),
-            to: FlightStage::Canary,
-            day: 1,
-        });
-        c.observe(key.clone(), &[-12.5; 4], 1);
-        c.emit(FlightEvent::Probe {
-            group: key.clone(),
-            clean: true,
-        });
-        c.emit(FlightEvent::Status {
-            group: key,
-            status: HintStatus::Suspended,
-        });
-        let (entries, discarded) = parse_journal(&c.journal_text());
-        assert_eq!(discarded, 0);
-        assert_eq!(entries.len(), 5); // install + the four above
-        assert_eq!(entries[0].0, 0);
-        assert_eq!(entries.last().unwrap().0, 4);
-        // Replay reproduces the exact event values.
-        assert!(matches!(
-            &entries[2].1,
-            FlightEvent::Observe { mean_change_pct, n: 4, .. } if *mean_change_pct == -12.5
-        ));
+        let mut records = vec![c.store.hint(&key).unwrap().clone()];
+        let steps: [fn(&mut FlightController, &str); 4] = [
+            |c, key| c.set_stage(key, FlightStage::Canary, 1),
+            |c, key| c.observe(key, &[-12.5; 4]),
+            |c, key| c.probe(key, true),
+            |c, key| c.set_status(key, HintStatus::Suspended),
+        ];
+        for step in steps {
+            step(&mut c, &key);
+            records.push(c.store.hint(&key).unwrap().clone());
+        }
+        // Each line reads back as its sequence number, its event and the
+        // group's record right after it.
+        let lines: Vec<_> = c.journal_text().lines().map(parse_journal_line).collect();
+        let events = [
+            FlightEvent::Install,
+            FlightEvent::Stage,
+            FlightEvent::Observe,
+            FlightEvent::Probe,
+            FlightEvent::Status,
+        ];
+        let expected: Vec<_> = (0..)
+            .zip(events)
+            .zip(records)
+            .map(|((seq, event), hint)| Some((seq, event, hint)))
+            .collect();
+        assert_eq!(lines, expected);
+        let f = flight(&c, &key);
+        assert_eq!((f.clean_days_in_stage, f.probation_clean), (1, 1));
     }
 
     #[test]
@@ -1266,7 +1223,7 @@ mod tests {
         for group in ["1x1", &key[1..]] {
             let config = RuleConfig::default_config();
             let hint = StoredHint::new(group.into(), config, -10.0, 1, HintStatus::Active);
-            let body = format!("1\t{}", render_event(&FlightEvent::Install(hint)));
+            let body = format!("1\tinstall\t{}", hint_line(&hint));
             let journal = format!(
                 "{}\n{body}\t#{:016x}",
                 c.journal_text(),
@@ -1281,17 +1238,63 @@ mod tests {
     #[test]
     fn corrupt_journal_lines_cut_the_tail() {
         let (mut c, key) = controller_with("101", -30.0);
-        for day in 1..=3 {
-            c.observe(key.clone(), &[-1.0], day);
+        for _ in 1..=3 {
+            c.observe(&key, &[-1.0]);
         }
         let text = c.journal_text();
         // Flip one byte in the second line's payload: that line and both
         // after it are discarded, the line before survives.
         let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        lines[1] = lines[1].replace("obs", "obz");
-        let (entries, discarded) = parse_journal(&lines.join("\n"));
-        assert_eq!(entries.len(), 1);
-        assert_eq!(discarded, 3);
+        lines[1] = lines[1].replace("\tobs\t", "\tobz\t");
+        let (r, report) =
+            FlightController::recover(None, &lines.join("\n"), c.config.clone()).unwrap();
+        assert_eq!((report.replayed_events, report.discarded_lines), (1, 3));
+        assert_eq!(r.journal_text(), lines[0]);
+    }
+
+    /// A journal line is refused unless the writer would have written it
+    /// byte for byte: each forgery below cuts the journal at the `obs`
+    /// line, leaving what the first two lines recover to.
+    #[test]
+    fn a_journal_line_the_writer_would_not_write_is_a_torn_tail() {
+        let (mut c, key) = controller_with("101", -30.0);
+        c.set_stage(&key, FlightStage::Canary, 1);
+        c.observe(&key, &[20.0]);
+        c.set_status(&key, HintStatus::Suspended);
+        let journal = c.journal_text();
+        let lines: Vec<&str> = journal.lines().collect();
+        let recover = |text: &str| FlightController::recover(None, text, c.config.clone()).unwrap();
+        let (prefix, _) = recover(&lines[..2].join("\n"));
+        let cusum = format!("{:016x}", 15f64.to_bits());
+        assert!(lines[2].contains(&format!("\tcusum:{cusum}\t")));
+        let other = RuleSet::from_bit_string("011").to_bit_string();
+        // (forgery, what the `obs` line holds, what it is replaced by)
+        let forgeries = [
+            ("a padded number", "\tsince:1\t", "\tsince:01\t".to_string()),
+            ("a signed number", "\tstrikes:1\t", "\tstrikes:+1\t".into()),
+            ("upper-case hex", &cusum, cusum.to_uppercase()),
+            ("a padded sequence number", "2\tobs", "02\tobs".into()),
+            ("a signed sequence number", "2\tobs", "+2\tobs".into()),
+            ("an unknown event", "\tobs\t", "\tobserve\t".into()),
+            ("another group", &key, other),
+            ("a gap", "2\tobs", "3\tobs".into()),
+            ("a repeat", "2\tobs", "1\tobs".into()),
+        ];
+        for (what, from, to) in forgeries {
+            let (r, report) = recover_edited(&c, 2, |b| b.replacen(from, &to, 1));
+            assert_eq!(
+                (report.replayed_events, report.discarded_lines),
+                (2, 2),
+                "{what}"
+            );
+            assert_eq!(r.store, prefix.store, "{what}");
+        }
+        // Upper-case checksum digits are refused too.
+        let (body, sum) = lines[2].rsplit_once("\t#").unwrap();
+        assert_ne!(sum, sum.to_uppercase(), "the checksum has a letter");
+        let upper = format!("{body}\t#{}", sum.to_uppercase());
+        let (_, report) = recover(&[lines[0], lines[1], &upper, lines[3]].join("\n"));
+        assert_eq!(report.discarded_lines, 2);
     }
 
     #[test]
@@ -1300,20 +1303,20 @@ mod tests {
         c.advance(0); // Candidate → Canary
         assert_eq!(flight(&c, &key).stage, FlightStage::Canary);
         // Two bad days: strikes build, no trip yet (N_STRIKES = 3).
-        for day in 1..=2 {
-            c.observe(key.clone(), &[12.0; 3], day);
+        for _ in 1..=2 {
+            c.observe(&key, &[12.0; 3]);
         }
         assert_eq!(flight(&c, &key).strikes, 2);
         assert!(c.advance(2).rollbacks.is_empty());
         // A clean day resets the strike count and counts toward promotion.
-        c.observe(key.clone(), &[-5.0; 3], 3);
+        c.observe(&key, &[-5.0; 3]);
         let f = flight(&c, &key);
         assert_eq!(f.strikes, 0);
         assert_eq!(f.clean_days_in_stage, 1);
         // Sustained moderate regression trips CUSUM even without three
         // consecutive strikes ever forming.
         for day in 4..=7 {
-            c.observe(key.clone(), &[20.0; 3], day);
+            c.observe(&key, &[20.0; 3]);
             if !c.advance(day).rollbacks.is_empty() {
                 let f = flight(&c, &key);
                 assert!(matches!(f.stage, FlightStage::RolledBack { .. }));
@@ -1330,7 +1333,7 @@ mod tests {
         c.advance(0);
         let mut stages = vec![flight(&c, &key).stage];
         for day in 1..=4 {
-            c.observe(key.clone(), &[-10.0; 5], day);
+            c.observe(&key, &[-10.0; 5]);
             c.advance(day);
             stages.push(flight(&c, &key).stage);
         }
@@ -1349,21 +1352,12 @@ mod tests {
     #[test]
     fn probation_probes_accumulate_and_reset() {
         let (mut c, key) = controller_with("101", -30.0);
-        c.emit(FlightEvent::Status {
-            group: key.clone(),
-            status: HintStatus::Quarantined,
-        });
+        c.set_status(&key, HintStatus::Quarantined);
         for _ in 0..2 {
-            c.emit(FlightEvent::Probe {
-                group: key.clone(),
-                clean: true,
-            });
+            c.probe(&key, true);
         }
         assert_eq!(flight(&c, &key).probation_clean, 2);
-        c.emit(FlightEvent::Probe {
-            group: key.clone(),
-            clean: false,
-        });
+        c.probe(&key, false);
         assert_eq!(flight(&c, &key).probation_clean, 0);
     }
 
@@ -1372,7 +1366,7 @@ mod tests {
         let (mut c, key) = controller_with("101", -30.0);
         c.advance(0);
         for day in 1..=3 {
-            c.observe(key.clone(), &[if day == 2 { 15.0 } else { -8.0 }; 2], day);
+            c.observe(&key, &[if day == 2 { 15.0 } else { -8.0 }; 2]);
             c.advance(day);
         }
         let (r, report) =
@@ -1388,7 +1382,7 @@ mod tests {
     fn snapshot_round_trips_and_detects_corruption() {
         let (mut c, key) = controller_with("110", -22.0);
         c.advance(0);
-        c.observe(key.clone(), &[-3.25; 7], 1);
+        c.observe(&key, &[-3.25; 7]);
         let snap = c.snapshot_text();
         let (r, report) =
             FlightController::recover(Some(&snap), "", FlightConfig::default()).expect("snapshot");
@@ -1436,7 +1430,7 @@ mod tests {
             }
             c.advance(0);
             for day in 1..=4 {
-                c.observe(key.clone(), &[-6.0; 2], day);
+                c.observe(&key, &[-6.0; 2]);
                 c.advance(day);
             }
             c

@@ -18,6 +18,7 @@ use scope_optimizer::{
     compile_job_guarded, CompileBudget, CompileError, CompiledPlan, RuleConfig, RuleSignature,
 };
 
+use crate::guard::{compile_steered, SteeredCompile};
 use crate::pipeline::JobOutcome;
 
 /// A job group key: the default rule signature.
@@ -96,7 +97,9 @@ pub struct ExtrapolatedRun {
 
 /// Apply group configurations to unseen jobs across days (Figure 1, §6.4).
 /// Jobs whose default signature matches no group config are skipped, as are
-/// jobs whose steered compilation fails.
+/// jobs the deployment guardrail (`guard::compile_steered`: lint verdict,
+/// guarded compile, validator and result fingerprint) keeps on their
+/// default plan.
 pub fn extrapolate(
     group_configs: &[GroupConfig],
     jobs: &[&Job],
@@ -123,7 +126,9 @@ pub fn extrapolate(
         let Some(gc) = by_group.get(&default.signature) else {
             continue;
         };
-        let Ok(steered) = compile_job_guarded(job, &gc.config, &CompileBudget::default()) else {
+        let SteeredCompile::Steered(steered) =
+            compile_steered(job, &default, &gc.config, &CompileBudget::default())
+        else {
             continue;
         };
         let default_m = ab.run(job, &default.plan, 0);

@@ -22,7 +22,8 @@ use scope_exec::{
 use scope_ir::ids::JobId;
 use scope_ir::Job;
 use scope_optimizer::{
-    compile_job, compile_job_guarded, effective_config, CompileBudget, RuleConfig, RuleSignature,
+    compile_job, compile_job_guarded, effective_config, CompileBudget, RuleConfig, RuleSet,
+    RuleSignature,
 };
 use scope_workload::{Workload, WorkloadProfile};
 use steer_core::flight::{N_STRIKES, PROBATION_CLEAN_REQUIRED};
@@ -244,9 +245,9 @@ fn crash_recovery_reconstructs_serving_history_bit_identically() {
 
     // The healthy run's durable state is pinned on the format that writes
     // each group as one hint line, its rollout included, in the snapshot
-    // and in every journaled install.
+    // and on every journal line.
     let digest = fnv1a(&format!("{}\n{}", healthy.journal, healthy.snapshot));
-    assert_eq!(digest, 0x4861_726d_c9d8_cb39, "got {digest:#018x}");
+    assert_eq!(digest, 0x28bf_dc8d_e27e_f7cc, "got {digest:#018x}");
 
     // Recovery from the full journal reproduces the live state exactly.
     let (rec, report) = FlightController::recover(None, &healthy.journal, FlightConfig::default())
@@ -315,6 +316,112 @@ fn recovery_from_a_mid_history_snapshot_replays_the_journal_suffix() {
         assert_eq!(report.replayed_events, events - journaled, "day {day}");
         assert_eq!(rec.store, run.store, "day {day}");
         assert_eq!(rec.snapshot_text(), run.snapshot, "day {day}");
+    }
+}
+
+/// The hint line of a journal line: what follows its sequence number and
+/// event, up to its checksum.
+fn journaled_hint(line: &str) -> &str {
+    let body = line.rsplit_once("\t#").expect("a checksummed line").0;
+    body.splitn(3, '\t')
+        .nth(2)
+        .expect("a hint line after the event")
+}
+
+/// Every journal line is its group's whole record after the event, so the
+/// store a multi-day run ends with, the store its journal recovers to and
+/// the hint file of the last journaled line per group are one store.
+/// Recovery stores a record as written: an `obs` line carrying monitor state
+/// the policy would not compute recovers to exactly that state.
+#[test]
+fn the_store_is_the_last_journaled_line_per_group() {
+    let d = discover(1);
+    let run = run_pipeline(&d, &ABTester::new(d.ab_seed), FlightConfig::default(), None);
+    let mut last: BTreeMap<&str, &str> = BTreeMap::new();
+    for line in run.journal.lines() {
+        let hint = journaled_hint(line);
+        last.insert(hint.split('\t').next().unwrap(), hint);
+    }
+    let hint_file: Vec<&str> = last.into_values().collect();
+    let projected = HintStore::from_hint_text(&hint_file.join("\n")).expect("a hint file");
+    let (recovered, _) = FlightController::recover(None, &run.journal, FlightConfig::default())
+        .expect("healthy journal recovers");
+    assert_eq!(recovered.store, run.store);
+    assert_eq!(projected, run.store);
+
+    // Forge the first observation: seven strikes and a CUSUM no run of
+    // the monitors produces (they roll a flight back at three strikes).
+    let lines: Vec<&str> = run.journal.lines().collect();
+    let at = (lines.iter())
+        .position(|l| l.split('\t').nth(1) == Some("obs"))
+        .expect("an observation is journaled");
+    let mut fields: Vec<String> = journaled_hint(lines[at])
+        .split('\t')
+        .map(String::from)
+        .collect();
+    let cusum = 123.25f64;
+    fields[9] = "strikes:7".into();
+    fields[10] = format!("cusum:{:016x}", cusum.to_bits());
+    let body = format!("{at}\tobs\t{}", fields.join("\t"));
+    let forged = format!("{}\n{body}\t#{:016x}", lines[..at].join("\n"), fnv1a(&body));
+    let (r, report) = FlightController::recover(None, &forged, FlightConfig::default())
+        .expect("forged journal recovers");
+    assert_eq!(
+        (report.replayed_events, report.discarded_lines),
+        (at + 1, 0)
+    );
+    let (honest, _) =
+        FlightController::recover(None, &lines[..=at].join("\n"), FlightConfig::default())
+            .expect("honest prefix recovers");
+    let mut expected = honest.store.hint(&fields[0]).unwrap().clone();
+    (expected.flight.strikes, expected.flight.cusum) = (7, cusum);
+    assert_eq!(r.store.hint(&fields[0]), Some(&expected));
+}
+
+/// A journal whose sequence skips or repeats a number is cut there, with or
+/// without a snapshot, and recovers to what the lines before the cut do.
+#[test]
+fn a_gap_or_a_repeat_in_the_journal_cuts_its_tail() {
+    let winners = ["101", "011", "110"].map(|bits| GroupConfig {
+        group: RuleSignature(RuleSet::from_bit_string(bits)),
+        config: RuleConfig::default_config(),
+        base_change_pct: -20.0,
+        base_job: JobId(0),
+    });
+    let mut c = FlightController::new(FlightConfig::default());
+    c.ingest(&winners, 0); // lines 0–2: one install per group
+    let snapshot = c.snapshot_text(); // watermark 3
+    c.advance(0); // lines 3–5: each group to Canary
+    let journal = c.journal_text();
+    let lines: Vec<&str> = journal.lines().collect();
+    assert_eq!(lines.len(), 6);
+    let recover = |snapshot: Option<&str>, lines: &[&str]| {
+        FlightController::recover(snapshot, &lines.join("\n"), FlightConfig::default())
+            .expect("journal recovers")
+    };
+    // (case, snapshot, journal, lines before the cut)
+    let cases = [
+        ("a gap", None, [&lines[..2], &lines[3..]].concat(), 2),
+        ("a repeat", None, [&lines[..2], &lines[1..]].concat(), 2),
+        (
+            "a gap at the watermark",
+            Some(&*snapshot),
+            [&lines[..3], &lines[4..]].concat(),
+            3,
+        ),
+        (
+            "a repeat past the watermark",
+            Some(&*snapshot),
+            [&lines[..4], &lines[3..]].concat(),
+            4,
+        ),
+    ];
+    for (what, snapshot, journal, kept) in cases {
+        let (r, report) = recover(snapshot, &journal);
+        assert_eq!(report.discarded_lines, journal.len() - kept, "{what}");
+        let (prefix, _) = recover(snapshot, &journal[..kept]);
+        assert_eq!(r.journal_text(), prefix.journal_text(), "{what}");
+        assert_eq!(r.store, prefix.store, "{what}");
     }
 }
 
@@ -402,12 +509,14 @@ fn dying_steered_runs_are_observed_and_roll_the_hint_back() {
     let mut first_fallback = None;
     let mut rolled_back = None;
     for day in 1..=SERVE_DAYS {
+        let before = c.journal_text().lines().count();
         let report = c.serve_day(&d.workload.day(day), &ab, &policy, day);
         let stats = &report.by_group[&key];
         let journaled = c
             .journal_text()
             .lines()
-            .any(|l| l.contains(&format!("\tobs\t{key}\t")) && l.contains(&format!("\t{day}\t#")));
+            .skip(before)
+            .any(|l| l.contains(&format!("\tobs\t{key}\t")));
         assert_eq!(
             journaled,
             stats.observed > 0,

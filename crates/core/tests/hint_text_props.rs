@@ -3,9 +3,9 @@
 //! *any* store — every status variant, any rule-config delta, any rollout
 //! stage and monitor state, any finite float (runtimes and CUSUM levels are
 //! serialized as IEEE-754 bit patterns, so even `-0.0` and subnormals must
-//! survive). The flighting snapshot is a hint file and a journaled install
-//! is one hint line, so a single lossy field here would silently break the
-//! bit-identical crash-recovery guarantee. The converse holds too: a line
+//! survive). The flighting snapshot is a hint file and every journal line
+//! carries one hint line, so a single lossy field here would silently break
+//! the bit-identical crash-recovery guarantee. The converse holds too: a line
 //! the parser accepts is one the writer would have written, so it
 //! re-renders byte for byte.
 

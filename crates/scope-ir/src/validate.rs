@@ -5,10 +5,11 @@
 //! every operator has the right number of inputs, every scanned table exists
 //! in the observable catalog, and every referenced column is actually
 //! produced by the subtree below the reference. Violations come back as a
-//! typed [`PlanViolation`] list rather than a panic, so callers (the
-//! discovery pipeline, the deployment guardrail) can discard or quarantine a
-//! bad plan and keep going — the trust boundary the paper's flighting step
-//! requires before a steered plan may run.
+//! typed [`PlanViolation`] list rather than a panic. No product path calls
+//! it: `crates/core/tests/guardrail_props.rs` checks with it that every
+//! plan the workload generator emits is valid, and the deployment
+//! guardrail vets each steered plan with the physical validator and the
+//! default plan's result fingerprint instead.
 //!
 //! Column checks are deliberately *logical-only*: legitimate rewrites such
 //! as `ReseqProjectOnFilter` push a `Project` below a column-referencing

@@ -21,8 +21,8 @@ use scope_steer::exec::{ABTester, ArrivalCurve, RetryPolicy, ServeFaultProfile};
 use scope_steer::ir::Job;
 use scope_steer::optimizer::{compile_job, RuleCatalog, RuleConfig};
 use scope_steer::steer::{
-    approximate_span, candidate_configs, winning_configs, FlightConfig, FlightController, Pipeline,
-    PipelineParams, ServeRequest, ServiceConfig, SteeringService,
+    approximate_span, candidate_configs, group_of, winning_configs, FlightConfig, FlightController,
+    Pipeline, PipelineParams, ServeRequest, ServiceConfig, SteeringService,
 };
 use scope_steer::workload::{Workload, WorkloadProfile, WorkloadTag};
 
@@ -373,10 +373,9 @@ fn main() {
                     .iter()
                     .enumerate()
                     .filter_map(|(idx, job)| {
-                        let compiled = compile_job(job, &RuleConfig::default_config()).ok()?;
                         Some(ServeRequest {
                             job_id: job.id.0,
-                            group_key: compiled.signature.to_bit_string(),
+                            group_key: group_of(job)?.to_bit_string(),
                             arrival_us: curve.arrival_us(day, idx as u64, fault.burst.as_ref()),
                         })
                     })
