@@ -51,10 +51,14 @@
 //!   tail (simulated with [`scope_exec::CrashPlan`]), a gap or repeat in
 //!   the sequence, or a change to a group nothing installed truncates the
 //!   journal to the last durable line instead of corrupting the store.
-//! * **One default compile per job-day** — a day's default plans are
-//!   compiled once, fanned out over every core ([`crate::par`]) with
+//! * **At most one default compile per job-day** — a day's default plans
+//!   are compiled once, fanned out over every core ([`crate::par`]) with
 //!   panic isolation, so a job whose default compile fails or panics is
-//!   `skipped` rather than fatal. `serve_day` keeps the first
+//!   `skipped` rather than fatal. Only a job whose signature bound
+//!   (`groups::default_signature_bound`, a normalization, no compile)
+//!   admits a wanted group's key is compiled: any other job's default
+//!   cannot key a wanted group, so skipping it changes nothing the day
+//!   decides. `serve_day` keeps the first
 //!   `REVALIDATION_JOBS` jobs of every flighted group as the day's
 //!   sample, and `revalidate_background` reads that sample instead of
 //!   compiling the day again. The sample is derived state: it is not
@@ -73,13 +77,13 @@ use scope_exec::{ABTester, CrashPlan, CrashRoll, RetryPolicy};
 use scope_ir::stats::{mean, pct_change};
 use scope_ir::Job;
 use scope_lint::catalog_invalid;
-use scope_optimizer::{CompileBudget, CompiledPlan};
+use scope_optimizer::{CompileBudget, CompiledPlan, RuleSet, RuleSignature};
 use scope_trace::{count, record, Counter, Histogram};
 
 use crate::deploy::{
     hint_line, parse_hint_line, HintParseError, HintStatus, HintStore, StoredHint,
 };
-use crate::groups::{default_plan, GroupConfig};
+use crate::groups::{default_plan, default_signature_bound, GroupConfig};
 use crate::guard::{compile_steered, SteeredCompile};
 use crate::par::{available_threads, run_chunked_on};
 
@@ -398,7 +402,9 @@ pub struct FlightDayReport {
     pub jobs: usize,
     /// Jobs whose group has no stored hint (served default; not simulated).
     pub unmatched: usize,
-    /// Jobs whose default compile failed or panicked.
+    /// Jobs whose default compile failed or panicked. Only a job that
+    /// could key a stored hint is compiled: any other job counts as
+    /// `unmatched`, even if its default would have failed.
     pub skipped: usize,
     pub steered: usize,
     pub held_back: usize,
@@ -447,35 +453,47 @@ pub struct BackgroundReport {
 enum DayDefault {
     /// The default compile failed or panicked.
     Failed,
-    /// The default compiled to a group the caller does not want.
+    /// The default's group is not one the caller wants: its signature
+    /// bound ruled every wanted key out, or it compiled to another group.
     Unflighted,
     /// The default compiled to a wanted group: its key and the plan,
     /// boxed so that every entry, mostly the other two, is 32 bytes.
     Flighted(String, Box<CompiledPlan>),
 }
 
-/// Compile every job's [`default_plan`] on `n_threads` workers, one value
-/// per job in job order. A plan is kept only when `wanted` accepts its
-/// group key.
-fn derive_defaults(
+/// The [`default_plan`] of every job whose group could be one of the
+/// `wanted` keys, compiled on `n_threads` workers, one value per job in
+/// job order. A job whose [`default_signature_bound`] admits no wanted
+/// key is `Unflighted` without a compile; a plan is kept only when its
+/// group is wanted.
+fn derive_defaults<'a>(
     jobs: &[Job],
     n_threads: usize,
-    wanted: impl Fn(&str) -> bool + Sync,
+    wanted: impl IntoIterator<Item = &'a str>,
 ) -> Vec<DayDefault> {
+    // Only a key in the form a signature renders to can be a group.
+    let wanted: Vec<RuleSignature> = wanted
+        .into_iter()
+        .filter_map(|key| {
+            let signature = RuleSignature(RuleSet::from_bit_string(key));
+            (signature.0.to_bit_string() == key).then_some(signature)
+        })
+        .collect();
     let derived = run_chunked_on(
         jobs,
         n_threads,
         |job| {
+            let keyable = default_signature_bound(job)
+                .is_none_or(|bound| wanted.iter().any(|key| bound.admits(key)));
+            if !keyable {
+                return Some(DayDefault::Unflighted);
+            }
             Some(match default_plan(job) {
                 Err(_) => DayDefault::Failed,
-                Ok(plan) => {
-                    let key = plan.signature.to_bit_string();
-                    if wanted(&key) {
-                        DayDefault::Flighted(key, Box::new(plan))
-                    } else {
-                        DayDefault::Unflighted
-                    }
+                Ok(plan) if wanted.contains(&plan.signature) => {
+                    DayDefault::Flighted(plan.signature.0.to_bit_string(), Box::new(plan))
                 }
+                Ok(_) => DayDefault::Unflighted,
             })
         },
         |job| format!("job {}", job.id.0),
@@ -677,9 +695,11 @@ impl FlightController {
     /// Held-back and unmatched jobs are counted but not simulated — they
     /// run the default plan by definition.
     ///
-    /// Every job's default plan is compiled first, on every core; a job
-    /// whose default fails or panics is `skipped`. The first
-    /// `REVALIDATION_JOBS` jobs of each flighted group are kept for
+    /// The default plan of every job that could key a stored hint is
+    /// compiled first, on every core; a job whose default fails or panics
+    /// is `skipped`. A job whose signature bound admits no stored key
+    /// cannot match one, so it is `unmatched` without a compile. The
+    /// first `REVALIDATION_JOBS` jobs of each flighted group are kept for
     /// today's [`Self::revalidate_background`].
     pub fn serve_day(
         &mut self,
@@ -707,7 +727,8 @@ impl FlightController {
             ..FlightDayReport::default()
         };
         let mut day_changes: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        let defaults = derive_defaults(jobs, n_threads, |key| self.store.hint(key).is_some());
+        let stored = self.store.hints().map(|h| h.group.as_str());
+        let defaults = derive_defaults(jobs, n_threads, stored);
         let compile_budget = self.config.compile_budget;
         for (job, derived) in jobs.iter().zip(&defaults) {
             report.jobs += 1;
@@ -853,8 +874,8 @@ impl FlightController {
     /// Each picked hint runs on the first `REVALIDATION_JOBS` of
     /// today's jobs in its group.
     /// They come from the sample today's [`Self::serve_day`] took over the
-    /// same jobs; without one that still fits, the day's defaults are
-    /// compiled afresh, on every core.
+    /// same jobs; without one that still fits, the defaults of the jobs
+    /// that could key a picked hint are compiled afresh, on every core.
     pub fn revalidate_background(
         &mut self,
         jobs: &[Job],
@@ -901,8 +922,8 @@ impl FlightController {
         let sample = match day_sample {
             Some(s) if s.covers(day, jobs) => s,
             _ => {
-                let defaults =
-                    derive_defaults(jobs, n_threads, |key| picked.iter().any(|p| p.group == key));
+                let picked_keys = picked.iter().map(|p| p.group.as_str());
+                let defaults = derive_defaults(jobs, n_threads, picked_keys);
                 Arc::new(DaySample::new(day, jobs, defaults))
             }
         };
@@ -1102,7 +1123,7 @@ mod tests {
     use super::*;
     use crate::testutil::optional_rule;
     use scope_ir::ids::JobId;
-    use scope_optimizer::{RuleConfig, RuleSet, RuleSignature};
+    use scope_optimizer::RuleConfig;
 
     fn winner(bits: &str, pct: f64) -> GroupConfig {
         let mut config = RuleConfig::default_config();
@@ -1645,5 +1666,73 @@ mod tests {
         let jobs = d.workload.day(4);
         sampled_equals_fresh(&c, &jobs, &d.ab, 4);
         assert!(!sample_covers(&c, &jobs, 4));
+    }
+
+    /// The signature bound is exact: it admits the signature of every
+    /// default that compiles, so the defaults `derive_defaults` keeps are
+    /// the ones compiling every job keeps, whichever groups are wanted.
+    #[test]
+    fn derived_defaults_equal_compiling_every_job() {
+        use rand::{Rng, SeedableRng};
+        use scope_workload::{Workload, WorkloadProfile};
+        use std::collections::BTreeSet;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        for profile in [
+            WorkloadProfile::workload_a(0.1),
+            WorkloadProfile::workload_b(0.5),
+            WorkloadProfile::workload_c(0.2),
+        ] {
+            let jobs = Workload::generate(profile).day(0);
+            let reference: Vec<Option<CompiledPlan>> =
+                jobs.iter().map(|job| default_plan(job).ok()).collect();
+            for (job, default) in jobs.iter().zip(&reference) {
+                if let Some(default) = default {
+                    let bound = default_signature_bound(job).expect("a compiling job normalizes");
+                    assert!(bound.admits(&default.signature), "job {}", job.id.0);
+                }
+            }
+            let groups: BTreeSet<String> = reference
+                .iter()
+                .flatten()
+                .map(|d| d.signature.0.to_bit_string())
+                .collect();
+            let every: Vec<&str> = groups.iter().map(String::as_str).collect();
+            let third: Vec<&str> = every
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(1.0 / 3.0))
+                .collect();
+            assert!(!third.is_empty() && third.len() < every.len());
+            for wanted in [every.clone(), third.clone(), Vec::new()] {
+                let kept: Vec<Option<(String, u64)>> = derive_defaults(&jobs, 2, wanted.clone())
+                    .iter()
+                    .map(|derived| match derived {
+                        DayDefault::Flighted(key, plan) => Some((key.clone(), plan.fingerprint())),
+                        _ => None,
+                    })
+                    .collect();
+                let expected: Vec<Option<(String, u64)>> = reference
+                    .iter()
+                    .map(|default| {
+                        let default = default.as_ref()?;
+                        let key = default.signature.0.to_bit_string();
+                        wanted
+                            .contains(&key.as_str())
+                            .then(|| (key, default.fingerprint()))
+                    })
+                    .collect();
+                assert_eq!(kept, expected, "{} groups wanted", wanted.len());
+            }
+            // Not vacuous: the bound rules jobs out of the wanted third
+            // without compiling them.
+            let ruled_out = jobs.iter().filter(|job| {
+                let bound = default_signature_bound(job).expect("every job normalizes");
+                !third
+                    .iter()
+                    .any(|key| bound.admits(&RuleSignature(RuleSet::from_bit_string(key))))
+            });
+            assert!(ruled_out.count() > 0);
+        }
     }
 }

@@ -6,7 +6,9 @@
 //! `default_plan`: discovery's baselines, the flight layer's day,
 //! [`group_of`] and [`extrapolate`]. It compiles under the identity cost
 //! model; a corrected model could change a default's signature and orphan
-//! the group's hint.
+//! the group's hint. The flight layer compiles only the jobs whose
+//! `default_signature_bound`, which compiles nothing, admits a key it
+//! wants.
 
 use std::collections::HashMap;
 
@@ -14,8 +16,10 @@ use scope_exec::ABTester;
 use scope_ir::ids::JobId;
 use scope_ir::stats::pct_change;
 use scope_ir::Job;
+use scope_lint::SignatureBound;
 use scope_optimizer::{
-    compile_job_guarded, CompileBudget, CompileError, CompiledPlan, RuleConfig, RuleSignature,
+    catch_compile_panics, compile_job_guarded, effective_config, CompileBudget, CompileError,
+    CompiledPlan, RuleConfig, RuleSignature,
 };
 
 use crate::guard::{compile_steered, SteeredCompile};
@@ -33,6 +37,15 @@ pub(crate) fn default_plan(job: &Job) -> Result<CompiledPlan, CompileError> {
         &RuleConfig::default_config(),
         &CompileBudget::default(),
     )
+}
+
+/// Sound bounds on [`default_plan`]'s signature, from the job's
+/// normalized plan alone: a key the bound does not admit is not the job's
+/// group. `None` where normalizing the job panics; its default compile
+/// then panics too.
+pub(crate) fn default_signature_bound(job: &Job) -> Option<SignatureBound> {
+    let config = effective_config(job, &RuleConfig::default_config());
+    catch_compile_panics(|| Ok(SignatureBound::new(&job.plan, &config))).ok()
 }
 
 /// Compute a job's group: the signature of its default plan.

@@ -43,19 +43,20 @@
 //! fault profile.
 //!
 //! Two hashes, each where it fits: the map, the entry checksum and the
-//! decision-stream fingerprint use a private word-at-a-time hasher,
-//! because each runs over a 256-character key on every steered request;
-//! the fault rolls, the traffic split ([`scope_exec::in_rollout`]) and
-//! the per-flight salt keep the hashes they had, because they decide
-//! which config a request gets and the pinned decision streams depend on
-//! them.
+//! decision-stream fingerprint use the word-at-a-time
+//! [`scope_ir::hash::WordHasher`], because each runs over a 256-character
+//! key on every steered request; the fault rolls, the traffic split
+//! ([`scope_exec::in_rollout`]) and the per-flight salt keep the hashes
+//! they had, because they decide which config a request gets and the
+//! pinned decision streams depend on them.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::BinaryHeap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 use scope_exec::faults::ServeFaultProfile;
+use scope_ir::hash::{WordHashMap, WordHasher};
 use scope_optimizer::RuleConfig;
 use scope_trace::{count, record, Counter, Histogram};
 
@@ -71,58 +72,6 @@ fn hash64<T: Hash>(value: &T) -> u64 {
     let mut h = DefaultHasher::new();
     value.hash(&mut h);
     h.finish()
-}
-
-/// The read path's hasher: the snapshot's map, every entry's checksum and
-/// the decision-stream fingerprint. One multiply-rotate step per 8-byte
-/// word, where SipHash-1-3 runs a 14-operation round per word, three more
-/// to finish, and buffers every small integer write; a finishing
-/// avalanche spreads the last words into the low bits the map indexes by.
-///
-/// Each step is a bijection of the state for a fixed word and of the word
-/// for a fixed state, so two inputs of the same shape that differ in one
-/// word always hash apart: a torn field never slips past the checksum.
-/// The map keys are published by the flight controller, not chosen by a
-/// requester, and a request key can only collide with them, which costs
-/// one string compare; that is why an unkeyed hasher is safe here.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    #[inline]
-    fn step(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for WordHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.step(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            // The tail's length goes in the top byte, so "ab" and "ab\0"
-            // hash apart.
-            let mut w = [0u8; 8];
-            w[..tail.len()].copy_from_slice(tail);
-            w[7] = tail.len() as u8;
-            self.step(u64::from_le_bytes(w));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // MurmurHash3's 64-bit finalizer.
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
-    }
 }
 
 /// A unit-interval draw that is a pure function of its arguments (same
@@ -226,7 +175,7 @@ pub enum Lookup {
 /// while a reader holds the snapshot) copies keys and pointers only.
 /// Keys stay the group's bit string, the form every caller holds: a
 /// typed key would add a parse to every request.
-type Snapshot = HashMap<String, Arc<ServingEntry>, BuildHasherDefault<WordHasher>>;
+type Snapshot = WordHashMap<String, Arc<ServingEntry>>;
 
 /// Look `group` up in a snapshot. A checksum-corrupt entry is reported
 /// as [`Lookup::Torn`], never returned.

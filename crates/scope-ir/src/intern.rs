@@ -25,10 +25,10 @@
 //! reaches a zero-allocation steady state across compiles.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::Hasher;
 
 use crate::expr::CmpOp;
+use crate::hash::WordHashMap;
 use crate::ids::ColId;
 use crate::ops::{LogicalOp, OpKind};
 
@@ -65,7 +65,8 @@ pub struct ExprInterner {
     /// Hasher state after streaming `op.memo_hash` — cloned and resumed by
     /// the memo to finish `(op, children)` keys without re-hashing the op.
     prefixes: Vec<DefaultHasher>,
-    by_hash: HashMap<u64, ExprId>,
+    /// Probed by the finished prefix hash, which is already a hash.
+    by_hash: WordHashMap<u64, ExprId>,
 }
 
 impl ExprInterner {
@@ -153,7 +154,7 @@ impl ExprInterner {
 #[derive(Debug, Default)]
 pub struct AtomInterner {
     keys: Vec<(ColId, CmpOp)>,
-    by_key: HashMap<(ColId, CmpOp), AtomId>,
+    by_key: WordHashMap<(ColId, CmpOp), AtomId>,
 }
 
 impl AtomInterner {

@@ -8,7 +8,8 @@
 //! * [`catalog`] — the *true* data catalog (known only to the execution
 //!   simulator) and the *observable* catalog (what the optimizer may see),
 //! * [`job`] — jobs, templates, and recurring-job metadata,
-//! * [`stats`] — small numeric helpers (percentiles, lognormal sampling).
+//! * [`stats`] — small numeric helpers (percentiles, lognormal sampling),
+//! * [`hash`] — the word-at-a-time hasher for maps keyed by hashes and ids.
 //!
 //! ## True vs. observable state
 //!
@@ -22,6 +23,7 @@
 pub mod catalog;
 pub mod display;
 pub mod expr;
+pub mod hash;
 pub mod ids;
 pub mod intern;
 pub mod interval;

@@ -18,9 +18,16 @@
 //! implementability, so `Invalid` is sound — a config this analyzer rejects
 //! can never compile. Everything else is [`ConfigVerdict::Valid`], which
 //! only a compile can confirm (a missing exchange, an exhausted budget).
+//!
+//! [`SignatureBound`] reads the same reachable set the other way: a
+//! compile can put a rule in its signature only if the memo can hold the
+//! rule's kind, so the signature of every successful compile lies between
+//! what is certain before exploring and what the reachable kinds allow.
 
 use scope_ir::{OpKind, PlanGraph};
-use scope_optimizer::{normalized_kind_counts, RuleConfig};
+use scope_optimizer::{
+    certain_signature, normalized_kind_counts, RuleCatalog, RuleConfig, RuleSet, RuleSignature,
+};
 
 use crate::rulegraph::RuleGraph;
 use crate::violation::LintViolation;
@@ -46,13 +53,9 @@ impl JobLint {
     /// is compiled.
     pub fn new(plan: &PlanGraph) -> JobLint {
         let kind_counts = normalized_kind_counts(plan);
-        let mut reachable = kind_counts.map(|count| count > 0);
-        // The one kind exploration can introduce where none existed:
-        // `PruneBelow` inserts narrowing projections below its anchors.
-        reachable[OpKind::Project as usize] = true;
         JobLint {
             kind_counts,
-            reachable,
+            reachable: reachable_kinds(&kind_counts),
         }
     }
 
@@ -116,6 +119,66 @@ impl JobLint {
         } else {
             ConfigVerdict::Invalid { violations }
         }
+    }
+}
+
+/// The kinds a memo expression can have under any configuration, given
+/// the normalized plan's kind counts: the kinds present, plus `Project`
+/// (see module docs).
+fn reachable_kinds(kind_counts: &[u32; OpKind::COUNT]) -> [bool; OpKind::COUNT] {
+    let mut reachable = kind_counts.map(|count| count > 0);
+    // The one kind exploration can introduce where none existed:
+    // `PruneBelow` inserts narrowing projections below its anchors.
+    reachable[OpKind::Project as usize] = true;
+    reachable
+}
+
+/// Sound bounds on the rule signature of every successful compile of one
+/// plan under one configuration, from the normalized plan alone:
+/// `certain ⊆ signature ⊆ possible`.
+///
+/// * `certain` is [`certain_signature`]: the normalizers that fire and
+///   the markers that fire on the normalized kinds.
+/// * `possible` adds every enabled-or-required rule a compile could use:
+///   the implementations of, and transformations anchored on, a
+///   reachable kind (a rule enters the signature only through a memo
+///   expression of its kind), the exchange implementations, the enforcer
+///   and the normalizers.
+///
+/// So a signature the bound does not [admit](Self::admits) is not the
+/// plan's, and telling costs a normalization, not a compile.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SignatureBound {
+    certain: RuleSet,
+    possible: RuleSet,
+}
+
+impl SignatureBound {
+    /// The bound for `plan` compiled under `config` (the configuration
+    /// the compile itself sees, customer hints applied). Panics where
+    /// normalization does, on a malformed plan.
+    pub fn new(plan: &PlanGraph, config: &RuleConfig) -> SignatureBound {
+        let (certain, kind_counts) = certain_signature(plan, config);
+        let reachable = reachable_kinds(&kind_counts);
+        let graph = RuleGraph::global();
+        let mut readable = *graph.unanchored();
+        for kind in OpKind::ALL {
+            if reachable[kind as usize] {
+                readable = readable.union(graph.readers(kind));
+            }
+        }
+        let allowed = config.enabled().union(RuleCatalog::global().required());
+        SignatureBound {
+            certain,
+            possible: readable.intersection(&allowed).union(&certain),
+        }
+    }
+
+    /// Whether some successful compile could have `signature`. `false` is
+    /// exact: no compile under the bound's configuration has it.
+    pub fn admits(&self, signature: &RuleSignature) -> bool {
+        self.certain.difference(&signature.0).is_empty()
+            && signature.0.difference(&self.possible).is_empty()
     }
 }
 

@@ -16,7 +16,10 @@
 //!    rejected config can never compile, so the span, the discovery funnel
 //!    and the flight guardrail skip it without changing any result.
 //!    [`analyze::catalog_invalid`] is the plan-independent form that
-//!    quarantines hints no job can compile.
+//!    quarantines hints no job can compile. [`analyze::SignatureBound`]
+//!    reads the same reachable kinds to bound which rule signatures a
+//!    compile can have, so the flight layer compiles only the defaults
+//!    that could key a stored hint.
 //! 2. **What is the cheapest it can cost?** ([`bounds::PlanBounds`]) —
 //!    sound per-node rows/bytes intervals derived from the catalog
 //!    envelopes, and a whole-plan cost floor per enabled rule set. Powers
@@ -29,7 +32,7 @@ pub mod bounds;
 pub mod rulegraph;
 pub mod violation;
 
-pub use analyze::{catalog_invalid, ConfigVerdict, JobLint};
+pub use analyze::{catalog_invalid, ConfigVerdict, JobLint, SignatureBound};
 pub use bounds::{audit_estimates, PlanBounds};
 pub use rulegraph::RuleGraph;
 pub use violation::{BoundQuantity, LintViolation};

@@ -42,9 +42,9 @@ pub use config::{RuleConfig, RuleDiff, RuleSignature};
 pub use cost::{CostCorrections, CostEstimate, CostModel, CostWeights};
 pub use optimizer::normalized_kind_counts;
 pub use optimizer::{
-    catch_compile_panics, compile, compile_candidates, compile_job, compile_job_guarded,
-    compile_with_budget, compile_with_model, effective_config, CompileStats, CompiledPlan,
-    RuleFootprint,
+    catch_compile_panics, certain_signature, compile, compile_candidates, compile_job,
+    compile_job_guarded, compile_with_budget, compile_with_model, effective_config, CompileStats,
+    CompiledPlan, RuleFootprint,
 };
 pub use physical::{Partitioning, PhysNode, PhysOp, PhysPlan};
 pub use rules::{AnchorRewrite, PhysImpl, Rule, RuleAction, RuleCatalog, RuleCategory};

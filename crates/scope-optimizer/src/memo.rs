@@ -39,12 +39,15 @@
 //! after the op prefix, and `Memo::insert_inner` resumes a clone of it
 //! with the children. This is byte-identical to the old `expr_key`
 //! (proven by a unit test in `scope-ir::intern`), including its
-//! hash-only collision semantics.
+//! hash-only collision semantics. The key stays a SipHash, since a hit is
+//! trusted without an equality check; the maps it probes, which are never
+//! iterated, index it with [`scope_ir::hash::WordHasher`] rather than
+//! SipHashing a hash again.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use scope_ir::hash::WordHashMap;
 use scope_ir::ids::NodeId;
 use scope_ir::{ExprId, ExprInterner, LogicalOp, OpKind, PlanGraph};
 
@@ -219,11 +222,11 @@ pub struct Memo {
     interner: ExprInterner,
     /// `(op value-hash, children)` → first expression anywhere; used to
     /// reuse groups when a rewrite re-creates a known sub-expression.
-    any_group: HashMap<u64, MExprId>,
+    any_group: WordHashMap<u64, MExprId>,
     /// `(op value-hash, children, group)` → expression; prevents duplicate
     /// alternatives within one group while still allowing the same shape to
     /// appear in several groups (needed for identity-elimination rewrites).
-    by_group: HashMap<(u64, GroupId), MExprId>,
+    by_group: WordHashMap<(u64, GroupId), MExprId>,
     /// Insertions rejected by the per-group or global budget (observability
     /// counter, surfaced in `CompiledPlan` stats).
     budget_rejections: usize,
@@ -232,7 +235,7 @@ pub struct Memo {
     /// Rules named in some expression's `created_by` (set as it inserts).
     created: RuleSet,
     /// Ingest scratch, kept across [`Memo::clear`] for allocation reuse.
-    node_group: HashMap<NodeId, GroupId>,
+    node_group: WordHashMap<NodeId, GroupId>,
     ingest_children: Vec<GroupId>,
 }
 
@@ -265,12 +268,12 @@ impl Memo {
             child_slab: Vec::new(),
             ests: Vec::new(),
             interner: ExprInterner::new(),
-            any_group: HashMap::new(),
-            by_group: HashMap::new(),
+            any_group: WordHashMap::default(),
+            by_group: WordHashMap::default(),
             budget_rejections: 0,
             kinds: 0,
             created: RuleSet::EMPTY,
-            node_group: HashMap::new(),
+            node_group: WordHashMap::default(),
             ingest_children: Vec::new(),
         }
     }

@@ -507,6 +507,19 @@ impl<'a> Prepared<'a> {
     }
 }
 
+/// The part of the signature every successful compile of `plan` under
+/// `config` contains, known before exploring: the normalizers that fire
+/// and the markers that the compile's own marker pass (`fire_markers`)
+/// fires on the normalized plan's operator kinds. Returned with those
+/// kind counts. Panics where normalization does, on a malformed plan.
+pub fn certain_signature(plan: &PlanGraph, config: &RuleConfig) -> (RuleSet, [u32; OpKind::COUNT]) {
+    let normalized = normalize(plan);
+    let kind_counts = normalized.plan.op_counts();
+    let mut certain = normalized.fired;
+    fire_markers(config, &kind_counts, &mut certain);
+    (certain, kind_counts)
+}
+
 /// Fire marker/guard/canonicalize rules against the normalized plan's
 /// operator-kind counts, inserting them into `fired`. Shared by the live
 /// compile path and the frozen [`crate::classic`] oracle so the signature
