@@ -68,6 +68,37 @@ impl Literal {
         }
         h.finish()
     }
+
+    /// Stream the literal's memo identity into `h`: its variant and its
+    /// value's bits (a float by [`f64::to_bits`]).
+    pub fn memo_hash<H: Hasher>(&self, h: &mut H) {
+        match self {
+            Literal::Int(v) => {
+                h.write_u8(0);
+                h.write_i64(*v);
+            }
+            Literal::Float(v) => {
+                h.write_u8(1);
+                h.write_u64(v.to_bits());
+            }
+            Literal::Str(s) => {
+                h.write_u8(2);
+                s.hash(h);
+            }
+        }
+    }
+
+    /// Whether two literals have one memo identity: the same variant and
+    /// the same value bits (so `0.0` and `-0.0` differ, and a NaN equals
+    /// itself).
+    pub fn memo_eq(&self, other: &Literal) -> bool {
+        match (self, other) {
+            (Literal::Int(a), Literal::Int(b)) => a == b,
+            (Literal::Float(a), Literal::Float(b)) => a.to_bits() == b.to_bits(),
+            (Literal::Str(a), Literal::Str(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// One `column <op> literal` comparison.
@@ -161,15 +192,29 @@ impl Predicate {
         self.atoms.len().hash(h);
     }
 
-    /// Hash including literal values **and atom order** — used by the memo
-    /// to distinguish reordered conjunctions (atom order changes the
-    /// backoff estimate, so reordered filters are distinct expressions).
-    pub fn ordered_value_hash<H: Hasher>(&self, h: &mut H) {
+    /// Stream the predicate's memo identity into `h`: each atom's column,
+    /// operator and literal bits **in order**, never its [`PredId`]. The
+    /// memo keeps reordered conjunctions apart (atom order changes the
+    /// backoff estimate), and atoms that differ only in their truth handle
+    /// together (the optimizer never reads it).
+    pub fn memo_hash<H: Hasher>(&self, h: &mut H) {
+        h.write_usize(self.atoms.len());
         for a in &self.atoms {
-            a.shape_hash(h);
-            a.literal.value_hash().hash(h);
+            a.col.hash(h);
+            a.op.hash(h);
+            a.literal.memo_hash(h);
         }
-        self.atoms.len().hash(h);
+    }
+
+    /// Whether two predicates have one memo identity ([`Self::memo_hash`]
+    /// streams exactly what this compares).
+    pub fn memo_eq(&self, other: &Predicate) -> bool {
+        self.atoms.len() == other.atoms.len()
+            && self
+                .atoms
+                .iter()
+                .zip(&other.atoms)
+                .all(|(a, b)| a.col == b.col && a.op == b.op && a.literal.memo_eq(&b.literal))
     }
 
     /// Hash including literal values (order-insensitive), for plan identity.

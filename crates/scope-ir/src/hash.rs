@@ -1,5 +1,6 @@
-//! The stack's one unkeyed word-at-a-time hasher, for maps probed by keys
-//! that are already hashes or small ids, and for the serving layer's map,
+//! The stack's one unkeyed word-at-a-time hasher: it computes the memo's
+//! and the interner's hash-consing keys, indexes maps probed by keys that
+//! are already hashes or small ids, and serves the serving layer's map,
 //! entry checksum and decision-stream fingerprint.
 //!
 //! One multiply-rotate step per 8-byte word, where SipHash-1-3 runs a
@@ -11,15 +12,17 @@
 //! for a fixed state, so two inputs of the same shape that differ in one
 //! word always hash apart: a torn field never slips past a checksum.
 //! Unkeyed is safe where the keys are not chosen by an adversary: memo
-//! and interner keys are the optimizer's own hashes and ids, and serving
-//! keys are published by the flight controller (a request key can only
-//! collide with them, which costs one string compare).
+//! and interner keys hash the optimizer's own operators and ids, and every
+//! hit on them is confirmed structurally (a collision costs one more
+//! probe); serving keys are published by the flight controller (a request
+//! key can only collide with them, which costs one string compare).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// See the module docs.
-#[derive(Default)]
+/// See the module docs. `Clone`, so a state can be kept after a prefix and
+/// resumed ([`crate::ExprInterner::prefix_hasher`]).
+#[derive(Clone, Debug, Default)]
 pub struct WordHasher(u64);
 
 impl WordHasher {

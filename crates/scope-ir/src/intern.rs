@@ -6,29 +6,30 @@
 //! [`ExprInterner`] replaces that with integer [`ExprId`] handles: each
 //! distinct operator is stored once per compile, and its hash prefix is
 //! kept as a *resumable hasher state* so the memo key for `(op, children)`
-//! can be finished with just the children — byte-identical to hashing the
-//! op from scratch, at integer-append cost.
+//! can be finished with just the children, at integer-append cost.
 //!
-//! ## Collision semantics (deliberately inherited)
+//! ## Exact hash-consing
 //!
-//! The memo has always deduplicated expressions purely by their streamed
-//! `memo_hash` — there is no structural equality check behind the hash
-//! (see `scope-optimizer/src/memo.rs`). The interner keys its table the
-//! same way, on the finished prefix hash alone. Two operators whose memo
-//! hash streams collide therefore intern to one id — exactly the behavior
-//! the pre-intern memo had for the same pair. Changing either layer to
-//! structural equality would *change compile results*; keeping the
-//! semantics aligned is what makes the interned path bit-identical.
+//! Operators are keyed by [`LogicalOp::memo_hash`] streamed into a
+//! [`WordHasher`], and every hit is confirmed with [`LogicalOp::memo_eq`].
+//! A hit whose operator differs is a 64-bit collision: the lookup probes
+//! the next key (`key + 1`, then `key + 2`, …) until it finds the operator
+//! or a free key. Entries are never removed before [`ExprInterner::clear`],
+//! so a probe sequence never has a hole. Two operators intern to one id
+//! exactly when they have one memo identity, whatever their hashes; the
+//! memo (`scope-optimizer/src/memo.rs`) confirms its `(op, children)` keys
+//! the same way, so no collision can merge two expressions, and the hash
+//! only has to be fast, not strong.
 //!
 //! Both interners are scratch structures: [`ExprInterner::clear`] forgets
-//! the entries but keeps the allocations, so a thread-local compile scratch
-//! reaches a zero-allocation steady state across compiles.
+//! the entries but keeps the allocations, so a reused interner stops
+//! growing once it has held its largest compile. Interning a new operator
+//! still clones or moves it in.
 
-use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 
 use crate::expr::CmpOp;
-use crate::hash::WordHashMap;
+use crate::hash::{WordHashMap, WordHasher};
 use crate::ids::ColId;
 use crate::ops::{LogicalOp, OpKind};
 
@@ -56,16 +57,16 @@ impl AtomId {
     }
 }
 
-/// Hash-consing store for [`LogicalOp`]s, keyed on the operator's
-/// streamed [`LogicalOp::memo_hash`].
+/// Hash-consing store for [`LogicalOp`]s: one id per memo identity (see
+/// the module docs).
 #[derive(Debug, Default)]
 pub struct ExprInterner {
     ops: Vec<LogicalOp>,
     kinds: Vec<OpKind>,
     /// Hasher state after streaming `op.memo_hash` — cloned and resumed by
     /// the memo to finish `(op, children)` keys without re-hashing the op.
-    prefixes: Vec<DefaultHasher>,
-    /// Probed by the finished prefix hash, which is already a hash.
+    prefixes: Vec<WordHasher>,
+    /// Probed from the finished prefix hash, which is already a hash.
     by_hash: WordHashMap<u64, ExprId>,
 }
 
@@ -77,30 +78,49 @@ impl ExprInterner {
     /// Intern by reference; clones the operator only on first sight.
     pub fn intern(&mut self, op: &LogicalOp) -> ExprId {
         let (prefix, key) = Self::prefix_of(op);
-        if let Some(&id) = self.by_hash.get(&key) {
-            return id;
-        }
-        self.push(op.clone(), prefix, key)
+        self.find(op, key)
+            .unwrap_or_else(|free| self.push(op.clone(), prefix, free))
     }
 
     /// Intern an owned operator; moves it in on first sight, drops it on a
     /// hit (never clones).
     pub fn intern_owned(&mut self, op: LogicalOp) -> ExprId {
         let (prefix, key) = Self::prefix_of(&op);
-        if let Some(&id) = self.by_hash.get(&key) {
-            return id;
+        match self.find(&op, key) {
+            Ok(id) => id,
+            Err(free) => self.push(op, prefix, free),
         }
-        self.push(op, prefix, key)
     }
 
-    fn prefix_of(op: &LogicalOp) -> (DefaultHasher, u64) {
-        let mut h = DefaultHasher::new();
+    /// [`Self::intern`] with the operator's key forced to `key`, so a test
+    /// can make distinct operators collide.
+    #[cfg(test)]
+    fn intern_under_key(&mut self, op: &LogicalOp, key: u64) -> ExprId {
+        let (prefix, _) = Self::prefix_of(op);
+        self.find(op, key)
+            .unwrap_or_else(|free| self.push(op.clone(), prefix, free))
+    }
+
+    fn prefix_of(op: &LogicalOp) -> (WordHasher, u64) {
+        let mut h = WordHasher::default();
         op.memo_hash(&mut h);
         let key = h.finish();
         (h, key)
     }
 
-    fn push(&mut self, op: LogicalOp, prefix: DefaultHasher, key: u64) -> ExprId {
+    /// The interned operator with `op`'s memo identity, or the first free
+    /// key of the probe sequence from `key`.
+    fn find(&self, op: &LogicalOp, mut key: u64) -> Result<ExprId, u64> {
+        while let Some(&id) = self.by_hash.get(&key) {
+            if self.ops[id.index()].memo_eq(op) {
+                return Ok(id);
+            }
+            key = key.wrapping_add(1);
+        }
+        Err(key)
+    }
+
+    fn push(&mut self, op: LogicalOp, prefix: WordHasher, key: u64) -> ExprId {
         let id = ExprId(self.ops.len() as u32);
         self.kinds.push(op.kind());
         self.ops.push(op);
@@ -121,11 +141,11 @@ impl ExprInterner {
         self.kinds[id.index()]
     }
 
-    /// A clone of the hasher state right after `op.memo_hash` was streamed
-    /// into a fresh `DefaultHasher`. Feeding the children and finishing
-    /// yields the exact key `expr_key` produced before interning existed.
+    /// A copy of the hasher state right after `op.memo_hash` was streamed
+    /// into a fresh [`WordHasher`]: feeding it the children and finishing
+    /// gives the memo's `(op, children)` key.
     #[inline]
-    pub fn prefix_hasher(&self, id: ExprId) -> DefaultHasher {
+    pub fn prefix_hasher(&self, id: ExprId) -> WordHasher {
         self.prefixes[id.index()].clone()
     }
 
@@ -200,8 +220,8 @@ impl AtomInterner {
 mod tests {
     use super::*;
     use crate::expr::{Literal, PredAtom, Predicate};
-    use crate::ids::TableId;
-    use std::hash::Hash;
+    use crate::ids::{PredId, TableId};
+    use proptest::prelude::*;
 
     fn filter(col: u32, lit: i64) -> LogicalOp {
         LogicalOp::Filter {
@@ -231,39 +251,153 @@ mod tests {
         assert_eq!(i.len(), 1);
     }
 
+    fn with_pred(mut op: LogicalOp, pred: u32) -> LogicalOp {
+        if let LogicalOp::Filter { predicate } = &mut op {
+            for a in &mut predicate.atoms {
+                a.pred = PredId(pred);
+            }
+        }
+        op
+    }
+
+    fn conj(atoms: &[(u32, Literal)]) -> LogicalOp {
+        LogicalOp::Filter {
+            predicate: Predicate {
+                atoms: atoms
+                    .iter()
+                    .map(|(c, l)| PredAtom::unknown(ColId(*c), CmpOp::Eq, l.clone()))
+                    .collect(),
+            },
+        }
+    }
+
+    /// Every operator interned under one key: the hash says nothing, so
+    /// only structural memo identity can merge two of them.
     #[test]
-    fn prefix_hasher_resumes_to_the_legacy_expr_key() {
-        // The pre-intern memo computed:
-        //   h = DefaultHasher::new(); op.memo_hash(&mut h);
-        //   children.hash(&mut h); h.finish()
-        // Resuming the interned prefix must produce the identical key.
+    fn a_forced_collision_keeps_distinct_operators_apart() {
+        let (a, b) = ((1, Literal::Int(4)), (2, Literal::Int(5)));
         let ops = [
-            filter(1, 42),
-            LogicalOp::RangeGet {
-                table: TableId(3),
-                pushed: Predicate::atom(PredAtom::unknown(ColId(2), CmpOp::Range, Literal::Int(9))),
+            filter(0, 1),
+            filter(0, 2),
+            filter(1, 1),
+            conj(&[a.clone(), b.clone()]),
+            conj(&[b, a]),
+            conj(&[(0, Literal::Float(0.0))]),
+            conj(&[(0, Literal::Float(-0.0))]),
+            conj(&[(0, Literal::Int(0))]),
+            LogicalOp::Select {
+                predicate: Predicate::atom(PredAtom::unknown(ColId(0), CmpOp::Eq, Literal::Int(1))),
+            },
+            LogicalOp::Sort {
+                keys: vec![ColId(3)],
+            },
+            LogicalOp::Window {
+                keys: vec![ColId(3)],
             },
             LogicalOp::UnionAll,
-            LogicalOp::Top { k: 10 },
+            LogicalOp::VirtualDataset,
         ];
-        let children_cases: [&[u32]; 3] = [&[], &[0], &[5, 2, 5]];
         let mut i = ExprInterner::new();
-        for op in &ops {
-            let id = i.intern(op);
-            for children in children_cases {
-                let children: Vec<u32> = children.to_vec();
-                let legacy = {
-                    let mut h = DefaultHasher::new();
-                    op.memo_hash(&mut h);
-                    children.hash(&mut h);
-                    h.finish()
-                };
-                let resumed = {
-                    let mut h = i.prefix_hasher(id);
-                    children.hash(&mut h);
-                    h.finish()
-                };
-                assert_eq!(legacy, resumed, "{op:?} / {children:?}");
+        let ids: Vec<ExprId> = ops.iter().map(|op| i.intern_under_key(op, 7)).collect();
+        for (n, op) in ops.iter().enumerate() {
+            assert_eq!(
+                ids[n],
+                ExprId(n as u32),
+                "{op:?} merged with an earlier operator"
+            );
+            assert_eq!(i.op(ids[n]), op);
+            // A second look finds it again at its place in the sequence.
+            assert_eq!(i.intern_under_key(op, 7), ids[n]);
+        }
+        // Atoms that differ only in their truth handle are one operator.
+        assert_eq!(i.intern_under_key(&with_pred(filter(0, 1), 9), 7), ids[0]);
+        assert_eq!(i.len(), ops.len());
+    }
+
+    /// Picks from a small alphabet, so equal identities recur often.
+    fn pick_op(code: u32) -> LogicalOp {
+        let lit = |c: u32| match c % 5 {
+            0 => Literal::Int(0),
+            1 => Literal::Int(1),
+            2 => Literal::Float(0.0),
+            3 => Literal::Float(-0.0),
+            _ => Literal::Str("a".to_string()),
+        };
+        let atom = |c: u32| PredAtom {
+            col: ColId(c % 2),
+            op: [CmpOp::Eq, CmpOp::Range][(c / 2 % 2) as usize],
+            literal: lit(c / 4),
+            pred: PredId(c / 20 % 2),
+        };
+        let predicate = Predicate {
+            atoms: (0..code / 7 % 3)
+                .map(|k| atom(code >> (4 + 5 * k)))
+                .collect(),
+        };
+        match code % 7 {
+            0 => LogicalOp::Filter { predicate },
+            1 => LogicalOp::Select { predicate },
+            2 => LogicalOp::RangeGet {
+                table: TableId(code / 21 % 2),
+                pushed: predicate,
+            },
+            3 => LogicalOp::Sort {
+                keys: vec![ColId(code / 7 % 2)],
+            },
+            4 => LogicalOp::Window {
+                keys: vec![ColId(code / 7 % 2)],
+            },
+            5 => LogicalOp::Top {
+                k: u64::from(code / 7 % 2),
+            },
+            _ => LogicalOp::UnionAll,
+        }
+    }
+
+    /// The reference identity: the operator with every truth handle erased
+    /// and every float written as its bits.
+    fn identity(op: &LogicalOp) -> String {
+        let mut op = op.clone();
+        if let LogicalOp::Filter { predicate }
+        | LogicalOp::Select { predicate }
+        | LogicalOp::RangeGet {
+            pushed: predicate, ..
+        } = &mut op
+        {
+            for a in &mut predicate.atoms {
+                a.pred = PredId::UNKNOWN;
+                if let Literal::Float(v) = a.literal {
+                    a.literal = Literal::Str(format!("float bits {:x}", v.to_bits()));
+                }
+            }
+        }
+        format!("{op:?}")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Interning numbers operators exactly as a map keyed by their
+        /// structural identity does, under their own hashes and with every
+        /// key forced to collide.
+        #[test]
+        fn interning_equals_a_structural_reference(
+            codes in proptest::collection::vec(0u32..1 << 20, 1..24),
+        ) {
+            let ops: Vec<LogicalOp> = codes.iter().map(|&c| pick_op(c)).collect();
+            let mut reference = std::collections::HashMap::new();
+            let expected: Vec<u32> = ops
+                .iter()
+                .map(|op| {
+                    let next = reference.len() as u32;
+                    *reference.entry(identity(op)).or_insert(next)
+                })
+                .collect();
+            let mut hashed = ExprInterner::new();
+            let mut collided = ExprInterner::new();
+            for (op, &want) in ops.iter().zip(&expected) {
+                prop_assert_eq!(hashed.intern(op), ExprId(want));
+                prop_assert_eq!(collided.intern_under_key(op, 0), ExprId(want));
             }
         }
     }

@@ -176,8 +176,7 @@ impl LogicalOp {
     }
 
     /// Hash the *template-stable shape* of the operator: everything except
-    /// literal constants. Used by template hashing and memo hash-consing of
-    /// shapes.
+    /// literal constants. Used by template hashing.
     pub fn shape_hash<H: Hasher>(&self, h: &mut H) {
         (self.kind() as u8).hash(h);
         match self {
@@ -227,17 +226,68 @@ impl LogicalOp {
         }
     }
 
-    /// Hash for memo identity: like [`Self::value_hash`] but sensitive to
-    /// predicate-atom *order*, so reordering rewrites produce distinct memo
-    /// expressions (their estimates differ under backoff).
+    /// Stream the operator's memo identity into `h`: its kind, then its
+    /// fields in declaration order, a predicate as
+    /// [`Predicate::memo_hash`] (atom order and literal bits, never
+    /// `PredId`). Every field goes straight into `h`; nothing is hashed
+    /// apart and folded in.
     pub fn memo_hash<H: Hasher>(&self, h: &mut H) {
-        self.shape_hash(h);
+        h.write_u8(self.kind() as u8);
         match self {
-            LogicalOp::Select { predicate } | LogicalOp::Filter { predicate } => {
-                predicate.ordered_value_hash(h);
+            LogicalOp::Get { table } => table.hash(h),
+            LogicalOp::RangeGet { table, pushed } => {
+                table.hash(h);
+                pushed.memo_hash(h);
             }
-            LogicalOp::RangeGet { pushed, .. } => pushed.ordered_value_hash(h),
-            _ => {}
+            LogicalOp::Select { predicate } | LogicalOp::Filter { predicate } => {
+                predicate.memo_hash(h);
+            }
+            LogicalOp::Project { cols, computed } => {
+                cols.hash(h);
+                computed.hash(h);
+            }
+            LogicalOp::Join { kind, keys } => {
+                kind.hash(h);
+                keys.hash(h);
+            }
+            LogicalOp::GroupBy {
+                keys,
+                aggs,
+                partial,
+            } => {
+                keys.hash(h);
+                aggs.hash(h);
+                partial.hash(h);
+            }
+            LogicalOp::UnionAll | LogicalOp::VirtualDataset => {}
+            LogicalOp::Top { k } => k.hash(h),
+            LogicalOp::Sort { keys } | LogicalOp::Window { keys } => keys.hash(h),
+            LogicalOp::Process { udo } => udo.hash(h),
+            LogicalOp::Output { stream } => stream.hash(h),
+        }
+    }
+
+    /// Whether two operators have one memo identity: equal exactly where
+    /// [`Self::memo_hash`] streams the same fields. The interner confirms
+    /// every hash hit with it.
+    pub fn memo_eq(&self, other: &LogicalOp) -> bool {
+        use LogicalOp::*;
+        match (self, other) {
+            (
+                RangeGet {
+                    table: a,
+                    pushed: p,
+                },
+                RangeGet {
+                    table: b,
+                    pushed: q,
+                },
+            ) => a == b && p.memo_eq(q),
+            (Select { predicate: p }, Select { predicate: q })
+            | (Filter { predicate: p }, Filter { predicate: q }) => p.memo_eq(q),
+            // Without a predicate the derived equality compares exactly
+            // the streamed fields.
+            _ => self == other,
         }
     }
 

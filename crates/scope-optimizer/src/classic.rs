@@ -17,11 +17,13 @@
 use std::collections::BTreeSet;
 
 use scope_ir::ids::ColId;
-use scope_ir::{ObservableCatalog, PlanGraph};
+use scope_ir::{LogicalOp, ObservableCatalog, PlanGraph};
 
 use crate::config::{RuleConfig, RuleSignature};
 use crate::estimate::Estimator;
 use crate::optimizer::{fire_markers, CompileStats, CompiledPlan, RuleFootprint};
+use crate::physical::Partitioning;
+use crate::rules::PhysImpl;
 use crate::search::{BudgetTracker, CompileBudget, CompileError};
 use crate::transform::{referenced_cols, TransformCtx};
 
@@ -114,6 +116,190 @@ pub fn compile_classic_with_budget(
         },
         footprint: RuleFootprint::UNRECORDED,
     })
+}
+
+// The oracle's own definition of the partitioning table, as `Vec`s of
+// owned partitionings. The live search's is the handle form
+// (`crate::cost::{required_parts, delivered_part}`);
+// `cost::tests::the_handle_form_materializes_to_the_vec_form` holds the
+// two to each other.
+
+/// Required input partitionings for `phys` implementing logical `op`.
+/// One entry per child; `Any` means no exchange needed.
+pub fn required_child_parts(phys: PhysImpl, op: &LogicalOp, arity: usize) -> Vec<Partitioning> {
+    use PhysImpl::*;
+    let join_keys = |op: &LogicalOp| -> (Vec<ColId>, Vec<ColId>) {
+        match op {
+            LogicalOp::Join { keys, .. } => (
+                keys.iter().map(|&(l, _)| l).collect(),
+                keys.iter().map(|&(_, r)| r).collect(),
+            ),
+            _ => (Vec::new(), Vec::new()),
+        }
+    };
+    let gb_keys = |op: &LogicalOp| -> Vec<ColId> {
+        match op {
+            LogicalOp::GroupBy { keys, .. } => keys.clone(),
+            _ => Vec::new(),
+        }
+    };
+    let sort_keys = |op: &LogicalOp| -> Vec<ColId> {
+        match op {
+            LogicalOp::Sort { keys } | LogicalOp::Window { keys } => keys.clone(),
+            _ => Vec::new(),
+        }
+    };
+    match phys {
+        ScanSerial | ScanParallel | ScanIndexed => Vec::new(),
+        FilterImpl | ProjectImpl | OutputImpl => vec![Partitioning::Any; arity],
+        HashJoin1 | HashJoin2 | HashJoin3 => {
+            let (l, r) = join_keys(op);
+            if l.is_empty() {
+                // Cross joins degenerate to a gather.
+                vec![Partitioning::Singleton, Partitioning::Singleton]
+            } else {
+                vec![Partitioning::Hash(l), Partitioning::Hash(r)]
+            }
+        }
+        MergeJoin => {
+            let (l, r) = join_keys(op);
+            if l.is_empty() {
+                vec![Partitioning::Singleton, Partitioning::Singleton]
+            } else {
+                vec![Partitioning::Range(l), Partitioning::Range(r)]
+            }
+        }
+        BroadcastJoin => vec![Partitioning::Any, Partitioning::Broadcast],
+        LoopJoin => vec![Partitioning::Singleton, Partitioning::Singleton],
+        IndexJoin => {
+            let (_, r) = join_keys(op);
+            if r.is_empty() {
+                vec![Partitioning::Singleton, Partitioning::Singleton]
+            } else {
+                vec![Partitioning::Any, Partitioning::Hash(r)]
+            }
+        }
+        HashAgg => {
+            let partial = matches!(op, LogicalOp::GroupBy { partial: true, .. });
+            if partial {
+                vec![Partitioning::Any]
+            } else {
+                let keys = gb_keys(op);
+                if keys.is_empty() {
+                    vec![Partitioning::Singleton]
+                } else {
+                    vec![Partitioning::Hash(keys)]
+                }
+            }
+        }
+        SortAgg | StreamAgg => {
+            let partial = matches!(op, LogicalOp::GroupBy { partial: true, .. });
+            if partial {
+                vec![Partitioning::Any]
+            } else {
+                let keys = gb_keys(op);
+                if keys.is_empty() {
+                    vec![Partitioning::Singleton]
+                } else {
+                    vec![Partitioning::Range(keys)]
+                }
+            }
+        }
+        UnionConcat | UnionVirtual | VirtualDatasetImpl => vec![Partitioning::Any; arity],
+        UnionSerial => vec![Partitioning::Singleton; arity],
+        TopN => vec![Partitioning::Any],
+        TopSort => vec![Partitioning::Singleton],
+        SortParallel => vec![Partitioning::Range(sort_keys(op))],
+        SortSerial => vec![Partitioning::Singleton],
+        WindowHash => vec![Partitioning::Hash(sort_keys(op))],
+        WindowSort => vec![Partitioning::Range(sort_keys(op))],
+        ProcessParallel => vec![Partitioning::Any],
+        ProcessSerial => vec![Partitioning::Singleton],
+        ExchangeHash | ExchangeRange | ExchangeBroadcast | ExchangeGather => {
+            vec![Partitioning::Any]
+        }
+    }
+}
+
+/// Output partitioning of `phys` given its child output partitionings.
+pub(crate) fn output_part(
+    phys: PhysImpl,
+    op: &LogicalOp,
+    child_parts: &[Partitioning],
+) -> Partitioning {
+    use PhysImpl::*;
+    match phys {
+        ScanSerial => Partitioning::Singleton,
+        ScanParallel | ScanIndexed => Partitioning::Any,
+        FilterImpl | ProjectImpl | ProcessParallel | TopN => {
+            child_parts.first().cloned().unwrap_or(Partitioning::Any)
+        }
+        HashJoin1 | HashJoin2 | HashJoin3 => match op {
+            LogicalOp::Join { keys, .. } if !keys.is_empty() => {
+                Partitioning::Hash(keys.iter().map(|&(l, _)| l).collect())
+            }
+            _ => Partitioning::Singleton,
+        },
+        MergeJoin => match op {
+            LogicalOp::Join { keys, .. } if !keys.is_empty() => {
+                Partitioning::Range(keys.iter().map(|&(l, _)| l).collect())
+            }
+            _ => Partitioning::Singleton,
+        },
+        BroadcastJoin | IndexJoin => child_parts.first().cloned().unwrap_or(Partitioning::Any),
+        LoopJoin | TopSort | SortSerial | UnionSerial | ProcessSerial => Partitioning::Singleton,
+        HashAgg => match op {
+            LogicalOp::GroupBy {
+                keys,
+                partial: false,
+                ..
+            } if !keys.is_empty() => Partitioning::Hash(keys.clone()),
+            LogicalOp::GroupBy { partial: true, .. } => {
+                child_parts.first().cloned().unwrap_or(Partitioning::Any)
+            }
+            _ => Partitioning::Singleton,
+        },
+        SortAgg | StreamAgg => match op {
+            LogicalOp::GroupBy {
+                keys,
+                partial: false,
+                ..
+            } if !keys.is_empty() => Partitioning::Range(keys.clone()),
+            LogicalOp::GroupBy { partial: true, .. } => {
+                child_parts.first().cloned().unwrap_or(Partitioning::Any)
+            }
+            _ => Partitioning::Singleton,
+        },
+        UnionConcat => Partitioning::Any,
+        UnionVirtual | VirtualDatasetImpl => Partitioning::Any,
+        SortParallel => match op {
+            LogicalOp::Sort { keys } => Partitioning::Range(keys.clone()),
+            _ => Partitioning::Any,
+        },
+        WindowHash => match op {
+            LogicalOp::Window { keys } => Partitioning::Hash(keys.clone()),
+            _ => Partitioning::Any,
+        },
+        WindowSort => match op {
+            LogicalOp::Window { keys } => Partitioning::Range(keys.clone()),
+            _ => Partitioning::Any,
+        },
+        OutputImpl => Partitioning::Any,
+        ExchangeHash | ExchangeRange | ExchangeBroadcast | ExchangeGather => {
+            unreachable!("exchange output partitioning is the enforcer's requirement")
+        }
+    }
+}
+
+/// Which exchange implementation realizes a required partitioning.
+pub(crate) fn exchange_impl_for(required: &Partitioning) -> Option<PhysImpl> {
+    match required {
+        Partitioning::Hash(_) => Some(PhysImpl::ExchangeHash),
+        Partitioning::Range(_) => Some(PhysImpl::ExchangeRange),
+        Partitioning::Broadcast => Some(PhysImpl::ExchangeBroadcast),
+        Partitioning::Singleton => Some(PhysImpl::ExchangeGather),
+        Partitioning::Any => None,
+    }
 }
 
 /// The pre-rework memo: owned `LogicalOp` + cloned estimates per entry.
@@ -1264,11 +1450,9 @@ mod csearch {
     use scope_ir::OpKind;
 
     use super::cmemo::Memo;
+    use super::{exchange_impl_for, output_part, required_child_parts};
     use crate::config::RuleConfig;
-    use crate::cost::{
-        exchange_cost, exchange_impl_for, impl_cost, output_part, required_child_parts,
-        CostEstimate, CostWeights,
-    };
+    use crate::cost::{exchange_cost, impl_cost, CostEstimate, CostWeights};
     use crate::estimate::LogicalEst;
     use crate::memo::{GroupId, MExprId};
     use crate::physical::{Partitioning, PhysNode, PhysOp, PhysPlan};

@@ -20,7 +20,7 @@
 //! differential oracle holds the whole pipeline to it.
 
 use scope_ir::ids::ColId;
-use scope_ir::{LogicalOp, ObservableCatalog};
+use scope_ir::{ExprId, ExprInterner, LogicalOp, ObservableCatalog};
 
 use crate::estimate::{ChildEsts, LogicalEst};
 use crate::physical::Partitioning;
@@ -335,167 +335,159 @@ fn log2(rows: f64) -> f64 {
     rows.max(2.0).log2()
 }
 
-/// Required input partitionings for `phys` implementing logical `op`.
-/// One entry per child; `Any` means no exchange needed.
-pub fn required_child_parts(phys: PhysImpl, op: &LogicalOp, arity: usize) -> Vec<Partitioning> {
-    use PhysImpl::*;
-    let join_keys = |op: &LogicalOp| -> (Vec<ColId>, Vec<ColId>) {
-        match op {
-            LogicalOp::Join { keys, .. } => (
-                keys.iter().map(|&(l, _)| l).collect(),
-                keys.iter().map(|&(_, r)| r).collect(),
-            ),
-            _ => (Vec::new(), Vec::new()),
+/// Which key list of its operator a keyed [`Part`] names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum KeySide {
+    /// A join's left key columns.
+    Left,
+    /// A join's right key columns.
+    Right,
+    /// A group-by's, sort's or window's key columns.
+    Own,
+}
+
+/// A partitioning an implementation requires of a child or delivers, as a
+/// `Copy` handle: a keyed scheme names its key list by the interned memo
+/// operator that holds it and a [`KeySide`], and is compared in place.
+/// [`Part::partitioning`] builds the [`Partitioning`] it names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Part {
+    Any,
+    Broadcast,
+    Singleton,
+    Hash(ExprId, KeySide),
+    Range(ExprId, KeySide),
+}
+
+/// The key columns `side` names in `op`, in order.
+fn key_cols(op: &LogicalOp, side: KeySide) -> impl Iterator<Item = ColId> + '_ {
+    let (pairs, cols): (&[(ColId, ColId)], &[ColId]) = match op {
+        LogicalOp::Join { keys, .. } => (keys, &[]),
+        LogicalOp::GroupBy { keys, .. } | LogicalOp::Sort { keys } | LogicalOp::Window { keys } => {
+            (&[], keys)
         }
+        _ => (&[], &[]),
     };
-    let gb_keys = |op: &LogicalOp| -> Vec<ColId> {
-        match op {
-            LogicalOp::GroupBy { keys, .. } => keys.clone(),
-            _ => Vec::new(),
-        }
-    };
-    let sort_keys = |op: &LogicalOp| -> Vec<ColId> {
-        match op {
-            LogicalOp::Sort { keys } | LogicalOp::Window { keys } => keys.clone(),
-            _ => Vec::new(),
-        }
-    };
-    match phys {
-        ScanSerial | ScanParallel | ScanIndexed => Vec::new(),
-        FilterImpl | ProjectImpl | OutputImpl => vec![Partitioning::Any; arity],
-        HashJoin1 | HashJoin2 | HashJoin3 => {
-            let (l, r) = join_keys(op);
-            if l.is_empty() {
-                // Cross joins degenerate to a gather.
-                vec![Partitioning::Singleton, Partitioning::Singleton]
-            } else {
-                vec![Partitioning::Hash(l), Partitioning::Hash(r)]
+    let right = side == KeySide::Right;
+    pairs
+        .iter()
+        .map(move |&(l, r)| if right { r } else { l })
+        .chain(cols.iter().copied())
+}
+
+impl Part {
+    /// Whether data delivered as `self` satisfies `required` without an
+    /// exchange ([`Partitioning::satisfies`], with key lists compared in
+    /// the operators `ops` holds).
+    #[inline]
+    pub(crate) fn satisfies(self, required: Part, ops: &ExprInterner) -> bool {
+        use Part::*;
+        match (self, required) {
+            (_, Any) | (Singleton, Singleton) | (Broadcast, Broadcast) => true,
+            // A full copy everywhere or all data in one place trivially
+            // satisfies any co-location requirement.
+            (Singleton | Broadcast, Hash(..) | Range(..)) => true,
+            (Hash(a, sa), Hash(b, sb)) | (Range(a, sa), Range(b, sb)) => {
+                (a, sa) == (b, sb) || key_cols(ops.op(a), sa).eq(key_cols(ops.op(b), sb))
             }
+            _ => false,
         }
-        MergeJoin => {
-            let (l, r) = join_keys(op);
-            if l.is_empty() {
-                vec![Partitioning::Singleton, Partitioning::Singleton]
-            } else {
-                vec![Partitioning::Range(l), Partitioning::Range(r)]
-            }
+    }
+
+    /// The exchange implementation that delivers `self`; `None` for `Any`,
+    /// which every input already satisfies.
+    pub(crate) fn exchange(self) -> Option<PhysImpl> {
+        match self {
+            Part::Hash(..) => Some(PhysImpl::ExchangeHash),
+            Part::Range(..) => Some(PhysImpl::ExchangeRange),
+            Part::Broadcast => Some(PhysImpl::ExchangeBroadcast),
+            Part::Singleton => Some(PhysImpl::ExchangeGather),
+            Part::Any => None,
         }
-        BroadcastJoin => vec![Partitioning::Any, Partitioning::Broadcast],
-        LoopJoin => vec![Partitioning::Singleton, Partitioning::Singleton],
-        IndexJoin => {
-            let (_, r) = join_keys(op);
-            if r.is_empty() {
-                vec![Partitioning::Singleton, Partitioning::Singleton]
-            } else {
-                vec![Partitioning::Any, Partitioning::Hash(r)]
-            }
-        }
-        HashAgg => {
-            let partial = matches!(op, LogicalOp::GroupBy { partial: true, .. });
-            if partial {
-                vec![Partitioning::Any]
-            } else {
-                let keys = gb_keys(op);
-                if keys.is_empty() {
-                    vec![Partitioning::Singleton]
-                } else {
-                    vec![Partitioning::Hash(keys)]
-                }
-            }
-        }
-        SortAgg | StreamAgg => {
-            let partial = matches!(op, LogicalOp::GroupBy { partial: true, .. });
-            if partial {
-                vec![Partitioning::Any]
-            } else {
-                let keys = gb_keys(op);
-                if keys.is_empty() {
-                    vec![Partitioning::Singleton]
-                } else {
-                    vec![Partitioning::Range(keys)]
-                }
-            }
-        }
-        UnionConcat | UnionVirtual | VirtualDatasetImpl => vec![Partitioning::Any; arity],
-        UnionSerial => vec![Partitioning::Singleton; arity],
-        TopN => vec![Partitioning::Any],
-        TopSort => vec![Partitioning::Singleton],
-        SortParallel => vec![Partitioning::Range(sort_keys(op))],
-        SortSerial => vec![Partitioning::Singleton],
-        WindowHash => vec![Partitioning::Hash(sort_keys(op))],
-        WindowSort => vec![Partitioning::Range(sort_keys(op))],
-        ProcessParallel => vec![Partitioning::Any],
-        ProcessSerial => vec![Partitioning::Singleton],
-        ExchangeHash | ExchangeRange | ExchangeBroadcast | ExchangeGather => {
-            vec![Partitioning::Any]
+    }
+
+    /// The partitioning `self` names, with its key list copied out of
+    /// `ops`: only plan extraction builds one.
+    pub(crate) fn partitioning(self, ops: &ExprInterner) -> Partitioning {
+        match self {
+            Part::Any => Partitioning::Any,
+            Part::Broadcast => Partitioning::Broadcast,
+            Part::Singleton => Partitioning::Singleton,
+            Part::Hash(op, side) => Partitioning::Hash(key_cols(ops.op(op), side).collect()),
+            Part::Range(op, side) => Partitioning::Range(key_cols(ops.op(op), side).collect()),
         }
     }
 }
 
-/// Output partitioning of `phys` given its child output partitionings.
-pub(crate) fn output_part(
-    phys: PhysImpl,
-    op: &LogicalOp,
-    child_parts: &[Partitioning],
-) -> Partitioning {
+/// What `phys` implementing `op` (interned as `expr`) requires of its
+/// first child and of each later one; `Any` means no exchange. No
+/// implementation asks different things of its second and third child: a
+/// join has two, and a union asks the same of all of them.
+pub(crate) fn required_parts(phys: PhysImpl, op: &LogicalOp, expr: ExprId) -> [Part; 2] {
+    use Part::{Any, Broadcast, Singleton};
     use PhysImpl::*;
+    // Cross joins degenerate to a gather.
+    let keyless = !matches!(op, LogicalOp::Join { keys, .. } if !keys.is_empty());
+    let grouped = |keyed: fn(ExprId, KeySide) -> Part| match op {
+        LogicalOp::GroupBy { partial: true, .. } => Any,
+        LogicalOp::GroupBy { keys, .. } if !keys.is_empty() => keyed(expr, KeySide::Own),
+        _ => Singleton,
+    };
     match phys {
-        ScanSerial => Partitioning::Singleton,
-        ScanParallel | ScanIndexed => Partitioning::Any,
-        FilterImpl | ProjectImpl | ProcessParallel | TopN => {
-            child_parts.first().cloned().unwrap_or(Partitioning::Any)
+        HashJoin1 | HashJoin2 | HashJoin3 | MergeJoin | IndexJoin if keyless => {
+            [Singleton, Singleton]
         }
-        HashJoin1 | HashJoin2 | HashJoin3 => match op {
-            LogicalOp::Join { keys, .. } if !keys.is_empty() => {
-                Partitioning::Hash(keys.iter().map(|&(l, _)| l).collect())
-            }
-            _ => Partitioning::Singleton,
-        },
-        MergeJoin => match op {
-            LogicalOp::Join { keys, .. } if !keys.is_empty() => {
-                Partitioning::Range(keys.iter().map(|&(l, _)| l).collect())
-            }
-            _ => Partitioning::Singleton,
-        },
-        BroadcastJoin | IndexJoin => child_parts.first().cloned().unwrap_or(Partitioning::Any),
-        LoopJoin | TopSort | SortSerial | UnionSerial | ProcessSerial => Partitioning::Singleton,
-        HashAgg => match op {
-            LogicalOp::GroupBy {
-                keys,
-                partial: false,
-                ..
-            } if !keys.is_empty() => Partitioning::Hash(keys.clone()),
-            LogicalOp::GroupBy { partial: true, .. } => {
-                child_parts.first().cloned().unwrap_or(Partitioning::Any)
-            }
-            _ => Partitioning::Singleton,
-        },
-        SortAgg | StreamAgg => match op {
-            LogicalOp::GroupBy {
-                keys,
-                partial: false,
-                ..
-            } if !keys.is_empty() => Partitioning::Range(keys.clone()),
-            LogicalOp::GroupBy { partial: true, .. } => {
-                child_parts.first().cloned().unwrap_or(Partitioning::Any)
-            }
-            _ => Partitioning::Singleton,
-        },
-        UnionConcat => Partitioning::Any,
-        UnionVirtual | VirtualDatasetImpl => Partitioning::Any,
-        SortParallel => match op {
-            LogicalOp::Sort { keys } => Partitioning::Range(keys.clone()),
-            _ => Partitioning::Any,
-        },
-        WindowHash => match op {
-            LogicalOp::Window { keys } => Partitioning::Hash(keys.clone()),
-            _ => Partitioning::Any,
-        },
-        WindowSort => match op {
-            LogicalOp::Window { keys } => Partitioning::Range(keys.clone()),
-            _ => Partitioning::Any,
-        },
-        OutputImpl => Partitioning::Any,
+        HashJoin1 | HashJoin2 | HashJoin3 => [
+            Part::Hash(expr, KeySide::Left),
+            Part::Hash(expr, KeySide::Right),
+        ],
+        MergeJoin => [
+            Part::Range(expr, KeySide::Left),
+            Part::Range(expr, KeySide::Right),
+        ],
+        IndexJoin => [Any, Part::Hash(expr, KeySide::Right)],
+        BroadcastJoin => [Any, Broadcast],
+        LoopJoin | UnionSerial => [Singleton, Singleton],
+        HashAgg => [grouped(Part::Hash), Any],
+        SortAgg | StreamAgg => [grouped(Part::Range), Any],
+        TopSort | SortSerial | ProcessSerial => [Singleton, Any],
+        SortParallel | WindowSort => [Part::Range(expr, KeySide::Own), Any],
+        WindowHash => [Part::Hash(expr, KeySide::Own), Any],
+        ScanSerial | ScanParallel | ScanIndexed | FilterImpl | ProjectImpl | OutputImpl
+        | UnionConcat | UnionVirtual | VirtualDatasetImpl | TopN | ProcessParallel
+        | ExchangeHash | ExchangeRange | ExchangeBroadcast | ExchangeGather => [Any, Any],
+    }
+}
+
+/// The partitioning `phys` implementing `op` (interned as `expr`)
+/// delivers, or `None` when it hands on its first child's.
+pub(crate) fn delivered_part(phys: PhysImpl, op: &LogicalOp, expr: ExprId) -> Option<Part> {
+    use Part::{Any, Singleton};
+    use PhysImpl::*;
+    let keyed = matches!(op, LogicalOp::Join { keys, .. } if !keys.is_empty());
+    let grouped = |keyed: fn(ExprId, KeySide) -> Part| match op {
+        LogicalOp::GroupBy { partial: true, .. } => None,
+        LogicalOp::GroupBy { keys, .. } if !keys.is_empty() => Some(keyed(expr, KeySide::Own)),
+        _ => Some(Singleton),
+    };
+    let own_if = |is: bool, keyed: fn(ExprId, KeySide) -> Part| {
+        Some(if is { keyed(expr, KeySide::Own) } else { Any })
+    };
+    match phys {
+        FilterImpl | ProjectImpl | ProcessParallel | TopN | BroadcastJoin | IndexJoin => None,
+        HashJoin1 | HashJoin2 | HashJoin3 | MergeJoin if !keyed => Some(Singleton),
+        HashJoin1 | HashJoin2 | HashJoin3 => Some(Part::Hash(expr, KeySide::Left)),
+        MergeJoin => Some(Part::Range(expr, KeySide::Left)),
+        HashAgg => grouped(Part::Hash),
+        SortAgg | StreamAgg => grouped(Part::Range),
+        SortParallel => own_if(matches!(op, LogicalOp::Sort { .. }), Part::Range),
+        WindowHash => own_if(matches!(op, LogicalOp::Window { .. }), Part::Hash),
+        WindowSort => own_if(matches!(op, LogicalOp::Window { .. }), Part::Range),
+        ScanSerial | LoopJoin | TopSort | SortSerial | UnionSerial | ProcessSerial => {
+            Some(Singleton)
+        }
+        ScanParallel | ScanIndexed | UnionConcat | UnionVirtual | VirtualDatasetImpl
+        | OutputImpl => Some(Any),
         ExchangeHash | ExchangeRange | ExchangeBroadcast | ExchangeGather => {
             unreachable!("exchange output partitioning is the enforcer's requirement")
         }
@@ -903,17 +895,6 @@ pub fn exchange_cost(phys: PhysImpl, bytes: f64, target_dop: u32) -> OpCost {
     }
 }
 
-/// Which exchange implementation realizes a required partitioning.
-pub(crate) fn exchange_impl_for(required: &Partitioning) -> Option<PhysImpl> {
-    match required {
-        Partitioning::Hash(_) => Some(PhysImpl::ExchangeHash),
-        Partitioning::Range(_) => Some(PhysImpl::ExchangeRange),
-        Partitioning::Broadcast => Some(PhysImpl::ExchangeBroadcast),
-        Partitioning::Singleton => Some(PhysImpl::ExchangeGather),
-        Partitioning::Any => None,
-    }
-}
-
 /// The raw byte volume a scan reads: the whole table, regardless of any
 /// pushed predicate (predicates are evaluated while reading). Public so the
 /// bounds analysis (`scope-lint::bounds`) can anchor its scan cost floors on
@@ -943,6 +924,7 @@ fn bump_tier(dop: u32, delta: i32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::RuleCatalog;
     use scope_ir::ids::{ColId, DomainId, TableId};
     use scope_ir::{JoinKind, Predicate, TrueCatalog};
 
@@ -1033,25 +1015,145 @@ mod tests {
             kind: JoinKind::Inner,
             keys: vec![(ColId(3), ColId(7))],
         };
-        let parts = required_child_parts(PhysImpl::HashJoin1, &op, 2);
+        let mut ops = ExprInterner::new();
+        let id = ops.intern(&op);
+        let parts = required_parts(PhysImpl::HashJoin1, &op, id).map(|p| p.partitioning(&ops));
         assert_eq!(parts[0], Partitioning::Hash(vec![ColId(3)]));
         assert_eq!(parts[1], Partitioning::Hash(vec![ColId(7)]));
-        let bparts = required_child_parts(PhysImpl::BroadcastJoin, &op, 2);
-        assert_eq!(bparts[0], Partitioning::Any);
-        assert_eq!(bparts[1], Partitioning::Broadcast);
+        let bparts = required_parts(PhysImpl::BroadcastJoin, &op, id);
+        assert_eq!(bparts, [Part::Any, Part::Broadcast]);
     }
 
     #[test]
     fn exchange_impl_mapping() {
+        let id = ExprId(0);
         assert_eq!(
-            exchange_impl_for(&Partitioning::Hash(vec![ColId(0)])),
+            Part::Hash(id, KeySide::Own).exchange(),
             Some(PhysImpl::ExchangeHash)
         );
-        assert_eq!(
-            exchange_impl_for(&Partitioning::Singleton),
-            Some(PhysImpl::ExchangeGather)
-        );
-        assert_eq!(exchange_impl_for(&Partitioning::Any), None);
+        assert_eq!(Part::Singleton.exchange(), Some(PhysImpl::ExchangeGather));
+        assert_eq!(Part::Any.exchange(), None);
+    }
+
+    /// The handle form against the `Vec` form the frozen oracle keeps: for
+    /// every implementation of every operator of a set that covers keyed
+    /// and keyless joins, partial and full group-bys with and without
+    /// keys, sorts, windows and a 3-way union, the requirements and the
+    /// delivery build exactly the partitionings `required_child_parts` and
+    /// `output_part` return, and `satisfies` and the exchange choice agree
+    /// on every pair of handles.
+    #[test]
+    fn the_handle_form_materializes_to_the_vec_form() {
+        use crate::classic::{exchange_impl_for, output_part, required_child_parts};
+        use scope_ir::AggFunc;
+
+        let c = ColId;
+        let join = |keys: Vec<(ColId, ColId)>| LogicalOp::Join {
+            kind: JoinKind::Inner,
+            keys,
+        };
+        let group = |keys: Vec<ColId>, partial| LogicalOp::GroupBy {
+            keys,
+            aggs: vec![AggFunc::Count],
+            partial,
+        };
+        let set = [
+            LogicalOp::RangeGet {
+                table: TableId(0),
+                pushed: Predicate::true_pred(),
+            },
+            LogicalOp::Filter {
+                predicate: Predicate::true_pred(),
+            },
+            LogicalOp::Project {
+                cols: vec![c(1)],
+                computed: 0,
+            },
+            join(vec![(c(1), c(2)), (c(3), c(4))]),
+            join(vec![(c(2), c(1))]),
+            join(vec![]),
+            group(vec![c(1)], false),
+            group(vec![c(1), c(3)], false),
+            group(vec![c(1), c(3)], true),
+            group(vec![], false),
+            group(vec![], true),
+            LogicalOp::UnionAll,
+            LogicalOp::VirtualDataset,
+            LogicalOp::Top { k: 10 },
+            LogicalOp::Sort {
+                keys: vec![c(1), c(3)],
+            },
+            LogicalOp::Sort { keys: vec![] },
+            LogicalOp::Window { keys: vec![c(2)] },
+            LogicalOp::Window { keys: vec![] },
+            LogicalOp::Process {
+                udo: scope_ir::UdoId(0),
+            },
+            LogicalOp::Output { stream: 1 },
+        ];
+        let arity = |op: &LogicalOp| match op.arity() {
+            (_, usize::MAX) => 3,
+            (_, max) => max,
+        };
+        let inputs = [
+            Partitioning::Any,
+            Partitioning::Singleton,
+            Partitioning::Broadcast,
+            Partitioning::Hash(vec![c(1)]),
+            Partitioning::Range(vec![c(1), c(3)]),
+        ];
+        let mut ops = ExprInterner::new();
+        let mut handles = vec![Part::Any, Part::Broadcast, Part::Singleton];
+        let mut covered = std::collections::HashSet::new();
+        for phys in RuleCatalog::global()
+            .rules()
+            .iter()
+            .filter_map(|r| match r.action {
+                crate::rules::RuleAction::Impl(phys) => Some(phys),
+                _ => None,
+            })
+        {
+            for op in set.iter().filter(|op| phys.implements() == Some(op.kind())) {
+                covered.insert(format!("{phys:?}"));
+                let id = ops.intern(op);
+                let n = arity(op);
+                let vec_form = required_child_parts(phys, op, n);
+                assert!(vec_form.len() <= n.max(1), "{phys:?} on {op:?}");
+                let reqs = required_parts(phys, op, id);
+                for i in 0..n.max(vec_form.len()) {
+                    let req = reqs[i.min(1)];
+                    let want = vec_form.get(i).cloned().unwrap_or(Partitioning::Any);
+                    assert_eq!(req.partitioning(&ops), want, "{phys:?} child {i} of {op:?}");
+                    handles.push(req);
+                }
+                let delivered = delivered_part(phys, op, id);
+                handles.extend(delivered);
+                for input in &inputs {
+                    let child_parts = vec![input.clone(); n];
+                    let handed_on = child_parts.first().cloned().unwrap_or(Partitioning::Any);
+                    let got = delivered.map_or(handed_on, |p| p.partitioning(&ops));
+                    assert_eq!(
+                        got,
+                        output_part(phys, op, &child_parts),
+                        "{phys:?} on {op:?}"
+                    );
+                }
+            }
+        }
+        let exchanges = 4;
+        assert_eq!(covered.len(), PhysImpl::COUNT - exchanges, "{covered:?}");
+        assert!(handles.len() > 40);
+        for &have in &handles {
+            for &req in &handles {
+                let (h, r) = (have.partitioning(&ops), req.partitioning(&ops));
+                assert_eq!(
+                    have.satisfies(req, &ops),
+                    h.satisfies(&r),
+                    "{h:?} for {r:?}"
+                );
+            }
+            assert_eq!(have.exchange(), exchange_impl_for(&have.partitioning(&ops)));
+        }
     }
 
     #[test]

@@ -28,21 +28,26 @@
 //! canonical expression and exploration order match the old `Vec<MExprId>`
 //! representation exactly).
 //!
-//! [`Memo::clear`] resets every slab without freeing, so a thread-local
-//! compile scratch ([`crate::optimizer::CompileScratch`]) reaches a
-//! steady state where inserting an expression allocates nothing.
+//! [`Memo::clear`] resets every slab and map without freeing, so a
+//! thread-local compile scratch ([`crate::optimizer::CompileScratch`])
+//! stops growing its slabs once it has held its largest memo. Inserting a
+//! new expression still allocates: [`Estimator::derive`] builds each
+//! estimate's column list, and a first-seen operator is cloned or moved
+//! into the interner.
 //!
 //! ## Dedup keys
 //!
-//! Expressions are deduplicated by the streamed `(op.memo_hash, children)`
-//! hash, exactly as before interning: the interner stores the hasher state
-//! after the op prefix, and `Memo::insert_inner` resumes a clone of it
-//! with the children. This is byte-identical to the old `expr_key`
-//! (proven by a unit test in `scope-ir::intern`), including its
-//! hash-only collision semantics. The key stays a SipHash, since a hit is
-//! trusted without an equality check; the maps it probes, which are never
-//! iterated, index it with [`scope_ir::hash::WordHasher`] rather than
-//! SipHashing a hash again.
+//! Expressions are keyed by `(op.memo_hash, children)` streamed into a
+//! [`scope_ir::hash::WordHasher`]: the interner stores the hasher state
+//! after the op prefix, and `Memo::insert_inner` resumes a copy of it with
+//! the children. Every hit in the two maps the key probes (`any_group`,
+//! `by_group`) is confirmed structurally — the same interned [`ExprId`]
+//! (which the interner itself confirms with [`LogicalOp::memo_eq`]) and the
+//! same child slice — and a hit that differs makes the lookup probe the
+//! next key. A 64-bit collision therefore costs a probe and never merges
+//! two expressions, so the key needs no stronger hash than the word
+//! hasher's, and the maps, which are never iterated, index it with the
+//! same hasher.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -220,10 +225,10 @@ pub struct Memo {
     ests: Vec<LogicalEst>,
     /// Per-memo operator interner (see module docs).
     interner: ExprInterner,
-    /// `(op value-hash, children)` → first expression anywhere; used to
-    /// reuse groups when a rewrite re-creates a known sub-expression.
+    /// `(op, children)` key → first expression anywhere; used to reuse
+    /// groups when a rewrite re-creates a known sub-expression.
     any_group: WordHashMap<u64, MExprId>,
-    /// `(op value-hash, children, group)` → expression; prevents duplicate
+    /// `((op, children) key, group)` → expression; prevents duplicate
     /// alternatives within one group while still allowing the same shape to
     /// appear in several groups (needed for identity-elimination rewrites).
     by_group: WordHashMap<(u64, GroupId), MExprId>,
@@ -458,75 +463,96 @@ impl Memo {
         created_by: Option<RuleId>,
         est: &Estimator<'_>,
     ) -> Inserted {
-        let op_id = match op {
+        let op = match op {
             OpSrc::Ref(r) => self.interner.intern(r),
             OpSrc::Owned(o) => self.interner.intern_owned(o),
             OpSrc::Interned(id) => id,
         };
-        let shared_range = match children {
-            ChildSrc::Slice(_) => None,
-            ChildSrc::OfExpr(e) => {
-                let ex = &self.exprs[e.index()];
-                Some((ex.children_start, ex.children_len))
-            }
-        };
-        let shared_slice = |slab: &[GroupId]| -> std::ops::Range<usize> {
-            let (s, l) = shared_range.expect("range view only for shared children");
-            debug_assert!((s + l) as usize <= slab.len());
-            s as usize..(s + l) as usize
-        };
-        // Byte-identical to the legacy `expr_key`: the interner's stored
-        // prefix is the hasher state right after `op.memo_hash`.
+        // The interner's stored prefix is the hasher state right after
+        // `op.memo_hash`; the children finish the key.
         let key = {
-            let mut h = self.interner.prefix_hasher(op_id);
-            match &children {
-                ChildSrc::Slice(s) => s.hash(&mut h),
-                ChildSrc::OfExpr(_) => {
-                    self.child_slab[shared_slice(&self.child_slab)].hash(&mut h);
-                }
-            }
+            let mut h = self.interner.prefix_hasher(op);
+            self.child_list(&children).hash(&mut h);
             h.finish()
         };
-        // Dedup and budget checks first — rejected insertions touch no slab.
-        match target {
-            None => {
-                if let Some(&existing) = self.any_group.get(&key) {
-                    return Inserted::Duplicate(existing);
-                }
-            }
-            Some(g) => {
-                if let Some(&existing) = self.by_group.get(&(key, g)) {
-                    return Inserted::Duplicate(existing);
-                }
-                if self.groups[g.index()].len() >= MAX_EXPRS_PER_GROUP {
-                    self.budget_rejections += 1;
-                    return Inserted::Budget;
-                }
-            }
+        self.insert_keyed(op, children, key, target, created_by, est)
+    }
+
+    /// The child groups `children` names.
+    fn child_list<'a>(&'a self, children: &ChildSrc<'a>) -> &'a [GroupId] {
+        match *children {
+            ChildSrc::Slice(s) => s,
+            ChildSrc::OfExpr(e) => self.children(e),
         }
-        if self.exprs.len() >= MAX_TOTAL_EXPRS {
+    }
+
+    /// [`Self::insert_ref`] with the expression's key forced to `key`, so
+    /// a test can make distinct expressions collide.
+    #[cfg(test)]
+    fn insert_ref_under_key(
+        &mut self,
+        op: &LogicalOp,
+        children: &[GroupId],
+        key: u64,
+        target: Option<GroupId>,
+        est: &Estimator<'_>,
+    ) -> Inserted {
+        let op = self.interner.intern(op);
+        self.insert_keyed(op, ChildSrc::Slice(children), key, target, None, est)
+    }
+
+    /// Insert `op` over `children` under the dedup key `key`: a duplicate
+    /// is the same operator over the same children, anywhere for a new
+    /// group or within `target` for an alternative.
+    fn insert_keyed(
+        &mut self,
+        op: ExprId,
+        children: ChildSrc<'_>,
+        key: u64,
+        target: Option<GroupId>,
+        created_by: Option<RuleId>,
+        est: &Estimator<'_>,
+    ) -> Inserted {
+        let child_list = self.child_list(&children);
+        let same = |e: MExprId| self.exprs[e.index()].op == op && self.children(e) == child_list;
+        // Dedup and budget checks first — rejected insertions touch no slab.
+        let by_key = match target {
+            // A new group has no alternative yet.
+            None => key,
+            Some(g) => match probe(&self.by_group, key, |k| (k, g), same) {
+                Ok(existing) => return Inserted::Duplicate(existing),
+                Err(free) => free,
+            },
+        };
+        let any_key = match probe(&self.any_group, key, |k| k, same) {
+            Ok(existing) if target.is_none() => return Inserted::Duplicate(existing),
+            Ok(_) => None,
+            Err(free) => Some(free),
+        };
+        if target.is_some_and(|g| self.groups[g.index()].len() >= MAX_EXPRS_PER_GROUP)
+            || self.exprs.len() >= MAX_TOTAL_EXPRS
+        {
             self.budget_rejections += 1;
             return Inserted::Budget;
         }
-        let e = {
-            let child_slice: &[GroupId] = match &children {
-                ChildSrc::Slice(s) => s,
-                ChildSrc::OfExpr(_) => &self.child_slab[shared_slice(&self.child_slab)],
-            };
-            let ce = SlabChildEsts {
+        let e = est.derive(
+            self.interner.op(op),
+            &SlabChildEsts {
                 groups: &self.groups,
                 ests: &self.ests,
-                children: child_slice,
-            };
-            est.derive(self.interner.op(op_id), &ce)
-        };
+                children: child_list,
+            },
+        );
         let (children_start, children_len) = match children {
             ChildSrc::Slice(s) => {
                 let start = self.child_slab.len() as u32;
                 self.child_slab.extend_from_slice(s);
                 (start, s.len() as u32)
             }
-            ChildSrc::OfExpr(_) => shared_range.expect("shared range resolved above"),
+            ChildSrc::OfExpr(e) => {
+                let ex = &self.exprs[e.index()];
+                (ex.children_start, ex.children_len)
+            }
         };
         let est_id = EstId(self.ests.len() as u32);
         self.ests.push(e);
@@ -544,13 +570,13 @@ impl Memo {
             }
         };
         let id = MExprId(self.exprs.len() as u32);
-        let kind = self.interner.kind(op_id);
+        let kind = self.interner.kind(op);
         self.kinds |= 1 << kind as u16;
         if let Some(rule) = created_by {
             self.created.insert(rule);
         }
         self.exprs.push(MExpr {
-            op: op_id,
+            op,
             kind,
             children_start,
             children_len,
@@ -569,8 +595,10 @@ impl Memo {
         } else {
             self.exprs[prev_last as usize].next_in_group = id.0;
         }
-        self.any_group.entry(key).or_insert(id);
-        self.by_group.insert((key, group), id);
+        if let Some(free) = any_key {
+            self.any_group.insert(free, id);
+        }
+        self.by_group.insert((by_key, group), id);
         Inserted::New(id)
     }
 
@@ -586,6 +614,12 @@ impl Memo {
     #[inline]
     pub fn op(&self, id: MExprId) -> &LogicalOp {
         self.interner.op(self.exprs[id.index()].op)
+    }
+
+    /// The memo's operator interner: resolves an [`MExpr::op`] handle.
+    #[inline]
+    pub(crate) fn interner(&self) -> &ExprInterner {
+        &self.interner
     }
 
     /// The expression's operator kind (cached; no interner lookup).
@@ -687,6 +721,25 @@ impl Memo {
     pub(crate) fn expr_ids(&self) -> impl Iterator<Item = MExprId> {
         (0..self.exprs.len() as u32).map(MExprId)
     }
+}
+
+/// Probe `map` from `key` for the expression `same` accepts, or else the
+/// first key of the probe sequence no entry holds. A hit `same` refuses is
+/// a 64-bit collision and costs one more probe (`key + 1`, …); entries are
+/// only removed all at once ([`Memo::clear`]), so no sequence has a hole.
+fn probe<K: std::hash::Hash + Eq>(
+    map: &WordHashMap<K, MExprId>,
+    mut key: u64,
+    at: impl Fn(u64) -> K,
+    same: impl Fn(MExprId) -> bool,
+) -> Result<MExprId, u64> {
+    while let Some(&e) = map.get(&at(key)) {
+        if same(e) {
+            return Ok(e);
+        }
+        key = key.wrapping_add(1);
+    }
+    Err(key)
 }
 
 /// Zero-allocation [`ChildEsts`] view: resolves each child group to its
@@ -932,6 +985,56 @@ mod tests {
             memo.insert_existing(f1, Some(other), Some(RuleId(84)), &est),
             Inserted::Duplicate(re)
         );
+    }
+
+    /// Every expression inserted under one key: the hash says nothing, so
+    /// only the same operator over the same children may be a duplicate,
+    /// in the same group for an alternative.
+    #[test]
+    fn a_forced_collision_keeps_distinct_expressions_apart() {
+        let cat = cat();
+        let obs = cat.observe();
+        let est = Estimator::new(&obs);
+        let mut memo = Memo::empty();
+        let scan = |t| LogicalOp::RangeGet {
+            table: TableId(t),
+            pushed: Predicate::true_pred(),
+        };
+        let insert = |memo: &mut Memo, op: &LogicalOp, children: &[GroupId], target| match memo
+            .insert_ref_under_key(op, children, 42, target, &est)
+        {
+            Inserted::New(e) => Ok(e),
+            Inserted::Duplicate(e) => Err(e),
+            Inserted::Budget => panic!("budget"),
+        };
+        let s0 = insert(&mut memo, &scan(0), &[], None).unwrap();
+        let s1 = insert(&mut memo, &scan(1), &[], None).unwrap();
+        let (g0, g1) = (memo.expr(s0).group, memo.expr(s1).group);
+        let f0 = insert(&mut memo, &filter_op(1), &[g0], None).unwrap();
+        let f1 = insert(&mut memo, &filter_op(1), &[g1], None).unwrap();
+        let f2 = insert(&mut memo, &filter_op(2), &[g0], None).unwrap();
+        let u = insert(&mut memo, &LogicalOp::UnionAll, &[g0, g1], None).unwrap();
+        let v = insert(&mut memo, &LogicalOp::UnionAll, &[g1, g0], None).unwrap();
+        assert_eq!(memo.num_groups(), 7, "a collision merged two expressions");
+        // Each one is found again, behind the others in the probe sequence.
+        assert_eq!(insert(&mut memo, &filter_op(1), &[g1], None), Err(f1));
+        assert_eq!(
+            insert(&mut memo, &LogicalOp::UnionAll, &[g1, g0], None),
+            Err(v)
+        );
+        // An alternative is a duplicate only within its own group.
+        let fg = memo.expr(f0).group;
+        let alt = insert(&mut memo, &filter_op(1), &[g1], Some(fg)).unwrap();
+        assert_eq!(insert(&mut memo, &filter_op(1), &[g1], Some(fg)), Err(alt));
+        assert_eq!(
+            insert(&mut memo, &filter_op(2), &[g0], Some(fg)).map(|_| ()),
+            Ok(())
+        );
+        // The first expression anywhere stays the one a new group reuses.
+        assert_eq!(insert(&mut memo, &filter_op(1), &[g1], None), Err(f1));
+        assert_eq!(memo.group_exprs(fg).count(), 3);
+        assert_eq!(memo.num_exprs(), 9);
+        assert_ne!(memo.expr(f2).group, memo.expr(u).group);
     }
 
     #[test]

@@ -21,38 +21,40 @@
 //! alternative is a memo expression under one implementation rule; its slot
 //! holds what no configuration can change: the physical operator, its
 //! degree of parallelism, the operator's own cost as the model's scalar
-//! and as the corrected vector, the partitioning it requires of each
-//! child, and the partitioning it delivers unless that is its first
+//! and as the corrected vector, the partitioning it requires of its
+//! children, and the partitioning it delivers unless that is its first
 //! child's. The first pass to charge an alternative fills its slot
-//! (`impl_cost` + `required_child_parts` + `output_part`, once per memo
+//! (`impl_cost` + `required_parts` + `delivered_part`, once per memo
 //! instead of once per configuration); every pass, that one included, then
 //! ranks the alternative on a scalar it adds up from the slot, the
 //! children's winners and the exchanges they need, in the order the search
 //! always added them. A configuration enters only through `enabled`: which
 //! slots it walks, which exchanges it may insert, what it is charged.
-//! *What a pass keeps owns no heap memory:* a winner is a `Copy` record
-//! whose partitioning is a handle into the table, and its cost vector is
+//! *Neither the table nor a pass owns heap memory beyond its vectors:* a
+//! slot and a winner are `Copy` records, and a partitioning in either is a
+//! `Part` handle that leaves its key list in the memo operator, so
+//! `satisfies` compares key lists in place. A winner's cost vector is
 //! added up on a second walk over the children for an alternative that has
 //! just passed the strict `<`. Extraction rebuilds the exchanges the search
 //! chose from the winning slot's requirements and the children's handles,
-//! through the same `enforcer_for`. The table is forgotten exactly when
-//! the memo changes (`Prepared::explore` in `optimizer.rs`: once per
-//! partition of a batch, once per single compile), and by the public
-//! [`implement`] / `implement_with_model` on entry, which cannot know
-//! what their caller's scratch last saw. A single compile is a batch of
-//! one: it fills each slot it touches once, which is the costing it always
-//! did.
+//! through the same `enforcer_for`, and is the only place a
+//! [`crate::physical::Partitioning`] is built. The table is forgotten
+//! exactly when the memo changes (`Prepared::explore` in `optimizer.rs`:
+//! once per partition of a batch, once per single compile), and by the
+//! public [`implement`] / `implement_with_model` on entry, which cannot
+//! know what their caller's scratch last saw. A single compile is a batch
+//! of one: it fills each slot it touches once, which is the costing it
+//! always did.
 
 use scope_ir::ids::NodeId;
 use scope_ir::{LogicalOp, OpKind};
 
 use crate::config::RuleConfig;
 use crate::cost::{
-    exchange_cost, exchange_impl_for, impl_cost, output_part, required_child_parts, CostEstimate,
-    CostModel, OpCost,
+    delivered_part, exchange_cost, impl_cost, required_parts, CostEstimate, CostModel, OpCost, Part,
 };
 use crate::memo::{EstId, GroupId, MExprId, Memo};
-use crate::physical::{Partitioning, PhysNode, PhysOp, PhysPlan};
+use crate::physical::{PhysNode, PhysOp, PhysPlan};
 use crate::rules::{PhysImpl, RuleAction, RuleCatalog};
 use crate::ruleset::{RuleId, RuleSet};
 use crate::transform::{apply_rule, TransformCtx};
@@ -293,41 +295,14 @@ struct Winner {
     /// The winning alternative's slot in `ImplementScratch::alts`.
     slot: u32,
     /// The partitioning the subtree delivers.
-    part: PartRef,
+    part: Part,
     est: EstId,
 }
 
-const _: () = {
-    const fn copy<T: Copy>() {}
-    copy::<Winner>();
-};
-
-/// Where in the table of costed alternatives a winner's output
-/// partitioning lives. Only an operator's first child's partitioning is
-/// ever passed on ([`output_part`]), so a requirement is a handle only on
-/// that child.
-#[derive(Clone, Copy, Debug)]
-enum PartRef {
-    /// The `out` of slot `s`.
-    Out(u32),
-    /// The requirement on the first child of slot `s`, met by an exchange.
-    FirstReq(u32),
-}
-
-/// The partitioning `r` names.
-#[inline]
-fn part_of(alts: &[Option<CostedAlt>], r: PartRef) -> &Partitioning {
-    let filled = |s: u32| alts[s as usize].as_ref().expect("handle to a filled slot");
-    match r {
-        PartRef::Out(s) => filled(s).out.as_ref().expect("slot delivers its own"),
-        PartRef::FirstReq(s) => req_of(&filled(s).reqs, 0),
-    }
-}
-
 /// One costed alternative — a memo expression under one implementation
-/// rule — reduced to what no rule configuration can change. Its heap
-/// memory (requirement and output key lists) is allocated once per memo,
-/// when the slot is filled.
+/// rule — reduced to what no rule configuration can change. `Copy`: its
+/// partitionings are handles whose key lists stay in the memo operator.
+#[derive(Clone, Copy)]
 struct CostedAlt {
     phys: PhysImpl,
     dop: u32,
@@ -335,13 +310,19 @@ struct CostedAlt {
     scalar: f64,
     /// [`CostModel::corrected`] of the operator's own cost.
     vec: CostEstimate,
-    /// Required partitioning per child ([`required_child_parts`]); empty
-    /// when no child is constrained, which is most operators.
-    reqs: Box<[Partitioning]>,
-    /// The partitioning the operator delivers ([`output_part`]); `None`
+    /// What it requires of its first child and of each later one
+    /// ([`required_parts`]).
+    reqs: [Part; 2],
+    /// The partitioning the operator delivers ([`delivered_part`]); `None`
     /// when it passes on its first child's.
-    out: Option<Partitioning>,
+    out: Option<Part>,
 }
+
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Winner>();
+    copy::<CostedAlt>();
+};
 
 impl CostedAlt {
     fn cost(
@@ -352,23 +333,10 @@ impl CostedAlt {
         model: &CostModel,
     ) -> CostedAlt {
         let op = memo.op(expr);
+        let op_id = memo.expr(expr).op;
         let children = memo.children(expr);
         let child_ests = memo.group_ests(children);
         let oc = impl_cost(phys, op, memo.expr_est(expr), &child_ests, obs);
-        let mut reqs = required_child_parts(phys, op, children.len());
-        if reqs.iter().all(|req| matches!(req, Partitioning::Any)) {
-            reqs = Vec::new();
-        }
-        let out =
-            (children.is_empty() || !passes_through(phys, op)).then(|| output_part(phys, op, &[]));
-        // `output_part` delivers `Broadcast` only by handing a child's on, so
-        // a broadcast first child shows whether `passes_through` is right.
-        debug_assert_eq!(
-            out.is_none(),
-            !children.is_empty()
-                && output_part(phys, op, &[Partitioning::Broadcast]) == Partitioning::Broadcast,
-            "{phys:?} and output_part disagree on passing a child's partitioning on"
-        );
         // Scalarize at the costing site; the f64 accumulation in `best` is
         // textually the pre-vector model's, so default-model compiles stay
         // bit-identical to the classic scalar path.
@@ -377,20 +345,16 @@ impl CostedAlt {
             dop: oc.dop,
             scalar: model.scalar(&oc.cost),
             vec: model.corrected(&oc.cost),
-            reqs: reqs.into_boxed_slice(),
-            out,
+            reqs: required_parts(phys, op, op_id),
+            // An operator with no child to pass on delivers no guarantee.
+            out: delivered_part(phys, op, op_id).or(children.is_empty().then_some(Part::Any)),
         }
     }
-}
 
-/// Whether [`output_part`] hands on the first child's partitioning; for
-/// every other implementation it decides without reading the children.
-fn passes_through(phys: PhysImpl, op: &LogicalOp) -> bool {
-    use PhysImpl::*;
-    match phys {
-        FilterImpl | ProjectImpl | ProcessParallel | TopN | BroadcastJoin | IndexJoin => true,
-        HashAgg | SortAgg | StreamAgg => matches!(op, LogicalOp::GroupBy { partial: true, .. }),
-        _ => false,
+    /// The requirement on child `i`.
+    #[inline]
+    fn req(&self, i: usize) -> Part {
+        self.reqs[i.min(1)]
     }
 }
 
@@ -560,20 +524,12 @@ pub(crate) fn implement_pass(
 
 /// The exchange a child delivering `have` needs under requirement `req`.
 #[inline]
-fn enforcer_for(have: &Partitioning, req: &Partitioning) -> Option<PhysImpl> {
-    if have.satisfies(req) {
+fn enforcer_for(have: Part, req: Part, memo: &Memo) -> Option<PhysImpl> {
+    if have.satisfies(req, memo.interner()) {
         None
     } else {
-        exchange_impl_for(req)
+        req.exchange()
     }
-}
-
-/// The requirement on child `i`; implementations that list fewer
-/// requirements than children leave the rest unconstrained.
-#[inline]
-fn req_of(reqs: &[Partitioning], i: usize) -> &Partitioning {
-    static ANY: Partitioning = Partitioning::Any;
-    reqs.get(i).unwrap_or(&ANY)
 }
 
 /// One configuration's walk over the memo. The configuration enters only
@@ -662,14 +618,17 @@ impl Pass<'_> {
                 }
                 any_enabled = true;
                 self.tracker.charge(CompilePhase::Implement)?;
-                if self.alts[base + slot].is_none() {
-                    let RuleAction::Impl(phys) = self.cat.rule(impl_rule).action else {
-                        continue;
-                    };
-                    self.alts[base + slot] =
-                        Some(CostedAlt::cost(memo, expr_id, phys, self.obs, self.model));
-                }
-                let alt = self.alts[base + slot].as_ref().expect("slot filled above");
+                let alt = match self.alts[base + slot] {
+                    Some(alt) => alt,
+                    None => {
+                        let RuleAction::Impl(phys) = self.cat.rule(impl_rule).action else {
+                            continue;
+                        };
+                        let alt = CostedAlt::cost(memo, expr_id, phys, self.obs, self.model);
+                        self.alts[base + slot] = Some(alt);
+                        alt
+                    }
+                };
 
                 // Rank on the scalar alone: own cost, then per child its
                 // subtree and the exchange it needs, in that order.
@@ -680,8 +639,7 @@ impl Pass<'_> {
                         .as_ref()
                         .expect("child winner resolved");
                     candidate_cost += child_w.cost;
-                    let have = part_of(self.alts, child_w.part);
-                    let Some(ex_impl) = enforcer_for(have, req_of(&alt.reqs, i)) else {
+                    let Some(ex_impl) = enforcer_for(child_w.part, alt.req(i), memo) else {
                         continue;
                     };
                     let ex_rule = self
@@ -702,7 +660,7 @@ impl Pass<'_> {
                 }
                 if best_winner.as_ref().is_none_or(|w| candidate_cost < w.cost) {
                     best_winner =
-                        Some(self.winner(expr_id, impl_rule, base + slot, candidate_cost));
+                        Some(self.winner(expr_id, impl_rule, base + slot, &alt, candidate_cost));
                 }
             }
             if !any_enabled {
@@ -741,20 +699,27 @@ impl Pass<'_> {
     /// Everything a winner carries beyond its rank: the second walk over
     /// the children of an alternative that passed the strict `<`, adding the
     /// cost vector in the order the scalar was added.
-    fn winner(&self, expr: MExprId, impl_rule: RuleId, slot: usize, cost: f64) -> Winner {
+    fn winner(
+        &self,
+        expr: MExprId,
+        impl_rule: RuleId,
+        slot: usize,
+        alt: &CostedAlt,
+        cost: f64,
+    ) -> Winner {
         let memo = self.memo;
-        let alt = self.alts[slot].as_ref().expect("slot filled");
         let mut cost_vec = alt.vec;
-        let mut part = PartRef::Out(slot as u32);
+        // Set by the first child when the operator passes its on.
+        let mut part = alt.out.unwrap_or(Part::Any);
         for (i, &c) in memo.children(expr).iter().enumerate() {
             let child_w = self.winners[c.index()]
                 .as_ref()
                 .expect("child winner resolved");
             cost_vec = cost_vec.add(&child_w.cost_vec);
-            let ex_impl = enforcer_for(part_of(self.alts, child_w.part), req_of(&alt.reqs, i));
+            let ex_impl = enforcer_for(child_w.part, alt.req(i), memo);
             if i == 0 && alt.out.is_none() {
                 part = match ex_impl {
-                    Some(_) => PartRef::FirstReq(slot as u32),
+                    Some(_) => alt.req(0),
                     None => child_w.part,
                 };
             }
@@ -801,10 +766,10 @@ fn extract(
     let children = memo.children(w.expr);
     // The exchange the search inserted above child `i`, rebuilt as it found
     // it: its implementation, its scheme and its cost.
-    let exchange = |i: usize| -> Option<(PhysImpl, &Partitioning, OpCost)> {
+    let exchange = |i: usize| -> Option<(PhysImpl, Part, OpCost)> {
         let child_w = child_winner(children[i]);
-        let req = req_of(&alt.reqs, i);
-        let ex_impl = enforcer_for(part_of(alts, child_w.part), req)?;
+        let req = alt.req(i);
+        let ex_impl = enforcer_for(child_w.part, req, memo)?;
         let bytes = memo.est(child_w.est).bytes();
         Some((ex_impl, req, exchange_cost(ex_impl, bytes, alt.dop.max(1))))
     };
@@ -816,10 +781,11 @@ fn extract(
                 .rule_for_impl(ex_impl)
                 .expect("exchange impl rule exists");
             let ex_dop = match scheme {
-                Partitioning::Singleton => 1,
+                Part::Singleton => 1,
                 _ => alt.dop,
             };
             let child_est = memo.est(child_winner(c).est);
+            let scheme = scheme.partitioning(memo.interner());
             node = plan.add(PhysNode {
                 op: PhysOp::Exchange {
                     scheme: scheme.clone(),
@@ -830,7 +796,7 @@ fn extract(
                 est_bytes: child_est.bytes(),
                 est_cost: model.scalar(&ex_cost.cost),
                 est_cost_vec: model.corrected(&ex_cost.cost),
-                partitioning: scheme.clone(),
+                partitioning: scheme,
                 dop: ex_dop,
                 created_by: Some(ex_rule),
                 logical_rule: None,
@@ -864,7 +830,7 @@ fn extract(
         est_bytes: w_est.bytes(),
         est_cost: own_cost.max(0.0),
         est_cost_vec: own_vec,
-        partitioning: part_of(alts, w.part).clone(),
+        partitioning: w.part.partitioning(memo.interner()),
         dop: alt.dop,
         created_by: Some(w.impl_rule),
         logical_rule: created_by_logical,
@@ -1012,17 +978,18 @@ pub(crate) fn phys_op_for(phys: PhysImpl, op: &LogicalOp) -> PhysOp {
 mod tests {
     use super::*;
     use crate::estimate::Estimator;
+    use crate::physical::Partitioning;
     use scope_ir::ids::{DomainId, TableId};
     use scope_ir::ops::JoinKind;
     use scope_ir::{PlanGraph, Predicate, TrueCatalog};
 
-    /// Small enough for Miri: winner handles index the table across `best`
-    /// and `extract`, and the table outlives a pass. A cross join's index
-    /// join gathers both inputs and passes its first requirement on as its
-    /// own partitioning. The first pass fills every slot; the second, with
-    /// the index join the only join left, takes that requirement handle
-    /// from a slot the first pass filled, and its extraction rebuilds the
-    /// gathers from it.
+    /// Small enough for Miri: winners index the table across `best` and
+    /// `extract`, and the table outlives a pass. A cross join's index join
+    /// gathers both inputs and passes its first requirement on as its own
+    /// partitioning. The first pass fills every slot; the second, with the
+    /// index join the only join left, takes that requirement handle from a
+    /// slot the first pass filled, and its extraction rebuilds the gathers
+    /// from it.
     #[test]
     fn a_winner_reads_a_requirement_handle_filled_by_an_earlier_pass() {
         let mut cat = TrueCatalog::new();
@@ -1078,7 +1045,7 @@ mod tests {
             .winners
             .iter()
             .flatten()
-            .any(|w| matches!(w.part, PartRef::FirstReq(_))));
+            .any(|w| memo.kind_of(w.expr) == OpKind::Join && w.part == Part::Singleton));
 
         let alone = pass(&index_only, &mut ImplementScratch::new());
         assert_eq!(shared.plan.render(), alone.plan.render());

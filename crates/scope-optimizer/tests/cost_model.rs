@@ -144,7 +144,7 @@ fn exchange_costs_reflect_data_movement() {
 
 #[test]
 fn partial_agg_has_no_partitioning_requirement() {
-    use scope_optimizer::cost::required_child_parts;
+    use scope_optimizer::classic::required_child_parts;
     let full = required_child_parts(PhysImpl::HashAgg, &agg_op(false), 1);
     let partial = required_child_parts(PhysImpl::HashAgg, &agg_op(true), 1);
     assert!(matches!(full[0], Partitioning::Hash(_)));
@@ -153,7 +153,7 @@ fn partial_agg_has_no_partitioning_requirement() {
 
 #[test]
 fn global_agg_without_keys_gathers() {
-    use scope_optimizer::cost::required_child_parts;
+    use scope_optimizer::classic::required_child_parts;
     let op = LogicalOp::GroupBy {
         keys: vec![],
         aggs: vec![AggFunc::Count],
