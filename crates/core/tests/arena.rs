@@ -19,9 +19,10 @@ use scope_ir::Job;
 use scope_optimizer::classic::{compile_classic, compile_classic_with_budget};
 use scope_optimizer::optimizer::{compile_with_scratch, CompileScratch};
 use scope_optimizer::{
-    compile, compile_candidates, compile_with_budget, effective_config, CompileBudget,
-    CompileError, CompilePhase, CompiledPlan, CostCorrections, CostEstimate, CostModel,
-    CostWeights, RuleCatalog, RuleConfig, RuleId, NUM_RULES,
+    compile, compile_candidates, compile_job, compile_job_guarded, compile_with_budget,
+    effective_config, CompileBudget, CompileError, CompilePhase, CompiledPlan, CostCorrections,
+    CostEstimate, CostModel, CostWeights, RuleCatalog, RuleConfig, RuleId, RuleSignature,
+    NUM_RULES,
 };
 use scope_workload::{Workload, WorkloadProfile};
 use steer_core::{approximate_span, candidate_configs};
@@ -566,6 +567,93 @@ fn gathers_under_parallel_operators_match_classic() {
             assert_eq!(&outcome(alone), want, "alone");
         }
     }
+}
+
+/// Everything a compile decides that reused scratch could leak into: the
+/// fingerprint (plan, cost bits, signature, memo shape, tasks), beside
+/// the scalar cost's bits, the signature, the task count and the cost
+/// vector spelled out.
+type Decided = Result<(u64, u64, RuleSignature, u64, [u64; 6]), CompileError>;
+
+fn decided(result: Result<CompiledPlan, CompileError>) -> Decided {
+    result.map(|p| {
+        (
+            p.fingerprint(),
+            p.est_cost.to_bits(),
+            p.signature,
+            p.stats.tasks,
+            vec_bits(&p.est_cost_vec),
+        )
+    })
+}
+
+/// The thread's compile scratch keeps every memo estimate, interned
+/// operator, staged rewrite output, selectivity and observed catalog of
+/// the compiles before, and overwrites them: a compile through it, job
+/// after job of three workloads in shuffled order, by `compile_job` and
+/// in `compile_candidates` batches, decides exactly what a compile
+/// through fresh scratch does. Fails when a reused estimate keeps its
+/// old columns, or a staged or pooled operator its old predicate.
+#[test]
+fn a_dirty_scratch_changes_nothing() {
+    let mut jobs: Vec<Job> = [
+        WorkloadProfile::workload_a(0.1),
+        WorkloadProfile::workload_b(0.1),
+        WorkloadProfile::workload_c(0.1),
+    ]
+    .into_iter()
+    .flat_map(|profile| Workload::generate(profile).day(1))
+    .collect();
+    jobs.shuffle(&mut StdRng::seed_from_u64(43));
+    // Nine times the most any of these compiles takes (22 645 tasks): a
+    // scratch that leaks into its compiles tends to grow predicates
+    // without end, and the budget turns that into a failed compile
+    // instead of a stall.
+    let budget = CompileBudget::with_max_tasks(200_000);
+    let fresh = |job: &Job, config: &RuleConfig| {
+        decided(compile_with_scratch(
+            &job.plan,
+            &job.catalog.observe(),
+            config,
+            &budget,
+            &CostModel::DEFAULT,
+            &mut CompileScratch::new(),
+        ))
+    };
+    let default = RuleConfig::default_config();
+    let mut batches = 0usize;
+    for (n, job) in jobs.iter().enumerate() {
+        // `compile_job` under the budget: the flight layer's default
+        // compile.
+        let dirty = decided(compile_job_guarded(job, &default, &budget));
+        assert!(dirty.is_ok(), "job {}'s default: {dirty:?}", job.id);
+        assert_eq!(
+            dirty,
+            fresh(job, &effective_config(job, &default)),
+            "compile_job on dirty scratch, job {}",
+            job.id
+        );
+        assert_eq!(decided(compile_job(job, &default)), dirty);
+        if n % 3 == 0 {
+            let configs = candidate_like_configs(job, 8, 2, n as u64);
+            let obs = job.catalog.observe();
+            let got = compile_candidates(&job.plan, &obs, &configs, &budget, &CostModel::DEFAULT);
+            for (config, got) in configs.iter().zip(got) {
+                assert_eq!(
+                    decided(got),
+                    fresh(job, config),
+                    "batch on dirty scratch, job {}",
+                    job.id
+                );
+            }
+            batches += 1;
+        }
+    }
+    assert!(
+        jobs.len() > 140 && batches > 45,
+        "vacuous: {} jobs, {batches} batches",
+        jobs.len()
+    );
 }
 
 proptest! {

@@ -6,8 +6,6 @@
 //! the physical validator or the differential fingerprint check — never
 //! silently executed.
 
-use std::collections::BTreeSet;
-
 use scope_ir::ops::LogicalOp;
 use scope_optimizer::estimate::Estimator;
 use scope_optimizer::memo::{GroupId, Memo};
@@ -15,7 +13,7 @@ use scope_optimizer::normalize::normalize;
 use scope_optimizer::optimizer::effective_config;
 use scope_optimizer::search::BudgetTracker;
 use scope_optimizer::search::{explore, implement};
-use scope_optimizer::transform::{referenced_cols, TransformCtx};
+use scope_optimizer::transform::{referenced_cols, ColSet, Staging, TransformCtx};
 use scope_optimizer::{
     compile_job, validate_physical, CompileBudget, CompileStats, CompiledPlan, PhysPlan, RuleConfig,
 };
@@ -33,7 +31,7 @@ fn compile_with_corruption(
     let obs = job.catalog.observe();
     let est = Estimator::new(&obs);
     let normalized = normalize(&job.plan);
-    let mut referenced = BTreeSet::new();
+    let mut referenced = ColSet::default();
     for (_, node) in normalized.plan.iter() {
         referenced_cols(&node.op, &mut referenced);
     }
@@ -43,7 +41,14 @@ fn compile_with_corruption(
     };
     let (mut memo, root) = Memo::from_plan(&normalized.plan, &est).unwrap();
     let mut tracker = BudgetTracker::new(&CompileBudget::UNLIMITED);
-    explore(&mut memo, &config, &ctx, &mut tracker).unwrap();
+    explore(
+        &mut memo,
+        &mut Staging::default(),
+        &config,
+        &ctx,
+        &mut tracker,
+    )
+    .unwrap();
     if !corrupt(&mut memo, root, &est) {
         return None; // nothing to corrupt in this job
     }

@@ -234,26 +234,42 @@ impl TrueCatalog {
 
     /// Project down to what the optimizer may see.
     pub fn observe(&self) -> ObservableCatalog {
-        ObservableCatalog {
-            tables: self
-                .tables
-                .iter()
-                .map(|t| ObservableTable {
+        let mut obs = ObservableCatalog::default();
+        self.observe_into(&mut obs);
+        obs
+    }
+
+    /// [`Self::observe`] into `obs`, overwriting it: its table and column
+    /// lists, and each table's column list, keep their capacity, so a
+    /// caller that keeps one catalog observes without allocating once it
+    /// has held the largest.
+    pub fn observe_into(&self, obs: &mut ObservableCatalog) {
+        let tables = &mut obs.tables;
+        tables.truncate(self.tables.len());
+        tables.reserve_exact(self.tables.len() - tables.len());
+        for (i, t) in self.tables.iter().enumerate() {
+            match tables.get_mut(i) {
+                Some(seen) => {
+                    seen.rows = t.rows;
+                    seen.row_bytes = t.row_bytes;
+                    seen.name_hash = t.name_hash;
+                    seen.cols.clone_from(&t.cols);
+                }
+                None => tables.push(ObservableTable {
                     rows: t.rows,
                     row_bytes: t.row_bytes,
                     name_hash: t.name_hash,
                     cols: t.cols.clone(),
-                })
-                .collect(),
-            columns: self
-                .columns
-                .iter()
-                .map(|c| ObservableColumn {
-                    ndv: round_pow2(c.ndv),
-                    domain: c.domain,
-                })
-                .collect(),
+                }),
+            }
         }
+        obs.columns.clear();
+        obs.columns.reserve_exact(self.columns.len());
+        obs.columns
+            .extend(self.columns.iter().map(|c| ObservableColumn {
+                ndv: round_pow2(c.ndv),
+                domain: c.domain,
+            }));
     }
 }
 
@@ -401,6 +417,26 @@ mod tests {
         assert_eq!(obs.table_rows(TableId(0)), 5000);
         assert_eq!(obs.columns[0].domain, DomainId(3));
         // Truth fields simply do not exist on the observable type.
+    }
+
+    /// Observing into a catalog that held a larger one leaves nothing of
+    /// it behind.
+    #[test]
+    fn observe_into_overwrites_a_larger_catalog() {
+        let mut big = TrueCatalog::new();
+        let cols: Vec<ColId> = (0..4)
+            .map(|i| big.add_column(10 + i, 0.0, DomainId(i as u32)))
+            .collect();
+        big.add_table(7, 80, 1, cols.clone());
+        big.add_table(9, 90, 2, cols[1..].to_vec());
+        let mut small = TrueCatalog::new();
+        let c = small.add_column(300, 0.0, DomainId(5));
+        small.add_table(5000, 120, 42, vec![c]);
+        let mut obs = big.observe();
+        small.observe_into(&mut obs);
+        assert_eq!(obs, small.observe());
+        big.observe_into(&mut obs);
+        assert_eq!(obs, big.observe());
     }
 
     #[test]

@@ -140,10 +140,24 @@ impl PredAtom {
 /// like several production engines). Rewrite rules that reorder atoms
 /// therefore change estimated — not true — selectivity, which is one of the
 /// mechanisms behind the paper's Figure 4 paradox.
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub struct Predicate {
     /// The conjuncts, in the order the optimizer will estimate them.
     pub atoms: Vec<PredAtom>,
+}
+
+impl Clone for Predicate {
+    fn clone(&self) -> Self {
+        Predicate {
+            atoms: self.atoms.clone(),
+        }
+    }
+
+    /// Copies `source`'s atoms into this predicate's list, which keeps its
+    /// capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.atoms.clone_from(&source.atoms);
+    }
 }
 
 impl Predicate {

@@ -23,8 +23,12 @@
 //!
 //! Both interners are scratch structures: [`ExprInterner::clear`] forgets
 //! the entries but keeps the allocations, so a reused interner stops
-//! growing once it has held its largest compile. Interning a new operator
-//! still clones or moves it in.
+//! growing once it has held its largest compile. That includes the
+//! operators themselves: `clear` retires each one to a pool of its kind,
+//! and a first-seen operator interned by reference is copied into a
+//! retired operator of its kind with `clone_from`, whose lists keep their
+//! capacity. A warm interner allocates only for an operator whose kind
+//! has no retired operator left, or whose lists outgrow the retired one's.
 
 use std::hash::Hasher;
 
@@ -68,6 +72,9 @@ pub struct ExprInterner {
     prefixes: Vec<WordHasher>,
     /// Probed from the finished prefix hash, which is already a hash.
     by_hash: WordHashMap<u64, ExprId>,
+    /// Operators of earlier entries, by kind: [`Self::clear`] retires them
+    /// here, and a first-seen operator of their kind is copied into one.
+    retired: [Vec<LogicalOp>; OpKind::COUNT],
 }
 
 impl ExprInterner {
@@ -75,21 +82,12 @@ impl ExprInterner {
         Self::default()
     }
 
-    /// Intern by reference; clones the operator only on first sight.
+    /// Intern by reference; copies the operator only on first sight, into
+    /// a retired operator of its kind when there is one.
     pub fn intern(&mut self, op: &LogicalOp) -> ExprId {
         let (prefix, key) = Self::prefix_of(op);
         self.find(op, key)
-            .unwrap_or_else(|free| self.push(op.clone(), prefix, free))
-    }
-
-    /// Intern an owned operator; moves it in on first sight, drops it on a
-    /// hit (never clones).
-    pub fn intern_owned(&mut self, op: LogicalOp) -> ExprId {
-        let (prefix, key) = Self::prefix_of(&op);
-        match self.find(&op, key) {
-            Ok(id) => id,
-            Err(free) => self.push(op, prefix, free),
-        }
+            .unwrap_or_else(|free| self.push_copy(op, prefix, free))
     }
 
     /// [`Self::intern`] with the operator's key forced to `key`, so a test
@@ -98,7 +96,7 @@ impl ExprInterner {
     fn intern_under_key(&mut self, op: &LogicalOp, key: u64) -> ExprId {
         let (prefix, _) = Self::prefix_of(op);
         self.find(op, key)
-            .unwrap_or_else(|free| self.push(op.clone(), prefix, free))
+            .unwrap_or_else(|free| self.push_copy(op, prefix, free))
     }
 
     fn prefix_of(op: &LogicalOp) -> (WordHasher, u64) {
@@ -120,10 +118,20 @@ impl ExprInterner {
         Err(key)
     }
 
-    fn push(&mut self, op: LogicalOp, prefix: WordHasher, key: u64) -> ExprId {
+    /// Push a copy of `op` under `key`, written into a retired operator of
+    /// its kind when the pool has one.
+    fn push_copy(&mut self, op: &LogicalOp, prefix: WordHasher, key: u64) -> ExprId {
+        let kind = op.kind();
+        let slot = match self.retired[kind as usize].pop() {
+            Some(mut slot) => {
+                slot.clone_from(op);
+                slot
+            }
+            None => op.clone(),
+        };
         let id = ExprId(self.ops.len() as u32);
-        self.kinds.push(op.kind());
-        self.ops.push(op);
+        self.kinds.push(kind);
+        self.ops.push(slot);
         self.prefixes.push(prefix);
         self.by_hash.insert(key, id);
         id
@@ -158,9 +166,14 @@ impl ExprInterner {
         self.ops.is_empty()
     }
 
-    /// Forget all entries but keep the allocations (scratch reuse).
+    /// Forget all entries but keep the allocations (scratch reuse): every
+    /// operator is retired to its kind's pool, last first, so the pool
+    /// hands them out again in the order they were interned and a repeated
+    /// compile gets each operator's own lists back.
     pub fn clear(&mut self) {
-        self.ops.clear();
+        for op in self.ops.drain(..).rev() {
+            self.retired[op.kind() as usize].push(op);
+        }
         self.kinds.clear();
         self.prefixes.clear();
         self.by_hash.clear();
@@ -240,15 +253,6 @@ mod tests {
         assert_eq!(i.len(), 2);
         assert_eq!(i.kind(a), OpKind::Filter);
         assert_eq!(i.op(a), &filter(0, 1));
-    }
-
-    #[test]
-    fn intern_owned_matches_intern_by_ref() {
-        let mut i = ExprInterner::new();
-        let a = i.intern(&filter(3, 7));
-        let b = i.intern_owned(filter(3, 7));
-        assert_eq!(a, b);
-        assert_eq!(i.len(), 1);
     }
 
     fn with_pred(mut op: LogicalOp, pred: u32) -> LogicalOp {
@@ -406,13 +410,52 @@ mod tests {
     fn clear_retains_capacity_and_resets_ids() {
         let mut i = ExprInterner::new();
         for lit in 0..32 {
-            i.intern_owned(filter(0, lit));
+            i.intern(&filter(0, lit));
         }
         assert_eq!(i.len(), 32);
         i.clear();
         assert!(i.is_empty());
         let a = i.intern(&filter(9, 9));
         assert_eq!(a, ExprId(0));
+    }
+
+    /// A first-seen operator copied into a retired one of its kind keeps
+    /// nothing of it: a shorter predicate or key list, another table.
+    #[test]
+    fn a_retired_operator_takes_the_new_operators_value() {
+        let mut i = ExprInterner::new();
+        let long = conj(&[
+            (0, Literal::Int(1)),
+            (1, Literal::Int(2)),
+            (2, Literal::Int(3)),
+        ]);
+        let scan = LogicalOp::RangeGet {
+            table: TableId(4),
+            pushed: Predicate {
+                atoms: vec![PredAtom::unknown(ColId(1), CmpOp::Eq, Literal::Int(5)); 2],
+            },
+        };
+        let sort = LogicalOp::Sort {
+            keys: vec![ColId(1), ColId(2)],
+        };
+        for op in [&long, &scan, &sort] {
+            i.intern(op);
+        }
+        i.clear();
+        let short = filter(7, 8);
+        let bare = LogicalOp::RangeGet {
+            table: TableId(1),
+            pushed: Predicate::true_pred(),
+        };
+        let one = LogicalOp::Sort {
+            keys: vec![ColId(3)],
+        };
+        for (n, op) in [&short, &bare, &one, &long].into_iter().enumerate() {
+            assert_eq!(i.intern(op), ExprId(n as u32));
+            assert_eq!(i.op(ExprId(n as u32)), op);
+        }
+        assert_eq!(i.intern(&long), ExprId(3));
+        assert_eq!(i.len(), 4);
     }
 
     #[test]

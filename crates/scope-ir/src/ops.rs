@@ -34,7 +34,7 @@ pub enum AggFunc {
 
 /// A logical operator. Children are stored in the owning
 /// [`crate::plan::PlanNode`], not in the operator itself.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum LogicalOp {
     /// Raw input scan as written in the script (pre-normalization).
     Get { table: TableId },
@@ -77,6 +77,104 @@ pub enum LogicalOp {
     Process { udo: UdoId },
     /// Job output sink. `stream` is the hash of the output stream name.
     Output { stream: u64 },
+}
+
+impl Clone for LogicalOp {
+    fn clone(&self) -> Self {
+        use LogicalOp::*;
+        match self {
+            Get { table } => Get { table: *table },
+            RangeGet { table, pushed } => RangeGet {
+                table: *table,
+                pushed: pushed.clone(),
+            },
+            Select { predicate } => Select {
+                predicate: predicate.clone(),
+            },
+            Filter { predicate } => Filter {
+                predicate: predicate.clone(),
+            },
+            Project { cols, computed } => Project {
+                cols: cols.clone(),
+                computed: *computed,
+            },
+            Join { kind, keys } => Join {
+                kind: *kind,
+                keys: keys.clone(),
+            },
+            GroupBy {
+                keys,
+                aggs,
+                partial,
+            } => GroupBy {
+                keys: keys.clone(),
+                aggs: aggs.clone(),
+                partial: *partial,
+            },
+            UnionAll => UnionAll,
+            VirtualDataset => VirtualDataset,
+            Top { k } => Top { k: *k },
+            Sort { keys } => Sort { keys: keys.clone() },
+            Window { keys } => Window { keys: keys.clone() },
+            Process { udo } => Process { udo: *udo },
+            Output { stream } => Output { stream: *stream },
+        }
+    }
+
+    /// Onto an operator of the same kind, copies `source`'s lists into
+    /// this operator's, which keep their capacity; onto any other kind,
+    /// replaces it with a clone.
+    fn clone_from(&mut self, source: &Self) {
+        use LogicalOp::*;
+        match (self, source) {
+            (
+                RangeGet { table, pushed },
+                RangeGet {
+                    table: t,
+                    pushed: p,
+                },
+            ) => {
+                *table = *t;
+                pushed.clone_from(p);
+            }
+            (Select { predicate }, Select { predicate: p })
+            | (Filter { predicate }, Filter { predicate: p }) => predicate.clone_from(p),
+            (
+                Project { cols, computed },
+                Project {
+                    cols: c,
+                    computed: n,
+                },
+            ) => {
+                cols.clone_from(c);
+                *computed = *n;
+            }
+            (Join { kind, keys }, Join { kind: k, keys: ks }) => {
+                *kind = *k;
+                keys.clone_from(ks);
+            }
+            (
+                GroupBy {
+                    keys,
+                    aggs,
+                    partial,
+                },
+                GroupBy {
+                    keys: ks,
+                    aggs: a,
+                    partial: p,
+                },
+            ) => {
+                keys.clone_from(ks);
+                aggs.clone_from(a);
+                *partial = *p;
+            }
+            (Sort { keys }, Sort { keys: ks }) | (Window { keys }, Window { keys: ks }) => {
+                keys.clone_from(ks);
+            }
+            (this, source) => *this = source.clone(),
+        }
+    }
 }
 
 /// A cheap discriminant for pattern matching, featurization slots, and

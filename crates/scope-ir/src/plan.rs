@@ -142,21 +142,29 @@ impl PlanGraph {
     /// Ids of nodes reachable from the root, in ascending (= topological,
     /// children-first) order.
     pub fn reachable(&self) -> Vec<NodeId> {
-        let Some(root) = self.root else {
-            return Vec::new();
-        };
-        let mut mark = vec![false; self.nodes.len()];
-        let mut stack = vec![root];
+        let mut mark = Vec::new();
+        self.mark_reachable(&mut mark, &mut Vec::new());
+        mark.iter()
+            .enumerate()
+            .filter_map(|(i, &m)| m.then_some(NodeId(i as u32)))
+            .collect()
+    }
+
+    /// Set `mark[id]` exactly for the nodes reachable from the root, one
+    /// flag per node, walking with `stack`. Both buffers are overwritten
+    /// and keep their capacity, so a caller that keeps them walks without
+    /// allocating.
+    pub fn mark_reachable(&self, mark: &mut Vec<bool>, stack: &mut Vec<NodeId>) {
+        mark.clear();
+        mark.resize(self.nodes.len(), false);
+        stack.clear();
+        stack.extend(self.root);
         while let Some(id) = stack.pop() {
             if std::mem::replace(&mut mark[id.index()], true) {
                 continue;
             }
             stack.extend(self.node(id).children.iter().copied());
         }
-        mark.iter()
-            .enumerate()
-            .filter_map(|(i, &m)| m.then_some(NodeId(i as u32)))
-            .collect()
     }
 
     /// Validate the whole graph (arity, edge direction, root present).

@@ -14,8 +14,6 @@
 //! (`GroupId`, `MExprId`, `Inserted`, errors, budgets, the cost model, the
 //! catalog); everything on the hot path is duplicated here on purpose.
 
-use std::collections::BTreeSet;
-
 use scope_ir::ids::ColId;
 use scope_ir::{LogicalOp, ObservableCatalog, PlanGraph};
 
@@ -25,7 +23,7 @@ use crate::optimizer::{fire_markers, CompileStats, CompiledPlan, RuleFootprint};
 use crate::physical::Partitioning;
 use crate::rules::PhysImpl;
 use crate::search::{BudgetTracker, CompileBudget, CompileError};
-use crate::transform::{referenced_cols, TransformCtx};
+use crate::transform::{referenced_cols, ColSet, TransformCtx};
 
 /// [`crate::compile`] as it behaved before the arena/interner rework.
 pub fn compile_classic(
@@ -49,7 +47,7 @@ pub fn compile_classic_with_budget(
     let normalized = crate::normalize::normalize(plan);
     let estimator = Estimator::new(obs);
 
-    let mut referenced: BTreeSet<ColId> = BTreeSet::new();
+    let mut referenced = ColSet::default();
     for (_, node) in normalized.plan.iter() {
         referenced_cols(&node.op, &mut referenced);
     }

@@ -20,7 +20,7 @@ use scope_ir::ids::ColId;
 use scope_ir::{AtomInterner, JoinKind, LogicalOp, ObservableCatalog, PredAtom};
 
 /// Estimated logical properties of one expression's output.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LogicalEst {
     /// Estimated row count (≥ 0, not necessarily integral).
     pub rows: f64,
@@ -113,9 +113,10 @@ const BACKOFF_ATOMS: usize = 4;
 
 /// Memoized per-atom selectivities, keyed by interned `(column, operator)`
 /// shape — the full input domain of [`shape_selectivity`], so the cached
-/// value is exactly what recomputation would return.
+/// value is exactly what recomputation would return. A compile scratch
+/// keeps one between compiles ([`Estimator::with_cache`] clears it).
 #[derive(Default)]
-struct SelCache {
+pub(crate) struct SelCache {
     atoms: AtomInterner,
     sel: Vec<f64>,
 }
@@ -139,11 +140,16 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// [`Estimator::new`] with a scan-cardinality correction factor. A
-    /// non-finite or non-positive factor is a feedback-path bug upstream:
-    /// debug builds refuse it, release builds fall back to the identity so
-    /// a poisoned factor can never produce NaN cardinalities.
-    pub(crate) fn with_rows_correction(obs: &'a ObservableCatalog, factor: f64) -> Self {
+    /// [`Estimator::new`] with a scan-cardinality correction factor,
+    /// memoizing into `cache`, which it clears first: the selectivities
+    /// depend on the catalog, and the cache's tables keep their capacity.
+    /// [`Estimator::into_cache`] hands it back. A non-finite or
+    /// non-positive factor is a feedback-path bug upstream: debug builds
+    /// refuse it, release builds fall back to the identity so a poisoned
+    /// factor can never produce NaN cardinalities.
+    pub(crate) fn with_cache(obs: &'a ObservableCatalog, factor: f64, mut cache: SelCache) -> Self {
+        cache.atoms.clear();
+        cache.sel.clear();
         debug_assert!(
             factor.is_finite() && factor > 0.0,
             "rows correction must be finite and positive, got {factor}"
@@ -155,9 +161,14 @@ impl<'a> Estimator<'a> {
         };
         Estimator {
             obs,
-            cache: RefCell::new(SelCache::default()),
+            cache: RefCell::new(cache),
             rows_correction: factor,
         }
+    }
+
+    /// The selectivity cache, for the next [`Estimator::with_cache`].
+    pub(crate) fn into_cache(self) -> SelCache {
+        self.cache.into_inner()
     }
 
     /// The observable catalog backing this estimator.
@@ -209,7 +220,23 @@ impl<'a> Estimator<'a> {
     /// Derive the estimate for `op` from its children's estimates
     /// (children given in operator child order).
     pub fn derive<C: ChildEsts + ?Sized>(&self, op: &LogicalOp, children: &C) -> LogicalEst {
-        let est = match op {
+        let mut est = LogicalEst::default();
+        self.derive_into(op, children, &mut est);
+        est
+    }
+
+    /// [`Estimator::derive`] written over `out`, whatever it held: its
+    /// column list is cleared and refilled in place, so an estimate slot
+    /// reused across compiles keeps its capacity.
+    pub(crate) fn derive_into<C: ChildEsts + ?Sized>(
+        &self,
+        op: &LogicalOp,
+        children: &C,
+        out: &mut LogicalEst,
+    ) {
+        let cols = &mut out.cols;
+        cols.clear();
+        let (rows, row_bytes) = match op {
             LogicalOp::Get { table } | LogicalOp::RangeGet { table, .. } => {
                 let rows = self.obs.table_rows(*table) as f64;
                 let sel = match op {
@@ -218,36 +245,35 @@ impl<'a> Estimator<'a> {
                     }
                     _ => 1.0,
                 };
-                let cols = self
-                    .obs
-                    .tables
-                    .get(table.index())
-                    .map(|t| t.cols.clone())
-                    .unwrap_or_default();
-                LogicalEst {
+                if let Some(t) = self.obs.tables.get(table.index()) {
+                    cols.extend_from_slice(&t.cols);
+                }
+                (
                     // The feedback correction multiplies *after* the
                     // selectivity product: at the identity factor the
                     // `* 1.0` leaves every bit unchanged.
-                    rows: (rows * sel * self.rows_correction).max(1.0),
-                    row_bytes: self.obs.table_row_bytes(*table) as f64,
-                    cols,
-                }
+                    (rows * sel * self.rows_correction).max(1.0),
+                    self.obs.table_row_bytes(*table) as f64,
+                )
             }
             LogicalOp::Select { predicate } | LogicalOp::Filter { predicate } => {
                 let c = children.get(0);
-                LogicalEst {
-                    rows: (c.rows * self.conj_selectivity(&predicate.atoms)).max(1.0),
-                    row_bytes: c.row_bytes,
-                    cols: c.cols.clone(),
-                }
+                cols.extend_from_slice(&c.cols);
+                (
+                    (c.rows * self.conj_selectivity(&predicate.atoms)).max(1.0),
+                    c.row_bytes,
+                )
             }
-            LogicalOp::Project { cols, computed } => {
+            LogicalOp::Project {
+                cols: projected,
+                computed,
+            } => {
                 let c = children.get(0);
-                LogicalEst {
-                    rows: c.rows,
-                    row_bytes: 12.0 + 8.0 * (cols.len() + *computed as usize) as f64,
-                    cols: cols.clone(),
-                }
+                cols.extend_from_slice(projected);
+                (
+                    c.rows,
+                    12.0 + 8.0 * (projected.len() + *computed as usize) as f64,
+                )
             }
             LogicalOp::Join { kind, keys } => {
                 let l = children.get(0);
@@ -268,19 +294,17 @@ impl<'a> Estimator<'a> {
                     JoinKind::LeftOuter => rows.max(l.rows),
                     JoinKind::Semi => (l.rows * 0.7).min(rows).max(1.0),
                 };
-                let mut cols = l.cols.clone();
-                cols.extend_from_slice(&r.cols);
-                LogicalEst {
-                    rows: rows.max(1.0),
-                    row_bytes: match kind {
+                cols.extend_from_slice(&l.cols);
+                if *kind != JoinKind::Semi {
+                    cols.extend_from_slice(&r.cols);
+                }
+                (
+                    rows.max(1.0),
+                    match kind {
                         JoinKind::Semi => l.row_bytes,
                         _ => l.row_bytes + r.row_bytes,
                     },
-                    cols: match kind {
-                        JoinKind::Semi => l.cols.clone(),
-                        _ => cols,
-                    },
-                }
+                )
             }
             LogicalOp::GroupBy {
                 keys,
@@ -300,11 +324,8 @@ impl<'a> Estimator<'a> {
                 } else {
                     groups.min(c.rows * 0.9)
                 };
-                LogicalEst {
-                    rows: rows.max(1.0),
-                    row_bytes: 16.0 + 8.0 * (keys.len() + aggs.len()) as f64,
-                    cols: keys.clone(),
-                }
+                cols.extend_from_slice(keys);
+                (rows.max(1.0), 16.0 + 8.0 * (keys.len() + aggs.len()) as f64)
             }
             LogicalOp::UnionAll | LogicalOp::VirtualDataset => {
                 let mut rows = 0.0_f64;
@@ -316,50 +337,39 @@ impl<'a> Estimator<'a> {
                 }
                 // Columns safe to reference above a union: those available
                 // in every branch.
-                let mut cols = if children.is_empty() {
-                    Vec::new()
-                } else {
-                    children.get(0).cols.clone()
-                };
+                if !children.is_empty() {
+                    cols.extend_from_slice(&children.get(0).cols);
+                }
                 for i in 1..children.len() {
                     let c = children.get(i);
                     cols.retain(|col| c.cols.contains(col));
                 }
-                LogicalEst {
-                    rows: rows.max(1.0),
-                    row_bytes,
-                    cols,
-                }
+                (rows.max(1.0), row_bytes)
             }
             LogicalOp::Top { k } => {
                 let c = children.get(0);
-                LogicalEst {
-                    rows: (*k as f64).min(c.rows).max(1.0),
-                    row_bytes: c.row_bytes,
-                    cols: c.cols.clone(),
-                }
+                cols.extend_from_slice(&c.cols);
+                ((*k as f64).min(c.rows).max(1.0), c.row_bytes)
             }
             LogicalOp::Sort { .. } | LogicalOp::Window { .. } | LogicalOp::Output { .. } => {
                 let c = children.get(0);
-                LogicalEst {
-                    rows: c.rows,
-                    row_bytes: c.row_bytes,
-                    cols: c.cols.clone(),
-                }
+                cols.extend_from_slice(&c.cols);
+                (c.rows, c.row_bytes)
             }
             LogicalOp::Process { .. } => {
                 let c = children.get(0);
+                cols.extend_from_slice(&c.cols);
                 // One global assumption for all UDOs: pass-through
                 // cardinality, slightly wider rows.
-                LogicalEst {
-                    rows: (c.rows * scope_ir::catalog::DEFAULT_UDO_SELECTIVITY).max(1.0),
-                    row_bytes: c.row_bytes * 1.2,
-                    cols: c.cols.clone(),
-                }
+                (
+                    (c.rows * scope_ir::catalog::DEFAULT_UDO_SELECTIVITY).max(1.0),
+                    c.row_bytes * 1.2,
+                )
             }
         };
-        est.debug_check_derived();
-        est
+        out.rows = rows;
+        out.row_bytes = row_bytes;
+        out.debug_check_derived();
     }
 }
 
@@ -535,9 +545,9 @@ mod tests {
         let op = LogicalOp::Get { table: TableId(0) };
         let base = Estimator::new(&obs).derive(&op, &[]);
         // The identity factor is bit-exact, not merely close.
-        let ident = Estimator::with_rows_correction(&obs, 1.0).derive(&op, &[]);
+        let ident = Estimator::with_cache(&obs, 1.0, SelCache::default()).derive(&op, &[]);
         assert_eq!(base.rows.to_bits(), ident.rows.to_bits());
-        let doubled = Estimator::with_rows_correction(&obs, 2.0).derive(&op, &[]);
+        let doubled = Estimator::with_cache(&obs, 2.0, SelCache::default()).derive(&op, &[]);
         assert_eq!(doubled.rows, 2.0 * base.rows);
     }
 
@@ -547,7 +557,7 @@ mod tests {
     fn degenerate_rows_correction_refused_in_debug() {
         let (cat, _cols) = setup();
         let obs = cat.observe();
-        let _ = Estimator::with_rows_correction(&obs, f64::NAN);
+        let _ = Estimator::with_cache(&obs, f64::NAN, SelCache::default());
     }
 
     #[test]

@@ -30,10 +30,14 @@
 //!
 //! [`Memo::clear`] resets every slab and map without freeing, so a
 //! thread-local compile scratch ([`crate::optimizer::CompileScratch`])
-//! stops growing its slabs once it has held its largest memo. Inserting a
-//! new expression still allocates: [`Estimator::derive`] builds each
-//! estimate's column list, and a first-seen operator is cloned or moved
-//! into the interner.
+//! stops growing its slabs once it has held its largest memo. That holds
+//! for what a new expression owns too: `clear` keeps the estimate slab's
+//! entries, and an insertion writes its estimate over a retired entry with
+//! `Estimator::derive_into`, whose column list keeps its capacity; the
+//! interner copies a first-seen operator into a retired operator of its
+//! kind. [`Memo::ingest`] normalizes the plan as it inserts it, through a
+//! staged operator and reachability buffers the memo keeps. A warm memo
+//! allocates only where an insertion outgrows what an earlier compile left.
 //!
 //! ## Dedup keys
 //!
@@ -53,10 +57,10 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use scope_ir::hash::WordHashMap;
-use scope_ir::ids::NodeId;
 use scope_ir::{ExprId, ExprInterner, LogicalOp, OpKind, PlanGraph};
 
 use crate::estimate::{ChildEsts, Estimator, LogicalEst};
+use crate::normalize::{walk, Normalization, WalkScratch};
 use crate::ruleset::{RuleId, RuleSet};
 use crate::search::CompileError;
 
@@ -165,21 +169,39 @@ impl Group {
     }
 }
 
-/// Operator source for [`Memo::insert_inner`]: borrow, move, or an
-/// already-interned handle. Cloning happens at most once (borrowed op,
+/// Operator source for [`Memo::insert_inner`]: a borrowed operator or an
+/// already-interned handle. Copying happens at most once (borrowed op,
 /// first sight) and never for duplicates or budget rejections.
 enum OpSrc<'a> {
     Ref(&'a LogicalOp),
-    Owned(LogicalOp),
     Interned(ExprId),
 }
 
 /// Children source: an external slice (copied into the slab only when the
 /// insertion actually lands) or an existing expression's range (shared,
 /// zero-copy).
+#[derive(Clone, Copy)]
 enum ChildSrc<'a> {
     Slice(&'a [GroupId]),
     OfExpr(MExprId),
+}
+
+impl<'a> ChildSrc<'a> {
+    /// The child groups this names, given the memo's expression and child
+    /// slabs.
+    fn list(self, exprs: &[MExpr], child_slab: &'a [GroupId]) -> &'a [GroupId] {
+        match self {
+            ChildSrc::Slice(s) => s,
+            ChildSrc::OfExpr(e) => expr_children(exprs, child_slab, e),
+        }
+    }
+}
+
+/// Expression `e`'s range of the child slab.
+#[inline]
+fn expr_children<'a>(exprs: &[MExpr], child_slab: &'a [GroupId], e: MExprId) -> &'a [GroupId] {
+    let e = &exprs[e.index()];
+    &child_slab[e.children_start as usize..(e.children_start + e.children_len) as usize]
 }
 
 /// Adapter exposing a child-group list's canonical estimates to
@@ -220,9 +242,11 @@ pub struct Memo {
     /// Concatenated child-group lists; each expression owns (or shares) a
     /// `[children_start, children_start + children_len)` range.
     child_slab: Vec<GroupId>,
-    /// One estimate per expression; group estimates alias the canonical
-    /// expression's entry.
+    /// One estimate per expression in `ests[..n_ests]`; group estimates
+    /// alias the canonical expression's entry. Entries past `n_ests` are
+    /// earlier compiles', kept for their column lists' capacity.
     ests: Vec<LogicalEst>,
+    n_ests: usize,
     /// Per-memo operator interner (see module docs).
     interner: ExprInterner,
     /// `(op, children)` key → first expression anywhere; used to reuse
@@ -239,9 +263,12 @@ pub struct Memo {
     kinds: u16,
     /// Rules named in some expression's `created_by` (set as it inserts).
     created: RuleSet,
-    /// Ingest scratch, kept across [`Memo::clear`] for allocation reuse.
-    node_group: WordHashMap<NodeId, GroupId>,
+    /// Ingest scratch, kept across [`Memo::clear`] for allocation reuse:
+    /// each plan node's group, one node's child groups, and the
+    /// normalizing walk's buffers.
+    node_group: Vec<GroupId>,
     ingest_children: Vec<GroupId>,
+    walk: WalkScratch,
 }
 
 impl Default for Memo {
@@ -251,7 +278,7 @@ impl Default for Memo {
 }
 
 impl Memo {
-    /// Ingest a normalized logical plan into a fresh memo. Shared DAG nodes
+    /// Ingest a logical plan, normalized, into a fresh memo. Shared DAG nodes
     /// map to shared groups. Returns the memo and the root group, or a
     /// typed [`CompileError::MemoExhausted`] when the plan alone blows the
     /// hard expression cap.
@@ -272,14 +299,16 @@ impl Memo {
             exprs: Vec::new(),
             child_slab: Vec::new(),
             ests: Vec::new(),
+            n_ests: 0,
             interner: ExprInterner::new(),
             any_group: WordHashMap::default(),
             by_group: WordHashMap::default(),
             budget_rejections: 0,
             kinds: 0,
             created: RuleSet::EMPTY,
-            node_group: WordHashMap::default(),
+            node_group: Vec::new(),
             ingest_children: Vec::new(),
+            walk: WalkScratch::default(),
         }
     }
 
@@ -289,7 +318,7 @@ impl Memo {
         self.groups.clear();
         self.exprs.clear();
         self.child_slab.clear();
-        self.ests.clear();
+        self.n_ests = 0;
         self.interner.clear();
         self.any_group.clear();
         self.by_group.clear();
@@ -300,41 +329,58 @@ impl Memo {
         self.ingest_children.clear();
     }
 
-    /// Ingest a normalized plan into this (empty or cleared) memo and
-    /// return the root group. Each node's operator is inserted by
-    /// reference — the memo no longer clones one `LogicalOp` per node.
+    /// Ingest a plan into this (empty or cleared) memo in normalized form
+    /// and return the root group. Each reachable node's normal form
+    /// ([`crate::normalize`]) is inserted by reference, children first, so
+    /// the memo holds exactly what ingesting the normalized plan would.
     pub fn ingest(
         &mut self,
         plan: &PlanGraph,
         est: &Estimator<'_>,
     ) -> Result<GroupId, CompileError> {
+        self.ingest_visiting(plan, est, |_| {})
+            .map(|(root, _)| root)
+    }
+
+    /// [`Memo::ingest`] that also shows `visit` the normal form of every
+    /// node, reachable or not, and returns what normalization fired and
+    /// counted: one walk over the plan does all three.
+    pub(crate) fn ingest_visiting(
+        &mut self,
+        plan: &PlanGraph,
+        est: &Estimator<'_>,
+        mut visit: impl FnMut(&LogicalOp),
+    ) -> Result<(GroupId, Normalization), CompileError> {
         debug_assert!(self.exprs.is_empty(), "ingest expects an empty memo");
+        let mut scratch = std::mem::take(&mut self.walk);
         let mut node_group = std::mem::take(&mut self.node_group);
         let mut children = std::mem::take(&mut self.ingest_children);
         node_group.clear();
-        let reachable = plan.reachable();
-        for id in &reachable {
-            let node = plan.node(*id);
+        node_group.resize(plan.len(), GroupId(NONE));
+        let walked = walk(plan, &mut scratch, |id, op, kids, reachable| {
+            visit(op);
+            if !reachable {
+                return Ok(());
+            }
             children.clear();
-            children.extend(node.children.iter().map(|c| node_group[c]));
-            let inserted = self.insert_ref(&node.op, &children, None, None, est);
-            let gid = match inserted {
-                Inserted::New(e) | Inserted::Duplicate(e) => self.exprs[e.index()].group,
-                Inserted::Budget => {
-                    self.node_group = node_group;
-                    self.ingest_children = children;
-                    return Err(CompileError::MemoExhausted {
-                        groups: self.num_groups(),
-                        exprs: self.num_exprs(),
-                    });
+            children.extend(kids.iter().map(|c| node_group[c.index()]));
+            match self.insert_ref(op, &children, None, None, est) {
+                Inserted::New(e) | Inserted::Duplicate(e) => {
+                    node_group[id.index()] = self.exprs[e.index()].group;
+                    Ok(())
                 }
-            };
-            node_group.insert(*id, gid);
-        }
-        let root = node_group[&plan.root().expect("plan has root")];
+                Inserted::Budget => Err(CompileError::MemoExhausted {
+                    groups: self.num_groups(),
+                    exprs: self.num_exprs(),
+                }),
+            }
+        });
+        let root = plan.root().map(|root| node_group[root.index()]);
+        self.walk = scratch;
         self.node_group = node_group;
         self.ingest_children = children;
-        Ok(root)
+        let normal = walked?;
+        Ok((root.expect("plan has root"), normal))
     }
 
     /// Insert an expression, borrowing the operator (cloned only if this
@@ -352,25 +398,6 @@ impl Memo {
     ) -> Inserted {
         self.insert_inner(
             OpSrc::Ref(op),
-            ChildSrc::Slice(children),
-            target,
-            created_by,
-            est,
-        )
-    }
-
-    /// Insert an expression, taking ownership of the operator (moved into
-    /// the interner on first sight, dropped on a duplicate — never cloned).
-    pub(crate) fn insert_owned(
-        &mut self,
-        op: LogicalOp,
-        children: &[GroupId],
-        target: Option<GroupId>,
-        created_by: Option<RuleId>,
-        est: &Estimator<'_>,
-    ) -> Inserted {
-        self.insert_inner(
-            OpSrc::Owned(op),
             ChildSrc::Slice(children),
             target,
             created_by,
@@ -397,18 +424,18 @@ impl Memo {
         )
     }
 
-    /// Insert an owned operator over an existing expression's children
+    /// Insert a borrowed operator over an existing expression's children
     /// (shared child range — no copy).
-    pub(crate) fn insert_owned_children_of(
+    pub(crate) fn insert_ref_children_of(
         &mut self,
-        op: LogicalOp,
+        op: &LogicalOp,
         children_of: MExprId,
         target: Option<GroupId>,
         created_by: Option<RuleId>,
         est: &Estimator<'_>,
     ) -> Inserted {
         self.insert_inner(
-            OpSrc::Owned(op),
+            OpSrc::Ref(op),
             ChildSrc::OfExpr(children_of),
             target,
             created_by,
@@ -465,25 +492,16 @@ impl Memo {
     ) -> Inserted {
         let op = match op {
             OpSrc::Ref(r) => self.interner.intern(r),
-            OpSrc::Owned(o) => self.interner.intern_owned(o),
             OpSrc::Interned(id) => id,
         };
         // The interner's stored prefix is the hasher state right after
         // `op.memo_hash`; the children finish the key.
         let key = {
             let mut h = self.interner.prefix_hasher(op);
-            self.child_list(&children).hash(&mut h);
+            children.list(&self.exprs, &self.child_slab).hash(&mut h);
             h.finish()
         };
         self.insert_keyed(op, children, key, target, created_by, est)
-    }
-
-    /// The child groups `children` names.
-    fn child_list<'a>(&'a self, children: &ChildSrc<'a>) -> &'a [GroupId] {
-        match *children {
-            ChildSrc::Slice(s) => s,
-            ChildSrc::OfExpr(e) => self.children(e),
-        }
     }
 
     /// [`Self::insert_ref`] with the expression's key forced to `key`, so
@@ -513,7 +531,7 @@ impl Memo {
         created_by: Option<RuleId>,
         est: &Estimator<'_>,
     ) -> Inserted {
-        let child_list = self.child_list(&children);
+        let child_list = children.list(&self.exprs, &self.child_slab);
         let same = |e: MExprId| self.exprs[e.index()].op == op && self.children(e) == child_list;
         // Dedup and budget checks first — rejected insertions touch no slab.
         let by_key = match target {
@@ -535,14 +553,24 @@ impl Memo {
             self.budget_rejections += 1;
             return Inserted::Budget;
         }
-        let e = est.derive(
+        // The new estimate goes to the first entry past the live ones,
+        // written over what an earlier compile left there; every child's
+        // estimate is a live one before it.
+        let est_id = EstId(self.n_ests as u32);
+        if self.n_ests == self.ests.len() {
+            self.ests.push(LogicalEst::default());
+        }
+        let (live, spare) = self.ests.split_at_mut(self.n_ests);
+        est.derive_into(
             self.interner.op(op),
             &SlabChildEsts {
                 groups: &self.groups,
-                ests: &self.ests,
-                children: child_list,
+                ests: live,
+                children: children.list(&self.exprs, &self.child_slab),
             },
+            &mut spare[0],
         );
+        self.n_ests += 1;
         let (children_start, children_len) = match children {
             ChildSrc::Slice(s) => {
                 let start = self.child_slab.len() as u32;
@@ -554,8 +582,6 @@ impl Memo {
                 (ex.children_start, ex.children_len)
             }
         };
-        let est_id = EstId(self.ests.len() as u32);
-        self.ests.push(e);
         let group = match target {
             Some(g) => g,
             None => {
@@ -631,8 +657,7 @@ impl Memo {
     /// The expression's child groups.
     #[inline]
     pub fn children(&self, id: MExprId) -> &[GroupId] {
-        let e = &self.exprs[id.index()];
-        &self.child_slab[e.children_start as usize..(e.children_start + e.children_len) as usize]
+        expr_children(&self.exprs, &self.child_slab, id)
     }
 
     /// The canonical (first) expression of a group.
@@ -838,12 +863,12 @@ mod tests {
             panic!()
         };
         let g = memo.expr(s).group;
-        let Inserted::New(f) = memo.insert_owned(filter_op(1), &[g], None, Some(RuleId(90)), &est)
+        let Inserted::New(f) = memo.insert_ref(&filter_op(1), &[g], None, Some(RuleId(90)), &est)
         else {
             panic!()
         };
         // A duplicate under another rule names no rule.
-        let dup = memo.insert_owned(filter_op(1), &[g], None, Some(RuleId(91)), &est);
+        let dup = memo.insert_ref(&filter_op(1), &[g], None, Some(RuleId(91)), &est);
         assert_eq!(dup, Inserted::Duplicate(f));
         let scanned: u16 = memo
             .expr_ids()
@@ -873,7 +898,7 @@ mod tests {
         };
         let first = memo.insert_ref(&scan, &[], None, None, &est);
         let Inserted::New(e1) = first else { panic!() };
-        let second = memo.insert_owned(scan, &[], None, None, &est);
+        let second = memo.insert_ref(&scan, &[], None, None, &est);
         assert_eq!(second, Inserted::Duplicate(e1));
         assert_eq!(memo.num_groups(), 1);
         // The duplicate was deduplicated inside the interner too.
@@ -890,11 +915,11 @@ mod tests {
             table: TableId(0),
             pushed: Predicate::true_pred(),
         };
-        let Inserted::New(scan_e) = memo.insert_owned(scan, &[], None, None, &est) else {
+        let Inserted::New(scan_e) = memo.insert_ref(&scan, &[], None, None, &est) else {
             panic!()
         };
         let scan_g = memo.expr(scan_e).group;
-        let Inserted::New(f1) = memo.insert_owned(filter_op(1), &[scan_g], None, None, &est) else {
+        let Inserted::New(f1) = memo.insert_ref(&filter_op(1), &[scan_g], None, None, &est) else {
             panic!()
         };
         let fg = memo.expr(f1).group;
@@ -902,7 +927,7 @@ mod tests {
         // predicate pushed into the scan would be the realistic case; here
         // we just add a differently-valued filter as a stand-in alternative.
         let Inserted::New(f2) =
-            memo.insert_owned(filter_op(2), &[scan_g], Some(fg), Some(RuleId(90)), &est)
+            memo.insert_ref(&filter_op(2), &[scan_g], Some(fg), Some(RuleId(90)), &est)
         else {
             panic!()
         };
@@ -927,18 +952,18 @@ mod tests {
             table: TableId(0),
             pushed: Predicate::true_pred(),
         };
-        let Inserted::New(scan_e) = memo.insert_owned(scan, &[], None, None, &est) else {
+        let Inserted::New(scan_e) = memo.insert_ref(&scan, &[], None, None, &est) else {
             panic!()
         };
         let scan_g = memo.expr(scan_e).group;
-        let Inserted::New(f) = memo.insert_owned(filter_op(0), &[scan_g], None, None, &est) else {
+        let Inserted::New(f) = memo.insert_ref(&filter_op(0), &[scan_g], None, None, &est) else {
             panic!()
         };
         let fg = memo.expr(f).group;
         let mut budget_hit = false;
         for lit in 1..100 {
             if let Inserted::Budget =
-                memo.insert_owned(filter_op(lit), &[scan_g], Some(fg), None, &est)
+                memo.insert_ref(&filter_op(lit), &[scan_g], Some(fg), None, &est)
             {
                 budget_hit = true;
                 break;
@@ -959,15 +984,15 @@ mod tests {
             table: TableId(0),
             pushed: Predicate::true_pred(),
         };
-        let Inserted::New(scan_e) = memo.insert_owned(scan, &[], None, None, &est) else {
+        let Inserted::New(scan_e) = memo.insert_ref(&scan, &[], None, None, &est) else {
             panic!()
         };
         let scan_g = memo.expr(scan_e).group;
-        let Inserted::New(f1) = memo.insert_owned(filter_op(1), &[scan_g], None, None, &est) else {
+        let Inserted::New(f1) = memo.insert_ref(&filter_op(1), &[scan_g], None, None, &est) else {
             panic!()
         };
         // Make a second group, then re-insert f1's expression into it.
-        let Inserted::New(f2) = memo.insert_owned(filter_op(2), &[scan_g], None, None, &est) else {
+        let Inserted::New(f2) = memo.insert_ref(&filter_op(2), &[scan_g], None, None, &est) else {
             panic!()
         };
         let other = memo.expr(f2).group;
@@ -1062,5 +1087,53 @@ mod tests {
         let root2 = memo.ingest(&plan, &est).unwrap();
         assert_eq!(root1, root2);
         assert_eq!(n1, (memo.num_groups(), memo.num_exprs()));
+    }
+
+    /// A memo that held a wider plan writes each new estimate over an old
+    /// one: nothing of the old estimate survives, and the raw `Get` and
+    /// `Select` of the plan are ingested in normal form.
+    #[test]
+    fn a_reused_estimate_equals_a_fresh_one() {
+        let mut cat = cat();
+        let cols: Vec<ColId> = (0..6)
+            .map(|i| cat.add_column(10 + i, 0.0, DomainId(1)))
+            .collect();
+        cat.add_table(500, 60, 2, cols);
+        let obs = cat.observe();
+        let est = Estimator::new(&obs);
+        let plan = |table: u32| {
+            let mut plan = PlanGraph::new();
+            let s = plan.add_unchecked(
+                LogicalOp::Get {
+                    table: TableId(table),
+                },
+                vec![],
+            );
+            let f = plan.add_unchecked(
+                LogicalOp::Select {
+                    predicate: Predicate::atom(PredAtom::unknown(
+                        ColId(0),
+                        CmpOp::Eq,
+                        Literal::Int(1),
+                    )),
+                },
+                vec![s],
+            );
+            let o = plan.add_unchecked(LogicalOp::Output { stream: 0 }, vec![f]);
+            plan.set_root(o);
+            plan
+        };
+        let mut memo = Memo::empty();
+        memo.ingest(&plan(1), &est).unwrap();
+        memo.clear();
+        memo.ingest(&plan(0), &est).unwrap();
+        let (fresh, _) = Memo::from_plan(&plan(0), &est).unwrap();
+        assert_eq!(memo.num_exprs(), fresh.num_exprs());
+        for e in memo.expr_ids() {
+            assert_eq!(memo.expr_est(e), fresh.expr_est(e));
+            assert_eq!(memo.op(e), fresh.op(e));
+        }
+        assert_eq!(memo.kinds_present(), fresh.kinds_present());
+        assert!(memo.kinds_present() & (1 << OpKind::Get as u16 | 1 << OpKind::Select as u16) == 0);
     }
 }

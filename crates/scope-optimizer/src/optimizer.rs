@@ -2,17 +2,15 @@
 //! extract, producing a physical plan, its estimated cost, and the job's
 //! rule signature.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
-use scope_ir::ids::ColId;
 use scope_ir::{Job, ObservableCatalog, OpKind, PlanGraph};
 
 use crate::config::{RuleConfig, RuleSignature};
 use crate::cost::{CostEstimate, CostModel};
-use crate::estimate::Estimator;
+use crate::estimate::{Estimator, SelCache};
 use crate::memo::{GroupId, Memo};
-use crate::normalize::{normalize, Normalized};
+use crate::normalize::{normalization, Normalization};
 use crate::physical::PhysPlan;
 use crate::rules::catalog::COMPLEX_KINDS;
 use crate::rules::{RuleAction, RuleCatalog};
@@ -21,7 +19,7 @@ use crate::search::{
     exploration_keys, explore, implement_pass, BudgetTracker, CompileBudget, CompileError,
     ImplementScratch,
 };
-use crate::transform::{referenced_cols, TransformCtx};
+use crate::transform::{referenced_cols, ColSet, Staging, TransformCtx};
 
 /// Resource accounting for one compile, surfaced for observability even
 /// when steering changes how much work the search does.
@@ -177,13 +175,20 @@ impl CompiledPlan {
     }
 }
 
-/// Reusable per-thread compile state: the memo's arena slabs plus the
-/// implementation-phase scratch. [`Memo::clear`] resets lengths without
-/// freeing, so a warm thread compiles with no per-compile slab growth.
+/// Reusable per-thread compile state: the memo's arena slabs, estimates
+/// and interned operators, the rewrites' staging, the referenced columns,
+/// the estimator's selectivity cache, the observed catalog of
+/// [`compile_job`], and the implementation-phase scratch. Every part is
+/// overwritten or cleared before it is read and keeps its capacity, so a
+/// warm thread's compile allocates only the plan it returns.
 #[derive(Default)]
 pub struct CompileScratch {
     memo: Memo,
     implement: ImplementScratch,
+    staging: Staging,
+    referenced: ColSet,
+    selectivities: SelCache,
+    observed: ObservableCatalog,
 }
 
 impl CompileScratch {
@@ -278,9 +283,12 @@ pub fn compile_with_scratch(
 ) -> Result<CompiledPlan, CompileError> {
     let start = Instant::now();
     let _compile_span = scope_trace::span_timed("compile", scope_trace::Histogram::CompileMicros);
-    let prepared = Prepared::new(plan, obs, model);
-    let explored = prepared.explore(config, budget, scratch)?;
-    prepared.finish(&explored, config, scratch, start)
+    let prepared = Prepared::new(plan, obs, model, scratch);
+    let compiled = prepared
+        .explore(config, budget, scratch)
+        .and_then(|explored| prepared.finish(&explored, config, scratch, start));
+    prepared.retire(scratch);
+    compiled
 }
 
 /// Compile one plan under many rule configurations, results in input
@@ -294,10 +302,10 @@ pub fn compile_with_scratch(
 /// then pays only for its own implementation pass over that read-only
 /// memo, its task count resumed from where the exploration left it.
 ///
-/// A panic while preparing or exploring is one every configuration it
-/// serves would have hit alone, so each of them gets the
-/// [`CompileError::Panicked`]; a panic in one implementation pass stays
-/// with that configuration.
+/// A panic while exploring (normalizing a malformed plan included) is one
+/// every configuration it serves would have hit alone, so each of them
+/// gets the [`CompileError::Panicked`]; a panic in one implementation pass
+/// stays with that configuration.
 pub fn compile_candidates(
     plan: &PlanGraph,
     obs: &ObservableCatalog,
@@ -320,11 +328,7 @@ fn compile_candidates_with(
 ) -> Vec<Result<CompiledPlan, CompileError>> {
     let prepared = {
         let _span = scope_trace::span("compile.prepare");
-        catch_compile_panics(|| Ok(Prepared::new(plan, obs, model)))
-    };
-    let prepared = match prepared {
-        Ok(prepared) => prepared,
-        Err(e) => return configs.iter().map(|_| Err(e.clone())).collect(),
+        Prepared::new(plan, obs, model, scratch)
     };
     let keys = exploration_keys(configs);
     let mut results: Vec<Option<Result<CompiledPlan, CompileError>>> =
@@ -354,6 +358,7 @@ fn compile_candidates_with(
             });
         }
     }
+    prepared.retire(scratch);
     results
         .into_iter()
         .map(|r| r.expect("every configuration belongs to one partition"))
@@ -363,16 +368,12 @@ fn compile_candidates_with(
 /// What every compile of one plan under one cost model shares, whatever
 /// the rule configuration.
 struct Prepared<'a> {
+    plan: &'a PlanGraph,
     obs: &'a ObservableCatalog,
     model: &'a CostModel,
-    normalized: Normalized,
-    /// Operator-kind counts of the normalized plan, which marker rules
-    /// fire on.
-    kind_counts: [u32; OpKind::COUNT],
+    /// Memoizes into the scratch's selectivity cache until
+    /// [`Prepared::retire`] hands it back.
     estimator: Estimator<'a>,
-    /// Columns referenced anywhere in the query: the safe retention set
-    /// for pruning rewrites.
-    referenced: BTreeSet<ColId>,
 }
 
 /// A memo explored under one exploration key, ready for any number of
@@ -383,52 +384,70 @@ struct Explored {
     /// Task accounting as exploration left it; every implementation pass
     /// over this memo resumes from a copy.
     tracker: BudgetTracker,
+    /// What the ingest's normalization fired and counted: the marker
+    /// rules fire on the counts.
+    normal: Normalization,
 }
 
 impl<'a> Prepared<'a> {
-    fn new(plan: &PlanGraph, obs: &'a ObservableCatalog, model: &'a CostModel) -> Prepared<'a> {
-        let normalized = normalize(plan);
-        let estimator = Estimator::with_rows_correction(obs, model.corrections.rows);
-        let mut referenced: BTreeSet<ColId> = BTreeSet::new();
-        for (_, node) in normalized.plan.iter() {
-            referenced_cols(&node.op, &mut referenced);
-        }
+    fn new(
+        plan: &'a PlanGraph,
+        obs: &'a ObservableCatalog,
+        model: &'a CostModel,
+        scratch: &mut CompileScratch,
+    ) -> Prepared<'a> {
+        let cache = std::mem::take(&mut scratch.selectivities);
         Prepared {
+            plan,
             obs,
             model,
-            kind_counts: normalized.plan.op_counts(),
-            normalized,
-            estimator,
-            referenced,
+            estimator: Estimator::with_cache(obs, model.corrections.rows, cache),
         }
+    }
+
+    /// Give the selectivity cache back to the scratch.
+    fn retire(self, scratch: &mut CompileScratch) {
+        scratch.selectivities = self.estimator.into_cache();
     }
 
     /// Clear the scratch's memo, ingest the plan and explore it under
     /// `config`'s transformation rules. The memo changes here and nowhere
     /// else, so this is where the alternatives costed on the previous one
-    /// are forgotten.
+    /// are forgotten. The ingest's one walk over the plan normalizes it
+    /// and collects the columns it references anywhere, the safe
+    /// retention set of the pruning rewrites.
     fn explore(
         &self,
         config: &RuleConfig,
         budget: &CompileBudget,
         scratch: &mut CompileScratch,
     ) -> Result<Explored, CompileError> {
-        let CompileScratch { memo, implement } = scratch;
+        let CompileScratch {
+            memo,
+            implement,
+            staging,
+            referenced,
+            ..
+        } = scratch;
         implement.forget_costed();
         let mut tracker = BudgetTracker::new(budget);
+        memo.clear();
+        referenced.clear();
+        let (root, normal) = memo.ingest_visiting(self.plan, &self.estimator, |op| {
+            referenced_cols(op, referenced);
+        })?;
         let ctx = TransformCtx {
             est: &self.estimator,
-            referenced: &self.referenced,
+            referenced,
         };
-        memo.clear();
-        let root = memo.ingest(&self.normalized.plan, &self.estimator)?;
         let _span =
             scope_trace::span_timed("compile.explore", scope_trace::Histogram::ExploreMicros);
-        let explore_added = explore(memo, config, &ctx, &mut tracker)?;
+        let explore_added = explore(memo, staging, config, &ctx, &mut tracker)?;
         Ok(Explored {
             root,
             explore_added,
             tracker,
+            normal,
         })
     }
 
@@ -443,7 +462,9 @@ impl<'a> Prepared<'a> {
         scratch: &mut CompileScratch,
         start: Instant,
     ) -> Result<CompiledPlan, CompileError> {
-        let CompileScratch { memo, implement } = scratch;
+        let CompileScratch {
+            memo, implement, ..
+        } = scratch;
         let memo: &Memo = memo;
         let mut tracker = explored.tracker;
         let outcome = {
@@ -467,8 +488,8 @@ impl<'a> Prepared<'a> {
             scope_trace::record(scope_trace::Histogram::CompileTasks, tracker.tasks());
         }
 
-        let mut fired = self.normalized.fired.union(&outcome.used_rules);
-        fire_markers(config, &self.kind_counts, &mut fired);
+        let mut fired = explored.normal.fired.union(&outcome.used_rules);
+        fire_markers(config, &explored.normal.kind_counts, &mut fired);
 
         debug_assert!(
             fired
@@ -513,11 +534,10 @@ impl<'a> Prepared<'a> {
 /// fires on the normalized plan's operator kinds. Returned with those
 /// kind counts. Panics where normalization does, on a malformed plan.
 pub fn certain_signature(plan: &PlanGraph, config: &RuleConfig) -> (RuleSet, [u32; OpKind::COUNT]) {
-    let normalized = normalize(plan);
-    let kind_counts = normalized.plan.op_counts();
-    let mut certain = normalized.fired;
-    fire_markers(config, &kind_counts, &mut certain);
-    (certain, kind_counts)
+    let normal = normalization(plan);
+    let mut certain = normal.fired;
+    fire_markers(config, &normal.kind_counts, &mut certain);
+    (certain, normal.kind_counts)
 }
 
 /// Fire marker/guard/canonicalize rules against the normalized plan's
@@ -569,8 +589,31 @@ pub fn effective_config(job: &Job, base: &RuleConfig) -> RuleConfig {
 /// Compile a job (convenience wrapper deriving the observable catalog and
 /// applying the job's customer hints on top of `config`).
 pub fn compile_job(job: &Job, config: &RuleConfig) -> Result<CompiledPlan, CompileError> {
-    let obs = job.catalog.observe();
-    compile(&job.plan, &obs, &effective_config(job, config))
+    compile_observed(job, config, &CompileBudget::default())
+}
+
+/// Compile `job` under `config` plus its hints on this thread's compile
+/// scratch, observing its catalog into the scratch's.
+fn compile_observed(
+    job: &Job,
+    config: &RuleConfig,
+    budget: &CompileBudget,
+) -> Result<CompiledPlan, CompileError> {
+    let config = effective_config(job, config);
+    with_thread_scratch(|scratch| {
+        let mut obs = std::mem::take(&mut scratch.observed);
+        job.catalog.observe_into(&mut obs);
+        let compiled = compile_with_scratch(
+            &job.plan,
+            &obs,
+            &config,
+            budget,
+            &CostModel::DEFAULT,
+            scratch,
+        );
+        scratch.observed = obs;
+        compiled
+    })
 }
 
 /// [`compile_job`] under an explicit budget, with panic isolation: a
@@ -583,10 +626,7 @@ pub fn compile_job_guarded(
     config: &RuleConfig,
     budget: &CompileBudget,
 ) -> Result<CompiledPlan, CompileError> {
-    catch_compile_panics(|| {
-        let obs = job.catalog.observe();
-        compile_with_budget(&job.plan, &obs, &effective_config(job, config), budget)
-    })
+    catch_compile_panics(|| compile_observed(job, config, budget))
 }
 
 thread_local! {
@@ -636,7 +676,7 @@ pub fn catch_compile_panics<T>(
 /// The set of operator kinds appearing in a compiled plan's *logical*
 /// normalized form (diagnostic helper used by experiments).
 pub fn normalized_kind_counts(plan: &PlanGraph) -> [u32; OpKind::COUNT] {
-    normalize(plan).plan.op_counts()
+    normalization(plan).kind_counts
 }
 
 /// Count, for a set of signatures, how many catalog rules never appear —

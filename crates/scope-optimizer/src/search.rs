@@ -57,7 +57,7 @@ use crate::memo::{EstId, GroupId, MExprId, Memo};
 use crate::physical::{PhysNode, PhysOp, PhysPlan};
 use crate::rules::{PhysImpl, RuleAction, RuleCatalog};
 use crate::ruleset::{RuleId, RuleSet};
-use crate::transform::{apply_rule, TransformCtx};
+use crate::transform::{apply_rule, Staging, TransformCtx};
 
 /// Compilation failures caused by rule configurations — the paper's
 /// "many of these may not compile successfully due to implicit
@@ -229,10 +229,11 @@ pub struct SearchOutcome {
 
 /// Explore the memo: run every enabled transformation rule over every
 /// expression (including rule outputs) until the list is exhausted or
-/// budgets bite. Returns the number of expressions added; errors when the
+/// budgets bite, building rule outputs in `stage`. Returns the number of expressions added; errors when the
 /// compile budget runs out mid-exploration.
 pub fn explore(
     memo: &mut Memo,
+    stage: &mut Staging,
     config: &RuleConfig,
     ctx: &TransformCtx<'_>,
     tracker: &mut BudgetTracker,
@@ -254,7 +255,7 @@ pub fn explore(
         for rid in mask.iter() {
             tracker.charge(CompilePhase::Explore)?;
             let rule = cat.rule(rid);
-            apply_rule(rule, expr_id, memo, ctx);
+            apply_rule(rule, expr_id, memo, stage, ctx);
         }
         idx += 1;
     }

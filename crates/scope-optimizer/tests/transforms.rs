@@ -1,15 +1,13 @@
 //! Direct tests of the transformation-rule engine: each family applied to a
 //! hand-built memo, checking the rewritten alternative's shape.
 
-use std::collections::BTreeSet;
-
 use scope_ir::expr::{CmpOp, Literal, PredAtom, Predicate};
 use scope_ir::ids::{ColId, DomainId, TableId, UdoId};
 use scope_ir::ops::{AggFunc, JoinKind, LogicalOp};
 use scope_ir::{PlanGraph, TrueCatalog};
 use scope_optimizer::estimate::Estimator;
 use scope_optimizer::memo::{GroupId, MExprId, Memo};
-use scope_optimizer::transform::{apply_rule, referenced_cols, TransformCtx};
+use scope_optimizer::transform::{apply_rule, referenced_cols, ColSet, Staging, TransformCtx};
 use scope_optimizer::{RuleCatalog, RuleId};
 
 struct Fixture {
@@ -32,7 +30,7 @@ impl Fixture {
     fn apply(&self, plan: &PlanGraph, rule_name: &str) -> (Memo, GroupId, usize) {
         let obs = self.cat.observe();
         let est = Estimator::new(&obs);
-        let mut referenced: BTreeSet<ColId> = BTreeSet::new();
+        let mut referenced = ColSet::default();
         for (_, node) in plan.iter() {
             referenced_cols(&node.op, &mut referenced);
         }
@@ -47,10 +45,11 @@ impl Fixture {
             est: &est,
             referenced: &referenced,
         };
+        let mut stage = Staging::default();
         let mut added = 0;
         let upto = memo.num_exprs();
         for i in 0..upto {
-            added += apply_rule(rule, MExprId(i as u32), &mut memo, &ctx);
+            added += apply_rule(rule, MExprId(i as u32), &mut memo, &mut stage, &ctx);
         }
         (memo, root, added)
     }
