@@ -21,9 +21,10 @@ use scope_optimizer::optimizer::{compile_with_scratch, CompileScratch};
 use scope_optimizer::{
     compile, compile_candidates, compile_job, compile_job_guarded, compile_with_budget,
     effective_config, CompileBudget, CompileError, CompilePhase, CompiledPlan, CostCorrections,
-    CostEstimate, CostModel, CostWeights, RuleCatalog, RuleConfig, RuleId, RuleSignature,
-    NUM_RULES,
+    CostEstimate, CostModel, CostWeights, RuleAction, RuleCatalog, RuleConfig, RuleFootprint,
+    RuleId, RuleSignature, NUM_RULES,
 };
+use scope_trace::{Counter, MetricsSnapshot};
 use scope_workload::{Workload, WorkloadProfile};
 use steer_core::{approximate_span, candidate_configs};
 
@@ -654,6 +655,177 @@ fn a_dirty_scratch_changes_nothing() {
         "vacuous: {} jobs, {batches} batches",
         jobs.len()
     );
+}
+
+/// Everything a shared implementation pass hands on: the fingerprint
+/// (plan, cost bits, signature, memo shape, tasks), the cost vector's bits
+/// and the footprint — or the error.
+type Passed = Result<(u64, [u64; 6], RuleFootprint), CompileError>;
+
+fn passed(result: Result<CompiledPlan, CompileError>) -> Passed {
+    result.map(|p| (p.fingerprint(), vec_bits(&p.est_cost_vec), p.footprint))
+}
+
+/// Configurations of one exploration that share implementation passes.
+/// Per job, the default and the default without one implementation rule
+/// of a kind its memo holds — two implementation keys — each also with
+/// random flips of the rules that cannot change its plan and keep its
+/// exploration: implementations of kinds the memo never holds, and
+/// markers. Every configuration but the two keys' first copies a pass,
+/// with its own markers fired; under a budget one task short of the
+/// default's the default's key copies a `BudgetExhausted`. Each result
+/// equals a fresh single compile's, and the copies are counted.
+#[test]
+fn configurations_with_equal_implementation_keys_share_a_pass() {
+    let rules = RuleCatalog::global();
+    let mut rng = StdRng::seed_from_u64(17);
+    let (mut expected, mut other_markers, mut copied_exhaustion) = (0u64, 0usize, 0usize);
+    scope_trace::set_enabled(true);
+    let before = MetricsSnapshot::capture().counter(Counter::ImplementShared);
+    for job in jobs().iter().step_by(3) {
+        let obs = job.catalog.observe();
+        let default = effective_config(job, &RuleConfig::default_config());
+        let Ok(compiled) = compile(&job.plan, &obs, &default) else {
+            continue;
+        };
+        let steerable = |id: RuleId| !rules.required().contains(id);
+        let is_impl = |id: RuleId| matches!(rules.rule(id).action, RuleAction::Impl(_));
+        let idle: Vec<RuleId> = (0..NUM_RULES as u16)
+            .map(RuleId)
+            .filter(|&id| steerable(id) && !rules.rule(id).action.is_transformation())
+            .filter(|&id| {
+                !compiled
+                    .footprint
+                    .may_change_plan(id, !default.is_enabled(id))
+            })
+            .collect();
+        let Some(cut) = compiled
+            .signature
+            .0
+            .iter()
+            .find(|&id| steerable(id) && is_impl(id))
+        else {
+            continue;
+        };
+        let mut without = default.clone();
+        without.disable(cut);
+        let mut configs = vec![default.clone(), without.clone()];
+        for k in 0..8 {
+            let mut config = if k % 2 == 0 {
+                default.clone()
+            } else {
+                without.clone()
+            };
+            for &id in &idle {
+                if rng.gen_bool(0.5) {
+                    if config.is_enabled(id) {
+                        config.disable(id);
+                    } else {
+                        config.enable(id);
+                    }
+                }
+            }
+            configs.push(config);
+        }
+        for budget in [
+            CompileBudget::default(),
+            CompileBudget::with_max_tasks(compiled.stats.tasks - 1),
+        ] {
+            let got = compile_candidates(&job.plan, &obs, &configs, &budget, &CostModel::DEFAULT);
+            expected += configs.len() as u64 - 2;
+            let alone: Vec<_> = configs
+                .iter()
+                .map(|config| {
+                    let mut fresh = CompileScratch::new();
+                    compile_with_scratch(
+                        &job.plan,
+                        &obs,
+                        config,
+                        &budget,
+                        &CostModel::DEFAULT,
+                        &mut fresh,
+                    )
+                })
+                .collect();
+            let signatures: Vec<_> = alone
+                .iter()
+                .map(|r| r.as_ref().ok().map(|p| p.signature.0))
+                .collect();
+            let alone: Vec<Passed> = alone.into_iter().map(passed).collect();
+            for (k, got) in got.into_iter().enumerate() {
+                assert_eq!(passed(got), alone[k], "job {}, configuration {k}", job.id);
+                if k < 2 {
+                    continue;
+                }
+                // Configuration `k` copies the pass of configuration `k % 2`.
+                other_markers += usize::from(signatures[k] != signatures[k % 2]);
+                copied_exhaustion += usize::from(matches!(
+                    alone[k],
+                    Err(CompileError::BudgetExhausted {
+                        phase: CompilePhase::Implement,
+                        ..
+                    })
+                ));
+            }
+        }
+    }
+    let shared = MetricsSnapshot::capture().counter(Counter::ImplementShared) - before;
+    scope_trace::set_enabled(false);
+    drop(scope_trace::take_spans());
+    // Other tests of this binary may share passes while this one counts.
+    assert!(
+        expected > 200 && shared >= expected,
+        "{shared} configurations copied a pass, {expected} expected"
+    );
+    assert!(
+        other_markers > 0 && copied_exhaustion > 0,
+        "vacuous: {other_markers} copies fired other markers, {copied_exhaustion} copied a \
+         budget failure"
+    );
+}
+
+/// The bound drops an alternative once a partial sum reaches the group's
+/// incumbent, which is exact only while no term is negative. Under a
+/// negative weight it is off, under a zero weight it is on; a batch and
+/// fresh single compiles agree under both. A weight of `-0.0` is negative
+/// by its sign but gives the default's scalars bit for bit, so there the
+/// frozen oracle holds the batch too.
+#[test]
+fn batches_equal_single_compiles_under_negative_and_zero_weights() {
+    let model = |set: fn(&mut CostWeights)| {
+        let mut model = CostModel::DEFAULT;
+        set(&mut model.weights);
+        model
+    };
+    let negative = model(|w| w.memory = -0.5);
+    let zero = model(|w| w.cpu = 0.0);
+    let signed_zero = model(|w| w.rows = -0.0);
+    let budget = CompileBudget::default();
+    let mut compiled = 0usize;
+    for job in jobs().iter().step_by(4) {
+        let obs = job.catalog.observe();
+        let configs = candidate_like_configs(job, 24, 4, job.id.0);
+        for model in [&negative, &zero, &signed_zero] {
+            let got = compile_candidates(&job.plan, &obs, &configs, &budget, model);
+            for (config, got) in configs.iter().zip(got) {
+                let got = outcome(got);
+                let alone = outcome(compile_with_scratch(
+                    &job.plan,
+                    &obs,
+                    config,
+                    &budget,
+                    model,
+                    &mut CompileScratch::new(),
+                ));
+                assert_eq!(got, alone, "job {}, {:?}", job.id, model.weights);
+                if model == &signed_zero {
+                    assert_eq!(got, classic(job, config, &budget), "job {}", job.id);
+                }
+                compiled += usize::from(got.is_ok());
+            }
+        }
+    }
+    assert!(compiled > 300, "vacuous: {compiled} compiled");
 }
 
 proptest! {

@@ -32,5 +32,13 @@ fn tracing_never_changes_discovery_results() {
         traced.metrics.counter(Counter::FunnelGenerated) > 0,
         "the traced run's funnel recorded no candidates"
     );
+    // Candidates that share an exploration, and among them some that share
+    // an implementation pass: the copies, too, leave results unchanged.
+    let explore_shared = traced.metrics.counter(Counter::ExploreShared);
+    let implement_shared = traced.metrics.counter(Counter::ImplementShared);
+    assert!(
+        0 < implement_shared && implement_shared <= explore_shared,
+        "{implement_shared} compiles copied a pass, {explore_shared} shared an exploration"
+    );
     assert!(!spans.is_empty(), "the traced run recorded no spans");
 }

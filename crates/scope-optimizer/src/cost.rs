@@ -301,6 +301,21 @@ impl CostModel {
         self.weights.scalarize(&self.corrected(c))
     }
 
+    /// Whether every weight and correction is finite and ≥ 0, so that no
+    /// [`CostModel::scalar`] is negative: the components it scales never
+    /// are. Adding one of its scalars to a partial sum then never lowers
+    /// it, which is what lets the search drop an alternative whose partial
+    /// sum has reached the incumbent.
+    pub(crate) fn is_monotone(&self) -> bool {
+        let w = &self.weights;
+        let c = &self.corrections;
+        [
+            w.rows, w.cpu, w.io, w.net, w.memory, w.vertices, c.rows, c.cpu, c.io,
+        ]
+        .iter()
+        .all(|&v| v.is_finite() && v >= 0.0)
+    }
+
     /// Exact-bits digest of the whole model (weights + corrections): equal
     /// digests mean every compile under the two models is bit-identical.
     pub fn fingerprint_bits(&self) -> u64 {

@@ -2,8 +2,10 @@
 //! extract, producing a physical plan, its estimated cost, and the job's
 //! rule signature.
 
+use std::collections::hash_map::Entry;
 use std::time::Instant;
 
+use scope_ir::hash::WordHashMap;
 use scope_ir::{Job, ObservableCatalog, OpKind, PlanGraph};
 
 use crate::config::{RuleConfig, RuleSignature};
@@ -123,6 +125,16 @@ impl RuleFootprint {
                 .is_none_or(|kind| self.has(kind) && (enable || self.created(rule))),
             _ => true,
         }
+    }
+
+    /// Every rule whose enabling [`RuleFootprint::may_change_plan`]. Two
+    /// configurations that explore alike and agree on these rules build
+    /// the same plan by the same implementation pass.
+    fn plan_rules(&self) -> RuleSet {
+        RuleSet::FULL
+            .iter()
+            .filter(|&rule| self.may_change_plan(rule, true))
+            .collect()
     }
 }
 
@@ -297,15 +309,21 @@ pub fn compile_with_scratch(
 /// [`CompiledPlan::fingerprint`], same [`CompileError`].
 ///
 /// The plan is prepared once, and configurations that agree on every
-/// transformation rule (`search::exploration_keys`) share one exploration: the
-/// memo is cleared, ingested and explored for the first of them, and each
-/// then pays only for its own implementation pass over that read-only
-/// memo, its task count resumed from where the exploration left it.
+/// transformation rule (`search::exploration_keys`) form a partition that
+/// shares one exploration: the memo is cleared, ingested and explored for
+/// the first of them, and each then pays only for its implementation pass
+/// over that read-only memo, its task count resumed from where the
+/// exploration left it. Within a partition a configuration's
+/// implementation key is its enabled set restricted to the rules the
+/// explored memo's [`RuleFootprint::may_change_plan`] says can change the
+/// plan; a configuration whose key equals an earlier one's runs no pass
+/// and gets a copy of that one's result (plan, costs, tasks, footprint or
+/// error) with its own marker rules fired.
 ///
 /// A panic while exploring (normalizing a malformed plan included) is one
 /// every configuration it serves would have hit alone, so each of them
 /// gets the [`CompileError::Panicked`]; a panic in one implementation pass
-/// stays with that configuration.
+/// stays with that configuration and those that share its key.
 pub fn compile_candidates(
     plan: &PlanGraph,
     obs: &ObservableCatalog,
@@ -333,10 +351,14 @@ fn compile_candidates_with(
     let keys = exploration_keys(configs);
     let mut results: Vec<Option<Result<CompiledPlan, CompileError>>> =
         configs.iter().map(|_| None).collect();
+    // Per implementation key of the current partition, the configuration
+    // whose pass it ran.
+    let mut passes: WordHashMap<RuleSet, usize> = WordHashMap::default();
     for lead in 0..configs.len() {
         if results[lead].is_some() {
             continue;
         }
+        passes.clear();
         // The exploration is timed inside the `compile` span of the
         // configuration that runs it.
         let mut explored = None;
@@ -348,11 +370,29 @@ fn compile_candidates_with(
                 scope_trace::count(scope_trace::Counter::ExploreShared, 1);
             }
             let explored = explored.get_or_insert_with(|| {
-                catch_compile_panics(|| prepared.explore(&configs[i], budget, scratch))
+                catch_compile_panics(|| prepared.explore(&configs[i], budget, scratch)).map(
+                    |explored| {
+                        let plan_rules = explored.footprint.plan_rules();
+                        (explored, plan_rules)
+                    },
+                )
             });
             results[i] = Some(match explored {
-                Ok(explored) => {
-                    catch_compile_panics(|| prepared.finish(explored, &configs[i], scratch, start))
+                Ok((explored, plan_rules)) => {
+                    let key = configs[i].enabled().intersection(plan_rules);
+                    match passes.entry(key) {
+                        Entry::Occupied(pass) => {
+                            scope_trace::count(scope_trace::Counter::ImplementShared, 1);
+                            let pass = results[*pass.get()].as_ref().expect("an earlier pass");
+                            prepared.share(explored, pass, &configs[i], start)
+                        }
+                        Entry::Vacant(pass) => {
+                            pass.insert(i);
+                            catch_compile_panics(|| {
+                                prepared.finish(explored, &configs[i], scratch, start)
+                            })
+                        }
+                    }
                 }
                 Err(e) => Err(e.clone()),
             });
@@ -387,6 +427,8 @@ struct Explored {
     /// What the ingest's normalization fired and counted: the marker
     /// rules fire on the counts.
     normal: Normalization,
+    /// What the explored memo holds and its transformations created.
+    footprint: RuleFootprint,
 }
 
 impl<'a> Prepared<'a> {
@@ -448,6 +490,7 @@ impl<'a> Prepared<'a> {
             explore_added,
             tracker,
             normal,
+            footprint: RuleFootprint::of(memo),
         })
     }
 
@@ -523,7 +566,50 @@ impl<'a> Prepared<'a> {
                 memo_budget_rejections: memo.budget_rejections(),
                 compile_micros: start.elapsed().as_micros() as u64,
             },
-            footprint: RuleFootprint::of(memo),
+            footprint: explored.footprint,
+        })
+    }
+
+    /// The compile of `config` whose implementation key equals that of an
+    /// earlier configuration of the partition, whose compile is `pass`:
+    /// the same plan, costs, task count and footprint — or the same error
+    /// — with `config`'s own markers fired on the signature. Its
+    /// `compile.implement` span times the copy, and a traced run records
+    /// the samples the pass recorded.
+    fn share(
+        &self,
+        explored: &Explored,
+        pass: &Result<CompiledPlan, CompileError>,
+        config: &RuleConfig,
+        start: Instant,
+    ) -> Result<CompiledPlan, CompileError> {
+        let _span =
+            scope_trace::span_timed("compile.implement", scope_trace::Histogram::ImplementMicros);
+        let pass = pass.as_ref().map_err(CompileError::clone)?;
+        if scope_trace::enabled() {
+            scope_trace::record(scope_trace::Histogram::MemoGroups, pass.memo_groups as u64);
+            scope_trace::record(scope_trace::Histogram::MemoExprs, pass.memo_exprs as u64);
+            scope_trace::record(scope_trace::Histogram::CompileTasks, pass.stats.tasks);
+        }
+        // Only `fire_markers` fires a marker rule: without them the
+        // signature is what the normalization and the pass fired.
+        let mut fired = pass.signature.0;
+        for &marker in RuleCatalog::global().markers() {
+            fired.remove(marker);
+        }
+        fire_markers(config, &explored.normal.kind_counts, &mut fired);
+        Ok(CompiledPlan {
+            plan: pass.plan.clone(),
+            est_cost: pass.est_cost,
+            est_cost_vec: pass.est_cost_vec,
+            signature: RuleSignature(fired),
+            memo_groups: pass.memo_groups,
+            memo_exprs: pass.memo_exprs,
+            stats: CompileStats {
+                compile_micros: start.elapsed().as_micros() as u64,
+                ..pass.stats
+            },
+            footprint: pass.footprint,
         })
     }
 }

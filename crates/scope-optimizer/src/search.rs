@@ -10,41 +10,49 @@
 //! `[RuleSet; OpKind::COUNT]` table; visiting an expression is then a
 //! 4-word bitset walk instead of collecting a `Vec<RuleId>` per
 //! expression. Implementation state (winners, failures, visit marks,
-//! extraction cache) lives in a reusable `ImplementScratch` of flat
-//! per-group vectors rather than per-compile `HashMap`s. Both changes
-//! preserve rule order exactly: catalog rule lists are ascending by id and
-//! [`RuleSet::iter`] yields ascending ids.
+//! extracted nodes) lives in a reusable `ImplementScratch` of flat
+//! per-group vectors. Both preserve rule order exactly: catalog rule lists
+//! are ascending by id and [`RuleSet::iter`] yields ascending ids.
 //!
-//! The implementation passes that share an exploration — a batch's
-//! configurations that agree on every transformation rule — also share one
-//! **table of costed alternatives**, kept in the same scratch. An
-//! alternative is a memo expression under one implementation rule; its slot
-//! holds what no configuration can change: the physical operator, its
-//! degree of parallelism, the operator's own cost as the model's scalar
-//! and as the corrected vector, the partitioning it requires of its
-//! children, and the partitioning it delivers unless that is its first
-//! child's. The first pass to charge an alternative fills its slot
-//! (`impl_cost` + `required_parts` + `delivered_part`, once per memo
-//! instead of once per configuration); every pass, that one included, then
-//! ranks the alternative on a scalar it adds up from the slot, the
-//! children's winners and the exchanges they need, in the order the search
-//! always added them. A configuration enters only through `enabled`: which
-//! slots it walks, which exchanges it may insert, what it is charged.
-//! *Neither the table nor a pass owns heap memory beyond its vectors:* a
-//! slot and a winner are `Copy` records, and a partitioning in either is a
-//! `Part` handle that leaves its key list in the memo operator, so
-//! `satisfies` compares key lists in place. A winner's cost vector is
-//! added up on a second walk over the children for an alternative that has
-//! just passed the strict `<`. Extraction rebuilds the exchanges the search
-//! chose from the winning slot's requirements and the children's handles,
-//! through the same `enforcer_for`, and is the only place a
-//! [`crate::physical::Partitioning`] is built. The table is forgotten
-//! exactly when the memo changes (`Prepared::explore` in `optimizer.rs`:
-//! once per partition of a batch, once per single compile), and by the
-//! public [`implement`] / `implement_with_model` on entry, which cannot
-//! know what their caller's scratch last saw. A single compile is a batch
-//! of one: it fills each slot it touches once, which is the costing it
-//! always did.
+//! An implementation pass ranks each alternative — a memo expression under
+//! one enabled implementation rule — once, on one scalar, and does no work
+//! whose answer is already known:
+//!
+//! * **Costed once per memo.** The passes over one exploration share a
+//!   table of costed alternatives in the same scratch. A slot holds what no
+//!   configuration can change: the physical operator, its parallelism, its
+//!   own cost as the model's scalar and corrected vector, the partitionings
+//!   it requires of its children and delivers (unless it passes on its
+//!   first child's), and per child the scalar of the exchange that child
+//!   needs, keyed by the estimate of the child winner it was costed for.
+//!   The first pass to charge an alternative fills its slot; an exchange is
+//!   costed the first time a pass reaches it with a new child estimate.
+//! * **Bound first.** The scalar is added up in the order the search always
+//!   used — own cost, then per child its subtree and the exchange it needs
+//!   — and each partial sum is compared with the group's incumbent. Once it
+//!   is `>=` the alternative is dropped: ties lose under the strict `<`
+//!   anyway, and when no term is negative the total can only be at least
+//!   the partial sum, since rounding is monotone. That holds under a
+//!   `CostModel::is_monotone` model; under any other there is no bound.
+//! * **Vectors only where a plan is built.** A winner is a `Copy` record
+//!   of its scalar, expression, rule, slot and the `Part` its subtree
+//!   delivers. `extract` adds each extracted subtree's cost vector once,
+//!   in the scalar's order, and rebuilds the exchanges the search chose
+//!   through the same `enforcer_for`; it is the only place a
+//!   [`crate::physical::Partitioning`] is built.
+//!
+//! A configuration enters only through its enabled set: which slots a pass
+//! walks, which exchanges it may insert, what it is charged. *Neither the
+//! table nor a pass owns heap memory beyond its vectors,* and a
+//! partitioning is a `Part` handle that leaves its key list in the memo
+//! operator, so `satisfies` compares key lists in place. The table is
+//! forgotten exactly when the memo changes (`Prepared::explore` in
+//! `optimizer.rs`: once per partition of a batch, once per single
+//! compile), and by the public [`implement`] / `implement_with_model` on
+//! entry, which cannot know what their caller's scratch last saw. A single
+//! compile is a batch of one through the same code. Configurations of a
+//! batch whose passes would be identical do not run one twice: that is
+//! `compile_candidates`' implementation key.
 
 use scope_ir::ids::NodeId;
 use scope_ir::{LogicalOp, OpKind};
@@ -280,7 +288,8 @@ pub(crate) fn exploration_keys(configs: &[RuleConfig]) -> Vec<RuleSet> {
 
 /// Per-group winning implementation: a `Copy` record that owns no heap
 /// memory. What it does not carry — operator, degree of parallelism,
-/// requirements, exchanges — is read from its slot in the table.
+/// requirements, exchanges, the cost vector — is read from its slot in the
+/// table, or added up by [`extract`].
 #[derive(Clone, Copy, Debug)]
 struct Winner {
     /// Scalarized subtree cost — the *only* value alternatives are ranked
@@ -288,9 +297,6 @@ struct Winner {
     /// accumulation below is textually the same as the pre-vector model's,
     /// so the default model is bit-identical to the classic scalar.
     cost: f64,
-    /// Component-wise subtree cost (corrections applied), carried for plan
-    /// annotation and feedback; never compared.
-    cost_vec: CostEstimate,
     expr: MExprId,
     impl_rule: RuleId,
     /// The winning alternative's slot in `ImplementScratch::alts`.
@@ -317,6 +323,13 @@ struct CostedAlt {
     /// The partitioning the operator delivers ([`delivered_part`]); `None`
     /// when it passes on its first child's.
     out: Option<Part>,
+    /// The scalar of the exchange its first child and a later one need
+    /// (indexed like `reqs`), with the estimate of the child winner it was
+    /// costed for. The slot fixes the exchange's implementation
+    /// (`reqs[i].exchange()`) and its parallelism (`dop`); the child's
+    /// estimate fixes its bytes, so an entry whose estimate matches is
+    /// the scalar `exchange_cost` would give again.
+    exchanges: [Option<(EstId, f64)>; 2],
 }
 
 const _: () = {
@@ -349,6 +362,7 @@ impl CostedAlt {
             reqs: required_parts(phys, op, op_id),
             // An operator with no child to pass on delivers no guarantee.
             out: delivered_part(phys, op, op_id).or(children.is_empty().then_some(Part::Any)),
+            exchanges: [None; 2],
         }
     }
 
@@ -369,7 +383,8 @@ pub(crate) struct ImplementScratch {
     winners: Vec<Option<Winner>>,
     failures: Vec<Option<CompileError>>,
     visiting: Vec<bool>,
-    built: Vec<Option<NodeId>>,
+    /// Per group, once extracted: its node and its subtree's cost vector.
+    built: Vec<Option<(NodeId, CostEstimate)>>,
     /// Per memo expression: its first slot in `alts`. Empty between
     /// [`ImplementScratch::forget_costed`] and the next pass, which lays
     /// the table out for the memo it is given.
@@ -479,9 +494,10 @@ pub(crate) fn implement_pass(
     let cat = RuleCatalog::global();
     let mut pass = Pass {
         memo,
-        config,
+        enabled: config.enabled(),
         obs,
         model,
+        bounded: model.is_monotone(),
         cat,
         winners: &mut scratch.winners,
         failures: &mut scratch.failures,
@@ -495,7 +511,7 @@ pub(crate) fn implement_pass(
     // Extraction.
     let mut plan = PhysPlan::new();
     let mut used = RuleSet::EMPTY;
-    let root_node = extract(
+    let (root_node, _) = extract(
         memo,
         root,
         &scratch.winners,
@@ -533,14 +549,27 @@ fn enforcer_for(have: Part, req: Part, memo: &Memo) -> Option<PhysImpl> {
     }
 }
 
+/// What ranking one alternative found.
+enum Rank {
+    /// Its scalar subtree cost.
+    Cost(f64),
+    /// A partial sum reached the bound: it cannot beat the incumbent.
+    Bounded,
+    /// A child needs an exchange whose rule is disabled.
+    Blocked,
+}
+
 /// One configuration's walk over the memo. The configuration enters only
-/// through `config.enabled()`; everything else an alternative costs is read
+/// through its enabled set; everything else an alternative costs is read
 /// from (or filled into) the shared table.
 struct Pass<'a> {
     memo: &'a Memo,
-    config: &'a RuleConfig,
+    enabled: &'a RuleSet,
     obs: &'a scope_ir::ObservableCatalog,
     model: &'a CostModel,
+    /// [`CostModel::is_monotone`]: whether a partial sum may be compared
+    /// with the incumbent.
+    bounded: bool,
     cat: &'static RuleCatalog,
     winners: &'a mut [Option<Winner>],
     failures: &'a mut [Option<CompileError>],
@@ -564,7 +593,6 @@ impl Pass<'_> {
         self.visiting[group.index()] = true;
 
         let memo = self.memo;
-        let enabled = self.config.enabled();
         let mut best_winner: Option<Winner> = None;
         let mut kind_without_impl: Option<OpKind> = None;
         let mut exchange_blocked = false;
@@ -614,54 +642,31 @@ impl Pass<'_> {
             let base = self.alt_base[expr_id.index()] as usize;
             let mut any_enabled = false;
             for (slot, &impl_rule) in impls.iter().enumerate() {
-                if !enabled.contains(impl_rule) {
+                if !self.enabled.contains(impl_rule) {
                     continue;
                 }
                 any_enabled = true;
                 self.tracker.charge(CompilePhase::Implement)?;
-                let alt = match self.alts[base + slot] {
-                    Some(alt) => alt,
-                    None => {
-                        let RuleAction::Impl(phys) = self.cat.rule(impl_rule).action else {
-                            continue;
-                        };
-                        let alt = CostedAlt::cost(memo, expr_id, phys, self.obs, self.model);
-                        self.alts[base + slot] = Some(alt);
-                        alt
-                    }
-                };
-
-                // Rank on the scalar alone: own cost, then per child its
-                // subtree and the exchange it needs, in that order.
-                let mut candidate_cost = alt.scalar;
-                let mut feasible = true;
-                for (i, &c) in children.iter().enumerate() {
-                    let child_w = self.winners[c.index()]
-                        .as_ref()
-                        .expect("child winner resolved");
-                    candidate_cost += child_w.cost;
-                    let Some(ex_impl) = enforcer_for(child_w.part, alt.req(i), memo) else {
+                let slot = base + slot;
+                if self.alts[slot].is_none() {
+                    let RuleAction::Impl(phys) = self.cat.rule(impl_rule).action else {
                         continue;
                     };
-                    let ex_rule = self
-                        .cat
-                        .rule_for_impl(ex_impl)
-                        .expect("exchange impl rule exists");
-                    if !enabled.contains(ex_rule) {
-                        exchange_blocked = true;
-                        feasible = false;
-                        break;
+                    self.alts[slot] =
+                        Some(CostedAlt::cost(memo, expr_id, phys, self.obs, self.model));
+                }
+                // No bound before there is an incumbent (NaN compares
+                // false), nor under a model that can add a negative term.
+                let bound = match &best_winner {
+                    Some(w) if self.bounded => w.cost,
+                    _ => f64::NAN,
+                };
+                match self.rank(slot, children, bound) {
+                    Rank::Cost(cost) if best_winner.as_ref().is_none_or(|w| cost < w.cost) => {
+                        best_winner = Some(self.winner(expr_id, impl_rule, slot, cost));
                     }
-                    let ex_cost =
-                        exchange_cost(ex_impl, memo.est(child_w.est).bytes(), alt.dop.max(1));
-                    candidate_cost += self.model.scalar(&ex_cost.cost);
-                }
-                if !feasible {
-                    continue;
-                }
-                if best_winner.as_ref().is_none_or(|w| candidate_cost < w.cost) {
-                    best_winner =
-                        Some(self.winner(expr_id, impl_rule, base + slot, &alt, candidate_cost));
+                    Rank::Cost(_) | Rank::Bounded => {}
+                    Rank::Blocked => exchange_blocked = true,
                 }
             }
             if !any_enabled {
@@ -679,7 +684,8 @@ impl Pass<'_> {
             None => {
                 // Prefer the most specific cause: a kind with no enabled
                 // implementation here, then a child subtree's cause, then the
-                // exchange enforcer.
+                // exchange enforcer. A bounded alternative leaves no mark:
+                // there was an incumbent, so the group has a winner.
                 let err = if let Some(kind) = kind_without_impl {
                     CompileError::NoImplementation { kind }
                 } else if let Some(e) = child_failure {
@@ -697,42 +703,73 @@ impl Pass<'_> {
         }
     }
 
-    /// Everything a winner carries beyond its rank: the second walk over
-    /// the children of an alternative that passed the strict `<`, adding the
-    /// cost vector in the order the scalar was added.
-    fn winner(
-        &self,
-        expr: MExprId,
-        impl_rule: RuleId,
-        slot: usize,
-        alt: &CostedAlt,
-        cost: f64,
-    ) -> Winner {
-        let memo = self.memo;
-        let mut cost_vec = alt.vec;
-        // Set by the first child when the operator passes its on.
-        let mut part = alt.out.unwrap_or(Part::Any);
-        for (i, &c) in memo.children(expr).iter().enumerate() {
-            let child_w = self.winners[c.index()]
-                .as_ref()
-                .expect("child winner resolved");
-            cost_vec = cost_vec.add(&child_w.cost_vec);
-            let ex_impl = enforcer_for(child_w.part, alt.req(i), memo);
-            if i == 0 && alt.out.is_none() {
-                part = match ex_impl {
-                    Some(_) => alt.req(0),
-                    None => child_w.part,
-                };
+    /// Rank the alternative in `slot` on the scalar alone: own cost, then
+    /// per child its subtree and the exchange it needs, in that order.
+    /// Under a monotone model every term is ≥ 0 and rounding is monotone,
+    /// so a partial sum `>= bound` only grows into a total that loses the
+    /// strict `<` against the incumbent — a tie included — and the
+    /// alternative is dropped there, before its later exchanges are costed.
+    fn rank(&mut self, slot: usize, children: &[GroupId], bound: f64) -> Rank {
+        let alt = self.alts[slot].as_ref().expect("slot filled");
+        let (reqs, dop) = (alt.reqs, alt.dop);
+        let mut cost = alt.scalar;
+        if cost >= bound {
+            return Rank::Bounded;
+        }
+        for (i, &c) in children.iter().enumerate() {
+            let child_w = self.winners[c.index()].expect("child winner resolved");
+            cost += child_w.cost;
+            if cost >= bound {
+                return Rank::Bounded;
             }
-            let Some(ex_impl) = ex_impl else {
+            let Some(ex_impl) = enforcer_for(child_w.part, reqs[i.min(1)], self.memo) else {
                 continue;
             };
-            let ex_cost = exchange_cost(ex_impl, memo.est(child_w.est).bytes(), alt.dop.max(1));
-            cost_vec = cost_vec.add(&self.model.corrected(&ex_cost.cost));
+            let ex_rule = self
+                .cat
+                .rule_for_impl(ex_impl)
+                .expect("exchange impl rule exists");
+            if !self.enabled.contains(ex_rule) {
+                return Rank::Blocked;
+            }
+            let known = &mut self.alts[slot].as_mut().expect("slot filled").exchanges[i.min(1)];
+            cost += match *known {
+                Some((est, scalar)) if est == child_w.est => scalar,
+                _ => {
+                    let bytes = self.memo.est(child_w.est).bytes();
+                    let scalar = self
+                        .model
+                        .scalar(&exchange_cost(ex_impl, bytes, dop.max(1)).cost);
+                    *known = Some((child_w.est, scalar));
+                    scalar
+                }
+            };
+            if cost >= bound {
+                return Rank::Bounded;
+            }
         }
+        Rank::Cost(cost)
+    }
+
+    /// The winner record of an alternative that passed the strict `<`:
+    /// its slot's partitioning, or — for an operator that passes its first
+    /// child's on — that child's, or the requirement an exchange inserted
+    /// below it delivers.
+    fn winner(&self, expr: MExprId, impl_rule: RuleId, slot: usize, cost: f64) -> Winner {
+        let memo = self.memo;
+        let alt = self.alts[slot].as_ref().expect("slot filled");
+        let part = alt.out.unwrap_or_else(|| {
+            let first = memo.children(expr)[0];
+            let have = self.winners[first.index()]
+                .expect("child winner resolved")
+                .part;
+            match enforcer_for(have, alt.req(0), memo) {
+                Some(_) => alt.req(0),
+                None => have,
+            }
+        });
         Winner {
             cost,
-            cost_vec,
             expr,
             impl_rule,
             slot: slot as u32,
@@ -742,6 +779,9 @@ impl Pass<'_> {
     }
 }
 
+/// Build the plan under `group`'s winner and return its node with the
+/// subtree's cost vector, added up once per group in the order the
+/// scalar was: own cost, then per child its subtree and its exchange.
 #[allow(clippy::too_many_arguments)]
 fn extract(
     memo: &Memo,
@@ -749,13 +789,13 @@ fn extract(
     winners: &[Option<Winner>],
     alts: &[Option<CostedAlt>],
     plan: &mut PhysPlan,
-    built: &mut [Option<NodeId>],
+    built: &mut [Option<(NodeId, CostEstimate)>],
     used: &mut RuleSet,
     cat: &RuleCatalog,
     model: &CostModel,
-) -> NodeId {
-    if let Some(node) = built[group.index()] {
-        return node;
+) -> (NodeId, CostEstimate) {
+    if let Some(done) = built[group.index()] {
+        return done;
     }
     let child_winner = |c: GroupId| winners[c.index()].as_ref().expect("child winner");
     let w = winners[group.index()]
@@ -775,9 +815,12 @@ fn extract(
         Some((ex_impl, req, exchange_cost(ex_impl, bytes, alt.dop.max(1))))
     };
     let mut child_nodes = Vec::with_capacity(children.len());
+    let mut subtree_vec = alt.vec;
     for (i, &c) in children.iter().enumerate() {
-        let mut node = extract(memo, c, winners, alts, plan, built, used, cat, model);
+        let (mut node, child_vec) = extract(memo, c, winners, alts, plan, built, used, cat, model);
+        subtree_vec = subtree_vec.add(&child_vec);
         if let Some((ex_impl, scheme, ex_cost)) = exchange(i) {
+            subtree_vec = subtree_vec.add(&model.corrected(&ex_cost.cost));
             let ex_rule = cat
                 .rule_for_impl(ex_impl)
                 .expect("exchange impl rule exists");
@@ -815,9 +858,9 @@ fn extract(
             .sum::<f64>();
     // Component-wise own cost: the subtree vector minus resolved child and
     // exchange vectors, floored at zero like the scalar.
-    let mut own_vec = w.cost_vec;
+    let mut own_vec = subtree_vec;
     for &c in children {
-        own_vec = own_vec.saturating_sub(&child_winner(c).cost_vec);
+        own_vec = own_vec.saturating_sub(&built[c.index()].expect("child extracted").1);
     }
     for (_, _, ex) in (0..children.len()).filter_map(exchange) {
         own_vec = own_vec.saturating_sub(&model.corrected(&ex.cost));
@@ -840,8 +883,8 @@ fn extract(
     if let Some(t) = created_by_logical {
         used.insert(t);
     }
-    built[group.index()] = Some(node);
-    node
+    built[group.index()] = Some((node, subtree_vec));
+    (node, subtree_vec)
 }
 
 /// Map a logical operator plus chosen implementation to a physical operator.
@@ -978,11 +1021,244 @@ pub(crate) fn phys_op_for(phys: PhysImpl, op: &LogicalOp) -> PhysOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostWeights;
     use crate::estimate::Estimator;
     use crate::physical::Partitioning;
+    use crate::transform::ColSet;
     use scope_ir::ids::{DomainId, TableId};
     use scope_ir::ops::JoinKind;
     use scope_ir::{PlanGraph, Predicate, TrueCatalog};
+
+    /// The default model with one weight changed.
+    fn weighted(set: impl FnOnce(&mut CostWeights)) -> CostModel {
+        let mut model = CostModel::DEFAULT;
+        set(&mut model.weights);
+        model
+    }
+
+    /// A filtered scan joined on a key to each of `rows.len() - 1` more
+    /// tables, under an output, as an unexplored memo.
+    fn join_chain(rows: &[u64]) -> (Memo, GroupId, scope_ir::ObservableCatalog) {
+        let mut cat = TrueCatalog::new();
+        let keys: Vec<_> = (0..rows.len() as u32)
+            .map(|t| cat.add_column(40_000, 0.0, DomainId(t)))
+            .collect();
+        for (t, &n) in rows.iter().enumerate() {
+            cat.add_table(n, 90, 11 + t as u64, vec![keys[t]]);
+        }
+        let obs = cat.observe();
+        let mut plan = PlanGraph::new();
+        let range = |t: usize| LogicalOp::RangeGet {
+            table: TableId(t as u32),
+            pushed: Predicate::true_pred(),
+        };
+        let mut acc = plan.add_unchecked(range(0), vec![]);
+        for t in 1..rows.len() {
+            let right = plan.add_unchecked(range(t), vec![]);
+            let join = LogicalOp::Join {
+                kind: JoinKind::Inner,
+                keys: vec![(keys[t - 1], keys[t])],
+            };
+            acc = plan.add_unchecked(join, vec![acc, right]);
+        }
+        let out = plan.add_unchecked(LogicalOp::Output { stream: 1 }, vec![acc]);
+        plan.set_root(out);
+        let (memo, root) = Memo::from_plan(&plan, &Estimator::new(&obs)).expect("ingests");
+        (memo, root, obs)
+    }
+
+    /// The winning join's variant and the plan's cost bits under `config`.
+    fn hash_join_variant(
+        memo: &Memo,
+        root: GroupId,
+        obs: &scope_ir::ObservableCatalog,
+        config: &RuleConfig,
+        model: &CostModel,
+    ) -> (u8, u64) {
+        let mut tracker = BudgetTracker::new(&CompileBudget::UNLIMITED);
+        let mut scratch = ImplementScratch::new();
+        let out = implement_pass(memo, root, config, obs, &mut tracker, &mut scratch, model)
+            .expect("implements");
+        let variant = out
+            .plan
+            .iter()
+            .find_map(|(_, n)| match n.op {
+                PhysOp::HashJoin { variant, .. } => Some(variant),
+                _ => None,
+            })
+            .expect("a hash join wins");
+        (variant, out.est_cost.to_bits())
+    }
+
+    /// Two small inputs sit at the lowest parallelism tier, which the third
+    /// hash join's one-tier-down cannot go below: the first and third hash
+    /// joins cost exactly the same. The first in rule order wins, whether
+    /// the bound is on (a tie reaches the incumbent and is dropped) or off
+    /// (the strict `<` keeps the incumbent).
+    #[test]
+    fn of_two_alternatives_of_equal_cost_the_first_wins() {
+        let (memo, root, obs) = join_chain(&[3_000, 2_000]);
+        let rules = RuleCatalog::global();
+        let rule = |phys| rules.rule_for_impl(phys).expect("implementation rule");
+        let (first, third) = (rule(PhysImpl::HashJoin1), rule(PhysImpl::HashJoin3));
+        assert!(first < third);
+        let only = |keep: &[RuleId]| {
+            let mut config = RuleConfig::from_enabled(RuleSet::FULL);
+            for &id in rules.impls_for(OpKind::Join) {
+                if !keep.contains(&id) {
+                    config.disable(id);
+                }
+            }
+            config
+        };
+        let negative = weighted(|w| w.memory = -0.5);
+        for model in [&CostModel::DEFAULT, &negative] {
+            let (v1, cost1) = hash_join_variant(&memo, root, &obs, &only(&[first]), model);
+            let (v3, cost3) = hash_join_variant(&memo, root, &obs, &only(&[third]), model);
+            assert_eq!((v1, v3), (1, 3));
+            assert_eq!(cost1, cost3, "vacuous: the two hash joins cost differently");
+            let both = hash_join_variant(&memo, root, &obs, &only(&[first, third]), model);
+            assert_eq!(both, (1, cost1), "a tie went to the later alternative");
+        }
+    }
+
+    /// A group's winner as the reference ranking sees it: its cost, the
+    /// partitioning it delivers and its estimate.
+    type Ranked = (f64, Part, EstId);
+
+    /// What `best` ranks, without a bound: per group the first alternative
+    /// in (expression, rule) order of least scalar, summed in the same
+    /// order.
+    fn unbounded(
+        memo: &Memo,
+        group: GroupId,
+        config: &RuleConfig,
+        obs: &scope_ir::ObservableCatalog,
+        model: &CostModel,
+        done: &mut [Option<Option<Ranked>>],
+    ) -> Option<Ranked> {
+        if let Some(known) = done[group.index()] {
+            return known;
+        }
+        let rules = RuleCatalog::global();
+        let mut best: Option<Ranked> = None;
+        'exprs: for expr in memo.group_exprs(group) {
+            let mut kids = Vec::new();
+            for &c in memo.children(expr) {
+                match unbounded(memo, c, config, obs, model, done) {
+                    Some(kid) => kids.push(kid),
+                    None => continue 'exprs,
+                }
+            }
+            'impls: for &id in rules.impls_for(memo.kind_of(expr)) {
+                let RuleAction::Impl(phys) = rules.rule(id).action else {
+                    continue;
+                };
+                if !config.is_enabled(id) {
+                    continue;
+                }
+                let alt = CostedAlt::cost(memo, expr, phys, obs, model);
+                let mut cost = alt.scalar;
+                let mut part = alt.out;
+                for (i, &(kid_cost, have, est)) in kids.iter().enumerate() {
+                    cost += kid_cost;
+                    let ex = enforcer_for(have, alt.req(i), memo);
+                    if i == 0 && part.is_none() {
+                        part = Some(if ex.is_some() { alt.req(0) } else { have });
+                    }
+                    if let Some(ex) = ex {
+                        if !config.is_enabled(rules.rule_for_impl(ex).expect("rule")) {
+                            continue 'impls;
+                        }
+                        let bytes = memo.est(est).bytes();
+                        cost += model.scalar(&exchange_cost(ex, bytes, alt.dop.max(1)).cost);
+                    }
+                }
+                if best.is_none_or(|(b, _, _)| cost < b) {
+                    best = Some((cost, part.expect("set"), memo.expr(expr).est));
+                }
+            }
+        }
+        done[group.index()] = Some(best);
+        best
+    }
+
+    /// Under a weight below zero an exchange, or a child, can lower a
+    /// partial sum, so an alternative whose partial sum has reached the
+    /// incumbent may still win: the bound must be off. Every group's
+    /// winner of an explored join chain, under every configuration that
+    /// keeps a subset of the join implementations, equals the unbounded
+    /// ranking's — under the default model and under a negative weight on
+    /// the network, on memory and on the processor.
+    #[test]
+    fn a_model_with_a_negative_weight_ranks_without_the_bound() {
+        let (mut memo, root, obs) = join_chain(&[2_000_000, 800_000, 300_000, 50_000]);
+        let full = RuleConfig::from_enabled(RuleSet::FULL);
+        let est = Estimator::new(&obs);
+        let mut referenced = ColSet::default();
+        referenced.extend((0..4).map(scope_ir::ids::ColId));
+        let ctx = TransformCtx {
+            est: &est,
+            referenced: &referenced,
+        };
+        let mut tracker = BudgetTracker::new(&CompileBudget::UNLIMITED);
+        explore(
+            &mut memo,
+            &mut Staging::default(),
+            &full,
+            &ctx,
+            &mut tracker,
+        )
+        .expect("explores");
+
+        let rules = RuleCatalog::global();
+        let joins = rules.impls_for(OpKind::Join);
+        let models = [
+            CostModel::DEFAULT,
+            weighted(|w| w.net = -1.0),
+            weighted(|w| w.memory = -0.5),
+            weighted(|w| w.cpu = -1.0),
+        ];
+        let mut compared = 0usize;
+        for model in &models {
+            let mut scratch = ImplementScratch::new();
+            for keep in 1u32..1 << joins.len() {
+                let mut config = full.clone();
+                for (j, &id) in joins.iter().enumerate() {
+                    if keep & (1 << j) == 0 {
+                        config.disable(id);
+                    }
+                }
+                let mut pass_tracker = tracker;
+                let got = implement_pass(
+                    &memo,
+                    root,
+                    &config,
+                    &obs,
+                    &mut pass_tracker,
+                    &mut scratch,
+                    model,
+                );
+                let mut done = vec![None; memo.num_groups()];
+                let want = unbounded(&memo, root, &config, &obs, model, &mut done);
+                assert_eq!(got.is_ok(), want.is_some(), "keep {keep:#b}");
+                for (group, want) in done.iter().enumerate() {
+                    let Some(Some((cost, part, _))) = *want else {
+                        continue;
+                    };
+                    let w = scratch.winners[group].expect("a winner where the ranking has one");
+                    assert_eq!(
+                        (w.cost.to_bits(), w.part),
+                        (cost.to_bits(), part),
+                        "group {group}, keep {keep:#b}, {:?}",
+                        model.weights
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 1_000, "vacuous: {compared} groups compared");
+    }
 
     /// Small enough for Miri: winners index the table across `best` and
     /// `extract`, and the table outlives a pass. A cross join's index join

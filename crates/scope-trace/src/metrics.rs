@@ -67,6 +67,10 @@ metric_enum! {
         /// Compiles served by an exploration another configuration of the
         /// same batch ran (`compile_candidates`).
         ExploreShared => "compile.explore_shared",
+        /// Compiles served by an implementation pass another configuration
+        /// of the same partition ran: their implementation keys are equal
+        /// (`compile_candidates`).
+        ImplementShared => "compile.implement_shared",
         /// Minimization trials compiled (`minimize_config`).
         MinimizeTrialsCompiled => "minimize.trials_compiled",
         /// Minimization trials accepted without a compile: the last
