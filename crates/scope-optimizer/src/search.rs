@@ -324,12 +324,16 @@ struct CostedAlt {
     /// when it passes on its first child's.
     out: Option<Part>,
     /// The scalar of the exchange its first child and a later one need
-    /// (indexed like `reqs`), with the estimate of the child winner it was
-    /// costed for. The slot fixes the exchange's implementation
+    /// (indexed like `reqs`), valid for the child winner estimate beside
+    /// it in `ex_ests`. The slot fixes the exchange's implementation
     /// (`reqs[i].exchange()`) and its parallelism (`dop`); the child's
-    /// estimate fixes its bytes, so an entry whose estimate matches is
-    /// the scalar `exchange_cost` would give again.
-    exchanges: [Option<(EstId, f64)>; 2],
+    /// estimate fixes its bytes, so a scalar whose estimate matches is the
+    /// one `exchange_cost` would give again. Kept as two arrays rather
+    /// than `Option<(EstId, f64)>` pairs, which take 24 bytes each: a
+    /// single compile fills a fresh table, and the wider slot cost it
+    /// about 6 %.
+    ex_scalars: [f64; 2],
+    ex_ests: [Option<EstId>; 2],
 }
 
 const _: () = {
@@ -362,7 +366,8 @@ impl CostedAlt {
             reqs: required_parts(phys, op, op_id),
             // An operator with no child to pass on delivers no guarantee.
             out: delivered_part(phys, op, op_id).or(children.is_empty().then_some(Part::Any)),
-            exchanges: [None; 2],
+            ex_scalars: [0.0; 2],
+            ex_ests: [None; 2],
         }
     }
 
@@ -722,7 +727,8 @@ impl Pass<'_> {
             if cost >= bound {
                 return Rank::Bounded;
             }
-            let Some(ex_impl) = enforcer_for(child_w.part, reqs[i.min(1)], self.memo) else {
+            let k = i.min(1);
+            let Some(ex_impl) = enforcer_for(child_w.part, reqs[k], self.memo) else {
                 continue;
             };
             let ex_rule = self
@@ -732,18 +738,15 @@ impl Pass<'_> {
             if !self.enabled.contains(ex_rule) {
                 return Rank::Blocked;
             }
-            let known = &mut self.alts[slot].as_mut().expect("slot filled").exchanges[i.min(1)];
-            cost += match *known {
-                Some((est, scalar)) if est == child_w.est => scalar,
-                _ => {
-                    let bytes = self.memo.est(child_w.est).bytes();
-                    let scalar = self
-                        .model
-                        .scalar(&exchange_cost(ex_impl, bytes, dop.max(1)).cost);
-                    *known = Some((child_w.est, scalar));
-                    scalar
-                }
-            };
+            let alt = self.alts[slot].as_mut().expect("slot filled");
+            if alt.ex_ests[k] != Some(child_w.est) {
+                let bytes = self.memo.est(child_w.est).bytes();
+                alt.ex_scalars[k] = self
+                    .model
+                    .scalar(&exchange_cost(ex_impl, bytes, dop.max(1)).cost);
+                alt.ex_ests[k] = Some(child_w.est);
+            }
+            cost += alt.ex_scalars[k];
             if cost >= bound {
                 return Rank::Bounded;
             }
